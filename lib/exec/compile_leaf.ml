@@ -6,18 +6,25 @@
    and specializes each leaf into a closed closure: level iterators from
    {!Level_funcs} are pre-resolved per level kind, the kernel shape is
    matched once, and the hot loop touches only flat arrays and Bigarray
-   value buffers — no IR dispatch and no per-element allocation.  The
-   classification ({!Leaf.plan_mul}) and work model ({!Leaf.mul_work}) are
-   shared with the interpreter, which stays around as the differential
-   oracle (`spdistal fuzz` cross-checks the two for bit-identical outputs
-   and Cost).
+   value buffers.  The classification ({!Leaf.plan_mul}) and work model
+   ({!Leaf.mul_work}) are shared with the interpreter, which stays around as
+   the differential oracle (`spdistal fuzz` cross-checks the two for
+   bit-identical outputs and Cost).
+
+   Three CSR shapes (SpMV, SpMM, SDDMM) get fused row-segment loops; every
+   other shape runs the generic walker.  There, every factor and sink index
+   is affine in the one active inner variable ([base + v·stride]): the bases
+   are recomputed once per stored element into an int array and the inner
+   loop is a plain [for] with a local float accumulator.  Without flambda,
+   a float returned from or passed to a closure is boxed, so no float
+   crosses a closure call: both kinds of loop allocate nothing per element.
 
    Reentrancy: one compiled leaf is executed concurrently by the domains
    simulating the pieces of a distributed launch, so all mutable walk state
-   (coordinate/position scratch, counters) is allocated per [execute] call;
-   the closure itself only captures immutable structure.  Output storage is
-   re-resolved per call because warm-start iterations swap the output
-   slot's backing data between launches. *)
+   (coordinate/position scratch, factor bases, counters) is allocated per
+   [execute] call; the closure itself only captures immutable structure.
+   Output storage is re-resolved per call because warm-start iterations
+   swap the output slot's backing data between launches. *)
 
 open Spdistal_runtime
 open Spdistal_formats
@@ -67,6 +74,28 @@ type fast =
   | Fast_spmm of { c : float array; ccols : int }
   | Fast_sddmm of { c : float array; ccols : int; d : float array; dcols : int }
 
+(* A dense index affine in the one active inner variable [v] ([j] or [k];
+   a plan never has both): [coords.(d0)·m0 + coords.(d1)·m1 + v·stride].
+   The driver terms are evaluated once per stored element; an unused term
+   has [m = 0]. *)
+type affine = { d0 : int; m0 : int; d1 : int; m1 : int; stride : int }
+
+(* [affine [(src, mult); ...]] is the index [Σ mult·src]. *)
+let affine terms =
+  let drivers =
+    List.filter_map (function Leaf.Driver_dim d, m -> Some (d, m) | _ -> None) terms
+  in
+  let term i = Option.value (List.nth_opt drivers i) ~default:(0, 0) in
+  let (d0, m0), (d1, m1) = (term 0, term 1) in
+  let stride =
+    List.fold_left (fun s -> function Leaf.Driver_dim _, _ -> s | _, m -> s + m) 0 terms
+  in
+  { d0; m0; d1; m1; stride }
+
+let factor_affine = function
+  | Leaf.F_vec (_, s) -> affine [ (s, 1) ]
+  | Leaf.F_mat (_, cols, sr, sc) -> affine [ (sr, cols); (sc, 1) ]
+
 type mul = {
   m_bindings : Operand.bindings;
   m_plan : Leaf.plan;
@@ -74,6 +103,8 @@ type mul = {
   m_mode_order : int array;
   m_walkers : Level_funcs.level_iter array;
   m_dvals : Region.F.buf;
+  m_fdata : float array array;  (* factor storage, in plan order *)
+  m_faff : affine array;  (* factor indices, in plan order *)
   m_csr_hi : int array;
       (* CSR fast paths only: flat row-end positions (snd of the level-1 pos
          ranges), pre-extracted so the hot loop never chases a tuple *)
@@ -82,7 +113,7 @@ type mul = {
 }
 
 type merge = {
-  g_ops : Leaf.merge_op list;
+  g_ops : Leaf.merge_op array;
   g_cols : int;
   g_use_workspace : bool;
 }
@@ -152,76 +183,59 @@ let compile ~bindings (leaf : Loop_ir.leaf) =
           m_mode_order = driver.Tensor.mode_order;
           m_walkers = Array.map Level_funcs.iter_of_level driver.Tensor.levels;
           m_dvals = driver.Tensor.vals.Region.F.data;
+          m_fdata =
+            Array.map
+              (function Leaf.F_vec (d, _) | Leaf.F_mat (d, _, _, _) -> d)
+              plan.Leaf.pl_factors;
+          m_faff = Array.map factor_affine plan.Leaf.pl_factors;
           m_csr_hi = csr_hi;
           m_csr_crd = csr_crd;
           m_fast = fast;
         }
 
+(* The output slot's storage, re-resolved per call (see {!t}). *)
+let out_data (m : mul) =
+  (Operand.find m.m_bindings m.m_plan.Leaf.pl_out_name).Operand.data
+
+let shape_changed (plan : Leaf.plan) =
+  Error.fail ~kernel:plan.Leaf.pl_out_name Error.Leaf
+    "compiled leaf: output slot changed shape since compilation"
+
 (* ------------------------------------------------------------------ *)
 (* Generic specialized walker                                           *)
 (* ------------------------------------------------------------------ *)
 
-let src_reader coords (s : Leaf.idx_src) : int -> int -> int =
-  match s with
-  | Leaf.Driver_dim d -> fun _ _ -> coords.(d)
-  | Leaf.Inner_out -> fun j _ -> j
-  | Leaf.Inner_red -> fun _ k -> k
+(* The output, resolved per call: dense storage at an affine index, or the
+   sparse output's values at the leaf position ([lvl = -1]) or at the
+   position of storage level [lvl]. *)
+type out = Out_dense of float array * affine | Out_sparse of Region.F.buf * int
 
-let factor_reader coords (f : Leaf.factor) : int -> int -> float =
-  match f with
-  | Leaf.F_vec (d, Leaf.Driver_dim i) -> fun _ _ -> d.(coords.(i))
-  | Leaf.F_vec (d, Leaf.Inner_out) -> fun j _ -> d.(j)
-  | Leaf.F_vec (d, Leaf.Inner_red) -> fun _ k -> d.(k)
-  | Leaf.F_mat (d, cols, sr, sc) -> (
-      match (sr, sc) with
-      | Leaf.Driver_dim a, Leaf.Driver_dim b ->
-          fun _ _ -> d.((coords.(a) * cols) + coords.(b))
-      | Leaf.Driver_dim a, Leaf.Inner_out -> fun j _ -> d.((coords.(a) * cols) + j)
-      | Leaf.Driver_dim a, Leaf.Inner_red -> fun _ k -> d.((coords.(a) * cols) + k)
-      | Leaf.Inner_out, Leaf.Driver_dim b -> fun j _ -> d.((j * cols) + coords.(b))
-      | Leaf.Inner_red, Leaf.Driver_dim b -> fun _ k -> d.((k * cols) + coords.(b))
-      | _ ->
-          let ra = src_reader coords sr and rb = src_reader coords sc in
-          fun j k -> d.((ra j k * cols) + rb j k))
+let resolve_out (m : mul) =
+  let plan = m.m_plan in
+  match (out_data m, plan.Leaf.pl_sink) with
+  | Operand.Vec v, Leaf.Sp_vec s -> Out_dense (v.Dense.data, affine [ (s, 1) ])
+  | Operand.Mat mt, Leaf.Sp_mat (sr, sc) ->
+      Out_dense (mt.Dense.data, affine [ (sr, mt.Dense.cols); (sc, 1) ])
+  | Operand.Sparse ot, Leaf.Sp_sparse lvl ->
+      Out_sparse (ot.Tensor.vals.Region.F.data, Option.value lvl ~default:(-1))
+  | _ -> shape_changed plan
 
-(* The factor product, folded left-to-right starting from the literal scale
-   — the same association order as the interpreter's accumulator, so
-   rounding is bit-identical. *)
-let eval_of coords (plan : Leaf.plan) : int -> int -> float =
-  Array.fold_left
-    (fun acc f ->
-      let r = factor_reader coords f in
-      fun j k -> acc j k *. r j k)
-    (fun _ _ -> plan.Leaf.pl_scale)
-    plan.Leaf.pl_factors
+let[@inline] base coords a = (coords.(a.d0) * a.m0) + (coords.(a.d1) * a.m1)
 
-(* [add p j k y]: reduce [y] into the output.  Resolved per call. *)
-let sink_adder ~bindings ~coords ~lvlpos (plan : Leaf.plan) :
-    int -> int -> int -> float -> unit =
-  match ((Operand.find bindings plan.Leaf.pl_out_name).Operand.data, plan.Leaf.pl_sink) with
-  | Operand.Vec v, Leaf.Sp_vec s ->
-      let d = v.Dense.data in
-      let rs = src_reader coords s in
-      fun _p j k y ->
-        let i = rs j k in
-        d.(i) <- d.(i) +. y
-  | Operand.Mat m, Leaf.Sp_mat (sr, sc) ->
-      let d = m.Dense.data and cols = m.Dense.cols in
-      let rr = src_reader coords sr and rc = src_reader coords sc in
-      fun _p j k y ->
-        let i = (rr j k * cols) + rc j k in
-        d.(i) <- d.(i) +. y
-  | Operand.Sparse ot, Leaf.Sp_sparse None ->
-      let d = ot.Tensor.vals.Region.F.data in
-      fun p _j _k y -> A1.set d p (A1.get d p +. y)
-  | Operand.Sparse ot, Leaf.Sp_sparse (Some lvl) ->
-      let d = ot.Tensor.vals.Region.F.data in
-      fun _p _j _k y ->
-        let q = lvlpos.(lvl) in
-        A1.set d q (A1.get d q +. y)
-  | _ ->
-      Error.fail ~kernel:plan.Leaf.pl_out_name Error.Leaf
-        "compiled leaf: output slot changed shape since compilation"
+let[@inline] add out q y =
+  match out with
+  | Out_dense (d, _) -> d.(q) <- d.(q) +. y
+  | Out_sparse (d, _) -> A1.set d q (A1.get d q +. y)
+
+(* The factor product at inner index [v], folded left to right from the
+   literal scale: the interpreter's association order, so rounding is
+   bit-identical.  Inlined, so the accumulator stays an unboxed local. *)
+let[@inline] product ~scale fdata faff fbase v =
+  let acc = ref scale in
+  for f = 0 to Array.length fdata - 1 do
+    acc := !acc *. fdata.(f).(fbase.(f) + (v * faff.(f).stride))
+  done;
+  !acc
 
 exception Past_end
 
@@ -231,73 +245,93 @@ let run_generic (m : mul) ~shard ~col_range =
   let coords = Array.make (max ord 1) 0 in
   let lvlpos = Array.make (max ord 1) 0 in
   let path = Array.make (max ord 1) 0 in
-  let add = sink_adder ~bindings:m.m_bindings ~coords ~lvlpos plan in
-  let eval = eval_of coords plan in
+  let out = resolve_out m in
+  let scale = plan.Leaf.pl_scale and fdata = m.m_fdata and faff = m.m_faff in
+  let fbase = Array.make (Array.length fdata) 0 in
   let jlo, jhi = Leaf.j_bounds plan ~col_range in
   let klo, khi = Leaf.k_bounds plan in
   let dvals = m.m_dvals in
   let nnz = ref 0 and rows_touched = ref 0 and last_row = ref (-1) in
-  let tally () =
+  (* Per stored element: tally it, evaluate every factor's driver terms, and
+     return the output index at inner index 0. *)
+  let enter p =
     incr nnz;
     if coords.(0) <> !last_row then begin
       incr rows_touched;
       last_row := coords.(0)
-    end
+    end;
+    for f = 0 to Array.length faff - 1 do
+      fbase.(f) <- base coords faff.(f)
+    done;
+    match out with
+    | Out_dense (_, a) -> base coords a
+    | Out_sparse (_, lvl) -> if lvl < 0 then p else lvlpos.(lvl)
   in
   let body : int -> unit =
-    match (plan.Leaf.pl_inner_out, plan.Leaf.pl_inner_red) with
-    | false, false ->
+    match (plan.Leaf.pl_inner_out, plan.Leaf.pl_inner_red, out) with
+    | false, false, _ ->
         fun p ->
-          tally ();
-          add p 0 0 (A1.get dvals p *. eval 0 0)
-    | true, false -> (
-        match plan.Leaf.pl_sink with
-        | Leaf.Sp_sparse _ ->
-            fun _p ->
-              tally ();
-              if jlo <= jhi then
-                Error.fail ~kernel:plan.Leaf.pl_driver_name Error.Leaf
-                  "inner-out with sparse output"
-        | _ ->
-            fun p ->
-              tally ();
-              let dv = A1.get dvals p in
-              for j = jlo to jhi do
-                add p j 0 (dv *. eval j 0)
-              done)
-    | false, true ->
+          let q = enter p in
+          add out q (A1.get dvals p *. product ~scale fdata faff fbase 0)
+    | true, false, Out_sparse _ ->
         fun p ->
-          tally ();
+          ignore (enter p);
+          if jlo <= jhi then
+            Error.fail ~kernel:plan.Leaf.pl_driver_name Error.Leaf
+              "inner-out with sparse output"
+    | true, false, Out_dense (_, sa) ->
+        fun p ->
+          let q = enter p in
+          let dv = A1.get dvals p in
+          for j = jlo to jhi do
+            add out (q + (j * sa.stride)) (dv *. product ~scale fdata faff fbase j)
+          done
+    | false, true, _ ->
+        fun p ->
+          let q = enter p in
           let acc = ref 0. in
           for k = klo to khi do
-            acc := !acc +. eval 0 k
+            acc := !acc +. product ~scale fdata faff fbase k
           done;
-          add p 0 0 (A1.get dvals p *. !acc)
-    | true, true ->
-        fun _p ->
-          tally ();
+          add out q (A1.get dvals p *. !acc)
+    | true, true, _ ->
+        fun p ->
+          ignore (enter p);
           Error.fail ~kernel:plan.Leaf.pl_driver_name Error.Leaf
             "simultaneous inner output and reduction vars"
   in
   let walkers = m.m_walkers and mo = m.m_mode_order in
+  (* One emit closure per storage level, built once per call: the leaf
+     level's stops past the interval's end [phi], an inner level's descends,
+     resuming at the spine position on the interval's first fiber. *)
+  let phi = ref 0 in
+  let emits = Array.make ord (fun _ _ -> ()) in
+  for kk = ord - 1 downto 0 do
+    emits.(kk) <-
+      (if kk = ord - 1 then fun c p ->
+         coords.(mo.(kk)) <- c;
+         lvlpos.(kk) <- p;
+         if p > !phi then raise_notrace Past_end;
+         body p
+       else
+         let child = walkers.(kk + 1) and next = emits.(kk + 1) in
+         fun c p ->
+           coords.(mo.(kk)) <- c;
+           lvlpos.(kk) <- p;
+           child.Level_funcs.li_iter ~parent:p
+             ~from:(if p = path.(kk) then path.(kk + 1) else -1)
+             next)
+  done;
   (* Seek the spine of the interval's first leaf position, then walk the
      nest in storage order until the leaf passes the interval's end. *)
-  let walk_interval plo phi =
+  let walk_interval plo hi =
+    phi := hi;
     path.(ord - 1) <- plo;
     for kk = ord - 2 downto 0 do
       path.(kk) <- walkers.(kk + 1).Level_funcs.li_locate path.(kk + 1)
     done;
-    let rec go kk parent start =
-      walkers.(kk).Level_funcs.li_iter ~parent ~from:start (fun c p ->
-          coords.(mo.(kk)) <- c;
-          lvlpos.(kk) <- p;
-          if kk = ord - 1 then begin
-            if p > phi then raise_notrace Past_end;
-            body p
-          end
-          else go (kk + 1) p (if p = path.(kk) then path.(kk + 1) else -1))
-    in
-    try go 0 0 path.(0) with Past_end -> ()
+    try walkers.(0).Level_funcs.li_iter ~parent:0 ~from:path.(0) emits.(0)
+    with Past_end -> ()
   in
   Iset.iter_intervals walk_interval shard;
   {
@@ -313,161 +347,98 @@ let run_generic (m : mul) ~shard ~col_range =
 
 (* Row cursor over the flat row-end positions: positions are visited in
    ascending order, so the cursor only moves forward within an interval,
-   skipping empty rows (whose hi precedes their lo).  Each interval is cut
-   into per-row segments; a segment accumulates into a register seeded from
-   the output cell and stores once — the identical left-to-right addition
+   skipping empty rows (whose hi precedes their lo).  [csr_run m shard
+   ~js ~ks seg] cuts each interval into per-row segments and calls [seg row
+   lo hi] on each; a segment accumulates into a register seeded from the
+   output cell and stores once — the identical left-to-right addition
    sequence as the interpreter's per-element read-modify-write, so rounding
    is bit-identical. *)
+let csr_run (m : mul) shard ~js ~ks (seg : int -> int -> int -> unit) =
+  let hi = m.m_csr_hi in
+  let nnz = ref 0 and rows_touched = ref 0 and last_row = ref (-1) in
+  Iset.iter_intervals
+    (fun plo phi ->
+      nnz := !nnz + (phi - plo + 1);
+      let r = ref (m.m_walkers.(1).Level_funcs.li_locate plo) in
+      let p = ref plo in
+      while !p <= phi do
+        let row = !r in
+        let rhi = Array.unsafe_get hi row in
+        if !p > rhi then incr r
+        else begin
+          let seg_hi = if rhi < phi then rhi else phi in
+          if row <> !last_row then begin
+            incr rows_touched;
+            last_row := row
+          end;
+          seg row !p seg_hi;
+          p := seg_hi + 1;
+          incr r
+        end
+      done)
+    shard;
+  {
+    Leaf.work = Leaf.mul_work m.m_plan ~nnz:!nnz ~rows_touched:!rows_touched ~js ~ks;
+    partial = None;
+  }
 
 let run_spmv (m : mul) ~shard ~x =
-  let plan = m.m_plan in
-  let hi = m.m_csr_hi and crdd = m.m_csr_crd and dvals = m.m_dvals in
-  let scale = plan.Leaf.pl_scale in
-  let y =
-    match (Operand.find m.m_bindings plan.Leaf.pl_out_name).Operand.data with
-    | Operand.Vec v -> v.Dense.data
-    | _ ->
-        Error.fail ~kernel:plan.Leaf.pl_out_name Error.Leaf
-          "compiled leaf: output slot changed shape since compilation"
-  in
-  let nnz = ref 0 and rows_touched = ref 0 and last_row = ref (-1) in
-  Iset.iter_intervals
-    (fun plo phi ->
-      nnz := !nnz + (phi - plo + 1);
-      let r = ref (m.m_walkers.(1).Level_funcs.li_locate plo) in
-      let p = ref plo in
-      while !p <= phi do
-        let row = !r in
-        let rhi = Array.unsafe_get hi row in
-        if !p > rhi then incr r
-        else begin
-          let seg_hi = if rhi < phi then rhi else phi in
-          if row <> !last_row then begin
-            incr rows_touched;
-            last_row := row
-          end;
-          let acc = ref (Array.unsafe_get y row) in
-          for q = !p to seg_hi do
-            acc :=
-              !acc
-              +. A1.unsafe_get dvals q
-                 *. (scale *. Array.unsafe_get x (Array.unsafe_get crdd q))
-          done;
-          Array.unsafe_set y row !acc;
-          p := seg_hi + 1;
-          incr r
-        end
-      done)
-    shard;
-  {
-    Leaf.work =
-      Leaf.mul_work plan ~nnz:!nnz ~rows_touched:!rows_touched ~js:0 ~ks:0;
-    partial = None;
-  }
+  let crdd = m.m_csr_crd and dvals = m.m_dvals in
+  let scale = m.m_plan.Leaf.pl_scale in
+  let y = match out_data m with Operand.Vec v -> v.Dense.data | _ -> shape_changed m.m_plan in
+  csr_run m shard ~js:0 ~ks:0 (fun row lo hi ->
+      let acc = ref (Array.unsafe_get y row) in
+      for q = lo to hi do
+        acc :=
+          !acc
+          +. A1.unsafe_get dvals q
+             *. (scale *. Array.unsafe_get x (Array.unsafe_get crdd q))
+      done;
+      Array.unsafe_set y row !acc)
 
 let run_spmm (m : mul) ~shard ~col_range ~c ~ccols =
-  let plan = m.m_plan in
-  let hi = m.m_csr_hi and crdd = m.m_csr_crd and dvals = m.m_dvals in
-  let scale = plan.Leaf.pl_scale in
-  let jlo, jhi = Leaf.j_bounds plan ~col_range in
+  let crdd = m.m_csr_crd and dvals = m.m_dvals in
+  let scale = m.m_plan.Leaf.pl_scale in
+  let jlo, jhi = Leaf.j_bounds m.m_plan ~col_range in
   let a, acols =
-    match (Operand.find m.m_bindings plan.Leaf.pl_out_name).Operand.data with
+    match out_data m with
     | Operand.Mat mt -> (mt.Dense.data, mt.Dense.cols)
-    | _ ->
-        Error.fail ~kernel:plan.Leaf.pl_out_name Error.Leaf
-          "compiled leaf: output slot changed shape since compilation"
+    | _ -> shape_changed m.m_plan
   in
-  let nnz = ref 0 and rows_touched = ref 0 and last_row = ref (-1) in
-  Iset.iter_intervals
-    (fun plo phi ->
-      nnz := !nnz + (phi - plo + 1);
-      let r = ref (m.m_walkers.(1).Level_funcs.li_locate plo) in
-      let p = ref plo in
-      while !p <= phi do
-        let row = !r in
-        let rhi = Array.unsafe_get hi row in
-        if !p > rhi then incr r
-        else begin
-          let seg_hi = if rhi < phi then rhi else phi in
-          if row <> !last_row then begin
-            incr rows_touched;
-            last_row := row
-          end;
-          let abase = row * acols in
-          for q = !p to seg_hi do
-            let col = Array.unsafe_get crdd q in
-            let dv = A1.unsafe_get dvals q in
-            let cbase = col * ccols in
-            for j = jlo to jhi do
-              let y0 = dv *. (scale *. Array.unsafe_get c (cbase + j)) in
-              Array.unsafe_set a (abase + j)
-                (Array.unsafe_get a (abase + j) +. y0)
-            done
-          done;
-          p := seg_hi + 1;
-          incr r
-        end
+  csr_run m shard ~js:(jhi - jlo + 1) ~ks:0 (fun row lo hi ->
+      let abase = row * acols in
+      for q = lo to hi do
+        let dv = A1.unsafe_get dvals q in
+        let cbase = Array.unsafe_get crdd q * ccols in
+        for j = jlo to jhi do
+          let y0 = dv *. (scale *. Array.unsafe_get c (cbase + j)) in
+          Array.unsafe_set a (abase + j) (Array.unsafe_get a (abase + j) +. y0)
+        done
       done)
-    shard;
-  {
-    Leaf.work =
-      Leaf.mul_work plan ~nnz:!nnz ~rows_touched:!rows_touched
-        ~js:(jhi - jlo + 1) ~ks:0;
-    partial = None;
-  }
 
 let run_sddmm (m : mul) ~shard ~c ~ccols ~d ~dcols =
-  let plan = m.m_plan in
-  let hi = m.m_csr_hi and crdd = m.m_csr_crd and dvals = m.m_dvals in
-  let scale = plan.Leaf.pl_scale in
-  let klo, khi = Leaf.k_bounds plan in
+  let crdd = m.m_csr_crd and dvals = m.m_dvals in
+  let scale = m.m_plan.Leaf.pl_scale in
+  let klo, khi = Leaf.k_bounds m.m_plan in
   let out =
-    match (Operand.find m.m_bindings plan.Leaf.pl_out_name).Operand.data with
+    match out_data m with
     | Operand.Sparse ot -> ot.Tensor.vals.Region.F.data
-    | _ ->
-        Error.fail ~kernel:plan.Leaf.pl_out_name Error.Leaf
-          "compiled leaf: output slot changed shape since compilation"
+    | _ -> shape_changed m.m_plan
   in
-  let nnz = ref 0 and rows_touched = ref 0 and last_row = ref (-1) in
-  Iset.iter_intervals
-    (fun plo phi ->
-      nnz := !nnz + (phi - plo + 1);
-      let r = ref (m.m_walkers.(1).Level_funcs.li_locate plo) in
-      let p = ref plo in
-      while !p <= phi do
-        let row = !r in
-        let rhi = Array.unsafe_get hi row in
-        if !p > rhi then incr r
-        else begin
-          let seg_hi = if rhi < phi then rhi else phi in
-          if row <> !last_row then begin
-            incr rows_touched;
-            last_row := row
-          end;
-          let cbase = row * ccols in
-          for q = !p to seg_hi do
-            let col = Array.unsafe_get crdd q in
-            let acc = ref 0. in
-            for k = klo to khi do
-              acc :=
-                !acc
-                +. (scale *. Array.unsafe_get c (cbase + k))
-                   *. Array.unsafe_get d ((k * dcols) + col)
-            done;
-            let y0 = A1.unsafe_get dvals q *. !acc in
-            A1.unsafe_set out q (A1.unsafe_get out q +. y0)
-          done;
-          p := seg_hi + 1;
-          incr r
-        end
+  csr_run m shard ~js:0 ~ks:(khi - klo + 1) (fun row lo hi ->
+      let cbase = row * ccols in
+      for q = lo to hi do
+        let col = Array.unsafe_get crdd q in
+        let acc = ref 0. in
+        for k = klo to khi do
+          acc :=
+            !acc
+            +. (scale *. Array.unsafe_get c (cbase + k))
+               *. Array.unsafe_get d ((k * dcols) + col)
+        done;
+        let y0 = A1.unsafe_get dvals q *. !acc in
+        A1.unsafe_set out q (A1.unsafe_get out q +. y0)
       done)
-    shard;
-  {
-    Leaf.work =
-      Leaf.mul_work plan ~nnz:!nnz ~rows_touched:!rows_touched ~js:0
-        ~ks:(khi - klo + 1);
-    partial = None;
-  }
 
 (* ------------------------------------------------------------------ *)
 (* Execution                                                            *)

@@ -8,7 +8,16 @@
     (dense / compressed / compressed-non-unique / singleton), the kernel
     shape is matched once, and the hot loop touches only flat arrays and
     the Bigarray value buffers ({!Spdistal_runtime.Region.F}) — no IR
-    dispatch and no per-element allocation.
+    dispatch.
+
+    CSR SpMV, SpMM and SDDMM run fused row-segment loops.  Every other
+    shape runs a generic walker that indexes each factor and the sink
+    affinely in the one active inner variable ([base + v·stride], bases
+    recomputed once per stored element), so its inner loop is a plain
+    [for] over the factor arrays with an unboxed float accumulator.  Both
+    allocate nothing per stored element, as does the merge core
+    ({!Leaf.merge_core}); [test/test_leaf.ml] bounds one execute's minor
+    allocation below the element count.
 
     Classification ({!Leaf.plan_mul}), inner-loop bounds and the simulated
     work model ({!Leaf.mul_work}) are shared verbatim with the interpreter,

@@ -42,7 +42,8 @@ let stitch_merge ~bindings ~out_name ~nrows ~ncols partials =
       0 partials
   in
   let crd = Array.make (max total 1) 0 in
-  let vals = Array.make (max total 1) 0. in
+  (* Values go straight into the output's buffer: no float array to copy. *)
+  let vals = Region.F.create (out_name ^ ".vals") (max total 1) 0. in
   let cursor = ref 0 in
   List.iter
     (fun (p : Leaf.merge_partial) ->
@@ -53,7 +54,7 @@ let stitch_merge ~bindings ~out_name ~nrows ~ncols partials =
           pos.(r) <- (!cursor, !cursor + c - 1);
           for _ = 1 to c do
             crd.(!cursor) <- p.Leaf.mcrd.(!k);
-            vals.(!cursor) <- p.Leaf.mvals.(!k);
+            Bigarray.Array1.set vals.Region.F.data !cursor p.Leaf.mvals.(!k);
             incr cursor;
             incr k
           done)
@@ -79,7 +80,7 @@ let stitch_merge ~bindings ~out_name ~nrows ~ncols partials =
               crd = Region.of_array (out_name ^ ".crd") crd;
             };
         |];
-      vals = Region.F.of_array (out_name ^ ".vals") vals;
+      vals;
     }
   in
   (Operand.find bindings out_name).Operand.data <- Operand.Sparse t

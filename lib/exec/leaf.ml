@@ -401,7 +401,7 @@ let mul_kernel ~bindings ~(leaf : Loop_ir.leaf) ~driver_name ~shard ~col_range =
 (* Resolved per-operand storage of a merge: (pos, crd, vals) triples. *)
 type merge_op = (int * int) array * int array * Region.F.buf
 
-let merge_ops ~bindings ~tensors : merge_op list * int =
+let merge_ops ~bindings ~tensors : merge_op array * int =
   let ops =
     List.map
       (fun name ->
@@ -416,104 +416,141 @@ let merge_ops ~bindings ~tensors : merge_op list * int =
   let cols =
     (Operand.find_sparse bindings (List.hd tensors)).Tensor.dims.(1)
   in
-  (ops, cols)
+  (Array.of_list ops, cols)
+
+(* Max-heap sift-down of [a.(lo + i)] within the heap [a.(lo) .. a.(lo +
+   len - 1)]. *)
+let rec sift_down (a : int array) lo i len =
+  let l = (2 * i) + 1 in
+  if l < len then begin
+    let c = if l + 1 < len && a.(lo + l + 1) > a.(lo + l) then l + 1 else l in
+    if a.(lo + c) > a.(lo + i) then begin
+      let t = a.(lo + i) in
+      a.(lo + i) <- a.(lo + c);
+      a.(lo + c) <- t;
+      sift_down a lo c len
+    end
+  end
+
+(* In-place heapsort of [a.(lo) .. a.(lo + n - 1)]. *)
+let sort_range (a : int array) lo n =
+  for i = (n / 2) - 1 downto 0 do
+    sift_down a lo i n
+  done;
+  for len = n - 1 downto 1 do
+    let t = a.(lo) in
+    a.(lo) <- a.(lo + len);
+    a.(lo + len) <- t;
+    sift_down a lo 0 len
+  done
 
 (* The merge core is shared by both backends (the compiled backend
    pre-resolves [ops]; the interpreter resolves them per call), so their
-   outputs and work accounting are identical by construction. *)
-let merge_core ~(ops : merge_op list) ~cols ~rows ~use_workspace =
-  let flops = ref 0. and br = ref 0. and bw = ref 0. in
-  let rows_list = ref [] and counts = ref [] in
-  let crd_acc = ref [] and vals_acc = ref [] in
-  (* Workspace strategy (Kjolstad et al. [22]): scatter each operand row
-     into a dense accumulator, track touched columns, then sort and emit —
-     no k-way comparisons, at the cost of random workspace traffic. *)
-  let w = if use_workspace then Array.make cols 0. else [||] in
-  let touched = if use_workspace then Array.make cols false else [||] in
-  let workspace_row r emit =
-    let idx = ref [] in
-    List.iter
-      (fun ((pos, crd, vals) : merge_op) ->
-        let lo, hi = pos.(r) in
-        for p = lo to hi do
-          let j = crd.(p) in
-          if not touched.(j) then begin
-            touched.(j) <- true;
-            idx := j :: !idx
-          end;
-          w.(j) <- w.(j) +. A1.get vals p;
-          flops := !flops +. 1.;
-          (* value + crd reads, workspace read-modify-write *)
-          br := !br +. 32.
-        done)
-      ops;
-    let sorted = List.sort compare !idx in
-    List.iter
-      (fun j ->
-        emit j w.(j);
-        w.(j) <- 0.;
-        touched.(j) <- false)
-      sorted
-  in
-  let merge_row r emit =
-    let cursors =
-      List.map
-        (fun ((pos, crd, vals) : merge_op) ->
-          let lo, hi = pos.(r) in
-          (ref lo, hi, crd, vals))
-        ops
-    in
-    let rec step () =
-      let mincol =
-        List.fold_left
-          (fun m (i, hi, crd, _) -> if !i <= hi then min m crd.(!i) else m)
-          max_int cursors
-      in
-      if mincol < max_int then begin
-        let sum = ref 0. in
-        List.iter
-          (fun (i, hi, crd, vals) ->
-            while !i <= hi && crd.(!i) = mincol do
-              sum := !sum +. A1.get vals !i;
-              flops := !flops +. 1.;
-              br := !br +. 16.;
-              incr i
-            done)
-          cursors;
-        emit mincol !sum;
-        step ()
-      end
-    in
-    step ()
-  in
-  let do_row = if use_workspace then workspace_row else merge_row in
+   outputs and work accounting are identical by construction.  It writes
+   straight into the partial's arrays, sized by the rows' stored entries
+   (every emitted entry consumes at least one, so this bounds the output),
+   and keeps one cursor per operand: no per-row or per-entry allocation. *)
+let merge_core ~(ops : merge_op array) ~cols ~rows ~use_workspace =
+  let nops = Array.length ops in
+  let bound = ref 0 in
   Iset.iter
     (fun r ->
-      let row_nnz = ref 0 in
-      let row_crd = ref [] and row_vals = ref [] in
-      do_row r (fun col v ->
-          incr row_nnz;
-          row_crd := col :: !row_crd;
-          row_vals := v :: !row_vals;
-          bw := !bw +. 16.);
-      rows_list := r :: !rows_list;
-      counts := !row_nnz :: !counts;
-      crd_acc := !row_crd @ !crd_acc;
-      vals_acc := !row_vals @ !vals_acc)
+      for o = 0 to nops - 1 do
+        let pos, _, _ = ops.(o) in
+        let lo, hi = pos.(r) in
+        bound := !bound + max 0 (hi - lo + 1)
+      done)
     rows;
-  let partial =
-    {
-      mrows = Array.of_list (List.rev !rows_list);
-      mcounts = Array.of_list (List.rev !counts);
-      mcrd = Array.of_list (List.rev !crd_acc);
-      mvals = Array.of_list (List.rev !vals_acc);
-    }
+  let nrows = Iset.cardinal rows in
+  let mrows = Array.make nrows 0 and mcounts = Array.make nrows 0 in
+  let mcrd = Array.make !bound 0 and mvals = Array.make !bound 0. in
+  let n = ref 0 and row = ref 0 and consumed = ref 0 in
+  (* Workspace strategy (Kjolstad et al. [22]): scatter each operand row
+     into a dense accumulator, track touched columns, then sort and emit —
+     no k-way comparisons, at the cost of random workspace traffic.  The
+     touched columns are collected and sorted in place in [mcrd]. *)
+  let w = if use_workspace then Array.make cols 0. else [||] in
+  let touched = if use_workspace then Array.make cols false else [||] in
+  let workspace_row r =
+    let start = !n in
+    for o = 0 to nops - 1 do
+      let pos, crd, vals = ops.(o) in
+      let lo, hi = pos.(r) in
+      for p = lo to hi do
+        let j = crd.(p) in
+        if not touched.(j) then begin
+          touched.(j) <- true;
+          mcrd.(!n) <- j;
+          incr n
+        end;
+        w.(j) <- w.(j) +. A1.get vals p
+      done;
+      consumed := !consumed + max 0 (hi - lo + 1)
+    done;
+    sort_range mcrd start (!n - start);
+    for q = start to !n - 1 do
+      let j = mcrd.(q) in
+      mvals.(q) <- w.(j);
+      w.(j) <- 0.;
+      touched.(j) <- false
+    done
   in
-  if not use_workspace then br := !br *. 2.;
+  (* k-way merge: emit the least column under any cursor, summing every
+     operand's run of it in operand order. *)
+  let cur = Array.make nops 0 and last = Array.make nops 0 in
+  let merge_row r =
+    for o = 0 to nops - 1 do
+      let pos, _, _ = ops.(o) in
+      let lo, hi = pos.(r) in
+      cur.(o) <- lo;
+      last.(o) <- hi
+    done;
+    let go = ref true in
+    while !go do
+      let mincol = ref max_int in
+      for o = 0 to nops - 1 do
+        let _, crd, _ = ops.(o) in
+        if cur.(o) <= last.(o) && crd.(cur.(o)) < !mincol then mincol := crd.(cur.(o))
+      done;
+      if !mincol = max_int then go := false
+      else begin
+        let sum = ref 0. in
+        for o = 0 to nops - 1 do
+          let _, crd, vals = ops.(o) in
+          while cur.(o) <= last.(o) && crd.(cur.(o)) = !mincol do
+            sum := !sum +. A1.get vals cur.(o);
+            incr consumed;
+            cur.(o) <- cur.(o) + 1
+          done
+        done;
+        mcrd.(!n) <- !mincol;
+        mvals.(!n) <- !sum;
+        incr n
+      end
+    done
+  in
+  Iset.iter
+    (fun r ->
+      let start = !n in
+      if use_workspace then workspace_row r else merge_row r;
+      mrows.(!row) <- r;
+      mcounts.(!row) <- !n - start;
+      incr row)
+    rows;
+  (* 32 B read per consumed entry either way: the workspace reads value
+     and crd and read-modify-writes the workspace; the merge reads value and
+     crd (16 B) in both passes of two-phase assembly.  Each emitted entry
+     writes 16 B.  Integer tallies convert exactly, so the floats equal the
+     per-entry float sums. *)
   {
     work =
-      { Task.flops = !flops; bytes_read = !br; bytes_written = !bw; atomics = false };
-    partial = Some partial;
+      {
+        Task.flops = float_of_int !consumed;
+        bytes_read = float_of_int (32 * !consumed);
+        bytes_written = float_of_int (16 * !n);
+        atomics = false;
+      };
+    partial = Some { mrows; mcounts; mcrd; mvals };
   }
 
 let merge_kernel ~bindings ~tensors ~rows ~use_workspace =

@@ -11,7 +11,9 @@
 open Spdistal_runtime
 
 (** A shard's locally-assembled rows of an unknown-pattern sparse output
-    (two-phase assembly, §V-B); stitched globally by the interpreter. *)
+    (two-phase assembly, §V-B); stitched globally by the interpreter.
+    [mcrd]/[mvals] hold the rows' entries back to back; they are sized by
+    an upper bound, so only their first [Σ mcounts] slots are entries. *)
 type merge_partial = {
   mrows : int array;  (** row ids, increasing *)
   mcounts : int array;  (** output non-zeros per row *)
@@ -84,11 +86,13 @@ type merge_op = (int * int) array * int array * Region.F.buf
 
 (** Resolve the merge operands' storage and the shared column extent. *)
 val merge_ops :
-  bindings:Operand.bindings -> tensors:string list -> merge_op list * int
+  bindings:Operand.bindings -> tensors:string list -> merge_op array * int
 
-(** The k-way merge / workspace core, shared by both backends. *)
+(** The k-way merge / workspace core, shared by both backends.  It writes
+    the partial's arrays directly and allocates nothing per row or entry;
+    the [Task.work] counts are integer tallies converted once. *)
 val merge_core :
-  ops:merge_op list ->
+  ops:merge_op array ->
   cols:int ->
   rows:Iset.t ->
   use_workspace:bool ->

@@ -28,6 +28,7 @@ let () =
       ("ir", Test_ir.suite);
       ("pretty", Test_pretty.suite);
       ("exec", Test_exec.suite);
+      ("leaf", Test_leaf.suite);
       ("baselines", Test_baselines.suite);
       ("baselines-more", Test_baselines_more.suite);
       ("interp-more", Test_interp_more.suite);
