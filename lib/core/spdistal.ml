@@ -67,37 +67,53 @@ let set_run_meta trace p =
     Trace.set_meta trace "pieces" (string_of_int (Machine.pieces p.machine))
   end
 
-let run_once ?(uvm = false) ?domains ?faults ?trace ?leaf_backend p =
-  let trace = match trace with Some t -> t | None -> Trace.default () in
+let resolve_backend = function
+  | Some b -> b
+  | None -> Compile_leaf.default_backend ()
+
+let plan ~trace ~backend p =
   let b = bindings p in
-  let cost = Cost.create () in
-  set_run_meta trace p;
-  try
-    let placement =
-      Trace.with_wall_span trace ~track:(host_track ()) ~cat:"phase"
-        ~name:"placement" (fun () ->
-          List.map
-            (fun (name, _, tdn) ->
-              (name, Placement.of_tdn ~machine:p.machine ~bindings:b name tdn))
-            p.operands)
-    in
-    let prog = compile ~trace p in
-    let memstate = Memstate.create p.machine ~uvm in
-    Interp.run ~machine:p.machine ~bindings:b ~placement ~memstate ~cost
-      ?domains ?faults ~trace ?backend:leaf_backend prog;
-    { cost; dnc = None; iters = []; crashed = [] }
-  with
-  | Memstate.Oom reason -> { cost; dnc = Some reason; iters = []; crashed = [] }
+  let stats = Part_eval.stats () in
+  let placement =
+    Trace.with_wall_span trace ~track:(host_track ()) ~cat:"phase"
+      ~name:"placement" (fun () ->
+        List.map
+          (fun (name, _, tdn) ->
+            ( name,
+              Placement.of_tdn ~stats ~machine:p.machine ~bindings:b name tdn
+            ))
+          p.operands)
+  in
+  let prog = compile ~trace p in
+  let prepared = Interp.prepare ~trace ~backend ~bindings:b prog in
+  Part_eval.accum_stats stats prepared.Interp.pp_penv;
+  let launches = List.length prepared.Interp.pp_loops in
+  {
+    Cache.e_key = "";
+    e_placement = placement;
+    e_prog = prog;
+    e_prepared = prepared;
+    e_launches = launches;
+    e_part_seconds = Cache.partition_seconds p.machine stats;
+    e_part_ops = stats.Part_eval.s_parts + stats.Part_eval.s_dep_ops;
+    e_part_elems = stats.Part_eval.s_dep_elems;
+    e_bytes =
+      Cache.approx_bytes
+        ~pieces:(Machine.pieces p.machine)
+        ~launches ~part_elems:stats.Part_eval.s_dep_elems;
+    e_hits = 0;
+  }
+
+(* OOM and exhausted fault recovery (retries used up, or no surviving node)
+   are properties of the run, not bugs: [finish ~node reason] reports them
+   as a DNC cell, [node] being the node whose crashes exhausted recovery.
+   Other [Error.Error] phases keep escaping. *)
+let or_dnc ~finish f =
+  try f () with
+  | Memstate.Oom reason -> finish ~node:None reason
   | Error.Error ({ Error.phase = Error.Recovery; _ } as e) ->
-      (* A fault that recovery could not absorb (retries exhausted, or no
-         surviving node).  Like OOM it is a property of the run, not a bug:
-         report a DNC cell.  Other [Error.Error] phases keep escaping. *)
-      {
-        cost;
-        dnc = Some ("fault recovery exhausted: " ^ Error.to_string e);
-        iters = [];
-        crashed = Option.to_list e.Error.node;
-      }
+      finish ~node:e.Error.node
+        ("fault recovery exhausted: " ^ Error.to_string e)
 
 let time_of r = match r.dnc with Some _ -> None | None -> Some (Cost.total r.cost)
 
@@ -133,42 +149,6 @@ module Context = struct
 
   let cache_stats ctx = Option.map Cache.stats ctx.cache
 
-  (* Cold path: placement, lowering and dependent partitioning, with the
-     partitioning work tallied for the cost model. *)
-  let build ~trace ~backend ~key ctx =
-    let p = ctx.problem in
-    let b = bindings p in
-    let stats = Part_eval.stats () in
-    let placement =
-      Trace.with_wall_span trace ~track:(host_track ()) ~cat:"phase"
-        ~name:"placement" (fun () ->
-          List.map
-            (fun (name, _, tdn) ->
-              ( name,
-                Placement.of_tdn ~stats ~machine:p.machine ~bindings:b name tdn
-              ))
-            p.operands)
-    in
-    let prog = compile ~trace p in
-    let prepared = Interp.prepare ~trace ~backend ~bindings:b prog in
-    Part_eval.accum_stats stats prepared.Interp.pp_penv;
-    let launches = List.length prepared.Interp.pp_loops in
-    {
-      Cache.e_key = key;
-      e_placement = placement;
-      e_prog = prog;
-      e_prepared = prepared;
-      e_launches = launches;
-      e_part_seconds = Cache.partition_seconds p.machine stats;
-      e_part_ops = stats.Part_eval.s_parts + stats.Part_eval.s_dep_ops;
-      e_part_elems = stats.Part_eval.s_dep_elems;
-      e_bytes =
-        Cache.approx_bytes
-          ~pieces:(Machine.pieces p.machine)
-          ~launches ~part_elems:stats.Part_eval.s_dep_elems;
-      e_hits = 0;
-    }
-
   let run ?(uvm = false) ?domains ?faults ?trace ?leaf_backend
       ?(iterations = 1) ctx =
     if iterations < 1 then
@@ -189,6 +169,7 @@ module Context = struct
         (Cache.digest ~machine:p.machine ~operands:p.operands ~stmt:p.stmt
            ~schedule:p.schedule)
     in
+    let backend = resolve_backend leaf_backend in
     let stats = ref [] in
     let crashed_acc = ref [] in
     let finish dnc =
@@ -201,7 +182,11 @@ module Context = struct
     in
     let was_run = ctx.ran in
     ctx.ran <- true;
-    try
+    or_dnc
+      ~finish:(fun ~node reason ->
+        Option.iter (fun n -> crashed_acc := n :: !crashed_acc) node;
+        finish (Some reason))
+    @@ fun () ->
       let memstate = Memstate.create p.machine ~uvm in
       for i = 0 to iterations - 1 do
         if i > 0 || was_run then
@@ -209,20 +194,15 @@ module Context = struct
             Operand.copy_data ctx.pristine_out;
         let before = Cost.copy cost in
         let t_start = Cost.total cost in
-        let backend =
-          match leaf_backend with
-          | Some b -> b
-          | None -> Compile_leaf.default_backend ()
-        in
         let status, entry =
           match ctx.cache with
-          | None -> (`Uncached, build ~trace ~backend ~key:"" ctx)
+          | None -> (`Uncached, plan ~trace ~backend p)
           | Some c -> (
               let key = Lazy.force key in
               match Cache.find c key with
               | Some e -> (`Hit, e)
               | None ->
-                  let e = build ~trace ~backend ~key ctx in
+                  let e = { (plan ~trace ~backend p) with Cache.e_key = key } in
                   Cache.add c e;
                   (`Miss, e))
         in
@@ -231,14 +211,16 @@ module Context = struct
         if entry.Cache.e_prepared.Interp.pp_backend <> backend then
           entry.Cache.e_prepared <-
             Interp.relink ~trace ~bindings:b ~backend entry.Cache.e_prepared;
+        let status_name =
+          match status with
+          | `Hit -> "hit"
+          | `Miss -> "miss"
+          | `Uncached -> "bypass"
+        in
         if Trace.enabled trace then
           Trace.span trace ~track:Trace.Runtime ~clock:Trace.Sim ~cat:"cache"
             ~args:[ ("iteration", Trace.I i) ]
-            ~start:t_start ~dur:0.
-            (match status with
-            | `Hit -> "cache_hit"
-            | `Miss -> "cache_miss"
-            | `Uncached -> "cache_bypass");
+            ~start:t_start ~dur:0. ("cache_" ^ status_name);
         (if status = `Uncached then
            let m = Metrics.default () in
            if Metrics.enabled m then
@@ -266,22 +248,15 @@ module Context = struct
         end;
         Interp.run ~machine:p.machine ~bindings:b
           ~placement:entry.Cache.e_placement ~memstate ~cost ?domains ?faults
-          ~trace
-          ~prepared:entry.Cache.e_prepared
-          ~launch_base:(i * entry.Cache.e_launches)
-          entry.Cache.e_prog;
+          ~trace ~prepared:entry.Cache.e_prepared
+          ~launch_base:(i * entry.Cache.e_launches) entry.Cache.e_prog;
         if Trace.enabled trace then
           Trace.span trace ~track:Trace.Runtime ~clock:Trace.Sim
             ~cat:"iteration"
             ~args:
               [
                 ("iteration", Trace.I i);
-                ( "cache",
-                  Trace.S
-                    (match status with
-                    | `Hit -> "hit"
-                    | `Miss -> "miss"
-                    | `Uncached -> "bypass") );
+                ("cache", Trace.S status_name);
                 ( "partition_seconds",
                   Trace.F
                     (if status = `Hit then 0. else entry.Cache.e_part_seconds)
@@ -338,24 +313,32 @@ module Context = struct
         | None -> ()
       done;
       finish None
-    with
-    | Memstate.Oom reason -> finish (Some reason)
-    | Error.Error ({ Error.phase = Error.Recovery; _ } as e) ->
-        (match e.Error.node with
-        | Some n -> crashed_acc := n :: !crashed_acc
-        | None -> ());
-        finish (Some ("fault recovery exhausted: " ^ Error.to_string e))
 end
 
-(* [iterations = None] is the legacy single-shot protocol: one timed
-   steady-state iteration, partitioning at setup and uncharged.  Asking for
-   an explicit iteration count switches to the warm-start protocol: a fresh
-   execution context runs [n] iterations end-to-end, the cold first
-   iteration paying (and every warm one skipping) dependent partitioning. *)
-let run ?uvm ?domains ?faults ?trace ?leaf_backend ?iterations ?(cache = true)
-    p =
+(* [iterations = None] is the legacy single-shot protocol: build the plan,
+   execute it once as the timed steady-state iteration, partitioning at
+   setup and uncharged.  Asking for an explicit iteration count switches to
+   the warm-start protocol: a fresh execution context runs [n] iterations
+   end-to-end, the cold first iteration paying (and every warm one
+   skipping) dependent partitioning. *)
+let run ?(uvm = false) ?domains ?faults ?trace ?leaf_backend ?iterations
+    ?(cache = true) p =
   match iterations with
-  | None -> run_once ?uvm ?domains ?faults ?trace ?leaf_backend p
   | Some n ->
-      Context.run ?uvm ?domains ?faults ?trace ?leaf_backend ~iterations:n
+      Context.run ~uvm ?domains ?faults ?trace ?leaf_backend ~iterations:n
         (Context.create ~cache p)
+  | None ->
+      let trace = match trace with Some t -> t | None -> Trace.default () in
+      let cost = Cost.create () in
+      let result ~node dnc =
+        { cost; dnc; iters = []; crashed = Option.to_list node }
+      in
+      set_run_meta trace p;
+      or_dnc ~finish:(fun ~node reason -> result ~node (Some reason))
+      @@ fun () ->
+      let e = plan ~trace ~backend:(resolve_backend leaf_backend) p in
+      Interp.run ~machine:p.machine ~bindings:(bindings p)
+        ~placement:e.Cache.e_placement
+        ~memstate:(Memstate.create p.machine ~uvm) ~cost ?domains ?faults
+        ~trace ~prepared:e.Cache.e_prepared e.Cache.e_prog;
+      result ~node:None None

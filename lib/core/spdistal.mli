@@ -56,6 +56,17 @@ val compile : ?trace:Spdistal_obs.Trace.t -> problem -> Loop_ir.prog
 (** Render the compiled program as paper-style pseudo-code. *)
 val show : problem -> string
 
+(** The cold build every protocol and the pricer share: placement,
+    {!compile} and {!Spdistal_exec.Interp.prepare} under [backend], with
+    the dependent-partitioning work tallied into the entry's bill
+    ([e_part_seconds], [e_part_ops]).  [e_key] is [""]; [trace] gets the
+    host-clock phase spans. *)
+val plan :
+  trace:Spdistal_obs.Trace.t ->
+  backend:Compile_leaf.backend ->
+  problem ->
+  Spdistal_exec.Cache.entry
+
 (** How one warm-start iteration obtained its launch plan: [`Miss] built and
     cached it (paying dependent partitioning), [`Hit] reused the cache for
     free, [`Uncached] rebuilt it with caching disabled (paying every time). *)
@@ -85,9 +96,10 @@ type run_result = {
           repeat offenders. *)
 }
 
-(** Execute one timed iteration: materializes data distributions, runs the
-    distributed program (real numerics), returns simulated cost.  On OOM the
-    result carries [dnc] and the outputs are unspecified.  [domains] bounds
+(** Execute one timed iteration: builds the launch plan with {!plan}
+    (partitioning at setup, uncharged), runs it once (real numerics) and
+    returns the simulated cost.  On OOM the result carries [dnc] and the
+    outputs are unspecified.  [domains] bounds
     the OCaml domains used to simulate pieces concurrently (default
     {!Spdistal_runtime.Machine.sim_domains}); it affects wall-clock only —
     costs and outputs are bit-identical at every degree.
@@ -112,7 +124,7 @@ type run_result = {
 
     [iterations] switches to the {e warm-start protocol}: a fresh
     {!Context} executes the kernel [n] times end-to-end.  The cold first
-    iteration pays dependent partitioning (charged into
+    iteration (a {!plan} build) pays dependent partitioning (charged into
     [cost.partitioning]); warm iterations reuse the cached partitions,
     placements and lowered program for the price of the index launches
     alone — Legion's amortization for iterative solvers.  [cache] (default

@@ -2,9 +2,6 @@ open Spdistal_runtime
 open Spdistal_formats
 open Spdistal_ir
 
-let last : Part_eval.env option ref = ref None
-let last_env () = !last
-
 (* Map a piece id to the color of a partition that may have been built for a
    single dimension of the machine grid (2-D batched schedules partition rows
    by the grid's first dimension and columns by the second).  Pieces are laid
@@ -85,25 +82,168 @@ let stitch_merge ~bindings ~out_name ~nrows ~ncols partials =
   in
   (Operand.find bindings out_name).Operand.data <- Operand.Sparse t
 
-(* What simulating one piece of a distributed launch produces.  Pure data:
-   worker domains build these records; all mutation of shared simulation
-   state (Cost, Memstate, message totals) happens on the reducing domain, in
-   piece order, so results are bit-identical to a sequential run (float
-   accumulation order is preserved exactly). *)
-type piece_sim = {
-  ps_comm_time : float;  (** data movement into the piece, before paging *)
-  ps_footprint : float;  (** bytes the piece must hold resident *)
-  ps_msg_bytes : float list;  (** per-message byte counts, in issue order *)
-  ps_edges : (int * float) list;
-      (** (source node, bytes) attribution of the piece's transfers, in
-          issue order; only populated when tracing *)
-  ps_leaf : Leaf.result option;
-      (** [None] when the leaf writes overlap across pieces ([out_reduce])
-          and execution was deferred to the reducing domain *)
-}
-
 module Trace = Spdistal_obs.Trace
 module Metrics = Spdistal_obs.Metrics
+
+type piece_comm = {
+  pc_time : float;
+  pc_footprint : float;
+  pc_msg_bytes : float list;
+  pc_edges : (int * float) list;
+}
+
+(* Bytes per communicated element of [cm]'s tensor. *)
+let comm_elt d (cm : Loop_ir.comm) =
+  Operand.slice_bytes d (max cm.Loop_ir.comm_dim 0)
+  /. float_of_int cm.Loop_ir.divide_by
+
+let subset_for ~grid ~pieces p piece =
+  Partition.subset p (color_for ~grid ~pieces p piece)
+
+let resident placement ~grid ~pieces ~tensor ~comm_dim o =
+  Placement.resident_set placement ~tensor ~comm_dim
+    ~piece_subset:(fun p -> subset_for ~grid ~pieces p o)
+
+(* Source attribution of a fetch, for the trace's comm matrix: walk owner
+   pieces in ascending order, hand each the overlap of its resident subset
+   with what is still missing; whatever nobody holds is charged to node 0
+   (the home of undistributed data).  Deterministic, and row sums equal
+   the fetched byte volume by construction. *)
+let edge_srcs ~machine ~placement ~grid ~tensor ~comm_dim ~elt missing =
+  let pieces = Machine.pieces machine in
+  let left = ref missing and acc = ref [] in
+  (try
+     for o = 0 to pieces - 1 do
+       if Iset.is_empty !left then raise Exit;
+       match resident placement ~grid ~pieces ~tensor ~comm_dim o with
+       | `Nothing -> ()
+       | `All ->
+           acc :=
+             ( Machine.node_of_piece machine o,
+               float_of_int (Iset.cardinal !left) *. elt )
+             :: !acc;
+           left := Iset.empty
+       | `Set r ->
+           let take = Iset.inter !left r in
+           if not (Iset.is_empty take) then begin
+             left := Iset.diff !left take;
+             acc :=
+               ( Machine.node_of_piece machine o,
+                 float_of_int (Iset.cardinal take) *. elt )
+               :: !acc
+           end
+     done
+   with Exit -> ());
+  if not (Iset.is_empty !left) then
+    acc := (0, float_of_int (Iset.cardinal !left) *. elt) :: !acc;
+  List.rev !acc
+
+let piece_comm ~machine ~bindings ~placement ~penv ~grid ~edges comms c =
+  let pieces = Machine.pieces machine in
+  let intra = Machine.nodes machine = 1 in
+  let comm_time = ref 0. in
+  let footprint = ref 0. in
+  let msgs = ref [] in
+  let edge_acc = ref [] in
+  List.iter
+    (fun (cm : Loop_ir.comm) ->
+      let tensor = cm.Loop_ir.comm_tensor and comm_dim = cm.Loop_ir.comm_dim in
+      let d = (Operand.find bindings tensor).Operand.data in
+      let elt = comm_elt d cm in
+      match cm.Loop_ir.comm_part with
+      | None -> (
+          (* Whole operand needed: a broadcast, unless already replicated by
+             the data distribution. *)
+          let full_count =
+            match (d, comm_dim) with
+            | Operand.Sparse t, -1 -> Tensor.nnz t
+            | _, dim -> Operand.dim d (max dim 0)
+          in
+          let bytes = float_of_int full_count *. elt in
+          footprint := !footprint +. bytes;
+          match resident placement ~grid ~pieces ~tensor ~comm_dim c with
+          | `All -> ()
+          | `Set _ | `Nothing ->
+              comm_time := !comm_time +. Machine.bcast_time machine ~bytes;
+              msgs := bytes :: !msgs;
+              if edges then edge_acc := (0, bytes) :: !edge_acc)
+      | Some pname ->
+          let needed =
+            subset_for ~grid ~pieces (Part_eval.find_partition penv pname) c
+          in
+          footprint :=
+            !footprint +. (float_of_int (Iset.cardinal needed) *. elt);
+          let missing =
+            match resident placement ~grid ~pieces ~tensor ~comm_dim c with
+            | `All -> Iset.empty
+            | `Nothing -> needed
+            | `Set r -> Iset.diff needed r
+          in
+          let bytes = float_of_int (Iset.cardinal missing) *. elt in
+          if bytes > 0. then begin
+            comm_time :=
+              !comm_time +. Machine.p2p_time machine ~intra_node:intra ~bytes;
+            msgs := bytes :: !msgs;
+            if edges then
+              edge_acc :=
+                List.rev_append
+                  (edge_srcs ~machine ~placement ~grid ~tensor ~comm_dim ~elt
+                     missing)
+                  !edge_acc
+          end)
+    comms;
+  {
+    pc_time = !comm_time;
+    pc_footprint = !footprint;
+    pc_msg_bytes = List.rev !msgs;
+    pc_edges = List.rev !edge_acc;
+  }
+
+let col_range ~grid ~bindings (leaf : Loop_ir.leaf) c =
+  if leaf.Loop_ir.col_split <= 1 then None
+  else begin
+    let py = grid.(1) in
+    let cy = c mod py in
+    (* Column extent from the output's last dimension. *)
+    let od =
+      (Operand.find bindings leaf.Loop_ir.leaf_stmt.Tin.lhs.Tin.tensor)
+        .Operand.data
+    in
+    let e = Operand.dim od (Operand.order od - 1) in
+    Some (cy * e / py, ((cy + 1) * e / py) - 1)
+  end
+
+let leaf_seconds ~machine ~(leaf : Loop_ir.leaf) work =
+  let lt = Task.leaf_time machine work in
+  if machine.Machine.kind = Machine.Cpu then
+    if not leaf.Loop_ir.parallel then
+      lt *. float_of_int machine.Machine.params.cpu_cores
+    else lt /. machine.Machine.params.legion_leaf_efficiency
+  else lt
+
+let reduce_bill ~machine ~bindings ~penv (cm : Loop_ir.comm) =
+  let pieces = Machine.pieces machine in
+  let d = (Operand.find bindings cm.Loop_ir.comm_tensor).Operand.data in
+  let total, union =
+    match cm.Loop_ir.comm_part with
+    | Some pname ->
+        let p = Part_eval.find_partition penv pname in
+        ( Array.fold_left
+            (fun acc s -> acc + Iset.cardinal s)
+            0 p.Partition.subsets,
+          Iset.cardinal (Partition.union_of_colors p) )
+    | None ->
+        (* Every piece holds a full partial output (distributed reduction
+           loop): overlap = (pieces-1) copies. *)
+        let n = Operand.dim d (max cm.Loop_ir.comm_dim 0) in
+        (pieces * n, n)
+  in
+  let overlap = max 0 (total - union) in
+  if overlap = 0 then None
+  else
+    let bytes = float_of_int overlap *. comm_elt d cm in
+    Some
+      (bytes, Machine.reduce_time machine ~bytes:(bytes /. float_of_int pieces))
 
 (* Ambient fault counters, bumped on the reducing domain in piece order (the
    same place recovery is priced) so the series is deterministic at every
@@ -139,10 +279,9 @@ type prepared = {
 }
 
 (* Materialize a program's partitions (and, under the compiled backend,
-   specialize its leaf loops) ahead of execution.  [run] does this itself
-   when no [?prepared] value is passed; the execution context calls it once
-   on a cold cache miss and replays the result on every warm iteration, so
-   warm iterations skip specialization too. *)
+   specialize its leaf loops) ahead of execution.  The plan builder calls it
+   once per cold build; the execution context replays the result on every
+   warm iteration, so warm iterations skip specialization too. *)
 let leaves_for ~trace ~bindings ~backend loops =
   match backend with
   | Compile_leaf.Interp -> List.map (fun _ -> None) loops
@@ -158,10 +297,7 @@ let leaves_for ~trace ~bindings ~backend loops =
               | _ -> None)
             loops)
 
-let prepare ?(trace = Trace.null) ?backend ~bindings prog =
-  let backend =
-    match backend with Some b -> b | None -> Compile_leaf.default_backend ()
-  in
+let prepare ?(trace = Trace.null) ~backend ~bindings prog =
   let penv = Part_eval.create ~trace bindings in
   let loops =
     Trace.with_wall_span trace
@@ -194,7 +330,7 @@ let stmt_ctor = function
   | Loop_ir.Distributed_for _ -> "distributed_for"
 
 let run ~machine ~bindings ~placement ?memstate ~cost ?domains ?faults ?trace
-    ?backend ?prepared ?(launch_base = 0) prog =
+    ~prepared ?(launch_base = 0) prog =
   let pieces = Loop_ir.pieces prog in
   if pieces <> Machine.pieces machine then
     Error.fail Error.Config "program lowered for a different machine size";
@@ -214,55 +350,9 @@ let run ~machine ~bindings ~placement ?memstate ~cost ?domains ?faults ?trace
   let trace = match trace with Some t -> t | None -> Trace.default () in
   let pool = Pool.get (Pool.effective_workers domains) in
   let grid = prog.Loop_ir.grid in
-  let prep =
-    match prepared with
-    | Some p -> p
-    | None -> prepare ~trace ?backend ~bindings prog
-  in
-  let penv = prep.pp_penv and loops = prep.pp_loops in
-  last := Some penv;
+  let penv = prepared.pp_penv and loops = prepared.pp_loops in
   let part name = Part_eval.find_partition penv name in
-  let subset_for p piece =
-    Partition.subset p (color_for ~grid ~pieces p piece)
-  in
-  let data name = (Operand.find bindings name).Operand.data in
-  let intra = Machine.nodes machine = 1 in
-  (* Source attribution of a fetch, for the trace's comm matrix: walk owner
-     pieces in ascending order, hand each the overlap of its resident subset
-     with what is still missing; whatever nobody holds is charged to node 0
-     (the home of undistributed data).  Deterministic, and row sums equal
-     the fetched byte volume by construction. *)
-  let edge_srcs ~tensor ~comm_dim ~elt missing =
-    let left = ref missing and acc = ref [] in
-    (try
-       for o = 0 to pieces - 1 do
-         if Iset.is_empty !left then raise Exit;
-         match
-           Placement.resident_set placement ~tensor ~comm_dim
-             ~piece_subset:(fun p -> subset_for p o)
-         with
-         | `Nothing -> ()
-         | `All ->
-             acc :=
-               ( Machine.node_of_piece machine o,
-                 float_of_int (Iset.cardinal !left) *. elt )
-               :: !acc;
-             left := Iset.empty
-         | `Set r ->
-             let take = Iset.inter !left r in
-             if not (Iset.is_empty take) then begin
-               left := Iset.diff !left take;
-               acc :=
-                 ( Machine.node_of_piece machine o,
-                   float_of_int (Iset.cardinal take) *. elt )
-                 :: !acc
-             end
-       done
-     with Exit -> ());
-    if not (Iset.is_empty !left) then
-      acc := (0, float_of_int (Iset.cardinal !left) *. elt) :: !acc;
-    List.rev !acc
-  in
+  let subset_for = subset_for ~grid ~pieces in
   List.iter2
     (fun stmt compiled ->
       match stmt with
@@ -295,18 +385,7 @@ let run ~machine ~bindings ~placement ?memstate ~cost ?domains ?faults ?trace
                 (fun pname -> subset_for (part pname) c)
                 leaf.Loop_ir.leaf_row_part
             in
-            let col_range =
-              if leaf.Loop_ir.col_split > 1 then begin
-                let py = grid.(1) in
-                let cy = c mod py in
-                (* Column extent from the output's last dimension. *)
-                let out_acc = leaf.Loop_ir.leaf_stmt.Tin.lhs in
-                let od = data out_acc.Tin.tensor in
-                let e = Operand.dim od (Operand.order od - 1) in
-                Some ((cy * e / py, ((cy + 1) * e / py) - 1))
-              end
-              else None
-            in
+            let col_range = col_range ~grid ~bindings leaf c in
             match compiled with
             | Some cl -> Compile_leaf.execute cl ~shard_vals ~rows ~col_range ()
             | None -> Leaf.execute ~bindings ~leaf ~shard_vals ~rows ~col_range ()
@@ -318,84 +397,18 @@ let run ~machine ~bindings ~placement ?memstate ~cost ?domains ?faults ?trace
           | Loop_ir.Sparse_driver d, None ->
               Leaf.prewarm (Operand.find_sparse bindings d)
           | _ -> ());
-          (* --- simulate pieces (parallel when a pool is configured) --- *)
+          (* --- simulate pieces (parallel when a pool is configured) ---
+             Each piece yields pure data: its comm bill and its leaf result
+             ([None] when the leaf writes overlap across pieces
+             ([out_reduce]) and execution is deferred to the reducing
+             domain).  All mutation of shared simulation state (Cost,
+             Memstate, message totals) happens on the reducing domain, in
+             piece order, so results are bit-identical to a sequential run
+             (float accumulation order is preserved exactly). *)
           let simulate c =
-            let comm_time = ref 0. in
-            let footprint = ref 0. in
-            let msgs = ref [] in
-            let edges = ref [] in
-            List.iter
-              (fun (cm : Loop_ir.comm) ->
-                let d = data cm.Loop_ir.comm_tensor in
-                let elt =
-                  Operand.slice_bytes d (max cm.Loop_ir.comm_dim 0)
-                  /. float_of_int cm.Loop_ir.divide_by
-                in
-                let full_count =
-                  match (d, cm.Loop_ir.comm_dim) with
-                  | Operand.Sparse t, -1 -> Tensor.nnz t
-                  | _, dim -> Operand.dim d (max dim 0)
-                in
-                match cm.Loop_ir.comm_part with
-                | None -> (
-                    (* Whole operand needed: a broadcast, unless already
-                       replicated by the data distribution. *)
-                    let bytes = float_of_int full_count *. elt in
-                    footprint := !footprint +. bytes;
-                    match
-                      Placement.resident_set placement
-                        ~tensor:cm.Loop_ir.comm_tensor
-                        ~comm_dim:cm.Loop_ir.comm_dim
-                        ~piece_subset:(fun p -> subset_for p c)
-                    with
-                    | `All -> ()
-                    | `Set _ | `Nothing ->
-                        comm_time :=
-                          !comm_time +. Machine.bcast_time machine ~bytes;
-                        msgs := bytes :: !msgs;
-                        if Trace.enabled trace then
-                          edges := (0, bytes) :: !edges)
-                | Some pname ->
-                    let needed = subset_for (part pname) c in
-                    let needed_bytes =
-                      float_of_int (Iset.cardinal needed) *. elt
-                    in
-                    footprint := !footprint +. needed_bytes;
-                    let missing =
-                      match
-                        Placement.resident_set placement
-                          ~tensor:cm.Loop_ir.comm_tensor
-                          ~comm_dim:cm.Loop_ir.comm_dim
-                          ~piece_subset:(fun p -> subset_for p c)
-                      with
-                      | `All -> Iset.empty
-                      | `Nothing -> needed
-                      | `Set r -> Iset.diff needed r
-                    in
-                    let bytes = float_of_int (Iset.cardinal missing) *. elt in
-                    if bytes > 0. then begin
-                      comm_time :=
-                        !comm_time
-                        +. Machine.p2p_time machine ~intra_node:intra ~bytes;
-                      msgs := bytes :: !msgs;
-                      if Trace.enabled trace then
-                        edges :=
-                          List.rev_append
-                            (edge_srcs ~tensor:cm.Loop_ir.comm_tensor
-                               ~comm_dim:cm.Loop_ir.comm_dim ~elt missing)
-                            !edges
-                    end)
-              comms;
-            let ps_leaf =
-              if leaf.Loop_ir.out_reduce then None else Some (exec_leaf c)
-            in
-            {
-              ps_comm_time = !comm_time;
-              ps_footprint = !footprint;
-              ps_msg_bytes = List.rev !msgs;
-              ps_edges = List.rev !edges;
-              ps_leaf;
-            }
+            ( piece_comm ~machine ~bindings ~placement ~penv ~grid
+                ~edges:(Trace.enabled trace) comms c,
+              if leaf.Loop_ir.out_reduce then None else Some (exec_leaf c) )
           in
           let sims =
             if Trace.enabled trace then begin
@@ -403,7 +416,7 @@ let run ~machine ~bindings ~placement ?memstate ~cost ?domains ?faults ?trace
                  piece and when (host clock, for the occupancy tracks). *)
               let prof = Pool.map_prof pool simulate pieces in
               Array.iteri
-                (fun c ((_ : piece_sim), pj) ->
+                (fun c (_, pj) ->
                   Trace.span trace
                     ~track:(Trace.Host pj.Pool.pj_domain)
                     ~clock:Trace.Wall ~cat:"pool"
@@ -423,13 +436,13 @@ let run ~machine ~bindings ~placement ?memstate ~cost ?domains ?faults ?trace
           let partials = ref [] in
           let total_bytes = ref 0. and total_msgs = ref 0 in
           Array.iteri
-            (fun c ps ->
+            (fun c (pc, leaf_res) ->
               List.iter
                 (fun bytes ->
                   total_bytes := !total_bytes +. bytes;
                   incr total_msgs)
-                ps.ps_msg_bytes;
-              let comm_time = ref ps.ps_comm_time in
+                pc.pc_msg_bytes;
+              let comm_time = ref pc.pc_time in
               (* --- capacity check (OOM / UVM paging) --- *)
               (match memstate with
               | None -> ()
@@ -437,7 +450,7 @@ let run ~machine ~bindings ~placement ?memstate ~cost ?domains ?faults ?trace
                   match
                     Memstate.ensure ms ~piece:c
                       ~key:(Printf.sprintf "launch:%d" c)
-                      ~bytes:ps.ps_footprint
+                      ~bytes:pc.pc_footprint
                   with
                   | Memstate.Hit | Memstate.Miss _ -> ()
                   | Memstate.Paged overflow ->
@@ -456,22 +469,15 @@ let run ~machine ~bindings ~placement ?memstate ~cost ?domains ?faults ?trace
                             ("launch", Trace.I launch);
                             ("overflow_bytes", Trace.F overflow);
                           ]
-                        ~start:(t0 +. ps.ps_comm_time) ~dur:pt "uvm_page"));
+                        ~start:(t0 +. pc.pc_time) ~dur:pt "uvm_page"));
               let res =
-                match ps.ps_leaf with Some r -> r | None -> exec_leaf c
+                match leaf_res with Some r -> r | None -> exec_leaf c
               in
               (match res.Leaf.partial with
               | Some p -> partials := p :: !partials
               | None -> ());
               Cost.add_flops cost res.Leaf.work.Task.flops;
-              let lt = Task.leaf_time machine res.Leaf.work in
-              let lt =
-                if machine.Machine.kind = Machine.Cpu then
-                  if not leaf.Loop_ir.parallel then
-                    lt *. float_of_int machine.Machine.params.cpu_cores
-                  else lt /. machine.Machine.params.legion_leaf_efficiency
-                else lt
-              in
+              let lt = leaf_seconds ~machine ~leaf res.Leaf.work in
               (* --- fault injection & Legion-style recovery ---
                  The leaf above committed exactly once; injected faults are
                  priced as the wasted attempts and re-executions that the
@@ -492,7 +498,7 @@ let run ~machine ~bindings ~placement ?memstate ~cost ?domains ?faults ?trace
                     ignore (Placement.remap_piece ~machine ~crashed c);
                   let r =
                     Fault.recover_piece cfg ~machine ~launch ~piece:c
-                      ~msg_bytes:ps.ps_msg_bytes ~footprint:ps.ps_footprint
+                      ~msg_bytes:pc.pc_msg_bytes ~footprint:pc.pc_footprint
                       ~comm_time:!comm_time ~leaf_time:lt
                   in
                   Cost.add_recovery cost ~retries:r.Fault.retries
@@ -515,7 +521,7 @@ let run ~machine ~bindings ~placement ?memstate ~cost ?domains ?faults ?trace
                 let node = Machine.node_of_piece machine c in
                 List.iter
                   (fun (src, b) -> Trace.comm_edge trace ~src ~dst:node b)
-                  ps.ps_edges;
+                  pc.pc_edges;
                 let track = Trace.Piece { node; piece = c } in
                 Trace.span trace ~track ~clock:Trace.Sim ~cat:"comm"
                   ~args:[ ("launch", Trace.I launch) ]
@@ -567,61 +573,33 @@ let run ~machine ~bindings ~placement ?memstate ~cost ?domains ?faults ?trace
               [ ("pieces", 0.) ]
           end;
           (* --- output reduction for aliased ownership --- *)
-          (match out_comm with
+          (match
+             Option.bind out_comm (reduce_bill ~machine ~bindings ~penv)
+           with
           | None -> ()
-          | Some cm ->
-              let total, union =
-                match cm.Loop_ir.comm_part with
-                | Some pname ->
-                    let p = part pname in
-                    ( Array.fold_left
-                        (fun acc s -> acc + Iset.cardinal s)
-                        0 p.Partition.subsets,
-                      Iset.cardinal (Partition.union_of_colors p) )
-                | None ->
-                    (* Every piece holds a full partial output (distributed
-                       reduction loop): overlap = (pieces-1) copies. *)
-                    let n =
-                      Operand.dim (data cm.Loop_ir.comm_tensor)
-                        (max cm.Loop_ir.comm_dim 0)
-                    in
-                    (pieces * n, n)
-              in
-              let overlap = max 0 (total - union) in
-              if overlap > 0 then begin
-                let d = data cm.Loop_ir.comm_tensor in
-                let elt =
-                  Operand.slice_bytes d (max cm.Loop_ir.comm_dim 0)
-                  /. float_of_int cm.Loop_ir.divide_by
-                in
-                let bytes =
-                  float_of_int overlap *. elt /. float_of_int pieces
-                in
-                let r0 = Cost.total cost in
-                Cost.add_comm cost
-                  ~bytes:(float_of_int overlap *. elt)
-                  ~messages:pieces
-                  (Machine.reduce_time machine ~bytes);
-                if Trace.enabled trace then begin
-                  (* Each piece ships its overlapping share home to the
-                     output's owner on node 0. *)
-                  for c = 0 to pieces - 1 do
-                    Trace.comm_edge trace
-                      ~src:(Machine.node_of_piece machine c)
-                      ~dst:0 bytes
-                  done;
-                  Trace.span trace ~track:Trace.Runtime ~clock:Trace.Sim
-                    ~cat:"launch"
-                    ~args:
-                      [
-                        ("launch", Trace.I launch);
-                        ("bytes", Trace.F (float_of_int overlap *. elt));
-                        ("messages", Trace.I pieces);
-                      ]
-                    ~start:r0
-                    ~dur:(Cost.total cost -. r0)
-                    (kernel ^ ":reduce")
-                end
+          | Some (bytes, seconds) ->
+              let r0 = Cost.total cost in
+              Cost.add_comm cost ~bytes ~messages:pieces seconds;
+              if Trace.enabled trace then begin
+                (* Each piece ships its overlapping share home to the
+                   output's owner on node 0. *)
+                for c = 0 to pieces - 1 do
+                  Trace.comm_edge trace
+                    ~src:(Machine.node_of_piece machine c)
+                    ~dst:0
+                    (bytes /. float_of_int pieces)
+                done;
+                Trace.span trace ~track:Trace.Runtime ~clock:Trace.Sim
+                  ~cat:"launch"
+                  ~args:
+                    [
+                      ("launch", Trace.I launch);
+                      ("bytes", Trace.F bytes);
+                      ("messages", Trace.I pieces);
+                    ]
+                  ~start:r0
+                  ~dur:(Cost.total cost -. r0)
+                  (kernel ^ ":reduce")
               end);
           if Trace.enabled trace then
             Trace.counter trace ~name:"cost" ~time:(Cost.total cost)
@@ -654,4 +632,4 @@ let run ~machine ~bindings ~placement ?memstate ~cost ?domains ?faults ?trace
             "unexpected %s construct in the prepared launch list (only \
              distributed_for loops are executable)"
             (stmt_ctor other))
-    loops prep.pp_leaves
+    loops prepared.pp_leaves

@@ -29,9 +29,9 @@
 
 open Spdistal_runtime
 
-(** [run ~machine ~bindings ~placement ?memstate ~cost ?domains ?faults prog]
-    executes [prog].  [domains] caps the OCaml domains used to simulate
-    pieces of one launch concurrently (default
+(** [run ~machine ~bindings ~placement ?memstate ~cost ?domains ?faults
+    ~prepared prog] executes [prog].  [domains] caps the OCaml domains used
+    to simulate pieces of one launch concurrently (default
     {!Spdistal_runtime.Machine.sim_domains}; [<= 1] means sequential).
 
     [faults] (default {!Spdistal_runtime.Fault.default}, i.e. the CLI
@@ -52,17 +52,14 @@ open Spdistal_runtime
     never changes computed tensors or [cost] — all emission happens on the
     reducing domain in piece order.
 
-    [backend] selects the leaf execution backend for this run (default
-    {!Compile_leaf.default_backend}): [Compiled] runs the monomorphized
-    closures from {!Compile_leaf}, [Interp] the reference interpreter in
-    {!Leaf}.  Both are bit-identical in outputs, launch records and Cost.
-    Ignored when [prepared] is given (the prepared value fixes the backend).
-
-    [prepared] supplies a pre-materialized {!prepared} value from
-    {!prepare} (e.g. the execution context's cache), skipping partition
-    evaluation and leaf specialization; [launch_base] offsets the run's
-    launch indices, so iteration [i] of a warm-start run draws the same
-    fault schedule whether or not its partitions came from the cache. *)
+    [prepared] is [prog]'s materialized {!prepared} value from {!prepare}
+    (fresh from a cold build, or replayed from the execution context's
+    cache); its [pp_backend] fixes how leaves execute — [Compiled] runs the
+    monomorphized closures from {!Compile_leaf}, [Interp] the reference
+    interpreter in {!Leaf}, bit-identical in outputs, launch records and
+    Cost.  [launch_base] offsets the run's launch indices, so iteration [i]
+    of a warm-start run draws the same fault schedule whether or not its
+    partitions came from the cache. *)
 
 (** A prepared program: the partition environment, its distributed loops,
     and — under the compiled backend — one specialized closure per loop
@@ -84,20 +81,19 @@ val run :
   ?domains:int ->
   ?faults:Fault.config ->
   ?trace:Spdistal_obs.Trace.t ->
-  ?backend:Compile_leaf.backend ->
-  ?prepared:prepared ->
+  prepared:prepared ->
   ?launch_base:int ->
   Spdistal_ir.Loop_ir.prog ->
   unit
 
-(** Materialize [prog]'s partitions — and, under the compiled backend
-    (default {!Compile_leaf.default_backend}), specialize its leaf loops —
-    without executing its distributed loops: the value [run] accepts via
-    [?prepared].  [trace] (default {!Spdistal_obs.Trace.null}) receives the
-    "part_eval" and "compile_leaves" phase spans. *)
+(** Materialize [prog]'s partitions — and, under the [Compiled] [backend],
+    specialize its leaf loops — without executing its distributed loops:
+    the value [run] takes as [~prepared].  [trace] (default
+    {!Spdistal_obs.Trace.null}) receives the "part_eval" and
+    "compile_leaves" phase spans. *)
 val prepare :
   ?trace:Spdistal_obs.Trace.t ->
-  ?backend:Compile_leaf.backend ->
+  backend:Compile_leaf.backend ->
   bindings:Operand.bindings ->
   Spdistal_ir.Loop_ir.prog ->
   prepared
@@ -112,14 +108,57 @@ val relink :
   prepared ->
   prepared
 
-(** Partition-evaluation environment of the last [run], for inspection in
-    tests (partitions by name). *)
-val last_env : unit -> Part_eval.env option
-
-(** Color of [part] selected by piece [piece] on [grid] (exposed for tests).
+(** Color of [part] selected by piece [piece] on [grid].
     Dispatches on the partition's {!Spdistal_runtime.Partition.axis}: [Flat]
     partitions are indexed by piece id; [Grid_dim d] partitions by the
     piece's coordinate along grid dimension [d] (pieces are row-major over
     the grid). *)
 val color_for :
   grid:int array -> pieces:int -> Partition.t -> int -> int
+
+(** What one piece of a launch moves before its leaf runs.  This and the
+    bills below are pure, shared by {!run} and dry-run pricing. *)
+type piece_comm = {
+  pc_time : float;  (** data movement into the piece, before paging *)
+  pc_footprint : float;  (** bytes the piece must hold resident *)
+  pc_msg_bytes : float list;  (** per-message byte counts, in issue order *)
+  pc_edges : (int * float) list;
+      (** (source node, bytes) attribution of the piece's transfers, in
+          issue order; empty unless [edges] was asked for *)
+}
+
+(** Bill of the fetches and broadcasts piece [c] needs for [comms] under
+    the data distribution [placement], over the partitions of [penv]. *)
+val piece_comm :
+  machine:Machine.t ->
+  bindings:Operand.bindings ->
+  placement:Placement.t ->
+  penv:Part_eval.env ->
+  grid:int array ->
+  edges:bool ->
+  Spdistal_ir.Loop_ir.comm list ->
+  int ->
+  piece_comm
+
+(** Piece [c]'s column block of the output's last dimension when the leaf
+    splits columns ([col_split > 1]), else [None]. *)
+val col_range :
+  grid:int array ->
+  bindings:Operand.bindings ->
+  Spdistal_ir.Loop_ir.leaf ->
+  int ->
+  (int * int) option
+
+(** Simulated seconds of one piece's leaf doing [work] (on CPUs, scaled for
+    a serial leaf or by Legion's leaf efficiency). *)
+val leaf_seconds :
+  machine:Machine.t -> leaf:Spdistal_ir.Loop_ir.leaf -> Task.work -> float
+
+(** Output-reduction bill of a launch with aliased output ownership:
+    [Some (bytes, seconds)] over [pieces] messages, [None] if no overlap. *)
+val reduce_bill :
+  machine:Machine.t ->
+  bindings:Operand.bindings ->
+  penv:Part_eval.env ->
+  Spdistal_ir.Loop_ir.comm ->
+  (float * float) option

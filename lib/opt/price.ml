@@ -3,17 +3,18 @@
    an estimate (from {!Stats}) of what the leaves would cost — without
    running a single leaf.
 
-   The partitioning bill is not modeled, it is *computed*: pricing runs the
-   same [Placement.of_tdn] / [Lower.lower] / [Part_eval.eval_partitions]
-   pipeline a cold [Spdistal.run] runs, tallies the same [Part_eval.stats]
-   and charges [Cache.partition_seconds] on them, so [Cost.partitioning] of
-   a priced candidate is bit-equal to the cold run's — the invariant the
-   optimizer rests on (and a regression test enforces).  Communication is
-   likewise exact: the per-piece fetch/broadcast/reduce math below mirrors
-   [Interp.run]'s simulate loop over the materialized partitions.  Only leaf
-   time is an estimate (the true value needs the executed inner extents);
-   it uses the shared [Leaf.mul_work]/merge byte model over statistical
-   shard shapes, so candidates are ranked on the same scale the clock uses.
+   The partitioning bill is not modeled, it is *computed*: pricing calls
+   the same [Spdistal.plan] cold build every run calls and charges the
+   partitioning bill it returns, so [Cost.partitioning] of a priced
+   candidate is bit-equal to the cold run's — the invariant the optimizer
+   rests on (and a regression test enforces).  Communication is likewise
+   exact: the per-piece fetch/broadcast bills and the output-reduction bill
+   come from the interpreter's own [Interp.piece_comm] and
+   [Interp.reduce_bill] over the materialized partitions, and leaf seconds
+   from [Interp.leaf_seconds].  Only leaf work is an estimate (the true
+   value needs the executed inner extents); it uses the shared
+   [Leaf.mul_work]/merge byte model over statistical shard shapes, so
+   candidates are ranked on the same scale the clock uses.
 
    Faults and memory pressure (UVM paging) are deliberately ignored:
    candidates are priced for the fault-free steady state, which is also
@@ -35,35 +36,10 @@ type priced = {
 
 let total p = p.pr_total
 
-(* Piece -> partition color; same layout rule as [Interp.color_for] (pieces
-   are row-major over the grid; a [Grid_dim d] partition's color is the
-   piece's coordinate along d). *)
-let color_for ~grid ~pieces part piece =
-  let colors = Partition.colors part in
-  match Partition.axis part with
-  | Partition.Flat ->
-      if colors = pieces then piece
-      else
-        Error.fail ~piece Error.Launch
-          "flat partition with %d colors on %d pieces" colors pieces
-  | Partition.Grid_dim d ->
-      let nd = Array.length grid in
-      if d < 0 || d >= nd then
-        Error.fail ~piece Error.Launch "partition axis %d on a %d-d grid" d nd;
-      if colors <> grid.(d) then
-        Error.fail ~piece Error.Launch
-          "axis-%d partition with %d colors but grid dim has %d" d colors
-          grid.(d);
-      let stride = ref 1 in
-      for k = d + 1 to nd - 1 do
-        stride := !stride * grid.(k)
-      done;
-      piece / !stride mod grid.(d)
-
 (* Estimated work of one piece of a multiplicative leaf: the shared
    [Leaf.mul_work] model over the piece's exact shard cardinality and a
    statistical rows-touched estimate. *)
-let mul_estimate ~bindings ~tstats ~grid ~data ~part ~subset_for ~shard_parts
+let mul_estimate ~bindings ~tstats ~grid ~part ~subset_for ~shard_parts
     ~(leaf : Loop_ir.leaf) ~driver_name c =
   let plan = Leaf.plan_mul ~bindings ~leaf ~driver_name in
   let shard =
@@ -73,16 +49,7 @@ let mul_estimate ~bindings ~tstats ~grid ~data ~part ~subset_for ~shard_parts
         Error.fail ~piece:c Error.Leaf "no shard for driver %s" driver_name
   in
   let nnz_shard = Iset.cardinal shard in
-  let col_range =
-    if leaf.Loop_ir.col_split > 1 then begin
-      let py = grid.(1) in
-      let cy = c mod py in
-      let od = data leaf.Loop_ir.leaf_stmt.Tin.lhs.Tin.tensor in
-      let e = Operand.dim od (Operand.order od - 1) in
-      Some ((cy * e / py, ((cy + 1) * e / py) - 1))
-    end
-    else None
-  in
+  let col_range = Interp.col_range ~grid ~bindings leaf c in
   let jlo, jhi = Leaf.j_bounds plan ~col_range in
   let klo, khi = Leaf.k_bounds plan in
   let st = Stats.find tstats driver_name in
@@ -143,169 +110,70 @@ let price (p : Spdistal.problem) : (priced, string) result =
   try
     let machine = p.Spdistal.machine in
     let b = Spdistal.bindings p in
-    let pstats = Part_eval.stats () in
-    (* Cold-path replica: placement lowering (tallying its partitioning
-       work), compile, partition materialization — leaves stay cold
-       ([Interp] backend prepares no closures and executes nothing). *)
-    let placement =
-      List.map
-        (fun (name, _, tdn) ->
-          (name, Placement.of_tdn ~stats:pstats ~machine ~bindings:b name tdn))
-        p.Spdistal.operands
+    (* The cold build a run performs; leaves stay cold ([Interp] backend
+       prepares no closures and executes nothing). *)
+    let plan =
+      Spdistal.plan ~trace:Spdistal_obs.Trace.null
+        ~backend:Compile_leaf.Interp p
     in
-    let prog = Spdistal.compile ~trace:Spdistal_obs.Trace.null p in
-    let prepared =
-      Interp.prepare ~trace:Spdistal_obs.Trace.null
-        ~backend:Compile_leaf.Interp ~bindings:b prog
-    in
-    Part_eval.accum_stats pstats prepared.Interp.pp_penv;
-    let part_seconds = Cache.partition_seconds machine pstats in
-    let part_ops = pstats.Part_eval.s_parts + pstats.Part_eval.s_dep_ops in
     let cost = Cost.create () in
-    Cost.add_partitioning cost ~ops:part_ops part_seconds;
-    let grid = prog.Loop_ir.grid in
-    let pieces = Loop_ir.pieces prog in
-    if pieces <> Machine.pieces machine then
-      Error.fail Error.Config "program lowered for a different machine size";
-    let penv = prepared.Interp.pp_penv in
+    Cost.add_partitioning cost ~ops:plan.Cache.e_part_ops
+      plan.Cache.e_part_seconds;
+    let grid = plan.Cache.e_prog.Loop_ir.grid in
+    let pieces = Machine.pieces machine in
+    let penv = plan.Cache.e_prepared.Interp.pp_penv in
     let part name = Part_eval.find_partition penv name in
     let subset_for pt piece =
-      Partition.subset pt (color_for ~grid ~pieces pt piece)
+      Partition.subset pt (Interp.color_for ~grid ~pieces pt piece)
     in
-    let data name = (Operand.find b name).Operand.data in
-    let intra = Machine.nodes machine = 1 in
     let tstats = Stats.of_bindings b in
-    let launches = ref 0 in
     List.iter
       (function
         | Loop_ir.Distributed_for { shard_parts; comms; out_comm; leaf; _ }
           ->
-            incr launches;
             let comm_times = Array.make pieces 0. in
             let leaf_times = Array.make pieces 0. in
             let total_bytes = ref 0. and total_msgs = ref 0 in
             for c = 0 to pieces - 1 do
-              (* --- communication: the interpreter's simulate loop --- *)
-              let comm_time = ref 0. in
+              let pc =
+                Interp.piece_comm ~machine ~bindings:b
+                  ~placement:plan.Cache.e_placement ~penv ~grid ~edges:false
+                  comms c
+              in
               List.iter
-                (fun (cm : Loop_ir.comm) ->
-                  let d = data cm.Loop_ir.comm_tensor in
-                  let elt =
-                    Operand.slice_bytes d (max cm.Loop_ir.comm_dim 0)
-                    /. float_of_int cm.Loop_ir.divide_by
-                  in
-                  let full_count =
-                    match (d, cm.Loop_ir.comm_dim) with
-                    | Operand.Sparse t, -1 -> Tensor.nnz t
-                    | _, dim -> Operand.dim d (max dim 0)
-                  in
-                  match cm.Loop_ir.comm_part with
-                  | None -> (
-                      let bytes = float_of_int full_count *. elt in
-                      match
-                        Placement.resident_set placement
-                          ~tensor:cm.Loop_ir.comm_tensor
-                          ~comm_dim:cm.Loop_ir.comm_dim
-                          ~piece_subset:(fun p -> subset_for p c)
-                      with
-                      | `All -> ()
-                      | `Set _ | `Nothing ->
-                          comm_time :=
-                            !comm_time +. Machine.bcast_time machine ~bytes;
-                          total_bytes := !total_bytes +. bytes;
-                          incr total_msgs)
-                  | Some pname ->
-                      let needed = subset_for (part pname) c in
-                      let missing =
-                        match
-                          Placement.resident_set placement
-                            ~tensor:cm.Loop_ir.comm_tensor
-                            ~comm_dim:cm.Loop_ir.comm_dim
-                            ~piece_subset:(fun p -> subset_for p c)
-                        with
-                        | `All -> Iset.empty
-                        | `Nothing -> needed
-                        | `Set r -> Iset.diff needed r
-                      in
-                      let bytes =
-                        float_of_int (Iset.cardinal missing) *. elt
-                      in
-                      if bytes > 0. then begin
-                        comm_time :=
-                          !comm_time
-                          +. Machine.p2p_time machine ~intra_node:intra ~bytes;
-                        total_bytes := !total_bytes +. bytes;
-                        incr total_msgs
-                      end)
-                comms;
-              comm_times.(c) <- !comm_time;
-              (* --- leaf estimate --- *)
+                (fun bytes ->
+                  total_bytes := !total_bytes +. bytes;
+                  incr total_msgs)
+                pc.Interp.pc_msg_bytes;
+              comm_times.(c) <- pc.Interp.pc_time;
               let work =
                 match leaf.Loop_ir.driver with
                 | Loop_ir.Sparse_driver driver_name ->
-                    mul_estimate ~bindings:b ~tstats ~grid ~data ~part
+                    mul_estimate ~bindings:b ~tstats ~grid ~part
                       ~subset_for ~shard_parts ~leaf ~driver_name c
                 | Loop_ir.Merge_driver tensors ->
                     merge_estimate ~bindings:b ~part ~subset_for ~leaf
                       ~tensors c
               in
               Cost.add_flops cost work.Task.flops;
-              let lt = Task.leaf_time machine work in
-              let lt =
-                if machine.Machine.kind = Machine.Cpu then
-                  if not leaf.Loop_ir.parallel then
-                    lt *. float_of_int machine.Machine.params.cpu_cores
-                  else lt /. machine.Machine.params.legion_leaf_efficiency
-                else lt
-              in
-              leaf_times.(c) <- lt
+              leaf_times.(c) <- Interp.leaf_seconds ~machine ~leaf work
             done;
             Cost.add_comm cost ~bytes:!total_bytes ~messages:!total_msgs 0.;
             Cost.record_launch_split cost ~machine ~comm_times ~leaf_times;
-            (* --- output reduction for aliased ownership --- *)
-            (match out_comm with
-            | None -> ()
-            | Some cm ->
-                let total, union =
-                  match cm.Loop_ir.comm_part with
-                  | Some pname ->
-                      let pt = part pname in
-                      ( Array.fold_left
-                          (fun acc s -> acc + Iset.cardinal s)
-                          0 pt.Partition.subsets,
-                        Iset.cardinal (Partition.union_of_colors pt) )
-                  | None ->
-                      let n =
-                        Operand.dim
-                          (data cm.Loop_ir.comm_tensor)
-                          (max cm.Loop_ir.comm_dim 0)
-                      in
-                      (pieces * n, n)
-                in
-                let overlap = max 0 (total - union) in
-                if overlap > 0 then begin
-                  let d = data cm.Loop_ir.comm_tensor in
-                  let elt =
-                    Operand.slice_bytes d (max cm.Loop_ir.comm_dim 0)
-                    /. float_of_int cm.Loop_ir.divide_by
-                  in
-                  let bytes =
-                    float_of_int overlap *. elt /. float_of_int pieces
-                  in
-                  Cost.add_comm cost
-                    ~bytes:(float_of_int overlap *. elt)
-                    ~messages:pieces
-                    (Machine.reduce_time machine ~bytes)
-                end)
+            Option.iter
+              (fun (bytes, seconds) ->
+                Cost.add_comm cost ~bytes ~messages:pieces seconds)
+              (Option.bind out_comm
+                 (Interp.reduce_bill ~machine ~bindings:b ~penv))
         | _ -> ())
-      prepared.Interp.pp_loops;
+      plan.Cache.e_prepared.Interp.pp_loops;
     Ok
       {
         pr_total = Cost.total cost;
         pr_cost = cost;
-        pr_part_seconds = part_seconds;
-        pr_part_ops = part_ops;
-        pr_launches = !launches;
+        pr_part_seconds = plan.Cache.e_part_seconds;
+        pr_part_ops = plan.Cache.e_part_ops;
+        pr_launches = plan.Cache.e_launches;
       }
   with
   | Error.Error e -> Error (Error.to_string e)

@@ -1,15 +1,15 @@
 (** Dry-run pricing: evaluate a fully-specified problem with the existing
     cost model without executing any leaf.
 
-    The partitioning bill is exact by construction — pricing runs the same
-    placement-lowering / compile / partition-materialization pipeline a cold
-    [Spdistal.run] runs and charges the same [Cache.partition_seconds] on
-    the same [Part_eval.stats], so [(priced).pr_cost.Cost.partitioning] is
-    bit-equal to the partitioning cost of a cold run of the same schedule.
-    Communication is exact over the materialized partitions (the per-piece
-    fetch/broadcast/reduce math mirrors the interpreter); leaf time is a
-    statistical estimate on the shared work model.  Faults and memory
-    pressure are ignored (fault-free steady-state pricing). *)
+    The partitioning bill is exact by construction — pricing calls the same
+    {!Core.Spdistal.plan} cold build a run calls and charges the bill it
+    returns, so [(priced).pr_cost.Cost.partitioning] is bit-equal to the
+    partitioning cost of a cold run of the same schedule.  Communication is
+    exact over the materialized partitions: the per-piece fetch/broadcast
+    and output-reduction bills are the interpreter's own
+    ({!Spdistal_exec.Interp.piece_comm}, {!Spdistal_exec.Interp.reduce_bill});
+    leaf time is a statistical estimate on the shared work model.  Faults
+    and memory pressure are ignored (fault-free steady-state pricing). *)
 
 open Spdistal_runtime
 

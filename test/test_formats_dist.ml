@@ -59,33 +59,35 @@ let test_spmv_coo_like () =
 
 let test_dcsr_partition_structure () =
   (* The universe partition of a DCSR row level is a value-range bucketing
-     of its crd region; verify against the interpreter's environment. *)
+     of its crd region; verify against the built plan's partition
+     environment. *)
   let b =
     Tensor.of_coo ~name:"B"
       ~formats:[| Level.Compressed_k; Level.Compressed_k |]
       (Lazy.force coo)
   in
   let problem = spmv_problem_with b ~pieces:2 in
-  ignore (Core.Spdistal.run problem);
-  match Interp.last_env () with
-  | None -> Alcotest.fail "no environment"
-  | Some env ->
-      let crd_part = Part_eval.find_partition env "B1CrdPart" in
-      Alcotest.(check bool) "row buckets are disjoint" true
-        crd_part.Partition.disjoint;
-      Alcotest.(check bool) "complete" true (Partition.is_complete crd_part);
-      (* Every bucketed position's row coordinate falls in its block. *)
-      let crd = Tensor.crd_of b 0 in
-      let rows = b.Tensor.dims.(0) in
-      Array.iteri
-        (fun c s ->
-          Iset.iter
-            (fun p ->
-              let v = Region.get crd p in
-              let lo = c * rows / 2 and hi = ((c + 1) * rows / 2) - 1 in
-              Alcotest.(check bool) "value in range" true (v >= lo && v <= hi))
-            s)
-        crd_part.Partition.subsets
+  let plan =
+    Core.Spdistal.plan ~trace:Spdistal_obs.Trace.null
+      ~backend:Compile_leaf.Interp problem
+  in
+  let env = plan.Cache.e_prepared.Interp.pp_penv in
+  let crd_part = Part_eval.find_partition env "B1CrdPart" in
+  Alcotest.(check bool) "row buckets are disjoint" true
+    crd_part.Partition.disjoint;
+  Alcotest.(check bool) "complete" true (Partition.is_complete crd_part);
+  (* Every bucketed position's row coordinate falls in its block. *)
+  let crd = Tensor.crd_of b 0 in
+  let rows = b.Tensor.dims.(0) in
+  Array.iteri
+    (fun c s ->
+      Iset.iter
+        (fun p ->
+          let v = Region.get crd p in
+          let lo = c * rows / 2 and hi = ((c + 1) * rows / 2) - 1 in
+          Alcotest.(check bool) "value in range" true (v >= lo && v <= hi))
+        s)
+    crd_part.Partition.subsets
 
 let test_coo_roundtrip () =
   let coo = Lazy.force coo in

@@ -103,31 +103,51 @@ let test_never_worse_than_hand () =
       | Error e -> Alcotest.failf "%s: naive did not price: %s" name e)
     (all_kernels ())
 
-(* A priced candidate's partitioning bill is bit-equal to the partitioning
-   cost a cold run of the same schedule records — pricing runs the same
-   placement/compile/materialize pipeline and charges the same
-   [Cache.partition_seconds]. *)
+(* A priced candidate's partitioning and communication bills are bit-equal
+   to what a cold run of the same schedule records — pricing builds the plan
+   with the same [Spdistal.plan] and bills every piece's transfers with the
+   interpreter's own functions.  Checked on every feasible candidate of the
+   search space, not only the hand schedule; each side gets a fresh problem
+   so the run's outputs cannot leak into the priced one. *)
 let test_partitioning_matches_cold_run () =
   List.iter
     (fun (name, make) ->
-      let priced =
-        match Price.price (make ()) with
-        | Ok pr -> pr
-        | Error e -> Alcotest.failf "%s: hand did not price: %s" name e
-      in
-      (* [~iterations:1] = the warm-start protocol on a fresh context — the
-         only path that bills dependent partitioning. *)
-      let cold =
-        let r = Spdistal.run ~leaf_backend:CL.Interp ~iterations:1 (make ()) in
-        (match r.Spdistal.dnc with
-        | Some reason -> Alcotest.fail reason
-        | None -> ());
-        r
-      in
-      Alcotest.(check int64)
-        (name ^ ": priced partitioning bit-equals cold run")
-        (Int64.bits_of_float cold.Spdistal.cost.Cost.partitioning)
-        (Int64.bits_of_float priced.Price.pr_cost.Cost.partitioning))
+      List.iter
+        (fun c ->
+          match Price.price (Search.apply (make ()) c) with
+          | Error _ -> ()  (* infeasible point: nothing to compare *)
+          | Ok priced ->
+              let label = Printf.sprintf "%s/%s" name c.Search.c_label in
+              (* [~iterations:1] = the warm-start protocol on a fresh
+                 context — the only path that bills dependent
+                 partitioning. *)
+              let r =
+                Spdistal.run ~leaf_backend:CL.Interp ~iterations:1
+                  ~faults:Fault.disabled
+                  (Search.apply (make ()) c)
+              in
+              (match r.Spdistal.dnc with
+              | Some reason -> Alcotest.failf "%s: %s" label reason
+              | None -> ());
+              let cold = r.Spdistal.cost and pc = priced.Price.pr_cost in
+              let bits field what =
+                Alcotest.(check int64)
+                  (Printf.sprintf "%s: priced %s bit-equals cold run" label
+                     what)
+                  (Int64.bits_of_float (field cold))
+                  (Int64.bits_of_float (field pc))
+              in
+              let count field what =
+                Alcotest.(check int)
+                  (Printf.sprintf "%s: priced %s equals cold run" label what)
+                  (field cold) (field pc)
+              in
+              bits (fun c -> c.Cost.partitioning) "partitioning";
+              bits (fun c -> c.Cost.bytes_moved) "bytes_moved";
+              count (fun c -> c.Cost.messages) "messages";
+              count (fun c -> c.Cost.launches) "launches";
+              count (fun c -> c.Cost.part_ops) "part_ops")
+        (Search.candidates (make ())))
     (all_kernels ())
 
 (* qcheck: over random sparse matrices, the chosen schedule never prices
