@@ -30,7 +30,10 @@ let mttkrp_row ?proc () = row_sched ?proc ~tensors:[ "A"; "B"; "C"; "D" ] ()
 let nnz_sched ?(proc = Schedule.Cpu_thread) ~vars ~tensor ~tensors () =
   let fuses, fused =
     match vars with
-    | [] | [ _ ] -> invalid_arg "Kernels.nnz_sched"
+    | [] | [ _ ] ->
+        Error.fail Error.Config
+          "Kernels.nnz_sched: fusion needs at least two variables (got %d)"
+          (List.length vars)
     | v0 :: rest ->
         List.fold_left
           (fun (cmds, prev) v ->

@@ -33,6 +33,19 @@ val spmm_batched : ?proc:Schedule.proc -> unit -> Schedule.t
 
 val spadd3_row : ?proc:Schedule.proc -> unit -> Schedule.t
 
+(** [nnz_sched ~vars ~tensor ~tensors ()] fuses [vars] left to right, then
+    strip-mines the fused position space of [tensor] and distributes it
+    (the shape of every [*_nnz] schedule).  Raises
+    {!Spdistal_runtime.Error.Error} ([Config]) when [vars] has fewer than
+    two variables. *)
+val nnz_sched :
+  ?proc:Schedule.proc ->
+  vars:string list ->
+  tensor:string ->
+  tensors:string list ->
+  unit ->
+  Schedule.t
+
 (** SpAdd3 with a dense row workspace instead of the k-way merge (the
     precompute transformation, Kjolstad et al. [22]). *)
 val spadd3_workspace : ?proc:Schedule.proc -> unit -> Schedule.t
@@ -72,7 +85,9 @@ val spmm_problem :
   Spdistal.problem
 
 (** [spadd3_problem ~machine b] builds the two shifted copies per Henry &
-    Hsu et al. [30] internally unless [c]/[d] are supplied. *)
+    Hsu et al. [30] internally unless [c]/[d] are supplied.  Supplied
+    inputs are only read, so callers may share them across problems; the
+    output [A] is always fresh. *)
 val spadd3_problem :
   machine:Machine.t ->
   ?schedule:Schedule.t ->

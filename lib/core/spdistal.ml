@@ -184,6 +184,11 @@ module Context = struct
     ctx.ran <- true;
     or_dnc
       ~finish:(fun ~node reason ->
+        (* Transactional DNC: leaves may have written the output before the
+           launch failed, so put back the pristine state. *)
+        (Operand.find b ctx.out_name).Operand.data <-
+          Operand.copy_data ctx.pristine_out;
+        ctx.ran <- false;
         Option.iter (fun n -> crashed_acc := n :: !crashed_acc) node;
         finish (Some reason))
     @@ fun () ->

@@ -98,8 +98,9 @@ type run_result = {
 
 (** Execute one timed iteration: builds the launch plan with {!plan}
     (partitioning at setup, uncharged), runs it once (real numerics) and
-    returns the simulated cost.  On OOM the result carries [dnc] and the
-    outputs are unspecified.  [domains] bounds
+    returns the simulated cost.  On OOM the result carries [dnc]; without
+    [iterations] the outputs are then unspecified (with [iterations] they
+    are restored, see below).  [domains] bounds
     the OCaml domains used to simulate pieces concurrently (default
     {!Spdistal_runtime.Machine.sim_domains}); it affects wall-clock only —
     costs and outputs are bit-identical at every degree.
@@ -133,7 +134,9 @@ type run_result = {
     curve.  Outputs and per-iteration launch costs are bit-identical with
     and without the cache; the output operand is restored to its pristine
     state before each iteration after the first, so the final outputs equal
-    a single application's. *)
+    a single application's.  A warm-start run is transactional on DNC: when
+    it OOMs or exhausts fault recovery, the output operand is restored to
+    its pristine state before the result is returned. *)
 val run :
   ?uvm:bool ->
   ?domains:int ->

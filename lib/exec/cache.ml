@@ -96,14 +96,31 @@ let create ?(cap = 64) ?byte_budget () =
 (* FNV-1a over the structural (pattern) arrays of a sparse operand.  The
    partitions an entry caches depend on the coordinate structure — not on
    the stored values, which an iterative application is free to update
-   between launches (that is the whole point of warm starts). *)
+   between launches (that is the whole point of warm starts).
+
+   Every lookup rehashes every pos/crd array, so the loops keep the
+   accumulator in a local ref that never escapes: ocamlopt holds it
+   unboxed and only the final value is boxed.  Keys are persisted
+   (events.jsonl), so the FNV-1a 64 offset, prime and element order (lo
+   then hi per pos pair) must not change. *)
+let fnv_offset = 0xcbf29ce484222325L
 let fnv_prime = 0x100000001b3L
-let fnv1a h i = Int64.mul (Int64.logxor h (Int64.of_int i)) fnv_prime
 
-let hash_ints a = Array.fold_left fnv1a 0xcbf29ce484222325L a
+let hash_ints (a : int array) =
+  let h = ref fnv_offset in
+  for i = 0 to Array.length a - 1 do
+    h := Int64.mul (Int64.logxor !h (Int64.of_int a.(i))) fnv_prime
+  done;
+  !h
 
-let hash_pairs a =
-  Array.fold_left (fun h (lo, hi) -> fnv1a (fnv1a h lo) hi) 0xcbf29ce484222325L a
+let hash_pairs (a : (int * int) array) =
+  let h = ref fnv_offset in
+  for i = 0 to Array.length a - 1 do
+    let lo, hi = a.(i) in
+    h := Int64.mul (Int64.logxor !h (Int64.of_int lo)) fnv_prime;
+    h := Int64.mul (Int64.logxor !h (Int64.of_int hi)) fnv_prime
+  done;
+  !h
 
 let data_fingerprint buf data =
   let open Spdistal_formats in

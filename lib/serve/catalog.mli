@@ -1,7 +1,9 @@
 (** The query catalog a serve instance answers: named (kernel, tensor-ref)
     computations over deterministic synthetic tensors.  Tensors are memoized
     per query, so every job for a query shares one tensor instance and one
-    cache digest — the precondition for cross-job cache hits. *)
+    cache digest — the precondition for cross-job cache hits.  Read-only
+    inputs derived from a query's tensor (SpAdd3's shifted [C] and [D]) are
+    memoized too; outputs are fresh in every {!problem}. *)
 
 open Spdistal_runtime
 

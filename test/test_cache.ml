@@ -308,6 +308,59 @@ let test_digest_sees_machine_params () =
     "kind change changes the digest" true
     (d0 <> digest_of (with_machine (S.machine ~params:base ~kind:Machine.Gpu [| 8 |])))
 
+(* Keys are persisted (the serve loop's events.jsonl records them), so the
+   exact strings are part of the contract, not just their distinctness.
+   The literals below pin the FNV-1a pattern hashing and the rendering
+   around it on three small fixed problems; the empty-CSR output of SpAdd3
+   exercises the zero-length crd hash. *)
+let test_digest_pinned () =
+  let open Spdistal_formats in
+  let m = Helpers.cpu_machine 2 in
+  let csr =
+    Tensor.csr ~name:"B"
+      (Coo.make [| 5; 6 |]
+         [
+           ([| 0; 1 |], 1.); ([| 0; 4 |], 2.); ([| 1; 0 |], 3.);
+           ([| 2; 2 |], 4.); ([| 2; 3 |], 5.); ([| 2; 5 |], 6.);
+           ([| 4; 0 |], 7.); ([| 4; 5 |], 8.);
+         ])
+  in
+  let csf =
+    Tensor.of_coo ~name:"B"
+      ~formats:[| Level.Dense_k; Level.Compressed_k; Level.Compressed_k |]
+      (Coo.make [| 3; 4; 5 |]
+         [
+           ([| 0; 0; 1 |], 1.); ([| 0; 0; 4 |], 2.); ([| 0; 3; 2 |], 3.);
+           ([| 1; 2; 0 |], 4.); ([| 2; 1; 1 |], 5.); ([| 2; 1; 3 |], 6.);
+           ([| 2; 3; 4 |], 7.);
+         ])
+  in
+  let cases =
+    [
+      ( "spmv",
+        Core.Kernels.spmv_problem ~machine:m csr,
+        "350ff358840c2ab09e0c9021ae5360fc",
+        "4e9f3b6a02fff743ac39b68aa20e2178" );
+      ( "spttv",
+        Core.Kernels.spttv_problem ~machine:m csf,
+        "dc91e91f1db30b3660c4b59b4cb065be",
+        "e30ff7cedb9bc6e3c35e8c46fe6a915b" );
+      ( "spadd3",
+        Core.Kernels.spadd3_problem ~machine:m csr,
+        "33aee0af3755a456d37c70628d646ba0",
+        "dd12568777bfd960ae774d0b8ded2933" );
+    ]
+  in
+  List.iter
+    (fun (name, (p : S.problem), key, winner) ->
+      Alcotest.(check string) (name ^ ": Cache.digest") key (digest_of p);
+      Alcotest.(check string)
+        (name ^ ": Cache.winner_digest")
+        winner
+        (Cache.winner_digest ~machine:p.S.machine ~operands:p.S.operands
+           ~stmt:p.S.stmt))
+    cases
+
 (* ------------------------------------------------------------------ *)
 (* Fault-driven invalidation                                           *)
 (* ------------------------------------------------------------------ *)
@@ -494,6 +547,7 @@ let suite =
       test_digest_ignores_values;
     Alcotest.test_case "digest sees every machine param" `Quick
       test_digest_sees_machine_params;
+    Alcotest.test_case "digest strings pinned" `Quick test_digest_pinned;
     Alcotest.test_case "crash invalidates the entry" `Quick
       test_crash_invalidates;
     Alcotest.test_case "context reuse: all hits" `Quick

@@ -182,15 +182,49 @@ let test_more_pieces_not_slower_on_big_input () =
   let t8 = run_problem (Core.Kernels.spmv_problem ~machine:(machine 8) b) in
   Alcotest.(check bool) "8 nodes faster than 1" true (t8 < t1)
 
-let test_oom_dnc () =
-  (* A tiny GPU memory forces a DNC, like the paper's Fig. 11 cells. *)
+(* A tiny GPU memory forces a DNC, like the paper's Fig. 11 cells. *)
+let tiny_gpu_spmm () =
   let b = Helpers.rand_csr ~seed:25 40 40 0.5 in
   let params =
     { (Machine.scale_params 1e9 Machine.lassen) with Machine.net_alpha = 1e-6 }
   in
   let m = Core.Spdistal.machine ~params ~kind:Machine.Gpu [| 2 |] in
-  let res = Core.Spdistal.run (Core.Kernels.spmm_problem ~machine:m ~cols:8 b) in
+  Core.Kernels.spmm_problem ~machine:m ~cols:8 b
+
+let test_oom_dnc () =
+  let res = Core.Spdistal.run (tiny_gpu_spmm ()) in
   Alcotest.(check bool) "DNC reported" true (res.Core.Spdistal.dnc <> None)
+
+let test_oom_dnc_restores_output () =
+  (* Through a warm-start context: leaves write the output inside the
+     launch before the reduce step's memory check raises, so the DNC must
+     put the pristine output back. *)
+  let p = tiny_gpu_spmm () in
+  let out () =
+    let a = Operand.find_mat (Core.Spdistal.bindings p) "A" in
+    Array.map Int64.bits_of_float a.Dense.data
+  in
+  let pristine = out () in
+  let ctx = Core.Spdistal.Context.create p in
+  List.iter
+    (fun iterations ->
+      let res = Core.Spdistal.Context.run ~iterations ctx in
+      Alcotest.(check bool) "DNC reported" true (res.Core.Spdistal.dnc <> None);
+      Alcotest.(check bool)
+        (Printf.sprintf "output pristine after DNC (%d iterations)" iterations)
+        true
+        (out () = pristine))
+    [ 1; 2 ]
+
+let test_nnz_sched_typed_error () =
+  List.iter
+    (fun vars ->
+      match
+        Core.Kernels.nnz_sched ~vars ~tensor:"B" ~tensors:[ "a"; "B"; "c" ] ()
+      with
+      | _ -> Alcotest.fail "nnz_sched accepted fewer than two variables"
+      | exception Error.Error { Error.phase = Error.Config; _ } -> ())
+    [ []; [ "i" ] ]
 
 let test_show_compiles () =
   let b = Helpers.rand_csr ~seed:26 6 6 0.4 in
@@ -344,6 +378,10 @@ let suite =
     Alcotest.test_case "strong scaling sanity" `Quick
       test_more_pieces_not_slower_on_big_input;
     Alcotest.test_case "OOM becomes DNC" `Quick test_oom_dnc;
+    Alcotest.test_case "warm-start DNC restores the output" `Quick
+      test_oom_dnc_restores_output;
+    Alcotest.test_case "nnz_sched: typed Config error" `Quick
+      test_nnz_sched_typed_error;
     Alcotest.test_case "show pretty plan" `Quick test_show_compiles;
     Alcotest.test_case "matched distribution avoids communication" `Quick
       test_placement_matching_avoids_comm;

@@ -346,8 +346,53 @@ let test_server_config_validation () =
   Alcotest.(check bool) "unknown catalog query rejected" true
     (is_config_error (fun () -> Catalog.find "no-such-query"))
 
+(* Catalog problems share the memoized read-only inputs (SpAdd3's shifted
+   C and D) but never an output: a context owns and overwrites its output,
+   so two contexts over one query must not alias it. *)
+let test_catalog_shares_inputs_not_outputs () =
+  let open Spdistal_formats in
+  let machine = Core.Spdistal.machine ~kind:Machine.Cpu [| 2 |] in
+  let sparse p name =
+    Spdistal_exec.Operand.find_sparse (Core.Spdistal.bindings p) name
+  in
+  let p1 = Catalog.problem ~machine "spadd3-stencil"
+  and p2 = Catalog.problem ~machine "spadd3-stencil" in
+  let b = Lazy.force (Catalog.find "spadd3-stencil").Catalog.c_tensor in
+  let levels t =
+    Array.map
+      (function
+        | Level.Dense { dim } -> `D dim
+        | Level.Compressed { pos; crd } -> `C (pos.Region.data, crd.Region.data)
+        | Level.Singleton { crd } -> `S crd.Region.data)
+      t.Tensor.levels
+  in
+  let vals_bits t =
+    Array.map Int64.bits_of_float (Region.F.to_array t.Tensor.vals)
+  in
+  List.iter
+    (fun (name, by) ->
+      let shared = sparse p1 name in
+      Alcotest.(check bool)
+        (name ^ " is one object across problems")
+        true
+        (shared == sparse p2 name);
+      let fresh = Core.Kernels.shift_last_dim ~name ~by b in
+      Alcotest.(check bool)
+        (name ^ " pos/crd equal a fresh shift")
+        true
+        (levels shared = levels fresh);
+      Alcotest.(check bool)
+        (name ^ " vals bit-equal a fresh shift")
+        true
+        (vals_bits shared = vals_bits fresh))
+    [ ("C", 1); ("D", 2) ];
+  Alcotest.(check bool) "output A is fresh per problem" false
+    (sparse p1 "A" == sparse p2 "A")
+
 let suite =
   [
+    Alcotest.test_case "catalog shares inputs, not outputs" `Quick
+      test_catalog_shares_inputs_not_outputs;
     Alcotest.test_case "workload generation is seed-pure" `Quick
       test_generator_deterministic;
     Alcotest.test_case "trace files round-trip bit-exactly" `Quick
