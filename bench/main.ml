@@ -398,11 +398,12 @@ let run_trace_exports dir =
 
 (* ------------------------------------------------------------------ *)
 (* Leaf throughput: wall-clock of the leaf kernel loop itself, compiled *)
-(* closures vs the reference interpreter vs a hand-written CSR SpMV.    *)
-(* One piece, whole-matrix shard, so nothing but the leaf loop is       *)
+(* closures vs the reference interpreter vs a hand-written CSR SpMV,   *)
+(* and the same two backends on a CSF SpMTTKRP leaf (the fiber path).  *)
+(* One piece, whole-tensor shard, so nothing but the leaf loop is       *)
 (* timed.  Writes results/leaf_throughput.csv; the CI smoke job checks  *)
-(* the compiled/interp ratio against the ratcheted floor in             *)
-(* bench/leaf_throughput_floor.txt.                                     *)
+(* the CSR compiled/interp ratio against the ratcheted floor in         *)
+(* bench/leaf_throughput_floor.txt and prints the SpMTTKRP ratio.       *)
 (* ------------------------------------------------------------------ *)
 
 (* Repeat [f] until it has run for >= 0.3 s of wall clock (after one
@@ -426,84 +427,93 @@ let run_leaf_throughput () =
   let module E = Spdistal_exec in
   let module Loop_ir = Spdistal_ir.Loop_ir in
   let module Tensor = Spdistal_formats.Tensor in
-  let module Dense = Spdistal_formats.Dense in
+  let machine = S.machine ~kind:Machine.Cpu [| 1 |] in
+  (* The interpreted and the compiled run of [p]'s leaf over one piece
+     covering every stored value: the timed call is exactly the leaf loop,
+     no partitioning, placement or cost model around it. *)
+  let leaf_runs p ~nnz =
+    let bindings = S.bindings p in
+    let prog = S.compile ~trace:Spdistal_obs.Trace.null p in
+    let shard = Iset.of_intervals [ (0, nnz - 1) ] in
+    let shard_vals _ = shard in
+    let prep_i = E.Interp.prepare ~backend:E.Compile_leaf.Interp ~bindings prog in
+    let leaf =
+      match
+        List.find_map
+          (function Loop_ir.Distributed_for { leaf; _ } -> Some leaf | _ -> None)
+          prep_i.E.Interp.pp_loops
+      with
+      | Some leaf -> leaf
+      | None -> failwith "leaf-throughput: no distributed loop in the program"
+    in
+    let prep_c = E.Interp.prepare ~backend:E.Compile_leaf.Compiled ~bindings prog in
+    let compiled =
+      match List.find_map (fun l -> l) prep_c.E.Interp.pp_leaves with
+      | Some c -> c
+      | None -> failwith "leaf-throughput: no compiled leaf"
+    in
+    ( (fun () ->
+        ignore (E.Leaf.execute ~bindings ~leaf ~shard_vals ~rows:None ~col_range:None ())),
+      fun () ->
+        ignore (E.Compile_leaf.execute compiled ~shard_vals ~rows:None ~col_range:None ())
+    )
+  in
   let n = if quick then 100_000 else 400_000 in
   let b = Synth.banded ~name:"leaf-bench" ~n ~band:8 in
   let nnz = Tensor.nnz b in
-  let p =
-    Core.Kernels.spmv_problem
-      ~machine:(S.machine ~kind:Machine.Cpu [| 1 |])
-      b
-  in
+  let p = Core.Kernels.spmv_problem ~machine b in
+  let interp_run, compiled_run = leaf_runs p ~nnz in
   let bindings = S.bindings p in
-  let prog = S.compile ~trace:Spdistal_obs.Trace.null p in
-  (* One piece covering every stored value: the timed call is exactly the
-     leaf loop, no partitioning, placement or cost model around it. *)
-  let shard = Iset.of_intervals [ (0, nnz - 1) ] in
-  let shard_vals _ = shard in
-  let leaf_of prepared =
-    match
-      List.find_map
-        (function Loop_ir.Distributed_for { leaf; _ } -> Some leaf | _ -> None)
-        prepared.E.Interp.pp_loops
-    with
-    | Some leaf -> leaf
-    | None -> failwith "leaf-throughput: no distributed loop in the program"
-  in
-  let prep_i = E.Interp.prepare ~backend:E.Compile_leaf.Interp ~bindings prog in
-  let leaf = leaf_of prep_i in
-  let interp_run () =
-    ignore
-      (E.Leaf.execute ~bindings ~leaf ~shard_vals ~rows:None ~col_range:None ())
-  in
-  let prep_c =
-    E.Interp.prepare ~backend:E.Compile_leaf.Compiled ~bindings prog
-  in
-  let compiled =
-    match List.find_map (fun l -> l) prep_c.E.Interp.pp_leaves with
-    | Some c -> c
-    | None -> failwith "leaf-throughput: no compiled leaf"
-  in
-  let compiled_run () =
-    ignore (E.Compile_leaf.execute compiled ~shard_vals ~rows:None ~col_range:None ())
-  in
   let x = E.Operand.find_vec bindings "c" in
   let y = E.Operand.find_vec bindings "a" in
   let hand_run () = Spdistal_baselines.Common.seq_spmv b x y in
-  print_endline
-    "=== Leaf throughput (CSR SpMV leaf loop, wall clock, 1 piece) ===";
-  Printf.printf "matrix: %d x %d banded, %d nnz\n" n n nnz;
-  let measure name f =
+  (* The freebase_music analog's shape and skew at the bench's dense width. *)
+  let t3 =
+    Synth.tensor3_skewed ~name:"leaf-bench-3" ~dims:[| 1_400; 1_400; 200 |]
+      ~nnz:(if quick then 80_000 else 330_000)
+      ~alpha:1.2 ~seed:2001
+  in
+  let nnz3 = Tensor.nnz t3 in
+  let interp3, compiled3 =
+    leaf_runs (Core.Kernels.mttkrp_problem ~machine ~cols:32 t3) ~nnz:nnz3
+  in
+  print_endline "=== Leaf throughput (wall clock, 1 piece) ===";
+  Printf.printf "CSR SpMV: %d x %d banded, %d nnz\n" n n nnz;
+  Printf.printf "CSF SpMTTKRP: %d x %d x %d skewed, %d nnz, 32 columns\n"
+    t3.Tensor.dims.(0) t3.Tensor.dims.(1) t3.Tensor.dims.(2) nnz3;
+  let measure name ~rows ~nnz f =
     let reps, secs = time_reps f in
     let mnnz = float_of_int nnz *. float_of_int reps /. secs /. 1e6 in
-    Printf.printf "%-12s %8d reps  %8.3f s  %10.1f Mnnz/s\n%!" name reps secs
-      mnnz;
-    (name, reps, secs, mnnz)
+    Printf.printf "%-16s %8d reps  %8.3f s  %10.1f Mnnz/s\n%!" name reps secs mnnz;
+    (name, rows, nnz, reps, secs, mnnz)
   in
-  let r_interp = measure "interp" interp_run in
-  let r_compiled = measure "compiled" compiled_run in
-  let r_hand = measure "hand-csr" hand_run in
-  let results = [ r_interp; r_compiled; r_hand ] in
-  let rate_of want =
-    List.find_map
-      (fun (nm, _, _, r) -> if nm = want then Some r else None)
-      results
-  in
-  let interp_rate = Option.get (rate_of "interp") in
+  (* Rows are (label, rows, nnz, reps, seconds, Mnnz/s), measured in order;
+     each group's speedups are against its first (interpreted) row. *)
+  let r_interp = measure "interp" ~rows:n ~nnz interp_run in
+  let r_compiled = measure "compiled" ~rows:n ~nnz compiled_run in
+  let r_hand = measure "hand-csr" ~rows:n ~nnz hand_run in
+  let rows3 = t3.Tensor.dims.(0) in
+  let r_interp3 = measure "interp-mttkrp" ~rows:rows3 ~nnz:nnz3 interp3 in
+  let r_compiled3 = measure "compiled-mttkrp" ~rows:rows3 ~nnz:nnz3 compiled3 in
+  let groups = [ [ r_interp; r_compiled; r_hand ]; [ r_interp3; r_compiled3 ] ] in
   (try Unix.mkdir "results" 0o755
    with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   let path = "results/leaf_throughput.csv" in
   let oc = open_out path in
   output_string oc "backend,rows,nnz,reps,seconds,mnnz_per_s,speedup_vs_interp\n";
   List.iter
-    (fun (name, reps, secs, mnnz) ->
-      Printf.fprintf oc "%s,%d,%d,%d,%.6f,%.3f,%.3f\n" name n nnz reps secs
-        mnnz (mnnz /. interp_rate))
-    results;
+    (fun group ->
+      let _, _, _, _, _, base = List.hd group in
+      List.iter
+        (fun (name, rows, nnz, reps, secs, mnnz) ->
+          Printf.fprintf oc "%s,%d,%d,%d,%.6f,%.3f,%.3f\n" name rows nnz reps secs
+            mnnz (mnnz /. base))
+        group;
+      let name, _, _, _, _, rate = List.nth group 1 in
+      Printf.printf "%s/interp leaf throughput: %.2fx\n%!" name (rate /. base))
+    groups;
   close_out oc;
-  let ratio = Option.get (rate_of "compiled") /. interp_rate in
-  Printf.printf "compiled/interp leaf throughput: %.2fx (CSV: %s)\n%!" ratio
-    path
+  Printf.printf "CSV: %s\n%!" path
 
 (* ------------------------------------------------------------------ *)
 (* Serving: the multi-tenant front-end under four scenarios — steady   *)

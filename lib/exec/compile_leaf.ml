@@ -11,13 +11,16 @@
    the differential oracle (`spdistal fuzz` cross-checks the two for
    bit-identical outputs and Cost).
 
-   Three CSR shapes (SpMV, SpMM, SDDMM) get fused row-segment loops; every
-   other shape runs the generic walker.  There, every factor and sink index
-   is affine in the one active inner variable ([base + v·stride]): the bases
-   are recomputed once per stored element into an int array and the inner
-   loop is a plain [for] with a local float accumulator.  Without flambda,
-   a float returned from or passed to a closure is boxed, so no float
-   crosses a closure call: both kinds of loop allocate nothing per element.
+   Three CSR shapes (SpMV, SpMM, SDDMM) get fused row-segment loops, and
+   two 3-tensor shapes (SpTTV, SpMTTKRP) on a CSF or (Dense, Dense,
+   Compressed) driver in identity mode order get fused fiber-segment loops;
+   every other shape runs the generic walker.  There, every factor and sink
+   index is affine in the one active inner variable ([base + v·stride]):
+   the bases are recomputed once per stored element into an int array and
+   the inner loop is a plain [for] with a local float accumulator.  Without
+   flambda, a float returned from or passed to a closure is boxed, so no
+   float crosses a closure call: every kind of loop allocates nothing per
+   element.
 
    Reentrancy: one compiled leaf is executed concurrently by the domains
    simulating the pieces of a distributed launch, so all mutable walk state
@@ -65,14 +68,35 @@ let default_backend () =
 (* Compiled form                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Fused fast paths for CSR-driver kernels (the paper's fig. 10 hot loops:
-   SpMV / SpMM / SDDMM).  Everything else runs the generic specialized
-   walker, which is still free of per-element IR dispatch. *)
+(* The fiber structure of a 3-level driver in identity mode order, read in
+   place from its storage.  A fiber is a level-1 position [f]; its stored
+   elements are the leaf positions [pos2.(f)], and the slice [i] it belongs
+   to and its coordinate [j] come from the level-1 [pos]/[crd] (CSF:
+   Dense, Compressed, Compressed) or from [f = i·n1 + j] (Dense, Dense,
+   Compressed). *)
+type slices =
+  | Csf_slices of { pos1 : (int * int) array; crd1 : int array }
+  | Ddc_slices of { n1 : int }
+
+type fibers = { slices : slices; pos2 : (int * int) array; crd2 : int array }
+
+(* Fused fast paths: CSR-driver kernels (the paper's fig. 10 hot loops:
+   SpMV / SpMM / SDDMM) and 3-level-driver kernels (SpTTV / SpMTTKRP).
+   Everything else runs the generic specialized walker, which is still free
+   of per-element IR dispatch. *)
 type fast =
   | Generic
   | Fast_spmv of { x : float array }
   | Fast_spmm of { c : float array; ccols : int }
   | Fast_sddmm of { c : float array; ccols : int; d : float array; dcols : int }
+  | Fast_ttv of { fib : fibers; c : float array }
+  | Fast_mttkrp of {
+      fib : fibers;
+      c : float array;
+      ccols : int;
+      d : float array;
+      dcols : int;
+    }
 
 (* A dense index affine in the one active inner variable [v] ([j] or [k];
    a plan never has both): [coords.(d0)·m0 + coords.(d1)·m1 + v·stride].
@@ -132,32 +156,63 @@ let is_csr (t : Tensor.t) =
   | [| Level.Dense _; Level.Compressed _ |] -> true
   | _ -> false
 
-let detect_fast ~(plan : Leaf.plan) ~(driver : Tensor.t) =
-  if not (is_csr driver) then Generic
+let fibers_of (t : Tensor.t) =
+  let fibers slices (pos : _ Region.t) (crd : _ Region.t) =
+    Some { slices; pos2 = pos.Region.data; crd2 = crd.Region.data }
+  in
+  if t.Tensor.mode_order <> [| 0; 1; 2 |] then None
   else
-    match
-      ( plan.Leaf.pl_inner_out,
-        plan.Leaf.pl_inner_red,
-        plan.Leaf.pl_factors,
-        plan.Leaf.pl_sink )
-    with
-    | false, false, [| Leaf.F_vec (x, Leaf.Driver_dim 1) |], Leaf.Sp_vec (Leaf.Driver_dim 0)
-      ->
-        Fast_spmv { x }
-    | ( true,
-        false,
-        [| Leaf.F_mat (c, ccols, Leaf.Driver_dim 1, Leaf.Inner_out) |],
-        Leaf.Sp_mat (Leaf.Driver_dim 0, Leaf.Inner_out) ) ->
-        Fast_spmm { c; ccols }
-    | ( false,
-        true,
-        [|
-          Leaf.F_mat (c, ccols, Leaf.Driver_dim 0, Leaf.Inner_red);
-          Leaf.F_mat (d, dcols, Leaf.Inner_red, Leaf.Driver_dim 1);
-        |],
-        Leaf.Sp_sparse None ) ->
-        Fast_sddmm { c; ccols; d; dcols }
-    | _ -> Generic
+    match t.Tensor.levels with
+    | [| Level.Dense _; Level.Compressed l1; Level.Compressed { pos; crd } |] ->
+        fibers
+          (Csf_slices { pos1 = l1.pos.Region.data; crd1 = l1.crd.Region.data })
+          pos crd
+    | [| Level.Dense _; Level.Dense { dim }; Level.Compressed { pos; crd } |] ->
+        fibers (Ddc_slices { n1 = dim }) pos crd
+    | _ -> None
+
+(* The factor order is part of the match: it fixes the association order of
+   the product, which every fast path reproduces. *)
+let detect_fast ~(plan : Leaf.plan) ~(driver : Tensor.t) =
+  match
+    ( fibers_of driver,
+      plan.Leaf.pl_inner_out,
+      plan.Leaf.pl_inner_red,
+      plan.Leaf.pl_factors,
+      plan.Leaf.pl_sink )
+  with
+  | Some fib, false, false, [| Leaf.F_vec (c, Leaf.Driver_dim 2) |], Leaf.Sp_sparse (Some 1)
+    ->
+      Fast_ttv { fib; c }
+  | ( Some fib,
+      true,
+      false,
+      [|
+        Leaf.F_mat (c, ccols, Leaf.Driver_dim 1, Leaf.Inner_out);
+        Leaf.F_mat (d, dcols, Leaf.Driver_dim 2, Leaf.Inner_out);
+      |],
+      Leaf.Sp_mat (Leaf.Driver_dim 0, Leaf.Inner_out) ) ->
+      Fast_mttkrp { fib; c; ccols; d; dcols }
+  | _ when not (is_csr driver) -> Generic
+  | _, false, false, [| Leaf.F_vec (x, Leaf.Driver_dim 1) |], Leaf.Sp_vec (Leaf.Driver_dim 0)
+    ->
+      Fast_spmv { x }
+  | ( _,
+      true,
+      false,
+      [| Leaf.F_mat (c, ccols, Leaf.Driver_dim 1, Leaf.Inner_out) |],
+      Leaf.Sp_mat (Leaf.Driver_dim 0, Leaf.Inner_out) ) ->
+      Fast_spmm { c; ccols }
+  | ( _,
+      false,
+      true,
+      [|
+        Leaf.F_mat (c, ccols, Leaf.Driver_dim 0, Leaf.Inner_red);
+        Leaf.F_mat (d, dcols, Leaf.Inner_red, Leaf.Driver_dim 1);
+      |],
+      Leaf.Sp_sparse None ) ->
+      Fast_sddmm { c; ccols; d; dcols }
+  | _ -> Generic
 
 let compile ~bindings (leaf : Loop_ir.leaf) =
   match leaf.Loop_ir.driver with
@@ -441,6 +496,122 @@ let run_sddmm (m : mul) ~shard ~c ~ccols ~d ~dcols =
       done)
 
 (* ------------------------------------------------------------------ *)
+(* Fiber fast paths: 3-level drivers                                    *)
+(* ------------------------------------------------------------------ *)
+
+let out_of_bounds (m : mul) len =
+  Error.fail ~kernel:m.m_plan.Leaf.pl_driver_name Error.Leaf
+    "compiled leaf: index outside an array of length %d" len
+
+(* Bounds-check the indices [base + lo .. base + hi] of an array of length
+   [len] once, so the loop over them may index unchecked. *)
+let[@inline] check_span m len base lo hi =
+  if lo <= hi && (base + lo < 0 || base + hi >= len) then out_of_bounds m len
+
+(* Fiber cursor, the 3-level counterpart of [csr_run]: [fiber_run m fib
+   shard ~js ~ks seg] cuts each interval into per-fiber segments and calls
+   [seg i j f lo hi] on each, for the positions [lo..hi] of fiber [f] at
+   coordinates [(i, j)].  An interval may start or end inside a fiber or a
+   slice (non-zero schedules cut both), so its first fiber and slice are
+   located once; then the cursor only moves forward, stepping over empty
+   fibers (whose hi precedes their lo) and, for CSF, over empty slices.
+   [nnz] and [rows_touched] are tallied as [run_generic] tallies them, so
+   {!Leaf.mul_work} sees identical inputs. *)
+let fiber_run (m : mul) fib shard ~js ~ks seg =
+  let pos2 = fib.pos2 in
+  let npos = min (A1.dim m.m_dvals) (Array.length fib.crd2) in
+  let nnz = ref 0 and rows_touched = ref 0 and last_row = ref (-1) in
+  Iset.iter_intervals
+    (fun plo phi ->
+      check_span m npos 0 plo phi;
+      nnz := !nnz + (phi - plo + 1);
+      let f = ref (m.m_walkers.(2).Level_funcs.li_locate plo) in
+      let i = ref (m.m_walkers.(1).Level_funcs.li_locate !f) in
+      let p = ref plo in
+      while !p <= phi do
+        let fhi = snd pos2.(!f) in
+        if !p <= fhi then begin
+          let j =
+            match fib.slices with
+            | Csf_slices { pos1; crd1 } ->
+                while !f > snd pos1.(!i) do
+                  incr i
+                done;
+                crd1.(!f)
+            | Ddc_slices { n1 } ->
+                i := !f / n1;
+                !f - (!i * n1)
+          in
+          let seg_hi = if fhi < phi then fhi else phi in
+          if !i <> !last_row then begin
+            incr rows_touched;
+            last_row := !i
+          end;
+          seg !i j !f !p seg_hi;
+          p := seg_hi + 1
+        end;
+        incr f
+      done)
+    shard;
+  {
+    Leaf.work = Leaf.mul_work m.m_plan ~nnz:!nnz ~rows_touched:!rows_touched ~js ~ks;
+    partial = None;
+  }
+
+(* SpTTV: the output is the fiber's cell of the sparse output (its level-1
+   position), accumulated in a register across the segment as in
+   [run_spmv]. *)
+let run_ttv (m : mul) ~shard ~fib ~c =
+  let crd2 = fib.crd2 and dvals = m.m_dvals in
+  let scale = m.m_plan.Leaf.pl_scale in
+  let out =
+    match out_data m with
+    | Operand.Sparse ot -> ot.Tensor.vals.Region.F.data
+    | _ -> shape_changed m.m_plan
+  in
+  fiber_run m fib shard ~js:0 ~ks:0 (fun _ _ f lo hi ->
+      let acc = ref (A1.get out f) in
+      for q = lo to hi do
+        acc :=
+          !acc +. (A1.unsafe_get dvals q *. (scale *. c.(Array.unsafe_get crd2 q)))
+      done;
+      A1.set out f !acc)
+
+(* SpMTTKRP: [C]'s row [j] is the same for a whole fiber, so its scaled
+   slice [sc.(t) = scale·C(j, jlo + t)] is filled once per segment.  Each
+   element then adds [dv·(sc.(t)·D(k, jlo + t))] into [A(i, jlo + t)]: the
+   interpreter's fold [((scale·C)·D)] followed by [dv·_], with the same
+   left-to-right additions, so rounding is bit-identical. *)
+let run_mttkrp (m : mul) ~shard ~col_range ~fib ~c ~ccols ~d ~dcols =
+  let crd2 = fib.crd2 and dvals = m.m_dvals in
+  let scale = m.m_plan.Leaf.pl_scale in
+  let jlo, jhi = Leaf.j_bounds m.m_plan ~col_range in
+  let js = jhi - jlo + 1 in
+  let a, acols =
+    match out_data m with
+    | Operand.Mat mt -> (mt.Dense.data, mt.Dense.cols)
+    | _ -> shape_changed m.m_plan
+  in
+  let sc = Array.make (max js 0) 0. in
+  fiber_run m fib shard ~js ~ks:0 (fun i j _ lo hi ->
+      let abase = (i * acols) + jlo and cbase = (j * ccols) + jlo in
+      check_span m (Array.length a) abase 0 (js - 1);
+      check_span m (Array.length c) cbase 0 (js - 1);
+      for t = 0 to js - 1 do
+        Array.unsafe_set sc t (scale *. Array.unsafe_get c (cbase + t))
+      done;
+      for q = lo to hi do
+        let dv = A1.unsafe_get dvals q in
+        let dbase = (Array.unsafe_get crd2 q * dcols) + jlo in
+        check_span m (Array.length d) dbase 0 (js - 1);
+        for t = 0 to js - 1 do
+          Array.unsafe_set a (abase + t)
+            (Array.unsafe_get a (abase + t)
+            +. (dv *. (Array.unsafe_get sc t *. Array.unsafe_get d (dbase + t))))
+        done
+      done)
+
+(* ------------------------------------------------------------------ *)
 (* Execution                                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -458,4 +629,18 @@ let execute t ~shard_vals ~rows ~col_range () =
       | Fast_spmv { x } -> run_spmv m ~shard ~x
       | Fast_spmm { c; ccols } -> run_spmm m ~shard ~col_range ~c ~ccols
       | Fast_sddmm { c; ccols; d; dcols } -> run_sddmm m ~shard ~c ~ccols ~d ~dcols
+      | Fast_ttv { fib; c } -> run_ttv m ~shard ~fib ~c
+      | Fast_mttkrp { fib; c; ccols; d; dcols } ->
+          run_mttkrp m ~shard ~col_range ~fib ~c ~ccols ~d ~dcols
       | Generic -> run_generic m ~shard ~col_range)
+
+let path_name = function
+  | C_merge _ -> "merge"
+  | C_mul m -> (
+      match m.m_fast with
+      | Generic -> "generic"
+      | Fast_spmv _ -> "csr-spmv"
+      | Fast_spmm _ -> "csr-spmm"
+      | Fast_sddmm _ -> "csr-sddmm"
+      | Fast_ttv _ -> "fiber-ttv"
+      | Fast_mttkrp _ -> "fiber-mttkrp")

@@ -10,7 +10,12 @@
     the Bigarray value buffers ({!Spdistal_runtime.Region.F}) — no IR
     dispatch.
 
-    CSR SpMV, SpMM and SDDMM run fused row-segment loops.  Every other
+    CSR SpMV, SpMM and SDDMM run fused row-segment loops.  SpTTV
+    ([A(i,j) = B(i,j,k)·c(k)] into a sparse output sharing [B]'s first two
+    levels) and SpMTTKRP ([A(i,l) = B(i,j,k)·C(j,l)·D(k,l)], factors in that
+    order) run fused fiber-segment loops when [B] is stored in identity mode
+    order as CSF (Dense, Compressed, Compressed) or as (Dense, Dense,
+    Compressed); SpMTTKRP scales [C]'s row once per fiber.  Every other
     shape runs a generic walker that indexes each factor and the sink
     affinely in the one active inner variable ([base + v·stride], bases
     recomputed once per stored element), so its inner loop is a plain
@@ -74,3 +79,7 @@ val execute :
   col_range:(int * int) option ->
   unit ->
   Leaf.result
+
+(** The loop a leaf runs: ["csr-spmv"], ["csr-spmm"], ["csr-sddmm"],
+    ["fiber-ttv"], ["fiber-mttkrp"], ["generic"] or ["merge"]. *)
+val path_name : t -> string

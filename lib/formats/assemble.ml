@@ -46,13 +46,19 @@ let fill st ~row_fill ~name ~dims =
 let copy_pattern ~name ?levels (src : Tensor.t) =
   let keep = match levels with Some k -> k | None -> Array.length src.levels in
   if keep <= 0 || keep > Array.length src.levels then
-    invalid_arg "Assemble.copy_pattern";
+    Error.fail ~kernel:src.name Error.Config
+      "copy_pattern: cannot keep %d of %d levels" keep (Array.length src.levels);
   let levels = Array.sub src.levels 0 keep in
   let mode_order = Array.sub src.mode_order 0 keep in
   (* The kept modes must form a prefix permutation so logical dims make
      sense on their own. *)
   Array.iter
-    (fun m -> if m >= keep then invalid_arg "Assemble.copy_pattern: mode order")
+    (fun m ->
+      if m >= keep then
+        Error.fail ~kernel:src.name Error.Config
+          "copy_pattern: the first %d storage levels hold logical dimension %d, \
+           so their mode order is not a prefix permutation"
+          keep m)
     mode_order;
   let dims = Array.init keep (fun d -> src.dims.(d)) in
   let extent =

@@ -30,5 +30,8 @@ val fill :
     first [levels] (default: all) levels of [src]'s coordinate metadata — the
     §V-B fast path for pattern-preserving statements (SDDMM keeps all of
     [B]'s pattern; SpTTV keeps the first two levels of a 3-tensor) — with
-    fresh zero values sized by the last kept level's extent. *)
+    fresh zero values sized by the last kept level's extent.  Raises
+    {!Spdistal_runtime.Error.Error} with phase [Config] when [levels] is out
+    of range or the kept levels do not store exactly the logical dimensions
+    [0 .. levels - 1] (e.g. SpTTV over a 3-tensor in mode order [0; 2; 1]). *)
 val copy_pattern : name:string -> ?levels:int -> Tensor.t -> Tensor.t

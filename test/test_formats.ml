@@ -230,6 +230,29 @@ let test_copy_pattern () =
   let full = Assemble.copy_pattern ~name:"A2" b in
   Alcotest.(check int) "full copy keeps nnz" (Tensor.nnz b) (Tensor.nnz full)
 
+(* A bad level count or a kept prefix that is not a permutation of its own
+   dimensions is a configuration error, typed like every other rejection.
+   SpTTV over a 3-tensor stored in mode order [0; 2; 1] reaches the second. *)
+let test_copy_pattern_typed_errors () =
+  let config what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: accepted" what
+    | exception Spdistal_runtime.Error.Error e ->
+        Alcotest.(check string)
+          (what ^ ": phase") "config"
+          (Spdistal_runtime.Error.phase_name e.Spdistal_runtime.Error.phase)
+  in
+  let b = Helpers.rand_csf 4 5 6 0.2 in
+  config "levels 0" (fun () -> Assemble.copy_pattern ~name:"A" ~levels:0 b);
+  config "levels 4" (fun () -> Assemble.copy_pattern ~name:"A" ~levels:4 b);
+  let permuted =
+    Tensor.of_coo ~name:"B"
+      ~formats:[| Level.Dense_k; Level.Compressed_k; Level.Compressed_k |]
+      ~mode_order:[| 0; 2; 1 |] (Helpers.rand_coo3 4 5 6 0.2)
+  in
+  config "spttv over mode order [0; 2; 1]" (fun () ->
+      Core.Kernels.spttv_problem ~machine:(Helpers.cpu_machine 2) permuted)
+
 let test_coord_tree () =
   let t = Tensor.csr ~name:"B" coo_small in
   let tree = Coord_tree.of_tensor t in
@@ -273,6 +296,8 @@ let suite =
     Alcotest.test_case "two-phase assembly" `Quick test_assemble;
     Alcotest.test_case "assembly underflow" `Quick test_assemble_underflow;
     Alcotest.test_case "copy_pattern" `Quick test_copy_pattern;
+    Alcotest.test_case "copy_pattern: typed Config errors" `Quick
+      test_copy_pattern_typed_errors;
     Alcotest.test_case "coordinate tree" `Quick test_coord_tree;
     Alcotest.test_case "dense containers" `Quick test_dense_containers;
   ]

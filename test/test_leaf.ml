@@ -1,7 +1,8 @@
 (* Leaf-level contracts of the compiled backend: the array merge core equals
-   the list-based core it replaced, compiled leaves allocate nothing per
-   stored element, and the generic walker matches the interpreter on shapes
-   the kernel catalog does not reach. *)
+   the list-based core it replaced, the fiber fast paths equal the
+   interpreter on cut shards, compiled leaves allocate nothing per stored
+   element, and the generic walker matches the interpreter on shapes the
+   kernel catalog does not reach. *)
 
 open Spdistal_runtime
 open Spdistal_formats
@@ -210,6 +211,220 @@ let prop_merge_core_equals_model =
                ~use_workspace))
         [ false; true ])
 
+(* --- Fiber fast paths vs the interpreter ---------------------------------- *)
+
+(* A 3-tensor in identity mode order, CSF or (Dense, Dense, Compressed),
+   given per fiber: [fibers] lists, in storage order, each fiber's slice
+   [i], coordinate [j] and sorted [k]s.  A CSF fiber with no [k] is an
+   empty fiber that [Tensor.of_coo] would never store; a slice with no
+   fiber is an empty slice.  A DDC tensor lists all [d0·d1] fibers. *)
+type fiber_case = {
+  csf : bool;
+  mttkrp : bool;
+  dims : int array;
+  fibers : (int * int * int list) array;
+  vals : float array;  (* driver, then output, then factor values *)
+  scale : string;  (* a literal coefficient prefix of the statement, or "" *)
+  cols : int;
+  col_range : (int * int) option;
+  nnz_split : bool;
+  shards : Iset.t list;
+}
+
+let fiber_tensor c =
+  let nfib = Array.length c.fibers in
+  let nnz = Array.fold_left (fun n (_, _, ks) -> n + List.length ks) 0 c.fibers in
+  let pos2 = Array.make nfib (0, -1) and crd2 = Array.make (max nnz 1) 0 in
+  let next = ref 0 in
+  Array.iteri
+    (fun f (_, _, ks) ->
+      pos2.(f) <- (!next, !next + List.length ks - 1);
+      List.iter
+        (fun k ->
+          crd2.(!next) <- k;
+          incr next)
+        ks)
+    c.fibers;
+  let leaf =
+    Level.Compressed
+      { pos = Region.of_array "B.pos2" pos2; crd = Region.of_array "B.crd2" crd2 }
+  in
+  let middle =
+    if c.csf then
+      (* Slice [i] holds the run of fibers listing [i]; an empty slice is the
+         empty range [(f, f - 1)] at the next fiber [f]. *)
+      let next = ref 0 in
+      let pos1 =
+        Array.init c.dims.(0) (fun i ->
+            let lo = !next in
+            while
+              !next < nfib
+              &&
+              let fi, _, _ = c.fibers.(!next) in
+              fi = i
+            do
+              incr next
+            done;
+            (lo, !next - 1))
+      in
+      Level.Compressed
+        {
+          pos = Region.of_array "B.pos1" pos1;
+          crd = Region.of_array "B.crd1" (Array.map (fun (_, j, _) -> j) c.fibers);
+        }
+    else Level.Dense { dim = c.dims.(1) }
+  in
+  {
+    Tensor.name = "B";
+    dims = c.dims;
+    mode_order = [| 0; 1; 2 |];
+    levels = [| Level.Dense { dim = c.dims.(0) }; middle; leaf |];
+    vals = Region.F.of_array "B.vals" (Array.sub c.vals 0 (max nnz 1));
+  }
+
+let gen_fiber_case st =
+  let int = Random.State.int st in
+  let dims = Array.init 3 (fun _ -> 1 + int 6) in
+  let csf = Random.State.bool st and mttkrp = Random.State.bool st in
+  let ks () = List.filter (fun _ -> int 2 = 0) (List.init dims.(2) Fun.id) in
+  let fibers =
+    List.concat
+      (List.init dims.(0) (fun i ->
+           if csf && int 4 = 0 then []
+           else
+             List.filter_map
+               (fun j ->
+                 if not csf then Some (i, j, if int 3 = 0 then [] else ks ())
+                 else if int 2 = 0 then None
+                 else Some (i, j, if int 5 = 0 then [] else ks ()))
+               (List.init dims.(1) Fun.id)))
+    |> Array.of_list
+  in
+  let nnz = Array.fold_left (fun n (_, _, ks) -> n + List.length ks) 0 fibers in
+  let cols = 1 + int 5 in
+  let random_shard () =
+    if nnz = 0 then Iset.empty
+    else
+      match int 4 with
+      | 0 -> Iset.range nnz
+      | 1 ->
+          let a = int nnz and b = int nnz in
+          Iset.interval (min a b) (max a b)
+      | _ -> Iset.of_list (List.filter (fun _ -> int 3 > 0) (List.init nnz Fun.id))
+  in
+  {
+    csf;
+    mttkrp;
+    dims;
+    fibers;
+    vals = Array.init 2000 (fun _ -> Random.State.float st 2. -. 1.);
+    scale = [| ""; ""; "0.3 * "; "1.7 * " |].(int 4);
+    cols;
+    col_range = (if Random.State.bool st then None else Some (int cols, int cols));
+    nnz_split = Random.State.bool st;
+    shards = List.init (1 + int 3) (fun _ -> random_shard ());
+  }
+
+let print_fiber_case c =
+  Format.asprintf "%s %s %s%a, cols %d, col_range %s, nnz_split %b@.fibers %s@.shards %s"
+    (if c.mttkrp then "SpMTTKRP" else "SpTTV")
+    (if c.csf then "CSF" else "DDC")
+    c.scale
+    (Format.pp_print_list ~pp_sep:(fun f () -> Format.pp_print_string f "x") Format.pp_print_int)
+    (Array.to_list c.dims) c.cols
+    (match c.col_range with None -> "none" | Some (lo, hi) -> Printf.sprintf "%d..%d" lo hi)
+    c.nnz_split
+    (String.concat " "
+       (Array.to_list
+          (Array.map
+             (fun (i, j, ks) ->
+               Printf.sprintf "(%d,%d)[%s]" i j (String.concat "," (List.map string_of_int ks)))
+             c.fibers)))
+    (String.concat " " (List.map (Format.asprintf "%a" Iset.pp) c.shards))
+
+(* Fresh bindings for one backend: the shared driver and factors, and an
+   output seeded with non-zero values, so the order of the additions into it
+   shows in the rounding. *)
+let fiber_bindings c b =
+  let v = c.vals and off = Tensor.nnz b in
+  let fill (d : float array) base = Array.iteri (fun x _ -> d.(x) <- v.((base + x) mod 2000)) d in
+  let mat name rows cols base =
+    let m = Dense.mat_create name rows cols in
+    fill m.Dense.data base;
+    m
+  in
+  let d0, d1, d2 = (c.dims.(0), c.dims.(1), c.dims.(2)) in
+  if c.mttkrp then
+    [
+      ("A", Operand.mat (mat "A" d0 c.cols off));
+      ("B", Operand.sparse b);
+      ("C", Operand.mat (mat "C" d1 c.cols (off + 300)));
+      ("D", Operand.mat (mat "D" d2 c.cols (off + 600)));
+    ]
+  else
+    let a = Assemble.copy_pattern ~name:"A" ~levels:2 b in
+    let av = a.Tensor.vals.Region.F.data in
+    for x = 0 to A1.dim av - 1 do
+      A1.set av x v.((off + x) mod 2000)
+    done;
+    let cv = Dense.vec_create "c" d2 in
+    fill cv.Dense.data (off + 900);
+    [ ("A", Operand.sparse a); ("B", Operand.sparse b); ("c", Operand.vec cv) ]
+
+let output_bits bindings =
+  match (Operand.find bindings "A").Operand.data with
+  | Operand.Mat m -> bits m.Dense.data
+  | Operand.Sparse t -> bits (Region.F.to_array t.Tensor.vals)
+  | _ -> [||]
+
+let fiber_leaf c =
+  let stmt =
+    if c.mttkrp then c.scale ^ "B(i,j,k) * C(j,l) * D(k,l)" else c.scale ^ "B(i,j,k) * c(k)"
+  in
+  {
+    Loop_ir.leaf_stmt =
+      Tin.of_string_exn ((if c.mttkrp then "A(i,l) = " else "A(i,j) = ") ^ stmt);
+    driver = Loop_ir.Sparse_driver "B";
+    nnz_split = c.nnz_split;
+    parallel = true;
+    out_reduce = false;
+    leaf_row_part = None;
+    use_workspace = false;
+    col_split = 1;
+  }
+
+(* Each shard runs in turn on both backends; the outputs and every shard's
+   work must agree bit for bit, and the compiled leaf must have taken the
+   fiber path. *)
+let prop_fiber_paths_equal_interp =
+  Helpers.qtest ~count:500 "fiber fast paths = interp (outputs, work bits)"
+    (QCheck.make ~print:print_fiber_case gen_fiber_case)
+    (fun c ->
+      let b = fiber_tensor c in
+      let leaf = fiber_leaf c in
+      let bi = fiber_bindings c b and bc = fiber_bindings c b in
+      let compiled = Compile_leaf.compile ~bindings:bc leaf in
+      let works exec = List.map (fun shard -> work_bits (exec shard).Leaf.work) c.shards in
+      let wi =
+        works (fun shard ->
+            Leaf.execute ~bindings:bi ~leaf ~shard_vals:(fun _ -> shard) ~rows:None
+              ~col_range:c.col_range ())
+      in
+      let wc =
+        works (fun shard ->
+            Compile_leaf.execute compiled ~shard_vals:(fun _ -> shard) ~rows:None
+              ~col_range:c.col_range ())
+      in
+      Leaf.clear_cache ();
+      Compile_leaf.path_name compiled = (if c.mttkrp then "fiber-mttkrp" else "fiber-ttv")
+      && wi = wc
+      && output_bits bi = output_bits bc)
+
+let rand_ddc ?seed d0 d1 d2 density =
+  Tensor.of_coo ~name:"B"
+    ~formats:[| Level.Dense_k; Level.Dense_k; Level.Compressed_k |]
+    (Helpers.rand_coo3 ?seed d0 d1 d2 density)
+
 (* --- Allocation ----------------------------------------------------------- *)
 
 (* The first compiled leaf of a problem prepared on one piece. *)
@@ -255,12 +470,16 @@ let check_alloc name ~n exec =
 let test_leaf_alloc () =
   let m = Helpers.cpu_machine 1 in
   let t = Helpers.rand_csf ~seed:31 30 30 30 0.1 in
-  let n = Tensor.nnz t in
+  let ddc = rand_ddc ~seed:34 6 30 30 0.1 in
   List.iter
-    (fun (name, p) -> check_alloc name ~n (execute_all (compiled_leaf p) n))
+    (fun (name, t, p) ->
+      let n = Tensor.nnz t in
+      check_alloc name ~n (execute_all (compiled_leaf p) n))
     [
-      ("SpMTTKRP", Core.Kernels.mttkrp_problem ~machine:m ~cols:8 t);
-      ("SpTTV", Core.Kernels.spttv_problem ~machine:m t);
+      ("SpMTTKRP CSF", t, Core.Kernels.mttkrp_problem ~machine:m ~cols:8 t);
+      ("SpTTV CSF", t, Core.Kernels.spttv_problem ~machine:m t);
+      ("SpMTTKRP DDC", ddc, Core.Kernels.mttkrp_problem ~machine:m ~cols:8 ddc);
+      ("SpTTV DDC", ddc, Core.Kernels.spttv_problem ~machine:m ddc);
     ];
   let b = Helpers.rand_csr ~seed:32 200 200 0.05 in
   List.iter
@@ -275,6 +494,31 @@ let test_leaf_alloc () =
       ("SpAdd3 merge", Core.Kernels.spadd3_row ());
       ("SpAdd3 workspace", Core.Kernels.spadd3_workspace ());
     ]
+
+(* The frozen fuzz corpus reaches each fiber path on both driver layouts,
+   so its backend-equivalence replay covers them. *)
+let test_corpus_reaches_fiber_paths () =
+  let module Spec = Spdistal_fuzz.Spec in
+  let reached =
+    In_channel.with_open_text "corpus/kernels.case" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter_map (fun line ->
+           let line = String.trim line in
+           if line = "" || line.[0] = '#' then None
+           else
+             let spec = Spec.of_string_exn line in
+             let layout =
+               String.concat ""
+                 (Array.to_list
+                    (Array.map
+                       (function Level.Dense_k -> "d" | Level.Compressed_k -> "c" | _ -> "?")
+                       spec.Spec.driver_kinds))
+             in
+             Some (Compile_leaf.path_name (compiled_leaf (Spec.build spec)) ^ " " ^ layout))
+  in
+  List.iter
+    (fun want -> Alcotest.(check bool) ("corpus reaches " ^ want) true (List.mem want reached))
+    [ "fiber-ttv dcc"; "fiber-ttv ddc"; "fiber-mttkrp dcc"; "fiber-mttkrp ddc" ]
 
 (* --- Generic-walker shapes ------------------------------------------------ *)
 
@@ -365,6 +609,52 @@ let walker_shapes () =
         ] );
   ]
 
+(* --- Path selection --------------------------------------------------------- *)
+
+(* Each catalog kernel takes its fused loop, and the fiber paths fall back to
+   the generic walker on a permuted mode order or a reordered product. *)
+let test_path_selection () =
+  let module K = Core.Kernels in
+  let m = Helpers.cpu_machine 2 and gpu = Helpers.gpu_machine [| 2 |] in
+  let mat = Helpers.rand_csr ~seed:35 20 20 0.2 in
+  let csf = Helpers.rand_csf ~seed:36 6 7 8 0.2 and ddc = rand_ddc ~seed:37 6 7 8 0.2 in
+  let permuted mode_order =
+    Tensor.of_coo ~name:"B"
+      ~formats:[| Level.Dense_k; Level.Compressed_k; Level.Compressed_k |]
+      ~mode_order (Helpers.rand_coo3 ~seed:38 6 7 8 0.2)
+  in
+  let reordered =
+    shape_problem "A(i,l) = B(i,j,k) * D(k,l) * C(j,l)" (fun () ->
+        [
+          ("A", Operand.mat (Dense.mat_create "A" 6 4), true);
+          ("B", Operand.sparse csf, true);
+          ("C", Operand.mat (K.dense_mat "C" 7 4), false);
+          ("D", Operand.mat (K.dense_mat "D" 8 4), false);
+        ])
+  in
+  List.iter
+    (fun (name, want, p) ->
+      Alcotest.(check string) name want (Compile_leaf.path_name (compiled_leaf p)))
+    [
+      ("SpMV", "csr-spmv", K.spmv_problem ~machine:m mat);
+      ("SpMM", "csr-spmm", K.spmm_problem ~machine:m ~cols:4 mat);
+      ("SDDMM", "csr-sddmm", K.sddmm_problem ~machine:m ~cols:4 mat);
+      ("SpAdd3", "merge", K.spadd3_problem ~machine:m mat);
+      ("SpTTV CSF", "fiber-ttv", K.spttv_problem ~machine:m csf);
+      ("SpTTV DDC", "fiber-ttv", K.spttv_problem ~machine:m ddc);
+      ("SpTTV CSF nnz", "fiber-ttv", K.spttv_problem ~machine:gpu ~nonzero_dist:true csf);
+      ("SpMTTKRP CSF", "fiber-mttkrp", K.mttkrp_problem ~machine:m ~cols:4 csf);
+      ("SpMTTKRP DDC", "fiber-mttkrp", K.mttkrp_problem ~machine:m ~cols:4 ddc);
+      ( "SpMTTKRP DDC nnz",
+        "fiber-mttkrp",
+        K.mttkrp_problem ~machine:gpu ~cols:4 ~nonzero_dist:true ddc );
+      ("SpTTV mode order [1;0;2]", "generic", K.spttv_problem ~machine:m (permuted [| 1; 0; 2 |]));
+      ( "SpMTTKRP mode order [0;2;1]",
+        "generic",
+        K.mttkrp_problem ~machine:m ~cols:4 (permuted [| 0; 2; 1 |]) );
+      ("SpMTTKRP factors D, C", "generic", reordered ());
+    ]
+
 let test_walker_shapes () =
   List.iter
     (fun (name, stmt, operands) ->
@@ -427,4 +717,8 @@ let suite =
       test_walker_shapes;
     Alcotest.test_case "inner-out sparse output error is deferred" `Quick
       test_inner_out_sparse_error;
+    prop_fiber_paths_equal_interp;
+    Alcotest.test_case "fast-path selection and fallback" `Quick test_path_selection;
+    Alcotest.test_case "fuzz corpus reaches the fiber paths" `Quick
+      test_corpus_reaches_fiber_paths;
   ]
