@@ -71,21 +71,66 @@ let resolve_backend = function
   | Some b -> b
   | None -> Compile_leaf.default_backend ()
 
-let plan ~trace ~backend p =
+type memo = {
+  mutable m_placements :
+    ((string * Tdn.t) * (Placement.residency * Part_eval.stats)) list;
+  mutable m_partitions : ((int array * Loop_ir.stmt list) * Part_eval.env) list;
+}
+
+let memo () = { m_placements = []; m_partitions = [] }
+
+let plan ?memo ~trace ~backend p =
   let b = bindings p in
   let stats = Part_eval.stats () in
+  (* Each placement keeps its own tally, billed whether it was built here
+     or recalled from the memo. *)
+  let build name tdn =
+    let tally = Part_eval.stats () in
+    ( Placement.of_tdn ~stats:tally ~machine:p.machine ~bindings:b name tdn,
+      tally )
+  in
+  let place name tdn =
+    match memo with
+    | None -> build name tdn
+    | Some m -> (
+        match List.assoc_opt (name, tdn) m.m_placements with
+        | Some r -> r
+        | None ->
+            let r = build name tdn in
+            m.m_placements <- ((name, tdn), r) :: m.m_placements;
+            r)
+  in
   let placement =
     Trace.with_wall_span trace ~track:(host_track ()) ~cat:"phase"
       ~name:"placement" (fun () ->
         List.map
           (fun (name, _, tdn) ->
-            ( name,
-              Placement.of_tdn ~stats ~machine:p.machine ~bindings:b name tdn
-            ))
+            let residency, tally = place name tdn in
+            Part_eval.add_stats stats tally;
+            (name, residency))
           p.operands)
   in
   let prog = compile ~trace p in
-  let prepared = Interp.prepare ~trace ~backend ~bindings:b prog in
+  let prepared =
+    match memo with
+    | None -> Interp.prepare ~trace ~backend ~bindings:b prog
+    | Some m -> (
+        (* Programs with equal partitioning statements on the same grid
+           define the same partitions; only their distributed loops
+           differ. *)
+        let key =
+          ( prog.Loop_ir.grid,
+            List.filter
+              (function Loop_ir.Distributed_for _ -> false | _ -> true)
+              prog.Loop_ir.stmts )
+        in
+        match List.assoc_opt key m.m_partitions with
+        | Some penv -> Interp.prepare ~trace ~penv ~backend ~bindings:b prog
+        | None ->
+            let prepared = Interp.prepare ~trace ~backend ~bindings:b prog in
+            m.m_partitions <- (key, prepared.Interp.pp_penv) :: m.m_partitions;
+            prepared)
+  in
   Part_eval.accum_stats stats prepared.Interp.pp_penv;
   let launches = List.length prepared.Interp.pp_loops in
   {

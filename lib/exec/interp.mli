@@ -90,9 +90,13 @@ val run :
     specialize its leaf loops — without executing its distributed loops:
     the value [run] takes as [~prepared].  [trace] (default
     {!Spdistal_obs.Trace.null}) receives the "part_eval" and
-    "compile_leaves" phase spans. *)
+    "compile_leaves" phase spans.  A given [penv] must already hold the
+    partitions [prog]'s partitioning statements define over [bindings]: it
+    is reused as is, and only the distributed loops are taken from
+    [prog]. *)
 val prepare :
   ?trace:Spdistal_obs.Trace.t ->
+  ?penv:Part_eval.env ->
   backend:Compile_leaf.backend ->
   bindings:Operand.bindings ->
   Spdistal_ir.Loop_ir.prog ->

@@ -32,6 +32,11 @@ let accum_stats s env =
   s.s_dep_ops <- s.s_dep_ops + env.dep_ops;
   s.s_dep_elems <- s.s_dep_elems + env.dep_elems
 
+let add_stats s t =
+  s.s_parts <- s.s_parts + t.s_parts;
+  s.s_dep_ops <- s.s_dep_ops + t.s_dep_ops;
+  s.s_dep_elems <- s.s_dep_elems + t.s_dep_elems
+
 let create ?(trace = Trace.null) bindings =
   {
     bindings;

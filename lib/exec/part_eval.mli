@@ -42,6 +42,9 @@ val stats : unit -> stats
 (** Fold [env]'s counters into the tally. *)
 val accum_stats : stats -> env -> unit
 
+(** [add_stats s t] folds tally [t] into [s]. *)
+val add_stats : stats -> stats -> unit
+
 (** [create ?trace bindings] — [trace] (default
     {!Spdistal_obs.Trace.null}) receives one host-clock "dep" span per
     dependent-partitioning operation. *)

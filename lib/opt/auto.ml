@@ -35,17 +35,21 @@ let hand_candidate (p : Spdistal.problem) =
     c_tdns = List.map (fun (n, _, tdn) -> (n, tdn)) p.Spdistal.operands;
   }
 
-(* Price the generated candidates and the hand schedule.  Generated
-   candidates come first so a generated point that ties the hand price wins
-   the tie — the differential suite exercises the interesting path. *)
-let evaluate p =
+let price_candidate s (c : Search.candidate) =
+  Price.price_in s ~schedule:c.Search.c_schedule ~tdns:c.Search.c_tdns
+
+(* Price the generated candidates and the hand schedule in session [s].
+   Generated candidates come first so a generated point that ties the hand
+   price wins the tie — the differential suite exercises the interesting
+   path. *)
+let evaluate s p =
   let cands = Search.candidates p @ [ hand_candidate p ] in
   List.map
     (fun c ->
       {
         v_label = c.Search.c_label;
         v_candidate = c;
-        v_priced = Price.price (Search.apply p c);
+        v_priced = price_candidate s c;
       })
     cands
 
@@ -60,10 +64,11 @@ let best verdicts =
     None verdicts
 
 let report p =
-  let verdicts = evaluate p in
+  let s = Price.session p in
+  let verdicts = evaluate s p in
   {
     rp_verdicts = verdicts;
-    rp_naive = Price.price (Search.apply p (Search.naive p));
+    rp_naive = price_candidate s (Search.naive p);
     rp_winner = best verdicts;
   }
 
@@ -123,7 +128,7 @@ let choose ?cache (p : Spdistal.problem) =
         }
   | None -> (
       let t0 = Sys.time () in
-      let verdicts = evaluate p in
+      let verdicts = evaluate (Price.session p) p in
       let seconds = Sys.time () -. t0 in
       match best verdicts with
       | None -> None

@@ -2,7 +2,9 @@
 
     [choose] prices every {!Search} candidate plus the problem's own hand
     schedule with {!Price} and picks the cheapest, so the result never
-    prices worse than the schedule the caller wrote.  With a [cache], the
+    prices worse than the schedule the caller wrote.  Each [choose] or
+    [report] call prices its candidates in one {!Price.session}, which
+    ends with the call.  With a [cache], the
     winner is remembered under {!Spdistal_exec.Cache.winner_digest} (machine
     + TIN + sparsity pattern, schedule- and TDN-free) and replayed without
     pricing on later calls. *)

@@ -18,7 +18,12 @@
 
    Faults and memory pressure (UVM paging) are deliberately ignored:
    candidates are priced for the fault-free steady state, which is also
-   what the tournament compares. *)
+   what the tournament compares.
+
+   The candidates of one auto-scheduler call are priced in one [session]
+   that shares statistics, placements, partitions and repeated verdicts
+   between them; a shared result is the one a standalone [price] would
+   build, so every verdict stays bit-equal to it. *)
 
 open Spdistal_runtime
 open Spdistal_formats
@@ -36,10 +41,35 @@ type priced = {
 
 let total p = p.pr_total
 
+(* A pricing session: the candidates of one auto-scheduler call, all
+   variants of one problem (same machine, same operand slots), share what
+   does not depend on the candidate.  The driver statistics are computed on
+   first use; [s_memo] shares placements and partition environments between
+   plans; a candidate equal to an earlier one reuses its verdict.  Sessions
+   live as long as the caller keeps them, never beyond. *)
+type session = {
+  s_problem : Spdistal.problem;
+  s_memo : Spdistal.memo;
+  mutable s_stats : (string * Stats.t) list;
+  mutable s_verdicts :
+    ((Schedule.t * (string * Tdn.t) list) * (priced, string) result) list;
+}
+
+let session p =
+  { s_problem = p; s_memo = Spdistal.memo (); s_stats = []; s_verdicts = [] }
+
+let driver_stats s bindings name =
+  match List.assoc_opt name s.s_stats with
+  | Some st -> st
+  | None ->
+      let st = Stats.of_tensor (Operand.find_sparse bindings name) in
+      s.s_stats <- (name, st) :: s.s_stats;
+      st
+
 (* Estimated work of one piece of a multiplicative leaf: the shared
    [Leaf.mul_work] model over the piece's exact shard cardinality and a
    statistical rows-touched estimate. *)
-let mul_estimate ~bindings ~tstats ~grid ~part ~subset_for ~shard_parts
+let mul_estimate ~bindings ~stats ~grid ~part ~subset_for ~shard_parts
     ~(leaf : Loop_ir.leaf) ~driver_name c =
   let plan = Leaf.plan_mul ~bindings ~leaf ~driver_name in
   let shard =
@@ -52,8 +82,7 @@ let mul_estimate ~bindings ~tstats ~grid ~part ~subset_for ~shard_parts
   let col_range = Interp.col_range ~grid ~bindings leaf c in
   let jlo, jhi = Leaf.j_bounds plan ~col_range in
   let klo, khi = Leaf.k_bounds plan in
-  let st = Stats.find tstats driver_name in
-  let rows = Stats.rows_estimate st ~nnz_shard in
+  let rows = Stats.rows_estimate (stats driver_name) ~nnz_shard in
   Leaf.mul_work plan ~nnz:nnz_shard ~rows_touched:rows ~js:(jhi - jlo + 1)
     ~ks:(khi - klo + 1)
 
@@ -106,14 +135,14 @@ let merge_estimate ~bindings ~part ~subset_for ~(leaf : Loop_ir.leaf) ~tensors
     atomics = false;
   }
 
-let price (p : Spdistal.problem) : (priced, string) result =
+let price_problem s (p : Spdistal.problem) : (priced, string) result =
   try
     let machine = p.Spdistal.machine in
     let b = Spdistal.bindings p in
     (* The cold build a run performs; leaves stay cold ([Interp] backend
        prepares no closures and executes nothing). *)
     let plan =
-      Spdistal.plan ~trace:Spdistal_obs.Trace.null
+      Spdistal.plan ~memo:s.s_memo ~trace:Spdistal_obs.Trace.null
         ~backend:Compile_leaf.Interp p
     in
     let cost = Cost.create () in
@@ -126,7 +155,7 @@ let price (p : Spdistal.problem) : (priced, string) result =
     let subset_for pt piece =
       Partition.subset pt (Interp.color_for ~grid ~pieces pt piece)
     in
-    let tstats = Stats.of_bindings b in
+    let stats = driver_stats s b in
     List.iter
       (function
         | Loop_ir.Distributed_for { shard_parts; comms; out_comm; leaf; _ }
@@ -149,7 +178,7 @@ let price (p : Spdistal.problem) : (priced, string) result =
               let work =
                 match leaf.Loop_ir.driver with
                 | Loop_ir.Sparse_driver driver_name ->
-                    mul_estimate ~bindings:b ~tstats ~grid ~part
+                    mul_estimate ~bindings:b ~stats ~grid ~part
                       ~subset_for ~shard_parts ~leaf ~driver_name c
                 | Loop_ir.Merge_driver tensors ->
                     merge_estimate ~bindings:b ~part ~subset_for ~leaf
@@ -179,3 +208,21 @@ let price (p : Spdistal.problem) : (priced, string) result =
   | Error.Error e -> Error (Error.to_string e)
   | Invalid_argument m -> Error ("invalid candidate: " ^ m)
   | Failure m -> Error ("candidate failed: " ^ m)
+
+(* Every verdict is handed out with its own [Cost.t], so no caller can
+   reach the session's copy or a twin's. *)
+let price_in s ~schedule ~tdns =
+  let key = (schedule, tdns) in
+  let v =
+    match List.assoc_opt key s.s_verdicts with
+    | Some v -> v
+    | None ->
+        let v =
+          price_problem s (Spdistal.with_schedule s.s_problem ~schedule ~tdns)
+        in
+        s.s_verdicts <- (key, v) :: s.s_verdicts;
+        v
+  in
+  Result.map (fun pr -> { pr with pr_cost = Cost.copy pr.pr_cost }) v
+
+let price p = price_problem (session p) p

@@ -25,5 +25,26 @@ val total : priced -> float
 
 (** Price one candidate.  [Error reason] when the candidate does not lower,
     place or classify (an infeasible point of the search space), never an
-    exception. *)
+    exception.  A session of one: nothing is shared with any other call. *)
 val price : Core.Spdistal.problem -> (priced, string) result
+
+(** A pricing session over one problem: the candidates of one
+    auto-scheduler call.  It computes the sparse drivers' {!Stats} at most
+    once and only for multiplicative leaves, shares placements and
+    partition environments between candidates through a
+    {!Core.Spdistal.memo}, and reuses the verdict of a candidate equal to
+    an earlier one.  Every verdict is bit-equal to {!price} of the same
+    candidate on its own. *)
+type session
+
+val session : Core.Spdistal.problem -> session
+
+(** [price_in s ~schedule ~tdns] prices the session's problem re-planned
+    with [schedule] and [tdns] (see {!Core.Spdistal.with_schedule}).  A
+    repeated candidate reuses its earlier verdict; every verdict comes
+    with its own copy of [pr_cost]. *)
+val price_in :
+  session ->
+  schedule:Spdistal_ir.Schedule.t ->
+  tdns:(string * Spdistal_ir.Tdn.t) list ->
+  (priced, string) result

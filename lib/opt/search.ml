@@ -94,7 +94,9 @@ let nnz_candidate p ~driver ~vars f =
   let fuse_vars = List.filteri (fun i _ -> i < f) vars in
   let fuses, fused =
     match fuse_vars with
-    | [] | [ _ ] -> invalid_arg "Search.nnz_candidate"
+    | [] | [ _ ] ->
+        Error.fail ~kernel:driver Error.Compile
+          "nnz candidate fuses %d variables; at least 2 are needed" f
     | v0 :: rest ->
         List.fold_left
           (fun (cmds, prev) v ->
@@ -269,7 +271,9 @@ let naive p =
           Schedule.Distribute [ v ^ "o" ];
           Schedule.Communicate { tensors = operand_names p; at = v ^ "o" };
         ]
-    | _, [] -> invalid_arg "Search.naive: statement without output variables"
+    | _, [] ->
+        Error.fail ~kernel:stmt.Tin.lhs.Tin.tensor Error.Compile
+          "naive schedule: statement without output variables"
   in
   { c_label = "naive"; c_schedule = schedule; c_tdns = tdns }
 

@@ -20,7 +20,8 @@ val candidates : Core.Spdistal.problem -> candidate list
 
 (** The strawman default every auto choice must beat: first output variable
     distributed, no leaf parallelism, every operand blocked on its {e last}
-    dimension. *)
+    dimension.  Raises {!Spdistal_runtime.Error.Error} ([Compile]) on a
+    statement without output variables. *)
 val naive : Core.Spdistal.problem -> candidate
 
 (** The problem re-planned with the candidate's schedule and TDNs (operand

@@ -1,77 +1,75 @@
-(* Per-index sparsity statistics, derived from the actual level structures
-   the operands are bound to (not from metadata the user asserts).  This is
-   the Galley half of the auto-scheduler: cardinality, distinct-coordinate
-   and fill estimates per tensor dimension feed the candidate pricer's leaf
-   work model, complementing the dependent-partitioning work already tallied
-   by [Part_eval.stats]. *)
+(* Sparsity statistics of a sparse driver, read off its level structures
+   (not from metadata the user asserts).  This is the Galley half of the
+   auto-scheduler: the stored-value count and the number of distinct
+   leading coordinates feed the candidate pricer's rows-touched estimate,
+   complementing the dependent-partitioning work already tallied by
+   [Part_eval.stats].
 
-open Spdistal_exec
+   The walk reads the raw [pos]/[crd] arrays only: no value is loaded, so
+   the statistics depend on the sparsity pattern alone. *)
+
+open Spdistal_runtime
 open Spdistal_formats
 
 type t = {
-  ts_name : string;
-  ts_sparse : bool;
-  ts_dims : int array;
-  ts_nnz : int;  (* stored values; dense operands count every element *)
-  ts_distinct : int array;  (* distinct stored coordinates per dimension *)
-  ts_fill : float array;  (* distinct / extent, in [0, 1] *)
-  ts_bytes : float;  (* payload footprint *)
+  ts_nnz : int;  (* stored values *)
+  ts_rows : int;  (* distinct stored coordinates of logical dimension 0 *)
 }
 
-let of_operand name (d : Operand.data) =
-  match d with
-  | Operand.Sparse t ->
-      let dims = t.Tensor.dims in
-      let nd = Array.length dims in
-      let seen = Array.map (fun n -> Array.make (max n 1) false) dims in
-      let distinct = Array.make nd 0 in
-      Tensor.iter_nnz t (fun coords _ _ ->
-          for k = 0 to nd - 1 do
-            let c = coords.(k) in
-            if not seen.(k).(c) then begin
-              seen.(k).(c) <- true;
-              distinct.(k) <- distinct.(k) + 1
-            end
-          done);
-      {
-        ts_name = name;
-        ts_sparse = true;
-        ts_dims = Array.copy dims;
-        ts_nnz = Tensor.nnz t;
-        ts_distinct = distinct;
-        ts_fill =
-          Array.mapi
-            (fun k n -> float_of_int distinct.(k) /. float_of_int (max n 1))
-            dims;
-        ts_bytes = Operand.bytes d;
-      }
-  | Operand.Vec _ | Operand.Mat _ ->
-      let nd = Operand.order d in
-      let dims = Array.init nd (Operand.dim d) in
-      {
-        ts_name = name;
-        ts_sparse = false;
-        ts_dims = dims;
-        ts_nnz = Array.fold_left ( * ) 1 dims;
-        ts_distinct = Array.copy dims;
-        ts_fill = Array.map (fun _ -> 1.) dims;
-        ts_bytes = Operand.bytes d;
-      }
+(* Distinct coordinates of logical dimension [dim] among the stored values:
+   the coordinates [Tensor.iter_nnz] would report for [dim].  The levels
+   above the one storing [dim] are walked in full; at that level a
+   coordinate counts once its first position with a stored value beneath it
+   is found, so an empty slice or fiber never marks its coordinate. *)
+let distinct (t : Tensor.t) ~dim =
+  let levels = t.Tensor.levels in
+  let ord = Array.length levels in
+  let at = ref 0 in
+  Array.iteri (fun k d -> if d = dim then at := k) t.Tensor.mode_order;
+  let at = !at in
+  (* [filled l q]: parent position [q] has a stored value at level [l] or
+     below ([l = ord]: [q] is itself a stored value). *)
+  let rec filled l q =
+    l = ord
+    ||
+    match levels.(l) with
+    | Level.Dense { dim = n } ->
+        let rec any c =
+          c < n && (filled (l + 1) ((q * n) + c) || any (c + 1))
+        in
+        any 0
+    | Level.Compressed { pos; _ } ->
+        let lo, hi = pos.Region.data.(q) in
+        let rec any p = p <= hi && (filled (l + 1) p || any (p + 1)) in
+        any lo
+    | Level.Singleton _ -> filled (l + 1) q
+  in
+  let seen = Bytes.make (max t.Tensor.dims.(dim) 1) '\000' in
+  let count = ref 0 in
+  let mark c p =
+    if Bytes.get seen c = '\000' && filled (at + 1) p then begin
+      Bytes.set seen c '\001';
+      incr count
+    end
+  in
+  let rec walk l q =
+    match levels.(l) with
+    | Level.Dense { dim = n } ->
+        for c = 0 to n - 1 do
+          if l = at then mark c ((q * n) + c) else walk (l + 1) ((q * n) + c)
+        done
+    | Level.Compressed { pos; crd } ->
+        let lo, hi = pos.Region.data.(q) in
+        for p = lo to hi do
+          if l = at then mark crd.Region.data.(p) p else walk (l + 1) p
+        done
+    | Level.Singleton { crd } ->
+        if l = at then mark crd.Region.data.(q) q else walk (l + 1) q
+  in
+  if Tensor.nnz t > 0 then walk 0 0;
+  !count
 
-let of_bindings (b : Operand.bindings) =
-  List.map (fun (name, (slot : Operand.slot)) -> of_operand name slot.Operand.data) b
-
-let find stats name =
-  match List.find_opt (fun s -> s.ts_name = name) stats with
-  | Some s -> s
-  | None -> invalid_arg (Printf.sprintf "Stats.find: no statistics for %s" name)
-
-let density s =
-  let cells = Array.fold_left ( * ) 1 s.ts_dims in
-  float_of_int s.ts_nnz /. float_of_int (max cells 1)
-
-let avg_slice_nnz s =
-  float_of_int s.ts_nnz /. float_of_int (max s.ts_distinct.(0) 1)
+let of_tensor t = { ts_nnz = Tensor.nnz t; ts_rows = distinct t ~dim:0 }
 
 (* Distinct leading coordinates a shard of [nnz_shard] stored values is
    expected to touch, under the proportionality model (shards are
@@ -81,7 +79,7 @@ let avg_slice_nnz s =
 let rows_estimate s ~nnz_shard =
   if nnz_shard <= 0 then 0
   else
-    let d0 = max s.ts_distinct.(0) 1 in
+    let d0 = max s.ts_rows 1 in
     let est =
       int_of_float
         (Float.ceil
@@ -89,11 +87,3 @@ let rows_estimate s ~nnz_shard =
            /. float_of_int (max s.ts_nnz 1)))
     in
     max 1 (min (min d0 nnz_shard) est)
-
-let pp fmt s =
-  Format.fprintf fmt "%s: nnz=%d dims=[%s] distinct=[%s] fill=[%s]" s.ts_name
-    s.ts_nnz
-    (String.concat ";" (Array.to_list (Array.map string_of_int s.ts_dims)))
-    (String.concat ";" (Array.to_list (Array.map string_of_int s.ts_distinct)))
-    (String.concat ";"
-       (Array.to_list (Array.map (Printf.sprintf "%.3f") s.ts_fill)))

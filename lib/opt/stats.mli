@@ -1,34 +1,24 @@
-(** Per-index sparsity statistics derived from actual tensor level
-    structures — the inputs of the auto-scheduler's cost ranking (Galley's
-    insight applied to SpDISTAL's schedule/TDN space). *)
+(** Sparsity statistics of a sparse driver, derived from its actual level
+    structures — the input of the auto-scheduler's leaf-work estimate
+    (Galley's insight applied to SpDISTAL's schedule/TDN space).  Computed
+    from the [pos]/[crd] arrays alone, without touching values. *)
 
-open Spdistal_exec
+open Spdistal_formats
 
 type t = {
-  ts_name : string;
-  ts_sparse : bool;
-  ts_dims : int array;  (** logical dimension extents *)
-  ts_nnz : int;  (** stored values (every element for dense operands) *)
-  ts_distinct : int array;  (** distinct stored coordinates per dimension *)
-  ts_fill : float array;  (** distinct / extent per dimension *)
-  ts_bytes : float;  (** payload footprint in bytes *)
+  ts_nnz : int;  (** stored values *)
+  ts_rows : int;  (** distinct stored coordinates of logical dimension 0 *)
 }
 
-val of_operand : string -> Operand.data -> t
-val of_bindings : Operand.bindings -> t list
+(** [distinct t ~dim] is the number of distinct coordinates of logical
+    dimension [dim] among [t]'s stored values (the coordinates
+    {!Spdistal_formats.Tensor.iter_nnz} visits), read from [pos]/[crd]
+    alone: empty slices and explicitly stored empty fibers do not count. *)
+val distinct : Tensor.t -> dim:int -> int
 
-(** Raises [Invalid_argument] on an unknown name. *)
-val find : t list -> string -> t
-
-(** Stored values / logical cells. *)
-val density : t -> float
-
-(** Average stored values per distinct leading coordinate. *)
-val avg_slice_nnz : t -> float
+val of_tensor : Tensor.t -> t
 
 (** Expected distinct leading coordinates touched by a contiguous shard of
     [nnz_shard] stored values (proportionality model, clamped to
     [[1, min distinct nnz_shard]]; 0 for an empty shard). *)
 val rows_estimate : t -> nnz_shard:int -> int
-
-val pp : Format.formatter -> t -> unit

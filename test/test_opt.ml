@@ -150,6 +150,280 @@ let test_partitioning_matches_cold_run () =
         (Search.candidates (make ())))
     (all_kernels ())
 
+(* Every field of a verdict, floats as their bits: two verdicts are equal
+   only when they are bit-for-bit the same price. *)
+let priced_sig (pr : Price.priced) =
+  let c = pr.Price.pr_cost in
+  let b = Int64.bits_of_float in
+  ( ( b pr.Price.pr_total,
+      b pr.Price.pr_part_seconds,
+      pr.Price.pr_part_ops,
+      pr.Price.pr_launches ),
+    [
+      b c.Cost.total; b c.Cost.compute; b c.Cost.comm; b c.Cost.overhead;
+      b c.Cost.bytes_moved; b c.Cost.flops; b c.Cost.recovery;
+      b c.Cost.resent_bytes; b c.Cost.partitioning;
+    ],
+    [ c.Cost.messages; c.Cost.launches; c.Cost.retries; c.Cost.faults;
+      c.Cost.part_ops ] )
+
+let check_same_verdict label ~session ~standalone =
+  match (session, standalone) with
+  | Ok a, Ok b ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: session verdict bit-equals standalone (%h vs %h)"
+           label (Price.total a) (Price.total b))
+        true
+        (priced_sig a = priced_sig b)
+  | Error a, Error b ->
+      Alcotest.(check string) (label ^ ": same infeasibility") b a
+  | Ok _, Error e -> Alcotest.failf "%s: standalone infeasible (%s)" label e
+  | Error e, Ok _ -> Alcotest.failf "%s: session infeasible (%s)" label e
+
+(* One [Auto.report] prices all candidates (and the naive strawman) in one
+   session that shares statistics, placements, partitions and twin
+   verdicts.  Each verdict must equal [Price.price] of the same candidate
+   on a fresh problem, with nothing shared.  Twins get their own [Cost.t],
+   so no verdict's record is reachable from another. *)
+let test_session_equals_standalone () =
+  List.iter
+    (fun (name, make) ->
+      let rp = Auto.report (make ()) in
+      let standalone c = Price.price (Search.apply (make ()) c) in
+      List.iter
+        (fun v ->
+          check_same_verdict
+            (Printf.sprintf "%s/%s" name v.Auto.v_label)
+            ~session:v.Auto.v_priced
+            ~standalone:(standalone v.Auto.v_candidate))
+        rp.Auto.rp_verdicts;
+      check_same_verdict (name ^ "/naive") ~session:rp.Auto.rp_naive
+        ~standalone:(standalone (Search.naive (make ())));
+      let costs =
+        List.filter_map
+          (fun v ->
+            match v.Auto.v_priced with
+            | Ok pr -> Some pr.Price.pr_cost
+            | Error _ -> None)
+          rp.Auto.rp_verdicts
+      in
+      List.iteri
+        (fun i a ->
+          List.iteri
+            (fun j b ->
+              if i < j then
+                Alcotest.(check bool)
+                  (Printf.sprintf "%s: verdicts %d and %d own their Cost.t" name
+                     i j)
+                  false (a == b))
+            costs)
+        costs)
+    (all_kernels ())
+
+(* SpMV with its sparse operand bound under [driver]. *)
+let spmv_named ~machine ~driver b =
+  let open Spdistal_ir in
+  let open Spdistal_formats in
+  let module Operand = Spdistal_exec.Operand in
+  let vec name n = Operand.vec (Dense.vec_create name n) in
+  let blocked = Tdn.Blocked { tensor_dim = 0; machine_dim = 0 } in
+  Spdistal.problem ~machine
+    ~operands:
+      [
+        ("a", vec "a" b.Tensor.dims.(0), blocked);
+        (driver, Operand.sparse b, blocked);
+        ("c", vec "c" b.Tensor.dims.(1), Tdn.Replicated);
+      ]
+    ~stmt:
+      Tin.(assign "a" [ "i" ] (access driver [ "i"; "j" ] * access "c" [ "j" ]))
+    ~schedule:
+      [
+        Schedule.Divide { v = "i"; outer = "io"; inner = "ii" };
+        Schedule.Distribute [ "io" ];
+        Schedule.Communicate { tensors = [ "a"; driver; "c" ]; at = "io" };
+        Schedule.Parallelize { v = "ii"; proc = Schedule.Cpu_thread };
+      ]
+
+(* A session lives for one call.  Two patterns are chosen back to back
+   under one operand name, and each choice must price exactly what the same
+   pattern prices under a name no other call has used (so no state keyed by
+   operand name can reach the reference), and what a standalone
+   [Price.price] of the winner prices. *)
+let test_no_cross_call_state () =
+  let machine = Helpers.cpu_machine 4 in
+  let choose p =
+    match Auto.choose p with Some ch -> ch | None -> Alcotest.fail "no choice"
+  in
+  let patterns =
+    [ Helpers.rand_csr ~seed:1 60 60 0.05; Helpers.rand_csr ~seed:2 60 60 0.2 ]
+  in
+  let refs =
+    List.mapi
+      (fun i b ->
+        (choose (spmv_named ~machine ~driver:(Printf.sprintf "Cross%d" i) b))
+          .Auto.ch_total)
+      patterns
+  in
+  let bits = Int64.bits_of_float in
+  List.iteri
+    (fun round (b, reference) ->
+      let ch = choose (spmv_named ~machine ~driver:"B" b) in
+      Alcotest.(check int64)
+        (Printf.sprintf "call %d: total equals the fresh-name reference" round)
+        (bits reference) (bits ch.Auto.ch_total);
+      match Price.price ch.Auto.ch_problem with
+      | Ok pr ->
+          Alcotest.(check int64)
+            (Printf.sprintf "call %d: total equals its own price" round)
+            (bits (Price.total pr)) (bits ch.Auto.ch_total)
+      | Error e -> Alcotest.failf "winner does not price: %s" e)
+    (List.combine (patterns @ patterns) (refs @ refs))
+
+(* [Search.naive] of a statement without output variables fails typed. *)
+let test_naive_scalar_output_typed () =
+  let open Spdistal_ir in
+  let p =
+    Core.Kernels.spmv_problem ~machine:(Helpers.cpu_machine 2)
+      (Helpers.rand_csr 8 8 0.3)
+  in
+  let stmt = p.Spdistal.stmt in
+  let lhs = { stmt.Tin.lhs with Tin.indices = [] } in
+  let p = { p with Spdistal.stmt = { stmt with Tin.lhs } } in
+  match Search.naive p with
+  | _ -> Alcotest.fail "naive accepted a scalar output"
+  | exception Error.Error e ->
+      Alcotest.(check string) "phase" "compile" (Error.phase_name e.Error.phase)
+
+(* ------------------------------------------------------------------ *)
+(* Values-free statistics                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* The reference: distinct coordinates per dimension over every stored
+   value [Tensor.iter_nnz] visits. *)
+let ref_distinct t dim =
+  let seen = Hashtbl.create 16 in
+  Spdistal_formats.Tensor.iter_nnz t (fun c _ _ ->
+      Hashtbl.replace seen c.(dim) ());
+  Hashtbl.length seen
+
+let perms3 =
+  [ [| 0; 1; 2 |]; [| 0; 2; 1 |]; [| 1; 0; 2 |]; [| 1; 2; 0 |]; [| 2; 0; 1 |];
+    [| 2; 1; 0 |] ]
+
+(* A CSF tensor built level by level, so that it can hold what assembly
+   from coordinates never produces: explicitly stored empty fibers (a
+   level-1 coordinate whose level-2 range is empty) beside empty slices. *)
+let raw_csf ~perm e0 e1 e2 slices =
+  let open Spdistal_formats in
+  let pos1 = ref [] and crd1 = ref [] and pos2 = ref [] and crd2 = ref [] in
+  let n1 = ref 0 and n2 = ref 0 in
+  List.iter
+    (fun fibers ->
+      let lo1 = !n1 in
+      List.iteri
+        (fun j (stored, ks) ->
+          if stored then begin
+            crd1 := j :: !crd1;
+            incr n1;
+            let lo2 = !n2 in
+            List.iteri
+              (fun k b ->
+                if b then begin
+                  crd2 := k :: !crd2;
+                  incr n2
+                end)
+              ks;
+            pos2 := (lo2, !n2 - 1) :: !pos2
+          end)
+        fibers;
+      pos1 := (lo1, !n1 - 1) :: !pos1)
+    slices;
+  let arr l = Array.of_list (List.rev l) in
+  let extents = [| e0; e1; e2 |] in
+  let dims = Array.make 3 0 in
+  Array.iteri (fun k d -> dims.(d) <- extents.(k)) perm;
+  {
+    Tensor.name = "R";
+    dims;
+    mode_order = perm;
+    levels =
+      [|
+        Level.Dense { dim = e0 };
+        Level.Compressed
+          { pos = Region.of_array "R1_pos" (arr !pos1);
+            crd = Region.of_array "R1_crd" (arr !crd1) };
+        Level.Compressed
+          { pos = Region.of_array "R2_pos" (arr !pos2);
+            crd = Region.of_array "R2_crd" (arr !crd2) };
+      |];
+    vals = Region.F.of_array "R_vals" (Array.make !n2 1.);
+  }
+
+let arb_stats_tensor =
+  let open QCheck in
+  let open Spdistal_formats in
+  let coords n d =
+    Gen.(
+      list_repeat n (array_repeat d (int_range 0 4))
+      >|= List.sort_uniq compare)
+  in
+  let coo dims cs = Coo.make dims (List.map (fun c -> (c, 1.)) cs) in
+  let matrix =
+    Gen.(
+      let* n = int_range 0 14 in
+      let* cs = coords n 2 in
+      let* rows = int_range 5 7 and* cols = int_range 5 7 in
+      let m = coo [| rows; cols |] cs in
+      oneofl
+        [
+          ("csr", Tensor.csr ~name:"M" m);
+          ("csc", Tensor.csc ~name:"M" m);
+          ("coo", Tensor.coo_matrix ~name:"M" m);
+        ])
+  in
+  let tensor3 =
+    Gen.(
+      let* n = int_range 0 20 in
+      let* cs = coords n 3 in
+      let* perm = oneofl perms3 in
+      let t = coo [| 5; 6; 5 |] cs in
+      let fmt name formats =
+        (name, Tensor.of_coo ~name:"T" ~formats ~mode_order:perm t)
+      in
+      oneofl
+        [
+          fmt "csf" Level.[| Dense_k; Compressed_k; Compressed_k |];
+          fmt "ddc" Level.[| Dense_k; Dense_k; Compressed_k |];
+          fmt "coo3"
+            Level.[| Compressed_nonunique_k; Singleton_k; Singleton_k |];
+        ])
+  in
+  let raw =
+    Gen.(
+      let* e0 = int_range 1 4 and* e1 = int_range 1 4 and* e2 = int_range 1 4 in
+      let* perm = oneofl perms3 in
+      (* Slices and fibers are sparse enough that many come out empty. *)
+      let sparse_bool = map (fun x -> x < 3) (int_range 0 9) in
+      let* slices =
+        list_repeat e0 (list_repeat e1 (pair bool (list_repeat e2 sparse_bool)))
+      in
+      return ("raw-csf", raw_csf ~perm e0 e1 e2 slices))
+  in
+  make
+    ~print:(fun (kind, t) -> Format.asprintf "%s %a" kind Tensor.pp t)
+    Gen.(oneof [ matrix; tensor3; raw ])
+
+let prop_stats_values_free =
+  Helpers.qtest ~count:400 "values-free distinct counts == iter_nnz"
+    arb_stats_tensor (fun (_, t) ->
+      let open Spdistal_formats in
+      let st = Stats.of_tensor t in
+      st.Stats.ts_nnz = Tensor.nnz t
+      && st.Stats.ts_rows = ref_distinct t 0
+      && List.for_all
+           (fun d -> Stats.distinct t ~dim:d = ref_distinct t d)
+           (List.init (Tensor.order t) Fun.id))
+
 (* qcheck: over random sparse matrices, the chosen schedule never prices
    above the naive default (the hand point is SpMV's row split). *)
 let prop_price_le_naive =
@@ -227,4 +501,11 @@ let suite =
     Alcotest.test_case "winner cache replays" `Quick test_winner_cache_replays;
     Alcotest.test_case "winner cache keyed by pattern" `Quick
       test_winner_cache_keyed_by_pattern;
+    Alcotest.test_case "session verdicts == standalone price" `Quick
+      test_session_equals_standalone;
+    Alcotest.test_case "no state across choose calls" `Quick
+      test_no_cross_call_state;
+    Alcotest.test_case "naive on a scalar output fails typed" `Quick
+      test_naive_scalar_output_typed;
+    prop_stats_values_free;
   ]
