@@ -79,26 +79,23 @@ type memo = {
 
 let memo () = { m_placements = []; m_partitions = [] }
 
-let plan ?memo ~trace ~backend p =
+let plan ?(memo = memo ()) ~trace ~backend p =
   let b = bindings p in
   let stats = Part_eval.stats () in
   (* Each placement keeps its own tally, billed whether it was built here
      or recalled from the memo. *)
-  let build name tdn =
-    let tally = Part_eval.stats () in
-    ( Placement.of_tdn ~stats:tally ~machine:p.machine ~bindings:b name tdn,
-      tally )
-  in
   let place name tdn =
-    match memo with
-    | None -> build name tdn
-    | Some m -> (
-        match List.assoc_opt (name, tdn) m.m_placements with
-        | Some r -> r
-        | None ->
-            let r = build name tdn in
-            m.m_placements <- ((name, tdn), r) :: m.m_placements;
-            r)
+    match List.assoc_opt (name, tdn) memo.m_placements with
+    | Some r -> r
+    | None ->
+        let tally = Part_eval.stats () in
+        let r =
+          ( Placement.of_tdn ~stats:tally ~machine:p.machine ~bindings:b name
+              tdn,
+            tally )
+        in
+        memo.m_placements <- ((name, tdn), r) :: memo.m_placements;
+        r
   in
   let placement =
     Trace.with_wall_span trace ~track:(host_track ()) ~cat:"phase"
@@ -112,24 +109,16 @@ let plan ?memo ~trace ~backend p =
   in
   let prog = compile ~trace p in
   let prepared =
-    match memo with
-    | None -> Interp.prepare ~trace ~backend ~bindings:b prog
-    | Some m -> (
-        (* Programs with equal partitioning statements on the same grid
-           define the same partitions; only their distributed loops
-           differ. *)
-        let key =
-          ( prog.Loop_ir.grid,
-            List.filter
-              (function Loop_ir.Distributed_for _ -> false | _ -> true)
-              prog.Loop_ir.stmts )
-        in
-        match List.assoc_opt key m.m_partitions with
-        | Some penv -> Interp.prepare ~trace ~penv ~backend ~bindings:b prog
-        | None ->
-            let prepared = Interp.prepare ~trace ~backend ~bindings:b prog in
-            m.m_partitions <- (key, prepared.Interp.pp_penv) :: m.m_partitions;
-            prepared)
+    (* Programs with equal partitioning statements on the same grid define
+       the same partitions; only their distributed loops differ. *)
+    let key = (prog.Loop_ir.grid, fst (Part_eval.split prog)) in
+    match List.assoc_opt key memo.m_partitions with
+    | Some penv -> Interp.prepare ~trace ~penv ~backend ~bindings:b prog
+    | None ->
+        let prepared = Interp.prepare ~trace ~backend ~bindings:b prog in
+        memo.m_partitions <-
+          (key, prepared.Interp.pp_penv) :: memo.m_partitions;
+        prepared
   in
   Part_eval.accum_stats stats prepared.Interp.pp_penv;
   let launches = List.length prepared.Interp.pp_loops in

@@ -59,10 +59,11 @@ val show : problem -> string
 (** Cold-build results shared between plans of one problem under several
     schedules and distributions: placements keyed by (operand, TDN), and
     partition environments keyed by the program's grid and partitioning
-    statements, all under structural equality.  A memo is only valid for
-    problems that share one machine and one set of operand slots (the
-    {!with_schedule} variants of one problem), and only for plans that are
-    never executed: the shared partitions are read, not re-evaluated. *)
+    statements, all under structural equality.  A memo shared between
+    plans is only valid for problems that share one machine and one set of
+    operand slots (the {!with_schedule} variants of one problem), and only
+    for plans that are never executed: the shared partitions are read, not
+    re-evaluated. *)
 type memo
 
 val memo : unit -> memo
@@ -71,9 +72,10 @@ val memo : unit -> memo
     {!compile} and {!Spdistal_exec.Interp.prepare} under [backend], with
     the dependent-partitioning work tallied into the entry's bill
     ([e_part_seconds], [e_part_ops]).  [e_key] is [""]; [trace] gets the
-    host-clock phase spans.  With [memo], a placement or partition
-    environment already built for an equal key is reused, and its tally is
-    billed again, so the entry's bill equals a build without the memo. *)
+    host-clock phase spans.  A placement or partition environment already
+    in [memo] (default: a fresh one) under an equal key is reused, and its
+    tally is billed again, so the entry's bill equals a build under a fresh
+    memo. *)
 val plan :
   ?memo:memo ->
   trace:Spdistal_obs.Trace.t ->

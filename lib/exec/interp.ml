@@ -300,11 +300,7 @@ let leaves_for ~trace ~bindings ~backend loops =
 let prepare ?(trace = Trace.null) ?penv ~backend ~bindings prog =
   let penv, loops =
     match penv with
-    | Some penv ->
-        ( penv,
-          List.filter
-            (function Loop_ir.Distributed_for _ -> true | _ -> false)
-            prog.Loop_ir.stmts )
+    | Some penv -> (penv, snd (Part_eval.split prog))
     | None ->
         let penv = Part_eval.create ~trace bindings in
         ( penv,

@@ -225,12 +225,12 @@ let rec eval_stmt env = function
   | Loop_ir.Distributed_for _ ->
       Error.fail Error.Partition_eval "distributed loop reached partition evaluator"
 
+let split prog =
+  List.partition
+    (function Loop_ir.Distributed_for _ -> false | _ -> true)
+    prog.Loop_ir.stmts
+
 let eval_partitions env prog =
-  let loops = ref [] in
-  List.iter
-    (fun s ->
-      match s with
-      | Loop_ir.Distributed_for _ -> loops := s :: !loops
-      | _ -> eval_stmt env s)
-    prog.Loop_ir.stmts;
-  List.rev !loops
+  let parts, loops = split prog in
+  List.iter (eval_stmt env) parts;
+  loops

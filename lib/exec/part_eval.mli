@@ -63,8 +63,14 @@ val rref_ispace : env -> Loop_ir.rref -> Iset.t
     that belongs to the interpreter). *)
 val eval_stmt : env -> Loop_ir.stmt -> unit
 
-(** Execute every partitioning statement of a program, stopping at (and
-    returning) the distributed loops. *)
+(** A program's top-level statements split into its partitioning
+    statements and its distributed loops, each in program order.  Two
+    programs with equal partitioning statements on the same grid define the
+    same partitions. *)
+val split : Loop_ir.prog -> Loop_ir.stmt list * Loop_ir.stmt list
+
+(** Execute every partitioning statement of a program (the first half of
+    {!split}) and return its distributed loops (the second half). *)
 val eval_partitions : env -> Loop_ir.prog -> Loop_ir.stmt list
 
 val find_partition : env -> string -> Partition.t

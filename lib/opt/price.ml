@@ -21,8 +21,8 @@
    what the tournament compares.
 
    The candidates of one auto-scheduler call are priced in one [session]
-   that shares statistics, placements, partitions and repeated verdicts
-   between them; a shared result is the one a standalone [price] would
+   that shares statistics, placements and partitions between them; a
+   shared result is the one a standalone [price] would
    build, so every verdict stays bit-equal to it. *)
 
 open Spdistal_runtime
@@ -45,18 +45,15 @@ let total p = p.pr_total
    variants of one problem (same machine, same operand slots), share what
    does not depend on the candidate.  The driver statistics are computed on
    first use; [s_memo] shares placements and partition environments between
-   plans; a candidate equal to an earlier one reuses its verdict.  Sessions
-   live as long as the caller keeps them, never beyond. *)
+   plans.  Sessions live as long as the caller keeps them, never beyond. *)
 type session = {
   s_problem : Spdistal.problem;
   s_memo : Spdistal.memo;
   mutable s_stats : (string * Stats.t) list;
-  mutable s_verdicts :
-    ((Schedule.t * (string * Tdn.t) list) * (priced, string) result) list;
 }
 
 let session p =
-  { s_problem = p; s_memo = Spdistal.memo (); s_stats = []; s_verdicts = [] }
+  { s_problem = p; s_memo = Spdistal.memo (); s_stats = [] }
 
 let driver_stats s bindings name =
   match List.assoc_opt name s.s_stats with
@@ -209,20 +206,7 @@ let price_problem s (p : Spdistal.problem) : (priced, string) result =
   | Invalid_argument m -> Error ("invalid candidate: " ^ m)
   | Failure m -> Error ("candidate failed: " ^ m)
 
-(* Every verdict is handed out with its own [Cost.t], so no caller can
-   reach the session's copy or a twin's. *)
 let price_in s ~schedule ~tdns =
-  let key = (schedule, tdns) in
-  let v =
-    match List.assoc_opt key s.s_verdicts with
-    | Some v -> v
-    | None ->
-        let v =
-          price_problem s (Spdistal.with_schedule s.s_problem ~schedule ~tdns)
-        in
-        s.s_verdicts <- (key, v) :: s.s_verdicts;
-        v
-  in
-  Result.map (fun pr -> { pr with pr_cost = Cost.copy pr.pr_cost }) v
+  price_problem s (Spdistal.with_schedule s.s_problem ~schedule ~tdns)
 
 let price p = price_problem (session p) p

@@ -32,17 +32,14 @@ val price : Core.Spdistal.problem -> (priced, string) result
     auto-scheduler call.  It computes the sparse drivers' {!Stats} at most
     once and only for multiplicative leaves, shares placements and
     partition environments between candidates through a
-    {!Core.Spdistal.memo}, and reuses the verdict of a candidate equal to
-    an earlier one.  Every verdict is bit-equal to {!price} of the same
-    candidate on its own. *)
+    {!Core.Spdistal.memo}.  Every verdict is bit-equal to {!price} of the
+    same candidate on its own. *)
 type session
 
 val session : Core.Spdistal.problem -> session
 
 (** [price_in s ~schedule ~tdns] prices the session's problem re-planned
-    with [schedule] and [tdns] (see {!Core.Spdistal.with_schedule}).  A
-    repeated candidate reuses its earlier verdict; every verdict comes
-    with its own copy of [pr_cost]. *)
+    with [schedule] and [tdns] (see {!Core.Spdistal.with_schedule}). *)
 val price_in :
   session ->
   schedule:Spdistal_ir.Schedule.t ->
