@@ -180,10 +180,17 @@ module Context : sig
       [shared_cache] overrides both: the context joins an existing cache —
       the serving front-end passes one cache to every tenant's contexts so
       all jobs share one LRU byte budget.  Entries of {e distinct} problems
-      never collide (digests differ), but note that a cache hit replays
-      prepared closures bound to the operand slots of the context that
-      built the entry, so contexts sharing a cache must be the unique
-      owners of their problem instances. *)
+      never collide (digests differ).  A cached plan holds structure only
+      and binds each run's own operands at launch, so contexts whose
+      problems share a pattern share its entry and still compute from
+      their own values.
+
+      The context computes its cache key on first use and keeps it.  Each
+      run checks in O(1) that it still holds and recomputes it only after
+      an input slot was rebound to another sparse tensor, a dense input
+      changed shape, or a pattern was written through
+      {!Spdistal_runtime.Region.set}.  The output enters the key as the
+      pristine snapshot taken here. *)
   val create : ?cache:bool -> ?shared_cache:Spdistal_exec.Cache.t -> problem -> ctx
 
   (** Hit/miss/invalidation counters, [None] when caching is disabled. *)

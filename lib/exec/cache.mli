@@ -11,8 +11,10 @@
     and sparsity {e structure}, data-distribution notation, schedule,
     machine).  Stored {e values} of operands are deliberately excluded: an
     iterative application updates them between launches without changing any
-    partition.  A node crash invalidates the entry (its placements name dead
-    slots); the next iteration re-partitions and pays the cold cost again. *)
+    partition.  An entry holds structure only, and data binds at launch, so
+    every context whose problem has the entry's key may replay it.  A node
+    crash invalidates the entry (its placements name dead slots); the next
+    iteration re-partitions and pays the cold cost again. *)
 
 open Spdistal_runtime
 open Spdistal_ir

@@ -22,12 +22,21 @@
    float crosses a closure call: every kind of loop allocates nothing per
    element.
 
+   Structure and data: a compiled leaf captures only structure — its plan,
+   the affine index maps, the fast-path choice and the driver's level
+   walkers, CSR row ends and fiber arrays.  Every [execute] looks the data
+   up in its launch bindings: the driver's values, the factors' storage,
+   the merge operands and the output.  So one compiled leaf (and a cached
+   plan holding it) serves every context whose problem has the same
+   pattern and shapes, whatever values each binds.  The captured walk is
+   used while the launch driver's level storage is the one it was derived
+   from; another driver (an equal pattern in other arrays) is walked
+   through a walk derived from its own storage for that call.
+
    Reentrancy: one compiled leaf is executed concurrently by the domains
    simulating the pieces of a distributed launch, so all mutable walk state
    (coordinate/position scratch, factor bases, counters) is allocated per
-   [execute] call; the closure itself only captures immutable structure.
-   Output storage is re-resolved per call because warm-start iterations
-   swap the output slot's backing data between launches. *)
+   [execute] call. *)
 
 open Spdistal_runtime
 open Spdistal_formats
@@ -83,20 +92,15 @@ type fibers = { slices : slices; pos2 : (int * int) array; crd2 : int array }
 (* Fused fast paths: CSR-driver kernels (the paper's fig. 10 hot loops:
    SpMV / SpMM / SDDMM) and 3-level-driver kernels (SpTTV / SpMTTKRP).
    Everything else runs the generic specialized walker, which is still free
-   of per-element IR dispatch. *)
+   of per-element IR dispatch.  A fast path fixes the factors' row strides;
+   their storage comes from the launch bindings. *)
 type fast =
   | Generic
-  | Fast_spmv of { x : float array }
-  | Fast_spmm of { c : float array; ccols : int }
-  | Fast_sddmm of { c : float array; ccols : int; d : float array; dcols : int }
-  | Fast_ttv of { fib : fibers; c : float array }
-  | Fast_mttkrp of {
-      fib : fibers;
-      c : float array;
-      ccols : int;
-      d : float array;
-      dcols : int;
-    }
+  | Fast_spmv
+  | Fast_spmm of { ccols : int }
+  | Fast_sddmm of { ccols : int; dcols : int }
+  | Fast_ttv of { fib : fibers }
+  | Fast_mttkrp of { fib : fibers; ccols : int; dcols : int }
 
 (* A dense index affine in the one active inner variable [v] ([j] or [k];
    a plan never has both): [coords.(d0)·m0 + coords.(d1)·m1 + v·stride].
@@ -120,29 +124,35 @@ let factor_affine = function
   | Leaf.F_vec (_, s) -> affine [ (s, 1) ]
   | Leaf.F_mat (_, cols, sr, sc) -> affine [ (sr, cols); (sc, 1) ]
 
-type mul = {
-  m_bindings : Operand.bindings;
-  m_plan : Leaf.plan;
-  m_ord : int;
-  m_mode_order : int array;
-  m_walkers : Level_funcs.level_iter array;
-  m_dvals : Region.F.buf;
-  m_fdata : float array array;  (* factor storage, in plan order *)
-  m_faff : affine array;  (* factor indices, in plan order *)
-  m_csr_hi : int array;
+(* How to walk one driver's storage, derived from its levels. *)
+type walk = {
+  w_levels : Level.t array;  (* the level storage this walk was derived from *)
+  w_mode_order : int array;
+  w_walkers : Level_funcs.level_iter array;
+  w_csr_hi : int array;
       (* CSR fast paths only: flat row-end positions (snd of the level-1 pos
          ranges), pre-extracted so the hot loop never chases a tuple *)
-  m_csr_crd : int array;
-  m_fast : fast;
+  w_csr_crd : int array;
+  w_fast : fast;
 }
 
-type merge = {
-  g_ops : Leaf.merge_op array;
-  g_cols : int;
-  g_use_workspace : bool;
+type mul = {
+  m_plan : Leaf.plan;
+  m_faff : affine array;  (* factor indices, in plan order *)
+  m_dims : int array;  (* the driver's dimensions *)
+  m_nnz : int;  (* the driver's stored values *)
+  m_flens : int array;  (* the factors' storage lengths, in plan order *)
+  m_out_len : int;  (* the output's storage length *)
+  m_walk : walk;  (* of the driver the leaf was compiled against *)
 }
 
-type t = C_mul of mul | C_merge of merge
+type kind =
+  | C_mul of mul
+  | C_merge of { g_tensors : string list; g_use_workspace : bool }
+
+(* [bindings] are the ones the leaf was compiled against: the launch
+   bindings when a caller gives none. *)
+type t = { bindings : Operand.bindings; kind : kind }
 
 (* ------------------------------------------------------------------ *)
 (* Compilation                                                          *)
@@ -181,80 +191,122 @@ let detect_fast ~(plan : Leaf.plan) ~(driver : Tensor.t) =
       plan.Leaf.pl_factors,
       plan.Leaf.pl_sink )
   with
-  | Some fib, false, false, [| Leaf.F_vec (c, Leaf.Driver_dim 2) |], Leaf.Sp_sparse (Some 1)
+  | Some fib, false, false, [| Leaf.F_vec (_, Leaf.Driver_dim 2) |], Leaf.Sp_sparse (Some 1)
     ->
-      Fast_ttv { fib; c }
+      Fast_ttv { fib }
   | ( Some fib,
       true,
       false,
       [|
-        Leaf.F_mat (c, ccols, Leaf.Driver_dim 1, Leaf.Inner_out);
-        Leaf.F_mat (d, dcols, Leaf.Driver_dim 2, Leaf.Inner_out);
+        Leaf.F_mat (_, ccols, Leaf.Driver_dim 1, Leaf.Inner_out);
+        Leaf.F_mat (_, dcols, Leaf.Driver_dim 2, Leaf.Inner_out);
       |],
       Leaf.Sp_mat (Leaf.Driver_dim 0, Leaf.Inner_out) ) ->
-      Fast_mttkrp { fib; c; ccols; d; dcols }
+      Fast_mttkrp { fib; ccols; dcols }
   | _ when not (is_csr driver) -> Generic
-  | _, false, false, [| Leaf.F_vec (x, Leaf.Driver_dim 1) |], Leaf.Sp_vec (Leaf.Driver_dim 0)
+  | _, false, false, [| Leaf.F_vec (_, Leaf.Driver_dim 1) |], Leaf.Sp_vec (Leaf.Driver_dim 0)
     ->
-      Fast_spmv { x }
+      Fast_spmv
   | ( _,
       true,
       false,
-      [| Leaf.F_mat (c, ccols, Leaf.Driver_dim 1, Leaf.Inner_out) |],
+      [| Leaf.F_mat (_, ccols, Leaf.Driver_dim 1, Leaf.Inner_out) |],
       Leaf.Sp_mat (Leaf.Driver_dim 0, Leaf.Inner_out) ) ->
-      Fast_spmm { c; ccols }
+      Fast_spmm { ccols }
   | ( _,
       false,
       true,
       [|
-        Leaf.F_mat (c, ccols, Leaf.Driver_dim 0, Leaf.Inner_red);
-        Leaf.F_mat (d, dcols, Leaf.Inner_red, Leaf.Driver_dim 1);
+        Leaf.F_mat (_, ccols, Leaf.Driver_dim 0, Leaf.Inner_red);
+        Leaf.F_mat (_, dcols, Leaf.Inner_red, Leaf.Driver_dim 1);
       |],
       Leaf.Sp_sparse None ) ->
-      Fast_sddmm { c; ccols; d; dcols }
+      Fast_sddmm { ccols; dcols }
   | _ -> Generic
 
+let walk_of ~plan (driver : Tensor.t) =
+  let fast = detect_fast ~plan ~driver in
+  let csr_hi, csr_crd =
+    match (fast, driver.Tensor.levels) with
+    | (Fast_spmv | Fast_spmm _ | Fast_sddmm _), [| _; Level.Compressed { pos; crd } |] ->
+        (Array.map snd pos.Region.data, crd.Region.data)
+    | _ -> ([||], [||])
+  in
+  {
+    w_levels = driver.Tensor.levels;
+    w_mode_order = driver.Tensor.mode_order;
+    w_walkers = Array.map Level_funcs.iter_of_level driver.Tensor.levels;
+    w_csr_hi = csr_hi;
+    w_csr_crd = csr_crd;
+    w_fast = fast;
+  }
+
+let data_length = function
+  | Operand.Vec v -> Array.length v.Dense.data
+  | Operand.Mat m -> Array.length m.Dense.data
+  | Operand.Sparse t -> Tensor.nnz t
+
 let compile ~bindings (leaf : Loop_ir.leaf) =
-  match leaf.Loop_ir.driver with
-  | Loop_ir.Merge_driver tensors ->
-      let ops, cols = Leaf.merge_ops ~bindings ~tensors in
-      C_merge { g_ops = ops; g_cols = cols; g_use_workspace = leaf.Loop_ir.use_workspace }
-  | Loop_ir.Sparse_driver driver_name ->
-      let plan = Leaf.plan_mul ~bindings ~leaf ~driver_name in
-      let driver = Operand.find_sparse bindings driver_name in
-      let fast = detect_fast ~plan ~driver in
-      let csr_hi, csr_crd =
-        match (fast, driver.Tensor.levels) with
-        | (Fast_spmv _ | Fast_spmm _ | Fast_sddmm _), [| _; Level.Compressed { pos; crd } |]
-          ->
-            (Array.map snd pos.Region.data, crd.Region.data)
-        | _ -> ([||], [||])
-      in
-      C_mul
-        {
-          m_bindings = bindings;
-          m_plan = plan;
-          m_ord = Tensor.order driver;
-          m_mode_order = driver.Tensor.mode_order;
-          m_walkers = Array.map Level_funcs.iter_of_level driver.Tensor.levels;
-          m_dvals = driver.Tensor.vals.Region.F.data;
-          m_fdata =
-            Array.map
-              (function Leaf.F_vec (d, _) | Leaf.F_mat (d, _, _, _) -> d)
-              plan.Leaf.pl_factors;
-          m_faff = Array.map factor_affine plan.Leaf.pl_factors;
-          m_csr_hi = csr_hi;
-          m_csr_crd = csr_crd;
-          m_fast = fast;
-        }
+  let kind =
+    match leaf.Loop_ir.driver with
+    | Loop_ir.Merge_driver tensors ->
+        C_merge { g_tensors = tensors; g_use_workspace = leaf.Loop_ir.use_workspace }
+    | Loop_ir.Sparse_driver driver_name ->
+        let plan = Leaf.plan_mul ~bindings ~leaf ~driver_name in
+        let driver = Operand.find_sparse bindings driver_name in
+        C_mul
+          {
+            m_plan = plan;
+            m_faff = Array.map factor_affine plan.Leaf.pl_factors;
+            m_dims = Array.copy driver.Tensor.dims;
+            m_nnz = Tensor.nnz driver;
+            m_flens = Array.map Array.length (Leaf.factor_data ~bindings plan);
+            m_out_len =
+              data_length (Operand.find bindings plan.Leaf.pl_out_name).Operand.data;
+            m_walk = walk_of ~plan driver;
+          }
+  in
+  { bindings; kind }
 
-(* The output slot's storage, re-resolved per call (see {!t}). *)
-let out_data (m : mul) =
-  (Operand.find m.m_bindings m.m_plan.Leaf.pl_out_name).Operand.data
+(* ------------------------------------------------------------------ *)
+(* Launch-time resolution                                               *)
+(* ------------------------------------------------------------------ *)
 
-let shape_changed (plan : Leaf.plan) =
+(* What one execute resolves from its launch bindings. *)
+type launch = {
+  l_walk : walk;
+  l_dvals : Region.F.buf;  (* the driver's values *)
+  l_fdata : float array array;  (* factor storage, in plan order *)
+  l_out : Operand.data;
+}
+
+let shape_changed ?(what = "output slot") (plan : Leaf.plan) =
   Error.fail ~kernel:plan.Leaf.pl_out_name Error.Leaf
-    "compiled leaf: output slot changed shape since compilation"
+    "compiled leaf: %s changed shape since compilation" what
+
+(* The fast paths index unchecked, so every operand must still have the
+   shape the leaf was compiled for; the driver's pattern must be the
+   compiled one's, which the cache key guarantees. *)
+let resolve (m : mul) ~bindings =
+  let plan = m.m_plan in
+  let driver = Operand.find_sparse bindings plan.Leaf.pl_driver_name in
+  if driver.Tensor.dims <> m.m_dims || Tensor.nnz driver <> m.m_nnz then
+    shape_changed ~what:"driver" plan;
+  let fdata = Leaf.factor_data ~bindings plan in
+  Array.iteri
+    (fun f d -> if Array.length d <> m.m_flens.(f) then shape_changed ~what:"factor" plan)
+    fdata;
+  let out = (Operand.find bindings plan.Leaf.pl_out_name).Operand.data in
+  if data_length out <> m.m_out_len then shape_changed plan;
+  {
+    l_walk =
+      (if driver.Tensor.levels == m.m_walk.w_levels then m.m_walk
+       else walk_of ~plan driver);
+    l_dvals = driver.Tensor.vals.Region.F.data;
+    l_fdata = fdata;
+    l_out = out;
+  }
+
 
 (* ------------------------------------------------------------------ *)
 (* Generic specialized walker                                           *)
@@ -265,9 +317,9 @@ let shape_changed (plan : Leaf.plan) =
    position of storage level [lvl]. *)
 type out = Out_dense of float array * affine | Out_sparse of Region.F.buf * int
 
-let resolve_out (m : mul) =
+let resolve_out (m : mul) (l : launch) =
   let plan = m.m_plan in
-  match (out_data m, plan.Leaf.pl_sink) with
+  match (l.l_out, plan.Leaf.pl_sink) with
   | Operand.Vec v, Leaf.Sp_vec s -> Out_dense (v.Dense.data, affine [ (s, 1) ])
   | Operand.Mat mt, Leaf.Sp_mat (sr, sc) ->
       Out_dense (mt.Dense.data, affine [ (sr, mt.Dense.cols); (sc, 1) ])
@@ -294,18 +346,18 @@ let[@inline] product ~scale fdata faff fbase v =
 
 exception Past_end
 
-let run_generic (m : mul) ~shard ~col_range =
+let run_generic (m : mul) (l : launch) ~shard ~col_range =
   let plan = m.m_plan in
-  let ord = m.m_ord in
+  let ord = Array.length l.l_walk.w_levels in
   let coords = Array.make (max ord 1) 0 in
   let lvlpos = Array.make (max ord 1) 0 in
   let path = Array.make (max ord 1) 0 in
-  let out = resolve_out m in
-  let scale = plan.Leaf.pl_scale and fdata = m.m_fdata and faff = m.m_faff in
+  let out = resolve_out m l in
+  let scale = plan.Leaf.pl_scale and fdata = l.l_fdata and faff = m.m_faff in
   let fbase = Array.make (Array.length fdata) 0 in
   let jlo, jhi = Leaf.j_bounds plan ~col_range in
   let klo, khi = Leaf.k_bounds plan in
-  let dvals = m.m_dvals in
+  let dvals = l.l_dvals in
   let nnz = ref 0 and rows_touched = ref 0 and last_row = ref (-1) in
   (* Per stored element: tally it, evaluate every factor's driver terms, and
      return the output index at inner index 0. *)
@@ -355,7 +407,7 @@ let run_generic (m : mul) ~shard ~col_range =
           Error.fail ~kernel:plan.Leaf.pl_driver_name Error.Leaf
             "simultaneous inner output and reduction vars"
   in
-  let walkers = m.m_walkers and mo = m.m_mode_order in
+  let walkers = l.l_walk.w_walkers and mo = l.l_walk.w_mode_order in
   (* One emit closure per storage level, built once per call: the leaf
      level's stops past the interval's end [phi], an inner level's descends,
      resuming at the spine position on the interval's first fiber. *)
@@ -408,13 +460,13 @@ let run_generic (m : mul) ~shard ~col_range =
    output cell and stores once — the identical left-to-right addition
    sequence as the interpreter's per-element read-modify-write, so rounding
    is bit-identical. *)
-let csr_run (m : mul) shard ~js ~ks (seg : int -> int -> int -> unit) =
-  let hi = m.m_csr_hi in
+let csr_run (m : mul) (l : launch) shard ~js ~ks (seg : int -> int -> int -> unit) =
+  let hi = l.l_walk.w_csr_hi in
   let nnz = ref 0 and rows_touched = ref 0 and last_row = ref (-1) in
   Iset.iter_intervals
     (fun plo phi ->
       nnz := !nnz + (phi - plo + 1);
-      let r = ref (m.m_walkers.(1).Level_funcs.li_locate plo) in
+      let r = ref (l.l_walk.w_walkers.(1).Level_funcs.li_locate plo) in
       let p = ref plo in
       while !p <= phi do
         let row = !r in
@@ -437,11 +489,11 @@ let csr_run (m : mul) shard ~js ~ks (seg : int -> int -> int -> unit) =
     partial = None;
   }
 
-let run_spmv (m : mul) ~shard ~x =
-  let crdd = m.m_csr_crd and dvals = m.m_dvals in
+let run_spmv (m : mul) (l : launch) ~shard =
+  let crdd = l.l_walk.w_csr_crd and dvals = l.l_dvals and x = l.l_fdata.(0) in
   let scale = m.m_plan.Leaf.pl_scale in
-  let y = match out_data m with Operand.Vec v -> v.Dense.data | _ -> shape_changed m.m_plan in
-  csr_run m shard ~js:0 ~ks:0 (fun row lo hi ->
+  let y = match l.l_out with Operand.Vec v -> v.Dense.data | _ -> shape_changed m.m_plan in
+  csr_run m l shard ~js:0 ~ks:0 (fun row lo hi ->
       let acc = ref (Array.unsafe_get y row) in
       for q = lo to hi do
         acc :=
@@ -451,16 +503,16 @@ let run_spmv (m : mul) ~shard ~x =
       done;
       Array.unsafe_set y row !acc)
 
-let run_spmm (m : mul) ~shard ~col_range ~c ~ccols =
-  let crdd = m.m_csr_crd and dvals = m.m_dvals in
+let run_spmm (m : mul) (l : launch) ~shard ~col_range ~ccols =
+  let crdd = l.l_walk.w_csr_crd and dvals = l.l_dvals and c = l.l_fdata.(0) in
   let scale = m.m_plan.Leaf.pl_scale in
   let jlo, jhi = Leaf.j_bounds m.m_plan ~col_range in
   let a, acols =
-    match out_data m with
+    match l.l_out with
     | Operand.Mat mt -> (mt.Dense.data, mt.Dense.cols)
     | _ -> shape_changed m.m_plan
   in
-  csr_run m shard ~js:(jhi - jlo + 1) ~ks:0 (fun row lo hi ->
+  csr_run m l shard ~js:(jhi - jlo + 1) ~ks:0 (fun row lo hi ->
       let abase = row * acols in
       for q = lo to hi do
         let dv = A1.unsafe_get dvals q in
@@ -471,16 +523,17 @@ let run_spmm (m : mul) ~shard ~col_range ~c ~ccols =
         done
       done)
 
-let run_sddmm (m : mul) ~shard ~c ~ccols ~d ~dcols =
-  let crdd = m.m_csr_crd and dvals = m.m_dvals in
+let run_sddmm (m : mul) (l : launch) ~shard ~ccols ~dcols =
+  let crdd = l.l_walk.w_csr_crd and dvals = l.l_dvals in
+  let c = l.l_fdata.(0) and d = l.l_fdata.(1) in
   let scale = m.m_plan.Leaf.pl_scale in
   let klo, khi = Leaf.k_bounds m.m_plan in
   let out =
-    match out_data m with
+    match l.l_out with
     | Operand.Sparse ot -> ot.Tensor.vals.Region.F.data
     | _ -> shape_changed m.m_plan
   in
-  csr_run m shard ~js:0 ~ks:(khi - klo + 1) (fun row lo hi ->
+  csr_run m l shard ~js:0 ~ks:(khi - klo + 1) (fun row lo hi ->
       let cbase = row * ccols in
       for q = lo to hi do
         let col = Array.unsafe_get crdd q in
@@ -517,16 +570,16 @@ let[@inline] check_span m len base lo hi =
    fibers (whose hi precedes their lo) and, for CSF, over empty slices.
    [nnz] and [rows_touched] are tallied as [run_generic] tallies them, so
    {!Leaf.mul_work} sees identical inputs. *)
-let fiber_run (m : mul) fib shard ~js ~ks seg =
+let fiber_run (m : mul) (l : launch) fib shard ~js ~ks seg =
   let pos2 = fib.pos2 in
-  let npos = min (A1.dim m.m_dvals) (Array.length fib.crd2) in
+  let npos = min (A1.dim l.l_dvals) (Array.length fib.crd2) in
   let nnz = ref 0 and rows_touched = ref 0 and last_row = ref (-1) in
   Iset.iter_intervals
     (fun plo phi ->
       check_span m npos 0 plo phi;
       nnz := !nnz + (phi - plo + 1);
-      let f = ref (m.m_walkers.(2).Level_funcs.li_locate plo) in
-      let i = ref (m.m_walkers.(1).Level_funcs.li_locate !f) in
+      let f = ref (l.l_walk.w_walkers.(2).Level_funcs.li_locate plo) in
+      let i = ref (l.l_walk.w_walkers.(1).Level_funcs.li_locate !f) in
       let p = ref plo in
       while !p <= phi do
         let fhi = snd pos2.(!f) in
@@ -561,15 +614,15 @@ let fiber_run (m : mul) fib shard ~js ~ks seg =
 (* SpTTV: the output is the fiber's cell of the sparse output (its level-1
    position), accumulated in a register across the segment as in
    [run_spmv]. *)
-let run_ttv (m : mul) ~shard ~fib ~c =
-  let crd2 = fib.crd2 and dvals = m.m_dvals in
+let run_ttv (m : mul) (l : launch) ~shard ~fib =
+  let crd2 = fib.crd2 and dvals = l.l_dvals and c = l.l_fdata.(0) in
   let scale = m.m_plan.Leaf.pl_scale in
   let out =
-    match out_data m with
+    match l.l_out with
     | Operand.Sparse ot -> ot.Tensor.vals.Region.F.data
     | _ -> shape_changed m.m_plan
   in
-  fiber_run m fib shard ~js:0 ~ks:0 (fun _ _ f lo hi ->
+  fiber_run m l fib shard ~js:0 ~ks:0 (fun _ _ f lo hi ->
       let acc = ref (A1.get out f) in
       for q = lo to hi do
         acc :=
@@ -582,18 +635,19 @@ let run_ttv (m : mul) ~shard ~fib ~c =
    element then adds [dv·(sc.(t)·D(k, jlo + t))] into [A(i, jlo + t)]: the
    interpreter's fold [((scale·C)·D)] followed by [dv·_], with the same
    left-to-right additions, so rounding is bit-identical. *)
-let run_mttkrp (m : mul) ~shard ~col_range ~fib ~c ~ccols ~d ~dcols =
-  let crd2 = fib.crd2 and dvals = m.m_dvals in
+let run_mttkrp (m : mul) (l : launch) ~shard ~col_range ~fib ~ccols ~dcols =
+  let crd2 = fib.crd2 and dvals = l.l_dvals in
+  let c = l.l_fdata.(0) and d = l.l_fdata.(1) in
   let scale = m.m_plan.Leaf.pl_scale in
   let jlo, jhi = Leaf.j_bounds m.m_plan ~col_range in
   let js = jhi - jlo + 1 in
   let a, acols =
-    match out_data m with
+    match l.l_out with
     | Operand.Mat mt -> (mt.Dense.data, mt.Dense.cols)
     | _ -> shape_changed m.m_plan
   in
   let sc = Array.make (max js 0) 0. in
-  fiber_run m fib shard ~js ~ks:0 (fun i j _ lo hi ->
+  fiber_run m l fib shard ~js ~ks:0 (fun i j _ lo hi ->
       let abase = (i * acols) + jlo and cbase = (j * ccols) + jlo in
       check_span m (Array.length a) abase 0 (js - 1);
       check_span m (Array.length c) cbase 0 (js - 1);
@@ -615,31 +669,33 @@ let run_mttkrp (m : mul) ~shard ~col_range ~fib ~c ~ccols ~d ~dcols =
 (* Execution                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let execute t ~shard_vals ~rows ~col_range () =
-  match t with
-  | C_merge g -> (
+let execute t ?(bindings = t.bindings) ~shard_vals ~rows ~col_range () =
+  match t.kind with
+  | C_merge { g_tensors; g_use_workspace } -> (
       match rows with
       | Some r ->
-          Leaf.merge_core ~ops:g.g_ops ~cols:g.g_cols ~rows:r
-            ~use_workspace:g.g_use_workspace
+          let ops, cols = Leaf.merge_ops ~bindings ~tensors:g_tensors in
+          Leaf.merge_core ~ops ~cols ~rows:r ~use_workspace:g_use_workspace
       | None -> Error.fail Error.Leaf "merge kernel needs a row set")
   | C_mul m -> (
       let shard = shard_vals m.m_plan.Leaf.pl_driver_name in
-      match m.m_fast with
-      | Fast_spmv { x } -> run_spmv m ~shard ~x
-      | Fast_spmm { c; ccols } -> run_spmm m ~shard ~col_range ~c ~ccols
-      | Fast_sddmm { c; ccols; d; dcols } -> run_sddmm m ~shard ~c ~ccols ~d ~dcols
-      | Fast_ttv { fib; c } -> run_ttv m ~shard ~fib ~c
-      | Fast_mttkrp { fib; c; ccols; d; dcols } ->
-          run_mttkrp m ~shard ~col_range ~fib ~c ~ccols ~d ~dcols
-      | Generic -> run_generic m ~shard ~col_range)
+      let l = resolve m ~bindings in
+      match l.l_walk.w_fast with
+      | Fast_spmv -> run_spmv m l ~shard
+      | Fast_spmm { ccols } -> run_spmm m l ~shard ~col_range ~ccols
+      | Fast_sddmm { ccols; dcols } -> run_sddmm m l ~shard ~ccols ~dcols
+      | Fast_ttv { fib } -> run_ttv m l ~shard ~fib
+      | Fast_mttkrp { fib; ccols; dcols } ->
+          run_mttkrp m l ~shard ~col_range ~fib ~ccols ~dcols
+      | Generic -> run_generic m l ~shard ~col_range)
 
-let path_name = function
+let path_name t =
+  match t.kind with
   | C_merge _ -> "merge"
   | C_mul m -> (
-      match m.m_fast with
+      match m.m_walk.w_fast with
       | Generic -> "generic"
-      | Fast_spmv _ -> "csr-spmv"
+      | Fast_spmv -> "csr-spmv"
       | Fast_spmm _ -> "csr-spmm"
       | Fast_sddmm _ -> "csr-sddmm"
       | Fast_ttv _ -> "fiber-ttv"

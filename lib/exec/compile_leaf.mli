@@ -57,13 +57,18 @@ val default_backend : unit -> backend
 
 (** {1 Compilation and execution} *)
 
-(** A leaf specialized for its driver format and expression shape.  The
-    closure captures only immutable structure (plans, resolved level
-    iterators, input arrays); all mutable walk state is allocated per
-    {!execute} call, so one compiled leaf may simulate the pieces of a
-    distributed launch concurrently.  Output storage is re-resolved per
-    call because warm-start iterations swap the output slot's backing
-    data between launches. *)
+(** A leaf specialized for its driver format and expression shape.  It
+    holds structure only: the {!Leaf.plan}, the affine index maps, the
+    fast-path choice, and the level walkers, CSR row ends and fiber arrays
+    of the driver it was compiled against.  Data binds at launch: each
+    {!execute} looks up the driver's values, the factors, the merge
+    operands and the output in its bindings, so a leaf compiled for one
+    context serves any context whose problem has the same pattern and
+    shapes (the cache key guarantees both).  A launch driver stored in
+    other arrays than the compiled one is walked through its own storage
+    for that call.  All mutable walk state is allocated per call, so one
+    compiled leaf may simulate the pieces of a distributed launch
+    concurrently. *)
 type t
 
 (** Specialize one leaf.  Raises {!Spdistal_runtime.Error.Error} on the
@@ -71,9 +76,15 @@ type t
 val compile : bindings:Operand.bindings -> Spdistal_ir.Loop_ir.leaf -> t
 
 (** Drop-in replacement for {!Leaf.execute} (same piece-shard arguments,
-    same {!Leaf.result}, same deferred per-element error semantics). *)
+    same {!Leaf.result}, same deferred per-element error semantics).
+    [bindings] are the launch's (default: the ones [t] was compiled
+    against); their driver must have the pattern [t] was compiled for.
+    Raises {!Spdistal_runtime.Error.Error} ([Leaf]) when an operand's
+    shape, or the driver's stored-value count, differs from the one [t]
+    was compiled for. *)
 val execute :
   t ->
+  ?bindings:Operand.bindings ->
   shard_vals:(string -> Iset.t) ->
   rows:Iset.t option ->
   col_range:(int * int) option ->

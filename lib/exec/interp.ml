@@ -391,7 +391,8 @@ let run ~machine ~bindings ~placement ?memstate ~cost ?domains ?faults ?trace
             in
             let col_range = col_range ~grid ~bindings leaf c in
             match compiled with
-            | Some cl -> Compile_leaf.execute cl ~shard_vals ~rows ~col_range ()
+            | Some cl ->
+                Compile_leaf.execute cl ~bindings ~shard_vals ~rows ~col_range ()
             | None -> Leaf.execute ~bindings ~leaf ~shard_vals ~rows ~col_range ()
           in
           (* Materialize the driver's coordinate expansion on this domain so

@@ -57,7 +57,11 @@ open Spdistal_runtime
     cache); its [pp_backend] fixes how leaves execute — [Compiled] runs the
     monomorphized closures from {!Compile_leaf}, [Interp] the reference
     interpreter in {!Leaf}, bit-identical in outputs, launch records and
-    Cost.  [launch_base] offsets the run's launch indices, so iteration [i]
+    Cost.  Every leaf reads values and writes the output through
+    [bindings], never through the bindings [prepared] was built from, so
+    one prepared program runs against any bindings with the pattern and
+    shapes it was prepared for.  [launch_base]
+    offsets the run's launch indices, so iteration [i]
     of a warm-start run draws the same fault schedule whether or not its
     partitions came from the cache. *)
 

@@ -20,6 +20,7 @@ type result = { work : Task.work; partial : merge_partial option }
 type expansion = {
   ecoords : int array array;  (* [logical dim][leaf pos] *)
   epos : int array array;  (* [level][leaf pos] *)
+  egen : int;  (* [Region.generation] it was built under *)
 }
 
 let cache : (int, expansion) Hashtbl.t = Hashtbl.create 16
@@ -39,12 +40,13 @@ let expand (t : Tensor.t) =
   (* Keyed by the vals region's unique allocation id: tensor names repeat
      across problems, physical storage does not. *)
   let key = t.Tensor.vals.Region.F.id in
+  let gen = Region.generation () in
   Mutex.lock cache_mutex;
   match Hashtbl.find_opt cache key with
-  | Some e ->
+  | Some e when e.egen = gen ->
       Mutex.unlock cache_mutex;
       e
-  | None ->
+  | Some _ | None ->
       let ord = Tensor.order t in
       let n = Tensor.nnz t in
       let ecoords = Array.init ord (fun _ -> Array.make n 0) in
@@ -77,7 +79,7 @@ let expand (t : Tensor.t) =
               go (k + 1) parent_pos
       in
       if n > 0 then go 0 0;
-      let e = { ecoords; epos } in
+      let e = { ecoords; epos; egen = gen } in
       Hashtbl.replace cache key e;
       Mutex.unlock cache_mutex;
       e
@@ -91,13 +93,15 @@ let prewarm t = ignore (expand t)
 
 type idx_src = Driver_dim of int | Inner_out | Inner_red
 
+(* A dense factor names its operand; its storage is looked up in the launch
+   bindings on every execute, so a plan may run against any bindings with
+   the same shapes. *)
 type factor =
-  | F_vec of float array * idx_src
-  | F_mat of float array * int * idx_src * idx_src
+  | F_vec of string * idx_src
+  | F_mat of string * int * idx_src * idx_src
 
-(* Where the output lives — resolved to storage per execute call, because
-   warm-start iterations swap the output slot's backing data between
-   launches. *)
+(* Where the output lives; like a factor, resolved to storage in the launch
+   bindings on every execute. *)
 type sink_spec =
   | Sp_vec of idx_src
   | Sp_mat of idx_src * idx_src
@@ -168,14 +172,14 @@ let plan_mul ~bindings ~(leaf : Loop_ir.leaf) ~driver_name =
         if a.Tin.tensor = driver_name then None
         else
           match (Operand.find bindings a.Tin.tensor).Operand.data with
-          | Operand.Vec v -> (
+          | Operand.Vec _ -> (
               match a.Tin.indices with
-              | [ iv ] -> Some (F_vec (v.Dense.data, src iv))
+              | [ iv ] -> Some (F_vec (a.Tin.tensor, src iv))
               | _ -> Error.fail ~kernel:a.Tin.tensor Error.Leaf "vector arity")
           | Operand.Mat m -> (
               match a.Tin.indices with
               | [ r; c ] ->
-                  Some (F_mat (m.Dense.data, m.Dense.cols, src r, src c))
+                  Some (F_mat (a.Tin.tensor, m.Dense.cols, src r, src c))
               | _ -> Error.fail ~kernel:a.Tin.tensor Error.Leaf "matrix arity")
           | Operand.Sparse _ ->
               Error.fail ~kernel:a.Tin.tensor Error.Leaf
@@ -230,6 +234,18 @@ let plan_mul ~bindings ~(leaf : Loop_ir.leaf) ~driver_name =
     pl_scale = lit_product stmt.Tin.rhs;
     pl_nnz_split = leaf.Loop_ir.nnz_split;
   }
+
+(* The factors' storage in the launch bindings, in plan order. *)
+let factor_data ~bindings plan =
+  Array.map
+    (fun f ->
+      let name = match f with F_vec (n, _) | F_mat (n, _, _, _) -> n in
+      match (Operand.find bindings name).Operand.data with
+      | Operand.Vec v -> v.Dense.data
+      | Operand.Mat m -> m.Dense.data
+      | Operand.Sparse _ ->
+          Error.fail ~kernel:name Error.Leaf "factor slot holds a sparse tensor")
+    plan.pl_factors
 
 (* Inner-loop bounds for one piece (inclusive; empty as [(0, -1)]). *)
 let j_bounds plan ~col_range =
@@ -298,6 +314,7 @@ let mul_kernel ~bindings ~(leaf : Loop_ir.leaf) ~driver_name ~shard ~col_range =
   let exp = expand driver in
   let sink = resolve_sink ~bindings ~exp plan in
   let factors = plan.pl_factors in
+  let fdata = factor_data ~bindings plan in
   let jlo, jhi = j_bounds plan ~col_range in
   let klo, khi = k_bounds plan in
   let dvals = driver.Tensor.vals.Region.F.data in
@@ -315,9 +332,9 @@ let mul_kernel ~bindings ~(leaf : Loop_ir.leaf) ~driver_name ~shard ~col_range =
         !acc
         *.
         (match factors.(f) with
-        | F_vec (d, s) -> d.(eval_src coords ~j ~k s)
-        | F_mat (d, cols, sr, sc) ->
-            d.((eval_src coords ~j ~k sr * cols) + eval_src coords ~j ~k sc))
+        | F_vec (_, s) -> fdata.(f).(eval_src coords ~j ~k s)
+        | F_mat (_, cols, sr, sc) ->
+            fdata.(f).((eval_src coords ~j ~k sr * cols) + eval_src coords ~j ~k sc))
     done;
     !acc
   in
@@ -444,9 +461,9 @@ let sort_range (a : int array) lo n =
     sift_down a lo 0 len
   done
 
-(* The merge core is shared by both backends (the compiled backend
-   pre-resolves [ops]; the interpreter resolves them per call), so their
-   outputs and work accounting are identical by construction.  It writes
+(* The merge core is shared by both backends (each resolves [ops] from the
+   launch bindings per call), so their outputs and work accounting are
+   identical by construction.  It writes
    straight into the partial's arrays, sized by the rows' stored entries
    (every emitted entry consumes at least one, so this bounds the output),
    and keeps one cursor per operand: no per-row or per-entry allocation. *)

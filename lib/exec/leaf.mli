@@ -35,12 +35,19 @@ type idx_src =
   | Inner_out  (** dense output var the driver doesn't bind *)
   | Inner_red  (** dense reduction var *)
 
+(** A dense factor of a product: the operand's name and how each of its
+    indices is sourced ([F_mat] also fixes the row stride, [cols]).  A
+    factor holds no storage: both backends look its data up in the launch
+    bindings on every execute ({!factor_data}), so one plan runs against
+    any bindings whose operands have the planned shapes. *)
 type factor =
-  | F_vec of float array * idx_src
-  | F_mat of float array * int * idx_src * idx_src
+  | F_vec of string * idx_src
+  | F_mat of string * int * idx_src * idx_src
 
-(** Output shape; storage is re-resolved per execute call because warm-start
-    iterations swap the output slot's backing data between launches. *)
+(** The output's shape.  Like a factor it holds no storage: the output
+    operand ([pl_out_name]) is looked up in the launch bindings on every
+    execute, which also picks up a warm-start iteration's restored
+    output. *)
 type sink_spec =
   | Sp_vec of idx_src
   | Sp_mat of idx_src * idx_src
@@ -69,6 +76,10 @@ val plan_mul :
   leaf:Spdistal_ir.Loop_ir.leaf ->
   driver_name:string ->
   plan
+
+(** The factors' data in [bindings], in [pl_factors] order.  Raises
+    [Error.Leaf] when a factor's slot holds a sparse tensor. *)
+val factor_data : bindings:Operand.bindings -> plan -> float array array
 
 (** Inclusive inner-loop bounds for one piece (empty as [(0, -1)]). *)
 val j_bounds : plan -> col_range:(int * int) option -> int * int
@@ -116,5 +127,7 @@ val clear_cache : unit -> unit
 
 (** Build (and memoize) the coordinate expansion of a tensor now.  The
     interpreter calls this on the reducing domain before simulating pieces in
-    parallel, so worker domains only hit the (mutex-guarded) cache. *)
+    parallel, so worker domains only hit the (mutex-guarded) cache.  A
+    memoized expansion is rebuilt once {!Spdistal_runtime.Region.generation}
+    has moved past the stamp it was built under. *)
 val prewarm : Spdistal_formats.Tensor.t -> unit

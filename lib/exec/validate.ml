@@ -13,9 +13,8 @@ let var_domains bindings (stmt : Tin.stmt) =
         | None -> Hashtbl.replace doms v n
         | Some m ->
             if m <> n then
-              invalid_arg
-                (Printf.sprintf "Validate: inconsistent domain for %s (%d vs %d)"
-                   v m n))
+              Spdistal_runtime.Error.fail Spdistal_runtime.Error.Config
+                "Validate: inconsistent domain for %s (%d vs %d)" v m n)
       acc.Tin.indices
   in
   note stmt.Tin.lhs;

@@ -14,16 +14,25 @@ let of_array name a =
 
 let subregion r is =
   if not (Iset.subset is r.ispace) then
-    invalid_arg (Printf.sprintf "Region.subregion: %s: not a subset" r.name);
+    Error.fail ~kernel:r.name Error.Partition_eval
+      "Region.subregion: not a subset";
   { r with ispace = is }
 
 let get r i =
   assert (Iset.mem i r.ispace);
   r.data.(i)
 
+(* Index regions hold sparse patterns (pos/crd), so a write through [set]
+   may change a pattern in place; the stamp lets holders of anything derived
+   from a pattern (cache keys, coordinate expansions) tell in O(1) that no
+   such write happened since they derived it. *)
+let generation_counter = Atomic.make 0
+let generation () = Atomic.get generation_counter
+
 let set r i v =
   assert (Iset.mem i r.ispace);
-  r.data.(i) <- v
+  r.data.(i) <- v;
+  Atomic.incr generation_counter
 
 let size r = Iset.cardinal r.ispace
 let extent r = Array.length r.data

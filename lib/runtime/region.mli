@@ -20,11 +20,20 @@ val create : string -> int -> 'a -> 'a t
 val of_array : string -> 'a array -> 'a t
 
 (** [subregion r is] is the view of [r] restricted to [is] (shared storage).
-    Raises [Invalid_argument] if [is] is not a subset of [r]'s index space. *)
+    Raises {!Error.Error} ([Partition_eval]) if [is] is not a subset of
+    [r]'s index space. *)
 val subregion : 'a t -> Iset.t -> 'a t
 
 val get : 'a t -> int -> 'a
+
+(** Write one element and bump {!generation}. *)
 val set : 'a t -> int -> 'a -> unit
+
+(** Pattern-write stamp: a process-wide count of {!set} calls.  A value
+    derived from index storage (a cache key, a coordinate expansion) stays
+    valid while the stamp it was derived under is current.  Float writes
+    ({!F.set}) are value writes and do not bump it. *)
+val generation : unit -> int
 val size : 'a t -> int
 
 (** Number of addressable slots in the backing store (the parent extent). *)

@@ -531,6 +531,204 @@ let test_crash_soak_under_budget () =
   Alcotest.(check bool)
     "crashes kept invalidating across the soak" true (!invalidations >= 3)
 
+(* ------------------------------------------------------------------ *)
+(* Shared caches: plans hold structure, data binds at launch           *)
+(* ------------------------------------------------------------------ *)
+
+(* [tensor] scaled by [k] in place: a fresh tensor with the same pattern
+   as every other call's and different stored values. *)
+let scaled k (t : Spdistal_formats.Tensor.t) =
+  let vals = t.Spdistal_formats.Tensor.vals in
+  for i = 0 to Region.F.extent vals - 1 do
+    Region.F.set vals i (k *. Region.F.get vals i)
+  done;
+  t
+
+let aliasing_kernels =
+  [
+    ( "spmv (csr fast path)",
+      fun k ->
+        Core.Kernels.spmv_problem ~machine:(Helpers.cpu_machine 2)
+          (scaled k (Helpers.rand_csr ~seed:91 40 40 0.1)) );
+    ( "spadd3 (merge vals)",
+      fun k ->
+        Core.Kernels.spadd3_problem ~machine:(Helpers.cpu_machine 2)
+          (scaled k (Helpers.rand_csr ~seed:92 40 40 0.1)) );
+    ( "mttkrp over csf (fiber path)",
+      fun k ->
+        Core.Kernels.mttkrp_problem ~machine:(Helpers.cpu_machine 2) ~cols:4
+          (scaled k (Helpers.rand_csf ~seed:93 12 10 8 0.1)) );
+  ]
+
+(* Two contexts share one cache; their problems have the same pattern and
+   different values, so the second one hits the first one's entry.  Each
+   output must equal its own standalone run bit for bit, and the first
+   output must survive the second run untouched. *)
+let test_shared_cache_no_aliasing () =
+  List.iter
+    (fun leaf_backend ->
+      let bname = Compile_leaf.backend_name leaf_backend in
+      List.iter
+        (fun (name, make) ->
+          let what s = Printf.sprintf "%s [%s]: %s" name bname s in
+          let run ctx =
+            let r = S.Context.run ~leaf_backend ctx in
+            Alcotest.(check (option string)) (what "completes") None r.S.dnc;
+            statuses r
+          in
+          let standalone k =
+            let p = make k in
+            ignore (run (S.Context.create p));
+            Helpers.snapshot p
+          in
+          let cache = Cache.create () in
+          let p1 = make 1. and p2 = make 2. in
+          ignore (run (S.Context.create ~shared_cache:cache p1));
+          let out1 = Helpers.snapshot p1 in
+          Alcotest.(check bool)
+            (what "second context hits the first one's entry")
+            true
+            (run (S.Context.create ~shared_cache:cache p2) = [ `Hit ]);
+          Alcotest.(check bool)
+            (what "first output untouched by the second run")
+            true
+            (Helpers.snapshot p1 = out1);
+          Alcotest.(check bool)
+            (what "first output equals its standalone run")
+            true
+            (out1 = standalone 1.);
+          Alcotest.(check bool)
+            (what "second output equals its standalone run")
+            true
+            (Helpers.snapshot p2 = standalone 2.))
+        aliasing_kernels)
+    [ Compile_leaf.Compiled; Compile_leaf.Interp ]
+
+(* A context computes its key once and reuses it while it stays valid;
+   these pin when it must not. *)
+
+let csr_b (p : S.problem) = Operand.find_sparse (S.bindings p) "B"
+
+let key_problem () =
+  Core.Kernels.spmv_problem ~machine:(Helpers.cpu_machine 2)
+    (Helpers.rand_csr ~seed:94 40 40 0.1)
+
+(* The output of a fresh context over an independent deep copy of [p]'s
+   inputs and a pristine output. *)
+let fresh_output (p : S.problem) =
+  let out = p.S.stmt.Spdistal_ir.Tin.lhs.Spdistal_ir.Tin.tensor in
+  let pristine = S.bindings (key_problem ()) in
+  let q =
+    {
+      p with
+      S.operands =
+        List.map
+          (fun (n, (s : Operand.slot), tdn) ->
+            let src = if n = out then Operand.find pristine n else s in
+            (n, { Operand.data = Operand.copy_data src.Operand.data }, tdn))
+          p.S.operands;
+    }
+  in
+  ignore (S.Context.run (S.Context.create q));
+  Helpers.snapshot q
+
+let run_status ?leaf_backend ctx =
+  let r = S.Context.run ?leaf_backend ctx in
+  Alcotest.(check (option string)) "completes" None r.S.dnc;
+  statuses r
+
+(* Move one stored column of CSR [b] right, into a gap of its row, through
+   [Region.set]: still a valid, sorted pattern, but a different one. *)
+let write_pattern (b : Spdistal_formats.Tensor.t) =
+  let pos = Spdistal_formats.Tensor.pos_of b 1
+  and crd = Spdistal_formats.Tensor.crd_of b 1 in
+  let ncols = b.Spdistal_formats.Tensor.dims.(1) in
+  let found = ref None in
+  Array.iter
+    (fun (lo, hi) ->
+      for q = lo to hi do
+        let next = if q < hi then Region.get crd (q + 1) else ncols in
+        if !found = None && Region.get crd q + 1 < next then found := Some q
+      done)
+    pos.Region.data;
+  let q = Option.get !found in
+  Region.set crd q (Region.get crd q + 1)
+
+let test_key_pattern_write_misses leaf_backend () =
+  let p = key_problem () in
+  let ctx = S.Context.create p in
+  ignore (run_status ~leaf_backend ctx);
+  let before = digest_of p in
+  write_pattern (csr_b p);
+  Alcotest.(check bool) "the pattern changed" true (digest_of p <> before);
+  Alcotest.(check bool)
+    "pattern write: miss" true
+    (run_status ~leaf_backend ctx = [ `Miss ]);
+  Alcotest.(check bool)
+    "output equals a fresh context's" true
+    (Helpers.snapshot p = fresh_output p)
+
+(* A cached plan walks the launch's own pattern storage.  Writing the
+   pattern of the context that built an entry re-keys that context; a
+   context still holding the old pattern in its own arrays keeps hitting
+   the entry and must still compute from its own pattern. *)
+let test_shared_cache_pattern_write () =
+  let make k =
+    Core.Kernels.spmv_problem ~machine:(Helpers.cpu_machine 2)
+      (scaled k (Helpers.rand_csr ~seed:91 40 40 0.1))
+  in
+  let cache = Cache.create () in
+  let p1 = make 1. and p2 = make 2. in
+  ignore (run_status (S.Context.create ~shared_cache:cache p1));
+  write_pattern (csr_b p1);
+  Alcotest.(check bool)
+    "the other context hits" true
+    (run_status (S.Context.create ~shared_cache:cache p2) = [ `Hit ]);
+  let q = make 2. in
+  ignore (run_status (S.Context.create q));
+  Alcotest.(check bool)
+    "its output equals its standalone run" true
+    (Helpers.snapshot p2 = Helpers.snapshot q)
+
+let test_key_rebind_misses () =
+  let p = key_problem () in
+  let ctx = S.Context.create p in
+  ignore (run_status ctx);
+  (Operand.find (S.bindings p) "B").Operand.data <-
+    Operand.Sparse (Helpers.rand_csr ~seed:95 40 40 0.1);
+  Alcotest.(check bool) "rebound input: miss" true (run_status ctx = [ `Miss ]);
+  Alcotest.(check bool)
+    "output equals a fresh context's" true
+    (Helpers.snapshot p = fresh_output p)
+
+let test_key_value_edit_hits () =
+  let p = key_problem () in
+  let ctx = S.Context.create p in
+  ignore (run_status ctx);
+  let out0 = Helpers.snapshot p in
+  ignore (scaled 3. (csr_b p));
+  Alcotest.(check bool) "value edit: hit" true (run_status ctx = [ `Hit ]);
+  Alcotest.(check bool) "output moved" true (Helpers.snapshot p <> out0);
+  Alcotest.(check bool)
+    "output reflects the new values" true
+    (Helpers.snapshot p = fresh_output p)
+
+let test_key_reuse_hits () =
+  let p = key_problem () in
+  let cache = Cache.create () in
+  let ctx = S.Context.create ~shared_cache:cache p in
+  let n = 5 in
+  let st = List.concat (List.init n (fun _ -> run_status ctx)) in
+  Alcotest.(check bool)
+    "one miss, then hits" true
+    (st = `Miss :: List.init (n - 1) (fun _ -> `Hit));
+  let s = Cache.stats cache in
+  Alcotest.(check int) "N-1 hits" (n - 1) s.Cache.hits;
+  Alcotest.(check int) "one entry" 1 s.Cache.entries;
+  Alcotest.(check bool)
+    "the entry lives under the problem's digest" true
+    (Cache.find cache (digest_of p) <> None)
+
 let suite =
   [
     Alcotest.test_case "amortization: miss then hits" `Quick test_amortization;
@@ -556,4 +754,17 @@ let suite =
     Alcotest.test_case "byte budget evicts" `Quick test_byte_budget_evicts;
     Alcotest.test_case "crash soak stays under budget" `Quick
       test_crash_soak_under_budget;
+    Alcotest.test_case "shared cache: no aliasing across contexts" `Quick
+      test_shared_cache_no_aliasing;
+    Alcotest.test_case "shared cache: pattern write in the builder" `Quick
+      test_shared_cache_pattern_write;
+    Alcotest.test_case "key: pattern write misses" `Quick
+      (test_key_pattern_write_misses Compile_leaf.Compiled);
+    Alcotest.test_case "key: pattern write misses (interp leaves)" `Quick
+      (test_key_pattern_write_misses Compile_leaf.Interp);
+    Alcotest.test_case "key: rebound input misses" `Quick
+      test_key_rebind_misses;
+    Alcotest.test_case "key: value edit hits" `Quick test_key_value_edit_hits;
+    Alcotest.test_case "key: reuse hits under the digest" `Quick
+      test_key_reuse_hits;
   ]

@@ -363,6 +363,21 @@ let test_backend_equivalence_sweep () =
       check_backends_agree (name ^ "+warm") ~iterations:3 make)
     (Helpers.kernel_problems () @ Helpers.nnz_kernel_problems ())
 
+(* Operands that disagree on an index variable's extent fail with a typed
+   error, not [Invalid_argument]. *)
+let test_validate_inconsistent_domain () =
+  let b = Helpers.rand_csr ~seed:5 10 10 0.3 in
+  let bindings =
+    [
+      ("a", Operand.vec (Dense.vec_create "a" 10));
+      ("B", Operand.sparse b);
+      ("c", Operand.vec (Dense.vec_create "c" 7));
+    ]
+  in
+  match Validate.reference bindings Tin.spmv with
+  | _ -> Alcotest.fail "inconsistent domains accepted"
+  | exception Error.Error { Error.phase = Error.Config; _ } -> ()
+
 let suite =
   [
     Alcotest.test_case "operand bindings" `Quick test_operand;
@@ -391,4 +406,6 @@ let suite =
       test_backend_equivalence_sweep;
     prop_random_spmv;
     prop_random_spadd3;
+    Alcotest.test_case "validate: inconsistent domains are typed" `Quick
+      test_validate_inconsistent_domain;
   ]

@@ -708,6 +708,28 @@ let test_inner_out_sparse_error () =
           Compile_leaf.execute compiled ~shard_vals ~rows:None ~col_range ());
     ]
 
+(* A compiled leaf binds its data at launch; launch bindings whose operands
+   no longer have the compiled shapes are refused before any unchecked
+   index runs. *)
+let test_launch_shape_checked () =
+  let b = Helpers.rand_csr ~seed:35 20 20 0.2 in
+  let p = Core.Kernels.spmv_problem ~machine:(Helpers.cpu_machine 1) b in
+  let cl = compiled_leaf p in
+  let launch c =
+    let bindings =
+      List.map
+        (fun (n, s) -> if n = "c" then (n, Operand.vec c) else (n, s))
+        (Core.Spdistal.bindings p)
+    in
+    Compile_leaf.execute cl ~bindings
+      ~shard_vals:(fun _ -> Iset.range (Tensor.nnz b))
+      ~rows:None ~col_range:None ()
+  in
+  ignore (launch (Core.Kernels.dense_vec "c" 20));
+  match launch (Core.Kernels.dense_vec "c" 7) with
+  | _ -> Alcotest.fail "a shorter factor was accepted"
+  | exception Error.Error { Error.phase = Error.Leaf; _ } -> ()
+
 let suite =
   [
     prop_merge_core_equals_model;
@@ -721,4 +743,6 @@ let suite =
     Alcotest.test_case "fast-path selection and fallback" `Quick test_path_selection;
     Alcotest.test_case "fuzz corpus reaches the fiber paths" `Quick
       test_corpus_reaches_fiber_paths;
+    Alcotest.test_case "launch bindings are shape-checked" `Quick
+      test_launch_shape_checked;
   ]

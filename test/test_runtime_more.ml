@@ -39,7 +39,10 @@ let test_index_launch () =
 
 let test_region_semantics () =
   let r = Region.create "r" 5 0 in
+  let gen = Region.generation () in
   Region.set r 2 42;
+  Alcotest.(check bool) "set bumps the generation" true
+    (Region.generation () > gen);
   Alcotest.(check int) "get after set" 42 (Region.get r 2);
   Alcotest.(check int) "size" 5 (Region.size r);
   let sub = Region.subregion r (Iset.interval 1 3) in
@@ -52,7 +55,14 @@ let test_region_semantics () =
     ((Region.create "a" 1 0).Region.id <> (Region.create "b" 1 0).Region.id);
   Alcotest.(check int) "subregion keeps parent id" r.Region.id sub.Region.id;
   Alcotest.check_raises "subregion escaping parent"
-    (Invalid_argument "Region.subregion: r: not a subset") (fun () ->
+    (Error.Error
+       {
+         Error.phase = Error.Partition_eval;
+         kernel = Some "r";
+         piece = None;
+         node = None;
+         what = "Region.subregion: not a subset";
+       }) (fun () ->
       ignore (Region.subregion r (Iset.interval 3 9)));
   Helpers.check_float "fold sums" (42. +. 7.)
     (Region.fold (fun _ v acc -> float_of_int v +. acc) sub 0.)
