@@ -333,26 +333,21 @@ let stmt_ctor = function
   | Loop_ir.Def_partition _ -> "def_partition"
   | Loop_ir.Distributed_for _ -> "distributed_for"
 
-let run ~machine ~bindings ~placement ?memstate ~cost ?domains ?faults ?trace
-    ~prepared ?(launch_base = 0) prog =
+(* The launch loop [run] executes and [estimate] dry-runs.  [map ~launch f
+   pieces] simulates every piece of launch [launch]; [leaf_step leaf
+   compiled] is called once per launch on the reducing domain and returns
+   the leaf one piece runs. *)
+let launches ~machine ~bindings ~placement ~memstate ~cost ~fcfg ~trace ~map
+    ~leaf_step ~prepared ~launch_base prog =
   let pieces = Loop_ir.pieces prog in
   if pieces <> Machine.pieces machine then
     Error.fail Error.Config "program lowered for a different machine size";
-  let domains =
-    match domains with Some d -> d | None -> Machine.sim_domains ()
-  in
-  let fcfg =
-    let c = match faults with Some c -> c | None -> Fault.default () in
-    if Fault.enabled c then Some c else None
-  in
   (* Launch index within this run: a coordinate of the fault schedule, so a
      fault in launch 2 stays in launch 2 whatever the domain degree.
      Warm-start iteration [i] of an iterative run passes [launch_base] =
      [i * launches-per-iteration], so both the cached and the uncached
      execution of the same iteration see identical fault coordinates. *)
   let launch_ix = ref (launch_base - 1) in
-  let trace = match trace with Some t -> t | None -> Trace.default () in
-  let pool = Pool.get (Pool.effective_workers domains) in
   let grid = prog.Loop_ir.grid in
   let penv = prepared.pp_penv and loops = prepared.pp_loops in
   let part name = Part_eval.find_partition penv name in
@@ -372,6 +367,7 @@ let run ~machine ~bindings ~placement ?memstate ~cost ?domains ?faults ?trace
             | Some cfg -> Fault.crashed_nodes cfg ~machine ~launch
           in
           let kernel = leaf.Loop_ir.leaf_stmt.Tin.lhs.Tin.tensor in
+          let piece_leaf = leaf_step leaf compiled in
           (* Leaf execution for one piece.  Runs on a worker domain when the
              launch's output writes are disjoint across pieces; launches that
              reduce into overlapping locations ([out_reduce]) run on the
@@ -389,19 +385,10 @@ let run ~machine ~bindings ~placement ?memstate ~cost ?domains ?faults ?trace
                 (fun pname -> subset_for (part pname) c)
                 leaf.Loop_ir.leaf_row_part
             in
-            let col_range = col_range ~grid ~bindings leaf c in
-            match compiled with
-            | Some cl ->
-                Compile_leaf.execute cl ~bindings ~shard_vals ~rows ~col_range ()
-            | None -> Leaf.execute ~bindings ~leaf ~shard_vals ~rows ~col_range ()
+            piece_leaf ~shard_vals ~rows
+              ~col_range:(col_range ~grid ~bindings leaf c)
+              ()
           in
-          (* Materialize the driver's coordinate expansion on this domain so
-             worker domains only read the memoized entry.  Compiled leaves
-             walk the level storage directly and need no expansion. *)
-          (match (leaf.Loop_ir.driver, compiled) with
-          | Loop_ir.Sparse_driver d, None ->
-              Leaf.prewarm (Operand.find_sparse bindings d)
-          | _ -> ());
           (* --- simulate pieces (parallel when a pool is configured) ---
              Each piece yields pure data: its comm bill and its leaf result
              ([None] when the leaf writes overlap across pieces
@@ -415,25 +402,7 @@ let run ~machine ~bindings ~placement ?memstate ~cost ?domains ?faults ?trace
                 ~edges:(Trace.enabled trace) comms c,
               if leaf.Loop_ir.out_reduce then None else Some (exec_leaf c) )
           in
-          let sims =
-            if Trace.enabled trace then begin
-              (* Profiled map: same results, plus which domain simulated each
-                 piece and when (host clock, for the occupancy tracks). *)
-              let prof = Pool.map_prof pool simulate pieces in
-              Array.iteri
-                (fun c (_, pj) ->
-                  Trace.span trace
-                    ~track:(Trace.Host pj.Pool.pj_domain)
-                    ~clock:Trace.Wall ~cat:"pool"
-                    ~args:[ ("launch", Trace.I launch); ("piece", Trace.I c) ]
-                    ~start:(pj.Pool.pj_start -. Trace.epoch trace)
-                    ~dur:(pj.Pool.pj_stop -. pj.Pool.pj_start)
-                    "simulate")
-                prof;
-              Array.map fst prof
-            end
-            else Pool.map pool simulate pieces
-          in
+          let sims = map ~launch simulate pieces in
           let t0 = Cost.total cost in
           (* --- reduce piece results, in piece order --- *)
           let comm_times = Array.make pieces 0. in
@@ -638,3 +607,62 @@ let run ~machine ~bindings ~placement ?memstate ~cost ?domains ?faults ?trace
              distributed_for loops are executable)"
             (stmt_ctor other))
     loops prepared.pp_leaves
+
+let run ~machine ~bindings ~placement ?memstate ~cost ?domains ?faults ?trace
+    ~prepared ?(launch_base = 0) prog =
+  let domains =
+    match domains with Some d -> d | None -> Machine.sim_domains ()
+  in
+  let fcfg =
+    let c = match faults with Some c -> c | None -> Fault.default () in
+    if Fault.enabled c then Some c else None
+  in
+  let trace = match trace with Some t -> t | None -> Trace.default () in
+  let pool = Pool.get (Pool.effective_workers domains) in
+  let map ~launch simulate pieces =
+    if Trace.enabled trace then begin
+      (* Profiled map: same results, plus which domain simulated each piece
+         and when (host clock, for the occupancy tracks). *)
+      let prof = Pool.map_prof pool simulate pieces in
+      Array.iteri
+        (fun c (_, pj) ->
+          Trace.span trace
+            ~track:(Trace.Host pj.Pool.pj_domain)
+            ~clock:Trace.Wall ~cat:"pool"
+            ~args:[ ("launch", Trace.I launch); ("piece", Trace.I c) ]
+            ~start:(pj.Pool.pj_start -. Trace.epoch trace)
+            ~dur:(pj.Pool.pj_stop -. pj.Pool.pj_start)
+            "simulate")
+        prof;
+      Array.map fst prof
+    end
+    else Pool.map pool simulate pieces
+  in
+  let leaf_step (leaf : Loop_ir.leaf) = function
+    | Some cl -> Compile_leaf.execute cl ~bindings
+    | None ->
+        (* Materialize the driver's coordinate expansion on this domain so
+           worker domains only read the memoized entry.  Compiled leaves walk
+           the level storage directly and need no expansion. *)
+        (match leaf.Loop_ir.driver with
+        | Loop_ir.Sparse_driver d ->
+            Leaf.prewarm (Operand.find_sparse bindings d)
+        | Loop_ir.Merge_driver _ -> ());
+        Leaf.execute ~bindings ~leaf
+  in
+  launches ~machine ~bindings ~placement ~memstate ~cost ~fcfg ~trace ~map
+    ~leaf_step ~prepared ~launch_base prog
+
+(* Pricing's dry run: the same loop, sequential, fault-free, untraced and
+   without capacity checks, each leaf replaced by the work [work leaf]
+   predicts for a piece.  Nothing is executed, so nothing is stitched. *)
+let estimate ~machine ~bindings ~placement ~cost ~prepared ~work prog =
+  let leaf_step leaf _ =
+    let work = work leaf in
+    fun ~shard_vals ~rows ~col_range () ->
+      { Leaf.work = work ~shard_vals ~rows ~col_range; partial = None }
+  in
+  launches ~machine ~bindings ~placement ~memstate:None ~cost ~fcfg:None
+    ~trace:Trace.null
+    ~map:(fun ~launch:_ simulate pieces -> Array.init pieces simulate)
+    ~leaf_step ~prepared ~launch_base:0 prog

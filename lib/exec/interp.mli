@@ -90,6 +90,29 @@ val run :
   Spdistal_ir.Loop_ir.prog ->
   unit
 
+(** [estimate ~machine ~bindings ~placement ~cost ~prepared ~work prog]
+    dry-runs {!run}'s own launch loop — sequentially, fault-free, untraced,
+    with no capacity checks — with each leaf replaced by [work leaf], the
+    work one piece does given its shard, rows and column block.  [work leaf]
+    is applied once per launch.  Transfers, the critical-path split and the
+    reduction bill are charged to [cost] by the code {!run} uses, so given
+    the executed leaves' work the two agree on every [Cost] field.  Nothing
+    is executed or stitched and no driver coordinates are expanded. *)
+val estimate :
+  machine:Machine.t ->
+  bindings:Operand.bindings ->
+  placement:Placement.t ->
+  cost:Cost.t ->
+  prepared:prepared ->
+  work:
+    (Spdistal_ir.Loop_ir.leaf ->
+    shard_vals:(string -> Iset.t) ->
+    rows:Iset.t option ->
+    col_range:(int * int) option ->
+    Task.work) ->
+  Spdistal_ir.Loop_ir.prog ->
+  unit
+
 (** Materialize [prog]'s partitions — and, under the [Compiled] [backend],
     specialize its leaf loops — without executing its distributed loops:
     the value [run] takes as [~prepared].  [trace] (default
@@ -123,50 +146,3 @@ val relink :
     the grid). *)
 val color_for :
   grid:int array -> pieces:int -> Partition.t -> int -> int
-
-(** What one piece of a launch moves before its leaf runs.  This and the
-    bills below are pure, shared by {!run} and dry-run pricing. *)
-type piece_comm = {
-  pc_time : float;  (** data movement into the piece, before paging *)
-  pc_footprint : float;  (** bytes the piece must hold resident *)
-  pc_msg_bytes : float list;  (** per-message byte counts, in issue order *)
-  pc_edges : (int * float) list;
-      (** (source node, bytes) attribution of the piece's transfers, in
-          issue order; empty unless [edges] was asked for *)
-}
-
-(** Bill of the fetches and broadcasts piece [c] needs for [comms] under
-    the data distribution [placement], over the partitions of [penv]. *)
-val piece_comm :
-  machine:Machine.t ->
-  bindings:Operand.bindings ->
-  placement:Placement.t ->
-  penv:Part_eval.env ->
-  grid:int array ->
-  edges:bool ->
-  Spdistal_ir.Loop_ir.comm list ->
-  int ->
-  piece_comm
-
-(** Piece [c]'s column block of the output's last dimension when the leaf
-    splits columns ([col_split > 1]), else [None]. *)
-val col_range :
-  grid:int array ->
-  bindings:Operand.bindings ->
-  Spdistal_ir.Loop_ir.leaf ->
-  int ->
-  (int * int) option
-
-(** Simulated seconds of one piece's leaf doing [work] (on CPUs, scaled for
-    a serial leaf or by Legion's leaf efficiency). *)
-val leaf_seconds :
-  machine:Machine.t -> leaf:Spdistal_ir.Loop_ir.leaf -> Task.work -> float
-
-(** Output-reduction bill of a launch with aliased output ownership:
-    [Some (bytes, seconds)] over [pieces] messages, [None] if no overlap. *)
-val reduce_bill :
-  machine:Machine.t ->
-  bindings:Operand.bindings ->
-  penv:Part_eval.env ->
-  Spdistal_ir.Loop_ir.comm ->
-  (float * float) option

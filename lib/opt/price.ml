@@ -3,27 +3,21 @@
    an estimate (from {!Stats}) of what the leaves would cost — without
    running a single leaf.
 
-   The partitioning bill is not modeled, it is *computed*: pricing calls
+   Pricing is the run's own pipeline with the leaves swapped out.  It calls
    the same [Spdistal.plan] cold build every run calls and charges the
-   partitioning bill it returns, so [Cost.partitioning] of a priced
-   candidate is bit-equal to the cold run's — the invariant the optimizer
-   rests on (and a regression test enforces).  Communication is likewise
-   exact: the per-piece fetch/broadcast bills and the output-reduction bill
-   come from the interpreter's own [Interp.piece_comm] and
-   [Interp.reduce_bill] over the materialized partitions, and leaf seconds
-   from [Interp.leaf_seconds].  Only leaf work is an estimate (the true
-   value needs the executed inner extents); it uses the shared
+   partitioning bill it returns, then dry-runs the interpreter's launch loop
+   with [Interp.estimate].  Partitioning, transfers, critical-path split and
+   reduction bill are thus the run's by construction (a regression test
+   enforces it).  Only leaf work is an estimate: the shared
    [Leaf.mul_work]/merge byte model over statistical shard shapes, so
-   candidates are ranked on the same scale the clock uses.
-
-   Faults and memory pressure (UVM paging) are deliberately ignored:
-   candidates are priced for the fault-free steady state, which is also
-   what the tournament compares.
+   candidates are ranked on the same scale the clock uses.  Faults and
+   memory pressure (UVM paging) are ignored: candidates are priced for the
+   fault-free steady state the tournament compares.
 
    The candidates of one auto-scheduler call are priced in one [session]
    that shares statistics, placements and partitions between them; a
-   shared result is the one a standalone [price] would
-   build, so every verdict stays bit-equal to it. *)
+   shared result is the one a standalone [price] would build, so every
+   verdict stays bit-equal to it. *)
 
 open Spdistal_runtime
 open Spdistal_formats
@@ -63,35 +57,28 @@ let driver_stats s bindings name =
       s.s_stats <- (name, st) :: s.s_stats;
       st
 
-(* Estimated work of one piece of a multiplicative leaf: the shared
-   [Leaf.mul_work] model over the piece's exact shard cardinality and a
+(* Estimated work of a multiplicative leaf, staged per launch: the leaf's
+   plan and its k-bounds are computed once; each piece then applies the
+   shared [Leaf.mul_work] model to its exact shard cardinality and a
    statistical rows-touched estimate. *)
-let mul_estimate ~bindings ~stats ~grid ~part ~subset_for ~shard_parts
-    ~(leaf : Loop_ir.leaf) ~driver_name c =
+let mul_estimate ~bindings ~stats ~(leaf : Loop_ir.leaf) driver_name =
   let plan = Leaf.plan_mul ~bindings ~leaf ~driver_name in
-  let shard =
-    match List.assoc_opt driver_name shard_parts with
-    | Some pname -> subset_for (part pname) c
-    | None ->
-        Error.fail ~piece:c Error.Leaf "no shard for driver %s" driver_name
-  in
-  let nnz_shard = Iset.cardinal shard in
-  let col_range = Interp.col_range ~grid ~bindings leaf c in
-  let jlo, jhi = Leaf.j_bounds plan ~col_range in
   let klo, khi = Leaf.k_bounds plan in
-  let rows = Stats.rows_estimate (stats driver_name) ~nnz_shard in
-  Leaf.mul_work plan ~nnz:nnz_shard ~rows_touched:rows ~js:(jhi - jlo + 1)
-    ~ks:(khi - klo + 1)
+  fun ~shard_vals ~rows:_ ~col_range ->
+    let nnz_shard = Iset.cardinal (shard_vals driver_name) in
+    let jlo, jhi = Leaf.j_bounds plan ~col_range in
+    let rows = Stats.rows_estimate stats ~nnz_shard in
+    Leaf.mul_work plan ~nnz:nnz_shard ~rows_touched:rows ~js:(jhi - jlo + 1)
+      ~ks:(khi - klo + 1)
 
 (* Estimated work of one piece of an additive merge: exact per-operand entry
    counts over the piece's row block (from the pos arrays), the shared merge
    byte model, and a collision estimate for the emitted output pattern. *)
-let merge_estimate ~bindings ~part ~subset_for ~(leaf : Loop_ir.leaf) ~tensors
-    c =
+let merge_estimate ~bindings ~(leaf : Loop_ir.leaf) ~tensors rows =
   let rows =
-    match leaf.Loop_ir.leaf_row_part with
-    | Some pname -> subset_for (part pname) c
-    | None -> Error.fail ~piece:c Error.Leaf "merge leaf without a row part"
+    match rows with
+    | Some rows -> rows
+    | None -> Error.fail Error.Leaf "merge leaf without a row part"
   in
   let rows_n = Iset.cardinal rows in
   let cols =
@@ -134,10 +121,9 @@ let merge_estimate ~bindings ~part ~subset_for ~(leaf : Loop_ir.leaf) ~tensors
 
 let price_problem s (p : Spdistal.problem) : (priced, string) result =
   try
-    let machine = p.Spdistal.machine in
     let b = Spdistal.bindings p in
     (* The cold build a run performs; leaves stay cold ([Interp] backend
-       prepares no closures and executes nothing). *)
+       prepares no closures). *)
     let plan =
       Spdistal.plan ~memo:s.s_memo ~trace:Spdistal_obs.Trace.null
         ~backend:Compile_leaf.Interp p
@@ -145,54 +131,18 @@ let price_problem s (p : Spdistal.problem) : (priced, string) result =
     let cost = Cost.create () in
     Cost.add_partitioning cost ~ops:plan.Cache.e_part_ops
       plan.Cache.e_part_seconds;
-    let grid = plan.Cache.e_prog.Loop_ir.grid in
-    let pieces = Machine.pieces machine in
-    let penv = plan.Cache.e_prepared.Interp.pp_penv in
-    let part name = Part_eval.find_partition penv name in
-    let subset_for pt piece =
-      Partition.subset pt (Interp.color_for ~grid ~pieces pt piece)
+    let work (leaf : Loop_ir.leaf) =
+      match leaf.Loop_ir.driver with
+      | Loop_ir.Sparse_driver driver_name ->
+          mul_estimate ~bindings:b ~stats:(driver_stats s b driver_name) ~leaf
+            driver_name
+      | Loop_ir.Merge_driver tensors ->
+          fun ~shard_vals:_ ~rows ~col_range:_ ->
+            merge_estimate ~bindings:b ~leaf ~tensors rows
     in
-    let stats = driver_stats s b in
-    List.iter
-      (function
-        | Loop_ir.Distributed_for { shard_parts; comms; out_comm; leaf; _ }
-          ->
-            let comm_times = Array.make pieces 0. in
-            let leaf_times = Array.make pieces 0. in
-            let total_bytes = ref 0. and total_msgs = ref 0 in
-            for c = 0 to pieces - 1 do
-              let pc =
-                Interp.piece_comm ~machine ~bindings:b
-                  ~placement:plan.Cache.e_placement ~penv ~grid ~edges:false
-                  comms c
-              in
-              List.iter
-                (fun bytes ->
-                  total_bytes := !total_bytes +. bytes;
-                  incr total_msgs)
-                pc.Interp.pc_msg_bytes;
-              comm_times.(c) <- pc.Interp.pc_time;
-              let work =
-                match leaf.Loop_ir.driver with
-                | Loop_ir.Sparse_driver driver_name ->
-                    mul_estimate ~bindings:b ~stats ~grid ~part
-                      ~subset_for ~shard_parts ~leaf ~driver_name c
-                | Loop_ir.Merge_driver tensors ->
-                    merge_estimate ~bindings:b ~part ~subset_for ~leaf
-                      ~tensors c
-              in
-              Cost.add_flops cost work.Task.flops;
-              leaf_times.(c) <- Interp.leaf_seconds ~machine ~leaf work
-            done;
-            Cost.add_comm cost ~bytes:!total_bytes ~messages:!total_msgs 0.;
-            Cost.record_launch_split cost ~machine ~comm_times ~leaf_times;
-            Option.iter
-              (fun (bytes, seconds) ->
-                Cost.add_comm cost ~bytes ~messages:pieces seconds)
-              (Option.bind out_comm
-                 (Interp.reduce_bill ~machine ~bindings:b ~penv))
-        | _ -> ())
-      plan.Cache.e_prepared.Interp.pp_loops;
+    Interp.estimate ~machine:p.Spdistal.machine ~bindings:b
+      ~placement:plan.Cache.e_placement ~cost
+      ~prepared:plan.Cache.e_prepared ~work plan.Cache.e_prog;
     Ok
       {
         pr_total = Cost.total cost;

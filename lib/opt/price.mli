@@ -1,15 +1,14 @@
 (** Dry-run pricing: evaluate a fully-specified problem with the existing
     cost model without executing any leaf.
 
-    The partitioning bill is exact by construction — pricing calls the same
-    {!Core.Spdistal.plan} cold build a run calls and charges the bill it
-    returns, so [(priced).pr_cost.Cost.partitioning] is bit-equal to the
-    partitioning cost of a cold run of the same schedule.  Communication is
-    exact over the materialized partitions: the per-piece fetch/broadcast
-    and output-reduction bills are the interpreter's own
-    ({!Spdistal_exec.Interp.piece_comm}, {!Spdistal_exec.Interp.reduce_bill});
-    leaf time is a statistical estimate on the shared work model.  Faults
-    and memory pressure are ignored (fault-free steady-state pricing). *)
+    A priced candidate is its cold run with the leaves swapped out: pricing
+    calls the same {!Core.Spdistal.plan} cold build a run calls, charges the
+    partitioning bill it returns, and dry-runs the interpreter's own launch
+    loop ({!Spdistal_exec.Interp.estimate}).  Partitioning, communication
+    and the reduction bill are therefore bit-equal to a cold run of the
+    same schedule; leaf time is a statistical estimate on the shared work
+    model.  Faults and memory pressure are ignored (fault-free steady-state
+    pricing). *)
 
 open Spdistal_runtime
 

@@ -245,10 +245,9 @@ let run_job t ?domains ?leaf_backend ~trace ~tenant (job : Workload.job) ~start
       let ctx = context t job.Workload.j_query in
       let before = Spdistal.Context.cache_stats ctx in
       let result =
-        match job_faults t.cfg ~job:job.Workload.j_id ~attempt with
-        | Some faults ->
-            Spdistal.Context.run ?domains ?leaf_backend ~trace ~faults ctx
-        | None -> Spdistal.Context.run ?domains ?leaf_backend ~trace ctx
+        Spdistal.Context.run ?domains ?leaf_backend ~trace
+          ?faults:(job_faults t.cfg ~job:job.Workload.j_id ~attempt)
+          ctx
       in
       let hits = hits + hits_of before (Spdistal.Context.cache_stats ctx) in
       strike t result.Spdistal.crashed;

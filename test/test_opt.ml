@@ -14,6 +14,11 @@ open Spdistal_opt
 module Spdistal = Core.Spdistal
 module Snapshot = Spdistal_fuzz.Snapshot
 module CL = Spdistal_exec.Compile_leaf
+module Interp = Spdistal_exec.Interp
+module Leaf = Spdistal_exec.Leaf
+module Cache = Spdistal_exec.Cache
+module Trace = Spdistal_obs.Trace
+module Metrics = Spdistal_obs.Metrics
 
 let all_kernels () = Helpers.kernel_problems () @ Helpers.nnz_kernel_problems ()
 
@@ -103,12 +108,57 @@ let test_never_worse_than_hand () =
       | Error e -> Alcotest.failf "%s: naive did not price: %s" name e)
     (all_kernels ())
 
+(* Every [Cost] field, floats as their bits: two clocks are equal only when
+   they are bit-for-bit the same. *)
+let cost_sig (c : Cost.t) =
+  let b = Int64.bits_of_float in
+  ( [
+      b c.Cost.total; b c.Cost.compute; b c.Cost.comm; b c.Cost.overhead;
+      b c.Cost.bytes_moved; b c.Cost.flops; b c.Cost.recovery;
+      b c.Cost.resent_bytes; b c.Cost.partitioning;
+    ],
+    [ c.Cost.messages; c.Cost.launches; c.Cost.retries; c.Cost.faults;
+      c.Cost.part_ops ] )
+
+(* Given the executed leaves' own work, the dry run pricing uses
+   ([Interp.estimate]) charges exactly what [Interp.run] charges: both are
+   one launch loop.  Fault-free, no memstate, a null trace, and a fresh
+   problem on each side. *)
+let check_dry_run_equals_run label make =
+  let bill launch =
+    let p = make () in
+    let plan = Spdistal.plan ~trace:Trace.null ~backend:CL.Interp p in
+    let cost = Cost.create () in
+    launch ~machine:p.Spdistal.machine ~bindings:(Spdistal.bindings p)
+      ~placement:plan.Cache.e_placement ~cost ~prepared:plan.Cache.e_prepared
+      plan.Cache.e_prog;
+    cost
+  in
+  let ran =
+    bill (fun ~machine ~bindings ~placement ~cost ~prepared prog ->
+        Interp.run ~machine ~bindings ~placement ~cost ~faults:Fault.disabled
+          ~trace:Trace.null ~prepared prog)
+  in
+  let dry =
+    bill (fun ~machine ~bindings ~placement ~cost ~prepared prog ->
+        Interp.estimate ~machine ~bindings ~placement ~cost ~prepared
+          ~work:(fun leaf ~shard_vals ~rows ~col_range ->
+            (Leaf.execute ~bindings ~leaf ~shard_vals ~rows ~col_range ())
+              .Leaf.work)
+          prog)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: exact-work dry run bit-equals run (%h vs %h)" label
+       (Cost.total dry) (Cost.total ran))
+    true
+    (cost_sig dry = cost_sig ran)
+
 (* A priced candidate's partitioning and communication bills are bit-equal
    to what a cold run of the same schedule records — pricing builds the plan
-   with the same [Spdistal.plan] and bills every piece's transfers with the
-   interpreter's own functions.  Checked on every feasible candidate of the
-   search space, not only the hand schedule; each side gets a fresh problem
-   so the run's outputs cannot leak into the priced one. *)
+   with the same [Spdistal.plan] and dry-runs the interpreter's own launch
+   loop.  Checked on every feasible candidate of the search space, not only
+   the hand schedule; each side gets a fresh problem so the run's outputs
+   cannot leak into the priced one. *)
 let test_partitioning_matches_cold_run () =
   List.iter
     (fun (name, make) ->
@@ -146,26 +196,20 @@ let test_partitioning_matches_cold_run () =
               bits (fun c -> c.Cost.bytes_moved) "bytes_moved";
               count (fun c -> c.Cost.messages) "messages";
               count (fun c -> c.Cost.launches) "launches";
-              count (fun c -> c.Cost.part_ops) "part_ops")
+              count (fun c -> c.Cost.part_ops) "part_ops";
+              check_dry_run_equals_run label (fun () ->
+                  Search.apply (make ()) c))
         (Search.candidates (make ())))
     (all_kernels ())
 
 (* Every field of a verdict, floats as their bits: two verdicts are equal
    only when they are bit-for-bit the same price. *)
 let priced_sig (pr : Price.priced) =
-  let c = pr.Price.pr_cost in
-  let b = Int64.bits_of_float in
-  ( ( b pr.Price.pr_total,
-      b pr.Price.pr_part_seconds,
+  ( ( Int64.bits_of_float pr.Price.pr_total,
+      Int64.bits_of_float pr.Price.pr_part_seconds,
       pr.Price.pr_part_ops,
       pr.Price.pr_launches ),
-    [
-      b c.Cost.total; b c.Cost.compute; b c.Cost.comm; b c.Cost.overhead;
-      b c.Cost.bytes_moved; b c.Cost.flops; b c.Cost.recovery;
-      b c.Cost.resent_bytes; b c.Cost.partitioning;
-    ],
-    [ c.Cost.messages; c.Cost.launches; c.Cost.retries; c.Cost.faults;
-      c.Cost.part_ops ] )
+    cost_sig pr.Price.pr_cost )
 
 let check_same_verdict label ~session ~standalone =
   match (session, standalone) with
@@ -199,6 +243,45 @@ let test_session_equals_standalone () =
       check_same_verdict (name ^ "/naive") ~session:rp.Auto.rp_naive
         ~standalone:(standalone (Search.naive (make ()))))
     (all_kernels ())
+
+(* Pricing is a dry run: live ambient sinks and an ambient fault schedule
+   must neither see it nor change its verdicts.  In particular it must not
+   map pieces through the domain pool, which counts its jobs. *)
+let test_pricing_leaves_sinks_alone () =
+  let kernels =
+    List.filter
+      (fun (name, _) -> List.mem name [ "spmv"; "spadd3"; "mttkrp" ])
+      (Helpers.kernel_problems ())
+  in
+  let verdicts () =
+    List.map (fun (name, make) -> (name, Price.price (make ()))) kernels
+  in
+  let quiet = verdicts () in
+  let trace = Trace.create () and reg = Metrics.create () in
+  let prev = (Trace.default (), Metrics.default (), Fault.default ()) in
+  Trace.set_default trace;
+  Metrics.set_default reg;
+  Fault.set_default (Fault.make ~seed:3 ~rate:0.25 ());
+  let live =
+    Fun.protect
+      ~finally:(fun () ->
+        let t, m, f = prev in
+        Trace.set_default t;
+        Metrics.set_default m;
+        Fault.set_default f)
+      verdicts
+  in
+  Alcotest.(check int) "no trace spans" 0 (List.length (Trace.spans trace));
+  Alcotest.(check int) "no trace counters" 0
+    (List.length (Trace.counters trace));
+  Alcotest.(check (list string))
+    "no metric samples" []
+    (List.map Metrics.sample_id (Metrics.snapshot ~wall:true reg));
+  List.iter2
+    (fun (name, live) (_, quiet) ->
+      check_same_verdict (name ^ ": live defaults") ~session:live
+        ~standalone:quiet)
+    live quiet
 
 (* SpMV with its sparse operand bound under [driver]. *)
 let spmv_named ~machine ~driver b =
@@ -488,4 +571,6 @@ let suite =
     Alcotest.test_case "naive on a scalar output fails typed" `Quick
       test_naive_scalar_output_typed;
     prop_stats_values_free;
+    Alcotest.test_case "pricing leaves ambient sinks alone" `Quick
+      test_pricing_leaves_sinks_alone;
   ]
