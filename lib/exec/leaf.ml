@@ -461,6 +461,18 @@ let sort_range (a : int array) lo n =
     sift_down a lo 0 len
   done
 
+(* 32 B read per consumed entry either way: the workspace reads value and
+   crd and read-modify-writes the workspace; the merge reads value and crd
+   (16 B) in both passes of two-phase assembly.  Each emitted entry writes
+   16 B. *)
+let merge_work ~entries ~emitted =
+  {
+    Task.flops = entries;
+    bytes_read = 32. *. entries;
+    bytes_written = 16. *. emitted;
+    atomics = false;
+  }
+
 (* The merge core is shared by both backends (each resolves [ops] from the
    launch bindings per call), so their outputs and work accounting are
    identical by construction.  It writes
@@ -554,19 +566,11 @@ let merge_core ~(ops : merge_op array) ~cols ~rows ~use_workspace =
       mcounts.(!row) <- !n - start;
       incr row)
     rows;
-  (* 32 B read per consumed entry either way: the workspace reads value
-     and crd and read-modify-writes the workspace; the merge reads value and
-     crd (16 B) in both passes of two-phase assembly.  Each emitted entry
-     writes 16 B.  Integer tallies convert exactly, so the floats equal the
-     per-entry float sums. *)
+  (* Integer tallies convert exactly, so the floats equal the per-entry
+     float sums. *)
   {
     work =
-      {
-        Task.flops = float_of_int !consumed;
-        bytes_read = float_of_int (32 * !consumed);
-        bytes_written = float_of_int (16 * !n);
-        atomics = false;
-      };
+      merge_work ~entries:(float_of_int !consumed) ~emitted:(float_of_int !n);
     partial = Some { mrows; mcounts; mcrd; mvals };
   }
 

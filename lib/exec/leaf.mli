@@ -99,6 +99,11 @@ type merge_op = (int * int) array * int array * Region.F.buf
 val merge_ops :
   bindings:Operand.bindings -> tensors:string list -> merge_op array * int
 
+(** The simulated-work model of a merge leaf, shared by both backends and
+    by pricing: one flop and 32 B read per consumed operand entry, 16 B
+    written per emitted entry. *)
+val merge_work : entries:float -> emitted:float -> Task.work
+
 (** The k-way merge / workspace core, shared by both backends.  It writes
     the partial's arrays directly and allocates nothing per row or entry;
     the [Task.work] counts are integer tallies converted once. *)

@@ -32,7 +32,6 @@ let system_name = function
   | Ctf -> "CTF"
 
 let all_kernels = [ Spmv; Spmm; Spadd3; Sddmm; Spttv; Mttkrp ]
-let kernels_for_matrix = [ Spmv; Spmm; Spadd3; Sddmm ]
 let kernels_for_tensor3 = [ Spttv; Mttkrp ]
 
 let systems_for kernel kind =

@@ -68,7 +68,5 @@ val run :
   Tensor.t ->
   Spdistal_baselines.Common.result
 
-(** Which kernels a dataset kind applies to. *)
-val kernels_for_matrix : kernel list
-
+(** The kernels that apply to 3-tensor datasets. *)
 val kernels_for_tensor3 : kernel list

@@ -1,6 +1,3 @@
-let reformat ~name ~formats ?mode_order t =
-  Tensor.of_coo ~name ~formats ?mode_order (Tensor.to_coo t)
-
 let csr_to_csc t =
   Tensor.csc ~name:(t.Tensor.name ^ "_csc") (Tensor.to_coo t)
 

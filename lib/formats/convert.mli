@@ -6,12 +6,3 @@ val csc_to_csr : Tensor.t -> Tensor.t
 
 (** Transpose a 2-tensor, keeping its storage format kinds. *)
 val transpose : name:string -> Tensor.t -> Tensor.t
-
-(** [reformat ~name ~formats ?mode_order t] re-assembles [t] with new level
-    kinds / storage order. *)
-val reformat :
-  name:string ->
-  formats:Level.kind array ->
-  ?mode_order:int array ->
-  Tensor.t ->
-  Tensor.t

@@ -22,8 +22,6 @@ let mat_init name rows cols f =
   { name; rows; cols; data = Array.init (rows * cols) (fun k -> f (k / cols) (k mod cols)) }
 
 let mat_get m i j = m.data.((i * m.cols) + j)
-let mat_set m i j x = m.data.((i * m.cols) + j) <- x
-let mat_fill m x = Array.fill m.data 0 (m.rows * m.cols) x
 let mat_bytes m = 8. *. float_of_int (m.rows * m.cols)
 
 let mat_dist a b =
@@ -33,5 +31,3 @@ let mat_dist a b =
     d := Float.max !d (Float.abs (a.data.(k) -. b.data.(k)))
   done;
   !d
-
-let mat_row_bytes m = 8. *. float_of_int m.cols

@@ -23,10 +23,5 @@ val vec_dist : vec -> vec -> float
 val mat_create : string -> int -> int -> mat
 val mat_init : string -> int -> int -> (int -> int -> float) -> mat
 val mat_get : mat -> int -> int -> float
-val mat_set : mat -> int -> int -> float -> unit
-val mat_fill : mat -> float -> unit
 val mat_bytes : mat -> float
 val mat_dist : mat -> mat -> float
-
-(** Bytes of one matrix row. *)
-val mat_row_bytes : mat -> float

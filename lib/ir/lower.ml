@@ -59,7 +59,6 @@ let ctx_of env tname k =
    computation.  `spdistal fuzz --inject-bug` must catch and shrink this. *)
 let flip_block_bound = ref false
 let set_debug_flip_block_bound b = flip_block_bound := b
-let debug_flip_block_bound () = !flip_block_bound
 
 (* Block bounds for color [cvar] of [count] pieces over extent [d]:
    lo = cvar*d/count, hi = (cvar+1)*d/count - 1 (exact cover, remainder

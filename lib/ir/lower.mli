@@ -26,7 +26,8 @@ type operand =
 type env = (string * operand) list
 
 (** [lower ~env ~grid stmt schedule] produces the partitioning-and-compute
-    program.  Raises [Invalid_argument] on statements/schedules outside the
+    program.  Raises [Invalid_argument] (or, for schedules {!Schedule.analyze}
+    rejects, a [Compile] [Error.Error]) on statements/schedules outside the
     supported fragment: the rhs must be a single product with exactly one
     sparse operand (dense factors and literal coefficients allowed) or a pure
     sum of sparse accesses (merge); at most two distributed loops; no
@@ -42,7 +43,6 @@ val lower : env:env -> grid:int array -> Tin.stmt -> Schedule.t -> Loop_ir.prog
     and shrinks a planted compiler bug.  Never set outside tests. *)
 
 val set_debug_flip_block_bound : bool -> unit
-val debug_flip_block_bound : unit -> bool
 
 (** [placement_of_tdn ~env ~grid ~tensor ~order tdn] lowers the §V-C
     identity statement of a TDN declaration, yielding the partitioning

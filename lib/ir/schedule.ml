@@ -1,3 +1,5 @@
+module Error = Spdistal_runtime.Error
+
 type proc = Cpu_thread | Gpu_thread
 
 type cmd =
@@ -40,7 +42,7 @@ let analyze stmt sched =
   let root_of v =
     match Hashtbl.find_opt roots v with
     | Some r -> r
-    | None -> invalid_arg (Printf.sprintf "Schedule.analyze: unknown variable %s" v)
+    | None -> Error.fail Error.Compile "Schedule.analyze: unknown variable %s" v
   in
   let vars_of_root = function
     | Orig v -> [ v ]
@@ -74,9 +76,10 @@ let analyze stmt sched =
     sched;
   let dist_vars = !distributed in
   (match dist_vars with
-  | [] -> invalid_arg "Schedule.analyze: no distribute command"
+  | [] -> Error.fail Error.Compile "Schedule.analyze: no distribute command"
   | _ :: _ :: _ :: _ ->
-      invalid_arg "Schedule.analyze: at most two distributed variables"
+      Error.fail Error.Compile
+        "Schedule.analyze: at most two distributed variables"
   | _ -> ());
   let primary = List.hd dist_vars in
   let secondary_var = match dist_vars with [ _; s ] -> Some s | _ -> None in
@@ -84,14 +87,14 @@ let analyze stmt sched =
     match root_of primary with
     | Orig v -> Universe_dist { var = v }
     | Fused_root _ ->
-        invalid_arg
+        Error.fail Error.Compile
           "Schedule.analyze: distributing a fused coordinate loop requires a \
            pos transformation first"
     | Pos_root { tensor; fused } -> Non_zero_dist { tensor; fused }
   in
   (match (strategy, secondary_var) with
   | Non_zero_dist _, Some _ ->
-      invalid_arg
+      Error.fail Error.Compile
         "Schedule.analyze: 2-D distribution is only supported for \
          coordinate-value loops"
   | _ -> ());

@@ -50,10 +50,11 @@ type plan = {
   workspace : bool;  (** a [Precompute] command requested a dense workspace *)
 }
 
-(** Derive the distribution plan. Raises [Invalid_argument] on schedules the
-    lowering does not support (no [Distribute], distributing an unknown
-    variable, more than two distributed variables). [stmt] supplies variable
-    provenance roots. *)
+(** Derive the distribution plan. Raises [Error.Error] with the [Compile]
+    phase on schedules the lowering does not support (no [Distribute],
+    distributing an unknown variable, more than two distributed variables,
+    a fused loop without [pos], a 2-D distribution of a [pos] loop).
+    [stmt] supplies variable provenance roots. *)
 val analyze : Tin.stmt -> t -> plan
 
 val pp_cmd : Format.formatter -> cmd -> unit

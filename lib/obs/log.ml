@@ -7,13 +7,6 @@ type level = Debug | Info | Warn | Error
 let level_rank = function Debug -> 0 | Info -> 1 | Warn -> 2 | Error -> 3
 let level_name = function Debug -> "debug" | Info -> "info" | Warn -> "warn" | Error -> "error"
 
-let level_of_string = function
-  | "debug" -> Some Debug
-  | "info" -> Some Info
-  | "warn" | "warning" -> Some Warn
-  | "error" -> Some Error
-  | _ -> None
-
 type entry = {
   e_seq : int;
   e_time : float option;

@@ -12,7 +12,6 @@
 type level = Debug | Info | Warn | Error
 
 val level_name : level -> string
-val level_of_string : string -> level option
 
 type entry = {
   e_seq : int;  (** emission order, 0-based *)

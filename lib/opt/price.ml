@@ -74,7 +74,7 @@ let mul_estimate ~bindings ~stats ~(leaf : Loop_ir.leaf) driver_name =
 (* Estimated work of one piece of an additive merge: exact per-operand entry
    counts over the piece's row block (from the pos arrays), the shared merge
    byte model, and a collision estimate for the emitted output pattern. *)
-let merge_estimate ~bindings ~(leaf : Loop_ir.leaf) ~tensors rows =
+let merge_estimate ~bindings ~tensors rows =
   let rows =
     match rows with
     | Some rows -> rows
@@ -99,8 +99,6 @@ let merge_estimate ~bindings ~(leaf : Loop_ir.leaf) ~tensors rows =
       0 tensors
   in
   let n = float_of_int entries in
-  let flops = n in
-  let br = if leaf.Loop_ir.use_workspace then 32. *. n else 2. *. 16. *. n in
   (* Expected emitted non-zeros: per-row Bernoulli collision model over the
      shared column extent. *)
   let out_nnz =
@@ -111,13 +109,7 @@ let merge_estimate ~bindings ~(leaf : Loop_ir.leaf) ~tensors rows =
       float_of_int rows_n *. c *. (1. -. ((1. -. (1. /. c)) ** k))
     end
   in
-  let out_nnz = min out_nnz n in
-  {
-    Task.flops;
-    bytes_read = br;
-    bytes_written = 16. *. out_nnz;
-    atomics = false;
-  }
+  Leaf.merge_work ~entries:n ~emitted:(min out_nnz n)
 
 let price_problem s (p : Spdistal.problem) : (priced, string) result =
   try
@@ -138,7 +130,7 @@ let price_problem s (p : Spdistal.problem) : (priced, string) result =
             driver_name
       | Loop_ir.Merge_driver tensors ->
           fun ~shard_vals:_ ~rows ~col_range:_ ->
-            merge_estimate ~bindings:b ~leaf ~tensors rows
+            merge_estimate ~bindings:b ~tensors rows
     in
     Interp.estimate ~machine:p.Spdistal.machine ~bindings:b
       ~placement:plan.Cache.e_placement ~cost

@@ -106,12 +106,6 @@ let add_recovery t ?(retries = 0) ?(faults = 0) ?(bytes = 0.) ?(messages = 0)
   t.bytes_moved <- t.bytes_moved +. bytes;
   t.messages <- t.messages + messages
 
-let record_launch t ~machine ~piece_times =
-  let critical = Array.fold_left Float.max 0. piece_times in
-  t.launches <- t.launches + 1;
-  add_compute t critical;
-  add_overhead t (Machine.launch_overhead machine)
-
 let record_launch_split t ~machine ~comm_times ~leaf_times =
   let critical = ref 0. and leaf_max = ref 0. in
   Array.iteri

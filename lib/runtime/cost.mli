@@ -59,10 +59,6 @@ val add_partitioning : t -> ?ops:int -> float -> unit
 val add_recovery :
   t -> ?retries:int -> ?faults:int -> ?bytes:float -> ?messages:int -> float -> unit
 
-(** [record_launch t ~machine ~piece_times] advances the clock by the max of
-    per-piece times plus the machine's launch overhead. *)
-val record_launch : t -> machine:Machine.t -> piece_times:float array -> unit
-
 (** [record_launch_split t ~machine ~comm_times ~leaf_times] advances the
     clock by [max over pieces (comm + leaf)] plus launch overhead, splitting
     the breakdown between the comm and compute components. *)

@@ -1,29 +1,9 @@
-type transfer = { bytes : float; intra_node : bool; messages : int }
-
 type work = {
   flops : float;
   bytes_read : float;
   bytes_written : float;
   atomics : bool;
 }
-
-let no_work = { flops = 0.; bytes_read = 0.; bytes_written = 0.; atomics = false }
-
-let ( ++ ) a b =
-  {
-    flops = a.flops +. b.flops;
-    bytes_read = a.bytes_read +. b.bytes_read;
-    bytes_written = a.bytes_written +. b.bytes_written;
-    atomics = a.atomics || b.atomics;
-  }
-
-let transfers_time machine ts =
-  List.fold_left
-    (fun acc t ->
-      acc
-      +. Machine.p2p_time machine ~intra_node:t.intra_node ~bytes:t.bytes
-      +. (float_of_int (max 0 (t.messages - 1)) *. machine.Machine.params.net_alpha))
-    0. ts
 
 let leaf_time machine w =
   let base =
@@ -38,101 +18,3 @@ let leaf_time machine w =
     in
     base *. penalty
   else base
-
-module Trace = Spdistal_obs.Trace
-
-let index_launch cost machine ?(trace = Trace.null) ?(name = "index_launch")
-    ?faults ?(launch = 0) ?(iterations = 1) ?(comm = fun _ -> []) ~work () =
-  let fcfg =
-    match faults with Some c when Fault.enabled c -> Some c | _ -> None
-  in
-  let p = Machine.pieces machine in
-  (* Iterative applications of a baseline system replay the whole launch
-     every iteration — there is no partition cache to amortize into (PETSc
-     re-runs its VecScatter per MatMult).  Each repeat advances the launch
-     coordinate so the fault schedule progresses exactly as in a sequence of
-     separate launches. *)
-  for it = 0 to iterations - 1 do
-  let launch = launch + it in
-  let t0 = Cost.total cost in
-  let piece_times = Array.make p 0. in
-  let comm_times = Array.make p 0. and lf_times = Array.make p 0. in
-  let total_bytes = ref 0. and total_msgs = ref 0 in
-  for i = 0 to p - 1 do
-    let ts = comm i in
-    List.iter
-      (fun t ->
-        total_bytes := !total_bytes +. t.bytes;
-        total_msgs := !total_msgs + t.messages;
-        (* Transfers carry no source; attribute intra-node moves to the
-           piece's own node and remote ones to node 0 (the data's home). *)
-        if Trace.enabled trace then
-          Trace.comm_edge trace
-            ~src:(if t.intra_node then Machine.node_of_piece machine i else 0)
-            ~dst:(Machine.node_of_piece machine i)
-            t.bytes)
-      ts;
-    let w = work i in
-    Cost.add_flops cost w.flops;
-    let ct = transfers_time machine ts and lt = leaf_time machine w in
-    let ec, el =
-      match fcfg with
-      | None -> (0., 0.)
-      | Some cfg ->
-          let r =
-            Fault.recover_piece cfg ~machine ~launch ~piece:i
-              ~msg_bytes:(List.map (fun t -> t.bytes) ts)
-              ~footprint:(List.fold_left (fun a t -> a +. t.bytes) 0. ts)
-              ~comm_time:ct ~leaf_time:lt
-          in
-          Cost.add_recovery cost ~retries:r.Fault.retries
-            ~faults:(Fault.events r) ~bytes:r.Fault.resent_bytes
-            ~messages:r.Fault.resent_msgs
-            (r.Fault.extra_comm +. r.Fault.extra_leaf);
-          if Trace.enabled trace && Fault.events r > 0 then
-            Trace.span trace
-              ~track:(Trace.Piece { node = Machine.node_of_piece machine i; piece = i })
-              ~clock:Trace.Sim ~cat:"fault" ~args:(Fault.trace_args r)
-              ~start:(t0 +. ct +. lt) ~dur:0. "recovery";
-          (r.Fault.extra_comm, r.Fault.extra_leaf)
-    in
-    comm_times.(i) <- ct +. ec;
-    lf_times.(i) <- lt +. el;
-    piece_times.(i) <- ct +. lt +. ec +. el
-  done;
-  (* Book-keep volume without double-advancing the clock: the critical path
-     already includes per-piece comm time. *)
-  Cost.add_comm cost ~bytes:!total_bytes ~messages:!total_msgs 0.;
-  Cost.record_launch cost ~machine ~piece_times;
-  if Trace.enabled trace then begin
-    let crit = ref 0 in
-    Array.iteri (fun i t -> if t > piece_times.(!crit) then crit := i) piece_times;
-    for i = 0 to p - 1 do
-      let node = Machine.node_of_piece machine i in
-      let track = Trace.Piece { node; piece = i } in
-      Trace.span trace ~track ~clock:Trace.Sim ~cat:"comm"
-        ~args:[ ("launch", Trace.I launch) ]
-        ~start:t0 ~dur:comm_times.(i) "fetch";
-      Trace.span trace ~track ~clock:Trace.Sim ~cat:"compute"
-        ~args:[ ("launch", Trace.I launch) ]
-        ~start:(t0 +. comm_times.(i))
-        ~dur:lf_times.(i) name
-    done;
-    Trace.span trace ~track:Trace.Runtime ~clock:Trace.Sim ~cat:"launch"
-      ~args:
-        [
-          ("launch", Trace.I launch);
-          ("pieces", Trace.I p);
-          ("crit_piece", Trace.I !crit);
-          ("crit_comm", Trace.F comm_times.(!crit));
-          ("crit_compute", Trace.F lf_times.(!crit));
-          ("overhead", Trace.F (Machine.launch_overhead machine));
-          ("bytes", Trace.F !total_bytes);
-          ("messages", Trace.I !total_msgs);
-        ]
-      ~start:t0
-      ~dur:(Cost.total cost -. t0)
-      name;
-    Trace.counter trace ~name:"cost" ~time:(Cost.total cost) (Cost.counters cost)
-  end
-  done

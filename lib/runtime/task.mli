@@ -1,12 +1,6 @@
-(** Index-task launches: execute a shard function on every piece of a machine
-    and advance the simulated clock by the BSP critical path.
-
-    The shard function performs the {e real} computation for its piece (over
-    the sub-regions the caller selected) and reports the work it did; the
-    launch converts work and communication into simulated time via the
-    machine model. *)
-
-type transfer = { bytes : float; intra_node : bool; messages : int }
+(** Leaf work: what one piece's leaf kernel computed and moved through
+    memory, and its roofline time on the machine.  Launches themselves are
+    billed by the interpreter's launch loop ([Interp]). *)
 
 type work = {
   flops : float;
@@ -15,48 +9,6 @@ type work = {
   atomics : bool;
       (** leaf performs reduction atomics (non-zero-split schedules) *)
 }
-
-val no_work : work
-val ( ++ ) : work -> work -> work
-
-(** [index_launch cost machine ~comm ~work] runs [work p] for every piece [p]
-    (sequentially in the host process — the simulated machine is parallel,
-    the simulator is deterministic), charging per-piece time
-    [comm_time p + leaf_time p] and taking the max across pieces, plus launch
-    overhead.  [comm p] lists the transfers that must land in piece [p]'s
-    memory before its task runs.
-
-    When [faults] is enabled, each piece additionally plays out its
-    deterministic fault schedule (crashes, lost transfers, stragglers) for
-    [launch] and its recovery overhead inflates the piece's time; see
-    {!Fault.recover_piece}.
-
-    When [trace] is an enabled {!Spdistal_obs.Trace.t}, the launch emits
-    sim-clock spans: one per-piece comm ("fetch") and compute span on the
-    piece's track, a "launch" span on the runtime track carrying the
-    critical-path breakdown, fault-recovery instants, comm-matrix edges and
-    a cumulative cost counter sample.  [name] labels the compute and launch
-    spans.
-
-    [iterations] (default 1) replays the launch that many times — the
-    baseline systems' iterative protocol, which re-pays communication and
-    overhead every iteration (no partition cache to amortize into).  Repeat
-    [k] uses fault-schedule coordinate [launch + k]. *)
-val index_launch :
-  Cost.t ->
-  Machine.t ->
-  ?trace:Spdistal_obs.Trace.t ->
-  ?name:string ->
-  ?faults:Fault.config ->
-  ?launch:int ->
-  ?iterations:int ->
-  ?comm:(int -> transfer list) ->
-  work:(int -> work) ->
-  unit ->
-  unit
-
-(** Time of a list of transfers into one piece (serialized on its NIC). *)
-val transfers_time : Machine.t -> transfer list -> float
 
 (** Leaf execution time of [work] on one piece, including the atomic
     penalty when [atomics] is set. *)

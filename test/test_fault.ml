@@ -209,17 +209,6 @@ let test_remap_piece () =
    with Error.Error e ->
      Alcotest.(check bool) "Recovery" true (e.Error.phase = Error.Recovery))
 
-let test_index_launch_charges_recovery () =
-  let cost = Cost.create () in
-  let cfg = Fault.make ~seed:9 ~rate:0.3 ~retries:10 () in
-  Task.index_launch cost cpu8 ~faults:cfg
-    ~comm:(fun _ -> [ { Task.bytes = 1e6; intra_node = false; messages = 4 } ])
-    ~work:(fun _ ->
-      { Task.flops = 1e6; bytes_read = 1e6; bytes_written = 1e5; atomics = false })
-    ();
-  Alcotest.(check bool) "faults injected" true (cost.Cost.faults > 0);
-  Alcotest.(check bool) "recovery time charged" true (cost.Cost.recovery > 0.)
-
 (* ------------------------------------------------------------------ *)
 (* End-to-end: every kernel recovers; outputs bit-identical            *)
 (* ------------------------------------------------------------------ *)
@@ -341,8 +330,6 @@ let suite =
     Alcotest.test_case "recovery exhaustion" `Quick test_recover_prices_faults;
     Alcotest.test_case "straggler pricing" `Quick test_straggler_pricing;
     Alcotest.test_case "remap piece" `Quick test_remap_piece;
-    Alcotest.test_case "index_launch charges recovery" `Quick
-      test_index_launch_charges_recovery;
     Alcotest.test_case "acceptance: recover + bit-identical" `Quick
       test_acceptance;
     Alcotest.test_case "rate 0 invariance" `Quick test_rate_zero_invariance;

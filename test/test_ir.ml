@@ -62,23 +62,38 @@ let test_analyze_2d () =
   Alcotest.(check bool) "secondary" true (plan.Schedule.secondary_var <> None)
 
 let test_analyze_errors () =
-  Alcotest.check_raises "no distribute"
-    (Invalid_argument "Schedule.analyze: no distribute command") (fun () ->
-      ignore (Schedule.analyze Tin.spmv []));
-  Alcotest.check_raises "unknown var"
-    (Invalid_argument "Schedule.analyze: unknown variable z") (fun () ->
-      ignore (Schedule.analyze Tin.spmv [ Schedule.Distribute [ "z" ] ]));
+  let compile_error what =
+    Spdistal_runtime.Error.Error
+      {
+        Spdistal_runtime.Error.phase = Spdistal_runtime.Error.Compile;
+        kernel = None;
+        piece = None;
+        node = None;
+        what = "Schedule.analyze: " ^ what;
+      }
+  in
+  let rejects label what sched =
+    Alcotest.check_raises label (compile_error what) (fun () ->
+        ignore (Schedule.analyze Tin.spmv sched))
+  in
+  rejects "no distribute" "no distribute command" [];
+  rejects "unknown var" "unknown variable z" [ Schedule.Distribute [ "z" ] ];
   (* Distributing a fused var without pos needs the transformation first. *)
-  Alcotest.check_raises "fused without pos"
-    (Invalid_argument
-       "Schedule.analyze: distributing a fused coordinate loop requires a pos \
-        transformation first") (fun () ->
-      ignore
-        (Schedule.analyze Tin.spmv
-           [
-             Schedule.Fuse { f = "f"; a = "i"; b = "j" };
-             Schedule.Distribute [ "f" ];
-           ]))
+  rejects "fused without pos"
+    "distributing a fused coordinate loop requires a pos transformation first"
+    [ Schedule.Fuse { f = "f"; a = "i"; b = "j" }; Schedule.Distribute [ "f" ] ];
+  rejects "three distributed vars" "at most two distributed variables"
+    [
+      Schedule.Divide { v = "i"; outer = "io"; inner = "ii" };
+      Schedule.Distribute [ "io"; "ii"; "j" ];
+    ];
+  rejects "2-D pos distribution"
+    "2-D distribution is only supported for coordinate-value loops"
+    [
+      Schedule.Fuse { f = "f"; a = "i"; b = "j" };
+      Schedule.Pos { v = "f"; pv = "fpos"; tensor = "B" };
+      Schedule.Distribute [ "fpos"; "i" ];
+    ]
 
 let test_analyze_split_reorder () =
   (* split and reorder pass through provenance without affecting the

@@ -74,7 +74,8 @@ let test_cost_accounting () =
   Cost.add_overhead c 0.25;
   Helpers.check_float "total" 1.75 (Cost.total c);
   Alcotest.(check int) "messages" 2 c.Cost.messages;
-  Cost.record_launch c ~machine:m_cpu ~piece_times:[| 0.1; 0.5; 0.2; 0.05 |];
+  Cost.record_launch_split c ~machine:m_cpu ~comm_times:[| 0.; 0.5; 0.; 0. |]
+    ~leaf_times:[| 0.1; 0.; 0.2; 0.05 |];
   Helpers.check_float "critical path added" (1.75 +. 0.5 +. Machine.launch_overhead m_cpu)
     (Cost.total c);
   Alcotest.(check int) "launches" 1 c.Cost.launches;
@@ -83,11 +84,7 @@ let test_cost_accounting () =
 
 let test_task_work () =
   let open Task in
-  let w1 = { flops = 1.; bytes_read = 2.; bytes_written = 3.; atomics = false } in
-  let w2 = { flops = 10.; bytes_read = 20.; bytes_written = 30.; atomics = true } in
-  let w = w1 ++ w2 in
-  Helpers.check_float "flops add" 11. w.flops;
-  Alcotest.(check bool) "atomics or" true w.atomics;
+  let w = { flops = 11.; bytes_read = 22.; bytes_written = 33.; atomics = true } in
   (* Atomic penalty applies on CPU. *)
   let base = leaf_time m_cpu { w with atomics = false } in
   let pen = leaf_time m_cpu w in

@@ -194,6 +194,7 @@ let test_partitioning_matches_cold_run () =
               in
               bits (fun c -> c.Cost.partitioning) "partitioning";
               bits (fun c -> c.Cost.bytes_moved) "bytes_moved";
+              bits (fun c -> c.Cost.flops) "flops";
               count (fun c -> c.Cost.messages) "messages";
               count (fun c -> c.Cost.launches) "launches";
               count (fun c -> c.Cost.part_ops) "part_ops";

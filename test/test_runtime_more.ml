@@ -1,41 +1,10 @@
-(* Runtime-layer coverage not exercised elsewhere: Task launches, transfer
-   pricing, region semantics, coordinate-tree printing. *)
+(* Runtime-layer coverage not exercised elsewhere: region semantics,
+   coordinate-tree printing. *)
 
 open Spdistal_runtime
 
 let m_cpu = Machine.make ~kind:Machine.Cpu [| 4 |]
 let m_gpu = Machine.make ~kind:Machine.Gpu [| 8 |]
-
-let test_transfers_time () =
-  let open Task in
-  Helpers.check_float "empty list free" 0. (transfers_time m_cpu []);
-  let t = { bytes = 1e6; intra_node = false; messages = 1 } in
-  Alcotest.(check bool) "one transfer priced" true (transfers_time m_cpu [ t ] > 0.);
-  (* Extra messages add latency. *)
-  let t3 = { t with messages = 3 } in
-  Alcotest.(check bool) "messages add alpha" true
-    (transfers_time m_cpu [ t3 ] > transfers_time m_cpu [ t ]);
-  (* Serialization: two transfers cost the sum. *)
-  Helpers.check_float "serialized"
-    (2. *. transfers_time m_cpu [ t ])
-    (transfers_time m_cpu [ t; t ])
-
-let test_index_launch () =
-  let cost = Cost.create () in
-  let executed = Array.make 4 false in
-  Task.index_launch cost m_cpu
-    ~comm:(fun p ->
-      if p = 0 then [ { Task.bytes = 1e6; intra_node = false; messages = 1 } ]
-      else [])
-    ~work:(fun p ->
-      executed.(p) <- true;
-      { Task.flops = 1e9; bytes_read = 1e8; bytes_written = 0.; atomics = false })
-    ();
-  Alcotest.(check bool) "all pieces executed" true (Array.for_all Fun.id executed);
-  Alcotest.(check int) "one launch" 1 cost.Cost.launches;
-  Helpers.check_float "bytes recorded" 1e6 cost.Cost.bytes_moved;
-  Helpers.check_float "flops recorded" 4e9 cost.Cost.flops;
-  Alcotest.(check bool) "clock advanced" true (Cost.total cost > 0.)
 
 let test_region_semantics () =
   let r = Region.create "r" 5 0 in
@@ -104,8 +73,6 @@ let test_partition_pp () =
 
 let suite =
   [
-    Alcotest.test_case "transfers pricing" `Quick test_transfers_time;
-    Alcotest.test_case "index launch" `Quick test_index_launch;
     Alcotest.test_case "region semantics" `Quick test_region_semantics;
     Alcotest.test_case "nvlink vs network" `Quick test_gpu_p2p_vs_network;
     Alcotest.test_case "coord tree printing" `Quick test_coord_tree_pp;
