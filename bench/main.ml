@@ -399,11 +399,14 @@ let run_trace_exports dir =
 (* ------------------------------------------------------------------ *)
 (* Leaf throughput: wall-clock of the leaf kernel loop itself, compiled *)
 (* closures vs the reference interpreter vs a hand-written CSR SpMV,   *)
-(* and the same two backends on a CSF SpMTTKRP leaf (the fiber path).  *)
-(* One piece, whole-tensor shard, so nothing but the leaf loop is       *)
-(* timed.  Writes results/leaf_throughput.csv; the CI smoke job checks  *)
-(* the CSR compiled/interp ratio against the ratcheted floor in         *)
-(* bench/leaf_throughput_floor.txt and prints the SpMTTKRP ratio.       *)
+(* and the same two backends on CSR SpMM and SDDMM leaves over a       *)
+(* power-law matrix and on a CSF SpMTTKRP leaf (the slice path).  One  *)
+(* piece, whole-tensor shard, so nothing but the leaf launch is timed.  *)
+(* Writes results/leaf_throughput.csv; the CI smoke job checks the CSR  *)
+(* SpMV and the SpMTTKRP compiled/interp ratios against the ratcheted   *)
+(* floors in bench/leaf_throughput_floor.txt and                        *)
+(* bench/mttkrp_throughput_floor.txt and prints the SpMM and SDDMM      *)
+(* ratios.                                                              *)
 (* ------------------------------------------------------------------ *)
 
 (* Repeat [f] until it has run for >= 0.3 s of wall clock (after one
@@ -477,8 +480,23 @@ let run_leaf_throughput () =
   let interp3, compiled3 =
     leaf_runs (Core.Kernels.mttkrp_problem ~machine ~cols:32 t3) ~nnz:nnz3
   in
+  (* The arabic-2005 analog's shape and skew at the bench's dense width. *)
+  let pn = if quick then 2_500 else 10_000 in
+  let pl =
+    Synth.power_law ~name:"leaf-bench-pl" ~rows:pn ~cols:pn
+      ~nnz:(if quick then 48_000 else 190_000)
+      ~alpha:1.0 ~seed:1001
+  in
+  let nnz_pl = Tensor.nnz pl in
+  let interp_mm, compiled_mm =
+    leaf_runs (Core.Kernels.spmm_problem ~machine ~cols:32 pl) ~nnz:nnz_pl
+  in
+  let interp_dd, compiled_dd =
+    leaf_runs (Core.Kernels.sddmm_problem ~machine ~cols:32 pl) ~nnz:nnz_pl
+  in
   print_endline "=== Leaf throughput (wall clock, 1 piece) ===";
   Printf.printf "CSR SpMV: %d x %d banded, %d nnz\n" n n nnz;
+  Printf.printf "CSR SpMM, SDDMM: %d x %d power-law, %d nnz, 32 columns\n" pn pn nnz_pl;
   Printf.printf "CSF SpMTTKRP: %d x %d x %d skewed, %d nnz, 32 columns\n"
     t3.Tensor.dims.(0) t3.Tensor.dims.(1) t3.Tensor.dims.(2) nnz3;
   let measure name ~rows ~nnz f =
@@ -495,7 +513,18 @@ let run_leaf_throughput () =
   let rows3 = t3.Tensor.dims.(0) in
   let r_interp3 = measure "interp-mttkrp" ~rows:rows3 ~nnz:nnz3 interp3 in
   let r_compiled3 = measure "compiled-mttkrp" ~rows:rows3 ~nnz:nnz3 compiled3 in
-  let groups = [ [ r_interp; r_compiled; r_hand ]; [ r_interp3; r_compiled3 ] ] in
+  let r_interp_mm = measure "interp-spmm" ~rows:pn ~nnz:nnz_pl interp_mm in
+  let r_compiled_mm = measure "compiled-spmm" ~rows:pn ~nnz:nnz_pl compiled_mm in
+  let r_interp_dd = measure "interp-sddmm" ~rows:pn ~nnz:nnz_pl interp_dd in
+  let r_compiled_dd = measure "compiled-sddmm" ~rows:pn ~nnz:nnz_pl compiled_dd in
+  let groups =
+    [
+      [ r_interp; r_compiled; r_hand ];
+      [ r_interp3; r_compiled3 ];
+      [ r_interp_mm; r_compiled_mm ];
+      [ r_interp_dd; r_compiled_dd ];
+    ]
+  in
   (try Unix.mkdir "results" 0o755
    with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   let path = "results/leaf_throughput.csv" in

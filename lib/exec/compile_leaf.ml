@@ -13,7 +13,7 @@
 
    Three CSR shapes (SpMV, SpMM, SDDMM) get fused row-segment loops, and
    two 3-tensor shapes (SpTTV, SpMTTKRP) on a CSF or (Dense, Dense,
-   Compressed) driver in identity mode order get fused fiber-segment loops;
+   Compressed) driver in identity mode order get fused slice-segment loops;
    every other shape runs the generic walker.  There, every factor and sink
    index is affine in the one active inner variable ([base + v·stride]):
    the bases are recomputed once per stored element into an int array and
@@ -22,21 +22,41 @@
    float crosses a closure call: every kind of loop allocates nothing per
    element.
 
+   Register blocking: ocamlopt without flambda neither blocks loops nor
+   keeps array cells in registers, so the hot loops do it in source.  SpMM
+   keeps [A(row, j0..j0+3)] in four float locals across a whole row
+   segment; SpMTTKRP keeps [A(i, t0..t0+3)] across every fiber of slice
+   [i] in the segment; a scalar loop takes the [mod 4] tail.  SDDMM reads
+   [D] through a transposed copy, so each element is a contiguous dot
+   product, and computes four elements of a row at once.  Each output cell
+   still receives the same products, built with the same association and
+   added in the same order as the interpreter's per-element loop; only the
+   interleaving across cells changes, so outputs are bit-identical.  That
+   argument needs every input to be distinct from the output: a cell
+   written early would otherwise be read back as an input at a different
+   moment in each backend.  [Interp.run] refuses such aliasing.
+
    Structure and data: a compiled leaf captures only structure — its plan,
    the affine index maps, the fast-path choice and the driver's level
-   walkers, CSR row ends and fiber arrays.  Every [execute] looks the data
-   up in its launch bindings: the driver's values, the factors' storage,
-   the merge operands and the output.  So one compiled leaf (and a cached
-   plan holding it) serves every context whose problem has the same
-   pattern and shapes, whatever values each binds.  The captured walk is
-   used while the launch driver's level storage is the one it was derived
-   from; another driver (an equal pattern in other arrays) is walked
-   through a walk derived from its own storage for that call.
+   walkers, CSR row ends and fiber arrays.  Each [launch] resolves the
+   data once from its bindings, on the reducing domain: the shape checks,
+   the driver's values, the factors' storage, the merge operands, the
+   output, the walk, and SDDMM's transposed [D].  So one compiled leaf
+   (and a cached plan holding it) serves every context whose problem has
+   the same pattern and shapes, whatever values each binds.  The captured
+   walk is used while the launch driver's level storage is the one it was
+   derived from; another driver (an equal pattern in other arrays) is
+   walked through a walk derived from its own storage for that launch.
 
-   Reentrancy: one compiled leaf is executed concurrently by the domains
-   simulating the pieces of a distributed launch, so all mutable walk state
-   (coordinate/position scratch, factor bases, counters) is allocated per
-   [execute] call. *)
+   Reentrancy: the pieces of one launch run concurrently on the domains
+   simulating a distributed launch, so all mutable walk state
+   (coordinate/position scratch, factor bases, counters, SpMTTKRP's fiber
+   list) is allocated per piece.  The one buffer a leaf keeps is SDDMM's
+   transposed [D]: allocated by the leaf's first launch and rewritten by
+   each later one, read-only for pieces.  Sharing it is safe because the
+   launches of one leaf never overlap: [Interp.run] launches on its
+   reducing domain, one launch after another, and a cached leaf is only
+   reached through {!Cache}, which has no lock and runs on one domain. *)
 
 open Spdistal_runtime
 open Spdistal_formats
@@ -144,6 +164,7 @@ type mul = {
   m_flens : int array;  (* the factors' storage lengths, in plan order *)
   m_out_len : int;  (* the output's storage length *)
   m_walk : walk;  (* of the driver the leaf was compiled against *)
+  mutable m_dt : float array;  (* SDDMM: [D] transposed, reused by every launch *)
 }
 
 type kind =
@@ -264,6 +285,7 @@ let compile ~bindings (leaf : Loop_ir.leaf) =
             m_out_len =
               data_length (Operand.find bindings plan.Leaf.pl_out_name).Operand.data;
             m_walk = walk_of ~plan driver;
+            m_dt = [||];
           }
   in
   { bindings; kind }
@@ -272,7 +294,7 @@ let compile ~bindings (leaf : Loop_ir.leaf) =
 (* Launch-time resolution                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* What one execute resolves from its launch bindings. *)
+(* What one launch resolves from its bindings. *)
 type launch = {
   l_walk : walk;
   l_dvals : Region.F.buf;  (* the driver's values *)
@@ -307,12 +329,15 @@ let resolve (m : mul) ~bindings =
     l_out = out;
   }
 
+(* The loop one piece runs over its shard and column range.  Every path
+   resolves its launch's storage once, before it returns this closure. *)
+type piece_loop = Iset.t -> col_range:(int * int) option -> Leaf.result
 
 (* ------------------------------------------------------------------ *)
 (* Generic specialized walker                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* The output, resolved per call: dense storage at an affine index, or the
+(* The output, resolved per launch: dense storage at an affine index, or the
    sparse output's values at the leaf position ([lvl = -1]) or at the
    position of storage level [lvl]. *)
 type out = Out_dense of float array * affine | Out_sparse of Region.F.buf * int
@@ -346,13 +371,12 @@ let[@inline] product ~scale fdata faff fbase v =
 
 exception Past_end
 
-let run_generic (m : mul) (l : launch) ~shard ~col_range =
+let run_generic (m : mul) (l : launch) ~out ~shard ~col_range =
   let plan = m.m_plan in
   let ord = Array.length l.l_walk.w_levels in
   let coords = Array.make (max ord 1) 0 in
   let lvlpos = Array.make (max ord 1) 0 in
   let path = Array.make (max ord 1) 0 in
-  let out = resolve_out m l in
   let scale = plan.Leaf.pl_scale and fdata = l.l_fdata and faff = m.m_faff in
   let fbase = Array.make (Array.length fdata) 0 in
   let jlo, jhi = Leaf.j_bounds plan ~col_range in
@@ -408,7 +432,7 @@ let run_generic (m : mul) (l : launch) ~shard ~col_range =
             "simultaneous inner output and reduction vars"
   in
   let walkers = l.l_walk.w_walkers and mo = l.l_walk.w_mode_order in
-  (* One emit closure per storage level, built once per call: the leaf
+  (* One emit closure per storage level, built once per piece: the leaf
      level's stops past the interval's end [phi], an inner level's descends,
      resuming at the spine position on the interval's first fiber. *)
   let phi = ref 0 in
@@ -456,10 +480,7 @@ let run_generic (m : mul) (l : launch) ~shard ~col_range =
    ascending order, so the cursor only moves forward within an interval,
    skipping empty rows (whose hi precedes their lo).  [csr_run m shard
    ~js ~ks seg] cuts each interval into per-row segments and calls [seg row
-   lo hi] on each; a segment accumulates into a register seeded from the
-   output cell and stores once — the identical left-to-right addition
-   sequence as the interpreter's per-element read-modify-write, so rounding
-   is bit-identical. *)
+   lo hi] on each. *)
 let csr_run (m : mul) (l : launch) shard ~js ~ks (seg : int -> int -> int -> unit) =
   let hi = l.l_walk.w_csr_hi in
   let nnz = ref 0 and rows_touched = ref 0 and last_row = ref (-1) in
@@ -489,69 +510,6 @@ let csr_run (m : mul) (l : launch) shard ~js ~ks (seg : int -> int -> int -> uni
     partial = None;
   }
 
-let run_spmv (m : mul) (l : launch) ~shard =
-  let crdd = l.l_walk.w_csr_crd and dvals = l.l_dvals and x = l.l_fdata.(0) in
-  let scale = m.m_plan.Leaf.pl_scale in
-  let y = match l.l_out with Operand.Vec v -> v.Dense.data | _ -> shape_changed m.m_plan in
-  csr_run m l shard ~js:0 ~ks:0 (fun row lo hi ->
-      let acc = ref (Array.unsafe_get y row) in
-      for q = lo to hi do
-        acc :=
-          !acc
-          +. A1.unsafe_get dvals q
-             *. (scale *. Array.unsafe_get x (Array.unsafe_get crdd q))
-      done;
-      Array.unsafe_set y row !acc)
-
-let run_spmm (m : mul) (l : launch) ~shard ~col_range ~ccols =
-  let crdd = l.l_walk.w_csr_crd and dvals = l.l_dvals and c = l.l_fdata.(0) in
-  let scale = m.m_plan.Leaf.pl_scale in
-  let jlo, jhi = Leaf.j_bounds m.m_plan ~col_range in
-  let a, acols =
-    match l.l_out with
-    | Operand.Mat mt -> (mt.Dense.data, mt.Dense.cols)
-    | _ -> shape_changed m.m_plan
-  in
-  csr_run m l shard ~js:(jhi - jlo + 1) ~ks:0 (fun row lo hi ->
-      let abase = row * acols in
-      for q = lo to hi do
-        let dv = A1.unsafe_get dvals q in
-        let cbase = Array.unsafe_get crdd q * ccols in
-        for j = jlo to jhi do
-          let y0 = dv *. (scale *. Array.unsafe_get c (cbase + j)) in
-          Array.unsafe_set a (abase + j) (Array.unsafe_get a (abase + j) +. y0)
-        done
-      done)
-
-let run_sddmm (m : mul) (l : launch) ~shard ~ccols ~dcols =
-  let crdd = l.l_walk.w_csr_crd and dvals = l.l_dvals in
-  let c = l.l_fdata.(0) and d = l.l_fdata.(1) in
-  let scale = m.m_plan.Leaf.pl_scale in
-  let klo, khi = Leaf.k_bounds m.m_plan in
-  let out =
-    match l.l_out with
-    | Operand.Sparse ot -> ot.Tensor.vals.Region.F.data
-    | _ -> shape_changed m.m_plan
-  in
-  csr_run m l shard ~js:0 ~ks:(khi - klo + 1) (fun row lo hi ->
-      let cbase = row * ccols in
-      for q = lo to hi do
-        let col = Array.unsafe_get crdd q in
-        let acc = ref 0. in
-        for k = klo to khi do
-          acc :=
-            !acc
-            +. (scale *. Array.unsafe_get c (cbase + k))
-               *. Array.unsafe_get d ((k * dcols) + col)
-        done;
-        let y0 = A1.unsafe_get dvals q *. !acc in
-        A1.unsafe_set out q (A1.unsafe_get out q +. y0)
-      done)
-
-(* ------------------------------------------------------------------ *)
-(* Fiber fast paths: 3-level drivers                                    *)
-(* ------------------------------------------------------------------ *)
-
 let out_of_bounds (m : mul) len =
   Error.fail ~kernel:m.m_plan.Leaf.pl_driver_name Error.Leaf
     "compiled leaf: index outside an array of length %d" len
@@ -561,16 +519,171 @@ let out_of_bounds (m : mul) len =
 let[@inline] check_span m len base lo hi =
   if lo <= hi && (base + lo < 0 || base + hi >= len) then out_of_bounds m len
 
-(* Fiber cursor, the 3-level counterpart of [csr_run]: [fiber_run m fib
-   shard ~js ~ks seg] cuts each interval into per-fiber segments and calls
-   [seg i j f lo hi] on each, for the positions [lo..hi] of fiber [f] at
-   coordinates [(i, j)].  An interval may start or end inside a fiber or a
-   slice (non-zero schedules cut both), so its first fiber and slice are
-   located once; then the cursor only moves forward, stepping over empty
-   fibers (whose hi precedes their lo) and, for CSF, over empty slices.
-   [nnz] and [rows_touched] are tallied as [run_generic] tallies them, so
-   {!Leaf.mul_work} sees identical inputs. *)
-let fiber_run (m : mul) (l : launch) fib shard ~js ~ks seg =
+(* A segment accumulates into registers seeded from the output cells and
+   stores once: each cell receives the identical left-to-right additions,
+   in element order, as the interpreter's per-element read-modify-write,
+   so rounding is bit-identical. *)
+let run_spmv (m : mul) (l : launch) : piece_loop =
+  let crdd = l.l_walk.w_csr_crd and dvals = l.l_dvals and x = l.l_fdata.(0) in
+  let scale = m.m_plan.Leaf.pl_scale in
+  let y = match l.l_out with Operand.Vec v -> v.Dense.data | _ -> shape_changed m.m_plan in
+  fun shard ~col_range:_ ->
+    csr_run m l shard ~js:0 ~ks:0 (fun row lo hi ->
+        let acc = ref (Array.unsafe_get y row) in
+        for q = lo to hi do
+          acc :=
+            !acc
+            +. A1.unsafe_get dvals q
+               *. (scale *. Array.unsafe_get x (Array.unsafe_get crdd q))
+        done;
+        Array.unsafe_set y row !acc)
+
+(* SpMM, blocked by four columns: the block [A(row, j0..j0+3)] stays in
+   registers across the whole row segment, each element adding
+   [dv·(scale·C(k, j))]; a scalar loop takes the [js mod 4] tail. *)
+let run_spmm (m : mul) (l : launch) ~ccols : piece_loop =
+  let crdd = l.l_walk.w_csr_crd and dvals = l.l_dvals and c = l.l_fdata.(0) in
+  let scale = m.m_plan.Leaf.pl_scale in
+  let a, acols =
+    match l.l_out with
+    | Operand.Mat mt -> (mt.Dense.data, mt.Dense.cols)
+    | _ -> shape_changed m.m_plan
+  in
+  fun shard ~col_range ->
+    let jlo, jhi = Leaf.j_bounds m.m_plan ~col_range in
+    check_span m (Int.min acols ccols) 0 jlo jhi;
+    csr_run m l shard ~js:(jhi - jlo + 1) ~ks:0 (fun row lo hi ->
+        let abase = row * acols in
+        let j = ref jlo in
+        while !j + 3 <= jhi do
+          let j0 = !j in
+          let o = abase + j0 in
+          let a0 = ref (Array.unsafe_get a o)
+          and a1 = ref (Array.unsafe_get a (o + 1))
+          and a2 = ref (Array.unsafe_get a (o + 2))
+          and a3 = ref (Array.unsafe_get a (o + 3)) in
+          for q = lo to hi do
+            let dv = A1.unsafe_get dvals q in
+            let cb = (Array.unsafe_get crdd q * ccols) + j0 in
+            a0 := !a0 +. (dv *. (scale *. Array.unsafe_get c cb));
+            a1 := !a1 +. (dv *. (scale *. Array.unsafe_get c (cb + 1)));
+            a2 := !a2 +. (dv *. (scale *. Array.unsafe_get c (cb + 2)));
+            a3 := !a3 +. (dv *. (scale *. Array.unsafe_get c (cb + 3)))
+          done;
+          Array.unsafe_set a o !a0;
+          Array.unsafe_set a (o + 1) !a1;
+          Array.unsafe_set a (o + 2) !a2;
+          Array.unsafe_set a (o + 3) !a3;
+          j := j0 + 4
+        done;
+        for j = !j to jhi do
+          let acc = ref (Array.unsafe_get a (abase + j)) in
+          for q = lo to hi do
+            acc :=
+              !acc
+              +. (A1.unsafe_get dvals q
+                 *. (scale *. Array.unsafe_get c ((Array.unsafe_get crdd q * ccols) + j)))
+          done;
+          Array.unsafe_set a (abase + j) !acc
+        done)
+
+(* [D] transposed, [dt.(col·rows + k) = d.(k·cols + col)], in 32×32 tiles
+   so both sides stay in cache.  The buffer is the leaf's own, allocated on
+   its first launch and rewritten on each later one (see the reentrancy
+   note at the top). *)
+let transposed (m : mul) d ~rows ~cols =
+  let n = rows * cols in
+  if Array.length m.m_dt <> n then m.m_dt <- Array.create_float n;
+  let dt = m.m_dt and tile = 32 in
+  let r0 = ref 0 in
+  while !r0 < rows do
+    let r1 = Int.min rows (!r0 + tile) - 1 in
+    let c0 = ref 0 in
+    while !c0 < cols do
+      let c1 = Int.min cols (!c0 + tile) - 1 in
+      for col = !c0 to c1 do
+        for k = !r0 to r1 do
+          Array.unsafe_set dt ((col * rows) + k) (Array.unsafe_get d ((k * cols) + col))
+        done
+      done;
+      c0 := !c0 + tile
+    done;
+    r0 := !r0 + tile
+  done;
+  dt
+
+(* SDDMM over [D] transposed: each element is the contiguous dot product
+   [Σk (scale·C(row, k))·dt(col, k)], four elements of a row at a time so
+   [C]'s row is loaded once for all four, then one at a time for the rest.
+   Each sum runs over [k] in order from 0, as in the interpreter. *)
+let run_sddmm (m : mul) (l : launch) ~ccols ~dcols : piece_loop =
+  let crdd = l.l_walk.w_csr_crd and dvals = l.l_dvals in
+  let c = l.l_fdata.(0) and d = l.l_fdata.(1) in
+  let scale = m.m_plan.Leaf.pl_scale in
+  let klo, khi = Leaf.k_bounds m.m_plan in
+  let out =
+    match l.l_out with
+    | Operand.Sparse ot -> ot.Tensor.vals.Region.F.data
+    | _ -> shape_changed m.m_plan
+  in
+  let kn = if dcols = 0 then 0 else Array.length d / dcols in
+  check_span m (Int.min kn ccols) 0 klo khi;
+  let dt = transposed m d ~rows:kn ~cols:dcols in
+  fun shard ~col_range:_ ->
+    csr_run m l shard ~js:0 ~ks:(khi - klo + 1) (fun row lo hi ->
+        let cbase = row * ccols in
+        let q = ref lo in
+        while !q + 3 <= hi do
+          let q0 = !q in
+          let b0 = Array.unsafe_get crdd q0 * kn
+          and b1 = Array.unsafe_get crdd (q0 + 1) * kn
+          and b2 = Array.unsafe_get crdd (q0 + 2) * kn
+          and b3 = Array.unsafe_get crdd (q0 + 3) * kn in
+          let acc0 = ref 0. and acc1 = ref 0. and acc2 = ref 0. and acc3 = ref 0. in
+          for k = klo to khi do
+            let ck = scale *. Array.unsafe_get c (cbase + k) in
+            acc0 := !acc0 +. (ck *. Array.unsafe_get dt (b0 + k));
+            acc1 := !acc1 +. (ck *. Array.unsafe_get dt (b1 + k));
+            acc2 := !acc2 +. (ck *. Array.unsafe_get dt (b2 + k));
+            acc3 := !acc3 +. (ck *. Array.unsafe_get dt (b3 + k))
+          done;
+          A1.unsafe_set out q0 (A1.unsafe_get out q0 +. (A1.unsafe_get dvals q0 *. !acc0));
+          A1.unsafe_set out (q0 + 1)
+            (A1.unsafe_get out (q0 + 1) +. (A1.unsafe_get dvals (q0 + 1) *. !acc1));
+          A1.unsafe_set out (q0 + 2)
+            (A1.unsafe_get out (q0 + 2) +. (A1.unsafe_get dvals (q0 + 2) *. !acc2));
+          A1.unsafe_set out (q0 + 3)
+            (A1.unsafe_get out (q0 + 3) +. (A1.unsafe_get dvals (q0 + 3) *. !acc3));
+          q := q0 + 4
+        done;
+        while !q <= hi do
+          let q0 = !q in
+          let b0 = Array.unsafe_get crdd q0 * kn in
+          let acc = ref 0. in
+          for k = klo to khi do
+            acc := !acc +. (scale *. Array.unsafe_get c (cbase + k) *. Array.unsafe_get dt (b0 + k))
+          done;
+          A1.unsafe_set out q0 (A1.unsafe_get out q0 +. (A1.unsafe_get dvals q0 *. !acc));
+          q := q0 + 1
+        done)
+
+(* ------------------------------------------------------------------ *)
+(* Fiber fast paths: 3-level drivers                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Slice cursor, the 3-level counterpart of [csr_run]: [slice_run m fib
+   shard ~js ~ks seg] cuts each interval into per-slice segments and calls
+   [seg i f0 f1 q0 q1] on each: the positions [q0..q1] of slice [i], held
+   by its fibers [f0..f1].  A CSF slice and a (Dense, Dense, Compressed)
+   slice are both a contiguous fiber range.  An interval may start or end
+   inside a fiber or a slice (non-zero schedules cut both), so its first
+   fiber and slice are located once; then the cursor only moves forward,
+   stepping over empty fibers (whose hi precedes their lo) and, for CSF,
+   over empty slices.  A fiber's own positions in a segment run from
+   [fiber_lo] to [fiber_hi].  [nnz] and [rows_touched] are tallied as
+   [run_generic] tallies them, so {!Leaf.mul_work} sees identical
+   inputs. *)
+let slice_run (m : mul) (l : launch) fib shard ~js ~ks seg =
   let pos2 = fib.pos2 in
   let npos = min (A1.dim l.l_dvals) (Array.length fib.crd2) in
   let nnz = ref 0 and rows_touched = ref 0 and last_row = ref (-1) in
@@ -582,28 +695,30 @@ let fiber_run (m : mul) (l : launch) fib shard ~js ~ks seg =
       let i = ref (l.l_walk.w_walkers.(1).Level_funcs.li_locate !f) in
       let p = ref plo in
       while !p <= phi do
-        let fhi = snd pos2.(!f) in
-        if !p <= fhi then begin
-          let j =
-            match fib.slices with
-            | Csf_slices { pos1; crd1 } ->
-                while !f > snd pos1.(!i) do
-                  incr i
-                done;
-                crd1.(!f)
-            | Ddc_slices { n1 } ->
-                i := !f / n1;
-                !f - (!i * n1)
-          in
-          let seg_hi = if fhi < phi then fhi else phi in
+        let last =
+          match fib.slices with
+          | Csf_slices { pos1; _ } ->
+              while !f > snd pos1.(!i) do
+                incr i
+              done;
+              snd pos1.(!i)
+          | Ddc_slices { n1 } ->
+              i := !f / n1;
+              (!i * n1) + n1 - 1
+        in
+        let f0 = !f and q0 = !p in
+        while !f <= last && !p <= phi do
+          let fhi = snd pos2.(!f) in
+          if !p <= fhi then p := (if fhi < phi then fhi else phi) + 1;
+          incr f
+        done;
+        if !p > q0 then begin
           if !i <> !last_row then begin
             incr rows_touched;
             last_row := !i
           end;
-          seg !i j !f !p seg_hi;
-          p := seg_hi + 1
-        end;
-        incr f
+          seg !i f0 (!f - 1) q0 (!p - 1)
+        end
       done)
     shard;
   {
@@ -611,10 +726,21 @@ let fiber_run (m : mul) (l : launch) fib shard ~js ~ks seg =
     partial = None;
   }
 
+(* The positions of fiber [f] inside the segment [q0..q1]: empty when
+   [hi < lo]. *)
+let[@inline] fiber_lo fib f q0 = Int.max q0 (fst fib.pos2.(f))
+let[@inline] fiber_hi fib f q1 = Int.min q1 (snd fib.pos2.(f))
+
+(* The level-1 coordinate [j] of fiber [f] in slice [i]. *)
+let[@inline] fiber_j fib i f =
+  match fib.slices with
+  | Csf_slices { crd1; _ } -> crd1.(f)
+  | Ddc_slices { n1 } -> f - (i * n1)
+
 (* SpTTV: the output is the fiber's cell of the sparse output (its level-1
-   position), accumulated in a register across the segment as in
+   position), accumulated in a register across the fiber as in
    [run_spmv]. *)
-let run_ttv (m : mul) (l : launch) ~shard ~fib =
+let run_ttv (m : mul) (l : launch) ~fib : piece_loop =
   let crd2 = fib.crd2 and dvals = l.l_dvals and c = l.l_fdata.(0) in
   let scale = m.m_plan.Leaf.pl_scale in
   let out =
@@ -622,72 +748,146 @@ let run_ttv (m : mul) (l : launch) ~shard ~fib =
     | Operand.Sparse ot -> ot.Tensor.vals.Region.F.data
     | _ -> shape_changed m.m_plan
   in
-  fiber_run m l fib shard ~js:0 ~ks:0 (fun _ _ f lo hi ->
-      let acc = ref (A1.get out f) in
-      for q = lo to hi do
-        acc :=
-          !acc +. (A1.unsafe_get dvals q *. (scale *. c.(Array.unsafe_get crd2 q)))
-      done;
-      A1.set out f !acc)
+  fun shard ~col_range:_ ->
+    slice_run m l fib shard ~js:0 ~ks:0 (fun _ f0 f1 q0 q1 ->
+        for f = f0 to f1 do
+          let lo = fiber_lo fib f q0 and hi = fiber_hi fib f q1 in
+          if lo <= hi then begin
+            let acc = ref (A1.get out f) in
+            for q = lo to hi do
+              acc :=
+                !acc +. (A1.unsafe_get dvals q *. (scale *. c.(Array.unsafe_get crd2 q)))
+            done;
+            A1.set out f !acc
+          end
+        done)
 
-(* SpMTTKRP: [C]'s row [j] is the same for a whole fiber, so its scaled
-   slice [sc.(t) = scale·C(j, jlo + t)] is filled once per segment.  Each
-   element then adds [dv·(sc.(t)·D(k, jlo + t))] into [A(i, jlo + t)]: the
-   interpreter's fold [((scale·C)·D)] followed by [dv·_], with the same
-   left-to-right additions, so rounding is bit-identical. *)
-let run_mttkrp (m : mul) (l : launch) ~shard ~col_range ~fib ~ccols ~dcols =
+(* SpMTTKRP, blocked per slice: the block [A(i, t0..t0+3)] stays in
+   registers across every fiber of slice [i] in the segment.  Per fiber,
+   [C]'s row [j] is scaled once, [s = scale·C(j, t)]; each element then
+   adds [dv·(s·D(k, t))]: the interpreter's fold [((scale·C)·D)] followed
+   by [dv·_].  A scalar loop takes the [js mod 4] tail.  A first pass
+   bounds-checks every factor row the segment reads and lists its
+   non-empty fibers as [(lo, hi, C row base)] triples in [fs], so the
+   blocked passes index unchecked and skip empty fibers. *)
+let run_mttkrp (m : mul) (l : launch) ~fib ~ccols ~dcols : piece_loop =
   let crd2 = fib.crd2 and dvals = l.l_dvals in
   let c = l.l_fdata.(0) and d = l.l_fdata.(1) in
   let scale = m.m_plan.Leaf.pl_scale in
-  let jlo, jhi = Leaf.j_bounds m.m_plan ~col_range in
-  let js = jhi - jlo + 1 in
   let a, acols =
     match l.l_out with
     | Operand.Mat mt -> (mt.Dense.data, mt.Dense.cols)
     | _ -> shape_changed m.m_plan
   in
-  let sc = Array.make (max js 0) 0. in
-  fiber_run m l fib shard ~js ~ks:0 (fun i j _ lo hi ->
-      let abase = (i * acols) + jlo and cbase = (j * ccols) + jlo in
-      check_span m (Array.length a) abase 0 (js - 1);
-      check_span m (Array.length c) cbase 0 (js - 1);
-      for t = 0 to js - 1 do
-        Array.unsafe_set sc t (scale *. Array.unsafe_get c (cbase + t))
-      done;
-      for q = lo to hi do
-        let dv = A1.unsafe_get dvals q in
-        let dbase = (Array.unsafe_get crd2 q * dcols) + jlo in
-        check_span m (Array.length d) dbase 0 (js - 1);
-        for t = 0 to js - 1 do
-          Array.unsafe_set a (abase + t)
-            (Array.unsafe_get a (abase + t)
-            +. (dv *. (Array.unsafe_get sc t *. Array.unsafe_get d (dbase + t))))
-        done
-      done)
+  fun shard ~col_range ->
+    let jlo, jhi = Leaf.j_bounds m.m_plan ~col_range in
+    let js = jhi - jlo + 1 in
+    let fs = ref (Array.make 48 0) in
+    slice_run m l fib shard ~js ~ks:0 (fun i f0 f1 q0 q1 ->
+        let abase = (i * acols) + jlo in
+        check_span m (Array.length a) abase 0 (js - 1);
+        let nf = ref 0 in
+        for f = f0 to f1 do
+          let lo = fiber_lo fib f q0 and hi = fiber_hi fib f q1 in
+          if lo <= hi then begin
+            let cb = (fiber_j fib i f * ccols) + jlo in
+            check_span m (Array.length c) cb 0 (js - 1);
+            for q = lo to hi do
+              check_span m (Array.length d) ((crd2.(q) * dcols) + jlo) 0 (js - 1)
+            done;
+            if 3 * (!nf + 1) > Array.length !fs then begin
+              let grown = Array.make (2 * Array.length !fs) 0 in
+              Array.blit !fs 0 grown 0 (3 * !nf);
+              fs := grown
+            end;
+            let fs = !fs and x = 3 * !nf in
+            fs.(x) <- lo;
+            fs.(x + 1) <- hi;
+            fs.(x + 2) <- cb;
+            incr nf
+          end
+        done;
+        let fs = !fs and nf = !nf in
+        let t = ref 0 in
+        while !t + 3 < js do
+          let t0 = !t in
+          let o = abase + t0 in
+          let a0 = ref (Array.unsafe_get a o)
+          and a1 = ref (Array.unsafe_get a (o + 1))
+          and a2 = ref (Array.unsafe_get a (o + 2))
+          and a3 = ref (Array.unsafe_get a (o + 3)) in
+          for n = 0 to nf - 1 do
+            let cb = Array.unsafe_get fs ((3 * n) + 2) + t0 in
+            let s0 = scale *. Array.unsafe_get c cb
+            and s1 = scale *. Array.unsafe_get c (cb + 1)
+            and s2 = scale *. Array.unsafe_get c (cb + 2)
+            and s3 = scale *. Array.unsafe_get c (cb + 3) in
+            for q = Array.unsafe_get fs (3 * n) to Array.unsafe_get fs ((3 * n) + 1) do
+              let dv = A1.unsafe_get dvals q in
+              let db = (Array.unsafe_get crd2 q * dcols) + jlo + t0 in
+              a0 := !a0 +. (dv *. (s0 *. Array.unsafe_get d db));
+              a1 := !a1 +. (dv *. (s1 *. Array.unsafe_get d (db + 1)));
+              a2 := !a2 +. (dv *. (s2 *. Array.unsafe_get d (db + 2)));
+              a3 := !a3 +. (dv *. (s3 *. Array.unsafe_get d (db + 3)))
+            done
+          done;
+          Array.unsafe_set a o !a0;
+          Array.unsafe_set a (o + 1) !a1;
+          Array.unsafe_set a (o + 2) !a2;
+          Array.unsafe_set a (o + 3) !a3;
+          t := t0 + 4
+        done;
+        for t = !t to js - 1 do
+          let acc = ref (Array.unsafe_get a (abase + t)) in
+          for n = 0 to nf - 1 do
+            let s = scale *. Array.unsafe_get c (Array.unsafe_get fs ((3 * n) + 2) + t) in
+            for q = Array.unsafe_get fs (3 * n) to Array.unsafe_get fs ((3 * n) + 1) do
+              acc :=
+                !acc
+                +. A1.unsafe_get dvals q
+                   *. (s *. Array.unsafe_get d ((Array.unsafe_get crd2 q * dcols) + jlo + t))
+            done
+          done;
+          Array.unsafe_set a (abase + t) !acc
+        done)
 
 (* ------------------------------------------------------------------ *)
 (* Execution                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let execute t ?(bindings = t.bindings) ~shard_vals ~rows ~col_range () =
+type piece =
+  shard_vals:(string -> Iset.t) ->
+  rows:Iset.t option ->
+  col_range:(int * int) option ->
+  unit ->
+  Leaf.result
+
+let launch t ~bindings : piece =
   match t.kind with
-  | C_merge { g_tensors; g_use_workspace } -> (
-      match rows with
-      | Some r ->
-          let ops, cols = Leaf.merge_ops ~bindings ~tensors:g_tensors in
-          Leaf.merge_core ~ops ~cols ~rows:r ~use_workspace:g_use_workspace
-      | None -> Error.fail Error.Leaf "merge kernel needs a row set")
-  | C_mul m -> (
-      let shard = shard_vals m.m_plan.Leaf.pl_driver_name in
+  | C_merge { g_tensors; g_use_workspace } ->
+      let ops, cols = Leaf.merge_ops ~bindings ~tensors:g_tensors in
+      fun ~shard_vals:_ ~rows ~col_range:_ () ->
+        (match rows with
+        | Some r -> Leaf.merge_core ~ops ~cols ~rows:r ~use_workspace:g_use_workspace
+        | None -> Error.fail Error.Leaf "merge kernel needs a row set")
+  | C_mul m ->
       let l = resolve m ~bindings in
-      match l.l_walk.w_fast with
-      | Fast_spmv -> run_spmv m l ~shard
-      | Fast_spmm { ccols } -> run_spmm m l ~shard ~col_range ~ccols
-      | Fast_sddmm { ccols; dcols } -> run_sddmm m l ~shard ~ccols ~dcols
-      | Fast_ttv { fib } -> run_ttv m l ~shard ~fib
-      | Fast_mttkrp { fib; ccols; dcols } ->
-          run_mttkrp m l ~shard ~col_range ~fib ~ccols ~dcols
-      | Generic -> run_generic m l ~shard ~col_range)
+      let run =
+        match l.l_walk.w_fast with
+        | Fast_spmv -> run_spmv m l
+        | Fast_spmm { ccols } -> run_spmm m l ~ccols
+        | Fast_sddmm { ccols; dcols } -> run_sddmm m l ~ccols ~dcols
+        | Fast_ttv { fib } -> run_ttv m l ~fib
+        | Fast_mttkrp { fib; ccols; dcols } -> run_mttkrp m l ~fib ~ccols ~dcols
+        | Generic ->
+            let out = resolve_out m l in
+            fun shard ~col_range -> run_generic m l ~out ~shard ~col_range
+      in
+      let driver = m.m_plan.Leaf.pl_driver_name in
+      fun ~shard_vals ~rows:_ ~col_range () -> run (shard_vals driver) ~col_range
+
+let execute t ?(bindings = t.bindings) ~shard_vals ~rows ~col_range () =
+  launch t ~bindings ~shard_vals ~rows ~col_range ()
 
 let path_name t =
   match t.kind with

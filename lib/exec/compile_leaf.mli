@@ -13,16 +13,22 @@
     CSR SpMV, SpMM and SDDMM run fused row-segment loops.  SpTTV
     ([A(i,j) = B(i,j,k)·c(k)] into a sparse output sharing [B]'s first two
     levels) and SpMTTKRP ([A(i,l) = B(i,j,k)·C(j,l)·D(k,l)], factors in that
-    order) run fused fiber-segment loops when [B] is stored in identity mode
-    order as CSF (Dense, Compressed, Compressed) or as (Dense, Dense,
-    Compressed); SpMTTKRP scales [C]'s row once per fiber.  Every other
-    shape runs a generic walker that indexes each factor and the sink
-    affinely in the one active inner variable ([base + v·stride], bases
-    recomputed once per stored element), so its inner loop is a plain
-    [for] over the factor arrays with an unboxed float accumulator.  Both
-    allocate nothing per stored element, as does the merge core
-    ({!Leaf.merge_core}); [test/test_leaf.ml] bounds one execute's minor
-    allocation below the element count.
+    order) run fused slice-segment loops when [B] is stored in identity
+    mode order as CSF (Dense, Compressed, Compressed) or as (Dense, Dense,
+    Compressed).  The blocked loops keep output cells in registers: SpMM
+    holds four columns of [A]'s row across a row segment, SpMTTKRP four
+    columns of [A]'s row across every fiber of a slice, and SDDMM reads [D]
+    through a transposed copy made once per launch, four elements at a
+    time.  Each output cell receives the interpreter's products, with its
+    association, in its order; only the interleaving across cells differs,
+    which is why an output may not share storage with an input (see
+    {!Interp.run}).  Every other shape runs a generic walker that indexes
+    each factor and the sink affinely in the one active inner variable
+    ([base + v·stride], bases recomputed once per stored element), so its
+    inner loop is a plain [for] over the factor arrays with an unboxed
+    float accumulator.  All allocate nothing per stored element, as does
+    the merge core ({!Leaf.merge_core}); [test/test_leaf.ml] bounds one
+    execute's minor allocation below the element count.
 
     Classification ({!Leaf.plan_mul}), inner-loop bounds and the simulated
     work model ({!Leaf.mul_work}) are shared verbatim with the interpreter,
@@ -61,27 +67,42 @@ val default_backend : unit -> backend
     holds structure only: the {!Leaf.plan}, the affine index maps, the
     fast-path choice, and the level walkers, CSR row ends and fiber arrays
     of the driver it was compiled against.  Data binds at launch: each
-    {!execute} looks up the driver's values, the factors, the merge
+    {!launch} looks up the driver's values, the factors, the merge
     operands and the output in its bindings, so a leaf compiled for one
     context serves any context whose problem has the same pattern and
     shapes (the cache key guarantees both).  A launch driver stored in
     other arrays than the compiled one is walked through its own storage
-    for that call.  All mutable walk state is allocated per call, so one
-    compiled leaf may simulate the pieces of a distributed launch
-    concurrently. *)
+    for that launch.  All mutable walk state is allocated per piece, so
+    the pieces of one launch may run concurrently.  An SDDMM leaf keeps one
+    transposed-[D] buffer across its launches. *)
 type t
 
 (** Specialize one leaf.  Raises {!Spdistal_runtime.Error.Error} on the
     same unsupported shapes as the interpreter ({!Leaf.plan_mul}). *)
 val compile : bindings:Operand.bindings -> Spdistal_ir.Loop_ir.leaf -> t
 
-(** Drop-in replacement for {!Leaf.execute} (same piece-shard arguments,
-    same {!Leaf.result}, same deferred per-element error semantics).
-    [bindings] are the launch's (default: the ones [t] was compiled
-    against); their driver must have the pattern [t] was compiled for.
-    Raises {!Spdistal_runtime.Error.Error} ([Leaf]) when an operand's
-    shape, or the driver's stored-value count, differs from the one [t]
-    was compiled for. *)
+(** One piece of a launch: {!Leaf.execute}'s piece-shard arguments, same
+    {!Leaf.result}, same deferred per-element error semantics. *)
+type piece =
+  shard_vals:(string -> Iset.t) ->
+  rows:Iset.t option ->
+  col_range:(int * int) option ->
+  unit ->
+  Leaf.result
+
+(** [launch t ~bindings] resolves a launch's data once, on the calling
+    domain: the shape checks, the driver's values, the factors' and the
+    output's storage, the walk, and for SDDMM the transposed [D].  The
+    returned piece reads what was resolved and may run concurrently on
+    other domains; [bindings]' driver must have the pattern [t] was
+    compiled for.  Raises {!Spdistal_runtime.Error.Error} ([Leaf]) when an
+    operand's shape, or the driver's stored-value count, differs from the
+    one [t] was compiled for.  Launches of one leaf must not overlap: the
+    transposed [D] is one buffer per leaf. *)
+val launch : t -> bindings:Operand.bindings -> piece
+
+(** [launch] then one piece: a drop-in replacement for {!Leaf.execute}.
+    [bindings] default to the ones [t] was compiled against. *)
 val execute :
   t ->
   ?bindings:Operand.bindings ->

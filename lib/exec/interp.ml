@@ -608,8 +608,31 @@ let launches ~machine ~bindings ~placement ~memstate ~cost ~fcfg ~trace ~map
             (stmt_ctor other))
     loops prepared.pp_leaves
 
+(* A leaf reads its inputs while it writes its output, so an output that
+   shares storage with an input would read its own partial sums, in an
+   order that differs between the leaf backends. *)
+let check_no_aliasing ~bindings loops =
+  List.iter
+    (function
+      | Loop_ir.Distributed_for { leaf = { Loop_ir.leaf_stmt = stmt; _ }; _ } ->
+          let out = stmt.Tin.lhs.Tin.tensor in
+          let out_data = (Operand.find bindings out).Operand.data in
+          List.iter
+            (fun (a : Tin.access) ->
+              if
+                a.Tin.tensor <> out
+                && Operand.shares_storage out_data
+                     (Operand.find bindings a.Tin.tensor).Operand.data
+              then
+                Error.fail ~kernel:out Error.Config
+                  "output %s shares storage with input %s" out a.Tin.tensor)
+            (Tin.rhs_accesses stmt)
+      | _ -> ())
+    loops
+
 let run ~machine ~bindings ~placement ?memstate ~cost ?domains ?faults ?trace
     ~prepared ?(launch_base = 0) prog =
+  check_no_aliasing ~bindings prepared.pp_loops;
   let domains =
     match domains with Some d -> d | None -> Machine.sim_domains ()
   in
@@ -639,7 +662,7 @@ let run ~machine ~bindings ~placement ?memstate ~cost ?domains ?faults ?trace
     else Pool.map pool simulate pieces
   in
   let leaf_step (leaf : Loop_ir.leaf) = function
-    | Some cl -> Compile_leaf.execute cl ~bindings
+    | Some cl -> Compile_leaf.launch cl ~bindings
     | None ->
         (* Materialize the driver's coordinate expansion on this domain so
            worker domains only read the memoized entry.  Compiled leaves walk

@@ -52,6 +52,12 @@ open Spdistal_runtime
     never changes computed tensors or [cost] — all emission happens on the
     reducing domain in piece order.
 
+    An output whose values share storage with an input's (one [Dense.t]
+    bound to both, say) is refused before any leaf runs, with a
+    {!Spdistal_runtime.Error.Error} in the [Config] phase naming both
+    operands.  Every run path ([Spdistal.run], [Context.run] and the
+    serving front-end) reaches this check.
+
     [prepared] is [prog]'s materialized {!prepared} value from {!prepare}
     (fresh from a cold build, or replayed from the execution context's
     cache); its [pp_backend] fixes how leaves execute — [Compiled] runs the

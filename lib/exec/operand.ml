@@ -29,6 +29,22 @@ let find_mat bindings name =
   | Mat m -> m
   | Sparse _ | Vec _ -> Error.fail ~kernel:name Error.Config "operand is not a matrix"
 
+let shares_storage a b =
+  let floats = function
+    | Vec v -> Some v.Dense.data
+    | Mat m -> Some m.Dense.data
+    | Sparse _ -> None
+  in
+  match (a, b) with
+  | Sparse x, Sparse y ->
+      x.Tensor.vals.Spdistal_runtime.Region.F.data
+      == y.Tensor.vals.Spdistal_runtime.Region.F.data
+  | _ -> (
+      (* Every empty float array is the same atom, and shares nothing. *)
+      match (floats a, floats b) with
+      | Some x, Some y -> Array.length x > 0 && x == y
+      | _ -> false)
+
 let dim data d =
   match data with
   | Sparse t -> t.Tensor.dims.(d)

@@ -18,6 +18,10 @@ val find_sparse : bindings -> string -> Tensor.t
 val find_vec : bindings -> string -> Dense.vec
 val find_mat : bindings -> string -> Dense.mat
 
+(** Whether the two operands' values are one storage, so writing one
+    changes the other. *)
+val shares_storage : data -> data -> bool
+
 (** Size of dimension [d] of the operand. *)
 val dim : data -> int -> int
 

@@ -50,19 +50,6 @@ val add_stats : stats -> stats -> unit
     dependent-partitioning operation. *)
 val create : ?trace:Spdistal_obs.Trace.t -> Operand.bindings -> env
 
-(** Resolve a symbolic dimension. *)
-val eval_dim : env -> Loop_ir.dim_expr -> int
-
-(** Resolve arithmetic under a color binding. *)
-val eval_aexpr : env -> color:(string * int) -> Loop_ir.aexpr -> int
-
-(** Index space of a region reference. *)
-val rref_ispace : env -> Loop_ir.rref -> Iset.t
-
-(** Execute one partitioning statement ([Distributed_for] is rejected —
-    that belongs to the interpreter). *)
-val eval_stmt : env -> Loop_ir.stmt -> unit
-
 (** A program's top-level statements split into its partitioning
     statements and its distributed loops, each in program order.  Two
     programs with equal partitioning statements on the same grid define the

@@ -378,6 +378,42 @@ let test_validate_inconsistent_domain () =
   | _ -> Alcotest.fail "inconsistent domains accepted"
   | exception Error.Error { Error.phase = Error.Config; _ } -> ()
 
+(* SpMM with [C] bound to [A]'s storage would read its own partial sums.
+   Every run path refuses it with a typed error naming both operands,
+   before any leaf writes, on either leaf backend. *)
+let test_aliased_output_rejected () =
+  let b = Helpers.rand_csr ~seed:45 64 64 0.2 in
+  let aliased () =
+    let p = Core.Kernels.spmm_problem ~machine:(Helpers.cpu_machine 2) ~cols:64 b in
+    let bindings = Core.Spdistal.bindings p in
+    (Operand.find bindings "C").Operand.data <- (Operand.find bindings "A").Operand.data;
+    p
+  in
+  let module S = Core.Spdistal in
+  List.iter
+    (fun (name, run) ->
+      let p = aliased () in
+      let before = Array.copy (Operand.find_mat (S.bindings p) "A").Dense.data in
+      match run p with
+      | () -> Alcotest.failf "%s: an output aliasing an input was accepted" name
+      | exception Error.Error ({ Error.phase = Error.Config; _ } as e) ->
+          let msg = Error.to_string e in
+          Alcotest.(check bool)
+            (name ^ ": names A and C: " ^ msg)
+            true
+            (Helpers.contains msg "output A" && Helpers.contains msg "input C");
+          Alcotest.(check bool)
+            (name ^ ": output untouched")
+            true
+            (before = (Operand.find_mat (S.bindings p) "A").Dense.data))
+    [
+      ("Spdistal.run", fun p -> ignore (S.run p));
+      ( "Spdistal.run interp",
+        fun p -> ignore (S.run ~leaf_backend:Compile_leaf.Interp p) );
+      ("Spdistal.run ~iterations:2", fun p -> ignore (S.run ~iterations:2 p));
+      ("Context.run", fun p -> ignore (S.Context.run (S.Context.create p)));
+    ]
+
 let suite =
   [
     Alcotest.test_case "operand bindings" `Quick test_operand;
@@ -408,4 +444,6 @@ let suite =
     prop_random_spadd3;
     Alcotest.test_case "validate: inconsistent domains are typed" `Quick
       test_validate_inconsistent_domain;
+    Alcotest.test_case "an output aliasing an input is a typed error" `Quick
+      test_aliased_output_rejected;
   ]

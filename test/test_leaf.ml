@@ -1,8 +1,8 @@
 (* Leaf-level contracts of the compiled backend: the array merge core equals
-   the list-based core it replaced, the fiber fast paths equal the
-   interpreter on cut shards, compiled leaves allocate nothing per stored
-   element, and the generic walker matches the interpreter on shapes the
-   kernel catalog does not reach. *)
+   the list-based core it replaced, the fiber and CSR SpMM/SDDMM fast paths
+   equal the interpreter on cut shards, compiled leaves allocate nothing per
+   stored element, and the generic walker matches the interpreter on shapes
+   the kernel catalog does not reach. *)
 
 open Spdistal_runtime
 open Spdistal_formats
@@ -282,6 +282,22 @@ let fiber_tensor c =
     vals = Region.F.of_array "B.vals" (Array.sub c.vals 0 (max nnz 1));
   }
 
+(* One to three piece shards over [nnz] stored values: the whole range, one
+   interval, or a scattered subset, so shards cut rows, slices and fibers. *)
+let gen_shards st nnz =
+  let int = Random.State.int st in
+  let random_shard () =
+    if nnz = 0 then Iset.empty
+    else
+      match int 4 with
+      | 0 -> Iset.range nnz
+      | 1 ->
+          let a = int nnz and b = int nnz in
+          Iset.interval (min a b) (max a b)
+      | _ -> Iset.of_list (List.filter (fun _ -> int 3 > 0) (List.init nnz Fun.id))
+  in
+  List.init (1 + int 3) (fun _ -> random_shard ())
+
 let gen_fiber_case st =
   let int = Random.State.int st in
   let dims = Array.init 3 (fun _ -> 1 + int 6) in
@@ -301,17 +317,7 @@ let gen_fiber_case st =
     |> Array.of_list
   in
   let nnz = Array.fold_left (fun n (_, _, ks) -> n + List.length ks) 0 fibers in
-  let cols = 1 + int 5 in
-  let random_shard () =
-    if nnz = 0 then Iset.empty
-    else
-      match int 4 with
-      | 0 -> Iset.range nnz
-      | 1 ->
-          let a = int nnz and b = int nnz in
-          Iset.interval (min a b) (max a b)
-      | _ -> Iset.of_list (List.filter (fun _ -> int 3 > 0) (List.init nnz Fun.id))
-  in
+  let cols = 1 + int 9 in
   {
     csf;
     mttkrp;
@@ -322,7 +328,7 @@ let gen_fiber_case st =
     cols;
     col_range = (if Random.State.bool st then None else Some (int cols, int cols));
     nnz_split = Random.State.bool st;
-    shards = List.init (1 + int 3) (fun _ -> random_shard ());
+    shards = gen_shards st nnz;
   }
 
 let print_fiber_case c =
@@ -420,6 +426,133 @@ let prop_fiber_paths_equal_interp =
       && wi = wc
       && output_bits bi = output_bits bc)
 
+(* --- CSR fast paths vs the interpreter ---------------------------------- *)
+
+(* A random CSR SpMM or SDDMM leaf: empty rows, widths 1-9 (so every
+   [mod 4] tail of the blocked loops runs), column ranges, literal scales
+   and shards that cut rows. *)
+type csr_case = {
+  sddmm : bool;
+  m_rows : int;
+  m_cols : int;
+  entries : (int * int) list;  (* stored coordinates, row-major *)
+  m_vals : float array;
+  m_scale : string;
+  width : int;  (* SpMM's dense columns, SDDMM's reduction extent *)
+  m_col_range : (int * int) option;
+  m_nnz_split : bool;
+  m_shards : Iset.t list;
+}
+
+let gen_csr_case st =
+  let int = Random.State.int st in
+  let m_rows = 1 + int 7 and m_cols = 1 + int 7 in
+  let entries =
+    List.concat
+      (List.init m_rows (fun i ->
+           if int 4 = 0 then []
+           else List.filter_map (fun j -> if int 2 = 0 then Some (i, j) else None)
+               (List.init m_cols Fun.id)))
+  in
+  let width = 1 + int 9 in
+  {
+    sddmm = Random.State.bool st;
+    m_rows;
+    m_cols;
+    entries;
+    m_vals = Array.init 2000 (fun _ -> Random.State.float st 2. -. 1.);
+    m_scale = [| ""; ""; "0.3 * "; "1.7 * " |].(int 4);
+    width;
+    m_col_range = (if Random.State.bool st then None else Some (int width, int width));
+    m_nnz_split = Random.State.bool st;
+    m_shards = gen_shards st (List.length entries);
+  }
+
+let print_csr_case c =
+  Format.asprintf "%s %s%dx%d, width %d, col_range %s, nnz_split %b@.entries %s@.shards %s"
+    (if c.sddmm then "SDDMM" else "SpMM")
+    c.m_scale c.m_rows c.m_cols c.width
+    (match c.m_col_range with None -> "none" | Some (lo, hi) -> Printf.sprintf "%d..%d" lo hi)
+    c.m_nnz_split
+    (String.concat " " (List.map (fun (i, j) -> Printf.sprintf "(%d,%d)" i j) c.entries))
+    (String.concat " " (List.map (Format.asprintf "%a" Iset.pp) c.m_shards))
+
+(* Fresh bindings for one backend, every value drawn from the case and the
+   output seeded non-zero, as in [fiber_bindings]. *)
+let csr_bindings c =
+  let v = c.m_vals in
+  let b =
+    Tensor.csr ~name:"B"
+      (Coo.make [| c.m_rows; c.m_cols |]
+         (List.mapi (fun x (i, j) -> ([| i; j |], v.(x mod 2000))) c.entries))
+  in
+  let off = Tensor.nnz b in
+  let mat name rows cols base =
+    let m = Dense.mat_create name rows cols in
+    Array.iteri (fun x _ -> m.Dense.data.(x) <- v.((base + x) mod 2000)) m.Dense.data;
+    Operand.mat m
+  in
+  if c.sddmm then
+    let a = Assemble.copy_pattern ~name:"A" b in
+    let av = a.Tensor.vals.Region.F.data in
+    for x = 0 to A1.dim av - 1 do
+      A1.set av x v.((off + x) mod 2000)
+    done;
+    [
+      ("A", Operand.sparse a);
+      ("B", Operand.sparse b);
+      ("C", mat "C" c.m_rows c.width (off + 300));
+      ("D", mat "D" c.width c.m_cols (off + 600));
+    ]
+  else
+    [
+      ("A", mat "A" c.m_rows c.width off);
+      ("B", Operand.sparse b);
+      ("C", mat "C" c.m_cols c.width (off + 300));
+    ]
+
+let csr_leaf c =
+  let stmt =
+    if c.sddmm then "A(i,j) = " ^ c.m_scale ^ "B(i,j) * C(i,k) * D(k,j)"
+    else "A(i,j) = " ^ c.m_scale ^ "B(i,k) * C(k,j)"
+  in
+  {
+    Loop_ir.leaf_stmt = Tin.of_string_exn stmt;
+    driver = Loop_ir.Sparse_driver "B";
+    nnz_split = c.m_nnz_split;
+    parallel = true;
+    out_reduce = false;
+    leaf_row_part = None;
+    use_workspace = false;
+    col_split = 1;
+  }
+
+(* Each shard runs in turn on both backends; the outputs and every shard's
+   work must agree bit for bit, and the compiled leaf must have taken the
+   CSR path. *)
+let prop_csr_paths_equal_interp =
+  Helpers.qtest ~count:500 "SpMM/SDDMM fast paths = interp (outputs, work bits)"
+    (QCheck.make ~print:print_csr_case gen_csr_case)
+    (fun c ->
+      let leaf = csr_leaf c in
+      let bi = csr_bindings c and bc = csr_bindings c in
+      let compiled = Compile_leaf.compile ~bindings:bc leaf in
+      let works exec = List.map (fun shard -> work_bits (exec shard).Leaf.work) c.m_shards in
+      let wi =
+        works (fun shard ->
+            Leaf.execute ~bindings:bi ~leaf ~shard_vals:(fun _ -> shard) ~rows:None
+              ~col_range:c.m_col_range ())
+      in
+      let wc =
+        works (fun shard ->
+            Compile_leaf.execute compiled ~shard_vals:(fun _ -> shard) ~rows:None
+              ~col_range:c.m_col_range ())
+      in
+      Leaf.clear_cache ();
+      Compile_leaf.path_name compiled = (if c.sddmm then "csr-sddmm" else "csr-spmm")
+      && wi = wc
+      && output_bits bi = output_bits bc)
+
 let rand_ddc ?seed d0 d1 d2 density =
   Tensor.of_coo ~name:"B"
     ~formats:[| Level.Dense_k; Level.Dense_k; Level.Compressed_k |]
@@ -471,6 +604,7 @@ let test_leaf_alloc () =
   let m = Helpers.cpu_machine 1 in
   let t = Helpers.rand_csf ~seed:31 30 30 30 0.1 in
   let ddc = rand_ddc ~seed:34 6 30 30 0.1 in
+  let b = Helpers.rand_csr ~seed:32 200 200 0.05 in
   List.iter
     (fun (name, t, p) ->
       let n = Tensor.nnz t in
@@ -480,8 +614,9 @@ let test_leaf_alloc () =
       ("SpTTV CSF", t, Core.Kernels.spttv_problem ~machine:m t);
       ("SpMTTKRP DDC", ddc, Core.Kernels.mttkrp_problem ~machine:m ~cols:8 ddc);
       ("SpTTV DDC", ddc, Core.Kernels.spttv_problem ~machine:m ddc);
+      ("SpMM CSR", b, Core.Kernels.spmm_problem ~machine:m ~cols:9 b);
+      ("SDDMM CSR", b, Core.Kernels.sddmm_problem ~machine:m ~cols:9 b);
     ];
-  let b = Helpers.rand_csr ~seed:32 200 200 0.05 in
   List.iter
     (fun (name, schedule) ->
       let cl = compiled_leaf (Core.Kernels.spadd3_problem ~machine:m ~schedule b) in
@@ -494,6 +629,28 @@ let test_leaf_alloc () =
       ("SpAdd3 merge", Core.Kernels.spadd3_row ());
       ("SpAdd3 workspace", Core.Kernels.spadd3_workspace ());
     ]
+
+(* A compiled SDDMM leaf keeps its transposed [D] across launches: the first
+   launch allocates it, a second allocates less than [D]'s size. *)
+let test_sddmm_transpose_reused () =
+  let b = Helpers.rand_csr ~seed:39 200 200 0.05 in
+  let p = Core.Kernels.sddmm_problem ~machine:(Helpers.cpu_machine 1) ~cols:32 b in
+  let bindings = Core.Spdistal.bindings p in
+  let cl = compiled_leaf p in
+  let d_bytes = 8. *. float_of_int (Array.length (Operand.find_mat bindings "D").Dense.data) in
+  let launch_bytes () =
+    let before = Gc.allocated_bytes () in
+    let (_ : Compile_leaf.piece) = Compile_leaf.launch cl ~bindings in
+    Gc.allocated_bytes () -. before
+  in
+  let first = launch_bytes () in
+  let second = launch_bytes () in
+  Alcotest.(check bool)
+    (Printf.sprintf "first launch allocates D's %.0f bytes (%.0f)" d_bytes first)
+    true (first >= d_bytes);
+  Alcotest.(check bool)
+    (Printf.sprintf "second launch: %.0f bytes < D's %.0f" second d_bytes)
+    true (second < d_bytes)
 
 (* The frozen fuzz corpus reaches each fiber path on both driver layouts,
    so its backend-equivalence replay covers them. *)
@@ -740,6 +897,9 @@ let suite =
     Alcotest.test_case "inner-out sparse output error is deferred" `Quick
       test_inner_out_sparse_error;
     prop_fiber_paths_equal_interp;
+    prop_csr_paths_equal_interp;
+    Alcotest.test_case "SDDMM reuses its transposed D across launches" `Quick
+      test_sddmm_transpose_reused;
     Alcotest.test_case "fast-path selection and fallback" `Quick test_path_selection;
     Alcotest.test_case "fuzz corpus reaches the fiber paths" `Quick
       test_corpus_reaches_fiber_paths;
