@@ -399,13 +399,15 @@ let run_trace_exports dir =
 (* ------------------------------------------------------------------ *)
 (* Leaf throughput: wall-clock of the leaf kernel loop itself, compiled *)
 (* closures vs the reference interpreter vs a hand-written CSR SpMV,   *)
-(* and the same two backends on CSR SpMM and SDDMM leaves over a       *)
-(* power-law matrix and on a CSF SpMTTKRP leaf (the slice path).  One  *)
-(* piece, whole-tensor shard, so nothing but the leaf launch is timed.  *)
-(* Writes results/leaf_throughput.csv; the CI smoke job checks the CSR  *)
-(* SpMV and the SpMTTKRP compiled/interp ratios against the ratcheted   *)
-(* floors in bench/leaf_throughput_floor.txt and                        *)
-(* bench/mttkrp_throughput_floor.txt and prints the SpMM and SDDMM      *)
+(* and the same two backends on CSR SpMM, SDDMM and SpAdd3 (merge)     *)
+(* leaves over a power-law matrix and on a CSF SpMTTKRP leaf (the      *)
+(* slice path).  One piece, whole-tensor shard (every row, for the     *)
+(* merge), so nothing but the leaf launch is timed.  Writes            *)
+(* results/leaf_throughput.csv; the CI smoke job checks the CSR SpMV,  *)
+(* the SpMTTKRP and the SpAdd3 compiled/interp ratios against the      *)
+(* ratcheted floors in bench/leaf_throughput_floor.txt,                *)
+(* bench/mttkrp_throughput_floor.txt and                               *)
+(* bench/merge_throughput_floor.txt and prints the SpMM and SDDMM      *)
 (* ratios.                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -432,9 +434,10 @@ let run_leaf_throughput () =
   let module Tensor = Spdistal_formats.Tensor in
   let machine = S.machine ~kind:Machine.Cpu [| 1 |] in
   (* The interpreted and the compiled run of [p]'s leaf over one piece
-     covering every stored value: the timed call is exactly the leaf loop,
-     no partitioning, placement or cost model around it. *)
-  let leaf_runs p ~nnz =
+     covering every stored value (and, for a merge, the row set [rows]):
+     the timed call is exactly the leaf loop, no partitioning, placement or
+     cost model around it. *)
+  let leaf_runs ?rows p ~nnz =
     let bindings = S.bindings p in
     let prog = S.compile ~trace:Spdistal_obs.Trace.null p in
     let shard = Iset.of_intervals [ (0, nnz - 1) ] in
@@ -456,9 +459,8 @@ let run_leaf_throughput () =
       | None -> failwith "leaf-throughput: no compiled leaf"
     in
     ( (fun () ->
-        ignore (E.Leaf.execute ~bindings ~leaf ~shard_vals ~rows:None ~col_range:None ())),
-      fun () ->
-        ignore (E.Compile_leaf.execute compiled ~shard_vals ~rows:None ~col_range:None ())
+        ignore (E.Leaf.execute ~bindings ~leaf ~shard_vals ~rows ~col_range:None ())),
+      fun () -> ignore (E.Compile_leaf.execute compiled ~shard_vals ~rows ~col_range:None ())
     )
   in
   let n = if quick then 100_000 else 400_000 in
@@ -494,9 +496,21 @@ let run_leaf_throughput () =
   let interp_dd, compiled_dd =
     leaf_runs (Core.Kernels.sddmm_problem ~machine ~cols:32 pl) ~nnz:nnz_pl
   in
+  (* SpAdd3 over the same matrix and its two shifted copies; its rate
+     counts the three operands' stored entries, which the merge consumes. *)
+  let add3 = Core.Kernels.spadd3_problem ~machine pl in
+  let nnz_add =
+    List.fold_left
+      (fun n t -> n + Tensor.nnz (E.Operand.find_sparse (S.bindings add3) t))
+      0 [ "B"; "C"; "D" ]
+  in
+  let interp_add, compiled_add =
+    leaf_runs ~rows:(Iset.range pn) add3 ~nnz:nnz_add
+  in
   print_endline "=== Leaf throughput (wall clock, 1 piece) ===";
   Printf.printf "CSR SpMV: %d x %d banded, %d nnz\n" n n nnz;
   Printf.printf "CSR SpMM, SDDMM: %d x %d power-law, %d nnz, 32 columns\n" pn pn nnz_pl;
+  Printf.printf "CSR SpAdd3: the same matrix and two shifted copies, %d entries\n" nnz_add;
   Printf.printf "CSF SpMTTKRP: %d x %d x %d skewed, %d nnz, 32 columns\n"
     t3.Tensor.dims.(0) t3.Tensor.dims.(1) t3.Tensor.dims.(2) nnz3;
   let measure name ~rows ~nnz f =
@@ -517,12 +531,15 @@ let run_leaf_throughput () =
   let r_compiled_mm = measure "compiled-spmm" ~rows:pn ~nnz:nnz_pl compiled_mm in
   let r_interp_dd = measure "interp-sddmm" ~rows:pn ~nnz:nnz_pl interp_dd in
   let r_compiled_dd = measure "compiled-sddmm" ~rows:pn ~nnz:nnz_pl compiled_dd in
+  let r_interp_add = measure "interp-spadd3" ~rows:pn ~nnz:nnz_add interp_add in
+  let r_compiled_add = measure "compiled-spadd3" ~rows:pn ~nnz:nnz_add compiled_add in
   let groups =
     [
       [ r_interp; r_compiled; r_hand ];
       [ r_interp3; r_compiled3 ];
       [ r_interp_mm; r_compiled_mm ];
       [ r_interp_dd; r_compiled_dd ];
+      [ r_interp_add; r_compiled_add ];
     ]
   in
   (try Unix.mkdir "results" 0o755

@@ -64,6 +64,8 @@ let mttkrp_nnz ?proc () =
   nnz_sched ?proc ~vars:[ "i"; "j"; "k" ] ~tensor:"B"
     ~tensors:[ "A"; "B"; "C"; "D" ] ()
 
+(* Load-balanced GPU SpMM (§VI-A2): non-zero split of [B], replicating the
+   dense [C] (the OOM-prone variant). *)
 let spmm_nnz ?proc () =
   nnz_sched ?proc ~vars:[ "i"; "k" ] ~tensor:"B" ~tensors:[ "A"; "B"; "C" ] ()
 

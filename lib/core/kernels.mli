@@ -23,10 +23,6 @@ val spmv_row : ?proc:Schedule.proc -> unit -> Schedule.t
 val spmv_nnz : ?proc:Schedule.proc -> unit -> Schedule.t
 val spmm_row : ?proc:Schedule.proc -> unit -> Schedule.t
 
-(** Load-balanced GPU SpMM (§VI-A2): non-zero split of [B], replicating the
-    dense [C] (the OOM-prone variant). *)
-val spmm_nnz : ?proc:Schedule.proc -> unit -> Schedule.t
-
 (** Memory-conserving 2-D "SpDISTAL-Batched" GPU SpMM schedule (§VI-A2):
     distributes both [i] and [j]. *)
 val spmm_batched : ?proc:Schedule.proc -> unit -> Schedule.t
@@ -50,9 +46,6 @@ val nnz_sched :
     precompute transformation, Kjolstad et al. [22]). *)
 val spadd3_workspace : ?proc:Schedule.proc -> unit -> Schedule.t
 val sddmm_nnz : ?proc:Schedule.proc -> unit -> Schedule.t
-val spttv_row : ?proc:Schedule.proc -> unit -> Schedule.t
-val spttv_nnz : ?proc:Schedule.proc -> unit -> Schedule.t
-val mttkrp_row : ?proc:Schedule.proc -> unit -> Schedule.t
 val mttkrp_nnz : ?proc:Schedule.proc -> unit -> Schedule.t
 
 (** {1 Problem builders} *)

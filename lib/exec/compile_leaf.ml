@@ -9,7 +9,10 @@
    value buffers.  The classification ({!Leaf.plan_mul}) and work model
    ({!Leaf.mul_work}) are shared with the interpreter, which stays around as
    the differential oracle (`spdistal fuzz` cross-checks the two for
-   bit-identical outputs and Cost).
+   bit-identical outputs and Cost).  A merge of two or three CSR operands
+   without a workspace runs its own three-way cursor; only the workspace
+   strategy and other arities fall back to the interpreter's
+   {!Leaf.merge_core}, so the fuzzer sees a merge bug in either.
 
    Three CSR shapes (SpMV, SpMM, SDDMM) get fused row-segment loops, and
    two 3-tensor shapes (SpTTV, SpMTTKRP) on a CSF or (Dense, Dense,
@@ -169,7 +172,11 @@ type mul = {
 
 type kind =
   | C_mul of mul
-  | C_merge of { g_tensors : string list; g_use_workspace : bool }
+  | C_merge of {
+      g_tensors : string list;
+      g_use_workspace : bool;
+      g_cursor : bool;  (* runs {!merge_cursor}, not {!Leaf.merge_core} *)
+    }
 
 (* [bindings] are the ones the leaf was compiled against: the launch
    bindings when a caller gives none. *)
@@ -271,7 +278,14 @@ let compile ~bindings (leaf : Loop_ir.leaf) =
   let kind =
     match leaf.Loop_ir.driver with
     | Loop_ir.Merge_driver tensors ->
-        C_merge { g_tensors = tensors; g_use_workspace = leaf.Loop_ir.use_workspace }
+        let use_workspace = leaf.Loop_ir.use_workspace in
+        let arity = List.length tensors in
+        C_merge
+          {
+            g_tensors = tensors;
+            g_use_workspace = use_workspace;
+            g_cursor = (not use_workspace) && (arity = 2 || arity = 3);
+          }
     | Loop_ir.Sparse_driver driver_name ->
         let plan = Leaf.plan_mul ~bindings ~leaf ~driver_name in
         let driver = Operand.find_sparse bindings driver_name in
@@ -852,6 +866,92 @@ let run_mttkrp (m : mul) (l : launch) ~fib ~ccols ~dcols : piece_loop =
         done)
 
 (* ------------------------------------------------------------------ *)
+(* Three-way merge (SpAdd3)                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* Bounds-check one operand row's entries [lo .. hi] once, so the cursor
+   may read them unchecked. *)
+let check_row (crd : int array) (vals : Region.F.buf) lo hi =
+  if lo <= hi && (lo < 0 || hi >= Array.length crd || hi >= A1.dim vals) then
+    Error.fail Error.Leaf "merge: row entries %d..%d outside an operand" lo hi
+
+(* The column under a cursor at [p], or [max_int] past the row's end. *)
+let[@inline] head crd p hi = if p <= hi then Array.unsafe_get crd p else max_int
+
+(* A merge of two or three CSR operands without a workspace, on one
+   cursor: the three positions, the three head columns and the sum are
+   locals.  A two-operand merge runs with an empty third operand.  The
+   rules are {!Leaf.merge_core}'s, so the partial is bit-identical: emit the
+   least head column, and sum each operand's run of it, in operand order,
+   from [0.] (which keeps its handling of [-0.]).  The merge consumes every
+   stored entry of the rows, so the work tally counts them in the sizing
+   pass, which also checks each row's ranges. *)
+let merge_cursor (ops : Leaf.merge_op array) rows =
+  let pa, ca, va = ops.(0) and pb, cb, vb = ops.(1) in
+  let three = Array.length ops = 3 in
+  let pc, cc, vc = ops.(if three then 2 else 0) in
+  let entries = ref 0 in
+  Iset.iter
+    (fun r ->
+      let alo, ahi = pa.(r) and blo, bhi = pb.(r) in
+      check_row ca va alo ahi;
+      check_row cb vb blo bhi;
+      entries := !entries + Int.max 0 (ahi - alo + 1) + Int.max 0 (bhi - blo + 1);
+      if three then begin
+        let clo, chi = pc.(r) in
+        check_row cc vc clo chi;
+        entries := !entries + Int.max 0 (chi - clo + 1)
+      end)
+    rows;
+  let nrows = Iset.cardinal rows in
+  let mrows = Array.make nrows 0 and mcounts = Array.make nrows 0 in
+  let mcrd = Array.make !entries 0 and mvals = Array.create_float !entries in
+  let n = ref 0 and row = ref 0 in
+  Iset.iter_intervals
+    (fun rlo rhi ->
+      for r = rlo to rhi do
+        let a0, ahi = pa.(r) and b0, bhi = pb.(r) in
+        let c0, chi = if three then pc.(r) else (0, -1) in
+        let a = ref a0 and b = ref b0 and c = ref c0 in
+        let ha = ref (head ca a0 ahi) and hb = ref (head cb b0 bhi) in
+        let hc = ref (head cc c0 chi) in
+        let k = ref !n in
+        let col = ref (Int.min !ha (Int.min !hb !hc)) in
+        while !col <> max_int do
+          let s = ref 0. in
+          while !ha = !col do
+            s := !s +. A1.unsafe_get va !a;
+            incr a;
+            ha := head ca !a ahi
+          done;
+          while !hb = !col do
+            s := !s +. A1.unsafe_get vb !b;
+            incr b;
+            hb := head cb !b bhi
+          done;
+          while !hc = !col do
+            s := !s +. A1.unsafe_get vc !c;
+            incr c;
+            hc := head cc !c chi
+          done;
+          Array.unsafe_set mcrd !k !col;
+          Array.unsafe_set mvals !k !s;
+          incr k;
+          col := Int.min !ha (Int.min !hb !hc)
+        done;
+        Array.unsafe_set mrows !row r;
+        Array.unsafe_set mcounts !row (!k - !n);
+        n := !k;
+        incr row
+      done)
+    rows;
+  {
+    Leaf.work =
+      Leaf.merge_work ~entries:(float_of_int !entries) ~emitted:(float_of_int !n);
+    partial = Some { Leaf.mrows; mcounts; mcrd; mvals };
+  }
+
+(* ------------------------------------------------------------------ *)
 (* Execution                                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -864,10 +964,11 @@ type piece =
 
 let launch t ~bindings : piece =
   match t.kind with
-  | C_merge { g_tensors; g_use_workspace } ->
+  | C_merge { g_tensors; g_use_workspace; g_cursor } ->
       let ops, cols = Leaf.merge_ops ~bindings ~tensors:g_tensors in
       fun ~shard_vals:_ ~rows ~col_range:_ () ->
         (match rows with
+        | Some r when g_cursor -> merge_cursor ops r
         | Some r -> Leaf.merge_core ~ops ~cols ~rows:r ~use_workspace:g_use_workspace
         | None -> Error.fail Error.Leaf "merge kernel needs a row set")
   | C_mul m ->
@@ -891,7 +992,7 @@ let execute t ?(bindings = t.bindings) ~shard_vals ~rows ~col_range () =
 
 let path_name t =
   match t.kind with
-  | C_merge _ -> "merge"
+  | C_merge { g_cursor; _ } -> if g_cursor then "csr-merge" else "merge"
   | C_mul m -> (
       match m.m_walk.w_fast with
       | Generic -> "generic"

@@ -26,15 +26,21 @@
     each factor and the sink affinely in the one active inner variable
     ([base + v·stride], bases recomputed once per stored element), so its
     inner loop is a plain [for] over the factor arrays with an unboxed
-    float accumulator.  All allocate nothing per stored element, as does
-    the merge core ({!Leaf.merge_core}); [test/test_leaf.ml] bounds one
-    execute's minor allocation below the element count.
+    float accumulator.
 
-    Classification ({!Leaf.plan_mul}), inner-loop bounds and the simulated
-    work model ({!Leaf.mul_work}) are shared verbatim with the interpreter,
-    which remains the differential oracle: outputs, launch records and Cost
-    are bit-identical across backends (checked by [spdistal fuzz] and the
-    test suite). *)
+    A merge (SpAdd3) of two or three CSR operands without a workspace runs
+    one three-way cursor whose positions, head columns and sum are locals;
+    the workspace strategy and other arities call the interpreter's
+    {!Leaf.merge_core}.  All allocate nothing per stored element (a merge
+    nothing per row or entry beyond its partial's arrays);
+    [test/test_leaf.ml] bounds one execute's minor allocation.
+
+    Classification ({!Leaf.plan_mul}, {!Leaf.merge_ops}), inner-loop
+    bounds and the simulated work models ({!Leaf.mul_work},
+    {!Leaf.merge_work}) are shared verbatim with the interpreter, which
+    remains the differential oracle: outputs, launch records and Cost are
+    bit-identical across backends (checked by [spdistal fuzz] and the test
+    suite). *)
 
 open Spdistal_runtime
 
@@ -113,5 +119,6 @@ val execute :
   Leaf.result
 
 (** The loop a leaf runs: ["csr-spmv"], ["csr-spmm"], ["csr-sddmm"],
-    ["fiber-ttv"], ["fiber-mttkrp"], ["generic"] or ["merge"]. *)
+    ["fiber-ttv"], ["fiber-mttkrp"], ["generic"], ["csr-merge"] (the
+    three-way merge cursor) or ["merge"] ({!Leaf.merge_core}). *)
 val path_name : t -> string

@@ -41,21 +41,27 @@ let stitch_merge ~bindings ~out_name ~nrows ~ncols partials =
   let crd = Array.make (max total 1) 0 in
   (* Values go straight into the output's buffer: no float array to copy. *)
   let vals = Region.F.create (out_name ^ ".vals") (max total 1) 0. in
+  let vdata = vals.Region.F.data in
   let cursor = ref 0 in
+  (* Per partial: the row positions in one pass, then its entries as one
+     block, bounds-checked once. *)
   List.iter
     (fun (p : Leaf.merge_partial) ->
-      let k = ref 0 in
+      let base = !cursor in
       Array.iteri
         (fun i r ->
           let c = p.Leaf.mcounts.(i) in
           pos.(r) <- (!cursor, !cursor + c - 1);
-          for _ = 1 to c do
-            crd.(!cursor) <- p.Leaf.mcrd.(!k);
-            Bigarray.Array1.set vals.Region.F.data !cursor p.Leaf.mvals.(!k);
-            incr cursor;
-            incr k
-          done)
-        p.Leaf.mrows)
+          cursor := !cursor + c)
+        p.Leaf.mrows;
+      let n = !cursor - base in
+      Array.blit p.Leaf.mcrd 0 crd base n;
+      if n > Array.length p.Leaf.mvals || base + n > Bigarray.Array1.dim vdata then
+        Error.fail ~kernel:out_name Error.Reduce "merge partial shorter than its counts";
+      let mvals = p.Leaf.mvals in
+      for k = 0 to n - 1 do
+        Bigarray.Array1.unsafe_set vdata (base + k) (Array.unsafe_get mvals k)
+      done)
     partials;
   (* Normalize empty rows into monotone empty ranges. *)
   let cur = ref 0 in

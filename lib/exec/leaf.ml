@@ -418,22 +418,30 @@ let mul_kernel ~bindings ~(leaf : Loop_ir.leaf) ~driver_name ~shard ~col_range =
 (* Resolved per-operand storage of a merge: (pos, crd, vals) triples. *)
 type merge_op = (int * int) array * int array * Region.F.buf
 
+(* Every operand must have the first one's dims: a row past another
+   operand's end, or a column past the output's, is a shape error, not an
+   index fault. *)
 let merge_ops ~bindings ~tensors : merge_op array * int =
+  let first =
+    match tensors with f :: _ -> f | [] -> Error.fail Error.Leaf "merge without operands"
+  in
+  let dims = (Operand.find_sparse bindings first).Tensor.dims in
   let ops =
     List.map
       (fun name ->
         let t = Operand.find_sparse bindings name in
         if Tensor.order t <> 2 then
           Error.fail ~kernel:name Error.Leaf "merge needs matrices";
+        if t.Tensor.dims <> dims then
+          Error.fail ~kernel:name Error.Leaf
+            "merge operand %s is %dx%d, %s is %dx%d" name t.Tensor.dims.(0)
+            t.Tensor.dims.(1) first dims.(0) dims.(1);
         ( (Tensor.pos_of t 1).Region.data,
           (Tensor.crd_of t 1).Region.data,
           t.Tensor.vals.Region.F.data ))
       tensors
   in
-  let cols =
-    (Operand.find_sparse bindings (List.hd tensors)).Tensor.dims.(1)
-  in
-  (Array.of_list ops, cols)
+  (Array.of_list ops, dims.(1))
 
 (* Max-heap sift-down of [a.(lo + i)] within the heap [a.(lo) .. a.(lo +
    len - 1)]. *)
@@ -473,9 +481,9 @@ let merge_work ~entries ~emitted =
     atomics = false;
   }
 
-(* The merge core is shared by both backends (each resolves [ops] from the
-   launch bindings per call), so their outputs and work accounting are
-   identical by construction.  It writes
+(* The interpreter's merge, and the differential oracle for the compiled
+   three-way cursor ({!Compile_leaf}); the compiled backend also falls back
+   to it for the workspace strategy and for other arities.  It writes
    straight into the partial's arrays, sized by the rows' stored entries
    (every emitted entry consumes at least one, so this bounds the output),
    and keeps one cursor per operand: no per-row or per-entry allocation. *)
@@ -492,7 +500,8 @@ let merge_core ~(ops : merge_op array) ~cols ~rows ~use_workspace =
     rows;
   let nrows = Iset.cardinal rows in
   let mrows = Array.make nrows 0 and mcounts = Array.make nrows 0 in
-  let mcrd = Array.make !bound 0 and mvals = Array.make !bound 0. in
+  (* Only [mvals.(0 .. n-1)] is ever read, so it needs no fill. *)
+  let mcrd = Array.make !bound 0 and mvals = Array.create_float !bound in
   let n = ref 0 and row = ref 0 and consumed = ref 0 in
   (* Workspace strategy (Kjolstad et al. [22]): scatter each operand row
      into a dense accumulator, track touched columns, then sort and emit —

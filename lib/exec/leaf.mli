@@ -13,7 +13,8 @@ open Spdistal_runtime
 (** A shard's locally-assembled rows of an unknown-pattern sparse output
     (two-phase assembly, §V-B); stitched globally by the interpreter.
     [mcrd]/[mvals] hold the rows' entries back to back; they are sized by
-    an upper bound, so only their first [Σ mcounts] slots are entries. *)
+    an upper bound, so only their first [Σ mcounts] slots are entries
+    ([mvals] is not filled past them). *)
 type merge_partial = {
   mrows : int array;  (** row ids, increasing *)
   mcounts : int array;  (** output non-zeros per row *)
@@ -95,7 +96,9 @@ val mul_work :
 (** Per-operand resolved storage of a merge: (pos, crd, vals) triples. *)
 type merge_op = (int * int) array * int array * Region.F.buf
 
-(** Resolve the merge operands' storage and the shared column extent. *)
+(** Resolve the merge operands' storage and the shared column extent.
+    Raises [Error.Leaf] unless every operand is a matrix with the first
+    operand's dims. *)
 val merge_ops :
   bindings:Operand.bindings -> tensors:string list -> merge_op array * int
 
@@ -104,9 +107,11 @@ val merge_ops :
     written per emitted entry. *)
 val merge_work : entries:float -> emitted:float -> Task.work
 
-(** The k-way merge / workspace core, shared by both backends.  It writes
-    the partial's arrays directly and allocates nothing per row or entry;
-    the [Task.work] counts are integer tallies converted once. *)
+(** The interpreter's k-way merge / workspace core, and the differential
+    oracle for the compiled three-way cursor, which calls it only for the
+    workspace strategy and for arities other than two and three.  It
+    writes the partial's arrays directly and allocates nothing per row or
+    entry; the [Task.work] counts are integer tallies converted once. *)
 val merge_core :
   ops:merge_op array ->
   cols:int ->

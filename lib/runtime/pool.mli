@@ -50,9 +50,6 @@ val shutdown : t -> unit
     first use.  Shared pools are joined automatically at exit. *)
 val get : int -> t
 
-(** Shut down every pool created by {!get}. *)
-val shutdown_all : unit -> unit
-
 (** Worker count for a requested simulation degree: [0] when [requested <= 1]
     (sequential), else [min (requested - 1) (Domain.recommended_domain_count
     () - 1)], floored at one worker so the parallel path exists even on

@@ -625,6 +625,9 @@ let baseline_throughput ?domains ?leaf_backend ~nodes (w : Workload.t) =
   if total > 0. then float_of_int (List.length w.Workload.w_jobs) /. total
   else 0.
 
+(* Price the single-tenant baseline (one tenant, no queue, no cache
+   sharing: every job pays its query's cold fault-free cost serially) and
+   attach it to the report. *)
 let with_baseline ?domains ?leaf_backend report =
   let w =
     {

@@ -73,7 +73,7 @@ type report = {
   r_busy : float;  (** simulated seconds the service lane was occupied *)
   r_baseline_throughput : float option;
       (** single-tenant reference (every job cold, no sharing); see
-          {!with_baseline} *)
+          {!run}'s [baseline] *)
   r_cache : Cache.stats;
   r_blacklisted : int list;  (** original node ids, sorted *)
   r_final_bound : int;  (** queue bound after degradation *)
@@ -106,16 +106,9 @@ val serve :
   Workload.t ->
   report
 
-(** Price the single-tenant baseline (one tenant, no queue, no cache
-    sharing: every job pays its query's cold fault-free cost serially) and
-    attach it to the report. *)
-val with_baseline :
-  ?domains:int ->
-  ?leaf_backend:Spdistal_exec.Compile_leaf.backend ->
-  report ->
-  report
-
-(** {!create} + {!serve} (+ {!with_baseline} when [baseline]). *)
+(** {!create} + {!serve}, then, when [baseline], the single-tenant
+    baseline (one tenant, no queue, no cache sharing: every job pays its
+    query's cold fault-free cost serially) attached to the report. *)
 val run :
   ?domains:int ->
   ?leaf_backend:Spdistal_exec.Compile_leaf.backend ->

@@ -10,12 +10,46 @@ open Spdistal_ir
 open Spdistal_exec
 module A1 = Bigarray.Array1
 
+(* --- Problems -------------------------------------------------------------- *)
+
+let row_sched tensors =
+  [
+    Schedule.Divide { v = "i"; outer = "io"; inner = "ii" };
+    Schedule.Distribute [ "io" ];
+    Schedule.Communicate { tensors; at = "io" };
+    Schedule.Parallelize { v = "ii"; proc = Schedule.Cpu_thread };
+  ]
+
+(* A row-distributed problem over [operands] (name, slot, blocked?). *)
+let shape_problem stmt operands () =
+  let ops = operands () in
+  Core.Spdistal.problem ~machine:(Helpers.cpu_machine 3)
+    ~operands:
+      (List.map
+         (fun (name, slot, blocked) ->
+           (name, slot, if blocked then Helpers.blocked_tdn else Tdn.Replicated))
+         ops)
+    ~stmt:(Tin.of_string_exn stmt)
+    ~schedule:(row_sched (List.map (fun (n, _, _) -> n) ops))
+
+(* The two-operand merge [A = B + C], for [B] and [C] of one shape. *)
+let add2_problem b c =
+  let dims = b.Tensor.dims in
+  shape_problem "A(i,j) = B(i,j) + C(i,j)"
+    (fun () ->
+      [
+        ("A", Operand.sparse (Tensor.csr ~name:"A" (Coo.make dims [])), true);
+        ("B", Operand.sparse b, true);
+        ("C", Operand.sparse c, true);
+      ])
+    ()
+
 (* --- Merge core vs the list-based model ---------------------------------- *)
 
 (* The merge core the array version replaced: per-row lists, a cursor list
    of refs per row, [List.sort] over the touched columns, [@] appends and a
-   float tally per entry.  It is the reference model for the property
-   below, which both backends cannot provide because both call the core. *)
+   float tally per entry.  It is the reference model for the interpreter's
+   core, which is in turn the oracle for the compiled merge cursor. *)
 module Model = struct
   let merge_core ~(ops : Leaf.merge_op list) ~cols ~rows ~use_workspace =
     let flops = ref 0. and br = ref 0. and bw = ref 0. in
@@ -121,9 +155,10 @@ type merge_case = {
   rows : Iset.t;
 }
 
-let gen_merge_case st =
+let gen_merge_case ?(arities = [| 1; 2; 3; 4 |]) st =
   let int = Random.State.int st in
-  let nrows = 1 + int 10 and cols = 1 + int 12 and nops = 1 + int 4 in
+  let nrows = 1 + int 10 and cols = 1 + int 12 in
+  let nops = arities.(int (Array.length arities)) in
   let shape = [| "random"; "identical"; "disjoint"; "raw" |].(int 4) in
   let sorted_subset keep =
     List.filter (fun c -> keep c && int 3 = 0) (List.init cols Fun.id)
@@ -150,10 +185,12 @@ let gen_merge_case st =
           (lo, !next - 1))
         per_row
     in
-    let vals =
-      A1.of_array Bigarray.float64 Bigarray.c_layout
-        (Array.map (fun _ -> Random.State.float st 2. -. 1.) crd)
+    (* Signed zeros too: a sum that starts anywhere but [0.] shows on
+       [-0.]. *)
+    let value _ =
+      match int 8 with 0 -> 0. | 1 -> -0. | _ -> Random.State.float st 2. -. 1.
     in
+    let vals = A1.of_array Bigarray.float64 Bigarray.c_layout (Array.map value crd) in
     ((pos, crd, vals) : Leaf.merge_op)
   in
   let rows =
@@ -210,6 +247,111 @@ let prop_merge_core_equals_model =
             (Model.merge_core ~ops:(Array.to_list c.ops) ~cols:c.cols ~rows:c.rows
                ~use_workspace))
         [ false; true ])
+
+(* --- Compiled merge cursor vs the merge core -------------------------------- *)
+
+(* The CSR matrix [name] holding a merge operand's storage. *)
+let tensor_of_op name ~cols ((pos, crd, vals) : Leaf.merge_op) =
+  let nrows = Array.length pos in
+  {
+    Tensor.name;
+    dims = [| nrows; cols |];
+    mode_order = [| 0; 1 |];
+    levels =
+      [|
+        Level.Dense { dim = nrows };
+        Level.Compressed
+          {
+            pos = Region.of_array (name ^ ".pos") pos;
+            crd = Region.of_array (name ^ ".crd") crd;
+          };
+      |];
+    vals = Region.F.of_array (name ^ ".vals") (Array.init (A1.dim vals) (A1.get vals));
+  }
+
+(* A compiled merge leaf over the case's operands, bound as B, C (and D). *)
+let merge_leaf c =
+  let names = List.filteri (fun o _ -> o < Array.length c.ops) [ "B"; "C"; "D" ] in
+  let nrows = Array.length (let pos, _, _ = c.ops.(0) in pos) in
+  let bindings =
+    ("A", Operand.sparse (Tensor.csr ~name:"A" (Coo.make [| nrows; c.cols |] [])))
+    :: List.mapi (fun o n -> (n, Operand.sparse (tensor_of_op n ~cols:c.cols c.ops.(o)))) names
+  in
+  let leaf =
+    {
+      Loop_ir.leaf_stmt =
+        Tin.of_string_exn
+          ("A(i,j) = " ^ String.concat " + " (List.map (fun n -> n ^ "(i,j)") names));
+      driver = Loop_ir.Merge_driver names;
+      nnz_split = false;
+      parallel = true;
+      out_reduce = false;
+      leaf_row_part = None;
+      use_workspace = false;
+      col_split = 1;
+    }
+  in
+  Compile_leaf.compile ~bindings leaf
+
+let prop_merge_cursor_equals_core =
+  Helpers.qtest ~count:500 "compiled merge cursor = merge core"
+    (QCheck.make ~print:print_merge_case (gen_merge_case ~arities:[| 2; 3 |]))
+    (fun c ->
+      let cl = merge_leaf c in
+      Compile_leaf.path_name cl = "csr-merge"
+      && same_merge
+           (Compile_leaf.execute cl ~shard_vals:(fun _ -> Iset.empty) ~rows:(Some c.rows)
+              ~col_range:None ())
+           (Leaf.merge_core ~ops:c.ops ~cols:c.cols ~rows:c.rows ~use_workspace:false))
+
+(* End to end, both backends agree bit for bit on SpAdd3 and on a
+   two-operand add, with signed zeros stored, on 1 to 4 pieces. *)
+let test_merge_backends_agree () =
+  let module K = Core.Kernels in
+  let with_zeros seed ?(name = "B") rows cols =
+    let t = Helpers.rand_csr ~seed ~name rows cols 0.2 in
+    let v = t.Tensor.vals in
+    for q = 0 to Tensor.nnz t - 1 do
+      if q mod 5 = 0 then Region.F.set v q (if q mod 10 = 0 then -0. else 0.)
+    done;
+    t
+  in
+  let b = with_zeros 50 30 24 in
+  let c = with_zeros 51 ~name:"C" 30 24 and d = with_zeros 52 ~name:"D" 30 24 in
+  List.iter
+    (fun pieces ->
+      let m = Helpers.cpu_machine pieces in
+      let named what = Printf.sprintf "%s on %d pieces" what pieces in
+      Test_exec.check_backends_agree (named "SpAdd3 shifted") (fun () ->
+          K.spadd3_problem ~machine:m b);
+      Test_exec.check_backends_agree (named "SpAdd3 random") (fun () ->
+          K.spadd3_problem ~machine:m ~c ~d b);
+      Test_exec.check_backends_agree (named "SpAdd3 GPU") (fun () ->
+          K.spadd3_problem ~machine:(Helpers.gpu_machine [| pieces |]) ~c ~d b))
+    [ 1; 2; 3; 4 ];
+  Test_exec.check_backends_agree "B + C" (fun () -> add2_problem b c)
+
+(* Merge operands must share the first one's dims: a shorter C used to
+   raise [Invalid_argument], a wider D to emit columns past A's. *)
+let test_merge_shape_checked () =
+  let module K = Core.Kernels in
+  let m = Helpers.cpu_machine 2 in
+  let b = Helpers.rand_csr ~seed:46 20 20 0.2 in
+  let short = Helpers.rand_csr ~seed:47 ~name:"C" 15 20 0.2 in
+  let wide = Helpers.rand_csr ~seed:48 ~name:"D" 20 25 0.2 in
+  List.iter
+    (fun (name, make) ->
+      List.iter
+        (fun backend ->
+          let name = name ^ " " ^ Compile_leaf.backend_name backend in
+          match Core.Spdistal.run ~leaf_backend:backend (make ()) with
+          | _ -> Alcotest.failf "%s: accepted" name
+          | exception Error.Error { Error.phase = Error.Leaf; _ } -> ())
+        [ Compile_leaf.Interp; Compile_leaf.Compiled ])
+    [
+      ("C with fewer rows", fun () -> K.spadd3_problem ~machine:m ~c:short b);
+      ("D with more columns", fun () -> K.spadd3_problem ~machine:m ~d:wide b);
+    ]
 
 (* --- Fiber fast paths vs the interpreter ---------------------------------- *)
 
@@ -630,6 +772,33 @@ let test_leaf_alloc () =
       ("SpAdd3 workspace", Core.Kernels.spadd3_workspace ());
     ]
 
+(* A compiled merge piece allocates its partial's four arrays and a few
+   words more: nothing per row or entry.  Each of those arrays has over 256
+   words, so it goes straight to the major heap and the piece's minor
+   allocation is the rest; one block per row would be at least 2,000 words
+   over 1,000 rows, against a bound of 250.  [Gc.minor_words] counts this domain only, unlike
+   [Gc.counters], which folds in the stats of pool domains that exited. *)
+let test_merge_alloc () =
+  let rows = 1000 in
+  let b = Helpers.rand_csr ~seed:49 rows rows 0.01 in
+  let c = Helpers.rand_csr ~seed:53 ~name:"C" rows rows 0.01 in
+  List.iter
+    (fun (name, p) ->
+      let cl = compiled_leaf p in
+      let piece = Compile_leaf.launch cl ~bindings:(Core.Spdistal.bindings p) in
+      let all = Some (Iset.range rows) and none _ = Iset.empty in
+      let words =
+        minor_words (fun () -> ignore (piece ~shard_vals:none ~rows:all ~col_range:None ()))
+      in
+      if Lazy.force unboxed_floats then
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %.0f minor words < 250 over %d rows" name words rows)
+          true (words < 250.))
+    [
+      ("SpAdd3", Core.Kernels.spadd3_problem ~machine:(Helpers.cpu_machine 1) b);
+      ("B + C", add2_problem b c);
+    ]
+
 (* A compiled SDDMM leaf keeps its transposed [D] across launches: the first
    launch allocates it, a second allocates less than [D]'s size. *)
 let test_sddmm_transpose_reused () =
@@ -678,26 +847,6 @@ let test_corpus_reaches_fiber_paths () =
     [ "fiber-ttv dcc"; "fiber-ttv ddc"; "fiber-mttkrp dcc"; "fiber-mttkrp ddc" ]
 
 (* --- Generic-walker shapes ------------------------------------------------ *)
-
-let row_sched tensors =
-  [
-    Schedule.Divide { v = "i"; outer = "io"; inner = "ii" };
-    Schedule.Distribute [ "io" ];
-    Schedule.Communicate { tensors; at = "io" };
-    Schedule.Parallelize { v = "ii"; proc = Schedule.Cpu_thread };
-  ]
-
-(* A row-distributed problem over [operands] (name, slot, blocked?). *)
-let shape_problem stmt operands () =
-  let ops = operands () in
-  Core.Spdistal.problem ~machine:(Helpers.cpu_machine 3)
-    ~operands:
-      (List.map
-         (fun (name, slot, blocked) ->
-           (name, slot, if blocked then Helpers.blocked_tdn else Tdn.Replicated))
-         ops)
-    ~stmt:(Tin.of_string_exn stmt)
-    ~schedule:(row_sched (List.map (fun (n, _, _) -> n) ops))
 
 let walker_shapes () =
   let module K = Core.Kernels in
@@ -796,7 +945,10 @@ let test_path_selection () =
       ("SpMV", "csr-spmv", K.spmv_problem ~machine:m mat);
       ("SpMM", "csr-spmm", K.spmm_problem ~machine:m ~cols:4 mat);
       ("SDDMM", "csr-sddmm", K.sddmm_problem ~machine:m ~cols:4 mat);
-      ("SpAdd3", "merge", K.spadd3_problem ~machine:m mat);
+      ("SpAdd3", "csr-merge", K.spadd3_problem ~machine:m mat);
+      ( "SpAdd3 workspace",
+        "merge",
+        K.spadd3_problem ~machine:m ~schedule:(K.spadd3_workspace ()) mat );
       ("SpTTV CSF", "fiber-ttv", K.spttv_problem ~machine:m csf);
       ("SpTTV DDC", "fiber-ttv", K.spttv_problem ~machine:m ddc);
       ("SpTTV CSF nnz", "fiber-ttv", K.spttv_problem ~machine:gpu ~nonzero_dist:true csf);
@@ -892,6 +1044,13 @@ let suite =
     prop_merge_core_equals_model;
     Alcotest.test_case "compiled leaves allocate < 1 word per element" `Quick
       test_leaf_alloc;
+    prop_merge_cursor_equals_core;
+    Alcotest.test_case "merge: compiled = interp end to end" `Quick
+      test_merge_backends_agree;
+    Alcotest.test_case "merge operands are shape-checked" `Quick
+      test_merge_shape_checked;
+    Alcotest.test_case "compiled merge allocates only its partial" `Quick
+      test_merge_alloc;
     Alcotest.test_case "generic walker shapes: compiled = interp" `Quick
       test_walker_shapes;
     Alcotest.test_case "inner-out sparse output error is deferred" `Quick
