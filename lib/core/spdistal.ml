@@ -71,54 +71,26 @@ let resolve_backend = function
   | Some b -> b
   | None -> Compile_leaf.default_backend ()
 
-type memo = {
-  mutable m_placements :
-    ((string * Tdn.t) * (Placement.residency * Part_eval.stats)) list;
-  mutable m_partitions : ((int array * Loop_ir.stmt list) * Part_eval.env) list;
-}
+type memo = Part_eval.shared
 
-let memo () = { m_placements = []; m_partitions = [] }
+let memo () = Part_eval.shared ()
 
 let plan ?(memo = memo ()) ~trace ~backend p =
   let b = bindings p in
   let stats = Part_eval.stats () in
-  (* Each placement keeps its own tally, billed whether it was built here
-     or recalled from the memo. *)
-  let place name tdn =
-    match List.assoc_opt (name, tdn) memo.m_placements with
-    | Some r -> r
-    | None ->
-        let tally = Part_eval.stats () in
-        let r =
-          ( Placement.of_tdn ~stats:tally ~machine:p.machine ~bindings:b name
-              tdn,
-            tally )
-        in
-        memo.m_placements <- ((name, tdn), r) :: memo.m_placements;
-        r
-  in
   let placement =
     Trace.with_wall_span trace ~track:(host_track ()) ~cat:"phase"
       ~name:"placement" (fun () ->
         List.map
           (fun (name, _, tdn) ->
-            let residency, tally = place name tdn in
-            Part_eval.add_stats stats tally;
-            (name, residency))
+            ( name,
+              Placement.of_tdn ~stats ~shared:memo ~machine:p.machine
+                ~bindings:b name tdn ))
           p.operands)
   in
   let prog = compile ~trace p in
   let prepared =
-    (* Programs with equal partitioning statements on the same grid define
-       the same partitions; only their distributed loops differ. *)
-    let key = (prog.Loop_ir.grid, fst (Part_eval.split prog)) in
-    match List.assoc_opt key memo.m_partitions with
-    | Some penv -> Interp.prepare ~trace ~penv ~backend ~bindings:b prog
-    | None ->
-        let prepared = Interp.prepare ~trace ~backend ~bindings:b prog in
-        memo.m_partitions <-
-          (key, prepared.Interp.pp_penv) :: memo.m_partitions;
-        prepared
+    Interp.prepare ~trace ~shared:memo ~backend ~bindings:b prog
   in
   Part_eval.accum_stats stats prepared.Interp.pp_penv;
   let launches = List.length prepared.Interp.pp_loops in

@@ -56,14 +56,19 @@ val compile : ?trace:Spdistal_obs.Trace.t -> problem -> Loop_ir.prog
 (** Render the compiled program as paper-style pseudo-code. *)
 val show : problem -> string
 
-(** Cold-build results shared between plans of one problem under several
-    schedules and distributions: placements keyed by (operand, TDN), and
-    partition environments keyed by the program's grid and partitioning
-    statements, all under structural equality.  A memo shared between
-    plans is only valid for problems that share one machine and one set of
-    operand slots (the {!with_schedule} variants of one problem), and only
-    for plans that are never executed: the shared partitions are read, not
-    re-evaluated. *)
+(** The partitions shared within one plan and between the plans of one
+    problem under several schedules and distributions: a
+    {!Spdistal_exec.Part_eval.shared} table keyed by each partition's
+    derivation ({!Spdistal_exec.Part_eval.key}).  A program that derives a
+    partition its placement already derived, or that another candidate's
+    placement or program derived, evaluates it once.  Sharing never changes
+    the bill: a recalled partition is counted exactly as evaluating it
+    would be, so every plan's [e_part_ops], [e_part_seconds] and
+    [e_part_elems] equal those of a build that shares nothing.  A memo
+    shared between plans is only valid for problems that share one machine
+    and one set of operand slots (the {!with_schedule} variants of one
+    problem), and only for plans that are never executed: the shared
+    partitions are read, not re-evaluated. *)
 type memo
 
 val memo : unit -> memo
@@ -72,10 +77,9 @@ val memo : unit -> memo
     {!compile} and {!Spdistal_exec.Interp.prepare} under [backend], with
     the dependent-partitioning work tallied into the entry's bill
     ([e_part_seconds], [e_part_ops]).  [e_key] is [""]; [trace] gets the
-    host-clock phase spans.  A placement or partition environment already
-    in [memo] (default: a fresh one) under an equal key is reused, and its
-    tally is billed again, so the entry's bill equals a build under a fresh
-    memo. *)
+    host-clock phase spans.  Every placement and the program look their
+    partitions up in [memo] (default: a fresh one) before evaluating them,
+    and the entry's bill equals a build under a fresh memo. *)
 val plan :
   ?memo:memo ->
   trace:Spdistal_obs.Trace.t ->

@@ -303,17 +303,13 @@ let leaves_for ~trace ~bindings ~backend loops =
               | _ -> None)
             loops)
 
-let prepare ?(trace = Trace.null) ?penv ~backend ~bindings prog =
-  let penv, loops =
-    match penv with
-    | Some penv -> (penv, snd (Part_eval.split prog))
-    | None ->
-        let penv = Part_eval.create ~trace bindings in
-        ( penv,
-          Trace.with_wall_span trace
-            ~track:(Trace.Host (Domain.self () :> int))
-            ~cat:"phase" ~name:"part_eval"
-            (fun () -> Part_eval.eval_partitions penv prog) )
+let prepare ?(trace = Trace.null) ?shared ~backend ~bindings prog =
+  let penv = Part_eval.create ~trace ?shared bindings in
+  let loops =
+    Trace.with_wall_span trace
+      ~track:(Trace.Host (Domain.self () :> int))
+      ~cat:"phase" ~name:"part_eval"
+      (fun () -> Part_eval.eval_partitions penv prog)
   in
   let leaves = leaves_for ~trace ~bindings ~backend loops in
   { pp_penv = penv; pp_loops = loops; pp_leaves = leaves; pp_backend = backend }

@@ -9,10 +9,39 @@ type coloring_state = {
 
 module Trace = Spdistal_obs.Trace
 
+(* A partition's derivation: its operator, the region it partitions, the
+   evaluated coloring bounds and axis, and the derivation of its input
+   partition.  Two partitions with equal derivations over the same operand
+   slots are equal. *)
+type key =
+  | K_bounds of Loop_ir.rref * (int * int) array * Partition.axis
+  | K_bounds_strided of Loop_ir.rref * int * (int * int) array * Partition.axis
+  | K_value_ranges of Loop_ir.rref * (int * int) array * Partition.axis
+  | K_image_range of Loop_ir.rref * key * Loop_ir.rref
+  | K_preimage_range of Loop_ir.rref * key
+  | K_image_values of Loop_ir.rref * key * Loop_ir.rref
+  | K_scale of key * int
+  | K_unscale of key * int
+
+(* Keys nest, and their bounds arrays differ only deep inside; hash more
+   of them than [Hashtbl.hash] does. *)
+module Shared = Hashtbl.Make (struct
+  type t = key
+
+  let equal = ( = )
+  let hash = Hashtbl.hash_param 64 256
+end)
+
+type shared = Partition.t Shared.t
+
+let shared () = Shared.create 16
+
 type env = {
   bindings : Operand.bindings;
   colorings : (string, coloring_state) Hashtbl.t;
   partitions : (string, Partition.t) Hashtbl.t;
+  keys : (string, key) Hashtbl.t;
+  table : shared;
   mutable dep_ops : int;
   mutable dep_elems : int;
   mutable parts : int;
@@ -32,16 +61,13 @@ let accum_stats s env =
   s.s_dep_ops <- s.s_dep_ops + env.dep_ops;
   s.s_dep_elems <- s.s_dep_elems + env.dep_elems
 
-let add_stats s t =
-  s.s_parts <- s.s_parts + t.s_parts;
-  s.s_dep_ops <- s.s_dep_ops + t.s_dep_ops;
-  s.s_dep_elems <- s.s_dep_elems + t.s_dep_elems
-
-let create ?(trace = Trace.null) bindings =
+let create ?(trace = Trace.null) ?(shared = shared ()) bindings =
   {
     bindings;
     colorings = Hashtbl.create 16;
     partitions = Hashtbl.create 16;
+    keys = Hashtbl.create 16;
+    table = shared;
     dep_ops = 0;
     dep_elems = 0;
     parts = 0;
@@ -109,6 +135,21 @@ let find_partition env name =
   | Some p -> p
   | None -> Error.fail Error.Partition_eval "undefined partition %s" name
 
+let find_key env name =
+  match Hashtbl.find_opt env.keys name with
+  | Some k -> k
+  | None -> Error.fail Error.Partition_eval "undefined partition %s" name
+
+(* The partition derived as [key]: the shared table's, or [derive ()]'s,
+   which the table then keeps. *)
+let lookup env key derive =
+  match Shared.find_opt env.table key with
+  | Some p -> p
+  | None ->
+      let p = derive () in
+      Shared.add env.table key p;
+      p
+
 let coloring_state env name =
   match Hashtbl.find_opt env.colorings name with
   | Some st -> st
@@ -128,14 +169,23 @@ let scale_subsets ~f part =
   in
   subsets
 
+(* A partition expression's derivation key, the dependent-partitioning
+   operation it runs (its name and the region entries it scans), if any,
+   and how to evaluate it. *)
 let eval_pexpr env = function
   | Loop_ir.By_bounds { target; coloring } ->
       let bounds, axis = coloring_bounds env coloring in
-      Partition.by_bounds ~axis (rref_ispace env target) bounds
+      ( K_bounds (target, bounds, axis),
+        None,
+        fun () -> Partition.by_bounds ~axis (rref_ispace env target) bounds )
   | Loop_ir.By_bounds_strided { target; coloring; dim } ->
       let d = eval_dim env dim in
       let bounds, axis = coloring_bounds env coloring in
-      Partition.by_bounds_strided ~axis (rref_ispace env target) ~dim:d bounds
+      ( K_bounds_strided (target, d, bounds, axis),
+        None,
+        fun () ->
+          Partition.by_bounds_strided ~axis (rref_ispace env target) ~dim:d
+            bounds )
   | Loop_ir.By_value_ranges { target; coloring } ->
       let crd =
         match target with
@@ -144,58 +194,73 @@ let eval_pexpr env = function
       in
       let bounds, axis = coloring_bounds env coloring in
       let tgt = rref_ispace env target in
-      dep_op env "by_value_ranges" ~elems:(Iset.cardinal tgt) (fun () ->
-          Partition.by_value_ranges ~axis ~values:crd tgt bounds)
+      ( K_value_ranges (target, bounds, axis),
+        Some ("by_value_ranges", Iset.cardinal tgt),
+        fun () -> Partition.by_value_ranges ~axis ~values:crd tgt bounds )
   | Loop_ir.Image_range { pos; part; target } ->
       let posr =
         match pos with
         | Loop_ir.Pos_r (t, k) -> Tensor.pos_of (sparse env t) k
         | _ -> Error.fail Error.Partition_eval "image needs a pos region"
       in
-      dep_op env "image_range" ~elems:(Iset.cardinal posr.Region.ispace)
-        (fun () ->
+      ( K_image_range (pos, find_key env part, target),
+        Some ("image_range", Iset.cardinal posr.Region.ispace),
+        fun () ->
           Dependent.image_ranges posr (find_partition env part)
-            (rref_ispace env target))
+            (rref_ispace env target) )
   | Loop_ir.Preimage_range { pos; part } ->
       let posr =
         match pos with
         | Loop_ir.Pos_r (t, k) -> Tensor.pos_of (sparse env t) k
         | _ -> Error.fail Error.Partition_eval "preimage needs a pos region"
       in
-      dep_op env "preimage_range" ~elems:(Iset.cardinal posr.Region.ispace)
-        (fun () -> Dependent.preimage_ranges posr (find_partition env part))
+      ( K_preimage_range (pos, find_key env part),
+        Some ("preimage_range", Iset.cardinal posr.Region.ispace),
+        fun () -> Dependent.preimage_ranges posr (find_partition env part) )
   | Loop_ir.Image_values { crd; part; target } ->
       let crdr =
         match crd with
         | Loop_ir.Crd_r (t, k) -> Tensor.crd_of (sparse env t) k
         | _ -> Error.fail Error.Partition_eval "imageValues needs a crd region"
       in
-      dep_op env "image_values" ~elems:(Iset.cardinal crdr.Region.ispace)
-        (fun () ->
+      ( K_image_values (crd, find_key env part, target),
+        Some ("image_values", Iset.cardinal crdr.Region.ispace),
+        fun () ->
           Dependent.image_values crdr (find_partition env part)
-            (rref_ispace env target))
-  | Loop_ir.Copy_part p -> find_partition env p
+            (rref_ispace env target) )
+  | Loop_ir.Copy_part p -> (find_key env p, None, fun () -> find_partition env p)
   | Loop_ir.Scale_dense { part; dim } ->
       let d = eval_dim env dim in
-      let p = find_partition env part in
-      let subsets = scale_subsets ~f:(fun lo hi -> (lo * d, ((hi + 1) * d) - 1)) p in
-      let parent =
-        if Iset.is_empty p.Partition.parent then Iset.empty
-        else
-          Iset.interval
-            (Iset.min_elt p.Partition.parent * d)
-            (((Iset.max_elt p.Partition.parent + 1) * d) - 1)
-      in
-      Partition.make ~axis:p.Partition.axis parent subsets
+      ( K_scale (find_key env part, d),
+        None,
+        fun () ->
+          let p = find_partition env part in
+          let subsets =
+            scale_subsets ~f:(fun lo hi -> (lo * d, ((hi + 1) * d) - 1)) p
+          in
+          let parent =
+            if Iset.is_empty p.Partition.parent then Iset.empty
+            else
+              Iset.interval
+                (Iset.min_elt p.Partition.parent * d)
+                (((Iset.max_elt p.Partition.parent + 1) * d) - 1)
+          in
+          Partition.make ~axis:p.Partition.axis parent subsets )
   | Loop_ir.Unscale_dense { part; dim } ->
       let d = eval_dim env dim in
-      let p = find_partition env part in
-      let subsets = scale_subsets ~f:(fun lo hi -> (lo / d, hi / d)) p in
-      let parent =
-        if Iset.is_empty p.Partition.parent then Iset.empty
-        else Iset.interval (Iset.min_elt p.Partition.parent / d) (Iset.max_elt p.Partition.parent / d)
-      in
-      Partition.make ~axis:p.Partition.axis parent subsets
+      ( K_unscale (find_key env part, d),
+        None,
+        fun () ->
+          let p = find_partition env part in
+          let subsets = scale_subsets ~f:(fun lo hi -> (lo / d, hi / d)) p in
+          let parent =
+            if Iset.is_empty p.Partition.parent then Iset.empty
+            else
+              Iset.interval
+                (Iset.min_elt p.Partition.parent / d)
+                (Iset.max_elt p.Partition.parent / d)
+          in
+          Partition.make ~axis:p.Partition.axis parent subsets )
 
 let rec eval_stmt env = function
   | Loop_ir.Comment _ -> ()
@@ -220,17 +285,26 @@ let rec eval_stmt env = function
   | Loop_ir.Coloring_entry _ ->
       Error.fail Error.Partition_eval "coloring entry outside a color loop"
   | Loop_ir.Def_partition { pname; expr } ->
+      (* Counted (and spanned) before the lookup, so a partition recalled
+         from the shared table bills exactly what evaluating it would. *)
       env.parts <- env.parts + 1;
-      Hashtbl.replace env.partitions pname (eval_pexpr env expr)
+      let key, op, derive = eval_pexpr env expr in
+      let find () = lookup env key derive in
+      let p =
+        match op with
+        | Some (name, elems) -> dep_op env name ~elems find
+        | None -> find ()
+      in
+      Hashtbl.replace env.keys pname key;
+      Hashtbl.replace env.partitions pname p
   | Loop_ir.Distributed_for _ ->
       Error.fail Error.Partition_eval "distributed loop reached partition evaluator"
 
-let split prog =
-  List.partition
-    (function Loop_ir.Distributed_for _ -> false | _ -> true)
-    prog.Loop_ir.stmts
-
 let eval_partitions env prog =
-  let parts, loops = split prog in
+  let parts, loops =
+    List.partition
+      (function Loop_ir.Distributed_for _ -> false | _ -> true)
+      prog.Loop_ir.stmts
+  in
   List.iter (eval_stmt env) parts;
   loops

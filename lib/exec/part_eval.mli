@@ -15,10 +15,28 @@ type coloring_state = {
   c_axis : Partition.axis;
 }
 
+(** A partition's derivation: the operator, the region it partitions (an
+    [rref] naming an operand slot), the evaluated coloring bounds and axis,
+    and the derivation of its input partition ([Copy_part] passes its
+    input's key through).  Under one set of operand slots, equal keys
+    derive equal partitions. *)
+type key
+
+(** Partitions by derivation key, shared by the environments of one plan
+    (placement and program) or of one pricing session.  A table is only
+    valid for environments over one set of operand slots whose index
+    structure does not change while it lives. *)
+type shared
+
+val shared : unit -> shared
+
 type env = {
   bindings : Operand.bindings;
   colorings : (string, coloring_state) Hashtbl.t;
   partitions : (string, Partition.t) Hashtbl.t;
+  keys : (string, key) Hashtbl.t;  (** each named partition's derivation *)
+  table : shared;
+      (** where partitions are looked up by derivation before evaluating *)
   mutable dep_ops : int;  (** dependent-partitioning operations executed *)
   mutable dep_elems : int;
       (** total region entries scanned by dependent-partitioning ops — the
@@ -42,22 +60,18 @@ val stats : unit -> stats
 (** Fold [env]'s counters into the tally. *)
 val accum_stats : stats -> env -> unit
 
-(** [add_stats s t] folds tally [t] into [s]. *)
-val add_stats : stats -> stats -> unit
-
-(** [create ?trace bindings] — [trace] (default
+(** [create ?trace ?shared bindings] — [trace] (default
     {!Spdistal_obs.Trace.null}) receives one host-clock "dep" span per
-    dependent-partitioning operation. *)
-val create : ?trace:Spdistal_obs.Trace.t -> Operand.bindings -> env
+    dependent-partitioning operation.  Each partition is looked up in
+    [shared] (default: a fresh table) by its derivation {!key} and
+    evaluated only on a miss.  A hit counts [parts], [dep_ops] and
+    [dep_elems] (and emits its span) exactly as an evaluation does, so the
+    partitioning bill does not depend on what was shared. *)
+val create :
+  ?trace:Spdistal_obs.Trace.t -> ?shared:shared -> Operand.bindings -> env
 
-(** A program's top-level statements split into its partitioning
-    statements and its distributed loops, each in program order.  Two
-    programs with equal partitioning statements on the same grid define the
-    same partitions. *)
-val split : Loop_ir.prog -> Loop_ir.stmt list * Loop_ir.stmt list
-
-(** Execute every partitioning statement of a program (the first half of
-    {!split}) and return its distributed loops (the second half). *)
+(** Execute every partitioning statement of a program and return its
+    distributed loops, each in program order. *)
 val eval_partitions : env -> Loop_ir.prog -> Loop_ir.stmt list
 
 val find_partition : env -> string -> Partition.t

@@ -12,7 +12,7 @@ type t = (string * residency) list
 let find t name =
   match List.assoc_opt name t with Some r -> r | None -> Not_resident
 
-let of_tdn ?stats ~machine ~bindings name tdn =
+let of_tdn ?stats ?shared ~machine ~bindings name tdn =
   match ((Operand.find bindings name).Operand.data, tdn) with
   | _, Tdn.Replicated -> Replicated_everywhere
   | Operand.Vec _, Tdn.Blocked _ ->
@@ -58,7 +58,7 @@ let of_tdn ?stats ~machine ~bindings name tdn =
           ~order:(Spdistal_formats.Tensor.order tensor)
           tdn
       in
-      let penv = Part_eval.create bindings in
+      let penv = Part_eval.create ?shared bindings in
       ignore (Part_eval.eval_partitions penv prog);
       Option.iter (fun s -> Part_eval.accum_stats s penv) stats;
       Vals_partitioned (Part_eval.find_partition penv (name ^ "ValsPart"))

@@ -24,9 +24,13 @@ val find : t -> string -> residency
     given machine, by lowering the TDN's partitioning program and executing
     it (paper §V-C).  For [Tdn.Replicated] no program runs.  [stats]
     accumulates the dependent-partitioning work this lowering performed, for
-    the execution context's cold-miss cost model. *)
+    the execution context's cold-miss cost model.  [shared] (default: a
+    fresh table) is where the program's partitions are looked up by
+    derivation, so a plan's program can reuse them (see
+    {!Part_eval.create}). *)
 val of_tdn :
   ?stats:Part_eval.stats ->
+  ?shared:Part_eval.shared ->
   machine:Machine.t -> bindings:Operand.bindings -> string -> Spdistal_ir.Tdn.t ->
   residency
 

@@ -15,12 +15,11 @@
    fault-free steady state the tournament compares.
 
    The candidates of one auto-scheduler call are priced in one [session]
-   that shares statistics, placements and partitions between them; a
+   that shares statistics and partitions between them; a
    shared result is the one a standalone [price] would build, so every
    verdict stays bit-equal to it. *)
 
 open Spdistal_runtime
-open Spdistal_formats
 open Spdistal_ir
 open Spdistal_exec
 module Spdistal = Core.Spdistal
@@ -38,8 +37,8 @@ let total p = p.pr_total
 (* A pricing session: the candidates of one auto-scheduler call, all
    variants of one problem (same machine, same operand slots), share what
    does not depend on the candidate.  The driver statistics are computed on
-   first use; [s_memo] shares placements and partition environments between
-   plans.  Sessions live as long as the caller keeps them, never beyond. *)
+   first use; [s_memo] shares partitions, by derivation, between plans.
+   Sessions live as long as the caller keeps them, never beyond. *)
 type session = {
   s_problem : Spdistal.problem;
   s_memo : Spdistal.memo;
@@ -73,43 +72,42 @@ let mul_estimate ~bindings ~stats ~(leaf : Loop_ir.leaf) driver_name =
 
 (* Estimated work of one piece of an additive merge: exact per-operand entry
    counts over the piece's row block (from the pos arrays), the shared merge
-   byte model, and a collision estimate for the emitted output pattern. *)
-let merge_estimate ~bindings ~tensors rows =
-  let rows =
-    match rows with
-    | Some rows -> rows
-    | None -> Error.fail Error.Leaf "merge leaf without a row part"
-  in
-  let rows_n = Iset.cardinal rows in
-  let cols =
-    (Operand.find_sparse bindings (List.hd tensors)).Tensor.dims.(1)
-  in
-  let entries =
-    List.fold_left
-      (fun acc tname ->
-        let t = Operand.find_sparse bindings tname in
-        let pos = (Tensor.pos_of t 1).Region.data in
-        let s = ref 0 in
-        Iset.iter
-          (fun r ->
-            let lo, hi = pos.(r) in
-            s := !s + max 0 (hi - lo + 1))
-          rows;
-        acc + !s)
-      0 tensors
-  in
-  let n = float_of_int entries in
-  (* Expected emitted non-zeros: per-row Bernoulli collision model over the
-     shared column extent. *)
-  let out_nnz =
-    if rows_n = 0 || entries = 0 then 0.
-    else begin
-      let k = n /. float_of_int rows_n in
-      let c = float_of_int (max cols 1) in
-      float_of_int rows_n *. c *. (1. -. ((1. -. (1. /. c)) ** k))
-    end
-  in
-  Leaf.merge_work ~entries:n ~emitted:(min out_nnz n)
+   byte model, and a collision estimate for the emitted output pattern.  The
+   operands come through [Leaf.merge_ops], so pricing refuses exactly the
+   operand shapes a run refuses, with the same typed error. *)
+let merge_estimate ~bindings ~tensors =
+  let ops, cols = Leaf.merge_ops ~bindings ~tensors in
+  fun rows ->
+    let rows =
+      match rows with
+      | Some rows -> rows
+      | None -> Error.fail Error.Leaf "merge leaf without a row part"
+    in
+    let rows_n = Iset.cardinal rows in
+    let entries =
+      Array.fold_left
+        (fun acc ((pos : (int * int) array), _, _) ->
+          let s = ref 0 in
+          Iset.iter
+            (fun r ->
+              let lo, hi = pos.(r) in
+              s := !s + max 0 (hi - lo + 1))
+            rows;
+          acc + !s)
+        0 ops
+    in
+    let n = float_of_int entries in
+    (* Expected emitted non-zeros: per-row Bernoulli collision model over the
+       shared column extent. *)
+    let out_nnz =
+      if rows_n = 0 || entries = 0 then 0.
+      else begin
+        let k = n /. float_of_int rows_n in
+        let c = float_of_int (max cols 1) in
+        float_of_int rows_n *. c *. (1. -. ((1. -. (1. /. c)) ** k))
+      end
+    in
+    Leaf.merge_work ~entries:n ~emitted:(min out_nnz n)
 
 let price_problem s (p : Spdistal.problem) : (priced, string) result =
   try
@@ -129,8 +127,8 @@ let price_problem s (p : Spdistal.problem) : (priced, string) result =
           mul_estimate ~bindings:b ~stats:(driver_stats s b driver_name) ~leaf
             driver_name
       | Loop_ir.Merge_driver tensors ->
-          fun ~shard_vals:_ ~rows ~col_range:_ ->
-            merge_estimate ~bindings:b ~tensors rows
+          let estimate = merge_estimate ~bindings:b ~tensors in
+          fun ~shard_vals:_ ~rows ~col_range:_ -> estimate rows
     in
     Interp.estimate ~machine:p.Spdistal.machine ~bindings:b
       ~placement:plan.Cache.e_placement ~cost

@@ -29,9 +29,8 @@ val price : Core.Spdistal.problem -> (priced, string) result
 
 (** A pricing session over one problem: the candidates of one
     auto-scheduler call.  It computes the sparse drivers' {!Stats} at most
-    once and only for multiplicative leaves, shares placements and
-    partition environments between candidates through a
-    {!Core.Spdistal.memo}.  Every verdict is bit-equal to {!price} of the
+    once and only for multiplicative leaves, and shares partitions between
+    candidates through a {!Core.Spdistal.memo}.  Every verdict is bit-equal to {!price} of the
     same candidate on its own. *)
 type session
 

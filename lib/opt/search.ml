@@ -241,7 +241,7 @@ let candidates p =
    distribution would have resident.  Order-3+ sparse operands are blocked
    on dimension 0 instead.  A last-dimension block of a compressed tensor is
    a scattered position set; pricing the strawman blocked that way takes
-   0.06-0.27 s per quick SpTTV/SpMTTKRP cell on 4 pieces (2-core Xeon
+   0.02-0.09 s per quick SpTTV/SpMTTKRP cell on 4 pieces (2-core Xeon
    host), so host time no longer forces dimension 0.  It stays because
    withholding leaf parallelism already prices those cells clearly worse,
    and moving it would change the naive column of results/auto.csv. *)

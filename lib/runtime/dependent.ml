@@ -1,7 +1,11 @@
 (* Every operator is one linear sweep over a region's backing array.  A
    source subset is checked against the region's index space once per color,
    so the inner loops index [data] directly, and results accumulate in
-   [Iset.builder]s, which append in O(1) while the sweep stays in order. *)
+   [Iset.builder]s, which extend their open run in place while the sweep
+   stays in order.  A preimage of ranges gives each color a cursor over its
+   runs that only moves forward while the queries' starts rise, as they do
+   over a CSR [pos] array, and falls back to a binary search when a query
+   starts below the previous one. *)
 
 let check_within (r : _ Region.t) op c src =
   if not (Iset.subset src r.Region.ispace) then
@@ -13,19 +17,31 @@ let check_within (r : _ Region.t) op c src =
 type runs = { los : int array; his : int array }
 
 let runs s =
-  let l = Iset.to_intervals s in
-  { los = Array.of_list (List.map fst l); his = Array.of_list (List.map snd l) }
+  let n = Iset.interval_count s in
+  let los = Array.make n 0 and his = Array.make n 0 in
+  let k = ref 0 in
+  Iset.iter_intervals
+    (fun lo hi ->
+      los.(!k) <- lo;
+      his.(!k) <- hi;
+      incr k)
+    s;
+  { los; his }
 
-(* [meets r lo hi] for [lo <= hi]: does the first run ending at or after
-   [lo] start at or before [hi]? *)
-let meets r lo hi =
-  let n = Array.length r.his in
-  let a = ref 0 and z = ref n in
+(* The first run of [r] ending at or after [lo]. *)
+let first_ending_from r lo =
+  let a = ref 0 and z = ref (Array.length r.his) in
   while !a < !z do
     let m = (!a + !z) lsr 1 in
     if r.his.(m) < lo then a := m + 1 else z := m
   done;
-  !a < n && r.los.(!a) <= hi
+  !a
+
+(* [meets r lo hi] for [lo <= hi]: does the first run ending at or after
+   [lo] start at or before [hi]? *)
+let meets r lo hi =
+  let k = first_ending_from r lo in
+  k < Array.length r.his && r.los.(k) <= hi
 
 let image_ranges (pos : (int * int) Region.t) (p : Partition.t) (target : Iset.t)
     =
@@ -62,9 +78,36 @@ let preimage (r : _ Region.t) (p : Partition.t) hit =
 
 let preimage_ranges (pos : (int * int) Region.t) (p : Partition.t) =
   let dsts = Array.map runs p.Partition.subsets in
-  preimage pos p (fun c i ->
-      let lo, hi = pos.Region.data.(i) in
-      lo <= hi && meets dsts.(c) lo hi)
+  let colors = Array.length dsts in
+  let bs = Array.init colors (fun _ -> Iset.builder ()) in
+  (* Per color: [cur.(c)] is the first run ending at or after [last.(c)],
+     the start of that color's previous query. *)
+  let cur = Array.make colors 0 and last = Array.make colors min_int in
+  let data = pos.Region.data in
+  Iset.iter_intervals
+    (fun ilo ihi ->
+      for i = ilo to ihi do
+        let lo, hi = data.(i) in
+        if lo <= hi then
+          for c = 0 to colors - 1 do
+            let r = dsts.(c) in
+            let k =
+              if lo >= last.(c) then begin
+                let n = Array.length r.his and k = ref cur.(c) in
+                while !k < n && r.his.(!k) < lo do
+                  incr k
+                done;
+                !k
+              end
+              else first_ending_from r lo
+            in
+            cur.(c) <- k;
+            last.(c) <- lo;
+            if k < Array.length r.his && r.los.(k) <= hi then Iset.add bs.(c) i
+          done
+      done)
+    pos.Region.ispace;
+  Partition.make ~axis:p.Partition.axis pos.Region.ispace (Array.map Iset.build bs)
 
 let image_values (crd : int Region.t) (p : Partition.t) (target : Iset.t) =
   (* One byte per element of [target]'s hull, reused by every color: each

@@ -13,9 +13,13 @@
     destinations.  Preimages of shared structure may produce aliased
     partitions (Fig. 6b).
 
-    Each operator is one sweep over the region's backing array.  An image
-    whose source subset escapes the region's index space fails with
-    [Error.Error] in phase [Partition_eval]. *)
+    Each operator is one sweep over the region's backing array, on int
+    compares, with results accumulated in {!Iset.builder}s.  A preimage of
+    ranges keeps one forward-only cursor per destination color while the
+    ranges' starts rise (CSR [pos]) and falls back to a binary search when
+    a range starts below the previous one.  An image whose source subset
+    escapes the region's index space fails with [Error.Error] in phase
+    [Partition_eval]. *)
 
 (** [image_ranges pos p target] where [p] partitions [pos]'s index space:
     color [c] receives the union of ranges [pos.(i)] over [i] in [p(c)],

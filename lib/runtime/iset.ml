@@ -3,6 +3,17 @@
 
 type t = (int * int) list
 
+(* Every comparison here is between ints.  Shadowing the polymorphic
+   operators at int type keeps each one a machine compare instead of a call
+   into the runtime's generic comparison. *)
+let ( < ) (a : int) b = a < b
+let ( <= ) (a : int) b = a <= b
+let ( > ) (a : int) b = a > b
+let ( >= ) (a : int) b = a >= b
+let ( = ) (a : int) b = a = b
+let max (a : int) b = if a >= b then a else b
+let min (a : int) b = if a <= b then a else b
+
 let empty = []
 let interval lo hi = if hi < lo then [] else [ (lo, hi) ]
 let singleton x = [ (x, x) ]
@@ -23,34 +34,57 @@ let normalize_sorted l =
 let of_intervals l =
   l
   |> List.filter (fun (lo, hi) -> lo <= hi)
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
   |> normalize_sorted
 
 let of_list xs = of_intervals (List.map (fun x -> (x, x)) xs)
 
-(* [runs] holds canonical runs in reverse while every interval added so far
-   started at or after the last run's start, so an in-order sweep extends or
-   appends the head run in O(1).  The first interval starting before it
-   clears [in_order]; from then on intervals are only collected, and [build]
-   sorts them through [of_intervals]. *)
-type builder = { mutable runs : (int * int) list; mutable in_order : bool }
+(* [runs] holds the closed canonical runs in reverse; the open run
+   [lo..hi] (none while [lo > hi]) sits in mutable fields.  While every
+   interval added so far started at or after the open run's start, an
+   in-order sweep extends the open run in place and allocates only when a
+   run closes.  The first interval starting before it clears [in_order];
+   from then on intervals are only collected, and [build] sorts them
+   through [of_intervals]. *)
+type builder = {
+  mutable runs : (int * int) list;
+  mutable lo : int;
+  mutable hi : int;
+  mutable in_order : bool;
+}
 
-let builder () = { runs = []; in_order = true }
+let builder () = { runs = []; lo = 0; hi = -1; in_order = true }
 
 let add_interval b lo hi =
   if lo <= hi then
-    match b.runs with
-    | (alo, ahi) :: rest when b.in_order && lo >= alo ->
-        if lo <= ahi + 1 then (if hi > ahi then b.runs <- (alo, hi) :: rest)
-        else b.runs <- (lo, hi) :: b.runs
-    | [] -> b.runs <- [ (lo, hi) ]
-    | runs ->
+    if b.lo > b.hi then begin
+      b.lo <- lo;
+      b.hi <- hi
+    end
+    else if b.in_order && lo >= b.lo then begin
+      if lo <= b.hi + 1 then (if hi > b.hi then b.hi <- hi)
+      else begin
+        b.runs <- (b.lo, b.hi) :: b.runs;
+        b.lo <- lo;
+        b.hi <- hi
+      end
+    end
+    else begin
+      if b.in_order then begin
         b.in_order <- false;
-        b.runs <- (lo, hi) :: runs
+        b.runs <- (b.lo, b.hi) :: b.runs
+      end;
+      b.runs <- (lo, hi) :: b.runs
+    end
 
 let add b x = add_interval b x x
-let build b = if b.in_order then List.rev b.runs else of_intervals b.runs
-let is_empty t = t = []
+
+let build b =
+  if not b.in_order then of_intervals b.runs
+  else if b.lo > b.hi then []
+  else List.rev ((b.lo, b.hi) :: b.runs)
+
+let is_empty = function [] -> true | _ :: _ -> false
 
 let rec mem x = function
   | [] -> false
@@ -65,7 +99,11 @@ let rec max_elt = function
   | [ (_, hi) ] -> hi
   | _ :: rest -> max_elt rest
 
-let equal (a : t) (b : t) = a = b
+let rec equal (a : t) (b : t) =
+  match (a, b) with
+  | [], [] -> true
+  | (alo, ahi) :: a', (blo, bhi) :: b' -> alo = blo && ahi = bhi && equal a' b'
+  | _ -> false
 
 let union a b =
   (* Merge two canonical lists.  Tail-recursive: partitions over large
@@ -109,7 +147,16 @@ let diff a b =
 
 let union_list ts = List.fold_left union empty ts
 
-let subset a b = is_empty (diff a b)
+(* Each interval of canonical [a] must lie inside one interval of canonical
+   [b]: walk both lists once, allocating nothing. *)
+let rec subset a b =
+  match (a, b) with
+  | [], _ -> true
+  | _ :: _, [] -> false
+  | (alo, ahi) :: a', (blo, bhi) :: b' ->
+      if bhi < alo then subset a b'
+      else blo <= alo && ahi <= bhi && subset a' b
+
 let disjoint a b = is_empty (inter a b)
 
 let rec intersects_interval t lo hi =

@@ -30,11 +30,13 @@ val of_intervals : (int * int) list -> t
 val of_list : int list -> t
 
 (** A mutable accumulator for building a set from a stream of intervals.
-    While each interval starts at or after the start of the previous one (an
-    in-order sweep, or monotone CSR [pos] ranges) it extends or appends the
-    last run in O(1).  After the first interval that starts earlier, the
-    rest are collected and [build] sorts them as {!of_intervals} does.
-    Either way [build] returns the canonical set. *)
+    The open (last) run lives in mutable int fields.  While each interval
+    starts at or after the open run's start (an in-order sweep, or monotone
+    CSR [pos] ranges) it extends the open run in place, or closes it and
+    opens a new one, in O(1); only closing a run allocates.  After the
+    first interval that starts earlier, the rest are collected and [build]
+    sorts them as {!of_intervals} does.  Either way [build] returns the
+    canonical set. *)
 type builder
 
 val builder : unit -> builder

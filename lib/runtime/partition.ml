@@ -7,12 +7,33 @@ type t = {
   axis : axis;
 }
 
+(* Pairwise disjointness as one k-way sweep over the subsets' canonical
+   intervals in order of their starts: the subsets are disjoint iff every
+   interval starts after the largest end seen so far.  Within a subset the
+   intervals are already disjoint and sorted, so each step only picks the
+   lowest head among the colors. *)
 let compute_disjoint subsets =
-  (* Pairwise disjointness via a running union: total cardinality of the
-     union equals the sum of cardinalities iff all subsets are disjoint. *)
-  let sum = Array.fold_left (fun n s -> n + Iset.cardinal s) 0 subsets in
-  let uni = Iset.union_list (Array.to_list subsets) in
-  Iset.cardinal uni = sum
+  let heads = Array.map Iset.to_intervals subsets in
+  let k = Array.length heads in
+  let rec sweep ~first reach =
+    let best = ref (-1) and best_lo = ref max_int in
+    for c = 0 to k - 1 do
+      match heads.(c) with
+      | (lo, _) :: _ when lo < !best_lo ->
+          best := c;
+          best_lo := lo
+      | _ -> ()
+    done;
+    if !best < 0 then true
+    else if (not first) && !best_lo <= reach then false
+    else
+      match heads.(!best) with
+      | (_, hi) :: rest ->
+          heads.(!best) <- rest;
+          sweep ~first:false hi
+      | [] -> true
+  in
+  sweep ~first:true 0
 
 let make ?(axis = Flat) parent subsets =
   Array.iter
@@ -91,14 +112,16 @@ let by_value_ranges ?(axis = Flat) ~values is ranges =
   if not (Iset.subset is values.Region.ispace) then
     Error.fail Error.Partition_eval
       "Partition.by_value_ranges: index space escapes %s" values.Region.name;
-  let bs = Array.map (fun _ -> Iset.builder ()) ranges in
+  let colors = Array.length ranges in
+  let rlos = Array.map fst ranges and rhis = Array.map snd ranges in
+  let bs = Array.init colors (fun _ -> Iset.builder ()) in
+  let data = values.Region.data in
   Iset.iter_intervals
     (fun lo hi ->
       for i = lo to hi do
-        let v = values.Region.data.(i) in
-        for c = 0 to Array.length ranges - 1 do
-          let rlo, rhi = ranges.(c) in
-          if v >= rlo && v <= rhi then Iset.add bs.(c) i
+        let v : int = data.(i) in
+        for c = 0 to colors - 1 do
+          if v >= rlos.(c) && v <= rhis.(c) then Iset.add bs.(c) i
         done
       done)
     is;

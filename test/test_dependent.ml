@@ -289,6 +289,33 @@ let gen_partition st space u =
        (1 + Random.State.int st 4)
        (fun _ -> Iset.inter space (random_iset st u)))
 
+(* The shape of a scattered column block: a larger CSR level whose crd is
+   value-range partitioned into 2-8 colors, so every color holds many
+   fragments, then pulled back to rows through pos.  The ranges are either
+   a block split of the columns (disjoint) or drawn at random (overlapping
+   ones make the partition aliased). *)
+type csr_ranges = {
+  cpos : (int * int) Region.t;
+  ccrd : int Region.t;
+  ranges : (int * int) array;
+}
+
+let gen_csr_ranges st =
+  let open Spdistal_formats in
+  let int = Random.State.int st in
+  let rows = 5 + int 40 and cols = 8 + int 40 in
+  let t = Tensor.csr ~name:"B" (random_coo st [| rows; cols |] (int 400)) in
+  let colors = 2 + int 7 in
+  let ranges =
+    if Random.State.bool st then
+      Array.init colors (fun c -> (c * cols / colors, ((c + 1) * cols / colors) - 1))
+    else
+      Array.init colors (fun _ ->
+          let lo = int cols in
+          (lo, lo + int (cols - lo)))
+  in
+  { cpos = Tensor.pos_of t 1; ccrd = Tensor.crd_of t 1; ranges }
+
 let arb_dependent_case =
   let gen st =
     let s = gen_structure st in
@@ -300,20 +327,25 @@ let arb_dependent_case =
       gen_partition st s.scrd.Region.ispace (Region.extent s.scrd),
       gen_partition st (Iset.range s.np) s.np,
       gen_partition st (Iset.range s.nv) s.nv,
-      (target s.np, target s.nv) )
+      (target s.np, target s.nv),
+      gen_csr_ranges st )
   in
-  let print (s, pos_p, crd_p, np_p, nv_p, (np_target, nv_target)) =
+  let print (s, pos_p, crd_p, np_p, nv_p, (np_target, nv_target), v) =
     let open Format in
     let list pp = pp_print_list ~pp_sep:(fun f () -> pp_print_char f ' ') pp in
+    let pair f (a, b) = fprintf f "(%d,%d)" a b in
     asprintf
       "@[<v>%s@,pos %a over %a@,crd %a over %a@,pos source %a@,crd source %a@,\
-       pos destination %a@,crd destination %a@,targets %a %a@]"
-      s.kind
-      (list (fun f (a, b) -> fprintf f "(%d,%d)" a b))
+       pos destination %a@,crd destination %a@,targets %a %a@,\
+       csr pos %a@,csr crd %a@,value ranges %a@]"
+      s.kind (list pair)
       (Array.to_list s.spos.Region.data) Iset.pp s.spos.Region.ispace
       (list pp_print_int) (Array.to_list s.scrd.Region.data)
       Iset.pp s.scrd.Region.ispace Partition.pp pos_p Partition.pp crd_p
       Partition.pp np_p Partition.pp nv_p Iset.pp np_target Iset.pp nv_target
+      (list pair) (Array.to_list v.cpos.Region.data)
+      (list pp_print_int) (Array.to_list v.ccrd.Region.data)
+      (list pair) (Array.to_list v.ranges)
   in
   QCheck.make ~print gen
 
@@ -326,7 +358,7 @@ let same (a : Partition.t) (b : Partition.t) =
 let prop_sweeps_equal_model =
   Helpers.qtest ~count:500 "linear sweeps = per-element model"
     arb_dependent_case
-    (fun (s, pos_p, crd_p, np_p, nv_p, (np_target, nv_target)) ->
+    (fun (s, pos_p, crd_p, np_p, nv_p, (np_target, nv_target), v) ->
       same (Dependent.image_ranges s.spos pos_p np_target)
         (Model.image_ranges s.spos pos_p np_target)
       && same (Dependent.preimage_ranges s.spos np_p)
@@ -343,7 +375,13 @@ let prop_sweeps_equal_model =
       in
       let is = Partition.union_of_colors crd_p in
       same (Partition.by_value_ranges ~values:s.scrd is ranges)
-        (Model.by_value_ranges ~values:s.scrd is ranges))
+        (Model.by_value_ranges ~values:s.scrd is ranges)
+      &&
+      let crd_space = v.ccrd.Region.ispace in
+      let by_ranges = Partition.by_value_ranges ~values:v.ccrd crd_space v.ranges in
+      same by_ranges (Model.by_value_ranges ~values:v.ccrd crd_space v.ranges)
+      && same (Dependent.preimage_ranges v.cpos by_ranges)
+           (Model.preimage_ranges v.cpos by_ranges))
 
 let suite =
   [

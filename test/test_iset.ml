@@ -171,6 +171,17 @@ let prop_builder_shuffled =
   Helpers.qtest "builder = of_intervals on shuffled input" arb_intervals
     (fun ivs -> Iset.equal (built ivs) (Iset.of_intervals ivs))
 
+(* An in-order prefix, whose intervals extend or close the open run, then
+   an arbitrary tail, which may start before it: both builder modes and the
+   switch between them.  Compared as interval lists, not through
+   [Iset.equal]. *)
+let prop_builder_prefix_then_tail =
+  Helpers.qtest "builder = of_intervals on in-order prefix then any tail"
+    QCheck.(pair arb_intervals arb_intervals)
+    (fun (prefix, tail) ->
+      let ivs = List.sort compare prefix @ tail in
+      Iset.to_intervals (built ivs) = Iset.to_intervals (Iset.of_intervals ivs))
+
 let prop_max_elt =
   Helpers.qtest "max_elt is the last element" Helpers.arb_iset (fun a ->
       match List.rev (model a) with
@@ -197,4 +208,5 @@ let suite =
     prop_builder_sorted;
     prop_builder_shuffled;
     prop_max_elt;
+    prop_builder_prefix_then_tail;
   ]

@@ -547,6 +547,226 @@ let test_winner_cache_keyed_by_pattern () =
       Alcotest.(check bool) "different pattern misses" false c.Auto.ch_cached
   | None -> Alcotest.fail "no choice"
 
+(* SpAdd3 operands whose shape differs from B's: pricing refuses every
+   candidate with the run's own typed shape error, so the auto-scheduler
+   never picks a schedule the run then rejects. *)
+let test_merge_shapes_priced_as_run () =
+  let machine = Helpers.cpu_machine 4 in
+  let b = Helpers.rand_csr ~seed:5 200 200 0.02 in
+  List.iter
+    (fun (what, c, d) ->
+      let p = Core.Kernels.spadd3_problem ~machine ?c ?d b in
+      let run_error =
+        match Spdistal.run p with
+        | exception Error.Error e -> Error.to_string e
+        | _ -> Alcotest.failf "%s: the run accepted mismatched operands" what
+      in
+      let rp = Auto.report p in
+      Alcotest.(check bool) (what ^ ": no winner") true
+        (Option.is_none rp.Auto.rp_winner);
+      List.iter
+        (fun v ->
+          match v.Auto.v_priced with
+          | Ok _ -> Alcotest.failf "%s: %s priced" what v.Auto.v_label
+          | Error m ->
+              Alcotest.(check string)
+                (Printf.sprintf "%s: %s refused as the run is" what
+                   v.Auto.v_label)
+                run_error m)
+        rp.Auto.rp_verdicts)
+    [
+      ("D 200x260", None, Some (Helpers.rand_csr ~seed:6 ~name:"D" 200 260 0.02));
+      ("C 150x200", Some (Helpers.rand_csr ~seed:7 ~name:"C" 150 200 0.02), None);
+    ]
+
+(* ------------------------------------------------------------------ *)
+(* Plan-wide partition sharing                                         *)
+(* ------------------------------------------------------------------ *)
+
+module R = Spdistal_experiments.Runner
+module Placement = Spdistal_exec.Placement
+module Part_eval = Spdistal_exec.Part_eval
+
+(* The auto-price cells (six kernels on 4 CPU nodes, SpMM on 4 GPUs) over
+   small power-law inputs. *)
+let share_cells () =
+  let matrix =
+    Spdistal_workloads.Synth.power_law ~name:"B" ~rows:200 ~cols:200
+      ~nnz:2_000 ~alpha:1.0 ~seed:3001
+  and tensor =
+    Spdistal_workloads.Synth.tensor3_skewed ~name:"B" ~dims:[| 40; 40; 20 |]
+      ~nnz:2_000 ~alpha:1.2 ~seed:4001
+  in
+  List.map
+    (fun (kernel, machine, tag) ->
+      let t = if List.mem kernel R.kernels_for_tensor3 then tensor else matrix in
+      ( String.lowercase_ascii (R.kernel_name kernel) ^ "-" ^ tag,
+        R.problem_for ~kernel ~machine ~cols:4 t ))
+    (List.map (fun k -> (k, R.cpu_machine ~nodes:4, "cpu")) R.all_kernels
+    @ [ (R.Spmm, R.gpu_machine ~gpus:4, "gpu") ])
+
+(* The cold build with nothing shared: every placement and the program on
+   fresh partition environments. *)
+let unshared_plan (p : Spdistal.problem) =
+  let b = Spdistal.bindings p and machine = p.Spdistal.machine in
+  let stats = Part_eval.stats () in
+  let placement =
+    List.map
+      (fun (name, _, tdn) ->
+        (name, Placement.of_tdn ~stats ~machine ~bindings:b name tdn))
+      p.Spdistal.operands
+  in
+  let prepared =
+    Interp.prepare ~backend:CL.Interp ~bindings:b
+      (Spdistal.compile ~trace:Trace.null p)
+  in
+  Part_eval.accum_stats stats prepared.Interp.pp_penv;
+  ( placement,
+    prepared.Interp.pp_penv,
+    stats.Part_eval.s_parts + stats.Part_eval.s_dep_ops,
+    Cache.partition_seconds machine stats,
+    stats.Part_eval.s_dep_elems )
+
+let same_partition (a : Partition.t) (b : Partition.t) =
+  Iset.equal a.Partition.parent b.Partition.parent
+  && a.Partition.disjoint = b.Partition.disjoint
+  && a.Partition.axis = b.Partition.axis
+  && Array.length a.Partition.subsets = Array.length b.Partition.subsets
+  && Array.for_all2 Iset.equal a.Partition.subsets b.Partition.subsets
+
+let residency_partition = function
+  | Placement.Vals_partitioned p | Placement.Dim_partitioned { part = p; _ } ->
+      Some p
+  | Placement.Replicated_everywhere | Placement.Not_resident -> None
+
+(* Sharing cannot be seen: for every candidate of every cell (and the hand
+   schedule), a plan under one session-wide memo has the bill and the
+   partitions of a build that shares nothing. *)
+let test_sharing_invisible () =
+  List.iter
+    (fun (cell, p) ->
+      let memo = Spdistal.memo () in
+      let hand =
+        { Search.c_label = "hand"; c_schedule = p.Spdistal.schedule; c_tdns = [] }
+      in
+      List.iter
+        (fun (c : Search.candidate) ->
+          let q = Search.apply p c in
+          let what = cell ^ " " ^ c.Search.c_label in
+          (* Infeasible candidates fail, as [Price] sees them. *)
+          let attempt f =
+            try Ok (f ()) with
+            | Error.Error e -> Error (Error.to_string e)
+            | Invalid_argument m | Failure m -> Error m
+          in
+          let shared =
+            attempt (fun () ->
+                Spdistal.plan ~memo ~trace:Trace.null ~backend:CL.Interp q)
+          and unshared = attempt (fun () -> unshared_plan q) in
+          match (shared, unshared) with
+          | Error a, Error b -> Alcotest.(check string) (what ^ ": same error") b a
+          | Ok _, Error m | Error m, Ok _ ->
+              Alcotest.failf "%s: only one build failed: %s" what m
+          | Ok e, Ok (placement, penv, ops, seconds, elems) ->
+              Alcotest.(check int) (what ^ ": e_part_ops") ops e.Cache.e_part_ops;
+              Alcotest.(check int64) (what ^ ": e_part_seconds bits")
+                (Int64.bits_of_float seconds)
+                (Int64.bits_of_float e.Cache.e_part_seconds);
+              Alcotest.(check int) (what ^ ": e_part_elems") elems
+                e.Cache.e_part_elems;
+              Hashtbl.iter
+                (fun name part ->
+                  Alcotest.(check bool) (what ^ ": partition " ^ name) true
+                    (same_partition part
+                       (Part_eval.find_partition e.Cache.e_prepared.Interp.pp_penv
+                          name)))
+                penv.Part_eval.partitions;
+              List.iter
+                (fun (name, r) ->
+                  match
+                    ( residency_partition r,
+                      residency_partition (Placement.find e.Cache.e_placement name) )
+                  with
+                  | None, None -> ()
+                  | Some a, Some b ->
+                      Alcotest.(check bool) (what ^ ": placement " ^ name) true
+                        (same_partition a b)
+                  | _ -> Alcotest.failf "%s: residency of %s differs" what name)
+                placement)
+        (Search.candidates p @ [ hand ]))
+    (share_cells ())
+
+(* In SpAdd3's column-blocked candidate the program derives B's values
+   partition exactly as B's placement does; the plan evaluates it once. *)
+let test_spadd3_row_j_shares_placement () =
+  let p = List.assoc "spadd3-cpu" (share_cells ()) in
+  let c =
+    List.find (fun c -> c.Search.c_label = "row:j") (Search.candidates p)
+  in
+  let e =
+    Spdistal.plan ~trace:Trace.null ~backend:CL.Interp (Search.apply p c)
+  in
+  match Placement.find e.Cache.e_placement "B" with
+  | Placement.Vals_partitioned placed ->
+      Alcotest.(check bool) "BValsPart is the placement's partition" true
+        (Part_eval.find_partition e.Cache.e_prepared.Interp.pp_penv "BValsPart"
+        == placed)
+  | _ -> Alcotest.fail "B is not vals-partitioned under row:j"
+
+(* Two value-range partitions of one crd region with the same color count
+   but different bounds must not share, even through one table. *)
+let test_value_ranges_with_other_bounds_not_shared () =
+  let open Spdistal_ir in
+  let bindings =
+    [ ("B", Spdistal_exec.Operand.sparse (Helpers.rand_csr ~seed:9 30 30 0.2)) ]
+  in
+  (* Color [c] takes the coordinate values [c * width .. (c + 1) * width - 1]. *)
+  let prog width =
+    let c = Loop_ir.Color_var "c" and w = Loop_ir.Int width in
+    {
+      Loop_ir.grid = [| 2 |];
+      stmts =
+        [
+          Loop_ir.Init_coloring { coloring = "col"; axis = Partition.Flat };
+          Loop_ir.For_colors
+            {
+              cvar = "c";
+              count = 2;
+              body =
+                [
+                  Loop_ir.Coloring_entry
+                    {
+                      coloring = "col";
+                      lo = Loop_ir.Mul (c, w);
+                      hi =
+                        Loop_ir.Sub
+                          (Loop_ir.Mul (Loop_ir.Add (c, Loop_ir.Int 1), w), Loop_ir.Int 1);
+                    };
+                ];
+            };
+          Loop_ir.Def_partition
+            {
+              pname = "P";
+              expr =
+                Loop_ir.By_value_ranges
+                  { target = Loop_ir.Crd_r ("B", 1); coloring = "col" };
+            };
+        ];
+    }
+  in
+  let eval ?shared width =
+    let penv = Part_eval.create ?shared bindings in
+    ignore (Part_eval.eval_partitions penv (prog width));
+    Part_eval.find_partition penv "P"
+  in
+  let table = Part_eval.shared () in
+  let narrow = eval ~shared:table 10 and wide = eval ~shared:table 15 in
+  Alcotest.(check bool) "distinct partitions" false (narrow == wide);
+  Alcotest.(check bool) "narrow = unshared" true
+    (same_partition narrow (eval 10));
+  Alcotest.(check bool) "wide = unshared" true (same_partition wide (eval 15));
+  Alcotest.(check bool) "equal bounds share" true (eval ~shared:table 15 == wide)
+
 let suite =
   [
     Alcotest.test_case "auto == hand, interp leaves" `Quick
@@ -574,4 +794,12 @@ let suite =
     prop_stats_values_free;
     Alcotest.test_case "pricing leaves ambient sinks alone" `Quick
       test_pricing_leaves_sinks_alone;
+    Alcotest.test_case "merge shapes priced as the run checks them" `Quick
+      test_merge_shapes_priced_as_run;
+    Alcotest.test_case "partition sharing is invisible" `Quick
+      test_sharing_invisible;
+    Alcotest.test_case "spadd3 row:j program reuses B's placement" `Quick
+      test_spadd3_row_j_shares_placement;
+    Alcotest.test_case "value ranges with other bounds not shared" `Quick
+      test_value_ranges_with_other_bounds_not_shared;
   ]
