@@ -129,14 +129,17 @@ let time_of r = match r.dnc with Some _ -> None | None -> Some (Cost.total r.cos
 
 module Context = struct
   module Dense = Spdistal_formats.Dense
+  module Tensor = Spdistal_formats.Tensor
 
-  (* A context's cache key, kept while the inputs it was computed over are
-     unchanged. *)
+  (* What a context keeps while the inputs it was derived over are
+     unchanged: the partitions its plans derived and, once a cache lookup
+     needed it, the cache key. *)
   type key = {
-    k_key : string;
-    k_gen : int;  (** [Region.generation ()] when it was computed *)
+    k_gen : int;  (** [Region.generation ()] when it was stamped *)
     k_inputs : Operand.data list;
         (** each input slot's data then, in operand order *)
+    k_memo : memo;  (** every partition the context's plans derived *)
+    mutable k_digest : string option;  (** the cache key, on first use *)
   }
 
   type ctx = {
@@ -147,6 +150,9 @@ module Context = struct
         (** the output operand's state at context creation, restored before
             every iteration after the first so each iteration computes
             exactly what a single application computes *)
+    mutable installed : (Operand.data * int) option;
+        (** the output storage the last restore installed, and
+            [Region.generation ()] then *)
     mutable ran : bool;  (** a previous [run] left results in the output *)
     mutable key : key option;
   }
@@ -162,15 +168,54 @@ module Context = struct
       out_name;
       pristine_out =
         Operand.copy_data (Operand.find (bindings p) out_name).Operand.data;
+      installed = None;
       ran = false;
       key = None;
     }
 
   let cache_stats ctx = Option.map Cache.stats ctx.cache
 
+  (* Write [src]'s values into [dst]'s storage; false when their shapes
+     differ.  A sparse output's pattern is not copied: leaves write only
+     [vals], and a pattern write moves the generation. *)
+  let blit_values src dst =
+    let blit s d =
+      Array.length s = Array.length d
+      && (Array.blit s 0 d 0 (Array.length s);
+          true)
+    in
+    match (src, dst) with
+    | Operand.Vec s, Operand.Vec d -> blit s.Dense.data d.Dense.data
+    | Operand.Mat s, Operand.Mat d -> blit s.Dense.data d.Dense.data
+    | Operand.Sparse s, Operand.Sparse d ->
+        let s = s.Tensor.vals.Region.F.data
+        and d = d.Tensor.vals.Region.F.data in
+        Bigarray.Array1.dim s = Bigarray.Array1.dim d
+        && (Bigarray.Array1.blit s d;
+            true)
+    | _ -> false
+
+  (* Put the pristine output back: in place, into the storage the previous
+     restore installed, while the slot still holds it and no pattern was
+     written since; otherwise into a fresh copy (the first restore, a
+     stitched output, a slot the caller rebound). *)
+  let restore ctx =
+    let slot = Operand.find (bindings ctx.problem) ctx.out_name in
+    match ctx.installed with
+    | Some (d, gen)
+      when slot.Operand.data == d
+           && gen = Region.generation ()
+           && blit_values ctx.pristine_out d ->
+        ()
+    | _ ->
+        let d = Operand.copy_data ctx.pristine_out in
+        slot.Operand.data <- d;
+        ctx.installed <- Some (d, Region.generation ())
+
   (* An input still matches the key if it is the same sparse tensor (its
      pattern unwritten, which the generation stamp covers) or a dense
-     operand of the same shape: the digest reads nothing else of it. *)
+     operand of the same shape: neither the digest nor a partition reads
+     anything else of it. *)
   let same_input now was =
     match (now, was) with
     | Operand.Sparse a, Operand.Sparse b -> a == b
@@ -179,23 +224,34 @@ module Context = struct
         a.Dense.rows = b.Dense.rows && a.Dense.cols = b.Dense.cols
     | _ -> false
 
-  (* The digest of the problem, computed on first use and recomputed only
-     when an input slot was rebound, a dense shape changed or a pattern
-     was written.  The output enters as the pristine snapshot: it is
-     restored to it before every lookup. *)
+  (* The context's key, replaced (with an empty partition table) only when
+     an input slot was rebound, a dense shape changed or a pattern was
+     written. *)
   let key ctx =
-    let p = ctx.problem in
     let inputs =
       List.filter_map
         (fun (n, (s : Operand.slot), _) ->
           if n = ctx.out_name then None else Some s.Operand.data)
-        p.operands
+        ctx.problem.operands
     in
     let gen = Region.generation () in
     match ctx.key with
     | Some k when k.k_gen = gen && List.for_all2 same_input inputs k.k_inputs ->
-        k.k_key
+        k
     | _ ->
+        let k =
+          { k_gen = gen; k_inputs = inputs; k_memo = memo (); k_digest = None }
+        in
+        ctx.key <- Some k;
+        k
+
+  (* The digest of the problem, computed once per key.  The output enters
+     as the pristine snapshot: it is restored to it before every lookup. *)
+  let digest ctx k =
+    match k.k_digest with
+    | Some d -> d
+    | None ->
+        let p = ctx.problem in
         let operands =
           List.map
             (fun ((n, _, tdn) as op) ->
@@ -204,12 +260,12 @@ module Context = struct
               else op)
             p.operands
         in
-        let k =
+        let d =
           Cache.digest ~machine:p.machine ~operands ~stmt:p.stmt
             ~schedule:p.schedule
         in
-        ctx.key <- Some { k_key = k; k_gen = gen; k_inputs = inputs };
-        k
+        k.k_digest <- Some d;
+        d
 
   let run ?(uvm = false) ?domains ?faults ?trace ?leaf_backend
       ?(iterations = 1) ctx =
@@ -226,7 +282,7 @@ module Context = struct
       let c = match faults with Some c -> c | None -> Fault.default () in
       if Fault.enabled c then Some c else None
     in
-    let key = lazy (key ctx) in
+    let key = key ctx in
     let backend = resolve_backend leaf_backend in
     let stats = ref [] in
     let crashed_acc = ref [] in
@@ -244,28 +300,30 @@ module Context = struct
       ~finish:(fun ~node reason ->
         (* Transactional DNC: leaves may have written the output before the
            launch failed, so put back the pristine state. *)
-        (Operand.find b ctx.out_name).Operand.data <-
-          Operand.copy_data ctx.pristine_out;
+        restore ctx;
         ctx.ran <- false;
         Option.iter (fun n -> crashed_acc := n :: !crashed_acc) node;
         finish (Some reason))
     @@ fun () ->
       let memstate = Memstate.create p.machine ~uvm in
       for i = 0 to iterations - 1 do
-        if i > 0 || was_run then
-          (Operand.find b ctx.out_name).Operand.data <-
-            Operand.copy_data ctx.pristine_out;
+        if i > 0 || was_run then restore ctx;
         let before = Cost.copy cost in
         let t_start = Cost.total cost in
         let status, entry =
           match ctx.cache with
-          | None -> (`Uncached, plan ~trace ~backend p)
+          | None -> (`Uncached, plan ~memo:key.k_memo ~trace ~backend p)
           | Some c -> (
-              let key = Lazy.force key in
-              match Cache.find c key with
+              let d = digest ctx key in
+              match Cache.find c d with
               | Some e -> (`Hit, e)
               | None ->
-                  let e = { (plan ~trace ~backend p) with Cache.e_key = key } in
+                  let e =
+                    {
+                      (plan ~memo:key.k_memo ~trace ~backend p) with
+                      Cache.e_key = d;
+                    }
+                  in
                   Cache.add c e;
                   (`Miss, e))
         in
@@ -361,7 +419,7 @@ module Context = struct
               match ctx.cache with
               | Some c ->
                   Cache.invalidate c ~machine:p.machine ~crashed
-                    (Lazy.force key);
+                    (digest ctx key);
                   if Trace.enabled trace then
                     Trace.span trace ~track:Trace.Runtime ~clock:Trace.Sim
                       ~cat:"cache"

@@ -67,8 +67,9 @@ val show : problem -> string
     [e_part_elems] equal those of a build that shares nothing.  A memo
     shared between plans is only valid for problems that share one machine
     and one set of operand slots (the {!with_schedule} variants of one
-    problem), and only for plans that are never executed: the shared
-    partitions are read, not re-evaluated. *)
+    problem), and only while no slot is rebound and no pattern is written:
+    the shared partitions are read, not re-evaluated.  A {!Context} keeps
+    one memo per cache key and replaces it when the key is recomputed. *)
 type memo
 
 val memo : unit -> memo
@@ -156,7 +157,9 @@ type run_result = {
     state before each iteration after the first, so the final outputs equal
     a single application's.  A warm-start run is transactional on DNC: when
     it OOMs or exhausts fault recovery, the output operand is restored to
-    its pristine state before the result is returned. *)
+    its pristine state before the result is returned.  Restores after the
+    first write in place (see {!Context.run}): a caller who keeps an output
+    past the next run must copy it. *)
 val run :
   ?uvm:bool ->
   ?domains:int ->
@@ -194,7 +197,14 @@ module Context : sig
       an input slot was rebound to another sparse tensor, a dense input
       changed shape, or a pattern was written through
       {!Spdistal_runtime.Region.set}.  The output enters the key as the
-      pristine snapshot taken here. *)
+      pristine snapshot taken here.
+
+      The key carries the partition table ({!memo}) of every plan the
+      context builds: a cold miss, a re-plan after an LRU eviction or a
+      crash invalidation, and each iteration of an uncached context all
+      look their partitions up in it, and each bills exactly what a cold
+      build bills.  The table lives exactly as long as the key: it is
+      replaced, empty, whenever the key is recomputed. *)
   val create : ?cache:bool -> ?shared_cache:Spdistal_exec.Cache.t -> problem -> ctx
 
   (** Hit/miss/invalidation counters, [None] when caching is disabled. *)
@@ -206,7 +216,18 @@ module Context : sig
       ..], identical with and without the cache; a node crash invalidates
       the cached entry (validating surviving slots via
       {!Spdistal_exec.Placement.remap_piece}), so the next iteration
-      re-partitions and is charged for it. *)
+      re-partitions and is charged for it.
+
+      The output is restored from the pristine snapshot before every
+      iteration but a context's first.  The first restore installs a copy;
+      each later one writes the pristine values back into that same
+      storage (a dense output's array, a sparse output's [vals]), so
+      iteration [n+1] reuses iteration [n]'s output storage and a caller
+      who keeps a result must copy it.  A restore copies again when the
+      slot no longer holds the installed storage (the caller rebound it, or
+      SpAdd3's stitch assembled a new output) or a pattern was written
+      since ({!Spdistal_runtime.Region.generation} moved).  The DNC restore
+      follows the same rule. *)
   val run :
     ?uvm:bool ->
     ?domains:int ->

@@ -48,10 +48,6 @@ open Spdistal_runtime
 
 type backend = Interp | Compiled
 
-(** [SPDISTAL_LEAF_BACKEND] — consulted by {!default_backend} when no
-    explicit override is set. *)
-val backend_env_var : string
-
 (** Parse ["interp"]/["interpreter"]/["compiled"]/["compile"]
     (case-insensitive); [Error msg] otherwise. *)
 val backend_of_string : string -> (backend, string) result

@@ -83,11 +83,6 @@ let slice_bytes data d =
       | 1 -> 8. *. float_of_int m.Dense.rows
       | _ -> Error.fail Error.Config "Operand.slice_bytes: bad dimension %d" d)
 
-let bytes = function
-  | Sparse t -> float_of_int (Tensor.bytes t)
-  | Vec v -> Dense.vec_bytes v
-  | Mat m -> Dense.mat_bytes m
-
 (* Deep copy of an operand's payload: fresh backing arrays, identical values
    and structure.  The execution context snapshots the output operand with
    this so each warm-start iteration can restart from the pristine state and

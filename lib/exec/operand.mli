@@ -32,16 +32,10 @@ val order : data -> int
     ([d]=1). *)
 val slice_bytes : data -> int -> float
 
-(** Total payload bytes of the operand. *)
-val bytes : data -> float
-
 (** Deep copy: fresh backing arrays, identical values and structure.  Used
     by the execution context to snapshot (and later restore) the output
     operand across warm-start iterations. *)
 val copy_data : data -> data
-
-(** The {!Spdistal_ir.Lower.env} entry this operand induces. *)
-val meta : data -> Spdistal_ir.Lower.operand
 
 (** Build a lowering environment from bindings. *)
 val env_of_bindings : bindings -> Spdistal_ir.Lower.env

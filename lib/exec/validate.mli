@@ -43,6 +43,4 @@ val ok : comparison -> bool
 
 (** Human-readable summary: mismatch counts plus the sample coordinates with
     both values. *)
-val pp_diff : Format.formatter -> comparison -> unit
-
 val diff_to_string : comparison -> string

@@ -34,15 +34,6 @@ type job_prof = { pj_domain : int; pj_start : float; pj_stop : float }
     still in index order; only the wall-clock fields vary run to run. *)
 val map_prof : t -> (int -> 'a) -> int -> ('a * job_prof) array
 
-(** Lifetime counters of the shared job queue, for the observability layer
-    and the serving front-end's backpressure reporting. *)
-type stats = {
-  st_jobs_run : int;  (** jobs dequeued (by workers or the helping caller) *)
-  st_peak_queue : int;  (** deepest the shared queue has ever been *)
-}
-
-val stats : t -> stats
-
 (** Stop and join the workers.  The pool must not be used afterwards. *)
 val shutdown : t -> unit
 

@@ -28,7 +28,6 @@ type t = {
   mutable bound : int;  (* current queue bound (degradation-scaled) *)
   mutable scale : float;  (* service-time inflation, total/alive nodes *)
   estimates : (string, float) Hashtbl.t;  (* per-query EWMA, sim seconds *)
-  mutable depth_peak : int;
   mutable sheds_full : int;
   mutable sheds_hopeless : int;
 }
@@ -43,7 +42,6 @@ let create ~queue_bound =
     bound = queue_bound;
     scale = 1.;
     estimates = Hashtbl.create 16;
-    depth_peak = 0;
     sheds_full = 0;
     sheds_hopeless = 0;
   }
@@ -103,12 +101,10 @@ let reject t job_what phase fmt =
     fmt
 
 let bound t = t.bound
-let depth_peak t = t.depth_peak
 let sheds_full t = t.sheds_full
 let sheds_hopeless t = t.sheds_hopeless
 
 let decide t ~query ~depth ~backlog ~deadline =
-  t.depth_peak <- max t.depth_peak depth;
   let m = Metrics.default () in
   if Metrics.enabled m then begin
     Metrics.set m ~help:"admitted jobs in flight at the last arrival"

@@ -38,7 +38,6 @@ val decide :
 (** {1 Counters} *)
 
 val bound : t -> int
-val depth_peak : t -> int
 
 (** Rejections with phase [Admission] (queue full). *)
 val sheds_full : t -> int

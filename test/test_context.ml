@@ -1,0 +1,341 @@
+(* State an execution context keeps across jobs.
+
+   Load-bearing invariants:
+   - the partition table lives as long as the context's key: a re-plan
+     after an eviction or a crash invalidation reuses the first plan's
+     partitions and bills exactly a cold build, and a rebound input or a
+     pattern write derives fresh ones;
+   - the output is restored in place, into the storage the previous
+     restore installed, only while the slot still holds it and no pattern
+     was written; every other restore copies. *)
+
+open Spdistal_runtime
+open Spdistal_exec
+module S = Core.Spdistal
+module Tensor = Spdistal_formats.Tensor
+module Trace = Spdistal_obs.Trace
+
+let out_name (p : S.problem) =
+  p.S.stmt.Spdistal_ir.Tin.lhs.Spdistal_ir.Tin.tensor
+
+let out_slot p = Operand.find (S.bindings p) (out_name p)
+
+let digest_of (p : S.problem) =
+  Cache.digest ~machine:p.S.machine ~operands:p.S.operands ~stmt:p.S.stmt
+    ~schedule:p.S.schedule
+
+let run_ok ?faults ?iterations ctx =
+  let r = S.Context.run ?faults ?iterations ctx in
+  Alcotest.(check (option string)) "completes" None r.S.dnc;
+  r
+
+let statuses r = List.map (fun it -> it.S.it_cache) r.S.iters
+
+let entry cache p =
+  match Cache.find cache (digest_of p) with
+  | Some e -> e
+  | None -> Alcotest.fail "no cached entry for the problem"
+
+(* Every partition an entry's placement and program derived, by name. *)
+let partitions (e : Cache.entry) =
+  let prog =
+    Hashtbl.fold
+      (fun n p acc -> (n, p) :: acc)
+      e.Cache.e_prepared.Interp.pp_penv.Part_eval.partitions []
+  in
+  let placed =
+    List.filter_map
+      (fun (n, r) ->
+        match r with
+        | Placement.Vals_partitioned p -> Some ("placement " ^ n, p)
+        | _ -> None)
+      e.Cache.e_placement
+  in
+  List.sort (fun (a, _) (b, _) -> compare a b) (prog @ placed)
+
+let bill (e : Cache.entry) =
+  ( e.Cache.e_part_ops,
+    Int64.bits_of_float e.Cache.e_part_seconds,
+    e.Cache.e_part_elems )
+
+let spmv_problem ?(seed = 94) () =
+  Core.Kernels.spmv_problem ~machine:(Helpers.cpu_machine 4)
+    (Helpers.rand_csr ~seed 40 40 0.1)
+
+(* ------------------------------------------------------------------ *)
+(* The partition table                                                 *)
+(* ------------------------------------------------------------------ *)
+
+let test_evicted_replan_shares () =
+  let cache = Cache.create ~cap:1 () in
+  let p = spmv_problem () in
+  let ctx = S.Context.create ~shared_cache:cache p in
+  ignore (run_ok ctx);
+  let first = entry cache p in
+  ignore
+    (run_ok (S.Context.create ~shared_cache:cache (spmv_problem ~seed:95 ())));
+  Alcotest.(check bool)
+    "the other problem evicted the entry" true
+    ((Cache.stats cache).Cache.evictions > 0);
+  let r = run_ok ctx in
+  Alcotest.(check bool) "re-plan: miss" true (statuses r = [ `Miss ]);
+  let again = entry cache p in
+  Alcotest.(check bool) "a new entry" true (again != first);
+  let parts = partitions first in
+  Alcotest.(check bool) "the plan has dependent partitions" true (parts <> []);
+  List.iter2
+    (fun (n, p1) (n', p2) ->
+      Alcotest.(check string) "same partition names" n n';
+      Alcotest.(check bool) (n ^ " is the first plan's") true (p1 == p2))
+    parts (partitions again);
+  (* The bill of a fresh context's cold run over the same problem. *)
+  let fresh_cache = Cache.create () in
+  let q = spmv_problem () in
+  let rf = run_ok (S.Context.create ~shared_cache:fresh_cache q) in
+  Alcotest.(check bool)
+    "e_part_* equal a cold build's" true
+    (bill again = bill (entry fresh_cache q));
+  Alcotest.(check bool)
+    "Cost equals a cold run's" true
+    (Spdistal_fuzz.Snapshot.equal (Helpers.cost_sig r.S.cost)
+       (Helpers.cost_sig rf.S.cost));
+  Alcotest.(check bool)
+    "outputs equal a cold run's" true
+    (Helpers.snapshot p = Helpers.snapshot q)
+
+(* Move one stored column of CSR [b] right, into a gap of its row, through
+   [Region.set]: still a valid, sorted pattern, but a different one. *)
+let write_pattern (b : Tensor.t) =
+  let pos = Tensor.pos_of b 1 and crd = Tensor.crd_of b 1 in
+  let ncols = b.Tensor.dims.(1) in
+  let found = ref None in
+  Array.iter
+    (fun (lo, hi) ->
+      for q = lo to hi do
+        let next = if q < hi then Region.get crd (q + 1) else ncols in
+        if !found = None && Region.get crd q + 1 < next then found := Some q
+      done)
+    pos.Region.data;
+  let q = Option.get !found in
+  Region.set crd q (Region.get crd q + 1)
+
+(* After [mutate] changes an input's structure, the next plan derives every
+   partition afresh, and the outputs equal those of a fresh context built
+   over the same mutation. *)
+let check_fresh_after what mutate =
+  let cache = Cache.create () in
+  let p = spmv_problem () in
+  let ctx = S.Context.create ~shared_cache:cache p in
+  ignore (run_ok ctx);
+  let old = List.map snd (partitions (entry cache p)) in
+  mutate p;
+  Alcotest.(check bool)
+    (what ^ ": miss") true
+    (statuses (run_ok ctx) = [ `Miss ]);
+  List.iter
+    (fun (n, part) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %s derived afresh" what n)
+        true
+        (not (List.exists (fun o -> o == part) old)))
+    (partitions (entry cache p));
+  let q = spmv_problem () in
+  mutate q;
+  ignore (run_ok (S.Context.create q));
+  Alcotest.(check bool)
+    (what ^ ": outputs equal a fresh context's")
+    true
+    (Helpers.snapshot p = Helpers.snapshot q)
+
+let test_key_change_fresh () =
+  check_fresh_after "rebound input" (fun p ->
+      (Operand.find (S.bindings p) "B").Operand.data <-
+        Operand.Sparse (Helpers.rand_csr ~seed:96 40 40 0.1));
+  check_fresh_after "pattern write" (fun p ->
+      write_pattern (Operand.find_sparse (S.bindings p) "B"))
+
+(* Every charged partitioning, as the trace records it: the entry's exact
+   [e_part_seconds], [e_part_ops] and [e_part_elems]. *)
+let charged trace =
+  List.filter_map
+    (fun sp ->
+      if sp.Trace.sp_name = "dependent_partitioning" then
+        Some
+          ( Int64.bits_of_float sp.Trace.sp_dur,
+            List.remove_assoc "iteration" sp.Trace.sp_args )
+      else None)
+    (Trace.spans trace)
+
+let test_crash_replan_same_bill () =
+  let exercised =
+    List.exists
+      (fun seed ->
+        let p =
+          Core.Kernels.spmv_problem ~machine:(Helpers.cpu_machine 8)
+            (Helpers.rand_csr ~seed:71 80 80 0.06)
+        in
+        let ctx = S.Context.create p in
+        let faults = Fault.make ~seed ~crash:0.4 ~retries:50 () in
+        let trace = Trace.create () in
+        let r = S.Context.run ~faults ~trace ~iterations:6 ctx in
+        match (r.S.dnc, charged trace) with
+        | None, (cold :: _ :: _ as bills) ->
+            List.iter
+              (fun b ->
+                Alcotest.(check bool)
+                  "a re-plan bills exactly the cold build" true (b = cold))
+              bills;
+            true
+        | _ -> false)
+      (List.init 32 (fun i -> i + 1))
+  in
+  Alcotest.(check bool)
+    "some seed in 1..32 crashes a node and re-plans" true exercised
+
+(* ------------------------------------------------------------------ *)
+(* In-place output restore                                             *)
+(* ------------------------------------------------------------------ *)
+
+let sddmm_problem () =
+  Core.Kernels.sddmm_problem ~machine:(Helpers.cpu_machine 4) ~cols:4
+    (Helpers.rand_csr ~seed:97 40 40 0.1)
+
+let spadd3_problem () =
+  Core.Kernels.spadd3_problem ~machine:(Helpers.cpu_machine 4)
+    (Helpers.rand_csr ~seed:98 40 40 0.1)
+
+(* The bits of an operand's values and pattern. *)
+let bits = function
+  | Operand.Vec { Spdistal_formats.Dense.data; _ }
+  | Operand.Mat { Spdistal_formats.Dense.data; _ } ->
+      (Array.map Int64.bits_of_float data, [])
+  | Operand.Sparse t ->
+      ( Array.map Int64.bits_of_float (Region.F.to_array t.Tensor.vals),
+        List.init (Tensor.order t) (fun k ->
+            match t.Tensor.levels.(k) with
+            | Spdistal_formats.Level.Compressed { crd; _ }
+            | Spdistal_formats.Level.Singleton { crd } ->
+                Array.to_list crd.Region.data
+            | Spdistal_formats.Level.Dense _ -> []) )
+
+(* The output of one run of a fresh context over [make ()]. *)
+let single_run make =
+  let q = make () in
+  ignore (run_ok (S.Context.create q));
+  bits (out_slot q).Operand.data
+
+let test_restore_reuses_storage () =
+  List.iter
+    (fun (what, make) ->
+      let p = make () in
+      let ctx = S.Context.create p in
+      ignore (run_ok ctx);
+      ignore (run_ok ctx);
+      let installed = (out_slot p).Operand.data in
+      List.iter
+        (fun iterations ->
+          ignore (run_ok ~iterations ctx);
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: one storage after %d iterations" what
+               iterations)
+            true
+            ((out_slot p).Operand.data == installed))
+        [ 1; 3 ];
+      Alcotest.(check bool)
+        (what ^ ": output equals a single run's")
+        true
+        (bits installed = single_run make))
+    [
+      ("spmv (dense output)", fun () -> spmv_problem ());
+      ("sddmm (sparse output)", sddmm_problem);
+    ]
+
+let test_restore_copies () =
+  (* A caller's rebinding of the output slot: its storage is left alone. *)
+  let p = spmv_problem () in
+  let ctx = S.Context.create p in
+  ignore (run_ok ctx);
+  ignore (run_ok ctx);
+  let mine = Operand.copy_data (out_slot p).Operand.data in
+  let mine_bits = bits mine in
+  (out_slot p).Operand.data <- mine;
+  ignore (run_ok ctx);
+  Alcotest.(check bool)
+    "rebound slot: copied" true
+    ((out_slot p).Operand.data != mine);
+  Alcotest.(check bool) "rebound slot: caller's storage untouched" true
+    (bits mine = mine_bits);
+  Alcotest.(check bool) "rebound slot: output equals a single run's" true
+    (bits (out_slot p).Operand.data = single_run (fun () -> spmv_problem ()));
+  (* A write to the output's pattern moves the generation. *)
+  let p = sddmm_problem () in
+  let ctx = S.Context.create p in
+  ignore (run_ok ctx);
+  ignore (run_ok ctx);
+  let installed = (out_slot p).Operand.data in
+  (match installed with
+  | Operand.Sparse t -> write_pattern t
+  | _ -> Alcotest.fail "sddmm output is not sparse");
+  ignore (run_ok ctx);
+  Alcotest.(check bool) "pattern write: copied" true
+    ((out_slot p).Operand.data != installed);
+  Alcotest.(check bool) "pattern write: output equals a single run's" true
+    (bits (out_slot p).Operand.data = single_run sddmm_problem);
+  (* A stitched SpAdd3 output is a new tensor each run: a run never writes
+     the previous run's result. *)
+  let p = spadd3_problem () in
+  let ctx = S.Context.create p in
+  ignore (run_ok ctx);
+  ignore (run_ok ctx);
+  let kept = (out_slot p).Operand.data in
+  let kept_bits = bits kept in
+  ignore (run_ok ctx);
+  Alcotest.(check bool)
+    "spadd3: a new output" true
+    ((out_slot p).Operand.data != kept);
+  Alcotest.(check bool) "spadd3: the previous output untouched" true
+    (bits kept = kept_bits);
+  Alcotest.(check bool) "spadd3: output equals a single run's" true
+    (kept_bits = single_run spadd3_problem)
+
+(* A tiny GPU memory forces a DNC after leaves wrote the output. *)
+let tiny_gpu_spmm () =
+  let b = Helpers.rand_csr ~seed:25 40 40 0.5 in
+  let params =
+    { (Machine.scale_params 1e9 Machine.lassen) with Machine.net_alpha = 1e-6 }
+  in
+  let m = S.machine ~params ~kind:Machine.Gpu [| 2 |] in
+  Core.Kernels.spmm_problem ~machine:m ~cols:8 b
+
+let test_restore_dnc () =
+  let p = tiny_gpu_spmm () in
+  let original = (out_slot p).Operand.data in
+  let pristine = bits original in
+  let ctx = S.Context.create p in
+  List.iter
+    (fun n ->
+      let r = S.Context.run ctx in
+      Alcotest.(check bool) "DNC reported" true (r.S.dnc <> None);
+      Alcotest.(check bool)
+        (Printf.sprintf "DNC %d: output pristine" n)
+        true
+        (bits (out_slot p).Operand.data = pristine);
+      Alcotest.(check bool)
+        (Printf.sprintf "DNC %d: the caller's storage is not restored into" n)
+        true
+        ((out_slot p).Operand.data != original))
+    [ 1; 2 ]
+
+let suite =
+  [
+    Alcotest.test_case "table: evicted re-plan shares partitions" `Quick
+      test_evicted_replan_shares;
+    Alcotest.test_case "table: key change derives fresh partitions" `Quick
+      test_key_change_fresh;
+    Alcotest.test_case "table: crash re-plan bills the cold build" `Quick
+      test_crash_replan_same_bill;
+    Alcotest.test_case "restore: one storage across runs" `Quick
+      test_restore_reuses_storage;
+    Alcotest.test_case "restore: copy path" `Quick test_restore_copies;
+    Alcotest.test_case "restore: DNC" `Quick test_restore_dnc;
+  ]

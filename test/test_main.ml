@@ -47,4 +47,5 @@ let () =
       ("experiments", Test_experiments.suite);
       ("serve", Test_serve.suite);
       ("opt", Test_opt.suite);
+      ("context", Test_context.suite);
     ]
