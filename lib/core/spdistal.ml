@@ -35,8 +35,7 @@ module Metrics = Spdistal_obs.Metrics
 
 let host_track () = Trace.Host (Domain.self () :> int)
 
-let compile ?trace p =
-  let trace = match trace with Some t -> t | None -> Trace.default () in
+let compile ?(trace = Trace.default ()) p =
   Trace.with_wall_span trace ~track:(host_track ()) ~cat:"phase" ~name:"lower"
     (fun () ->
       let env = Operand.env_of_bindings (bindings p) in
@@ -60,16 +59,10 @@ type run_result = {
 }
 
 let set_run_meta trace p =
-  if Trace.enabled trace then begin
-    Trace.set_meta trace "kernel" p.stmt.Tin.lhs.Tin.tensor;
-    Trace.set_meta trace "proc_kind"
-      (match p.machine.Machine.kind with Machine.Cpu -> "cpu" | Machine.Gpu -> "gpu");
-    Trace.set_meta trace "pieces" (string_of_int (Machine.pieces p.machine))
-  end
-
-let resolve_backend = function
-  | Some b -> b
-  | None -> Compile_leaf.default_backend ()
+  Trace.set_meta trace "kernel" p.stmt.Tin.lhs.Tin.tensor;
+  Trace.set_meta trace "proc_kind"
+    (match p.machine.Machine.kind with Machine.Cpu -> "cpu" | Machine.Gpu -> "gpu");
+  Trace.set_meta trace "pieces" (string_of_int (Machine.pieces p.machine))
 
 type memo = Part_eval.shared
 
@@ -267,23 +260,18 @@ module Context = struct
         k.k_digest <- Some d;
         d
 
-  let run ?(uvm = false) ?domains ?faults ?trace ?leaf_backend
-      ?(iterations = 1) ctx =
+  let run ?domains ?(faults = Fault.default ()) ?(trace = Trace.default ())
+      ?(leaf_backend = Compile_leaf.default_backend ()) ?(iterations = 1)
+      ctx =
     if iterations < 1 then
       Error.fail Error.Config "iterations must be >= 1 (got %d)" iterations;
     let p = ctx.problem in
-    let trace = match trace with Some t -> t | None -> Trace.default () in
     let b = bindings p in
     let cost = Cost.create () in
     set_run_meta trace p;
-    if Trace.enabled trace then
-      Trace.set_meta trace "iterations" (string_of_int iterations);
-    let fcfg =
-      let c = match faults with Some c -> c | None -> Fault.default () in
-      if Fault.enabled c then Some c else None
-    in
+    Trace.set_meta trace "iterations" (string_of_int iterations);
+    let fcfg = if Fault.enabled faults then Some faults else None in
     let key = key ctx in
-    let backend = resolve_backend leaf_backend in
     let stats = ref [] in
     let crashed_acc = ref [] in
     let finish dnc =
@@ -305,14 +293,15 @@ module Context = struct
         Option.iter (fun n -> crashed_acc := n :: !crashed_acc) node;
         finish (Some reason))
     @@ fun () ->
-      let memstate = Memstate.create p.machine ~uvm in
+      let memstate = Memstate.create p.machine ~uvm:false in
       for i = 0 to iterations - 1 do
         if i > 0 || was_run then restore ctx;
         let before = Cost.copy cost in
         let t_start = Cost.total cost in
         let status, entry =
           match ctx.cache with
-          | None -> (`Uncached, plan ~memo:key.k_memo ~trace ~backend p)
+          | None ->
+              (`Uncached, plan ~memo:key.k_memo ~trace ~backend:leaf_backend p)
           | Some c -> (
               let d = digest ctx key in
               match Cache.find c d with
@@ -320,7 +309,8 @@ module Context = struct
               | None ->
                   let e =
                     {
-                      (plan ~memo:key.k_memo ~trace ~backend p) with
+                      (plan ~memo:key.k_memo ~trace ~backend:leaf_backend p)
+                      with
                       Cache.e_key = d;
                     }
                   in
@@ -329,25 +319,23 @@ module Context = struct
         in
         (* A hit prepared under the other backend keeps its partitions and
            respecializes only the leaves. *)
-        if entry.Cache.e_prepared.Interp.pp_backend <> backend then
+        if entry.Cache.e_prepared.Interp.pp_backend <> leaf_backend then
           entry.Cache.e_prepared <-
-            Interp.relink ~trace ~bindings:b ~backend entry.Cache.e_prepared;
+            Interp.relink ~trace ~bindings:b ~backend:leaf_backend
+              entry.Cache.e_prepared;
         let status_name =
           match status with
           | `Hit -> "hit"
           | `Miss -> "miss"
           | `Uncached -> "bypass"
         in
-        if Trace.enabled trace then
-          Trace.span trace ~track:Trace.Runtime ~clock:Trace.Sim ~cat:"cache"
-            ~args:[ ("iteration", Trace.I i) ]
-            ~start:t_start ~dur:0. ("cache_" ^ status_name);
-        (if status = `Uncached then
-           let m = Metrics.default () in
-           if Metrics.enabled m then
-             Metrics.inc m
-               ~help:"iterations that skipped the launch-plan cache"
-               "spdistal_cache_bypass_total");
+        Trace.span trace ~track:Trace.Runtime ~clock:Trace.Sim ~cat:"cache"
+          ~args:[ ("iteration", Trace.I i) ]
+          ~start:t_start ~dur:0. ("cache_" ^ status_name);
+        if status = `Uncached then
+          Metrics.inc (Metrics.default ())
+            ~help:"iterations that skipped the launch-plan cache"
+            "spdistal_cache_bypass_total";
         (* Dependent partitioning is charged only when it actually ran: on
            the cold miss (and on every iteration of an uncached run).  Warm
            iterations reuse the cached partitions for free — the paper's
@@ -355,49 +343,45 @@ module Context = struct
         if status <> `Hit then begin
           Cost.add_partitioning cost ~ops:entry.Cache.e_part_ops
             entry.Cache.e_part_seconds;
-          if Trace.enabled trace then
-            Trace.span trace ~track:Trace.Runtime ~clock:Trace.Sim
-              ~cat:"partition"
-              ~args:
-                [
-                  ("iteration", Trace.I i);
-                  ("dep_ops", Trace.I entry.Cache.e_part_ops);
-                  ("elems", Trace.I entry.Cache.e_part_elems);
-                ]
-              ~start:t_start ~dur:entry.Cache.e_part_seconds
-              "dependent_partitioning"
-        end;
-        Interp.run ~machine:p.machine ~bindings:b
-          ~placement:entry.Cache.e_placement ~memstate ~cost ?domains ?faults
-          ~trace ~prepared:entry.Cache.e_prepared
-          ~launch_base:(i * entry.Cache.e_launches) entry.Cache.e_prog;
-        if Trace.enabled trace then
           Trace.span trace ~track:Trace.Runtime ~clock:Trace.Sim
-            ~cat:"iteration"
+            ~cat:"partition"
             ~args:
               [
                 ("iteration", Trace.I i);
-                ("cache", Trace.S status_name);
-                ( "partition_seconds",
-                  Trace.F
-                    (if status = `Hit then 0. else entry.Cache.e_part_seconds)
-                );
+                ("dep_ops", Trace.I entry.Cache.e_part_ops);
+                ("elems", Trace.I entry.Cache.e_part_elems);
               ]
-            ~start:t_start
-            ~dur:(Cost.total cost -. t_start)
-            "iteration";
+            ~start:t_start ~dur:entry.Cache.e_part_seconds
+            "dependent_partitioning"
+        end;
+        Interp.run ~machine:p.machine ~bindings:b
+          ~placement:entry.Cache.e_placement ~memstate ~cost ?domains ~faults
+          ~trace ~prepared:entry.Cache.e_prepared
+          ~launch_base:(i * entry.Cache.e_launches) entry.Cache.e_prog;
+        Trace.span trace ~track:Trace.Runtime ~clock:Trace.Sim
+          ~cat:"iteration"
+          ~args:
+            [
+              ("iteration", Trace.I i);
+              ("cache", Trace.S status_name);
+              ( "partition_seconds",
+                Trace.F
+                  (if status = `Hit then 0. else entry.Cache.e_part_seconds) );
+            ]
+          ~start:t_start
+          ~dur:(Cost.total cost -. t_start)
+          "iteration";
         (* Live cache pressure on its own counter track, sampled once per
            iteration (sim clock, so the series is deterministic). *)
-        (if Trace.enabled trace then
-           match ctx.cache with
-           | Some c ->
-               let s = Cache.stats c in
-               Trace.counter trace ~name:"cache_bytes" ~time:(Cost.total cost)
-                 [
-                   ("bytes", float_of_int s.Cache.bytes);
-                   ("entries", float_of_int s.Cache.entries);
-                 ]
-           | None -> ());
+        Option.iter
+          (fun c ->
+            let s = Cache.stats c in
+            Trace.counter trace ~name:"cache_bytes" ~time:(Cost.total cost)
+              [
+                ("bytes", float_of_int s.Cache.bytes);
+                ("entries", float_of_int s.Cache.entries);
+              ])
+          ctx.cache;
         stats :=
           { it_index = i; it_cache = status; it_cost = Cost.diff cost before }
           :: !stats;
@@ -420,15 +404,14 @@ module Context = struct
               | Some c ->
                   Cache.invalidate c ~machine:p.machine ~crashed
                     (digest ctx key);
-                  if Trace.enabled trace then
-                    Trace.span trace ~track:Trace.Runtime ~clock:Trace.Sim
-                      ~cat:"cache"
-                      ~args:
-                        [
-                          ("iteration", Trace.I i);
-                          ("crashed_nodes", Trace.I (List.length crashed));
-                        ]
-                      ~start:(Cost.total cost) ~dur:0. "cache_invalidate"
+                  Trace.span trace ~track:Trace.Runtime ~clock:Trace.Sim
+                    ~cat:"cache"
+                    ~args:
+                      [
+                        ("iteration", Trace.I i);
+                        ("crashed_nodes", Trace.I (List.length crashed));
+                      ]
+                    ~start:(Cost.total cost) ~dur:0. "cache_invalidate"
               | None -> ()
             end
         | None -> ()
@@ -442,14 +425,14 @@ end
    the warm-start protocol: a fresh execution context runs [n] iterations
    end-to-end, the cold first iteration paying (and every warm one
    skipping) dependent partitioning. *)
-let run ?(uvm = false) ?domains ?faults ?trace ?leaf_backend ?iterations
+let run ?domains ?faults ?(trace = Trace.default ())
+    ?(leaf_backend = Compile_leaf.default_backend ()) ?iterations
     ?(cache = true) p =
   match iterations with
   | Some n ->
-      Context.run ~uvm ?domains ?faults ?trace ?leaf_backend ~iterations:n
+      Context.run ?domains ?faults ~trace ~leaf_backend ~iterations:n
         (Context.create ~cache p)
   | None ->
-      let trace = match trace with Some t -> t | None -> Trace.default () in
       let cost = Cost.create () in
       let result ~node dnc =
         { cost; dnc; iters = []; crashed = Option.to_list node }
@@ -457,9 +440,9 @@ let run ?(uvm = false) ?domains ?faults ?trace ?leaf_backend ?iterations
       set_run_meta trace p;
       or_dnc ~finish:(fun ~node reason -> result ~node (Some reason))
       @@ fun () ->
-      let e = plan ~trace ~backend:(resolve_backend leaf_backend) p in
+      let e = plan ~trace ~backend:leaf_backend p in
       Interp.run ~machine:p.machine ~bindings:(bindings p)
         ~placement:e.Cache.e_placement
-        ~memstate:(Memstate.create p.machine ~uvm) ~cost ?domains ?faults
+        ~memstate:(Memstate.create p.machine ~uvm:false) ~cost ?domains ?faults
         ~trace ~prepared:e.Cache.e_prepared e.Cache.e_prog;
       result ~node:None None

@@ -112,9 +112,10 @@ type run_result = {
   crashed : int list;
       (** nodes that crashed during a warm-start run (sorted, deduplicated):
           transient crashes recovery absorbed, plus the node whose repeated
-          crashes exhausted recovery when [dnc] is set.  Empty on the legacy
-          single-shot protocol.  A serving front-end uses this to blacklist
-          repeat offenders. *)
+          crashes exhausted recovery when [dnc] is set.  On the legacy
+          single-shot protocol only that exhausting node is reported (when
+          fault recovery set [dnc]); otherwise the list is empty.  A serving
+          front-end uses this to blacklist repeat offenders. *)
 }
 
 (** Execute one timed iteration: builds the launch plan with {!plan}
@@ -161,7 +162,6 @@ type run_result = {
     first write in place (see {!Context.run}): a caller who keeps an output
     past the next run must copy it. *)
 val run :
-  ?uvm:bool ->
   ?domains:int ->
   ?faults:Fault.config ->
   ?trace:Spdistal_obs.Trace.t ->
@@ -229,7 +229,6 @@ module Context : sig
       since ({!Spdistal_runtime.Region.generation} moved).  The DNC restore
       follows the same rule. *)
   val run :
-    ?uvm:bool ->
     ?domains:int ->
     ?faults:Fault.config ->
     ?trace:Spdistal_obs.Trace.t ->

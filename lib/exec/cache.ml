@@ -259,23 +259,17 @@ let touch t key =
   t.order <- key :: List.filter (fun k -> k <> key) t.order
 
 (* Ambient metrics.  All cache traffic happens on the driving domain (the
-   serve loop or Context.run), so the counters are deterministic; the
-   lookup fast path pays one enabled-check branch. *)
+   serve loop or Context.run), so the counters are deterministic. *)
 let note_lookup result =
-  let m = Metrics.default () in
-  if Metrics.enabled m then
-    Metrics.inc m
-      ~labels:[ ("result", result) ]
-      ~help:"launch-plan cache lookups by outcome" "spdistal_cache_lookups_total"
+  Metrics.inc (Metrics.default ())
+    ~labels:[ ("result", result) ]
+    ~help:"launch-plan cache lookups by outcome" "spdistal_cache_lookups_total"
 
 let note_occupancy t =
   let m = Metrics.default () in
-  if Metrics.enabled m then begin
-    Metrics.set m ~help:"accounted bytes resident in the launch-plan cache"
-      "spdistal_cache_bytes" (float_of_int t.bytes);
-    Metrics.set m "spdistal_cache_entries"
-      (float_of_int (Hashtbl.length t.tbl))
-  end
+  Metrics.set m ~help:"accounted bytes resident in the launch-plan cache"
+    "spdistal_cache_bytes" (float_of_int t.bytes);
+  Metrics.set m "spdistal_cache_entries" (float_of_int (Hashtbl.length t.tbl))
 
 let find t key =
   match Hashtbl.find_opt t.tbl key with
@@ -318,19 +312,16 @@ let rec evict_to_fit t =
         in
         remove_key t lru;
         t.evictions <- t.evictions + 1;
-        let m = Metrics.default () in
-        if Metrics.enabled m then
-          Metrics.inc m ~help:"entries evicted to satisfy cap or byte budget"
-            "spdistal_cache_evictions_total";
-        let lg = Log.default () in
-        if Log.enabled lg then
-          Log.event lg ~level:Log.Debug
-            ~fields:
-              [
-                ("key", Spdistal_obs.Trace.S lru);
-                ("bytes", Spdistal_obs.Trace.I freed);
-              ]
-            "cache_evicted";
+        Metrics.inc (Metrics.default ())
+          ~help:"entries evicted to satisfy cap or byte budget"
+          "spdistal_cache_evictions_total";
+        Log.event (Log.default ()) ~level:Log.Debug
+          ~fields:
+            [
+              ("key", Spdistal_obs.Trace.S lru);
+              ("bytes", Spdistal_obs.Trace.I freed);
+            ]
+          "cache_evicted";
         evict_to_fit t
     | [] -> ()
 
@@ -387,12 +378,9 @@ let invalidate t ~machine ~crashed key =
         crashed;
       remove_key t key);
   t.invalidations <- t.invalidations + 1;
-  let m = Metrics.default () in
-  if Metrics.enabled m then begin
-    Metrics.inc m ~help:"entries dropped after node crashes"
-      "spdistal_cache_invalidations_total";
-    note_occupancy t
-  end
+  Metrics.inc (Metrics.default ()) ~help:"entries dropped after node crashes"
+    "spdistal_cache_invalidations_total";
+  note_occupancy t
 
 let stats t =
   {

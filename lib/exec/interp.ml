@@ -256,23 +256,21 @@ let reduce_bill ~machine ~bindings ~penv (cm : Loop_ir.comm) =
    --domains degree. *)
 let note_fault_metrics r =
   let m = Metrics.default () in
-  if Metrics.enabled m then begin
-    let kind k n =
-      if n > 0 then
-        Metrics.inc m
-          ~labels:[ ("kind", k) ]
-          ~by:(float_of_int n)
-          ~help:"injected fault events by kind" "spdistal_fault_events_total"
-    in
-    kind "crash" r.Fault.crashes;
-    kind "loss" r.Fault.losses;
-    kind "straggler" r.Fault.stragglers;
-    if r.Fault.retries > 0 then
+  let kind k n =
+    if n > 0 then
       Metrics.inc m
-        ~by:(float_of_int r.Fault.retries)
-        ~help:"piece re-executions forced by injected faults"
-        "spdistal_fault_retries_total"
-  end
+        ~labels:[ ("kind", k) ]
+        ~by:(float_of_int n)
+        ~help:"injected fault events by kind" "spdistal_fault_events_total"
+  in
+  kind "crash" r.Fault.crashes;
+  kind "loss" r.Fault.losses;
+  kind "straggler" r.Fault.stragglers;
+  if r.Fault.retries > 0 then
+    Metrics.inc m
+      ~by:(float_of_int r.Fault.retries)
+      ~help:"piece re-executions forced by injected faults"
+      "spdistal_fault_retries_total"
 
 (* A prepared program: materialized partitions, the distributed loops, and —
    under the compiled backend — one monomorphized closure per loop, aligned
@@ -484,7 +482,7 @@ let launches ~machine ~bindings ~placement ~memstate ~cost ~fcfg ~trace ~map
                   comm_times.(c) <- !comm_time +. r.Fault.extra_comm;
                   leaf_times.(c) <- lt +. r.Fault.extra_leaf;
                   note_fault_metrics r;
-                  if Trace.enabled trace && Fault.events r > 0 then
+                  if Fault.events r > 0 then
                     Trace.span trace
                       ~track:
                         (Trace.Piece
@@ -493,61 +491,57 @@ let launches ~machine ~bindings ~placement ~memstate ~cost ~fcfg ~trace ~map
                       ~args:(Fault.trace_args r)
                       ~start:(t0 +. comm_times.(c) +. leaf_times.(c))
                       ~dur:0. "recovery");
-              if Trace.enabled trace then begin
-                let node = Machine.node_of_piece machine c in
-                List.iter
-                  (fun (src, b) -> Trace.comm_edge trace ~src ~dst:node b)
-                  pc.pc_edges;
-                let track = Trace.Piece { node; piece = c } in
-                Trace.span trace ~track ~clock:Trace.Sim ~cat:"comm"
-                  ~args:[ ("launch", Trace.I launch) ]
-                  ~start:t0 ~dur:comm_times.(c) "fetch";
-                Trace.span trace ~track ~clock:Trace.Sim ~cat:"compute"
-                  ~args:[ ("launch", Trace.I launch) ]
-                  ~start:(t0 +. comm_times.(c))
-                  ~dur:leaf_times.(c) kernel
-              end)
+              let node = Machine.node_of_piece machine c in
+              List.iter
+                (fun (src, b) -> Trace.comm_edge trace ~src ~dst:node b)
+                pc.pc_edges;
+              let track = Trace.Piece { node; piece = c } in
+              Trace.span trace ~track ~clock:Trace.Sim ~cat:"comm"
+                ~args:[ ("launch", Trace.I launch) ]
+                ~start:t0 ~dur:comm_times.(c) "fetch";
+              Trace.span trace ~track ~clock:Trace.Sim ~cat:"compute"
+                ~args:[ ("launch", Trace.I launch) ]
+                ~start:(t0 +. comm_times.(c))
+                ~dur:leaf_times.(c) kernel)
             sims;
           let partials = List.rev !partials in
           Cost.add_comm cost ~bytes:!total_bytes ~messages:!total_msgs 0.;
           Cost.record_launch_split cost ~machine ~comm_times ~leaf_times;
-          if Trace.enabled trace then begin
-            let crit = ref 0 and best = ref neg_infinity in
-            Array.iteri
-              (fun i ct ->
-                let t = ct +. leaf_times.(i) in
-                if t > !best then begin
-                  best := t;
-                  crit := i
-                end)
-              comm_times;
-            (* The launch span is the [Cost.total] delta, so the sum of
-               launch (+ reduce) span durations reconstructs the clock
-               exactly. *)
-            Trace.span trace ~track:Trace.Runtime ~clock:Trace.Sim
-              ~cat:"launch"
-              ~args:
-                [
-                  ("launch", Trace.I launch);
-                  ("pieces", Trace.I pieces);
-                  ("crit_piece", Trace.I !crit);
-                  ("crit_comm", Trace.F comm_times.(!crit));
-                  ("crit_compute", Trace.F leaf_times.(!crit));
-                  ("overhead", Trace.F (Machine.launch_overhead machine));
-                  ("bytes", Trace.F !total_bytes);
-                  ("messages", Trace.I !total_msgs);
-                ]
-              ~start:t0
-              ~dur:(Cost.total cost -. t0)
-              kernel;
-            (* Live pool pressure on its own counter track: pieces in
-               flight jump at launch start and drain at launch end (both
-               sim-clock, so the sawtooth is deterministic). *)
-            Trace.counter trace ~name:"pool_occupancy" ~time:t0
-              [ ("pieces", float_of_int pieces) ];
-            Trace.counter trace ~name:"pool_occupancy" ~time:(Cost.total cost)
-              [ ("pieces", 0.) ]
-          end;
+          let crit = ref 0 and best = ref neg_infinity in
+          Array.iteri
+            (fun i ct ->
+              let t = ct +. leaf_times.(i) in
+              if t > !best then begin
+                best := t;
+                crit := i
+              end)
+            comm_times;
+          (* The launch span is the [Cost.total] delta, so the sum of
+             launch (+ reduce) span durations reconstructs the clock
+             exactly. *)
+          Trace.span trace ~track:Trace.Runtime ~clock:Trace.Sim
+            ~cat:"launch"
+            ~args:
+              [
+                ("launch", Trace.I launch);
+                ("pieces", Trace.I pieces);
+                ("crit_piece", Trace.I !crit);
+                ("crit_comm", Trace.F comm_times.(!crit));
+                ("crit_compute", Trace.F leaf_times.(!crit));
+                ("overhead", Trace.F (Machine.launch_overhead machine));
+                ("bytes", Trace.F !total_bytes);
+                ("messages", Trace.I !total_msgs);
+              ]
+            ~start:t0
+            ~dur:(Cost.total cost -. t0)
+            kernel;
+          (* Live pool pressure on its own counter track: pieces in
+             flight jump at launch start and drain at launch end (both
+             sim-clock, so the sawtooth is deterministic). *)
+          Trace.counter trace ~name:"pool_occupancy" ~time:t0
+            [ ("pieces", float_of_int pieces) ];
+          Trace.counter trace ~name:"pool_occupancy" ~time:(Cost.total cost)
+            [ ("pieces", 0.) ];
           (* --- output reduction for aliased ownership --- *)
           (match
              Option.bind out_comm (reduce_bill ~machine ~bindings ~penv)
@@ -556,30 +550,27 @@ let launches ~machine ~bindings ~placement ~memstate ~cost ~fcfg ~trace ~map
           | Some (bytes, seconds) ->
               let r0 = Cost.total cost in
               Cost.add_comm cost ~bytes ~messages:pieces seconds;
-              if Trace.enabled trace then begin
-                (* Each piece ships its overlapping share home to the
-                   output's owner on node 0. *)
-                for c = 0 to pieces - 1 do
-                  Trace.comm_edge trace
-                    ~src:(Machine.node_of_piece machine c)
-                    ~dst:0
-                    (bytes /. float_of_int pieces)
-                done;
-                Trace.span trace ~track:Trace.Runtime ~clock:Trace.Sim
-                  ~cat:"launch"
-                  ~args:
-                    [
-                      ("launch", Trace.I launch);
-                      ("bytes", Trace.F bytes);
-                      ("messages", Trace.I pieces);
-                    ]
-                  ~start:r0
-                  ~dur:(Cost.total cost -. r0)
-                  (kernel ^ ":reduce")
-              end);
-          if Trace.enabled trace then
-            Trace.counter trace ~name:"cost" ~time:(Cost.total cost)
-              (Cost.counters cost);
+              (* Each piece ships its overlapping share home to the
+                 output's owner on node 0. *)
+              for c = 0 to pieces - 1 do
+                Trace.comm_edge trace
+                  ~src:(Machine.node_of_piece machine c)
+                  ~dst:0
+                  (bytes /. float_of_int pieces)
+              done;
+              Trace.span trace ~track:Trace.Runtime ~clock:Trace.Sim
+                ~cat:"launch"
+                ~args:
+                  [
+                    ("launch", Trace.I launch);
+                    ("bytes", Trace.F bytes);
+                    ("messages", Trace.I pieces);
+                  ]
+                ~start:r0
+                ~dur:(Cost.total cost -. r0)
+                (kernel ^ ":reduce"));
+          Trace.counter trace ~name:"cost" ~time:(Cost.total cost)
+            (Cost.counters cost);
           (* --- stitch unknown-pattern outputs --- *)
           if partials <> [] then begin
             let out_acc = leaf.Loop_ir.leaf_stmt.Tin.lhs in
@@ -632,17 +623,11 @@ let check_no_aliasing ~bindings loops =
       | _ -> ())
     loops
 
-let run ~machine ~bindings ~placement ?memstate ~cost ?domains ?faults ?trace
-    ~prepared ?(launch_base = 0) prog =
+let run ~machine ~bindings ~placement ?memstate ~cost
+    ?(domains = Machine.sim_domains ()) ?(faults = Fault.default ())
+    ?(trace = Trace.default ()) ~prepared ?(launch_base = 0) prog =
   check_no_aliasing ~bindings prepared.pp_loops;
-  let domains =
-    match domains with Some d -> d | None -> Machine.sim_domains ()
-  in
-  let fcfg =
-    let c = match faults with Some c -> c | None -> Fault.default () in
-    if Fault.enabled c then Some c else None
-  in
-  let trace = match trace with Some t -> t | None -> Trace.default () in
+  let fcfg = if Fault.enabled faults then Some faults else None in
   let pool = Pool.get (Pool.effective_workers domains) in
   let map ~launch simulate pieces =
     if Trace.enabled trace then begin

@@ -47,8 +47,9 @@ open Spdistal_runtime
     [trace] (default {!Spdistal_obs.Trace.default}) receives the run's
     events: per-launch critical-path spans on the runtime track, per-piece
     fetch/compute spans (plus UVM paging and fault-recovery instants) on
-    piece tracks, dependent-partitioning and pool-occupancy spans on the
-    host clock, comm-matrix edges and cumulative cost counters.  Tracing
+    piece tracks, pool-occupancy spans on the host clock, comm-matrix
+    edges and cumulative cost counters (the dependent-partitioning spans
+    come from {!prepare}, not from [run]).  Tracing
     never changes computed tensors or [cost] — all emission happens on the
     reducing domain in piece order.
 

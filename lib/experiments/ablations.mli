@@ -12,11 +12,5 @@
     - {b format}: the format language's independence — the same row-based
       distributed SpMV over CSR, DCSR and CSC storage (§II-B). *)
 
-val run_partition : Format.formatter -> unit -> unit
-val run_mismatch : Format.formatter -> unit -> unit
-val run_fusion : Format.formatter -> unit -> unit
-val run_spmm_gpu : Format.formatter -> unit -> unit
-val run_format : Format.formatter -> unit -> unit
-
-(** All of the above. *)
+(** Run every ablation above, in that order. *)
 val run_all : Format.formatter -> unit -> unit

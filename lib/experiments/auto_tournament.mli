@@ -16,9 +16,6 @@ type row = {
   t_winner : string;  (** winning candidate label; ["DNC"] if none priced *)
 }
 
-(** auto/hand of one row, when both priced. *)
-val ratio : row -> float option
-
 (** [quick] limits each kernel to its first two datasets. *)
 val compute : ?quick:bool -> unit -> row list
 

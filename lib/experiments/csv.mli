@@ -1,9 +1,6 @@
 (** CSV export of every figure's cells, so the regenerated series can be
     plotted directly against the paper's figures. *)
 
-val fig10 : Fig10.cell list -> string
-val fig11 : Fig11.cell list -> string
-val fig12 : Fig12.cell list -> string
 val fig13 : Fig13.point list -> string
 
 (** One cell of the fault-rate sweep: a kernel run under an injected fault
@@ -36,8 +33,6 @@ type amort_row = {
   a_hits : int;
   a_misses : int;
 }
-
-val amortization : amort_row list -> string
 
 (** [write_faults ~dir rows] writes faults.csv under [dir] (created if
     missing) and returns the path. *)

@@ -17,8 +17,3 @@ type cell = {
 
 val compute : ?quick:bool -> unit -> cell list
 val print : Format.formatter -> cell list -> unit
-
-(** Fraction of configurations where SpDISTAL (any variant) is the fastest
-    completing system, per kernel — the paper's "x/y configurations"
-    summaries. *)
-val win_rate : cell list -> kernel:Runner.kernel -> int * int

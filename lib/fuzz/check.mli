@@ -19,11 +19,6 @@ type verdict =
           report, but distinct from a wrong answer *)
   | Fail of failure
 
-(** Comparison tolerances of the differential property. *)
-val rtol : float
-
-val atol : float
-
 (** Run all properties on one case. *)
 val run : Spec.t -> verdict
 

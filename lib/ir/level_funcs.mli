@@ -65,10 +65,6 @@ val partition_from_child : ctx -> child:string -> stmt list * string
     partition. *)
 val vals_partition : tensor:string -> leaf_down:string -> stmt list * string
 
-(** Canonical partition name, e.g. [part_name ctx "CrdPart"] =
-    ["B2CrdPart"]. *)
-val part_name : ctx -> string -> string
-
 (** {1 Compiled level iterators}
 
     Per-kind position walks pre-resolved to closed closures over the level's

@@ -3,6 +3,4 @@
 
 val pp_aexpr : Format.formatter -> Loop_ir.aexpr -> unit
 val pp_rref : Format.formatter -> Loop_ir.rref -> unit
-val pp_stmt : Format.formatter -> Loop_ir.stmt -> unit
-val pp_prog : Format.formatter -> Loop_ir.prog -> unit
 val prog_to_string : Loop_ir.prog -> string

@@ -57,7 +57,6 @@ type plan = {
     [stmt] supplies variable provenance roots. *)
 val analyze : Tin.stmt -> t -> plan
 
-val pp_cmd : Format.formatter -> cmd -> unit
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 

@@ -11,8 +11,6 @@
 
 type level = Debug | Info | Warn | Error
 
-val level_name : level -> string
-
 type entry = {
   e_seq : int;  (** emission order, 0-based *)
   e_time : float option;  (** simulated seconds, when the site has a clock *)

@@ -29,16 +29,12 @@ type objective = {
   o_budget : float;  (** allowed violating window fraction, in [[0, 1]] *)
 }
 
-val op_name : op -> string
-
 (** [parse text] — the whole objective file.  [Error] names the offending
     line. *)
 val parse : string -> (objective list, string) result
 
 (** [load path] — {!parse} of the file's contents. *)
 val load : string -> (objective list, string) result
-
-val objective_to_string : objective -> string
 
 (** {1 Windows} *)
 

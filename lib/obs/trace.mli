@@ -77,9 +77,6 @@ val set_default : t -> unit
 
 (** {1 Emission} *)
 
-(** Wall-clock seconds since the trace's epoch (0. on a disabled trace). *)
-val now : t -> float
-
 (** Absolute [Unix.gettimeofday] of the trace's creation, for converting
     externally captured wall timestamps (e.g. pool occupancy) to
     epoch-relative span starts. *)

@@ -78,30 +78,26 @@ let report p =
    snapshot.  The decision itself is also logged. *)
 let note_decision ~label ~total ~cached ~candidates ~seconds =
   let m = Metrics.default () in
-  if Metrics.enabled m then begin
-    Metrics.inc m ~help:"auto-scheduler decisions" "spdistal_auto_searches_total";
-    if cached then
-      Metrics.inc m ~help:"decisions served from the winner cache"
-        "spdistal_auto_winner_cache_hits_total"
-    else begin
-      Metrics.inc m
-        ~by:(float_of_int candidates)
-        ~help:"schedule candidates priced by the auto-scheduler"
-        "spdistal_auto_candidates_priced_total";
-      Metrics.inc m ~by:seconds ~wall:true "spdistal_auto_search_seconds_total"
-    end
+  Metrics.inc m ~help:"auto-scheduler decisions" "spdistal_auto_searches_total";
+  if cached then
+    Metrics.inc m ~help:"decisions served from the winner cache"
+      "spdistal_auto_winner_cache_hits_total"
+  else begin
+    Metrics.inc m
+      ~by:(float_of_int candidates)
+      ~help:"schedule candidates priced by the auto-scheduler"
+      "spdistal_auto_candidates_priced_total";
+    Metrics.inc m ~by:seconds ~wall:true "spdistal_auto_search_seconds_total"
   end;
-  let lg = Log.default () in
-  if Log.enabled lg then
-    Log.event lg
-      ~fields:
-        [
-          ("winner", Spdistal_obs.Trace.S label);
-          ("total_s", Spdistal_obs.Trace.F total);
-          ("cached", Spdistal_obs.Trace.B cached);
-          ("candidates", Spdistal_obs.Trace.I candidates);
-        ]
-      "auto_search_decided"
+  Log.event (Log.default ())
+    ~fields:
+      [
+        ("winner", Spdistal_obs.Trace.S label);
+        ("total_s", Spdistal_obs.Trace.F total);
+        ("cached", Spdistal_obs.Trace.B cached);
+        ("candidates", Spdistal_obs.Trace.I candidates);
+      ]
+    "auto_search_decided"
 
 let choose ?cache (p : Spdistal.problem) =
   let key () =

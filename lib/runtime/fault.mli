@@ -54,10 +54,7 @@ val make :
     rate for all classes. *)
 val of_string : string -> (config, string) result
 
-(** [SPDISTAL_FAULTS] *)
-val env_var : string
-
-(** Parse {!env_var} if set.  Raises {!Error.Error} ([Config]) on a
+(** Parse [$SPDISTAL_FAULTS] if set.  Raises {!Error.Error} ([Config]) on a
     malformed value. *)
 val of_env : unit -> config option
 
@@ -95,8 +92,6 @@ type recovery = {
   losses : int;
   stragglers : int;
 }
-
-val no_recovery : recovery
 
 (** Injected fault events priced into [r]. *)
 val events : recovery -> int

@@ -109,10 +109,6 @@ val pp : Format.formatter -> t -> unit
     simulated times or numeric results (the interpreter reduces piece
     results in piece order), only wall-clock. *)
 
-(** Name of the environment variable consulted by {!sim_domains}
-    (["SPDISTAL_DOMAINS"]). *)
-val domains_env_var : string
-
 (** Process-wide default degree: the last {!set_sim_domains} value, else
     [$SPDISTAL_DOMAINS], else 1 (sequential). *)
 val sim_domains : unit -> int

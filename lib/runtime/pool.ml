@@ -162,19 +162,16 @@ let run_map t f n =
    Worker count and queue depth are configuration/wall facts, so those two
    gauges are wall-flagged out of the deterministic snapshot. *)
 let note_metrics t n =
-  let m = Spdistal_obs.Metrics.default () in
-  if Spdistal_obs.Metrics.enabled m then begin
-    let open Spdistal_obs in
-    Metrics.inc m ~by:(float_of_int n)
-      ~help:"pieces mapped through the domain pool" "spdistal_pool_jobs_total";
-    Metrics.set m
-      ~help:"pieces in flight in the most recent pool launch"
-      "spdistal_pool_occupancy" (float_of_int n);
-    Metrics.set m ~wall:true "spdistal_pool_workers" (float_of_int t.nworkers);
-    let s = stats t in
-    Metrics.set m ~wall:true "spdistal_pool_queue_peak"
-      (float_of_int s.st_peak_queue)
-  end
+  let open Spdistal_obs in
+  let m = Metrics.default () in
+  Metrics.inc m ~by:(float_of_int n)
+    ~help:"pieces mapped through the domain pool" "spdistal_pool_jobs_total";
+  Metrics.set m
+    ~help:"pieces in flight in the most recent pool launch"
+    "spdistal_pool_occupancy" (float_of_int n);
+  Metrics.set m ~wall:true "spdistal_pool_workers" (float_of_int t.nworkers);
+  Metrics.set m ~wall:true "spdistal_pool_queue_peak"
+    (float_of_int (stats t).st_peak_queue)
 
 let map t f n =
   let r = run_map t f n in

@@ -59,13 +59,11 @@ let observe t query seconds =
   | Some e ->
       Hashtbl.replace t.estimates query
         (((1. -. ewma_alpha) *. e) +. (ewma_alpha *. seconds)));
-  let m = Metrics.default () in
-  if Metrics.enabled m then
-    Metrics.set m
-      ~labels:[ ("query", query) ]
-      ~help:"per-query EWMA service-time estimate (scale-1 sim seconds)"
-      "spdistal_serve_estimate_seconds"
-      (Hashtbl.find t.estimates query)
+  Metrics.set (Metrics.default ())
+    ~labels:[ ("query", query) ]
+    ~help:"per-query EWMA service-time estimate (scale-1 sim seconds)"
+    "spdistal_serve_estimate_seconds"
+    (Hashtbl.find t.estimates query)
 
 (* One rung down the degradation ladder: [alive] of [total] nodes remain.
    The queue bound contracts with capacity (floored at 1 so the server
@@ -91,11 +89,9 @@ let reject t job_what phase fmt =
             t.sheds_hopeless <- t.sheds_hopeless + 1;
             "hopeless_deadline"
       in
-      let m = Metrics.default () in
-      if Metrics.enabled m then
-        Metrics.inc m
-          ~labels:[ ("reason", reason) ]
-          ~help:"jobs shed at admission by reason" "spdistal_serve_shed_total";
+      Metrics.inc (Metrics.default ())
+        ~labels:[ ("reason", reason) ]
+        ~help:"jobs shed at admission by reason" "spdistal_serve_shed_total";
       Reject
         { Error.phase; kernel = Some job_what; piece = None; node = None; what })
     fmt
@@ -106,12 +102,10 @@ let sheds_hopeless t = t.sheds_hopeless
 
 let decide t ~query ~depth ~backlog ~deadline =
   let m = Metrics.default () in
-  if Metrics.enabled m then begin
-    Metrics.set m ~help:"admitted jobs in flight at the last arrival"
-      "spdistal_serve_queue_depth" (float_of_int depth);
-    Metrics.set m ~help:"current admission queue bound (degradation-scaled)"
-      "spdistal_serve_queue_bound" (float_of_int t.bound)
-  end;
+  Metrics.set m ~help:"admitted jobs in flight at the last arrival"
+    "spdistal_serve_queue_depth" (float_of_int depth);
+  Metrics.set m ~help:"current admission queue bound (degradation-scaled)"
+    "spdistal_serve_queue_bound" (float_of_int t.bound);
   if depth >= t.bound then
     reject t query Error.Admission
       "queue full: depth %d >= bound %d (backlog %.4f s); retry later" depth

@@ -191,23 +191,19 @@ let strike t crashed =
     Hashtbl.reset t.contexts;
     Admission.degrade t.admission ~alive:(List.length survivors)
       ~total:t.cfg.s_nodes;
-    let m = Metrics.default () in
-    if Metrics.enabled m then
-      Metrics.set m ~help:"nodes blacklisted after repeated crash strikes"
-        "spdistal_serve_blacklisted_nodes"
-        (float_of_int (List.length t.blacklisted));
-    let lg = Log.default () in
-    if Log.enabled lg then
-      Log.event lg ~level:Log.Warn
-        ~fields:
-          [
-            ( "blacklisted",
-              Trace.S
-                (String.concat ","
-                   (List.map string_of_int t.blacklisted)) );
-            ("alive", Trace.I (List.length survivors));
-          ]
-        "node_blacklisted"
+    Metrics.set (Metrics.default ())
+      ~help:"nodes blacklisted after repeated crash strikes"
+      "spdistal_serve_blacklisted_nodes"
+      (float_of_int (List.length t.blacklisted));
+    Log.event (Log.default ()) ~level:Log.Warn
+      ~fields:
+        [
+          ( "blacklisted",
+            Trace.S
+              (String.concat "," (List.map string_of_int t.blacklisted)) );
+          ("alive", Trace.I (List.length survivors));
+        ]
+      "node_blacklisted"
   end
 
 (* Per-(job, attempt) fault seeding: every admission of every job draws an
@@ -324,50 +320,48 @@ let outcome_label = function
    after every job so scrape windows always see current values. *)
 let note_job_metrics t ~submitted ~shed_total (entry : job_log) =
   let m = Metrics.default () in
-  if Metrics.enabled m then begin
-    let job = entry.l_job in
-    let outcome =
-      match entry.l_outcome with
-      | Completed _ -> "completed"
-      | Shed _ -> "shed"
-      | Deadline_exceeded _ -> "deadline"
-      | Failed _ -> "failed"
-    in
-    Metrics.inc m
-      ~labels:[ ("outcome", outcome) ]
-      ~help:"jobs settled by outcome" "spdistal_serve_jobs_total";
-    (match entry.l_outcome with
-    | Completed resp ->
-        Metrics.observe m ~help:"response time (wait + service), sim seconds"
-          "spdistal_serve_latency_seconds" resp;
-        Metrics.observe m
-          ~labels:[ ("tenant", string_of_int job.Workload.j_tenant) ]
-          "spdistal_serve_tenant_latency_seconds" resp;
-        Metrics.observe m
-          ~labels:[ ("query", job.Workload.j_query) ]
-          "spdistal_serve_query_latency_seconds" resp
-    | _ -> ());
-    let q suffix p =
-      match Metrics.quantile m "spdistal_serve_latency_seconds" p with
-      | Some s ->
-          Metrics.set m
-            ~help:"completed-job latency quantile (histogram bucket bound)"
-            ("spdistal_serve_" ^ suffix) (1e3 *. s)
-      | None -> ()
-    in
-    q "p50_ms" 0.50;
-    q "p95_ms" 0.95;
-    q "p99_ms" 0.99;
-    Metrics.set m ~help:"shed / submitted so far" "spdistal_serve_shed_rate"
-      (float_of_int shed_total /. float_of_int (max 1 submitted));
-    let cs = Cache.stats t.cache in
-    let lookups = cs.Cache.hits + cs.Cache.misses in
-    Metrics.set m
-      ~help:"shared-cache hits / lookups (lookups happen only for admitted attempts)"
-      "spdistal_serve_hit_rate"
-      (if lookups = 0 then 0.
-       else float_of_int cs.Cache.hits /. float_of_int lookups)
-  end
+  let job = entry.l_job in
+  let outcome =
+    match entry.l_outcome with
+    | Completed _ -> "completed"
+    | Shed _ -> "shed"
+    | Deadline_exceeded _ -> "deadline"
+    | Failed _ -> "failed"
+  in
+  Metrics.inc m
+    ~labels:[ ("outcome", outcome) ]
+    ~help:"jobs settled by outcome" "spdistal_serve_jobs_total";
+  (match entry.l_outcome with
+  | Completed resp ->
+      Metrics.observe m ~help:"response time (wait + service), sim seconds"
+        "spdistal_serve_latency_seconds" resp;
+      Metrics.observe m
+        ~labels:[ ("tenant", string_of_int job.Workload.j_tenant) ]
+        "spdistal_serve_tenant_latency_seconds" resp;
+      Metrics.observe m
+        ~labels:[ ("query", job.Workload.j_query) ]
+        "spdistal_serve_query_latency_seconds" resp
+  | _ -> ());
+  let q suffix p =
+    match Metrics.quantile m "spdistal_serve_latency_seconds" p with
+    | Some s ->
+        Metrics.set m
+          ~help:"completed-job latency quantile (histogram bucket bound)"
+          ("spdistal_serve_" ^ suffix) (1e3 *. s)
+    | None -> ()
+  in
+  q "p50_ms" 0.50;
+  q "p95_ms" 0.95;
+  q "p99_ms" 0.99;
+  Metrics.set m ~help:"shed / submitted so far" "spdistal_serve_shed_rate"
+    (float_of_int shed_total /. float_of_int (max 1 submitted));
+  let cs = Cache.stats t.cache in
+  let lookups = cs.Cache.hits + cs.Cache.misses in
+  Metrics.set m
+    ~help:"shared-cache hits / lookups (lookups happen only for admitted attempts)"
+    "spdistal_serve_hit_rate"
+    (if lookups = 0 then 0.
+     else float_of_int cs.Cache.hits /. float_of_int lookups)
 
 let note_job_log (entry : job_log) =
   let lg = Log.default () in
@@ -463,12 +457,10 @@ let serve ?domains ?leaf_backend ?(trace = Trace.null) ?scrape t
             let outcome, finish, attempts, hits =
               run_job t ?domains ?leaf_backend ~trace ~tenant job ~start
             in
-            (let m = Metrics.default () in
-             if Metrics.enabled m then
-               Metrics.inc m
-                 ~by:(t.busy -. busy_before)
-                 ~help:"sim seconds the service lane was occupied"
-                 "spdistal_serve_busy_seconds_total");
+            Metrics.inc (Metrics.default ())
+              ~by:(t.busy -. busy_before)
+              ~help:"sim seconds the service lane was occupied"
+              "spdistal_serve_busy_seconds_total";
             t.free <- Float.max t.free finish;
             t.finishes <- finish :: t.finishes;
             (match outcome with

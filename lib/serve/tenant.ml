@@ -47,12 +47,10 @@ let try_retry t =
   if t.budget > 0 then begin
     t.budget <- t.budget - 1;
     t.retries <- t.retries + 1;
-    let m = Metrics.default () in
-    if Metrics.enabled m then
-      Metrics.inc m
-        ~labels:[ ("tenant", string_of_int t.t_id) ]
-        ~help:"job re-admissions spent from tenant retry budgets"
-        "spdistal_serve_retries_total";
+    Metrics.inc (Metrics.default ())
+      ~labels:[ ("tenant", string_of_int t.t_id) ]
+      ~help:"job re-admissions spent from tenant retry budgets"
+      "spdistal_serve_retries_total";
     true
   end
   else false

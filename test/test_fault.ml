@@ -246,6 +246,35 @@ let test_acceptance () =
         (Cost.total c >= Cost.total base.Spdistal.cost))
     (problems ())
 
+let test_single_shot_exhaustion_names_node () =
+  (* With one retry, a node that crashes on attempts 0 and 1 of launch 0
+     exhausts recovery on the first of its pieces.  Pick a seed where that
+     happens and some node survives attempt 0 (so the crashed pieces can be
+     remapped before recovery is priced). *)
+  let make = List.assoc "spmv" (problems ()) in
+  let machine = (make ()).Spdistal.machine in
+  let exhausting cfg =
+    List.find_opt
+      (fun node ->
+        Fault.node_crashed cfg ~launch:0 ~node ~attempt:0
+        && Fault.node_crashed cfg ~launch:0 ~node ~attempt:1)
+      (List.init (Machine.pieces machine) (Machine.node_of_piece machine))
+  in
+  let rec pick seed =
+    let cfg = Fault.make ~seed ~crash:0.5 ~retries:1 () in
+    match exhausting cfg with
+    | Some node
+      when List.length (Fault.crashed_nodes cfg ~machine ~launch:0)
+           < Machine.nodes machine ->
+        (cfg, node)
+    | _ -> pick (seed + 1)
+  in
+  let faults, node = pick 1 in
+  let r = Spdistal.run ~faults (make ()) in
+  Alcotest.(check bool) "single-shot run is a DNC" true (r.Spdistal.dnc <> None);
+  Alcotest.(check (list int)) "crashed names the exhausting node" [ node ]
+    r.Spdistal.crashed
+
 let test_rate_zero_invariance () =
   (* --fault-rate 0 must leave every pre-existing Cost field (and the
      recovery counters) exactly as the seed produced them. *)
@@ -333,6 +362,8 @@ let suite =
     Alcotest.test_case "acceptance: recover + bit-identical" `Quick
       test_acceptance;
     Alcotest.test_case "rate 0 invariance" `Quick test_rate_zero_invariance;
+    Alcotest.test_case "single-shot exhaustion names the node" `Quick
+      test_single_shot_exhaustion_names_node;
     prop_fault_schedules_bit_identical;
     Alcotest.test_case "chaos from SPDISTAL_FAULTS" `Quick test_chaos_env;
   ]

@@ -80,6 +80,17 @@ let test_null_noop () =
   Metrics.inc Metrics.null "ignored_total";
   Metrics.set Metrics.null "ignored" 1.;
   Metrics.observe Metrics.null "ignored_seconds" 1.;
+  (* Call sites skip their own [enabled] check, so a null registry must
+     also swallow the values an enabled one rejects. *)
+  let live = Metrics.create () in
+  Alcotest.check_raises "enabled rejects a negative increment"
+    (Invalid_argument "Metrics: bad counter increment for ignored_total")
+    (fun () -> Metrics.inc live ~by:(-1.) "ignored_total");
+  Alcotest.check_raises "enabled rejects NaN"
+    (Invalid_argument "Metrics: NaN observation for ignored_seconds")
+    (fun () -> Metrics.observe live "ignored_seconds" Float.nan);
+  Metrics.inc Metrics.null ~by:(-1.) "ignored_total";
+  Metrics.observe Metrics.null "ignored_seconds" Float.nan;
   Alcotest.(check (option (float 1e-9)))
     "null records nothing" None
     (Metrics.value Metrics.null "ignored_total");
@@ -88,6 +99,9 @@ let test_null_noop () =
     (List.length (Metrics.snapshot Metrics.null));
   Alcotest.(check bool) "null log disabled" false (Log.enabled Log.null);
   Log.event Log.null "ignored";
+  Log.event Log.null ~level:Log.Error ~time:0. ~track:Trace.Runtime ~span:"s"
+    ~fields:[ ("k", Trace.I 1) ]
+    "ignored";
   Alcotest.(check int) "null log empty" 0 (List.length (Log.entries Log.null))
 
 (* ------------------------------------------------------------------ *)

@@ -46,8 +46,10 @@ let test_null_trace_records_nothing () =
     ~start:0. ~dur:1. "x";
   Trace.counter Trace.null ~name:"c" ~time:0. [ ("a", 1.) ];
   Trace.comm_edge Trace.null ~src:0 ~dst:1 8.;
+  Trace.set_meta Trace.null "kernel" "y";
   Alcotest.(check bool) "no spans" true (Trace.spans Trace.null = []);
   Alcotest.(check bool) "no counters" true (Trace.counters Trace.null = []);
+  Alcotest.(check bool) "no meta" true (Trace.meta Trace.null = []);
   Alcotest.(check bool)
     "no edges" true
     (Trace.comm_matrix Trace.null = [||])
