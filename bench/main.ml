@@ -646,7 +646,9 @@ let run_auto_tournament () =
   | None -> Printf.printf "no cell priced (CSV: %s)\n%!" path);
   let regressed = Auto_tournament.regressions rows in
   if regressed <> [] then begin
-    Printf.printf "WARNING: %d cell(s) where auto fails to beat naive:\n"
+    Printf.printf
+      "WARNING: %d cell(s) where auto fails to beat naive or is DNC where \
+       another schedule completes:\n"
       (List.length regressed);
     List.iter
       (fun (r : Auto_tournament.row) ->

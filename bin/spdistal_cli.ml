@@ -157,7 +157,8 @@ let iterations_arg =
            iteration, cached, and reused by every subsequent launch \
            (Legion's dependent-partitioning amortization).  Baseline \
            systems re-pay their full launch each iteration.  Without this \
-           flag the legacy single-shot protocol is used.")
+           flag one iteration runs, its cold build counted as setup \
+           (partitioning not charged).")
 
 let no_cache_arg =
   Arg.(

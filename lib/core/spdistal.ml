@@ -58,12 +58,6 @@ type run_result = {
   crashed : int list;
 }
 
-let set_run_meta trace p =
-  Trace.set_meta trace "kernel" p.stmt.Tin.lhs.Tin.tensor;
-  Trace.set_meta trace "proc_kind"
-    (match p.machine.Machine.kind with Machine.Cpu -> "cpu" | Machine.Gpu -> "gpu");
-  Trace.set_meta trace "pieces" (string_of_int (Machine.pieces p.machine))
-
 type memo = Part_eval.shared
 
 let memo () = Part_eval.shared ()
@@ -103,17 +97,6 @@ let plan ?(memo = memo ()) ~trace ~backend p =
     e_hits = 0;
   }
 
-(* OOM and exhausted fault recovery (retries used up, or no surviving node)
-   are properties of the run, not bugs: [finish ~node reason] reports them
-   as a DNC cell, [node] being the node whose crashes exhausted recovery.
-   Other [Error.Error] phases keep escaping. *)
-let or_dnc ~finish f =
-  try f () with
-  | Memstate.Oom reason -> finish ~node:None reason
-  | Error.Error ({ Error.phase = Error.Recovery; _ } as e) ->
-      finish ~node:e.Error.node
-        ("fault recovery exhausted: " ^ Error.to_string e)
-
 let time_of r = match r.dnc with Some _ -> None | None -> Some (Cost.total r.cost)
 
 (* ------------------------------------------------------------------ *)
@@ -139,10 +122,14 @@ module Context = struct
     problem : problem;
     cache : Cache.t option;
     out_name : string;
-    pristine_out : Operand.data;
-        (** the output operand's state at context creation, restored before
-            every iteration after the first so each iteration computes
-            exactly what a single application computes *)
+    pristine_out : Operand.data Lazy.t;
+        (** the output operand's state before the context's first write,
+            restored before every iteration after the first so each
+            iteration computes exactly what a single application computes;
+            taken at [create], and for the single shot only before a write
+            a DNC could strike after *)
+    cold_setup : bool;
+        (** the single-shot protocol: the cold build is setup, uncharged *)
     mutable installed : (Operand.data * int) option;
         (** the output storage the last restore installed, and
             [Region.generation ()] then *)
@@ -150,21 +137,31 @@ module Context = struct
     mutable key : key option;
   }
 
-  let create ?(cache = true) ?shared_cache p =
+  let make ~cache ~cold_setup p =
     let out_name = p.stmt.Tin.lhs.Tin.tensor in
     {
       problem = p;
-      cache =
-        (match shared_cache with
-        | Some c -> Some c
-        | None -> if cache then Some (Cache.create ()) else None);
+      cache;
       out_name;
       pristine_out =
-        Operand.copy_data (Operand.find (bindings p) out_name).Operand.data;
+        lazy
+          (Operand.copy_data (Operand.find (bindings p) out_name).Operand.data);
+      cold_setup;
       installed = None;
       ran = false;
       key = None;
     }
+
+  let create ?(cache = true) ?shared_cache p =
+    let cache =
+      match shared_cache with
+      | Some c -> Some c
+      | None -> if cache then Some (Cache.create ()) else None
+    in
+    let ctx = make ~cache ~cold_setup:false p in
+    (* A later run restores from the snapshot: take it at creation. *)
+    ignore (Lazy.force ctx.pristine_out);
+    ctx
 
   let cache_stats ctx = Option.map Cache.stats ctx.cache
 
@@ -198,10 +195,10 @@ module Context = struct
     | Some (d, gen)
       when slot.Operand.data == d
            && gen = Region.generation ()
-           && blit_values ctx.pristine_out d ->
+           && blit_values (Lazy.force ctx.pristine_out) d ->
         ()
     | _ ->
-        let d = Operand.copy_data ctx.pristine_out in
+        let d = Operand.copy_data (Lazy.force ctx.pristine_out) in
         slot.Operand.data <- d;
         ctx.installed <- Some (d, Region.generation ())
 
@@ -249,7 +246,7 @@ module Context = struct
           List.map
             (fun ((n, _, tdn) as op) ->
               if n = ctx.out_name then
-                (n, { Operand.data = ctx.pristine_out }, tdn)
+                (n, { Operand.data = Lazy.force ctx.pristine_out }, tdn)
               else op)
             p.operands
         in
@@ -268,7 +265,12 @@ module Context = struct
     let p = ctx.problem in
     let b = bindings p in
     let cost = Cost.create () in
-    set_run_meta trace p;
+    Trace.set_meta trace "kernel" p.stmt.Tin.lhs.Tin.tensor;
+    Trace.set_meta trace "proc_kind"
+      (match p.machine.Machine.kind with
+      | Machine.Cpu -> "cpu"
+      | Machine.Gpu -> "gpu");
+    Trace.set_meta trace "pieces" (string_of_int (Machine.pieces p.machine));
     Trace.set_meta trace "iterations" (string_of_int iterations);
     let fcfg = if Fault.enabled faults then Some faults else None in
     let key = key ctx in
@@ -284,15 +286,17 @@ module Context = struct
     in
     let was_run = ctx.ran in
     ctx.ran <- true;
-    or_dnc
-      ~finish:(fun ~node reason ->
-        (* Transactional DNC: leaves may have written the output before the
-           launch failed, so put back the pristine state. *)
-        restore ctx;
-        ctx.ran <- false;
-        Option.iter (fun n -> crashed_acc := n :: !crashed_acc) node;
-        finish (Some reason))
-    @@ fun () ->
+    (* OOM and exhausted fault recovery are properties of the run, not
+       bugs: a DNC cell, [node] naming the node whose crashes exhausted
+       recovery; other [Error.Error] phases escape.  A DNC puts the
+       pristine output back; without a snapshot nothing was written. *)
+    let dnc ~node reason =
+      if Lazy.is_val ctx.pristine_out then restore ctx;
+      ctx.ran <- false;
+      Option.iter (fun n -> crashed_acc := n :: !crashed_acc) node;
+      finish (Some reason)
+    in
+    try
       let memstate = Memstate.create p.machine ~uvm:false in
       for i = 0 to iterations - 1 do
         if i > 0 || was_run then restore ctx;
@@ -339,8 +343,10 @@ module Context = struct
         (* Dependent partitioning is charged only when it actually ran: on
            the cold miss (and on every iteration of an uncached run).  Warm
            iterations reuse the cached partitions for free — the paper's
-           (and Legion's) amortization. *)
-        if status <> `Hit then begin
+           (and Legion's) amortization.  The single-shot protocol's cold
+           build is setup and is not charged. *)
+        let charged = status <> `Hit && not ctx.cold_setup in
+        if charged then begin
           Cost.add_partitioning cost ~ops:entry.Cache.e_part_ops
             entry.Cache.e_part_seconds;
           Trace.span trace ~track:Trace.Runtime ~clock:Trace.Sim
@@ -354,6 +360,11 @@ module Context = struct
             ~start:t_start ~dur:entry.Cache.e_part_seconds
             "dependent_partitioning"
         end;
+        (* The output is about to be written.  Snapshot it first when a DNC
+           can strike after leaves ran: exhausted fault recovery, or an OOM
+           in a later launch. *)
+        if Option.is_some fcfg || entry.Cache.e_launches > 1 then
+          ignore (Lazy.force ctx.pristine_out);
         Interp.run ~machine:p.machine ~bindings:b
           ~placement:entry.Cache.e_placement ~memstate ~cost ?domains ~faults
           ~trace ~prepared:entry.Cache.e_prepared
@@ -365,8 +376,7 @@ module Context = struct
               ("iteration", Trace.I i);
               ("cache", Trace.S status_name);
               ( "partition_seconds",
-                Trace.F
-                  (if status = `Hit then 0. else entry.Cache.e_part_seconds) );
+                Trace.F (if charged then entry.Cache.e_part_seconds else 0.) );
             ]
           ~start:t_start
           ~dur:(Cost.total cost -. t_start)
@@ -417,32 +427,21 @@ module Context = struct
         | None -> ()
       done;
       finish None
+    with
+    | Memstate.Oom reason -> dnc ~node:None reason
+    | Error.Error ({ Error.phase = Error.Recovery; _ } as e) ->
+        dnc ~node:e.Error.node
+          ("fault recovery exhausted: " ^ Error.to_string e)
 end
 
-(* [iterations = None] is the legacy single-shot protocol: build the plan,
-   execute it once as the timed steady-state iteration, partitioning at
-   setup and uncharged.  Asking for an explicit iteration count switches to
-   the warm-start protocol: a fresh execution context runs [n] iterations
-   end-to-end, the cold first iteration paying (and every warm one
-   skipping) dependent partitioning. *)
-let run ?domains ?faults ?(trace = Trace.default ())
-    ?(leaf_backend = Compile_leaf.default_backend ()) ?iterations
-    ?(cache = true) p =
-  match iterations with
-  | Some n ->
-      Context.run ?domains ?faults ~trace ~leaf_backend ~iterations:n
-        (Context.create ~cache p)
-  | None ->
-      let cost = Cost.create () in
-      let result ~node dnc =
-        { cost; dnc; iters = []; crashed = Option.to_list node }
-      in
-      set_run_meta trace p;
-      or_dnc ~finish:(fun ~node reason -> result ~node (Some reason))
-      @@ fun () ->
-      let e = plan ~trace ~backend:leaf_backend p in
-      Interp.run ~machine:p.machine ~bindings:(bindings p)
-        ~placement:e.Cache.e_placement
-        ~memstate:(Memstate.create p.machine ~uvm:false) ~cost ?domains ?faults
-        ~trace ~prepared:e.Cache.e_prepared e.Cache.e_prog;
-      result ~node:None None
+(* Without [iterations], one iteration on a cacheless context whose cold
+   build is setup: the result's clock holds the timed launches alone.
+   [iterations = n] runs [n] iterations on a fresh context, the cold first
+   one paying dependent partitioning. *)
+let run ?domains ?faults ?trace ?leaf_backend ?iterations ?(cache = true) p =
+  let ctx =
+    match iterations with
+    | None -> Context.make ~cache:None ~cold_setup:true p
+    | Some _ -> Context.create ~cache p
+  in
+  Context.run ?domains ?faults ?trace ?leaf_backend ?iterations ctx

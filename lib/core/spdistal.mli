@@ -107,22 +107,24 @@ type run_result = {
       (** [Some reason] when the run OOMed or fault recovery was exhausted
           (a DNC cell) *)
   iters : iter_stat list;
-      (** per-iteration statistics of a warm-start ([?iterations]) run, in
-          iteration order; empty on the legacy single-shot protocol *)
+      (** per-iteration statistics, in iteration order: one per iteration
+          that completed, so a run without [?iterations] that completes has
+          exactly one, [`Uncached] with no partitioning charged *)
   crashed : int list;
-      (** nodes that crashed during a warm-start run (sorted, deduplicated):
+      (** nodes that crashed during the run (sorted, deduplicated):
           transient crashes recovery absorbed, plus the node whose repeated
-          crashes exhausted recovery when [dnc] is set.  On the legacy
-          single-shot protocol only that exhausting node is reported (when
-          fault recovery set [dnc]); otherwise the list is empty.  A serving
+          crashes exhausted recovery when [dnc] is set.  A serving
           front-end uses this to blacklist repeat offenders. *)
 }
 
-(** Execute one timed iteration: builds the launch plan with {!plan}
-    (partitioning at setup, uncharged), runs it once (real numerics) and
-    returns the simulated cost.  On OOM the result carries [dnc]; without
-    [iterations] the outputs are then unspecified (with [iterations] they
-    are restored, see below).  [domains] bounds
+(** Execute the problem (real numerics) and return its simulated cost.
+    Without [iterations] this is one timed iteration of {!Context.run} on a
+    cacheless context whose cold build ({!plan}) is setup: partitioning is
+    not charged.  On OOM or exhausted fault recovery the result carries
+    [dnc] and the output operand holds its pre-run values: a launch checks
+    capacity before any of its leaves writes, and a run where a DNC can
+    strike after a write (a live fault schedule, a plan of several
+    launches) snapshots the output first and restores it.  [domains] bounds
     the OCaml domains used to simulate pieces concurrently (default
     {!Spdistal_runtime.Machine.sim_domains}); it affects wall-clock only —
     costs and outputs are bit-identical at every degree.
@@ -145,22 +147,19 @@ type run_result = {
     on the simulated clock (see {!Spdistal_exec.Interp.run}).  Tracing never
     changes outputs or cost.
 
-    [iterations] switches to the {e warm-start protocol}: a fresh
-    {!Context} executes the kernel [n] times end-to-end.  The cold first
-    iteration (a {!plan} build) pays dependent partitioning (charged into
-    [cost.partitioning]); warm iterations reuse the cached partitions,
-    placements and lowered program for the price of the index launches
-    alone — Legion's amortization for iterative solvers.  [cache] (default
-    true; the CLI's [--no-cache]) disables the cache, so {e every}
+    [iterations] runs [n] iterations on a fresh {!Context}, end-to-end.
+    The cold first iteration (a {!plan} build) pays dependent partitioning
+    (charged into [cost.partitioning]); warm iterations reuse the cached
+    partitions, placements and lowered program for the price of the index
+    launches alone — Legion's amortization for iterative solvers.  [cache]
+    (default true; the CLI's [--no-cache]) disables the cache, so {e every}
     iteration rebuilds and pays — the uncached baseline of the amortization
     curve.  Outputs and per-iteration launch costs are bit-identical with
     and without the cache; the output operand is restored to its pristine
     state before each iteration after the first, so the final outputs equal
-    a single application's.  A warm-start run is transactional on DNC: when
-    it OOMs or exhausts fault recovery, the output operand is restored to
-    its pristine state before the result is returned.  Restores after the
-    first write in place (see {!Context.run}): a caller who keeps an output
-    past the next run must copy it. *)
+    a single application's.  Restores after the first write in place (see
+    {!Context.run}): a caller who keeps an output past the next run must
+    copy it. *)
 val run :
   ?domains:int ->
   ?faults:Fault.config ->
@@ -175,7 +174,7 @@ val run :
 val time_of : run_result -> float option
 
 (** Warm-start execution contexts: the cache-carrying handle behind
-    [run ?iterations].  Create one per problem and call {!Context.run}
+    {!run}.  Create one per problem and call {!Context.run}
     repeatedly to keep partitions warm {e across} calls (the first call's
     first iteration is the only cold one, until a fault invalidates). *)
 module Context : sig

@@ -93,7 +93,6 @@ module Metrics = Spdistal_obs.Metrics
 
 type piece_comm = {
   pc_time : float;
-  pc_footprint : float;
   pc_msg_bytes : float list;
   pc_edges : (int * float) list;
 }
@@ -144,11 +143,32 @@ let edge_srcs ~machine ~placement ~grid ~tensor ~comm_dim ~elt missing =
     acc := (0, float_of_int (Iset.cardinal !left) *. elt) :: !acc;
   List.rev !acc
 
+(* Elements of [cm]'s tensor [d] that a piece needing all of it holds. *)
+let whole_count d (cm : Loop_ir.comm) =
+  match (d, cm.Loop_ir.comm_dim) with
+  | Operand.Sparse t, -1 -> Tensor.nnz t
+  | _, dim -> Operand.dim d (max dim 0)
+
+(* Bytes piece [c] holds for a launch's [comms]: the whole operand where
+   it needs all of it, else the subset its partition names. *)
+let piece_footprint ~bindings ~penv ~grid ~pieces comms c =
+  List.fold_left
+    (fun acc (cm : Loop_ir.comm) ->
+      let d = (Operand.find bindings cm.Loop_ir.comm_tensor).Operand.data in
+      let count =
+        match cm.Loop_ir.comm_part with
+        | None -> whole_count d cm
+        | Some p ->
+            Iset.cardinal
+              (subset_for ~grid ~pieces (Part_eval.find_partition penv p) c)
+      in
+      acc +. (float_of_int count *. comm_elt d cm))
+    0. comms
+
 let piece_comm ~machine ~bindings ~placement ~penv ~grid ~edges comms c =
   let pieces = Machine.pieces machine in
   let intra = Machine.nodes machine = 1 in
   let comm_time = ref 0. in
-  let footprint = ref 0. in
   let msgs = ref [] in
   let edge_acc = ref [] in
   List.iter
@@ -160,13 +180,7 @@ let piece_comm ~machine ~bindings ~placement ~penv ~grid ~edges comms c =
       | None -> (
           (* Whole operand needed: a broadcast, unless already replicated by
              the data distribution. *)
-          let full_count =
-            match (d, comm_dim) with
-            | Operand.Sparse t, -1 -> Tensor.nnz t
-            | _, dim -> Operand.dim d (max dim 0)
-          in
-          let bytes = float_of_int full_count *. elt in
-          footprint := !footprint +. bytes;
+          let bytes = float_of_int (whole_count d cm) *. elt in
           match resident placement ~grid ~pieces ~tensor ~comm_dim c with
           | `All -> ()
           | `Set _ | `Nothing ->
@@ -177,8 +191,6 @@ let piece_comm ~machine ~bindings ~placement ~penv ~grid ~edges comms c =
           let needed =
             subset_for ~grid ~pieces (Part_eval.find_partition penv pname) c
           in
-          footprint :=
-            !footprint +. (float_of_int (Iset.cardinal needed) *. elt);
           let missing =
             match resident placement ~grid ~pieces ~tensor ~comm_dim c with
             | `All -> Iset.empty
@@ -200,7 +212,6 @@ let piece_comm ~machine ~bindings ~placement ~penv ~grid ~edges comms c =
     comms;
   {
     pc_time = !comm_time;
-    pc_footprint = !footprint;
     pc_msg_bytes = List.rev !msgs;
     pc_edges = List.rev !edge_acc;
   }
@@ -325,14 +336,6 @@ let relink ?(trace = Trace.null) ~bindings ~backend (p : prepared) =
       pp_backend = backend;
     }
 
-let stmt_ctor = function
-  | Loop_ir.Comment _ -> "comment"
-  | Loop_ir.Init_coloring _ -> "init_coloring"
-  | Loop_ir.For_colors _ -> "for_colors"
-  | Loop_ir.Coloring_entry _ -> "coloring_entry"
-  | Loop_ir.Def_partition _ -> "def_partition"
-  | Loop_ir.Distributed_for _ -> "distributed_for"
-
 (* The launch loop [run] executes and [estimate] dry-runs.  [map ~launch f
    pieces] simulates every piece of launch [launch]; [leaf_step leaf
    compiled] is called once per launch on the reducing domain and returns
@@ -389,6 +392,17 @@ let launches ~machine ~bindings ~placement ~memstate ~cost ~fcfg ~trace ~map
               ~col_range:(col_range ~grid ~bindings leaf c)
               ()
           in
+          (* --- capacity, before any leaf runs ---
+             Every piece's footprint is reserved on the reducing domain, in
+             piece order, so a launch that OOMs writes nothing. *)
+          let footprint = piece_footprint ~bindings ~penv ~grid ~pieces comms in
+          let fetches = Array.make pieces Memstate.Hit in
+          for c = 0 to pieces - 1 do
+            fetches.(c) <-
+              Memstate.ensure memstate ~piece:c
+                ~key:(Printf.sprintf "launch:%d" c)
+                ~bytes:(footprint c)
+          done;
           (* --- simulate pieces (parallel when a pool is configured) ---
              Each piece yields pure data: its comm bill and its leaf result
              ([None] when the leaf writes overlap across pieces
@@ -416,34 +430,26 @@ let launches ~machine ~bindings ~placement ~memstate ~cost ~fcfg ~trace ~map
                   total_bytes := !total_bytes +. bytes;
                   incr total_msgs)
                 pc.pc_msg_bytes;
-              let comm_time = ref pc.pc_time in
-              (* --- capacity check (OOM / UVM paging) --- *)
-              (match memstate with
-              | None -> ()
-              | Some ms -> (
-                  match
-                    Memstate.ensure ms ~piece:c
-                      ~key:(Printf.sprintf "launch:%d" c)
-                      ~bytes:pc.pc_footprint
-                  with
-                  | Memstate.Hit | Memstate.Miss _ -> ()
-                  | Memstate.Paged overflow ->
-                      (* Page the overflow in and out once per iteration. *)
-                      let pt =
-                        2. *. overflow /. machine.Machine.params.uvm_page_bw
-                      in
-                      comm_time := !comm_time +. pt;
-                      Trace.span trace
-                        ~track:
-                          (Trace.Piece
-                             { node = Machine.node_of_piece machine c; piece = c })
-                        ~clock:Trace.Sim ~cat:"comm"
-                        ~args:
-                          [
-                            ("launch", Trace.I launch);
-                            ("overflow_bytes", Trace.F overflow);
-                          ]
-                        ~start:(t0 +. pc.pc_time) ~dur:pt "uvm_page"));
+              (comm_times.(c) <-
+                 match fetches.(c) with
+                 | Memstate.Hit | Memstate.Miss _ -> pc.pc_time
+                 | Memstate.Paged overflow ->
+                     (* Page the overflow in and out once per iteration. *)
+                     let pt =
+                       2. *. overflow /. machine.Machine.params.uvm_page_bw
+                     in
+                     Trace.span trace
+                       ~track:
+                         (Trace.Piece
+                            { node = Machine.node_of_piece machine c; piece = c })
+                       ~clock:Trace.Sim ~cat:"comm"
+                       ~args:
+                         [
+                           ("launch", Trace.I launch);
+                           ("overflow_bytes", Trace.F overflow);
+                         ]
+                       ~start:(t0 +. pc.pc_time) ~dur:pt "uvm_page";
+                     pc.pc_time +. pt);
               let res =
                 match leaf_res with Some r -> r | None -> exec_leaf c
               in
@@ -461,9 +467,7 @@ let launches ~machine ~bindings ~placement ~memstate ~cost ~fcfg ~trace ~map
                  the schedule and its costs are identical at every
                  --domains degree. *)
               (match fcfg with
-              | None ->
-                  comm_times.(c) <- !comm_time;
-                  leaf_times.(c) <- lt
+              | None -> leaf_times.(c) <- lt
               | Some cfg ->
                   (* A piece on a crashed node must have a surviving slot
                      (raises [Error.Recovery] when the whole cluster is
@@ -472,14 +476,14 @@ let launches ~machine ~bindings ~placement ~memstate ~cost ~fcfg ~trace ~map
                     ignore (Placement.remap_piece ~machine ~crashed c);
                   let r =
                     Fault.recover_piece cfg ~machine ~launch ~piece:c
-                      ~msg_bytes:pc.pc_msg_bytes ~footprint:pc.pc_footprint
-                      ~comm_time:!comm_time ~leaf_time:lt
+                      ~msg_bytes:pc.pc_msg_bytes ~footprint:(footprint c)
+                      ~comm_time:comm_times.(c) ~leaf_time:lt
                   in
                   Cost.add_recovery cost ~retries:r.Fault.retries
                     ~faults:(Fault.events r) ~bytes:r.Fault.resent_bytes
                     ~messages:r.Fault.resent_msgs
                     (r.Fault.extra_comm +. r.Fault.extra_leaf);
-                  comm_times.(c) <- !comm_time +. r.Fault.extra_comm;
+                  comm_times.(c) <- comm_times.(c) +. r.Fault.extra_comm;
                   leaf_times.(c) <- lt +. r.Fault.extra_leaf;
                   note_fault_metrics r;
                   if Fault.events r > 0 then
@@ -583,22 +587,11 @@ let launches ~machine ~bindings ~placement ~memstate ~cost ~fcfg ~trace ~map
             stitch_merge ~bindings ~out_name:out_acc.Tin.tensor
               ~nrows:src.Tensor.dims.(0) ~ncols:src.Tensor.dims.(1) partials
           end
-      | other ->
-          (* [Part_eval.eval_partitions] returns only the executable
-             distributed loops; anything else here is a lowering bug worth a
-             precise report rather than a crash. *)
-          let kernel =
-            List.find_map
-              (function
-                | Loop_ir.Distributed_for { leaf; _ } ->
-                    Some leaf.Loop_ir.leaf_stmt.Tin.lhs.Tin.tensor
-                | _ -> None)
-              loops
-          in
-          Error.fail ?kernel Error.Launch
-            "unexpected %s construct in the prepared launch list (only \
-             distributed_for loops are executable)"
-            (stmt_ctor other))
+      | _ ->
+          (* [Part_eval.eval_partitions] returns only the distributed loops:
+             anything else is a lowering bug. *)
+          Error.fail Error.Launch
+            "only distributed_for loops are executable in a prepared program")
     loops prepared.pp_leaves
 
 (* A leaf reads its inputs while it writes its output, so an output that
@@ -623,7 +616,7 @@ let check_no_aliasing ~bindings loops =
       | _ -> ())
     loops
 
-let run ~machine ~bindings ~placement ?memstate ~cost
+let run ~machine ~bindings ~placement ~memstate ~cost
     ?(domains = Machine.sim_domains ()) ?(faults = Fault.default ())
     ?(trace = Trace.default ()) ~prepared ?(launch_base = 0) prog =
   check_no_aliasing ~bindings prepared.pp_loops;
@@ -663,16 +656,18 @@ let run ~machine ~bindings ~placement ?memstate ~cost
   launches ~machine ~bindings ~placement ~memstate ~cost ~fcfg ~trace ~map
     ~leaf_step ~prepared ~launch_base prog
 
-(* Pricing's dry run: the same loop, sequential, fault-free, untraced and
-   without capacity checks, each leaf replaced by the work [work leaf]
-   predicts for a piece.  Nothing is executed, so nothing is stitched. *)
+(* Pricing's dry run: the same loop, sequential, fault-free and untraced,
+   with the run's capacity checks, each leaf replaced by the work [work
+   leaf] predicts for a piece.  Nothing is executed, so nothing is
+   stitched. *)
 let estimate ~machine ~bindings ~placement ~cost ~prepared ~work prog =
   let leaf_step leaf _ =
     let work = work leaf in
     fun ~shard_vals ~rows ~col_range () ->
       { Leaf.work = work ~shard_vals ~rows ~col_range; partial = None }
   in
-  launches ~machine ~bindings ~placement ~memstate:None ~cost ~fcfg:None
-    ~trace:Trace.null
+  launches ~machine ~bindings ~placement
+    ~memstate:(Memstate.create machine ~uvm:false)
+    ~cost ~fcfg:None ~trace:Trace.null
     ~map:(fun ~launch:_ simulate pieces -> Array.init pieces simulate)
     ~leaf_step ~prepared ~launch_base:0 prog

@@ -13,7 +13,9 @@
     sparse inputs are charged only for the difference between their declared
     data distribution and what the computation needs (paper §II-D).
     {!Spdistal_runtime.Memstate} enforces capacities: [Oom] escapes to the
-    caller, which reports a DNC cell (paper Fig. 11).
+    caller, which reports a DNC cell (paper Fig. 11).  Each launch checks
+    every piece's footprint before any of its leaves runs, so a launch that
+    OOMs writes no output.
 
     Host parallelism: the pieces of each distributed launch are simulated
     concurrently on a domain pool when [domains >= 2] (explicitly, via
@@ -22,15 +24,13 @@
     pure records, every leaf that reduces into overlapping output locations
     runs on the reducing domain, and all shared state (Cost, Memstate,
     message totals, stitched outputs) is updated there in ascending piece
-    order, preserving float accumulation order exactly.  The only observable
-    difference is on the [Oom] path, where leaves of pieces past the
-    offending one may already have run — outputs were already unspecified on
-    that path. *)
+    order, preserving float accumulation order exactly. *)
 
 open Spdistal_runtime
 
-(** [run ~machine ~bindings ~placement ?memstate ~cost ?domains ?faults
-    ~prepared prog] executes [prog].  [domains] caps the OCaml domains used
+(** [run ~machine ~bindings ~placement ~memstate ~cost ?domains ?faults
+    ~prepared prog] executes [prog], reserving each piece's footprint in
+    [memstate].  [domains] caps the OCaml domains used
     to simulate pieces of one launch concurrently (default
     {!Spdistal_runtime.Machine.sim_domains}; [<= 1] means sequential).
 
@@ -87,7 +87,7 @@ val run :
   machine:Machine.t ->
   bindings:Operand.bindings ->
   placement:Placement.t ->
-  ?memstate:Memstate.t ->
+  memstate:Memstate.t ->
   cost:Cost.t ->
   ?domains:int ->
   ?faults:Fault.config ->
@@ -99,12 +99,15 @@ val run :
 
 (** [estimate ~machine ~bindings ~placement ~cost ~prepared ~work prog]
     dry-runs {!run}'s own launch loop — sequentially, fault-free, untraced,
-    with no capacity checks — with each leaf replaced by [work leaf], the
+    with the run's capacity checks on a fresh
+    {!Spdistal_runtime.Memstate} — with each leaf replaced by [work leaf], the
     work one piece does given its shard, rows and column block.  [work leaf]
     is applied once per launch.  Transfers, the critical-path split and the
     reduction bill are charged to [cost] by the code {!run} uses, so given
-    the executed leaves' work the two agree on every [Cost] field.  Nothing
-    is executed or stitched and no driver coordinates are expanded. *)
+    the executed leaves' work the two agree on every [Cost] field, and a
+    program that OOMs when run raises the same
+    {!Spdistal_runtime.Memstate.Oom} here.  Nothing is executed or stitched
+    and no driver coordinates are expanded. *)
 val estimate :
   machine:Machine.t ->
   bindings:Operand.bindings ->

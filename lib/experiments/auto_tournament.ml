@@ -105,16 +105,21 @@ let max_ratio rows =
     None rows
 
 (* Every row where the auto pick fails to strictly beat the naive strawman
-   (the acceptance bar of the search), or prices worse than the hand
-   schedule at all — candidates the ratchet and tests inspect. *)
+   (the acceptance bar of the search) — candidates the ratchet and tests
+   inspect.  An auto DNC fails when the hand or naive schedule completes; a
+   naive DNC that auto completes is a win; a cell where nothing completes
+   is listed by [print] and not counted. *)
 let regressions rows =
   List.filter
     (fun r ->
       match (r.t_auto, r.t_naive) with
       | Some a, Some n -> a >= n
-      | None, _ -> true
-      | _, None -> false)
+      | Some _, None -> false
+      | None, n -> Option.is_some n || Option.is_some r.t_hand)
     rows
+
+let all_dnc r =
+  Option.is_none r.t_naive && Option.is_none r.t_hand && Option.is_none r.t_auto
 
 let time_cell = function Some t -> Printf.sprintf "%.9f" t | None -> "DNC"
 
@@ -162,4 +167,9 @@ let print fmt rows =
   (match max_ratio rows with
   | Some m -> Format.fprintf fmt "@,max auto/hand ratio: %.4f@," m
   | None -> ());
+  List.iter
+    (fun r ->
+      Format.fprintf fmt "every schedule DNC (not counted): %s/%s/%s@,"
+        r.t_kernel r.t_dataset r.t_system)
+    (List.filter all_dnc rows);
   Format.fprintf fmt "@]"

@@ -22,7 +22,10 @@ val compute : ?quick:bool -> unit -> row list
 (** Worst auto/hand ratio over the rows — what the CI ratchet bounds. *)
 val max_ratio : row list -> float option
 
-(** Rows where auto failed to strictly beat naive (or priced nothing). *)
+(** Rows where auto failed to strictly beat naive.  An auto DNC counts when
+    the hand or naive schedule completes; a naive DNC that auto completes is
+    a win; a row where every schedule is DNC does not count ({!print} lists
+    it). *)
 val regressions : row list -> row list
 
 val csv : row list -> string

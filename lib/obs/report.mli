@@ -30,9 +30,10 @@ type node_util = {
   n_compute : float;  (** busy simulated seconds in leaves *)
 }
 
-(** One warm-start iteration, read back from the execution context's
-    "iteration" spans: how its launch plan was obtained and where its time
-    went ([ir_partition] is non-zero exactly on cold iterations). *)
+(** One iteration, read back from the execution context's "iteration"
+    spans: how its launch plan was obtained and where its time went
+    ([ir_partition] is non-zero exactly on iterations charged for a cold
+    build; a run without [--iterations] counts its cold build as setup). *)
 type iter_row = {
   ir_index : int;
   ir_cache : string;  (** "hit" | "miss" | "bypass" (caching disabled) *)
@@ -48,7 +49,7 @@ type t = {
   r_comm : float array array;  (** [src.(dst)] bytes between simulated nodes *)
   r_imbalance : float;  (** worst per-launch max/mean piece-time ratio *)
   r_iterations : iter_row list;
-      (** warm-start iterations in order; empty on single-shot runs *)
+      (** iterations in order, one row per iteration span *)
   r_cache_hits : int;
   r_cache_misses : int;
   r_cache_invalidations : int;

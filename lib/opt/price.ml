@@ -8,11 +8,12 @@
    partitioning bill it returns, then dry-runs the interpreter's launch loop
    with [Interp.estimate].  Partitioning, transfers, critical-path split and
    reduction bill are thus the run's by construction (a regression test
-   enforces it).  Only leaf work is an estimate: the shared
+   enforces it), and so are the run's capacity checks: a candidate whose
+   run would OOM is infeasible.  Only leaf work is an estimate: the shared
    [Leaf.mul_work]/merge byte model over statistical shard shapes, so
-   candidates are ranked on the same scale the clock uses.  Faults and
-   memory pressure (UVM paging) are ignored: candidates are priced for the
-   fault-free steady state the tournament compares.
+   candidates are ranked on the same scale the clock uses.  Faults are
+   ignored: candidates are priced for the fault-free steady state the
+   tournament compares.
 
    The candidates of one auto-scheduler call are priced in one [session]
    that shares statistics and partitions between them; a
@@ -143,6 +144,7 @@ let price_problem s (p : Spdistal.problem) : (priced, string) result =
       }
   with
   | Error.Error e -> Error (Error.to_string e)
+  | Memstate.Oom m -> Error ("OOM: " ^ m)
   | Invalid_argument m -> Error ("invalid candidate: " ^ m)
   | Failure m -> Error ("candidate failed: " ^ m)
 

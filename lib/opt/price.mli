@@ -6,9 +6,9 @@
     partitioning bill it returns, and dry-runs the interpreter's own launch
     loop ({!Spdistal_exec.Interp.estimate}).  Partitioning, communication
     and the reduction bill are therefore bit-equal to a cold run of the
-    same schedule; leaf time is a statistical estimate on the shared work
-    model.  Faults and memory pressure are ignored (fault-free steady-state
-    pricing). *)
+    same schedule, and a candidate whose run would OOM is refused; leaf
+    time is a statistical estimate on the shared work model.  Faults are
+    ignored (fault-free steady-state pricing). *)
 
 open Spdistal_runtime
 
@@ -23,8 +23,9 @@ type priced = {
 val total : priced -> float
 
 (** Price one candidate.  [Error reason] when the candidate does not lower,
-    place or classify (an infeasible point of the search space), never an
-    exception.  A session of one: nothing is shared with any other call. *)
+    place or classify, or when its run would not fit in memory ([reason]
+    starts with ["OOM: "]) — an infeasible point of the search space — never
+    an exception.  A session of one: nothing is shared with any other call. *)
 val price : Core.Spdistal.problem -> (priced, string) result
 
 (** A pricing session over one problem: the candidates of one

@@ -34,14 +34,4 @@ let ensure t ~piece ~key ~bytes =
       t.resident.(piece) <- after;
       if after > t.capacity then Paged (after -. t.capacity) else Miss bytes
 
-let invalidate t ~key =
-  Array.iteri
-    (fun p tbl ->
-      match Hashtbl.find_opt tbl key with
-      | None -> ()
-      | Some bytes ->
-          Hashtbl.remove tbl key;
-          t.resident.(p) <- t.resident.(p) -. bytes)
-    t.tables
-
 let resident_bytes t ~piece = t.resident.(piece)

@@ -24,7 +24,4 @@ val create : Machine.t -> uvm:bool -> t
     capacity, raises [Oom] (or returns [Paged overflow] under UVM). *)
 val ensure : t -> piece:int -> key:string -> bytes:float -> fetch
 
-(** Drop an instance from every piece (data was mutated elsewhere). *)
-val invalidate : t -> key:string -> unit
-
 val resident_bytes : t -> piece:int -> float

@@ -120,11 +120,17 @@ let test_no_cache_repays_every_iteration () =
     res.S.iters
 
 let test_legacy_protocol_unchanged () =
-  (* No [iterations]: the single-shot path, no cache, no partitioning column,
-     no per-iteration stats — byte-compatible with the seed protocol. *)
+  (* No [iterations]: one uncached context iteration whose cold build is
+     setup — no partitioning charged, so the clock is byte-compatible with
+     the seed protocol. *)
   let r = S.run (Helpers.comm_spmv ()) in
   Alcotest.(check (option string)) "completes" None r.S.dnc;
-  Alcotest.(check bool) "no iteration stats" true (r.S.iters = []);
+  (match r.S.iters with
+  | [ it ] ->
+      Alcotest.(check bool) "uncached" true (it.S.it_cache = `Uncached);
+      Alcotest.(check (float 0.))
+        "iteration charges no partitioning" 0. it.S.it_cost.Cost.partitioning
+  | l -> Alcotest.failf "expected one iteration stat, got %d" (List.length l));
   Alcotest.(check (float 0.)) "no partitioning charged" 0. r.S.cost.Cost.partitioning;
   Alcotest.(check int) "no dep ops charged" 0 r.S.cost.Cost.part_ops;
   (* A warm iteration's launch work equals the legacy run's whole clock. *)

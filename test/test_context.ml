@@ -326,6 +326,22 @@ let test_restore_dnc () =
         ((out_slot p).Operand.data != original))
     [ 1; 2 ]
 
+(* The single-shot protocol snapshots nothing on a fault-free one-launch
+   plan: its OOM strikes before any leaf of the launch runs, so the
+   caller's output storage is never written. *)
+let test_single_shot_oom_untouched () =
+  let p = tiny_gpu_spmm () in
+  let original = (out_slot p).Operand.data in
+  let before = bits original in
+  let r = S.run p in
+  Alcotest.(check bool) "DNC reported" true (r.S.dnc <> None);
+  Alcotest.(check bool)
+    "the caller's storage stays bound" true
+    ((out_slot p).Operand.data == original);
+  Alcotest.(check bool)
+    "output bit-equal to its pre-run copy" true
+    (bits original = before)
+
 let suite =
   [
     Alcotest.test_case "table: evicted re-plan shares partitions" `Quick
@@ -338,4 +354,6 @@ let suite =
       test_restore_reuses_storage;
     Alcotest.test_case "restore: copy path" `Quick test_restore_copies;
     Alcotest.test_case "restore: DNC" `Quick test_restore_dnc;
+    Alcotest.test_case "single-shot OOM leaves the output untouched" `Quick
+      test_single_shot_oom_untouched;
   ]

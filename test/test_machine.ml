@@ -113,8 +113,6 @@ let test_memstate () =
   (match Memstate.ensure ms ~piece:1 ~key:"b" ~bytes:60. with
   | Memstate.Miss _ -> ()
   | _ -> Alcotest.fail "expected miss on piece 1");
-  Memstate.invalidate ms ~key:"a";
-  Helpers.check_float "invalidated" 0. (Memstate.resident_bytes ms ~piece:0);
   (* UVM pages instead of failing. *)
   let uvm = Memstate.create small ~uvm:true in
   ignore (Memstate.ensure uvm ~piece:0 ~key:"a" ~bytes:80.);

@@ -122,8 +122,8 @@ let cost_sig (c : Cost.t) =
 
 (* Given the executed leaves' own work, the dry run pricing uses
    ([Interp.estimate]) charges exactly what [Interp.run] charges: both are
-   one launch loop.  Fault-free, no memstate, a null trace, and a fresh
-   problem on each side. *)
+   one launch loop.  Fault-free, a fresh memstate, a null trace, and a
+   fresh problem on each side. *)
 let check_dry_run_equals_run label make =
   let bill launch =
     let p = make () in
@@ -136,8 +136,9 @@ let check_dry_run_equals_run label make =
   in
   let ran =
     bill (fun ~machine ~bindings ~placement ~cost ~prepared prog ->
-        Interp.run ~machine ~bindings ~placement ~cost ~faults:Fault.disabled
-          ~trace:Trace.null ~prepared prog)
+        Interp.run ~machine ~bindings ~placement
+          ~memstate:(Memstate.create machine ~uvm:false)
+          ~cost ~faults:Fault.disabled ~trace:Trace.null ~prepared prog)
   in
   let dry =
     bill (fun ~machine ~bindings ~placement ~cost ~prepared prog ->
@@ -767,6 +768,37 @@ let test_value_ranges_with_other_bounds_not_shared () =
   Alcotest.(check bool) "wide = unshared" true (same_partition wide (eval 15));
   Alcotest.(check bool) "equal bounds share" true (eval ~shared:table 15 == wide)
 
+(* Pricing makes the run's own capacity checks.  A 40x40 SDDMM on two
+   GPUs with 9.8 kB each: the hand schedule ([nnz:B/2]) OOMs and so does
+   [row:i]; [row:j] fits (the paper's case for memory-conserving
+   schedules).  The auto-scheduler must pick a schedule that completes,
+   and pick none when no candidate fits. *)
+let test_choose_skips_oom () =
+  let sddmm gpu_mem =
+    let params =
+      {
+        (Machine.scale_params 1e9 Machine.lassen) with
+        Machine.net_alpha = 1e-6;
+        gpu_mem;
+      }
+    in
+    let m = Spdistal.machine ~params ~kind:Machine.Gpu [| 2 |] in
+    Core.Kernels.sddmm_problem ~machine:m ~cols:8
+      (Helpers.rand_csr ~seed:25 40 40 0.5)
+  in
+  Alcotest.(check bool)
+    "the hand schedule OOMs when run" true
+    ((Spdistal.run (sddmm 9800.)).Spdistal.dnc <> None);
+  (match Auto.choose (sddmm 9800.) with
+  | None -> Alcotest.fail "a candidate fits, yet none was chosen"
+  | Some c ->
+      Alcotest.(check (option string))
+        (c.Auto.ch_label ^ " runs to completion")
+        None (Spdistal.run c.Auto.ch_problem).Spdistal.dnc);
+  Alcotest.(check bool)
+    "no choice when every candidate OOMs" true
+    (Auto.choose (sddmm 16.) = None)
+
 let suite =
   [
     Alcotest.test_case "auto == hand, interp leaves" `Quick
@@ -802,4 +834,6 @@ let suite =
       test_spadd3_row_j_shares_placement;
     Alcotest.test_case "value ranges with other bounds not shared" `Quick
       test_value_ranges_with_other_bounds_not_shared;
+    Alcotest.test_case "choose skips candidates that OOM" `Quick
+      test_choose_skips_oom;
   ]
