@@ -133,6 +133,9 @@ module Context = struct
     mutable installed : (Operand.data * int) option;
         (** the output storage the last restore installed, and
             [Region.generation ()] then *)
+    mutable assembled : (Operand.data * int) option;
+        (** the output a merge-only program's last completed iteration
+            left in the slot, and [Region.generation ()] then *)
     mutable ran : bool;  (** a previous [run] left results in the output *)
     mutable key : key option;
   }
@@ -148,6 +151,7 @@ module Context = struct
           (Operand.copy_data (Operand.find (bindings p) out_name).Operand.data);
       cold_setup;
       installed = None;
+      assembled = None;
       ran = false;
       key = None;
     }
@@ -188,19 +192,26 @@ module Context = struct
   (* Put the pristine output back: in place, into the storage the previous
      restore installed, while the slot still holds it and no pattern was
      written since; otherwise into a fresh copy (the first restore, a
-     stitched output, a slot the caller rebound). *)
-  let restore ctx =
+     stitched output, a slot the caller rebound).  With [keep], the output
+     a merge-only program's last iteration assembled stays instead, under
+     the same two conditions: the next launch writes every one of its
+     values. *)
+  let restore ?(keep = false) ctx =
     let slot = Operand.find (bindings ctx.problem) ctx.out_name in
-    match ctx.installed with
-    | Some (d, gen)
-      when slot.Operand.data == d
-           && gen = Region.generation ()
-           && blit_values (Lazy.force ctx.pristine_out) d ->
-        ()
-    | _ ->
-        let d = Operand.copy_data (Lazy.force ctx.pristine_out) in
-        slot.Operand.data <- d;
-        ctx.installed <- Some (d, Region.generation ())
+    let holds = function
+      | Some (d, gen) -> slot.Operand.data == d && gen = Region.generation ()
+      | None -> false
+    in
+    if not (keep && holds ctx.assembled) then
+      match ctx.installed with
+      | Some (d, _)
+        when holds ctx.installed
+             && blit_values (Lazy.force ctx.pristine_out) d ->
+          ()
+      | _ ->
+          let d = Operand.copy_data (Lazy.force ctx.pristine_out) in
+          slot.Operand.data <- d;
+          ctx.installed <- Some (d, Region.generation ())
 
   (* An input still matches the key if it is the same sparse tensor (its
      pattern unwritten, which the generation stamp covers) or a dense
@@ -299,18 +310,24 @@ module Context = struct
     try
       let memstate = Memstate.create p.machine ~uvm:false in
       for i = 0 to iterations - 1 do
-        if i > 0 || was_run then restore ctx;
+        (* A plan reads the output slot, so it sees the pristine output;
+           a hit may keep an assembled one. *)
+        let restore ~keep = if i > 0 || was_run then restore ~keep ctx in
         let before = Cost.copy cost in
         let t_start = Cost.total cost in
         let status, entry =
           match ctx.cache with
           | None ->
+              restore ~keep:false;
               (`Uncached, plan ~memo:key.k_memo ~trace ~backend:leaf_backend p)
           | Some c -> (
               let d = digest ctx key in
               match Cache.find c d with
-              | Some e -> (`Hit, e)
+              | Some e ->
+                  restore ~keep:(Interp.merge_only e.Cache.e_prepared);
+                  (`Hit, e)
               | None ->
+                  restore ~keep:false;
                   let e =
                     {
                       (plan ~memo:key.k_memo ~trace ~backend:leaf_backend p)
@@ -369,6 +386,11 @@ module Context = struct
           ~placement:entry.Cache.e_placement ~memstate ~cost ?domains ~faults
           ~trace ~prepared:entry.Cache.e_prepared
           ~launch_base:(i * entry.Cache.e_launches) entry.Cache.e_prog;
+        if Interp.merge_only entry.Cache.e_prepared then
+          ctx.assembled <-
+            Some
+              ( (Operand.find b ctx.out_name).Operand.data,
+                Region.generation () );
         Trace.span trace ~track:Trace.Runtime ~clock:Trace.Sim
           ~cat:"iteration"
           ~args:

@@ -157,9 +157,10 @@ type run_result = {
     curve.  Outputs and per-iteration launch costs are bit-identical with
     and without the cache; the output operand is restored to its pristine
     state before each iteration after the first, so the final outputs equal
-    a single application's.  Restores after the first write in place (see
-    {!Context.run}): a caller who keeps an output past the next run must
-    copy it. *)
+    a single application's.  Restores after the first write in place, and
+    SpAdd3's warm iterations compute into the output the first one
+    assembled (see {!Context.run}): a caller who keeps an output past the
+    next run must copy it. *)
 val run :
   ?domains:int ->
   ?faults:Fault.config ->
@@ -223,10 +224,18 @@ module Context : sig
       storage (a dense output's array, a sparse output's [vals]), so
       iteration [n+1] reuses iteration [n]'s output storage and a caller
       who keeps a result must copy it.  A restore copies again when the
-      slot no longer holds the installed storage (the caller rebound it, or
-      SpAdd3's stitch assembled a new output) or a pattern was written
-      since ({!Spdistal_runtime.Region.generation} moved).  The DNC restore
-      follows the same rule. *)
+      slot no longer holds the installed storage (the caller rebound it)
+      or a pattern was written since
+      ({!Spdistal_runtime.Region.generation} moved).  The DNC restore
+      follows the same rule.
+
+      SpAdd3 (a program whose every launch is a merge) assembles its
+      output on its first launch.  Later iterations that hit the cache
+      keep that output instead of restoring, under the same two
+      conditions, and compute every value into its storage; an iteration
+      that builds a plan restores the pristine copy first and assembles
+      again.  The same rule holds: a kept result is the next run's output
+      storage, and its values are overwritten. *)
   val run :
     ?domains:int ->
     ?faults:Fault.config ->

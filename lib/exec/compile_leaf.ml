@@ -878,6 +878,8 @@ let check_row (crd : int array) (vals : Region.F.buf) lo hi =
 (* The column under a cursor at [p], or [max_int] past the row's end. *)
 let[@inline] head crd p hi = if p <= hi then Array.unsafe_get crd p else max_int
 
+exception Reassemble
+
 (* A merge of two or three CSR operands without a workspace, on one
    cursor: the three positions, the three head columns and the sum are
    locals.  A two-operand merge runs with an empty third operand.  The
@@ -885,8 +887,15 @@ let[@inline] head crd p hi = if p <= hi then Array.unsafe_get crd p else max_int
    least head column, and sum each operand's run of it, in operand order,
    from [0.] (which keeps its handling of [-0.]).  The merge consumes every
    stored entry of the rows, so the work tally counts them in the sizing
-   pass, which also checks each row's ranges. *)
-let merge_cursor (ops : Leaf.merge_op array) rows =
+   pass, which also checks each row's ranges.
+
+   With [into], an assembled output's [(pos, crd, vals)], the cursor
+   computes only: each row's sums go to [vals] at the row's installed
+   positions, each emitted column must be the installed one there, and the
+   row must end where its installed range ends.  Anything else raises
+   {!Reassemble}, with some of the row's values written.  Both modes emit
+   the same entries, so the work tally is the same. *)
+let merge_cursor ?into (ops : Leaf.merge_op array) rows =
   let pa, ca, va = ops.(0) and pb, cb, vb = ops.(1) in
   let three = Array.length ops = 3 in
   let pc, cc, vc = ops.(if three then 2 else 0) in
@@ -903,9 +912,17 @@ let merge_cursor (ops : Leaf.merge_op array) rows =
         entries := !entries + Int.max 0 (chi - clo + 1)
       end)
     rows;
-  let nrows = Iset.cardinal rows in
+  let in_place, (opos, ocrd, ovals) =
+    match into with
+    | Some ((opos, _, _) as o) ->
+        if Array.length opos <> Array.length pa then raise Reassemble;
+        (true, o)
+    | None -> (false, ([||], [||], va))
+  in
+  let nrows = if in_place then 0 else Iset.cardinal rows in
   let mrows = Array.make nrows 0 and mcounts = Array.make nrows 0 in
-  let mcrd = Array.make !entries 0 and mvals = Array.create_float !entries in
+  let bound = if in_place then 0 else !entries in
+  let mcrd = Array.make bound 0 and mvals = Array.create_float bound in
   let n = ref 0 and row = ref 0 in
   Iset.iter_intervals
     (fun rlo rhi ->
@@ -915,7 +932,17 @@ let merge_cursor (ops : Leaf.merge_op array) rows =
         let a = ref a0 and b = ref b0 and c = ref c0 in
         let ha = ref (head ca a0 ahi) and hb = ref (head cb b0 bhi) in
         let hc = ref (head cc c0 chi) in
-        let k = ref !n in
+        (* Where the row's entries go, and the position past its end. *)
+        let start, stop =
+          if not in_place then (!n, max_int)
+          else
+            let lo, hi = opos.(r) in
+            if hi < lo then (lo, lo)
+            else if lo < 0 || hi >= Array.length ocrd || hi >= A1.dim ovals then
+              raise Reassemble
+            else (lo, hi + 1)
+        in
+        let k = ref start in
         let col = ref (Int.min !ha (Int.min !hb !hc)) in
         while !col <> max_int do
           let s = ref 0. in
@@ -934,21 +961,30 @@ let merge_cursor (ops : Leaf.merge_op array) rows =
             incr c;
             hc := head cc !c chi
           done;
-          Array.unsafe_set mcrd !k !col;
-          Array.unsafe_set mvals !k !s;
+          if in_place then begin
+            if !k >= stop || Array.unsafe_get ocrd !k <> !col then raise Reassemble;
+            A1.unsafe_set ovals !k !s
+          end
+          else begin
+            Array.unsafe_set mcrd !k !col;
+            Array.unsafe_set mvals !k !s
+          end;
           incr k;
           col := Int.min !ha (Int.min !hb !hc)
         done;
-        Array.unsafe_set mrows !row r;
-        Array.unsafe_set mcounts !row (!k - !n);
-        n := !k;
-        incr row
+        if in_place then (if !k <> stop then raise Reassemble)
+        else begin
+          Array.unsafe_set mrows !row r;
+          Array.unsafe_set mcounts !row (!k - start);
+          incr row
+        end;
+        n := !n + (!k - start)
       done)
     rows;
   {
     Leaf.work =
       Leaf.merge_work ~entries:(float_of_int !entries) ~emitted:(float_of_int !n);
-    partial = Some { Leaf.mrows; mcounts; mcrd; mvals };
+    partial = (if in_place then None else Some { Leaf.mrows; mcounts; mcrd; mvals });
   }
 
 (* ------------------------------------------------------------------ *)
@@ -962,13 +998,13 @@ type piece =
   unit ->
   Leaf.result
 
-let launch t ~bindings : piece =
+let launch ?into t ~bindings : piece =
   match t.kind with
   | C_merge { g_tensors; g_use_workspace; g_cursor } ->
       let ops, cols = Leaf.merge_ops ~bindings ~tensors:g_tensors in
       fun ~shard_vals:_ ~rows ~col_range:_ () ->
         (match rows with
-        | Some r when g_cursor -> merge_cursor ops r
+        | Some r when g_cursor -> merge_cursor ?into ops r
         | Some r -> Leaf.merge_core ~ops ~cols ~rows:r ~use_workspace:g_use_workspace
         | None -> Error.fail Error.Leaf "merge kernel needs a row set")
   | C_mul m ->
@@ -987,8 +1023,8 @@ let launch t ~bindings : piece =
       let driver = m.m_plan.Leaf.pl_driver_name in
       fun ~shard_vals ~rows:_ ~col_range () -> run (shard_vals driver) ~col_range
 
-let execute t ?(bindings = t.bindings) ~shard_vals ~rows ~col_range () =
-  launch t ~bindings ~shard_vals ~rows ~col_range ()
+let execute t ?(bindings = t.bindings) ?into ~shard_vals ~rows ~col_range () =
+  launch ?into t ~bindings ~shard_vals ~rows ~col_range ()
 
 let path_name t =
   match t.kind with

@@ -31,8 +31,12 @@
     A merge (SpAdd3) of two or three CSR operands without a workspace runs
     one three-way cursor whose positions, head columns and sum are locals;
     the workspace strategy and other arities call the interpreter's
-    {!Leaf.merge_core}.  All allocate nothing per stored element (a merge
-    nothing per row or entry beyond its partial's arrays);
+    {!Leaf.merge_core}.  The cursor either assembles its rows into a
+    partial or, given the output an earlier launch assembled ([?into]),
+    computes only: it writes each sum into that output's values at the
+    installed position, checking every column against the installed one,
+    and allocates nothing.  All allocate nothing per stored element (an
+    assembling merge nothing per row or entry beyond its partial's arrays);
     [test/test_leaf.ml] bounds one execute's minor allocation.
 
     Classification ({!Leaf.plan_mul}, {!Leaf.merge_ops}), inner-loop
@@ -100,14 +104,30 @@ type piece =
     compiled for.  Raises {!Spdistal_runtime.Error.Error} ([Leaf]) when an
     operand's shape, or the driver's stored-value count, differs from the
     one [t] was compiled for.  Launches of one leaf must not overlap: the
-    transposed [D] is one buffer per leaf. *)
-val launch : t -> bindings:Operand.bindings -> piece
+    transposed [D] is one buffer per leaf.  [into] is {!execute}'s. *)
+val launch : ?into:Leaf.merge_op -> t -> bindings:Operand.bindings -> piece
+
+(** Raised by a piece that computes into an installed output ([?into])
+    whose pattern is not the one the piece's rows merge to: a column
+    differs, or a row has more or fewer entries.  The piece may have
+    written some values into the installed output before it stopped; the
+    caller re-runs the launch assembling. *)
+exception Reassemble
 
 (** [launch] then one piece: a drop-in replacement for {!Leaf.execute}.
-    [bindings] default to the ones [t] was compiled against. *)
+    [bindings] default to the ones [t] was compiled against.
+
+    [into] is the [(pos, crd, vals)] storage of an assembled CSR output
+    with the merge operands' row count.  A three-way-cursor merge
+    (["csr-merge"]) given one computes only: each row's sums go into
+    [vals] at the row's installed range, the result carries no partial,
+    and its work equals the assembling cursor's.  It raises {!Reassemble}
+    when a row's emitted columns are not exactly its installed [crd]
+    range.  Every other leaf ignores [into]. *)
 val execute :
   t ->
   ?bindings:Operand.bindings ->
+  ?into:Leaf.merge_op ->
   shard_vals:(string -> Iset.t) ->
   rows:Iset.t option ->
   col_range:(int * int) option ->

@@ -29,64 +29,141 @@ let color_for ~grid ~pieces part piece =
       done;
       piece / !stride mod grid.(d)
 
-let stitch_merge ~bindings ~out_name ~nrows ~ncols partials =
-  (* Per-piece row blocks are disjoint and ordered; concatenate them. *)
-  let pos = Array.make nrows (0, -1) in
-  let total =
-    List.fold_left
-      (fun acc (p : Leaf.merge_partial) ->
-        acc + Array.fold_left ( + ) 0 p.Leaf.mcounts)
-      0 partials
-  in
-  let crd = Array.make (max total 1) 0 in
-  (* Values go straight into the output's buffer: no float array to copy. *)
-  let vals = Region.F.create (out_name ^ ".vals") (max total 1) 0. in
-  let vdata = vals.Region.F.data in
-  let cursor = ref 0 in
-  (* Per partial: the row positions in one pass, then its entries as one
-     block, bounds-checked once. *)
+(* The output [out] as a merge operand's [(pos, crd, vals)] triple, when
+   its slot holds an [nrows] x [ncols] CSR matrix whose [crd] and [vals]
+   hold exactly its stored entries, at least one: the shape the stitch
+   assembles, and the one a later launch can write into. *)
+let installed ~bindings ~out ~nrows ~ncols : Leaf.merge_op option =
+  match (Operand.find bindings out).Operand.data with
+  | Operand.Sparse
+      ({
+         Tensor.levels = [| Level.Dense { dim }; Level.Compressed { pos; crd } |];
+         _;
+       } as t)
+    when dim = nrows
+         && t.Tensor.dims = [| nrows; ncols |]
+         && t.Tensor.mode_order = [| 0; 1 |]
+         && Array.length pos.Region.data = nrows
+         && Array.length crd.Region.data > 0
+         && Array.length crd.Region.data
+            = Bigarray.Array1.dim t.Tensor.vals.Region.F.data ->
+      Some (pos.Region.data, crd.Region.data, t.Tensor.vals.Region.F.data)
+  | _ -> None
+
+(* Whether [pos], over [total] stored entries, is the layout the stitch
+   builds when the rows [iter] visits, in its order, hold [count] entries
+   each ([iter (fun r count -> ...)]): the non-empty ones end to end from
+   position 0 through [total], no other row stored, and every empty row
+   [(p, p - 1)] with [p] the end of the last non-empty row above it. *)
+let stitched_layout pos ~total iter =
+  let next = ref 0 and ok = ref true in
+  iter (fun r count ->
+      if count > 0 then begin
+        let lo, hi = pos.(r) in
+        if lo <> !next || hi <> !next + count - 1 then ok := false;
+        next := !next + count
+      end);
+  let cur = ref 0 and stored = ref 0 in
+  Array.iter
+    (fun (lo, hi) ->
+      if hi < lo then (if lo <> !cur || hi <> !cur - 1 then ok := false)
+      else begin
+        stored := !stored + (hi - lo + 1);
+        cur := hi + 1
+      end)
+    pos;
+  !ok && !next = total && !stored = total
+
+(* Each partial's entry block with its position in the stitched output:
+   [f base p n], the blocks end to end from 0 in partial order. *)
+let iter_blocks partials f =
+  let base = ref 0 in
   List.iter
     (fun (p : Leaf.merge_partial) ->
-      let base = !cursor in
-      Array.iteri
-        (fun i r ->
-          let c = p.Leaf.mcounts.(i) in
-          pos.(r) <- (!cursor, !cursor + c - 1);
-          cursor := !cursor + c)
-        p.Leaf.mrows;
-      let n = !cursor - base in
-      Array.blit p.Leaf.mcrd 0 crd base n;
-      if n > Array.length p.Leaf.mvals || base + n > Bigarray.Array1.dim vdata then
-        Error.fail ~kernel:out_name Error.Reduce "merge partial shorter than its counts";
+      let n = Array.fold_left ( + ) 0 p.Leaf.mcounts in
+      f !base p n;
+      base := !base + n)
+    partials
+
+(* Copy each partial's values into [vdata] at its block's position. *)
+let copy_vals ~out_name (vdata : Region.F.buf) partials =
+  iter_blocks partials (fun base p n ->
       let mvals = p.Leaf.mvals in
+      if n > Array.length mvals || base + n > Bigarray.Array1.dim vdata then
+        Error.fail ~kernel:out_name Error.Reduce "merge partial shorter than its counts";
       for k = 0 to n - 1 do
         Bigarray.Array1.unsafe_set vdata (base + k) (Array.unsafe_get mvals k)
       done)
-    partials;
-  (* Normalize empty rows into monotone empty ranges. *)
-  let cur = ref 0 in
-  for r = 0 to nrows - 1 do
-    let lo, hi = pos.(r) in
-    if hi < lo then pos.(r) <- (!cur, !cur - 1) else cur := hi + 1
-  done;
-  let t =
-    {
-      Tensor.name = out_name;
-      dims = [| nrows; ncols |];
-      mode_order = [| 0; 1 |];
-      levels =
-        [|
-          Level.Dense { dim = nrows };
-          Level.Compressed
-            {
-              pos = Region.of_array (out_name ^ ".pos") pos;
-              crd = Region.of_array (out_name ^ ".crd") crd;
-            };
-        |];
-      vals;
-    }
+
+let stitch_merge ~bindings ~out_name ~nrows ~ncols partials =
+  (* Per-piece row blocks are disjoint and ordered; concatenate them. *)
+  let total = ref 0 in
+  iter_blocks partials (fun _ _ n -> total := !total + n);
+  let total = !total in
+  (* The partials assemble exactly the output the slot holds: write only
+     its values. *)
+  let same_pattern (pos, crd, _) =
+    Array.length crd = total
+    && stitched_layout pos ~total (fun f ->
+           List.iter
+             (fun (p : Leaf.merge_partial) ->
+               Array.iteri (fun i r -> f r p.Leaf.mcounts.(i)) p.Leaf.mrows)
+             partials)
+    &&
+    let same = ref true in
+    iter_blocks partials (fun base p n ->
+        if n > Array.length p.Leaf.mcrd then same := false
+        else
+          for k = 0 to n - 1 do
+            if p.Leaf.mcrd.(k) <> crd.(base + k) then same := false
+          done);
+    !same
   in
-  (Operand.find bindings out_name).Operand.data <- Operand.Sparse t
+  match installed ~bindings ~out:out_name ~nrows ~ncols with
+  | Some ((_, _, vdata) as o) when same_pattern o ->
+      copy_vals ~out_name vdata partials
+  | _ ->
+      let pos = Array.make nrows (0, -1) in
+      let crd = Array.make (max total 1) 0 in
+      (* Values go straight into the output's buffer: no float array to
+         copy. *)
+      let vals = Region.F.create (out_name ^ ".vals") (max total 1) 0. in
+      (* Per partial: the row positions in one pass, then its entries as
+         one block. *)
+      iter_blocks partials (fun base p n ->
+          let cursor = ref base in
+          Array.iteri
+            (fun i r ->
+              let c = p.Leaf.mcounts.(i) in
+              pos.(r) <- (!cursor, !cursor + c - 1);
+              cursor := !cursor + c)
+            p.Leaf.mrows;
+          Array.blit p.Leaf.mcrd 0 crd base n);
+      copy_vals ~out_name vals.Region.F.data partials;
+      (* Normalize empty rows into monotone empty ranges. *)
+      let cur = ref 0 in
+      for r = 0 to nrows - 1 do
+        let lo, hi = pos.(r) in
+        if hi < lo then pos.(r) <- (!cur, !cur - 1) else cur := hi + 1
+      done;
+      let t =
+        {
+          Tensor.name = out_name;
+          dims = [| nrows; ncols |];
+          mode_order = [| 0; 1 |];
+          levels =
+            [|
+              Level.Dense { dim = nrows };
+              Level.Compressed
+                {
+                  pos = Region.of_array (out_name ^ ".pos") pos;
+                  crd = Region.of_array (out_name ^ ".crd") crd;
+                };
+            |];
+          vals;
+        }
+      in
+      (Operand.find bindings out_name).Operand.data <- Operand.Sparse t
 
 module Trace = Spdistal_obs.Trace
 module Metrics = Spdistal_obs.Metrics
@@ -336,10 +413,58 @@ let relink ?(trace = Trace.null) ~bindings ~backend (p : prepared) =
       pp_backend = backend;
     }
 
+(* A merge leaf's output shape: its first operand's. *)
+let merge_shape ~bindings (leaf : Loop_ir.leaf) =
+  match leaf.Loop_ir.driver with
+  | Loop_ir.Merge_driver (first :: _) ->
+      let src = Operand.find_sparse bindings first in
+      Some (src.Tensor.dims.(0), src.Tensor.dims.(1))
+  | _ -> None
+
+(* A merge that does not read its own output: its launch assembles the
+   output, or computes every value of the one the slot holds. *)
+let overwrites_output (leaf : Loop_ir.leaf) =
+  match leaf.Loop_ir.driver with
+  | Loop_ir.Merge_driver tensors ->
+      not (List.mem leaf.Loop_ir.leaf_stmt.Tin.lhs.Tin.tensor tensors)
+  | Loop_ir.Sparse_driver _ -> false
+
+let merge_only p =
+  List.for_all
+    (function
+      | Loop_ir.Distributed_for { leaf; _ } -> overwrites_output leaf
+      | _ -> false)
+    p.pp_loops
+
+(* The installed output a merge launch may compute into: the slot's CSR
+   output laid out as the stitch lays out the launch's pieces' rows
+   ([rows_of c], in piece order) with its installed row lengths.  A piece
+   then only has to check its own rows' columns for the launch to equal
+   an assembling one. *)
+let merge_target ~bindings ~pieces ~rows_of (leaf : Loop_ir.leaf) =
+  let out = leaf.Loop_ir.leaf_stmt.Tin.lhs.Tin.tensor in
+  match merge_shape ~bindings leaf with
+  | Some (nrows, ncols)
+    when overwrites_output leaf && not leaf.Loop_ir.out_reduce -> (
+      match installed ~bindings ~out ~nrows ~ncols with
+      | Some ((pos, crd, _) as o)
+        when stitched_layout pos ~total:(Array.length crd) (fun f ->
+                 for c = 0 to pieces - 1 do
+                   Option.iter
+                     (Iset.iter (fun r ->
+                          let lo, hi = pos.(r) in
+                          f r (Int.max 0 (hi - lo + 1))))
+                     (rows_of c)
+                 done) ->
+          Some o
+      | _ -> None)
+  | _ -> None
+
 (* The launch loop [run] executes and [estimate] dry-runs.  [map ~launch f
-   pieces] simulates every piece of launch [launch]; [leaf_step leaf
-   compiled] is called once per launch on the reducing domain and returns
-   the leaf one piece runs. *)
+   pieces] simulates every piece of launch [launch]; [leaf_step ~into leaf
+   compiled] is called once per launch on the reducing domain (twice when
+   an in-place merge falls back) and returns the leaf one piece runs,
+   computing into [into] when it is given. *)
 let launches ~machine ~bindings ~placement ~memstate ~cost ~fcfg ~trace ~map
     ~leaf_step ~prepared ~launch_base prog =
   let pieces = Loop_ir.pieces prog in
@@ -370,12 +495,16 @@ let launches ~machine ~bindings ~placement ~memstate ~cost ~fcfg ~trace ~map
             | Some cfg -> Fault.crashed_nodes cfg ~machine ~launch
           in
           let kernel = leaf.Loop_ir.leaf_stmt.Tin.lhs.Tin.tensor in
-          let piece_leaf = leaf_step leaf compiled in
+          let rows_of c =
+            Option.map
+              (fun pname -> subset_for (part pname) c)
+              leaf.Loop_ir.leaf_row_part
+          in
           (* Leaf execution for one piece.  Runs on a worker domain when the
              launch's output writes are disjoint across pieces; launches that
              reduce into overlapping locations ([out_reduce]) run on the
              reducing domain instead, in piece order. *)
-          let exec_leaf c =
+          let exec_leaf piece_leaf c =
             let shard_vals tname =
               match List.assoc_opt tname shard_parts with
               | Some pname -> subset_for (part pname) c
@@ -383,12 +512,7 @@ let launches ~machine ~bindings ~placement ~memstate ~cost ~fcfg ~trace ~map
                   Error.fail ~kernel ~piece:c Error.Leaf "no shard for %s"
                     tname
             in
-            let rows =
-              Option.map
-                (fun pname -> subset_for (part pname) c)
-                leaf.Loop_ir.leaf_row_part
-            in
-            piece_leaf ~shard_vals ~rows
+            piece_leaf ~shard_vals ~rows:(rows_of c)
               ~col_range:(col_range ~grid ~bindings leaf c)
               ()
           in
@@ -411,12 +535,28 @@ let launches ~machine ~bindings ~placement ~memstate ~cost ~fcfg ~trace ~map
              Memstate, message totals) happens on the reducing domain, in
              piece order, so results are bit-identical to a sequential run
              (float accumulation order is preserved exactly). *)
-          let simulate c =
+          let simulate piece_leaf c =
             ( piece_comm ~machine ~bindings ~placement ~penv ~grid
                 ~edges:(Trace.enabled trace) comms c,
-              if leaf.Loop_ir.out_reduce then None else Some (exec_leaf c) )
+              if leaf.Loop_ir.out_reduce then None
+              else Some (exec_leaf piece_leaf c) )
           in
-          let sims = map ~launch simulate pieces in
+          (* A compiled merge computes into the output an earlier launch
+             assembled, when it is laid out as this launch's pieces would
+             stitch it; a piece that finds another pattern stops the
+             launch, which then runs again assembling. *)
+          let into =
+            if Option.is_none compiled then None
+            else merge_target ~bindings ~pieces ~rows_of leaf
+          in
+          let piece_leaf, sims =
+            let piece_leaf = leaf_step ~into leaf compiled in
+            match map ~launch (simulate piece_leaf) pieces with
+            | sims -> (piece_leaf, sims)
+            | exception Compile_leaf.Reassemble ->
+                let piece_leaf = leaf_step ~into:None leaf compiled in
+                (piece_leaf, map ~launch (simulate piece_leaf) pieces)
+          in
           let t0 = Cost.total cost in
           (* --- reduce piece results, in piece order --- *)
           let comm_times = Array.make pieces 0. in
@@ -451,7 +591,9 @@ let launches ~machine ~bindings ~placement ~memstate ~cost ~fcfg ~trace ~map
                        ~start:(t0 +. pc.pc_time) ~dur:pt "uvm_page";
                      pc.pc_time +. pt);
               let res =
-                match leaf_res with Some r -> r | None -> exec_leaf c
+                match leaf_res with
+                | Some r -> r
+                | None -> exec_leaf piece_leaf c
               in
               (match res.Leaf.partial with
               | Some p -> partials := p :: !partials
@@ -577,15 +719,13 @@ let launches ~machine ~bindings ~placement ~memstate ~cost ~fcfg ~trace ~map
             (Cost.counters cost);
           (* --- stitch unknown-pattern outputs --- *)
           if partials <> [] then begin
-            let out_acc = leaf.Loop_ir.leaf_stmt.Tin.lhs in
-            let first_in =
-              match leaf.Loop_ir.driver with
-              | Loop_ir.Merge_driver (t :: _) -> t
-              | _ -> Error.fail ~kernel Error.Reduce "partials from a non-merge leaf"
+            let nrows, ncols =
+              match merge_shape ~bindings leaf with
+              | Some shape -> shape
+              | None ->
+                  Error.fail ~kernel Error.Reduce "partials from a non-merge leaf"
             in
-            let src = Operand.find_sparse bindings first_in in
-            stitch_merge ~bindings ~out_name:out_acc.Tin.tensor
-              ~nrows:src.Tensor.dims.(0) ~ncols:src.Tensor.dims.(1) partials
+            stitch_merge ~bindings ~out_name:kernel ~nrows ~ncols partials
           end
       | _ ->
           (* [Part_eval.eval_partitions] returns only the distributed loops:
@@ -641,8 +781,8 @@ let run ~machine ~bindings ~placement ~memstate ~cost
     end
     else Pool.map pool simulate pieces
   in
-  let leaf_step (leaf : Loop_ir.leaf) = function
-    | Some cl -> Compile_leaf.launch cl ~bindings
+  let leaf_step ~into (leaf : Loop_ir.leaf) = function
+    | Some cl -> Compile_leaf.launch ?into cl ~bindings
     | None ->
         (* Materialize the driver's coordinate expansion on this domain so
            worker domains only read the memoized entry.  Compiled leaves walk
@@ -661,7 +801,7 @@ let run ~machine ~bindings ~placement ~memstate ~cost
    leaf] predicts for a piece.  Nothing is executed, so nothing is
    stitched. *)
 let estimate ~machine ~bindings ~placement ~cost ~prepared ~work prog =
-  let leaf_step leaf _ =
+  let leaf_step ~into:_ leaf _ =
     let work = work leaf in
     fun ~shard_vals ~rows ~col_range () ->
       { Leaf.work = work ~shard_vals ~rows ~col_range; partial = None }

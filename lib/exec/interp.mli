@@ -24,7 +24,20 @@
     pure records, every leaf that reduces into overlapping output locations
     runs on the reducing domain, and all shared state (Cost, Memstate,
     message totals, stitched outputs) is updated there in ascending piece
-    order, preserving float accumulation order exactly. *)
+    order, preserving float accumulation order exactly.
+
+    Unknown-pattern outputs (merges, §V-B): each piece assembles its rows
+    into a partial and the reducing domain stitches the partials, in
+    piece order, into a new CSR tensor bound to the output slot.  When the
+    slot already holds exactly the output the partials assemble, the
+    stitch writes only its values, into that storage.  Under the compiled
+    backend a three-way-cursor merge first tries to compute only: when
+    the slot holds a CSR output laid out as this launch's pieces would
+    stitch it, each piece writes its sums into that output's values and
+    checks every column against it ({!Compile_leaf.execute}'s [into]).  A
+    mismatch in any piece makes the launch run every piece again,
+    assembling, so the output, the launch records and Cost equal the
+    assembling launch's in every case. *)
 
 open Spdistal_runtime
 
@@ -147,6 +160,12 @@ val relink :
   backend:Compile_leaf.backend ->
   prepared ->
   prepared
+
+(** Whether every launch of the program is a merge that does not read
+    its own output: each one assembles that output, or computes every
+    value of the one the output slot holds, so a run never reads what an
+    earlier run left in the output. *)
+val merge_only : prepared -> bool
 
 (** Color of [part] selected by piece [piece] on [grid].
     Dispatches on the partition's {!Spdistal_runtime.Partition.axis}: [Flat]

@@ -55,45 +55,69 @@ let datasets_for kernel =
   | Runner.Spmv | Runner.Spmm | Runner.Spadd3 | Runner.Sddmm ->
       Datasets.matrices
 
-let compute ?(quick = false) () =
+type cell = {
+  c_kernel : string;
+  c_dataset : string;
+  c_system : string;
+  c_problem : unit -> Core.Spdistal.problem;
+}
+
+let cells ?(quick = false) () =
   let take2 l = if quick then List.filteri (fun i _ -> i < 2) l else l in
   let cols = 32 in
-  let rows = ref [] in
-  let add r = rows := r :: !rows in
   let cell ~kernel ~system ~machine ?(batched = false) (e : Datasets.entry) =
-    let b = e.Datasets.load () in
-    let p = Runner.problem_for ~kernel ~machine ~cols ~batched b in
-    add
-      (row_of ~kernel:(Runner.kernel_name kernel) ~dataset:e.Datasets.ds_name
-         ~system ~pieces:(Machine.pieces p.Core.Spdistal.machine) p)
+    {
+      c_kernel = Runner.kernel_name kernel;
+      c_dataset = e.Datasets.ds_name;
+      c_system = system;
+      c_problem =
+        (fun () ->
+          Runner.problem_for ~kernel ~machine ~cols ~batched (e.Datasets.load ()));
+    }
   in
   (* fig10: the CPU sweep at 4 nodes. *)
   let cpu = Runner.cpu_machine ~nodes:4 in
-  List.iter
+  List.concat_map
     (fun kernel ->
-      List.iter (cell ~kernel ~system:"cpu" ~machine:cpu)
+      List.map (cell ~kernel ~system:"cpu" ~machine:cpu)
         (take2 (datasets_for kernel)))
-    cpu_kernels;
+    cpu_kernels
   (* fig11/fig12: the GPU kernels at 4 GPUs. *)
-  let gpu = Runner.gpu_machine ~gpus:4 in
-  List.iter
-    (fun kernel ->
-      List.iter (cell ~kernel ~system:"gpu" ~machine:gpu)
-        (take2 (datasets_for kernel)))
-    gpu_kernels;
-  (* The memory-conserving 2-D batched SpMM (problem_for re-grids). *)
-  List.iter
-    (cell ~kernel:Runner.Spmm ~system:"gpu-2d" ~machine:gpu ~batched:true)
-    (take2 Datasets.matrices);
+  @ (let gpu = Runner.gpu_machine ~gpus:4 in
+     List.concat_map
+       (fun kernel ->
+         List.map (cell ~kernel ~system:"gpu" ~machine:gpu)
+           (take2 (datasets_for kernel)))
+       gpu_kernels
+     (* The memory-conserving 2-D batched SpMM (problem_for re-grids). *)
+     @ List.map
+         (cell ~kernel:Runner.Spmm ~system:"gpu-2d" ~machine:gpu ~batched:true)
+         (take2 Datasets.matrices))
   (* fig13: the banded weak-scaling synthetic at 4 pieces. *)
-  let banded =
-    Synth.banded ~name:"banded-4" ~n:(35_000 * 4 / 14) ~band:14
+  @ [
+      {
+        c_kernel = "SpMV";
+        c_dataset = "banded-4";
+        c_system = "cpu";
+        c_problem =
+          (fun () ->
+            Runner.problem_for ~kernel:Runner.Spmv
+              ~machine:(Runner.cpu_machine ~nodes:4) ~cols
+              (Synth.banded ~name:"banded-4" ~n:(35_000 * 4 / 14) ~band:14));
+      };
+    ]
+
+let compute ?quick () =
+  let rows =
+    List.map
+      (fun c ->
+        let p = c.c_problem () in
+        row_of ~kernel:c.c_kernel ~dataset:c.c_dataset ~system:c.c_system
+          ~pieces:(Machine.pieces p.Core.Spdistal.machine) p)
+      (cells ?quick ())
   in
-  let p = Runner.problem_for ~kernel:Runner.Spmv ~machine:cpu ~cols banded in
-  add
-    (row_of ~kernel:"SpMV" ~dataset:"banded-4" ~system:"cpu" ~pieces:4 p);
   Spdistal_exec.Leaf.clear_cache ();
-  List.rev !rows
+  rows
 
 let max_ratio rows =
   List.fold_left

@@ -16,7 +16,21 @@ type row = {
   t_winner : string;  (** winning candidate label; ["DNC"] if none priced *)
 }
 
-(** [quick] limits each kernel to its first two datasets. *)
+(** One tournament cell: its kernel, dataset and system labels, and its
+    problem under the hand schedule, built (and its dataset loaded) on
+    each call. *)
+type cell = {
+  c_kernel : string;
+  c_dataset : string;
+  c_system : string;
+  c_problem : unit -> Core.Spdistal.problem;
+}
+
+(** The tournament's cells, in row order.  [quick] limits each kernel to
+    its first two datasets. *)
+val cells : ?quick:bool -> unit -> cell list
+
+(** One row per cell of {!cells}. *)
 val compute : ?quick:bool -> unit -> row list
 
 (** Worst auto/hand ratio over the rows — what the CI ratchet bounds. *)

@@ -13,7 +13,7 @@ type env = (string * operand) list
 let find_operand env name =
   match List.assoc_opt name env with
   | Some op -> op
-  | None -> invalid_arg (Printf.sprintf "Lower: unbound tensor %s" name)
+  | None -> Error.fail Error.Compile "Lower: unbound tensor %s" name
 
 let is_sparse env name =
   match find_operand env name with Sparse_op _ -> true | Vec_op | Mat_op -> false
@@ -33,17 +33,19 @@ let storage_level op lpos =
   | Sparse_op { mode_order; _ } ->
       let rec go k =
         if k = Array.length mode_order then
-          invalid_arg "Lower: logical dimension has no storage level"
+          Error.fail Error.Compile
+            "Lower: logical dimension has no storage level"
         else if mode_order.(k) = lpos then k
         else go (k + 1)
       in
       go 0
-  | Vec_op | Mat_op -> invalid_arg "Lower: storage_level of dense operand"
+  | Vec_op | Mat_op ->
+      Error.fail Error.Compile "Lower: storage_level of dense operand"
 
 let level_kind op k =
   match op with
   | Sparse_op { formats; _ } -> formats.(k)
-  | Vec_op | Mat_op -> invalid_arg "Lower: level_kind of dense operand"
+  | Vec_op | Mat_op -> Error.fail Error.Compile "Lower: level_kind of dense operand"
 
 let order_of op =
   match op with
@@ -81,7 +83,7 @@ type tree_parts = {
 let level_part tp lvl =
   match List.assoc_opt lvl tp.level_parts with
   | Some p -> p
-  | None -> invalid_arg (Printf.sprintf "Lower: no partition at level %d" lvl)
+  | None -> Error.fail Error.Compile "Lower: no partition at level %d" lvl
 
 (* createInitialUniversePartitions + partitionCoordinateTrees for one tensor,
    with the initial universe partition at storage level [k]. *)
@@ -271,18 +273,19 @@ let check_fragment env stmt =
           (function
             | Tin.Access a -> is_sparse env a.Tin.tensor
             | Tin.Add _ ->
-                invalid_arg "Lower: sums nested inside a product are unsupported"
+                Error.fail Error.Compile
+                  "Lower: sums nested inside a product are unsupported"
             | Tin.Mul _ | Tin.Lit _ -> false)
           (atoms t)
       in
       if List.length sparse <> 1 then
-        invalid_arg "Lower: products need exactly one sparse operand"
+        Error.fail Error.Compile "Lower: products need exactly one sparse operand"
   | ts ->
       List.iter
         (function
           | Tin.Access a when is_sparse env a.Tin.tensor -> ()
           | _ ->
-              invalid_arg
+              Error.fail Error.Compile
                 "Lower: additive statements must be pure sums of sparse \
                  accesses")
         ts
@@ -316,7 +319,7 @@ let lower ~env ~grid stmt sched =
   (match plan.Schedule.strategy with
   | Schedule.Universe_dist { var = v }
     when out_sparse && (not merge) && not (List.mem v out.Tin.indices) ->
-      invalid_arg
+      Error.fail Error.Compile
         "Lower: universe distribution over a reduction variable is \
          unsupported with a sparse output"
   | _ -> ());
@@ -344,7 +347,9 @@ let lower ~env ~grid stmt sched =
     else
       match rhs_sparse with
       | [ a ] -> [ a ]
-      | _ -> invalid_arg "Lower: products need exactly one sparse operand"
+      | _ ->
+          Error.fail Error.Compile
+            "Lower: products need exactly one sparse operand"
   in
   let dense_accs = List.filter (fun a -> not (is_sparse env a.Tin.tensor)) rhs in
   let finish ~strategy ~(driver_acc : Tin.access) ~driver_tp ~tps ~nnz_split =
@@ -464,9 +469,8 @@ let lower ~env ~grid stmt sched =
               match var_pos acc v with
               | Some p -> p
               | None ->
-                  invalid_arg
-                    (Printf.sprintf "Lower: %s not indexed by distributed var %s"
-                       tname v)
+                  Error.fail Error.Compile
+                    "Lower: %s not indexed by distributed var %s" tname v
             in
             let k = storage_level (find_operand env tname) lpos in
             let tp =
@@ -487,10 +491,11 @@ let lower ~env ~grid stmt sched =
       let driver_acc =
         match List.find_opt (fun a -> a.Tin.tensor = tensor) driver_accs with
         | Some a -> a
-        | None -> invalid_arg "Lower: pos tensor is not a sparse operand"
+        | None ->
+            Error.fail Error.Compile "Lower: pos tensor is not a sparse operand"
       in
       if merge then
-        invalid_arg
+        Error.fail Error.Compile
           "Lower: non-zero distribution of additive merges is unsupported \
            (paper §VI-A: SpAdd3 on CSR is incompatible with non-zero \
            splitting)";
@@ -501,7 +506,9 @@ let lower ~env ~grid stmt sched =
           (fun acc v ->
             match var_pos driver_acc v with
             | Some lpos -> max acc (storage_level driver_op lpos)
-            | None -> invalid_arg "Lower: fused var not in pos tensor's access")
+            | None ->
+                Error.fail Error.Compile
+                  "Lower: fused var not in pos tensor's access")
           0 fused
       in
       let tp =

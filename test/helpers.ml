@@ -225,3 +225,27 @@ let fault_sig (c : Spdistal_runtime.Cost.t) =
     c.Cost.retries,
     Int64.bits_of_float c.Cost.resent_bytes,
     c.Cost.faults )
+
+(* A CSR pattern [(pos, crd)] one entry off at non-empty row [r]: an extra
+   entry at the row's end, its last entry missing, or its first column
+   changed (to the next column, mod [ncols]).  Rows after [r] move with
+   the entries. *)
+let perturb_row kind ~ncols ((pos : (int * int) array), (crd : int array)) r =
+  let lo, hi = pos.(r) in
+  let n = Array.length crd in
+  let shift d =
+    Array.mapi
+      (fun i (l, h) ->
+        if i = r then (l, h + d) else if l > hi then (l + d, h + d) else (l, h))
+      pos
+  in
+  match kind with
+  | `Extra ->
+      ( shift 1,
+        Array.init (n + 1) (fun q ->
+            if q <= hi then crd.(q) else if q = hi + 1 then crd.(hi) + 1 else crd.(q - 1)) )
+  | `Missing ->
+      (shift (-1), Array.init (n - 1) (fun q -> if q < hi then crd.(q) else crd.(q + 1)))
+  | `Changed ->
+      ( Array.copy pos,
+        Array.mapi (fun q c -> if q = lo then (c + 1) mod ncols else c) crd )

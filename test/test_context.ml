@@ -281,22 +281,37 @@ let test_restore_copies () =
     ((out_slot p).Operand.data != installed);
   Alcotest.(check bool) "pattern write: output equals a single run's" true
     (bits (out_slot p).Operand.data = single_run sddmm_problem);
-  (* A stitched SpAdd3 output is a new tensor each run: a run never writes
-     the previous run's result. *)
+  (* SpAdd3's first launch assembles its output; later runs keep that
+     storage and compute every value into it. *)
   let p = spadd3_problem () in
   let ctx = S.Context.create p in
   ignore (run_ok ctx);
-  ignore (run_ok ctx);
   let kept = (out_slot p).Operand.data in
-  let kept_bits = bits kept in
+  let expected = single_run spadd3_problem in
+  List.iter
+    (fun n ->
+      ignore (run_ok ctx);
+      Alcotest.(check bool)
+        (Printf.sprintf "spadd3: one storage after run %d" n)
+        true
+        ((out_slot p).Operand.data == kept);
+      Alcotest.(check bool)
+        (Printf.sprintf "spadd3: output equals a single run's after run %d" n)
+        true
+        (bits kept = expected))
+    [ 2; 3 ];
+  (* A kept result is the next run's output storage: the run overwrites
+     whatever the caller wrote into it. *)
+  (match kept with
+  | Operand.Sparse t ->
+      for q = 0 to Region.F.extent t.Tensor.vals - 1 do
+        Region.F.set t.Tensor.vals q 7.
+      done
+  | _ -> Alcotest.fail "spadd3 output is not sparse");
   ignore (run_ok ctx);
   Alcotest.(check bool)
-    "spadd3: a new output" true
-    ((out_slot p).Operand.data != kept);
-  Alcotest.(check bool) "spadd3: the previous output untouched" true
-    (bits kept = kept_bits);
-  Alcotest.(check bool) "spadd3: output equals a single run's" true
-    (kept_bits = single_run spadd3_problem)
+    "spadd3: a kept result is overwritten" true
+    ((out_slot p).Operand.data == kept && bits kept = expected)
 
 (* A tiny GPU memory forces a DNC after leaves wrote the output. *)
 let tiny_gpu_spmm () =
@@ -342,6 +357,176 @@ let test_single_shot_oom_untouched () =
     "output bit-equal to its pre-run copy" true
     (bits original = before)
 
+(* ------------------------------------------------------------------ *)
+(* SpAdd3 computes into the output it assembled                        *)
+(* ------------------------------------------------------------------ *)
+
+let spadd3_on ?(seed = 98) machine () =
+  Core.Kernels.spadd3_problem ~machine (Helpers.rand_csr ~seed 40 40 0.1)
+
+let machines =
+  [ ("4 CPU nodes", Helpers.cpu_machine 4); ("4 GPUs", Helpers.gpu_machine [| 4 |]) ]
+
+let backends = [ Compile_leaf.Compiled; Compile_leaf.Interp ]
+
+(* A fresh single shot's output and cost. *)
+let single_shot ?leaf_backend p =
+  let r = S.run ?leaf_backend p in
+  Alcotest.(check (option string)) "single shot completes" None r.S.dnc;
+  (Helpers.snapshot p, Helpers.cost_sig r.S.cost)
+
+let same_cost a b = Spdistal_fuzz.Snapshot.equal a b
+
+let test_spadd3_iterations () =
+  List.iter
+    (fun (where, machine) ->
+      List.iter
+        (fun leaf_backend ->
+          let what n s =
+            Printf.sprintf "%s [%s] run %d: %s" where
+              (Compile_leaf.backend_name leaf_backend) n s
+          in
+          let out, cost = single_shot ~leaf_backend (spadd3_on machine ()) in
+          let p = spadd3_on machine () in
+          let ctx = S.Context.create p in
+          let first = ref None in
+          List.iter
+            (fun n ->
+              let r = S.Context.run ~leaf_backend ctx in
+              Alcotest.(check (option string)) (what n "completes") None r.S.dnc;
+              Alcotest.(check bool)
+                (what n "output equals a single shot's")
+                true
+                (Helpers.snapshot p = out);
+              match !first with
+              | None -> first := Some (out_slot p).Operand.data
+              | Some d ->
+                  Alcotest.(check bool)
+                    (what n "the first run's output storage")
+                    true
+                    ((out_slot p).Operand.data == d);
+                  Alcotest.(check bool)
+                    (what n "cost equals a single shot's")
+                    true
+                    (same_cost (Helpers.cost_sig r.S.cost) cost))
+            [ 1; 2; 3 ])
+        backends)
+    machines
+
+(* Rebinding B to another pattern re-assembles, whether the new pattern
+   misses the cache or, on the way back, hits an entry while the slot
+   holds the other pattern's output. *)
+let test_spadd3_rebind () =
+  let machine = Helpers.cpu_machine 4 in
+  List.iter
+    (fun leaf_backend ->
+      let what s =
+        Printf.sprintf "[%s] %s" (Compile_leaf.backend_name leaf_backend) s
+      in
+      let p = spadd3_on machine () in
+      let slot name = Operand.find (S.bindings p) name in
+      let b = (slot "B").Operand.data in
+      let b2 = Helpers.rand_csr ~seed:99 40 40 0.1 in
+      let expect bt =
+        fst
+          (single_shot ~leaf_backend
+             (Core.Kernels.spadd3_problem ~machine
+                ~c:(Operand.find_sparse (S.bindings p) "C")
+                ~d:(Operand.find_sparse (S.bindings p) "D")
+                bt))
+      in
+      let ctx = S.Context.create p in
+      ignore (run_ok ctx);
+      ignore (run_ok ctx);
+      let kept = (out_slot p).Operand.data in
+      (slot "B").Operand.data <- Operand.Sparse b2;
+      let r = S.Context.run ~leaf_backend ctx in
+      Alcotest.(check bool) (what "new pattern: a miss") true (statuses r = [ `Miss ]);
+      Alcotest.(check bool)
+        (what "new pattern: re-assembled")
+        true
+        ((out_slot p).Operand.data != kept);
+      Alcotest.(check bool)
+        (what "new pattern: output equals a single shot's")
+        true
+        (Helpers.snapshot p = expect b2);
+      (slot "B").Operand.data <- b;
+      let r = S.Context.run ~leaf_backend ctx in
+      Alcotest.(check bool) (what "back: a hit") true (statuses r = [ `Hit ]);
+      Alcotest.(check bool)
+        (what "back: output equals a single shot's")
+        true
+        (Helpers.snapshot p = expect (Operand.find_sparse (S.bindings p) "B")))
+    backends
+
+(* An output one entry off the one the launch assembles: the launch falls
+   back to assembling, and the run equals a single shot's. *)
+let test_spadd3_perturbed_output () =
+  let machine = Helpers.cpu_machine 4 in
+  List.iter
+    (fun leaf_backend ->
+      List.iter
+        (fun (kind, name) ->
+          let what s =
+            Printf.sprintf "[%s] %s: %s" (Compile_leaf.backend_name leaf_backend)
+              name s
+          in
+          let expected = fst (single_shot ~leaf_backend (spadd3_on machine ())) in
+          let p = spadd3_on machine () in
+          ignore (single_shot ~leaf_backend p);
+          let t = Operand.find_sparse (S.bindings p) "A" in
+          let pos = (Tensor.pos_of t 1).Region.data
+          and crd = (Tensor.crd_of t 1).Region.data in
+          let r = Array.find_index (fun (lo, hi) -> lo <= hi) pos |> Option.get in
+          let pos, crd = Helpers.perturb_row kind ~ncols:t.Tensor.dims.(1) (pos, crd) r in
+          let off =
+            {
+              t with
+              Tensor.levels =
+                [|
+                  t.Tensor.levels.(0);
+                  Spdistal_formats.Level.Compressed
+                    {
+                      pos = Region.of_array "A.pos" pos;
+                      crd = Region.of_array "A.crd" crd;
+                    };
+                |];
+              vals = Region.F.create "A.vals" (Array.length crd) 7.;
+            }
+          in
+          (out_slot p).Operand.data <- Operand.Sparse off;
+          ignore (single_shot ~leaf_backend p);
+          Alcotest.(check bool)
+            (what "output equals a single shot's")
+            true
+            (Helpers.snapshot p = expected))
+        [ (`Extra, "an extra entry"); (`Missing, "a missing entry"); (`Changed, "a changed column") ])
+    backends
+
+(* A warm SpAdd3 iteration computes into the output it keeps: it
+   allocates under a tenth of a major-heap word per stored entry, where
+   assembling allocates about three (the partials' columns and values and
+   the stitched columns). *)
+let test_spadd3_warm_allocation () =
+  let p =
+    Core.Kernels.spadd3_problem ~machine:(Helpers.cpu_machine 4)
+      (Helpers.rand_csr ~seed:98 2000 2000 0.01)
+  in
+  let ctx = S.Context.create p in
+  let run () =
+    ignore (S.Context.run ~domains:1 ~leaf_backend:Compile_leaf.Compiled ctx)
+  in
+  run ();
+  run ();
+  let before = (Gc.quick_stat ()).Gc.major_words in
+  run ();
+  let words = (Gc.quick_stat ()).Gc.major_words -. before in
+  let entries = Tensor.nnz (Operand.find_sparse (S.bindings p) "A") in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f major words over %d stored entries" words entries)
+    true
+    (words < float_of_int entries /. 10.)
+
 let suite =
   [
     Alcotest.test_case "table: evicted re-plan shares partitions" `Quick
@@ -356,4 +541,12 @@ let suite =
     Alcotest.test_case "restore: DNC" `Quick test_restore_dnc;
     Alcotest.test_case "single-shot OOM leaves the output untouched" `Quick
       test_single_shot_oom_untouched;
+    Alcotest.test_case "spadd3: warm iterations equal a single shot" `Quick
+      test_spadd3_iterations;
+    Alcotest.test_case "spadd3: a rebound B re-assembles" `Quick
+      test_spadd3_rebind;
+    Alcotest.test_case "spadd3: an output one entry off re-assembles" `Quick
+      test_spadd3_perturbed_output;
+    Alcotest.test_case "spadd3: a warm iteration allocates no entries" `Quick
+      test_spadd3_warm_allocation;
   ]

@@ -235,7 +235,14 @@ let test_lower_rejects_multi_sparse_product () =
     ]
   in
   Alcotest.check_raises "two sparse operands in a product"
-    (Invalid_argument "Lower: products need exactly one sparse operand")
+    (Spdistal_runtime.Error.Error
+       {
+         Spdistal_runtime.Error.phase = Spdistal_runtime.Error.Compile;
+         kernel = None;
+         piece = None;
+         node = None;
+         what = "Lower: products need exactly one sparse operand";
+       })
     (fun () ->
       ignore (Lower.lower ~env ~grid:[| 2 |] Tin.spmv (Core.Kernels.spmv_row ())))
 

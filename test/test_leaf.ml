@@ -1039,6 +1039,81 @@ let test_launch_shape_checked () =
   | _ -> Alcotest.fail "a shorter factor was accepted"
   | exception Error.Error { Error.phase = Error.Leaf; _ } -> ()
 
+(* --- Compute-only merges into an assembled output ---------------------------- *)
+
+(* The [(pos, crd, vals)] of the output the stitch assembles from one
+   piece's partial over [nrows] rows: the rows' entries end to end, every
+   other row empty at the end of the last non-empty row above it, and
+   [fill] in every value. *)
+let assembled_of ~nrows ~fill (p : Leaf.merge_partial) : Leaf.merge_op =
+  let total = Array.fold_left ( + ) 0 p.Leaf.mcounts in
+  let counts = Array.make nrows 0 in
+  Array.iteri (fun i r -> counts.(r) <- p.Leaf.mcounts.(i)) p.Leaf.mrows;
+  let next = ref 0 in
+  let pos =
+    Array.map
+      (fun c ->
+        let lo = !next in
+        next := lo + c;
+        (lo, lo + c - 1))
+      counts
+  in
+  let vals = A1.create Bigarray.float64 Bigarray.c_layout total in
+  A1.fill vals fill;
+  (pos, Array.sub p.Leaf.mcrd 0 total, vals)
+
+let merge_nrows c =
+  let pos, _, _ = c.ops.(0) in
+  Array.length pos
+
+(* One piece of the case's compiled merge over its row set. *)
+let merge_piece ?into c =
+  Compile_leaf.execute (merge_leaf c) ?into
+    ~shard_vals:(fun _ -> Iset.empty)
+    ~rows:(Some c.rows) ~col_range:None ()
+
+let prop_merge_in_place_equals_assembly =
+  Helpers.qtest ~count:500 "compute-only merge = assembling cursor"
+    (QCheck.make ~print:print_merge_case (gen_merge_case ~arities:[| 2; 3 |]))
+    (fun c ->
+      let assembled = merge_piece c in
+      match assembled.Leaf.partial with
+      | None -> false
+      | Some p ->
+          let ((pos, crd, vals) as into) =
+            assembled_of ~nrows:(merge_nrows c) ~fill:Float.nan p
+          in
+          let pos0 = Array.copy pos and crd0 = Array.copy crd in
+          let computed = merge_piece ~into c in
+          let total = Array.length crd in
+          computed.Leaf.partial = None
+          && work_bits computed.Leaf.work = work_bits assembled.Leaf.work
+          && pos = pos0 && crd = crd0
+          && bits (Array.init total (A1.get vals))
+             = bits (Array.sub p.Leaf.mvals 0 total))
+
+(* An installed pattern one entry off the merge's stops the piece. *)
+let test_merge_in_place_mismatch () =
+  let st = Random.State.make [| 27 |] in
+  let checked = ref 0 in
+  while !checked < 60 do
+    let c = gen_merge_case ~arities:[| 2; 3 |] st in
+    match (merge_piece c).Leaf.partial with
+    | Some p when c.cols >= 2 && Array.exists (fun n -> n > 0) p.Leaf.mcounts ->
+        let pos, crd, _ = assembled_of ~nrows:(merge_nrows c) ~fill:0. p in
+        let r = Array.find_index (fun (lo, hi) -> lo <= hi) pos |> Option.get in
+        List.iter
+          (fun kind ->
+            let pos, crd = Helpers.perturb_row kind ~ncols:c.cols (pos, crd) r in
+            let vals = A1.create Bigarray.float64 Bigarray.c_layout (Array.length crd) in
+            A1.fill vals 0.;
+            match merge_piece ~into:(pos, crd, vals) c with
+            | _ -> Alcotest.failf "a pattern one entry off was accepted:\n%s" (print_merge_case c)
+            | exception Compile_leaf.Reassemble -> incr checked)
+          [ `Extra; `Missing; `Changed ]
+    | _ -> ()
+  done
+
 let suite =
   [
     prop_merge_core_equals_model;
@@ -1064,4 +1139,7 @@ let suite =
       test_corpus_reaches_fiber_paths;
     Alcotest.test_case "launch bindings are shape-checked" `Quick
       test_launch_shape_checked;
+    prop_merge_in_place_equals_assembly;
+    Alcotest.test_case "compute-only merge refuses a pattern one entry off"
+      `Quick test_merge_in_place_mismatch;
   ]

@@ -799,6 +799,57 @@ let test_choose_skips_oom () =
     "no choice when every candidate OOMs" true
     (Auto.choose (sddmm 16.) = None)
 
+(* Over the quick tournament cells, the priced winner is the executed
+   winner: it completes under [Spdistal.run], and its executed total is the
+   least of every feasible candidate's, as executed.  Each run starts from
+   the cell's pristine output. *)
+let test_quick_tournament_winner_executes () =
+  let fits = ref 0 in
+  List.iter
+    (fun (c : Spdistal_experiments.Auto_tournament.cell) ->
+      let cell =
+        Printf.sprintf "%s/%s/%s" c.c_kernel c.c_dataset c.c_system
+      in
+      let module Operand = Spdistal_exec.Operand in
+      let p = c.c_problem () in
+      let out =
+        Operand.find (Spdistal.bindings p)
+          p.Spdistal.stmt.Spdistal_ir.Tin.lhs.Spdistal_ir.Tin.tensor
+      in
+      let pristine = Operand.copy_data out.Operand.data in
+      let executed (cand : Search.candidate) =
+        out.Operand.data <- Operand.copy_data pristine;
+        Spdistal.time_of
+          (Spdistal.run ~faults:Fault.disabled (Search.apply p cand))
+      in
+      let rp = Auto.report p in
+      match rp.Auto.rp_winner with
+      | None -> ()
+      | Some (winner, _) ->
+          incr fits;
+          let best =
+            List.fold_left
+              (fun best (v : Auto.verdict) ->
+                match v.Auto.v_priced with
+                | Error _ -> best
+                | Ok _ -> (
+                    match executed v.Auto.v_candidate with
+                    | Some t -> Float.min t best
+                    | None -> best))
+              infinity rp.Auto.rp_verdicts
+          in
+          match executed winner with
+          | None ->
+              Alcotest.failf "%s: the priced winner %s did not complete" cell
+                winner.Search.c_label
+          | Some t ->
+              if t > best then
+                Alcotest.failf "%s: winner %s executes in %h s, a candidate in %h s"
+                  cell winner.Search.c_label t best)
+    (Spdistal_experiments.Auto_tournament.cells ~quick:true ());
+  Alcotest.(check bool) "some cell has a feasible candidate" true (!fits > 0);
+  Leaf.clear_cache ()
+
 let suite =
   [
     Alcotest.test_case "auto == hand, interp leaves" `Quick
@@ -836,4 +887,6 @@ let suite =
       test_value_ranges_with_other_bounds_not_shared;
     Alcotest.test_case "choose skips candidates that OOM" `Quick
       test_choose_skips_oom;
+    Alcotest.test_case "quick tournament: the priced winner executes fastest"
+      `Slow test_quick_tournament_winner_executes;
   ]
