@@ -166,7 +166,7 @@ let no_cache_arg =
     & info [ "no-cache" ]
         ~doc:
           "Disable the partition/kernel cache: with $(b,--iterations), \
-           partitions are rebuilt and re-priced on every iteration \
+           dependent partitioning is charged on every iteration \
            (the unamortized curve).  Outputs are bit-identical either way.")
 
 let load_dataset name =

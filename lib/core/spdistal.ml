@@ -108,14 +108,15 @@ module Context = struct
   module Tensor = Spdistal_formats.Tensor
 
   (* What a context keeps while the inputs it was derived over are
-     unchanged: the partitions its plans derived and, once a cache lookup
-     needed it, the cache key. *)
+     unchanged: the plan it last built or found and, once a cache lookup
+     needed it, the cache key.  The plan is a pure function of the key. *)
   type key = {
     k_gen : int;  (** [Region.generation ()] when it was stamped *)
     k_inputs : Operand.data list;
         (** each input slot's data then, in operand order *)
-    k_memo : memo;  (** every partition the context's plans derived *)
     mutable k_digest : string option;  (** the cache key, on first use *)
+    mutable k_plan : Cache.entry option;
+        (** the plan the last iteration ran under this key *)
   }
 
   type ctx = {
@@ -225,9 +226,8 @@ module Context = struct
         a.Dense.rows = b.Dense.rows && a.Dense.cols = b.Dense.cols
     | _ -> false
 
-  (* The context's key, replaced (with an empty partition table) only when
-     an input slot was rebound, a dense shape changed or a pattern was
-     written. *)
+  (* The context's key, replaced (without a plan) only when an input slot
+     was rebound, a dense shape changed or a pattern was written. *)
   let key ctx =
     let inputs =
       List.filter_map
@@ -241,7 +241,7 @@ module Context = struct
         k
     | _ ->
         let k =
-          { k_gen = gen; k_inputs = inputs; k_memo = memo (); k_digest = None }
+          { k_gen = gen; k_inputs = inputs; k_digest = None; k_plan = None }
         in
         ctx.key <- Some k;
         k
@@ -311,33 +311,36 @@ module Context = struct
       let memstate = Memstate.create p.machine ~uvm:false in
       for i = 0 to iterations - 1 do
         (* A plan reads the output slot, so it sees the pristine output;
-           a hit may keep an assembled one. *)
+           an iteration that reuses a plan may keep an assembled one. *)
         let restore ~keep = if i > 0 || was_run then restore ~keep ctx in
         let before = Cost.copy cost in
         let t_start = Cost.total cost in
-        let status, entry =
-          match ctx.cache with
-          | None ->
-              restore ~keep:false;
-              (`Uncached, plan ~memo:key.k_memo ~trace ~backend:leaf_backend p)
-          | Some c -> (
-              let d = digest ctx key in
+        let lookup = Option.map (fun c -> (c, digest ctx key)) ctx.cache in
+        (* A miss, like an uncached iteration, reuses the key's plan: it
+           is charged below as the cold build it stands for. *)
+        let status, found =
+          match lookup with
+          | None -> (`Uncached, key.k_plan)
+          | Some (c, d) -> (
               match Cache.find c d with
-              | Some e ->
-                  restore ~keep:(Interp.merge_only e.Cache.e_prepared);
-                  (`Hit, e)
-              | None ->
-                  restore ~keep:false;
-                  let e =
-                    {
-                      (plan ~memo:key.k_memo ~trace ~backend:leaf_backend p)
-                      with
-                      Cache.e_key = d;
-                    }
-                  in
-                  Cache.add c e;
-                  (`Miss, e))
+              | Some e -> (`Hit, Some e)
+              | None -> (`Miss, key.k_plan))
         in
+        let entry =
+          match found with
+          | Some e ->
+              restore ~keep:(Interp.merge_only e.Cache.e_prepared);
+              e
+          | None -> (
+              restore ~keep:false;
+              let e = plan ~trace ~backend:leaf_backend p in
+              match lookup with
+              | Some (_, d) -> { e with Cache.e_key = d }
+              | None -> e)
+        in
+        if status = `Miss then
+          Option.iter (fun (c, _) -> Cache.add c entry) lookup;
+        key.k_plan <- Some entry;
         (* A hit prepared under the other backend keeps its partitions and
            respecializes only the leaves. *)
         if entry.Cache.e_prepared.Interp.pp_backend <> leaf_backend then
@@ -357,11 +360,12 @@ module Context = struct
           Metrics.inc (Metrics.default ())
             ~help:"iterations that skipped the launch-plan cache"
             "spdistal_cache_bypass_total";
-        (* Dependent partitioning is charged only when it actually ran: on
-           the cold miss (and on every iteration of an uncached run).  Warm
-           iterations reuse the cached partitions for free — the paper's
-           (and Legion's) amortization.  The single-shot protocol's cold
-           build is setup and is not charged. *)
+        (* Dependent partitioning is charged on every miss (a cold one, or
+           one after an eviction or a crash invalidation) and on every
+           iteration of an uncached run, whether or not the host rebuilt
+           the plan.  Hits reuse the cached partitions for free — the
+           paper's (and Legion's) amortization.  The single-shot protocol's
+           cold build is setup and is not charged. *)
         let charged = status <> `Hit && not ctx.cold_setup in
         if charged then begin
           Cost.add_partitioning cost ~ops:entry.Cache.e_part_ops
@@ -419,9 +423,10 @@ module Context = struct
           :: !stats;
         (* A node crash during this iteration leaves cached placements
            naming dead slots: validate survivors and drop the entry so the
-           next iteration re-partitions (and pays for it).  Crashes are
-           also reported to the caller — a serving front-end blacklists
-           repeat offenders across jobs. *)
+           next iteration misses and pays for re-partitioning (the host
+           re-adds the key's plan, which the crash does not change).
+           Crashes are also reported to the caller — a serving front-end
+           blacklists repeat offenders across jobs. *)
         match fcfg with
         | Some cfg ->
             let crashed =

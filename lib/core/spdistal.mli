@@ -68,8 +68,9 @@ val show : problem -> string
     shared between plans is only valid for problems that share one machine
     and one set of operand slots (the {!with_schedule} variants of one
     problem), and only while no slot is rebound and no pattern is written:
-    the shared partitions are read, not re-evaluated.  A {!Context} keeps
-    one memo per cache key and replaces it when the key is recomputed. *)
+    the shared partitions are read, not re-evaluated.  The pricer keeps
+    one memo per session; a {!Context} keeps no memo, since it plans once
+    per key and keeps the plan. *)
 type memo
 
 val memo : unit -> memo
@@ -88,9 +89,11 @@ val plan :
   problem ->
   Spdistal_exec.Cache.entry
 
-(** How one warm-start iteration obtained its launch plan: [`Miss] built and
-    cached it (paying dependent partitioning), [`Hit] reused the cache for
-    free, [`Uncached] rebuilt it with caching disabled (paying every time). *)
+(** How one warm-start iteration obtained its launch plan: [`Miss] did not
+    find it in the cache and (re-)added it, paying dependent partitioning,
+    [`Hit] reused the cache for free, [`Uncached] ran with caching disabled,
+    paying every time.  Either of the paying two builds the plan on the
+    host only when the context has none for its key. *)
 type cache_status = [ `Hit | `Miss | `Uncached ]
 
 type iter_stat = {
@@ -153,8 +156,8 @@ type run_result = {
     partitions, placements and lowered program for the price of the index
     launches alone — Legion's amortization for iterative solvers.  [cache]
     (default true; the CLI's [--no-cache]) disables the cache, so {e every}
-    iteration rebuilds and pays — the uncached baseline of the amortization
-    curve.  Outputs and per-iteration launch costs are bit-identical with
+    iteration pays dependent partitioning — the uncached baseline of the
+    amortization curve (the host still builds the plan once).  Outputs and per-iteration launch costs are bit-identical with
     and without the cache; the output operand is restored to its pristine
     state before each iteration after the first, so the final outputs equal
     a single application's.  Restores after the first write in place, and
@@ -183,7 +186,8 @@ module Context : sig
 
   (** [create ?cache ?shared_cache p] snapshots [p]'s output operand and
       allocates the partition/kernel cache ([cache] defaults to true;
-      [false] = always rebuild, the [--no-cache] baseline).
+      [false] = pay partitioning every iteration, the [--no-cache]
+      baseline).
       [shared_cache] overrides both: the context joins an existing cache —
       the serving front-end passes one cache to every tenant's contexts so
       all jobs share one LRU byte budget.  Entries of {e distinct} problems
@@ -199,12 +203,15 @@ module Context : sig
       {!Spdistal_runtime.Region.set}.  The output enters the key as the
       pristine snapshot taken here.
 
-      The key carries the partition table ({!memo}) of every plan the
-      context builds: a cold miss, a re-plan after an LRU eviction or a
-      crash invalidation, and each iteration of an uncached context all
-      look their partitions up in it, and each bills exactly what a cold
-      build bills.  The table lives exactly as long as the key: it is
-      replaced, empty, whenever the key is recomputed. *)
+      The key carries the plan ({!plan}'s entry) the context last built or
+      found in the cache; the plan is a pure function of the key.  The
+      context plans only when its key has no plan yet.  A miss after an
+      LRU eviction or a crash invalidation re-adds that same entry to the
+      cache, and each iteration of an uncached context reruns it: both
+      charge the entry's dependent partitioning on the simulated clock,
+      exactly what a cold build bills, and rebuild nothing on the host.
+      The plan lives exactly as long as the key: it is dropped whenever
+      the key is recomputed. *)
   val create : ?cache:bool -> ?shared_cache:Spdistal_exec.Cache.t -> problem -> ctx
 
   (** Hit/miss/invalidation counters, [None] when caching is disabled. *)
@@ -216,7 +223,7 @@ module Context : sig
       ..], identical with and without the cache; a node crash invalidates
       the cached entry (validating surviving slots via
       {!Spdistal_exec.Placement.remap_piece}), so the next iteration
-      re-partitions and is charged for it.
+      misses and is charged for re-partitioning.
 
       The output is restored from the pristine snapshot before every
       iteration but a context's first.  The first restore installs a copy;
@@ -230,11 +237,11 @@ module Context : sig
       follows the same rule.
 
       SpAdd3 (a program whose every launch is a merge) assembles its
-      output on its first launch.  Later iterations that hit the cache
-      keep that output instead of restoring, under the same two
-      conditions, and compute every value into its storage; an iteration
-      that builds a plan restores the pristine copy first and assembles
-      again.  The same rule holds: a kept result is the next run's output
+      output on its first launch.  Later iterations that reuse a plan (a
+      hit, a miss under a kept plan, an uncached iteration) keep that
+      output instead of restoring, under the same two conditions, and
+      compute every value into its storage; an iteration that builds a
+      plan restores the pristine copy first and assembles again.  The same rule holds: a kept result is the next run's output
       storage, and its values are overwritten. *)
   val run :
     ?domains:int ->

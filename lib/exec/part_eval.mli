@@ -23,13 +23,12 @@ type coloring_state = {
 type key
 
 (** Partitions by derivation key, shared by the environments of one plan
-    (placement and program), of one pricing session, or of every plan one
-    execution context ([Spdistal.Context]) builds under one cache key.  A
-    table is only valid for environments over one set of operand slots
-    whose index structure does not change while it lives.  The context's
-    key is that lifetime: the context replaces the table whenever an input
-    is rebound, a dense shape changes or
-    {!Spdistal_runtime.Region.generation} moves. *)
+    (placement and program) or of one pricing session.  A table is only
+    valid for environments over one set of operand slots whose index
+    structure does not change while it lives: a plan's table lives as long
+    as the plan, and a pricing session's as long as one [Auto] call.  An
+    execution context ([Spdistal.Context]) keeps no table of its own: it
+    keeps its plan while its key holds. *)
 type shared
 
 val shared : unit -> shared

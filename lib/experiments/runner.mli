@@ -54,7 +54,7 @@ val problem_for :
 
     [iterations] switches the cell to the iterative protocol: SpDISTAL
     systems run through the warm-start execution context (partitions are
-    computed on the first iteration and cached; [cache:false] rebuilds them
+    computed on the first iteration and cached; [cache:false] pays for them
     every iteration), while baseline systems re-pay their full launch each
     iteration, so their time scales linearly. *)
 val run :

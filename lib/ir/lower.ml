@@ -473,6 +473,14 @@ let lower ~env ~grid stmt sched =
                     "Lower: %s not indexed by distributed var %s" tname v
             in
             let k = storage_level (find_operand env tname) lpos in
+            (* A merge leaf merges whole rows of the first operand's row
+               partition: blocks of an inner level would miss rows only a
+               later operand stores and split rows across pieces. *)
+            if merge && k > 0 then
+              Error.fail Error.Compile
+                "Lower: a merge distributed over %s, below %s's outermost \
+                 storage level, is unsupported"
+                v tname;
             let tp =
               partition_tree_universe env ~tname ~k ~cvar ~count:primary_count
                 ~axis:primary_axis

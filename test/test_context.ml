@@ -1,10 +1,11 @@
 (* State an execution context keeps across jobs.
 
    Load-bearing invariants:
-   - the partition table lives as long as the context's key: a re-plan
-     after an eviction or a crash invalidation reuses the first plan's
-     partitions and bills exactly a cold build, and a rebound input or a
-     pattern write derives fresh ones;
+   - the plan lives as long as the context's key: a miss after an eviction
+     or a crash invalidation, and every iteration of an uncached context,
+     reuses it without rebuilding anything on the host and bills exactly a
+     cold build on the simulated clock; a rebound input or a pattern write
+     plans afresh;
    - the output is restored in place, into the storage the previous
      restore installed, only while the slot still holds it and no pattern
      was written; every other restore copies. *)
@@ -24,8 +25,8 @@ let digest_of (p : S.problem) =
   Cache.digest ~machine:p.S.machine ~operands:p.S.operands ~stmt:p.S.stmt
     ~schedule:p.S.schedule
 
-let run_ok ?faults ?iterations ctx =
-  let r = S.Context.run ?faults ?iterations ctx in
+let run_ok ?faults ?trace ?iterations ctx =
+  let r = S.Context.run ?faults ?trace ?iterations ctx in
   Alcotest.(check (option string)) "completes" None r.S.dnc;
   r
 
@@ -63,8 +64,17 @@ let spmv_problem ?(seed = 94) () =
     (Helpers.rand_csr ~seed 40 40 0.1)
 
 (* ------------------------------------------------------------------ *)
-(* The partition table                                                 *)
+(* The kept plan                                                       *)
 (* ------------------------------------------------------------------ *)
+
+(* Evict the entry of the one-entry shared [cache] by running another
+   problem. *)
+let evict cache =
+  ignore
+    (run_ok (S.Context.create ~shared_cache:cache (spmv_problem ~seed:95 ())));
+  Alcotest.(check bool)
+    "the other problem evicted the entry" true
+    ((Cache.stats cache).Cache.evictions > 0)
 
 let test_evicted_replan_shares () =
   let cache = Cache.create ~cap:1 () in
@@ -72,22 +82,11 @@ let test_evicted_replan_shares () =
   let ctx = S.Context.create ~shared_cache:cache p in
   ignore (run_ok ctx);
   let first = entry cache p in
-  ignore
-    (run_ok (S.Context.create ~shared_cache:cache (spmv_problem ~seed:95 ())));
-  Alcotest.(check bool)
-    "the other problem evicted the entry" true
-    ((Cache.stats cache).Cache.evictions > 0);
+  evict cache;
   let r = run_ok ctx in
   Alcotest.(check bool) "re-plan: miss" true (statuses r = [ `Miss ]);
   let again = entry cache p in
-  Alcotest.(check bool) "a new entry" true (again != first);
-  let parts = partitions first in
-  Alcotest.(check bool) "the plan has dependent partitions" true (parts <> []);
-  List.iter2
-    (fun (n, p1) (n', p2) ->
-      Alcotest.(check string) "same partition names" n n';
-      Alcotest.(check bool) (n ^ " is the first plan's") true (p1 == p2))
-    parts (partitions again);
+  Alcotest.(check bool) "the context re-adds its entry" true (again == first);
   (* The bill of a fresh context's cold run over the same problem. *)
   let fresh_cache = Cache.create () in
   let q = spmv_problem () in
@@ -191,6 +190,104 @@ let test_crash_replan_same_bill () =
   in
   Alcotest.(check bool)
     "some seed in 1..32 crashes a node and re-plans" true exercised
+
+(* Host-clock spans of the phases that build a plan. *)
+let build_spans trace =
+  List.filter_map
+    (fun sp ->
+      if
+        sp.Trace.sp_clock = Trace.Wall
+        && List.mem sp.Trace.sp_name
+             [ "placement"; "lower"; "part_eval"; "compile_leaves" ]
+      then Some sp.Trace.sp_name
+      else None)
+    (Trace.spans trace)
+
+let has_span trace name =
+  List.exists (fun sp -> sp.Trace.sp_name = name) (Trace.spans trace)
+
+(* A miss after an eviction charges the cold build's partitioning on the
+   simulated clock and builds nothing on the host. *)
+let test_evicted_no_rebuild () =
+  let cache = Cache.create ~cap:1 () in
+  let ctx = S.Context.create ~shared_cache:cache (spmv_problem ()) in
+  let cold = Trace.create () in
+  ignore (run_ok ~trace:cold ctx);
+  evict cache;
+  Alcotest.(check bool)
+    "the cold run built a plan" true
+    (build_spans cold <> []);
+  let rerun = Trace.create () in
+  ignore (run_ok ~trace:rerun ctx);
+  Alcotest.(check bool) "a cache miss" true (has_span rerun "cache_miss");
+  Alcotest.(check bool)
+    "partitioning charged as the cold build" true
+    (charged rerun = charged cold && charged cold <> []);
+  Alcotest.(check (list string)) "no host build span" [] (build_spans rerun)
+
+(* SpAdd3 evicted from the shared cache keeps computing into the output it
+   assembled: the miss allocates under a tenth of a major-heap word per
+   stored entry, where re-assembling allocates about three. *)
+let test_spadd3_evicted_in_place () =
+  let make () =
+    Core.Kernels.spadd3_problem ~machine:(Helpers.cpu_machine 4)
+      (Helpers.rand_csr ~seed:98 2000 2000 0.01)
+  in
+  let cache = Cache.create ~cap:1 () in
+  let p = make () in
+  let ctx = S.Context.create ~shared_cache:cache p in
+  ignore (run_ok ctx);
+  ignore (run_ok ctx);
+  evict cache;
+  let before = (Gc.quick_stat ()).Gc.major_words in
+  let r = S.Context.run ~domains:1 ~leaf_backend:Compile_leaf.Compiled ctx in
+  let words = (Gc.quick_stat ()).Gc.major_words -. before in
+  Alcotest.(check (option string)) "completes" None r.S.dnc;
+  Alcotest.(check bool) "a miss" true (statuses r = [ `Miss ]);
+  let entries = Tensor.nnz (Operand.find_sparse (S.bindings p) "A") in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f major words over %d stored entries" words entries)
+    true
+    (words < float_of_int entries /. 10.);
+  let q = make () in
+  ignore (run_ok (S.Context.create q));
+  Alcotest.(check bool)
+    "values equal a single shot's" true
+    (Helpers.snapshot p = Helpers.snapshot q)
+
+(* An uncached context plans once on the host and charges the cold build's
+   partitioning in every iteration. *)
+let test_uncached_plans_once () =
+  let p = spmv_problem () in
+  let trace = Trace.create () in
+  let r =
+    S.Context.run ~trace ~iterations:3 (S.Context.create ~cache:false p)
+  in
+  Alcotest.(check (option string)) "completes" None r.S.dnc;
+  Alcotest.(check bool)
+    "every iteration uncached" true
+    (statuses r = [ `Uncached; `Uncached; `Uncached ]);
+  Alcotest.(check int)
+    "one placement on the host" 1
+    (List.length (List.filter (( = ) "placement") (build_spans trace)));
+  (match charged trace with
+  | [ a; b; c ] ->
+      Alcotest.(check bool)
+        "each iteration charges the same" true
+        (a = b && b = c);
+      let s = Int64.float_of_bits (fst a) in
+      Alcotest.(check int64)
+        "the run's partitioning is three charges"
+        (Int64.bits_of_float (s +. s +. s))
+        (Int64.bits_of_float r.S.cost.Cost.partitioning)
+  | l ->
+      Alcotest.failf "%d partitioning charges over 3 iterations"
+        (List.length l));
+  let q = spmv_problem () in
+  ignore (run_ok (S.Context.create q));
+  Alcotest.(check bool)
+    "outputs equal a single run's" true
+    (Helpers.snapshot p = Helpers.snapshot q)
 
 (* ------------------------------------------------------------------ *)
 (* In-place output restore                                             *)
@@ -535,6 +632,12 @@ let suite =
       test_key_change_fresh;
     Alcotest.test_case "table: crash re-plan bills the cold build" `Quick
       test_crash_replan_same_bill;
+    Alcotest.test_case "plan: an evicted context rebuilds nothing" `Quick
+      test_evicted_no_rebuild;
+    Alcotest.test_case "plan: evicted spadd3 computes in place" `Quick
+      test_spadd3_evicted_in_place;
+    Alcotest.test_case "plan: an uncached context plans once" `Quick
+      test_uncached_plans_once;
     Alcotest.test_case "restore: one storage across runs" `Quick
       test_restore_reuses_storage;
     Alcotest.test_case "restore: copy path" `Quick test_restore_copies;

@@ -549,31 +549,50 @@ let test_winner_cache_keyed_by_pattern () =
   | None -> Alcotest.fail "no choice"
 
 (* SpAdd3 operands whose shape differs from B's: pricing refuses every
-   candidate with the run's own typed shape error, so the auto-scheduler
-   never picks a schedule the run then rejects. *)
+   candidate with the error its run would raise first, so the
+   auto-scheduler never picks a schedule the run then rejects.  The
+   column-blocked ([row:j]) candidates are refused by [Lower], every other
+   one by the run's own typed shape error. *)
 let test_merge_shapes_priced_as_run () =
   let machine = Helpers.cpu_machine 4 in
   let b = Helpers.rand_csr ~seed:5 200 200 0.02 in
+  let error_of f =
+    match f () with
+    | exception Error.Error e -> Some (Error.to_string e)
+    | _ -> None
+  in
   List.iter
     (fun (what, c, d) ->
       let p = Core.Kernels.spadd3_problem ~machine ?c ?d b in
       let run_error =
-        match Spdistal.run p with
-        | exception Error.Error e -> Error.to_string e
-        | _ -> Alcotest.failf "%s: the run accepted mismatched operands" what
+        match error_of (fun () -> ignore (Spdistal.run p)) with
+        | Some m -> m
+        | None -> Alcotest.failf "%s: the run accepted mismatched operands" what
       in
       let rp = Auto.report p in
       Alcotest.(check bool) (what ^ ": no winner") true
         (Option.is_none rp.Auto.rp_winner);
       List.iter
         (fun v ->
+          let expected, by =
+            if List.mem v.Auto.v_label [ "row:j"; "row:j:ws" ] then
+              ( (match
+                   error_of (fun () ->
+                       ignore
+                         (Spdistal.compile (Search.apply p v.Auto.v_candidate)))
+                 with
+                | Some m -> m
+                | None -> Alcotest.failf "%s: Lower accepted row:j" what),
+                "Lower" )
+            else (run_error, "the run")
+          in
           match v.Auto.v_priced with
           | Ok _ -> Alcotest.failf "%s: %s priced" what v.Auto.v_label
           | Error m ->
               Alcotest.(check string)
-                (Printf.sprintf "%s: %s refused as the run is" what
-                   v.Auto.v_label)
-                run_error m)
+                (Printf.sprintf "%s: %s refused as %s refuses it" what
+                   v.Auto.v_label by)
+                expected m)
         rp.Auto.rp_verdicts)
     [
       ("D 200x260", None, Some (Helpers.rand_csr ~seed:6 ~name:"D" 200 260 0.02));
@@ -697,10 +716,10 @@ let test_sharing_invisible () =
         (Search.candidates p @ [ hand ]))
     (share_cells ())
 
-(* In SpAdd3's column-blocked candidate the program derives B's values
+(* In SDDMM's column-blocked candidate the program derives B's values
    partition exactly as B's placement does; the plan evaluates it once. *)
-let test_spadd3_row_j_shares_placement () =
-  let p = List.assoc "spadd3-cpu" (share_cells ()) in
+let test_sddmm_row_j_shares_placement () =
+  let p = List.assoc "sddmm-cpu" (share_cells ()) in
   let c =
     List.find (fun c -> c.Search.c_label = "row:j") (Search.candidates p)
   in
@@ -881,8 +900,8 @@ let suite =
       test_merge_shapes_priced_as_run;
     Alcotest.test_case "partition sharing is invisible" `Quick
       test_sharing_invisible;
-    Alcotest.test_case "spadd3 row:j program reuses B's placement" `Quick
-      test_spadd3_row_j_shares_placement;
+    Alcotest.test_case "sddmm row:j program reuses B's placement" `Quick
+      test_sddmm_row_j_shares_placement;
     Alcotest.test_case "value ranges with other bounds not shared" `Quick
       test_value_ranges_with_other_bounds_not_shared;
     Alcotest.test_case "choose skips candidates that OOM" `Quick
