@@ -756,7 +756,9 @@ let () =
       Format.printf "%a@." Fig12.print cells;
       List.iter
         (fun (k, p) ->
-          match Fig12.median_gpu_speedup cells ~kernel:k with
+          match
+            Fig10.median_speedup cells ~kernel:k ~vs:Runner.Spdistal_cpu_leaf
+          with
           | Some m ->
               Format.printf "%s: paper median GPU speedup %.1fx, measured %.2fx@."
                 (Runner.kernel_name k) p m

@@ -95,11 +95,9 @@ let leaf_backend_arg =
            monomorphized per-(format x expression) closures specialized at \
            compile time; $(b,interp) runs the reference interpreter.  \
            Outputs, launch records and simulated cost are bit-identical \
-           across backends (the interpreter is the differential oracle).  \
-           Unset defers to $(b,SPDISTAL_LEAF_BACKEND).")
+           across backends (the interpreter is the differential oracle).")
 
-(* Fold --leaf-backend into a command's action: an explicit flag overrides
-   SPDISTAL_LEAF_BACKEND for the whole process. *)
+(* Fold --leaf-backend into a command's action, for the whole process. *)
 let set_leaf_backend = function
   | Some b -> Spdistal_exec.Compile_leaf.set_backend b
   | None -> ()
@@ -981,4 +979,19 @@ let main =
       trace_check_cmd; serve_cmd; slo_cmd;
     ]
 
-let () = exit (Cmd.eval' main)
+(* A bad input (a typed [Error.Error], or a file that cannot be read) is one
+   line on stderr and exit 2; any other exception is a bug, and exits with
+   cmdliner's internal-error status, 125. *)
+let () =
+  exit
+    (try Cmd.eval' ~catch:false main with
+    | Error.Error e ->
+        prerr_endline ("spdistal: " ^ Error.to_string e);
+        2
+    | Sys_error msg ->
+        prerr_endline ("spdistal: " ^ msg);
+        2
+    | exn ->
+        Printf.eprintf "spdistal: internal error, uncaught exception:\n%s\n"
+          (Printexc.to_string exn);
+        Cmd.Exit.internal_error)

@@ -139,10 +139,9 @@ type run_result = {
     DNC instead of raising.
 
     [leaf_backend] (default {!Spdistal_exec.Compile_leaf.default_backend},
-    i.e. the CLI's [--leaf-backend] or [SPDISTAL_LEAF_BACKEND], else the
-    compiled backend) selects how leaf kernels execute: [Compiled] runs the
-    monomorphized per-(format × expression) closures, [Interp] the
-    reference interpreter.  Outputs, launch records and cost are
+    i.e. the CLI's [--leaf-backend], else the compiled backend) selects how
+    leaf kernels execute: [Compiled] runs the monomorphized per-(format ×
+    expression) closures, [Interp] the reference interpreter.  Outputs, launch records and cost are
     bit-identical across backends.
 
     [trace] (default {!Spdistal_obs.Trace.default}) records the whole run:

@@ -72,8 +72,6 @@ module A1 = Bigarray.Array1
 
 type backend = Interp | Compiled
 
-let backend_env_var = "SPDISTAL_LEAF_BACKEND"
-
 let backend_of_string s =
   match String.lowercase_ascii (String.trim s) with
   | "interp" | "interpreter" -> Ok Interp
@@ -88,13 +86,7 @@ let backend_name = function Interp -> "interp" | Compiled -> "compiled"
 let backend_override : backend option ref = ref None
 let set_backend b = backend_override := Some b
 
-let default_backend () =
-  match !backend_override with
-  | Some b -> b
-  | None -> (
-      match Sys.getenv_opt backend_env_var with
-      | None -> Compiled
-      | Some s -> ( match backend_of_string s with Ok b -> b | Error _ -> Compiled))
+let default_backend () = Option.value !backend_override ~default:Compiled
 
 (* ------------------------------------------------------------------ *)
 (* Compiled form                                                        *)

@@ -58,13 +58,10 @@ val backend_of_string : string -> (backend, string) result
 
 val backend_name : backend -> string
 
-(** Process-wide override (the CLI's [--leaf-backend]); takes precedence
-    over the environment variable. *)
+(** Process-wide override (the CLI's [--leaf-backend]). *)
 val set_backend : backend -> unit
 
-(** Override > [SPDISTAL_LEAF_BACKEND] > [Compiled].  An unparseable
-    environment value silently falls back to the default; the CLI flag
-    errors loudly instead. *)
+(** The {!set_backend} override, else [Compiled]. *)
 val default_backend : unit -> backend
 
 (** {1 Compilation and execution} *)

@@ -46,15 +46,6 @@ let row_of ~kernel ~dataset ~system ~pieces problem =
       | None -> "DNC");
   }
 
-let cpu_kernels = Runner.all_kernels
-let gpu_kernels = Runner.all_kernels
-
-let datasets_for kernel =
-  match kernel with
-  | Runner.Spttv | Runner.Mttkrp -> Datasets.tensors3
-  | Runner.Spmv | Runner.Spmm | Runner.Spadd3 | Runner.Sddmm ->
-      Datasets.matrices
-
 type cell = {
   c_kernel : string;
   c_dataset : string;
@@ -62,8 +53,7 @@ type cell = {
   c_problem : unit -> Core.Spdistal.problem;
 }
 
-let cells ?(quick = false) () =
-  let take2 l = if quick then List.filteri (fun i _ -> i < 2) l else l in
+let cells ?quick () =
   let cols = 32 in
   let cell ~kernel ~system ~machine ?(batched = false) (e : Datasets.entry) =
     {
@@ -75,24 +65,19 @@ let cells ?(quick = false) () =
           Runner.problem_for ~kernel ~machine ~cols ~batched (e.Datasets.load ()));
     }
   in
+  let on ~system ~machine kernel =
+    List.map (cell ~kernel ~system ~machine) (Runner.datasets_for ?quick kernel)
+  in
   (* fig10: the CPU sweep at 4 nodes. *)
   let cpu = Runner.cpu_machine ~nodes:4 in
-  List.concat_map
-    (fun kernel ->
-      List.map (cell ~kernel ~system:"cpu" ~machine:cpu)
-        (take2 (datasets_for kernel)))
-    cpu_kernels
+  List.concat_map (on ~system:"cpu" ~machine:cpu) Runner.all_kernels
   (* fig11/fig12: the GPU kernels at 4 GPUs. *)
   @ (let gpu = Runner.gpu_machine ~gpus:4 in
-     List.concat_map
-       (fun kernel ->
-         List.map (cell ~kernel ~system:"gpu" ~machine:gpu)
-           (take2 (datasets_for kernel)))
-       gpu_kernels
+     List.concat_map (on ~system:"gpu" ~machine:gpu) Runner.all_kernels
      (* The memory-conserving 2-D batched SpMM (problem_for re-grids). *)
      @ List.map
          (cell ~kernel:Runner.Spmm ~system:"gpu-2d" ~machine:gpu ~batched:true)
-         (take2 Datasets.matrices))
+         (Runner.datasets_for ?quick Runner.Spmm))
   (* fig13: the banded weak-scaling synthetic at 4 pieces. *)
   @ [
       {
@@ -102,8 +87,7 @@ let cells ?(quick = false) () =
         c_problem =
           (fun () ->
             Runner.problem_for ~kernel:Runner.Spmv
-              ~machine:(Runner.cpu_machine ~nodes:4) ~cols
-              (Synth.banded ~name:"banded-4" ~n:(35_000 * 4 / 14) ~band:14));
+              ~machine:(Runner.cpu_machine ~nodes:4) ~cols (Fig13.matrix 4));
       };
     ]
 
@@ -145,30 +129,22 @@ let regressions rows =
 let all_dnc r =
   Option.is_none r.t_naive && Option.is_none r.t_hand && Option.is_none r.t_auto
 
-let time_cell = function Some t -> Printf.sprintf "%.9f" t | None -> "DNC"
-
-let csv rows =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b
-    "kernel,dataset,system,pieces,naive_total,hand_total,auto_total,auto_vs_hand,winner\n";
-  List.iter
-    (fun r ->
-      Buffer.add_string b
-        (Printf.sprintf "%s,%s,%s,%d,%s,%s,%s,%s,%s\n" r.t_kernel r.t_dataset
-           r.t_system r.t_pieces (time_cell r.t_naive) (time_cell r.t_hand)
-           (time_cell r.t_auto)
-           (match ratio r with
-           | Some x -> Printf.sprintf "%.4f" x
-           | None -> "DNC")
-           r.t_winner))
-    rows;
-  Buffer.contents b
+let ratio_cell r =
+  match ratio r with Some x -> Printf.sprintf "%.4f" x | None -> "DNC"
 
 let write ~dir rows =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   let path = Filename.concat dir "auto.csv" in
   let oc = open_out path in
-  output_string oc (csv rows);
+  output_string oc
+    "kernel,dataset,system,pieces,naive_total,hand_total,auto_total,auto_vs_hand,winner\n";
+  List.iter
+    (fun r ->
+      Printf.fprintf oc "%s,%s,%s,%d,%s,%s,%s,%s,%s\n" r.t_kernel r.t_dataset
+        r.t_system r.t_pieces (Csv.time_cell r.t_naive)
+        (Csv.time_cell r.t_hand) (Csv.time_cell r.t_auto) (ratio_cell r)
+        r.t_winner)
+    rows;
   close_out oc;
   path
 
@@ -181,11 +157,8 @@ let print fmt rows =
   List.iter
     (fun r ->
       Format.fprintf fmt "%-10s %-14s %-7s %6d %14s %14s %14s %8s  %s@,"
-        r.t_kernel r.t_dataset r.t_system r.t_pieces (time_cell r.t_naive)
-        (time_cell r.t_hand) (time_cell r.t_auto)
-        (match ratio r with
-        | Some x -> Printf.sprintf "%.4f" x
-        | None -> "DNC")
+        r.t_kernel r.t_dataset r.t_system r.t_pieces (Csv.time_cell r.t_naive)
+        (Csv.time_cell r.t_hand) (Csv.time_cell r.t_auto) (ratio_cell r)
         r.t_winner)
     rows;
   (match max_ratio rows with

@@ -42,8 +42,6 @@ val max_ratio : row list -> float option
     it). *)
 val regressions : row list -> row list
 
-val csv : row list -> string
-
 (** Writes [auto.csv] under [dir] (created if missing); returns the path. *)
 val write : dir:string -> row list -> string
 

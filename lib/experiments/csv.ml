@@ -4,59 +4,50 @@ let time_cell = function
   | Some t -> Printf.sprintf "%.9f" t
   | None -> "DNC"
 
-let fig10 cells =
+(* A header line, then one line per item. *)
+let table header line items =
   let b = Buffer.create 4096 in
-  Buffer.add_string b "kernel,system,nodes,tensor,seconds\n";
-  List.iter
-    (fun (c : Fig10.cell) ->
-      Buffer.add_string b
-        (Printf.sprintf "%s,%s,%d,%s,%s\n"
-           (Runner.kernel_name c.Fig10.kernel)
-           (Runner.system_name c.Fig10.system)
-           c.Fig10.nodes c.Fig10.tensor (time_cell c.Fig10.time)))
-    cells;
+  Buffer.add_string b (header ^ "\n");
+  List.iter (fun x -> Buffer.add_string b (line x ^ "\n")) items;
   Buffer.contents b
 
-let fig11 cells =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "kernel,system,gpus,tensor,seconds\n";
-  List.iter
-    (fun (c : Fig11.cell) ->
-      Buffer.add_string b
-        (Printf.sprintf "%s,%s,%d,%s,%s\n"
-           (Runner.kernel_name c.Fig11.kernel)
-           (Runner.system_name c.Fig11.system)
-           c.Fig11.gpus c.Fig11.tensor (time_cell c.Fig11.time)))
-    cells;
-  Buffer.contents b
+let seconds c = time_cell (Runner.time c)
 
+(* Figs. 10 and 11: one line per cell. *)
+let scaling ~pieces =
+  table
+    ("kernel,system," ^ pieces ^ ",tensor,seconds")
+    (fun (c : Runner.cell) ->
+      Printf.sprintf "%s,%s,%d,%s,%s"
+        (Runner.kernel_name c.kernel)
+        (Runner.system_name c.system)
+        c.pieces c.tensor (seconds c))
+
+(* One line per box: the GPU cell, then its CPU partner. *)
 let fig12 cells =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "kernel,nodes,tensor,gpu_seconds,cpu_seconds\n";
-  List.iter
-    (fun (c : Fig12.cell) ->
-      Buffer.add_string b
-        (Printf.sprintf "%s,%d,%s,%s,%s\n"
-           (Runner.kernel_name c.Fig12.kernel)
-           c.Fig12.nodes c.Fig12.tensor
-           (time_cell c.Fig12.gpu_time)
-           (time_cell c.Fig12.cpu_time)))
-    cells;
-  Buffer.contents b
+  table "kernel,nodes,tensor,gpu_seconds,cpu_seconds"
+    (fun (g : Runner.cell) ->
+      let cpu =
+        List.find_opt
+          (fun (c : Runner.cell) ->
+            c.system = Runner.Spdistal_cpu_leaf && c.kernel = g.kernel
+            && c.tensor = g.tensor && c.pieces = g.pieces)
+          cells
+      in
+      Printf.sprintf "%s,%d,%s,%s,%s"
+        (Runner.kernel_name g.kernel)
+        (Machine.nodes (Runner.gpu_machine ~gpus:g.pieces))
+        g.tensor (seconds g)
+        (time_cell (Option.bind cpu Runner.time)))
+    (List.filter (fun (c : Runner.cell) -> c.system = Runner.Spdistal) cells)
 
-let fig13 points =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "kind,pieces,system,seconds\n";
-  List.iter
-    (fun (p : Fig13.point) ->
-      Buffer.add_string b
-        (Printf.sprintf "%s,%d,%s,%s\n"
-           (match p.Fig13.kind with Machine.Cpu -> "cpu" | Machine.Gpu -> "gpu")
-           p.Fig13.pieces
-           (Runner.system_name p.Fig13.system)
-           (time_cell p.Fig13.time)))
-    points;
-  Buffer.contents b
+let fig13 =
+  table "kind,pieces,system,seconds" (fun (c : Runner.cell) ->
+      Printf.sprintf "%s,%d,%s,%s"
+        (match c.kind with Machine.Cpu -> "cpu" | Machine.Gpu -> "gpu")
+        c.pieces
+        (Runner.system_name c.system)
+        (seconds c))
 
 type fault_row = {
   f_kernel : string;
@@ -68,14 +59,12 @@ type fault_row = {
   f_identical : bool;  (** outputs bitwise equal to the fault-free run *)
 }
 
-let faults rows =
-  let b = Buffer.create 4096 in
+let faults =
   (* The cost columns come verbatim from {!Cost.csv_header} — one source of
      truth for cost serialization. *)
-  Buffer.add_string b
+  table
     ("kernel,rate,seed,seconds,baseline_seconds,overhead_pct,outputs_identical,"
-   ^ Cost.csv_header ^ "\n");
-  List.iter
+   ^ Cost.csv_header)
     (fun r ->
       let overhead =
         match r.f_seconds with
@@ -83,12 +72,9 @@ let faults rows =
             Printf.sprintf "%.3f" (100. *. (t -. r.f_baseline) /. r.f_baseline)
         | _ -> "DNC"
       in
-      Buffer.add_string b
-        (Printf.sprintf "%s,%.3f,%d,%s,%.9f,%s,%b,%s\n" r.f_kernel r.f_rate
-           r.f_seed (time_cell r.f_seconds) r.f_baseline overhead r.f_identical
-           (Cost.to_csv_row r.f_cost)))
-    rows;
-  Buffer.contents b
+      Printf.sprintf "%s,%.3f,%d,%s,%.9f,%s,%b,%s" r.f_kernel r.f_rate r.f_seed
+        (time_cell r.f_seconds) r.f_baseline overhead r.f_identical
+        (Cost.to_csv_row r.f_cost))
 
 type amort_row = {
   a_kernel : string;
@@ -102,18 +88,13 @@ type amort_row = {
   a_misses : int;
 }
 
-let amortization rows =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b
-    "kernel,system,iterations,cached,seconds,iter1_seconds,warm_mean_seconds,cache_hits,cache_misses\n";
-  List.iter
+let amortization =
+  table
+    "kernel,system,iterations,cached,seconds,iter1_seconds,warm_mean_seconds,cache_hits,cache_misses"
     (fun r ->
-      Buffer.add_string b
-        (Printf.sprintf "%s,%s,%d,%b,%s,%s,%s,%d,%d\n" r.a_kernel r.a_system
-           r.a_iterations r.a_cached (time_cell r.a_seconds)
-           (time_cell r.a_iter1) (time_cell r.a_warm) r.a_hits r.a_misses))
-    rows;
-  Buffer.contents b
+      Printf.sprintf "%s,%s,%d,%b,%s,%s,%s,%d,%d" r.a_kernel r.a_system
+        r.a_iterations r.a_cached (time_cell r.a_seconds)
+        (time_cell r.a_iter1) (time_cell r.a_warm) r.a_hits r.a_misses)
 
 let write_file ~dir name contents =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
@@ -130,8 +111,8 @@ let write_amortization ~dir rows =
 
 let write_all ~dir ~fig10:c10 ~fig11:c11 ~fig12:c12 ~fig13:c13 =
   [
-    write_file ~dir "fig10.csv" (fig10 c10);
-    write_file ~dir "fig11.csv" (fig11 c11);
+    write_file ~dir "fig10.csv" (scaling ~pieces:"nodes" c10);
+    write_file ~dir "fig11.csv" (scaling ~pieces:"gpus" c11);
     write_file ~dir "fig12.csv" (fig12 c12);
     write_file ~dir "fig13.csv" (fig13 c13);
   ]

@@ -1,7 +1,11 @@
 (** CSV export of every figure's cells, so the regenerated series can be
     plotted directly against the paper's figures. *)
 
-val fig13 : Fig13.point list -> string
+(** Simulated seconds as every CSV prints them: nine decimals, or ["DNC"]
+    for [None]. *)
+val time_cell : float option -> string
+
+val fig13 : Runner.cell list -> string
 
 (** One cell of the fault-rate sweep: a kernel run under an injected fault
     schedule, against its fault-free baseline. *)
@@ -46,8 +50,8 @@ val write_amortization : dir:string -> amort_row list -> string
     if missing) and returns the paths. *)
 val write_all :
   dir:string ->
-  fig10:Fig10.cell list ->
-  fig11:Fig11.cell list ->
-  fig12:Fig12.cell list ->
-  fig13:Fig13.point list ->
+  fig10:Runner.cell list ->
+  fig11:Runner.cell list ->
+  fig12:Runner.cell list ->
+  fig13:Runner.cell list ->
   string list

@@ -1,65 +1,18 @@
 open Spdistal_runtime
-open Spdistal_workloads
-
-type cell = {
-  kernel : Runner.kernel;
-  system : Runner.system;
-  nodes : int;
-  tensor : string;
-  time : float option;
-  dnc_reason : string option;
-}
 
 let node_counts = [ 1; 2; 4; 8; 16; 32 ]
 
-let datasets_for kernel =
-  match kernel with
-  | Runner.Spttv | Runner.Mttkrp -> Datasets.tensors3
-  | Runner.Spmv | Runner.Spmm | Runner.Spadd3 | Runner.Sddmm -> Datasets.matrices
-
 let compute ?(quick = false) () =
-  let node_counts = if quick then [ 1; 4 ] else node_counts in
-  let cells = ref [] in
-  List.iter
-    (fun kernel ->
-      let datasets = datasets_for kernel in
-      let datasets =
-        if quick then List.filteri (fun i _ -> i < 2) datasets else datasets
-      in
-      List.iter
-        (fun (e : Datasets.entry) ->
-          let b = e.Datasets.load () in
-          List.iter
-            (fun nodes ->
-              let machine = Runner.cpu_machine ~nodes in
-              List.iter
-                (fun system ->
-                  let r = Runner.run ~kernel ~system ~machine b in
-                  cells :=
-                    {
-                      kernel;
-                      system;
-                      nodes;
-                      tensor = e.Datasets.ds_name;
-                      time =
-                        (match r.Spdistal_baselines.Common.dnc with
-                        | None -> Some r.Spdistal_baselines.Common.time
-                        | Some _ -> None);
-                      dnc_reason = r.Spdistal_baselines.Common.dnc;
-                    }
-                    :: !cells)
-                (Runner.systems_for kernel Machine.Cpu))
-            node_counts)
-        datasets)
-    Runner.all_kernels;
-  List.rev !cells
+  let counts = if quick then [ 1; 4 ] else node_counts in
+  Runner.sweep ~quick Machine.Cpu ~counts:(fun _ -> counts) Runner.all_kernels
 
-let find cells ~kernel ~system ~nodes ~tensor =
+let time_at cells ~kernel ~system ~pieces ~tensor =
   List.find_opt
-    (fun c ->
-      c.kernel = kernel && c.system = system && c.nodes = nodes
+    (fun (c : Runner.cell) ->
+      c.kernel = kernel && c.system = system && c.pieces = pieces
       && c.tensor = tensor)
     cells
+  |> Fun.flip Option.bind Runner.time
 
 let geomean = function
   | [] -> None
@@ -77,14 +30,12 @@ let median = function
 let median_speedup cells ~kernel ~vs =
   let ratios =
     List.filter_map
-      (fun c ->
+      (fun (c : Runner.cell) ->
         if c.kernel = kernel && c.system = vs then
           match
-            ( c.time,
-              Option.bind
-                (find cells ~kernel ~system:Runner.Spdistal ~nodes:c.nodes
-                   ~tensor:c.tensor)
-                (fun s -> s.time) )
+            ( Runner.time c,
+              time_at cells ~kernel ~system:Runner.Spdistal ~pieces:c.pieces
+                ~tensor:c.tensor )
           with
           | Some t_other, Some t_spd when t_spd > 0. -> Some (t_other /. t_spd)
           | _ -> None
@@ -94,8 +45,8 @@ let median_speedup cells ~kernel ~vs =
   median ratios
 
 let print fmt cells =
-  let kernels = List.sort_uniq compare (List.map (fun c -> c.kernel) cells) in
-  let nodes_list = List.sort_uniq compare (List.map (fun c -> c.nodes) cells) in
+  let kernels = List.sort_uniq compare (List.map (fun c -> c.Runner.kernel) cells) in
+  let nodes_list = List.sort_uniq compare (List.map (fun c -> c.Runner.pieces) cells) in
   Format.fprintf fmt
     "@[<v>=== Figure 10: CPU strong scaling (speedup vs SpDISTAL on 1 node, \
      geomean over tensors) ===@,";
@@ -108,7 +59,7 @@ let print fmt cells =
       let systems =
         List.sort_uniq compare
           (List.filter_map
-             (fun c -> if c.kernel = kernel then Some c.system else None)
+             (fun c -> if c.Runner.kernel = kernel then Some c.system else None)
              cells)
       in
       List.iter
@@ -118,15 +69,13 @@ let print fmt cells =
             (fun nodes ->
               let speedups =
                 List.filter_map
-                  (fun c ->
-                    if c.kernel = kernel && c.system = system && c.nodes = nodes
+                  (fun (c : Runner.cell) ->
+                    if c.kernel = kernel && c.system = system && c.pieces = nodes
                     then
                       match
-                        ( c.time,
-                          Option.bind
-                            (find cells ~kernel ~system:Runner.Spdistal ~nodes:1
-                               ~tensor:c.tensor)
-                            (fun s -> s.time) )
+                        ( Runner.time c,
+                          time_at cells ~kernel ~system:Runner.Spdistal ~pieces:1
+                            ~tensor:c.tensor )
                       with
                       | Some t, Some base when t > 0. -> Some (base /. t)
                       | _ -> None

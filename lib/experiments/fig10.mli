@@ -7,22 +7,14 @@
     (geometric mean) over tensors, matching the paper's presentation, plus
     the per-system median speedup the paper quotes in §VI-A1. *)
 
-type cell = {
-  kernel : Runner.kernel;
-  system : Runner.system;
-  nodes : int;
-  tensor : string;
-  time : float option;  (** [None] = DNC *)
-  dnc_reason : string option;
-}
+(** [compute ~quick ()] — the {!Runner.sweep} on CPUs; [quick] restricts to
+    two tensors per kernel and node counts {1,4} (used by tests). *)
+val compute : ?quick:bool -> unit -> Runner.cell list
 
-(** [compute ~quick ()] — [quick] restricts to two tensors per kernel and
-    node counts {1,4} (used by tests). *)
-val compute : ?quick:bool -> unit -> cell list
+val print : Format.formatter -> Runner.cell list -> unit
 
-val print : Format.formatter -> cell list -> unit
-
-(** Median over (tensor, nodes) cells of [t_other / t_spdistal] at equal
-    node count; the paper's headline numbers. *)
+(** Median over (tensor, piece count) cells of [t_vs / t_spdistal] at equal
+    piece count; the paper's headline numbers.  Over Figure 12's cells,
+    [~vs:Spdistal_cpu_leaf] is the median GPU speedup. *)
 val median_speedup :
-  cell list -> kernel:Runner.kernel -> vs:Runner.system -> float option
+  Runner.cell list -> kernel:Runner.kernel -> vs:Runner.system -> float option

@@ -1,14 +1,4 @@
 open Spdistal_runtime
-open Spdistal_workloads
-
-type cell = {
-  kernel : Runner.kernel;
-  system : Runner.system;
-  gpus : int;
-  tensor : string;
-  time : float option;
-  dnc_reason : string option;
-}
 
 let gpu_counts = function
   | Runner.Spmv -> [ 1; 2; 4; 8 ]
@@ -17,47 +7,15 @@ let gpu_counts = function
 let kernels = [ Runner.Spmv; Runner.Spmm; Runner.Spadd3; Runner.Sddmm ]
 
 let compute ?(quick = false) () =
-  let cells = ref [] in
-  List.iter
-    (fun kernel ->
-      let counts = if quick then [ 1; 4 ] else gpu_counts kernel in
-      let datasets =
-        if quick then List.filteri (fun i _ -> i < 2) Datasets.matrices
-        else Datasets.matrices
-      in
-      List.iter
-        (fun (e : Datasets.entry) ->
-          let b = e.Datasets.load () in
-          List.iter
-            (fun gpus ->
-              let machine = Runner.gpu_machine ~gpus in
-              List.iter
-                (fun system ->
-                  let r = Runner.run ~kernel ~system ~machine b in
-                  cells :=
-                    {
-                      kernel;
-                      system;
-                      gpus;
-                      tensor = e.Datasets.ds_name;
-                      time =
-                        (match r.Spdistal_baselines.Common.dnc with
-                        | None -> Some r.Spdistal_baselines.Common.time
-                        | Some _ -> None);
-                      dnc_reason = r.Spdistal_baselines.Common.dnc;
-                    }
-                    :: !cells)
-                (Runner.systems_for kernel Machine.Gpu))
-            counts)
-        datasets)
-    kernels;
-  List.rev !cells
+  let counts kernel = if quick then [ 1; 4 ] else gpu_counts kernel in
+  Runner.sweep ~quick Machine.Gpu ~counts kernels
 
 let win_rate cells ~kernel =
   let keys =
     List.sort_uniq compare
       (List.filter_map
-         (fun c -> if c.kernel = kernel then Some (c.tensor, c.gpus) else None)
+         (fun (c : Runner.cell) ->
+           if c.kernel = kernel then Some (c.tensor, c.pieces) else None)
          cells)
   in
   let wins =
@@ -65,13 +23,14 @@ let win_rate cells ~kernel =
       (fun acc (tensor, gpus) ->
         let group =
           List.filter
-            (fun c -> c.kernel = kernel && c.tensor = tensor && c.gpus = gpus)
+            (fun (c : Runner.cell) ->
+              c.kernel = kernel && c.tensor = tensor && c.pieces = gpus)
             cells
         in
         let best =
           List.fold_left
-            (fun acc c ->
-              match (c.time, acc) with
+            (fun acc (c : Runner.cell) ->
+              match (Runner.time c, acc) with
               | Some t, None -> Some (c.system, t)
               | Some t, Some (_, bt) when t < bt -> Some (c.system, t)
               | _ -> acc)
@@ -90,13 +49,17 @@ let print fmt cells =
      OOM/unsupported) ===@,";
   List.iter
     (fun kernel ->
-      let kcells = List.filter (fun c -> c.kernel = kernel) cells in
+      let kcells = List.filter (fun (c : Runner.cell) -> c.kernel = kernel) cells in
       if kcells <> [] then begin
         let systems =
-          List.sort_uniq compare (List.map (fun c -> c.system) kcells)
+          List.sort_uniq compare (List.map (fun (c : Runner.cell) -> c.system) kcells)
         in
-        let counts = List.sort_uniq compare (List.map (fun c -> c.gpus) kcells) in
-        let tensors = List.sort_uniq compare (List.map (fun c -> c.tensor) kcells) in
+        let counts =
+          List.sort_uniq compare (List.map (fun (c : Runner.cell) -> c.pieces) kcells)
+        in
+        let tensors =
+          List.sort_uniq compare (List.map (fun (c : Runner.cell) -> c.tensor) kcells)
+        in
         Format.fprintf fmt "@,-- %s (systems: %s) --@," (Runner.kernel_name kernel)
           (String.concat " / " (List.map Runner.system_name systems));
         Format.fprintf fmt "%-18s" "tensor \\ GPUs";
@@ -112,13 +75,13 @@ let print fmt cells =
                     (fun system ->
                       match
                         List.find_opt
-                          (fun c ->
-                            c.system = system && c.gpus = gpus && c.tensor = tensor)
+                          (fun (c : Runner.cell) ->
+                            c.system = system && c.pieces = gpus && c.tensor = tensor)
                           kcells
+                        |> Fun.flip Option.bind Runner.time
                       with
-                      | Some { time = Some t; _ } ->
-                          Printf.sprintf "%.1f" (t *. 1000.)
-                      | _ -> "DNC")
+                      | Some t -> Printf.sprintf "%.1f" (t *. 1000.)
+                      | None -> "DNC")
                     systems
                 in
                 Format.fprintf fmt " %20s" (String.concat "/" entries))

@@ -6,14 +6,7 @@
     the paper.  SpMV scales only to 8 GPUs (its runtimes are ~10 ms);
     Trilinos runs under CUDA-UVM. *)
 
-type cell = {
-  kernel : Runner.kernel;
-  system : Runner.system;
-  gpus : int;
-  tensor : string;
-  time : float option;
-  dnc_reason : string option;
-}
+(** The {!Runner.sweep} on GPUs. *)
+val compute : ?quick:bool -> unit -> Runner.cell list
 
-val compute : ?quick:bool -> unit -> cell list
-val print : Format.formatter -> cell list -> unit
+val print : Format.formatter -> Runner.cell list -> unit

@@ -1,69 +1,17 @@
-open Spdistal_workloads
-
-type cell = {
-  kernel : Runner.kernel;
-  nodes : int;
-  tensor : string;
-  gpu_time : float option;
-  cpu_time : float option;
-}
+open Spdistal_runtime
 
 let node_counts = [ 1; 2; 4; 8; 16 ]
 let kernels = [ Runner.Spttv; Runner.Mttkrp ]
 
-let time_of (r : Spdistal_baselines.Common.result) =
-  match r.Spdistal_baselines.Common.dnc with
-  | None -> Some r.Spdistal_baselines.Common.time
-  | Some _ -> None
-
+(* For these kernels [Runner.systems_for _ Gpu] is SpDISTAL's GPU kernel and
+   its CPU kernel on the same nodes: one pair per box. *)
 let compute ?(quick = false) () =
-  let node_counts = if quick then [ 1; 4 ] else node_counts in
-  let datasets =
-    if quick then List.filteri (fun i _ -> i < 2) Datasets.tensors3
-    else Datasets.tensors3
-  in
-  List.concat_map
-    (fun kernel ->
-      List.concat_map
-        (fun (e : Datasets.entry) ->
-          let b = e.Datasets.load () in
-          List.map
-            (fun nodes ->
-              let gm = Runner.gpu_machine ~gpus:(4 * nodes) in
-              let cm = Runner.cpu_machine ~nodes in
-              let g = Runner.run ~kernel ~system:Runner.Spdistal ~machine:gm b in
-              let c =
-                Runner.run ~kernel ~system:Runner.Spdistal_cpu_leaf ~machine:cm b
-              in
-              {
-                kernel;
-                nodes;
-                tensor = e.Datasets.ds_name;
-                gpu_time = time_of g;
-                cpu_time = time_of c;
-              })
-            node_counts)
-        datasets)
+  let nodes = if quick then [ 1; 4 ] else node_counts in
+  Runner.sweep ~quick Machine.Gpu
+    ~counts:(fun _ -> List.map (fun n -> 4 * n) nodes)
     kernels
 
-let median = function
-  | [] -> None
-  | xs ->
-      let a = Array.of_list xs in
-      Array.sort compare a;
-      let n = Array.length a in
-      Some (if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.)
-
-let median_gpu_speedup cells ~kernel =
-  median
-    (List.filter_map
-       (fun c ->
-         if c.kernel = kernel then
-           match (c.gpu_time, c.cpu_time) with
-           | Some g, Some cp when g > 0. -> Some (cp /. g)
-           | _ -> None
-         else None)
-       cells)
+let nodes gpus = Machine.nodes (Runner.gpu_machine ~gpus)
 
 let print fmt cells =
   Format.fprintf fmt
@@ -71,34 +19,41 @@ let print fmt cells =
      system per box) ===@,";
   List.iter
     (fun kernel ->
-      let kcells = List.filter (fun c -> c.kernel = kernel) cells in
+      let kcells = List.filter (fun (c : Runner.cell) -> c.kernel = kernel) cells in
       if kcells <> [] then begin
-        let counts = List.sort_uniq compare (List.map (fun c -> c.nodes) kcells) in
-        let tensors = List.sort_uniq compare (List.map (fun c -> c.tensor) kcells) in
+        let counts =
+          List.sort_uniq compare (List.map (fun c -> c.Runner.pieces) kcells)
+        in
+        let tensors =
+          List.sort_uniq compare (List.map (fun (c : Runner.cell) -> c.tensor) kcells)
+        in
         Format.fprintf fmt "@,-- %s --@," (Runner.kernel_name kernel);
         Format.fprintf fmt "%-18s" "tensor \\ nodes";
-        List.iter (fun n -> Format.fprintf fmt " %12d" n) counts;
+        List.iter (fun g -> Format.fprintf fmt " %12d" (nodes g)) counts;
         Format.fprintf fmt "@,";
         List.iter
           (fun tensor ->
             Format.fprintf fmt "%-18s" tensor;
             List.iter
-              (fun nodes ->
-                match
-                  List.find_opt (fun c -> c.tensor = tensor && c.nodes = nodes) kcells
-                with
-                | Some { gpu_time = Some g; cpu_time = Some c; _ } ->
+              (fun gpus ->
+                let time system =
+                  List.find_opt
+                    (fun (c : Runner.cell) ->
+                      c.system = system && c.tensor = tensor && c.pieces = gpus)
+                    kcells
+                  |> Fun.flip Option.bind Runner.time
+                in
+                match (time Runner.Spdistal, time Runner.Spdistal_cpu_leaf) with
+                | Some g, Some c ->
                     if g <= c then Format.fprintf fmt " %9.2fxGPU" (c /. g)
                     else Format.fprintf fmt " %9.2fxCPU" (g /. c)
-                | Some { gpu_time = None; cpu_time = Some _; _ } ->
-                    Format.fprintf fmt " %12s" "GPU-DNC"
-                | Some { gpu_time = Some _; cpu_time = None; _ } ->
-                    Format.fprintf fmt " %12s" "CPU-DNC"
-                | _ -> Format.fprintf fmt " %12s" "DNC")
+                | None, Some _ -> Format.fprintf fmt " %12s" "GPU-DNC"
+                | Some _, None -> Format.fprintf fmt " %12s" "CPU-DNC"
+                | None, None -> Format.fprintf fmt " %12s" "DNC")
               counts;
             Format.fprintf fmt "@,")
           tensors;
-        match median_gpu_speedup cells ~kernel with
+        match Fig10.median_speedup cells ~kernel ~vs:Runner.Spdistal_cpu_leaf with
         | Some m -> Format.fprintf fmt "median GPU speedup: %.2fx@," m
         | None -> ()
       end)

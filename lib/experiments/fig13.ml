@@ -1,13 +1,5 @@
 open Spdistal_runtime
 open Spdistal_workloads
-open Spdistal_baselines
-
-type point = {
-  kind : Machine.proc_kind;
-  pieces : int;
-  system : Runner.system;
-  time : float option;
-}
 
 let nnz_per_piece = 35_000
 let band = 14
@@ -15,9 +7,6 @@ let band = 14
 let matrix pieces =
   let n = nnz_per_piece * pieces / band in
   Synth.banded ~name:(Printf.sprintf "banded-%d" pieces) ~n ~band
-
-let time_of (r : Common.result) =
-  match r.Common.dnc with None -> Some r.Common.time | Some _ -> None
 
 let compute ?(quick = false) () =
   let cpu_counts = if quick then [ 1; 4 ] else [ 1; 2; 4; 8; 16; 32; 64 ] in
@@ -32,8 +21,14 @@ let compute ?(quick = false) () =
     let cells =
       List.map
         (fun system ->
-          let r = Runner.run ~kernel:Runner.Spmv ~system ~machine b in
-          { kind; pieces; system; time = time_of r })
+          {
+            Runner.kernel = Runner.Spmv;
+            system;
+            kind;
+            pieces;
+            tensor = b.Spdistal_formats.Tensor.name;
+            result = Runner.run ~kernel:Runner.Spmv ~system ~machine b;
+          })
         [ Runner.Spdistal; Runner.Petsc ]
     in
     (* Weak-scaling matrices are single-use: drop caches to bound memory. *)
@@ -43,25 +38,29 @@ let compute ?(quick = false) () =
   List.concat_map (run Machine.Cpu) cpu_counts
   @ List.concat_map (run Machine.Gpu) gpu_counts
 
-let print fmt points =
+let print fmt cells =
   Format.fprintf fmt
     "@[<v>=== Figure 13: SpMV weak scaling, banded matrices (%d nnz/piece) \
      ===@,"
     nnz_per_piece;
   List.iter
     (fun kind ->
-      let kpoints = List.filter (fun p -> p.kind = kind) points in
-      if kpoints <> [] then begin
+      let kcells = List.filter (fun (c : Runner.cell) -> c.kind = kind) cells in
+      if kcells <> [] then begin
         Format.fprintf fmt "@,-- %s --@,"
           (match kind with Machine.Cpu -> "CPUs (nodes)" | Machine.Gpu -> "GPUs");
         Format.fprintf fmt "%-10s %14s %14s %18s@," "pieces" "SpDISTAL (ms)"
           "PETSc (ms)" "SpDISTAL/PETSc";
-        let counts = List.sort_uniq compare (List.map (fun p -> p.pieces) kpoints) in
+        let counts =
+          List.sort_uniq compare (List.map (fun (c : Runner.cell) -> c.pieces) kcells)
+        in
         List.iter
           (fun pieces ->
             let t sys =
-              List.find_opt (fun p -> p.pieces = pieces && p.system = sys) kpoints
-              |> Fun.flip Option.bind (fun p -> p.time)
+              List.find_opt
+                (fun (c : Runner.cell) -> c.pieces = pieces && c.system = sys)
+                kcells
+              |> Fun.flip Option.bind Runner.time
             in
             match (t Runner.Spdistal, t Runner.Petsc) with
             | Some s, Some p ->

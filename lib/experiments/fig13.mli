@@ -7,16 +7,13 @@
     SpDISTAL's GPU kernel 1.05-1.29x {e faster} than PETSc's (deferred
     execution hiding synchronization). *)
 
-type point = {
-  kind : Spdistal_runtime.Machine.proc_kind;
-  pieces : int;  (** nodes (CPU) or GPUs *)
-  system : Runner.system;
-  time : float option;
-}
+(** The banded matrix for [pieces] pieces, named ["banded-<pieces>"]. *)
+val matrix : int -> Spdistal_formats.Tensor.t
 
-(** [compute ~quick ()] — full mode scales CPUs to 64 nodes and GPUs to 256
+(** [compute ~quick ()] — one SpMV cell per system, processor kind and piece
+    count, on {!matrix}.  Full mode scales CPUs to 64 nodes and GPUs to 256
     GPUs with ~35k non-zeros per piece (a further 4x size reduction from the
     dataset scale, noted in EXPERIMENTS.md). *)
-val compute : ?quick:bool -> unit -> point list
+val compute : ?quick:bool -> unit -> Runner.cell list
 
-val print : Format.formatter -> point list -> unit
+val print : Format.formatter -> Runner.cell list -> unit

@@ -93,6 +93,40 @@ let scale_iterations iterations (r : Common.result) =
   | Some n, None when n > 1 -> { r with Common.time = r.Common.time *. float_of_int n }
   | _ -> r
 
+(* SpMV, SpMM and SpAdd3 share one signature across the three baseline
+   libraries, so their operands are built here, fresh on every call. *)
+module type Baseline = sig
+  val spmv :
+    machine:Machine.t -> Tensor.t -> x:Dense.vec -> y:Dense.vec -> Common.result
+
+  val spmm :
+    machine:Machine.t -> Tensor.t -> c:Dense.mat -> a:Dense.mat -> Common.result
+
+  val spadd3 :
+    machine:Machine.t ->
+    Tensor.t ->
+    Tensor.t ->
+    Tensor.t ->
+    Tensor.t option * Common.result
+end
+
+let run_baseline (module B : Baseline) ~name ~kernel ~machine ~cols b =
+  match kernel with
+  | Spmv ->
+      let x = K.dense_vec "x" b.Tensor.dims.(1)
+      and y = Dense.vec_create "y" b.Tensor.dims.(0) in
+      B.spmv ~machine b ~x ~y
+  | Spmm ->
+      let c = K.dense_mat "C" b.Tensor.dims.(1) cols
+      and a = Dense.mat_create "A" b.Tensor.dims.(0) cols in
+      B.spmm ~machine b ~c ~a
+  | Spadd3 ->
+      let c = K.shift_last_dim ~name:"C" ~by:1 b
+      and d = K.shift_last_dim ~name:"D" ~by:2 b in
+      snd (B.spadd3 ~machine b c d)
+  | Sddmm | Spttv | Mttkrp ->
+      Common.dnc (name ^ ": " ^ kernel_name kernel ^ " unsupported")
+
 let run ~kernel ~system ~machine ?(cols = 32) ?(auto = false) ?iterations
     ?(cache = true) b =
   match system with
@@ -115,40 +149,11 @@ let run ~kernel ~system ~machine ?(cols = 32) ?(auto = false) ?iterations
           ~cache b
   | Petsc ->
       scale_iterations iterations
-      @@ (
-      match kernel with
-      | Spmv ->
-          let x = K.dense_vec "x" b.Tensor.dims.(1)
-          and y = Dense.vec_create "y" b.Tensor.dims.(0) in
-          Petsc.spmv ~machine b ~x ~y
-      | Spmm ->
-          let c = K.dense_mat "C" b.Tensor.dims.(1) cols
-          and a = Dense.mat_create "A" b.Tensor.dims.(0) cols in
-          Petsc.spmm ~machine b ~c ~a
-      | Spadd3 ->
-          let c = K.shift_last_dim ~name:"C" ~by:1 b
-          and d = K.shift_last_dim ~name:"D" ~by:2 b in
-          snd (Petsc.spadd3 ~machine b c d)
-      | Sddmm | Spttv | Mttkrp ->
-          Common.dnc ("PETSc: " ^ kernel_name kernel ^ " unsupported"))
+        (run_baseline (module Petsc) ~name:"PETSc" ~kernel ~machine ~cols b)
   | Trilinos ->
       scale_iterations iterations
-      @@ (
-      match kernel with
-      | Spmv ->
-          let x = K.dense_vec "x" b.Tensor.dims.(1)
-          and y = Dense.vec_create "y" b.Tensor.dims.(0) in
-          Trilinos.spmv ~machine b ~x ~y
-      | Spmm ->
-          let c = K.dense_mat "C" b.Tensor.dims.(1) cols
-          and a = Dense.mat_create "A" b.Tensor.dims.(0) cols in
-          Trilinos.spmm ~machine b ~c ~a
-      | Spadd3 ->
-          let c = K.shift_last_dim ~name:"C" ~by:1 b
-          and d = K.shift_last_dim ~name:"D" ~by:2 b in
-          snd (Trilinos.spadd3 ~machine b c d)
-      | Sddmm | Spttv | Mttkrp ->
-          Common.dnc ("Trilinos: " ^ kernel_name kernel ^ " unsupported"))
+        (run_baseline (module Trilinos) ~name:"Trilinos" ~kernel ~machine ~cols
+           b)
   | Ctf ->
       scale_iterations iterations
       @@ (
@@ -156,18 +161,8 @@ let run ~kernel ~system ~machine ?(cols = 32) ?(auto = false) ?iterations
         Common.dnc "CTF: no usable GPU backend"
       else
         match kernel with
-        | Spmv ->
-            let x = K.dense_vec "x" b.Tensor.dims.(1)
-            and y = Dense.vec_create "y" b.Tensor.dims.(0) in
-            Ctf.spmv ~machine b ~x ~y
-        | Spmm ->
-            let c = K.dense_mat "C" b.Tensor.dims.(1) cols
-            and a = Dense.mat_create "A" b.Tensor.dims.(0) cols in
-            Ctf.spmm ~machine b ~c ~a
-        | Spadd3 ->
-            let c = K.shift_last_dim ~name:"C" ~by:1 b
-            and d = K.shift_last_dim ~name:"D" ~by:2 b in
-            snd (Ctf.spadd3 ~machine b c d)
+        | Spmv | Spmm | Spadd3 ->
+            run_baseline (module Ctf) ~name:"CTF" ~kernel ~machine ~cols b
         | Sddmm ->
             let c = K.dense_mat "C" b.Tensor.dims.(0) cols
             and d = K.dense_mat "D" cols b.Tensor.dims.(1) in
@@ -182,3 +177,51 @@ let run ~kernel ~system ~machine ?(cols = 32) ?(auto = false) ?iterations
             and d = K.dense_mat "D" b.Tensor.dims.(2) cols
             and a = Dense.mat_create "A" b.Tensor.dims.(0) cols in
             Ctf.mttkrp ~machine b ~c ~d ~a)
+
+type cell = {
+  kernel : kernel;
+  system : system;
+  kind : Machine.proc_kind;
+  pieces : int;
+  tensor : string;
+  result : Common.result;
+}
+
+let time c =
+  match c.result.Common.dnc with None -> Some c.result.Common.time | Some _ -> None
+
+let datasets_for ?(quick = false) kernel =
+  let all =
+    match kernel with
+    | Spttv | Mttkrp -> Datasets.tensors3
+    | Spmv | Spmm | Spadd3 | Sddmm -> Datasets.matrices
+  in
+  if quick then List.filteri (fun i _ -> i < 2) all else all
+
+let sweep ?quick kind ~counts kernels =
+  List.concat_map
+    (fun kernel ->
+      List.concat_map
+        (fun (e : Datasets.entry) ->
+          let b = e.Datasets.load () in
+          List.concat_map
+            (fun pieces ->
+              let machine =
+                match kind with
+                | Machine.Cpu -> cpu_machine ~nodes:pieces
+                | Machine.Gpu -> gpu_machine ~gpus:pieces
+              in
+              List.map
+                (fun system ->
+                  {
+                    kernel;
+                    system;
+                    kind;
+                    pieces;
+                    tensor = e.Datasets.ds_name;
+                    result = run ~kernel ~system ~machine b;
+                  })
+                (systems_for kernel kind))
+            (counts kernel))
+        (datasets_for ?quick kernel))
+    kernels

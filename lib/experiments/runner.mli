@@ -7,6 +7,7 @@
 
 open Spdistal_runtime
 open Spdistal_formats
+open Spdistal_workloads
 
 type kernel = Spmv | Spmm | Spadd3 | Sddmm | Spttv | Mttkrp
 
@@ -70,3 +71,33 @@ val run :
 
 (** The kernels that apply to 3-tensor datasets. *)
 val kernels_for_tensor3 : kernel list
+
+(** One evaluation cell: a (kernel, system, machine, tensor) run.  Every
+    figure is a list of these. *)
+type cell = {
+  kernel : kernel;
+  system : system;
+  kind : Machine.proc_kind;  (** the machine the cell ran on *)
+  pieces : int;  (** nodes (CPU) or GPUs *)
+  tensor : string;
+  result : Spdistal_baselines.Common.result;  (** the time, or the DNC reason *)
+}
+
+(** The cell's simulated seconds; [None] = DNC. *)
+val time : cell -> float option
+
+(** The Table II analogs a kernel runs on: the 3-tensors for
+    {!kernels_for_tensor3}, the matrices otherwise.  [quick] keeps the first
+    two. *)
+val datasets_for : ?quick:bool -> kernel -> Datasets.entry list
+
+(** [sweep kind ~counts kernels] runs, in this nest order, every kernel,
+    each of its {!datasets_for} (loaded once), each piece count of
+    [counts kernel] on a {!cpu_machine} or {!gpu_machine} of [kind], and
+    each of {!systems_for}. *)
+val sweep :
+  ?quick:bool ->
+  Machine.proc_kind ->
+  counts:(kernel -> int list) ->
+  kernel list ->
+  cell list

@@ -104,79 +104,52 @@ let run spec =
       stop (fail "differential" "%s" (Validate.diff_to_string cmp));
     let base_out = Snapshot.outputs p in
     let base_cost = Snapshot.cost cost in
+    (* One variant: a fresh build of the case, run another way, must match
+       the base run bit for bit: outputs and Cost (whose launch counters
+       carry the launch records).  [outputs_only] compares outputs alone
+       and accepts a DNC, which is all an injected fault schedule
+       promises. *)
+    let variant prop ~how ?(outputs_only = false) exec_variant =
+      let p' = Spec.build spec in
+      match exec_variant p' with
+      | Ran c
+        when Snapshot.equal base_out (Snapshot.outputs p')
+             && (outputs_only || Snapshot.equal base_cost (Snapshot.cost c)) ->
+          ()
+      | Ran _ ->
+          stop
+            (fail prop "outputs%s differ %s"
+               (if outputs_only then "" else " or cost")
+               how)
+      | Dnc _ when outputs_only -> ()
+      | Dnc r -> stop (fail prop "DNC only %s: %s" how r)
+      | Rejected m | Crashed m -> stop (fail prop "failed %s: %s" how m)
+    in
     (* rebuild determinism: a fresh build + run is bit-identical *)
-    let p2 = Spec.build spec in
-    (match exec p2 with
-    | Ran cost2
-      when Snapshot.equal base_out (Snapshot.outputs p2)
-           && Snapshot.equal base_cost (Snapshot.cost cost2) ->
-        ()
-    | Ran _ ->
-        stop (fail "rebuild-determinism" "fresh build + run is not bit-identical")
-    | Dnc r -> stop (fail "rebuild-determinism" "DNC only on rebuild: %s" r)
-    | Rejected m | Crashed m ->
-        stop (fail "rebuild-determinism" "failed on rebuild: %s" m));
+    variant "rebuild-determinism" ~how:"on rebuild" exec;
     (* backend equivalence: the compiled leaf closures and the reference
-       interpreter must agree bit for bit — outputs, launch records (via the
-       cost signature's launch counters) and Cost.  Run the case again under
-       whichever backend the base run did not use. *)
+       interpreter agree.  Run the case again under whichever backend the
+       base run did not use. *)
     (let other =
        match Compile_leaf.default_backend () with
        | Compile_leaf.Compiled -> Compile_leaf.Interp
        | Compile_leaf.Interp -> Compile_leaf.Compiled
      in
-     let p_b = Spec.build spec in
-     match exec ~leaf_backend:other p_b with
-     | Ran cost_b
-       when Snapshot.equal base_out (Snapshot.outputs p_b)
-            && Snapshot.equal base_cost (Snapshot.cost cost_b) ->
-         ()
-     | Ran _ ->
-         stop
-           (fail "backend-equivalence"
-              "outputs or cost differ under the %s leaf backend"
-              (Compile_leaf.backend_name other))
-     | Dnc r ->
-         stop
-           (fail "backend-equivalence" "DNC only under the %s leaf backend: %s"
-              (Compile_leaf.backend_name other) r)
-     | Rejected m | Crashed m ->
-         stop
-           (fail "backend-equivalence" "failed under the %s leaf backend: %s"
-              (Compile_leaf.backend_name other) m));
-    (* domain invariance (PR-1) *)
-    if spec.Spec.domains > 1 then begin
-      let p3 = Spec.build spec in
-      match exec ~domains:spec.Spec.domains p3 with
-      | Ran cost3
-        when Snapshot.equal base_out (Snapshot.outputs p3)
-             && Snapshot.equal base_cost (Snapshot.cost cost3) ->
-          ()
-      | Ran _ ->
-          stop
-            (fail "domain-invariance" "outputs or cost differ at domains=%d"
-               spec.Spec.domains)
-      | Dnc r ->
-          stop
-            (fail "domain-invariance" "DNC only at domains=%d: %s"
-               spec.Spec.domains r)
-      | Rejected m | Crashed m ->
-          stop
-            (fail "domain-invariance" "failed at domains=%d: %s"
-               spec.Spec.domains m)
-    end;
-    (* fault invariance (PR-2): outputs identical; DNC under faults is a
+     variant "backend-equivalence"
+       ~how:
+         (Printf.sprintf "under the %s leaf backend"
+            (Compile_leaf.backend_name other))
+       (exec ~leaf_backend:other));
+    (* domain invariance *)
+    if spec.Spec.domains > 1 then
+      variant "domain-invariance"
+        ~how:(Printf.sprintf "at domains=%d" spec.Spec.domains)
+        (exec ~domains:spec.Spec.domains);
+    (* fault invariance: outputs identical; DNC under faults is a
        legitimate outcome *)
-    (match spec.Spec.faults with
-    | None -> ()
-    | Some _ -> (
-        let p4 = Spec.build spec in
-        match exec ~faults:(faults_of spec) p4 with
-        | Ran _ when Snapshot.equal base_out (Snapshot.outputs p4) -> ()
-        | Ran _ -> stop (fail "fault-invariance" "outputs differ under fault injection")
-        | Dnc _ -> ()
-        | Rejected m | Crashed m ->
-            stop (fail "fault-invariance" "failed under fault injection: %s" m)));
+    if spec.Spec.faults <> None then
+      variant "fault-invariance" ~how:"under fault injection" ~outputs_only:true
+        (exec ~faults:(faults_of spec));
     (* auto-vs-hand equivalence: whatever schedule the auto-scheduler picks
        for the same (machine, TIN, tensors), executing it must agree with
        the dense reference exactly as the spec's own schedule did.  No

@@ -90,15 +90,15 @@ let test_fuzz_replay () =
   let code, out = run_cli ("fuzz --replay '" ^ replay_spec ^ "'") in
   Alcotest.(check int) ("exit code for: " ^ out) 0 code
 
+(* "corpus" when run via dune runtest (a declared dep in the sandbox cwd),
+   "test/corpus" when the runner is launched from the repository root. *)
+let corpus_dir () =
+  if Sys.file_exists "corpus" then "corpus"
+  else if Sys.file_exists "test/corpus" then "test/corpus"
+  else Alcotest.fail "corpus directory not found"
+
 let test_fuzz_corpus () =
-  (* "corpus" when run via dune runtest (a declared dep in the sandbox cwd),
-     "test/corpus" when the runner is launched from the repository root. *)
-  let dir =
-    if Sys.file_exists "corpus" then "corpus"
-    else if Sys.file_exists "test/corpus" then "test/corpus"
-    else Alcotest.fail "corpus directory not found"
-  in
-  let code, out = run_cli ("fuzz --corpus " ^ dir) in
+  let code, out = run_cli ("fuzz --corpus " ^ corpus_dir ()) in
   Alcotest.(check int) ("exit code for: " ^ out) 0 code;
   check_contains "corpus summary" out "0 bad"
 
@@ -109,6 +109,31 @@ let test_bad_kernel_rejected () =
 let test_iterations_validation () =
   let code, out = run_cli "prof spmv -n 2 --iterations 0" in
   Alcotest.(check bool) ("nonzero exit for: " ^ out) true (code <> 0)
+
+(* A bad input is one line on stderr and exit 2, not cmdliner's
+   uncaught-exception report and exit 125. *)
+let check_bad_input args =
+  let code, out = run_cli args in
+  Alcotest.(check int) ("exit code for: " ^ out) 2 code;
+  Alcotest.(check int) ("one line: " ^ out) 1
+    (List.length (String.split_on_char '\n' (String.trim out)));
+  Alcotest.(check bool) ("no internal error: " ^ out) false
+    (Helpers.contains out "internal error")
+
+let missing_path () =
+  let path = Filename.temp_file "spdistal_missing" ".txt" in
+  Sys.remove path;
+  path
+
+let test_fuzz_corpus_bad_dir () =
+  check_bad_input
+    ("fuzz --corpus " ^ Filename.concat (corpus_dir ()) "regressions.case");
+  check_bad_input ("fuzz --corpus " ^ Filename.quote (missing_path ()))
+
+let test_serve_bad_nodes () = check_bad_input "serve --nodes 0 --jobs 5"
+
+let test_serve_missing_trace () =
+  check_bad_input ("serve --trace " ^ Filename.quote (missing_path ()))
 
 let suite =
   [
@@ -122,4 +147,9 @@ let suite =
     Alcotest.test_case "fuzz --corpus" `Quick test_fuzz_corpus;
     Alcotest.test_case "unknown kernel rejected" `Quick test_bad_kernel_rejected;
     Alcotest.test_case "--iterations 0 rejected" `Quick test_iterations_validation;
+    Alcotest.test_case "fuzz --corpus not a directory" `Quick
+      test_fuzz_corpus_bad_dir;
+    Alcotest.test_case "serve --nodes 0 rejected" `Quick test_serve_bad_nodes;
+    Alcotest.test_case "serve --trace missing file" `Quick
+      test_serve_missing_trace;
   ]

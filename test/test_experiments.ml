@@ -100,19 +100,19 @@ let test_fig13_quick_pipeline () =
   let points = Fig13.compute ~quick:true () in
   let cpu_spd =
     List.filter
-      (fun p ->
-        p.Fig13.kind = Machine.Cpu && p.Fig13.system = Runner.Spdistal)
+      (fun (p : Runner.cell) ->
+        p.kind = Machine.Cpu && p.system = Runner.Spdistal)
       points
   in
   Alcotest.(check int) "two CPU points" 2 (List.length cpu_spd);
   List.iter
     (fun p ->
-      Alcotest.(check bool) "completes" true (p.Fig13.time <> None))
+      Alcotest.(check bool) "completes" true (Runner.time p <> None))
     points;
   (* Weak scaling: times stay within 2x across piece counts. *)
   (match cpu_spd with
   | [ a; b ] -> (
-      match (a.Fig13.time, b.Fig13.time) with
+      match (Runner.time a, Runner.time b) with
       | Some ta, Some tb ->
           Alcotest.(check bool) "flat-ish weak scaling" true
             (Float.max ta tb /. Float.min ta tb < 2.)
