@@ -7,19 +7,29 @@ type result = { time : float; dnc : string option }
 let ok time = { time; dnc = None }
 let dnc reason = { time = infinity; dnc = Some reason }
 
+module type Matrix_kernels = sig
+  val spmv : machine:Machine.t -> Tensor.t -> x:Dense.vec -> y:Dense.vec -> result
+  val spmm : machine:Machine.t -> Tensor.t -> c:Dense.mat -> a:Dense.mat -> result
+  val spadd3 : machine:Machine.t -> Tensor.t -> Tensor.t -> Tensor.t -> Tensor.t option * result
+end
+
 (* Row range [lo, hi) of block [b] out of [blocks] over [rows]. *)
 let block_range rows blocks b =
   (b * rows / blocks, (b + 1) * rows / blocks)
 
+(* [count u] summed over [units] consecutive rows or fibers into [blocks]
+   equal contiguous blocks. *)
+let block_sums ~blocks units count =
+  let sums = Array.make blocks 0 in
+  for u = 0 to units - 1 do
+    let b = min (blocks - 1) (u * blocks / units) in
+    sums.(b) <- sums.(b) + count u
+  done;
+  sums
+
 let row_block_nnz (t : Tensor.t) ~blocks =
-  if Tensor.order t < 2 then invalid_arg "Common.row_block_nnz";
-  let rows = t.Tensor.dims.(0) in
-  let counts = Array.make blocks 0 in
-  (* Count stored leaf values per row by walking level-0 position spans.
-     For (Dense, Compressed, ...) tensors, a row's leaf count is the extent
-     difference across the level-1 pos entries it owns; recurse generically
-     by walking each level's pos. *)
-  (* Count leaves under the position range [plo..phi] of level [lvl]. *)
+  if Tensor.order t < 2 then Error.fail Error.Config "Common.row_block_nnz";
+  (* Leaves under the position range [plo..phi] of level [lvl]. *)
   let rec count_below lvl plo phi =
     if lvl >= Tensor.order t then phi - plo + 1
     else
@@ -33,43 +43,27 @@ let row_block_nnz (t : Tensor.t) ~blocks =
   in
   let row_leaf_count =
     match t.Tensor.levels.(1) with
-    | Level.Compressed { pos; _ } ->
-        fun r ->
-          let lo, hi = Region.get pos r in
-          if hi < lo then 0 else count_below 2 lo hi
-    | Level.Singleton _ -> fun r -> count_below 2 r r
+    | Level.Compressed _ | Level.Singleton _ -> fun r -> count_below 1 r r
     | Level.Dense _ ->
         (* Dense second level (e.g. "patents"): uniform per row. *)
         let per_row = Tensor.nnz t / max 1 t.Tensor.dims.(0) in
         fun _ -> per_row
   in
-  for r = 0 to rows - 1 do
-    let b = min (blocks - 1) (r * blocks / rows) in
-    counts.(b) <- counts.(b) + row_leaf_count r
-  done;
-  counts
+  block_sums ~blocks t.Tensor.dims.(0) row_leaf_count
 
 let fiber_block_nnz (t : Tensor.t) ~blocks =
-  if Tensor.order t < 3 then invalid_arg "Common.fiber_block_nnz";
-  let fibers = Tensor.level_extent t 1 in
-  let counts = Array.make blocks 0 in
-  let leaf_count =
-    match t.Tensor.levels.(2) with
+  if Tensor.order t < 3 then Error.fail Error.Config "Common.fiber_block_nnz";
+  block_sums ~blocks (Tensor.level_extent t 1)
+    (match t.Tensor.levels.(2) with
     | Level.Compressed { pos; _ } ->
         fun f ->
           let lo, hi = Region.get pos f in
           if hi < lo then 0 else hi - lo + 1
     | Level.Dense { dim } -> fun _ -> dim
-    | Level.Singleton _ -> fun _ -> 1
-  in
-  for f = 0 to fibers - 1 do
-    let b = min (blocks - 1) (f * blocks / fibers) in
-    counts.(b) <- counts.(b) + leaf_count f
-  done;
-  counts
+    | Level.Singleton _ -> fun _ -> 1)
 
 let row_block_ghosts (t : Tensor.t) ~blocks =
-  if Tensor.order t <> 2 then invalid_arg "Common.row_block_ghosts";
+  if Tensor.order t <> 2 then Error.fail Error.Config "Common.row_block_ghosts";
   let rows = t.Tensor.dims.(0) and cols = t.Tensor.dims.(1) in
   let pos = (Tensor.pos_of t 1).Region.data in
   let crd = (Tensor.crd_of t 1).Region.data in
@@ -108,6 +102,63 @@ let share_time machine ~den ~flops ~bytes =
         (machine.Machine.params.gpu_flops /. den, machine.Machine.params.gpu_mem_bw /. den)
   in
   Float.max (flops /. rate) (bytes /. bw)
+
+(* --- shared cost model ------------------------------------------------- *)
+
+type layout = { ranks : int; den : int; penalty : float }
+
+let layout ?(static_penalty = 1.) machine ~cpu_ranks_per_node =
+  let den =
+    match machine.Machine.kind with Machine.Cpu -> cpu_ranks_per_node | Machine.Gpu -> 1
+  in
+  { ranks = Machine.pieces machine * den; den; penalty = static_penalty }
+
+let log2f n = log (float_of_int (max 2 n)) /. log 2.
+
+let barrier machine lay = machine.Machine.params.barrier_alpha *. log2f lay.ranks
+
+(* Max over ranks of a per-rank roofline, ranks executing in parallel. *)
+let balance_time machine lay per_rank counts =
+  Array.fold_left
+    (fun acc c ->
+      let flops, bytes = per_rank c in
+      Float.max acc (lay.penalty *. share_time machine ~den:lay.den ~flops ~bytes))
+    0. counts
+
+let overlap ~compute ~comm = compute +. Float.max 0. (comm -. (0.9 *. compute))
+
+(* Ghost exchange at node granularity (node-aware staging dedups the
+   per-rank copies): remote fraction of per-node distinct ghost entries over
+   the NIC, plus the system's message latency; intra-node ghosts ride shared
+   memory. *)
+let exchange machine b ~width ~latency =
+  let nodes = Machine.nodes machine in
+  let elt_bytes = 8. *. width *. ghost_density_correction in
+  let remote_frac = float_of_int (nodes - 1) /. float_of_int nodes in
+  Array.fold_left
+    (fun acc g ->
+      let bytes = float_of_int g *. elt_bytes in
+      Float.max acc
+        (if nodes = 1 then bytes /. machine.Machine.params.cpu_mem_bw
+         else latency +. (bytes *. remote_frac /. machine.Machine.params.net_bw)))
+    0.
+    (row_block_ghosts b ~blocks:nodes)
+
+let spmv_compute machine lay ~rows counts =
+  balance_time machine lay
+    (fun n ->
+      ( 2. *. float_of_int n,
+        (24. *. float_of_int n) +. (8. *. float_of_int (rows / lay.ranks)) ))
+    counts
+
+let spmm_compute machine lay ~rows ~cols counts =
+  balance_time machine lay
+    (fun n ->
+      let nf = float_of_int n in
+      ( 2. *. nf *. cols,
+        (16. *. nf) +. (8. *. nf *. cols)
+        +. (16. *. float_of_int (rows / lay.ranks) *. cols) ))
+    counts
 
 (* --- sequential kernels ------------------------------------------------ *)
 
@@ -186,6 +237,24 @@ let seq_add3 ~name (b : Tensor.t) (c : Tensor.t) (d : Tensor.t) =
   Assemble.fill st
     ~row_fill:(fun r emit -> merge_row r emit)
     ~name ~dims:[| rows; cols |]
+
+let pairwise_add3 machine lay ~insert_flops ~name b c d =
+  let sum = seq_add3 ~name:("A_" ^ name) b c d in
+  (* tmp = B + C (adding [c] twice only perturbs values, not pattern). *)
+  let tmp = seq_add3 ~name:(name ^ "_tmp") b c c in
+  let counts t1 t2 =
+    Array.map2 ( + ) (row_block_nnz t1 ~blocks:lay.ranks) (row_block_nnz t2 ~blocks:lay.ranks)
+  in
+  let pass counts_in (out : Tensor.t) =
+    balance_time machine lay (fun n -> (float_of_int n, 32. *. float_of_int n)) counts_in
+    +. share_time machine ~den:1
+         ~flops:
+           (insert_flops *. float_of_int (Tensor.nnz out)
+           /. float_of_int (Machine.pieces machine))
+         ~bytes:0.
+    +. barrier machine lay
+  in
+  (sum, tmp, pass (counts b c) tmp +. pass (counts tmp d) sum)
 
 let seq_sddmm (b : Tensor.t) (c : Dense.mat) (d : Dense.mat) (a : Tensor.t) =
   let pos = (Tensor.pos_of b 1).Region.data in

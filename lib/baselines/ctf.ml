@@ -45,14 +45,16 @@ let has_dense_second_level (t : Tensor.t) =
   | Level.Dense _ -> true
   | Level.Compressed _ | Level.Singleton _ -> false
 
-let ranks machine = Machine.pieces machine * machine.Machine.params.cpu_cores
+(* One MPI rank per core. *)
+let layout machine =
+  Common.layout machine ~cpu_ranks_per_node:machine.Machine.params.cpu_cores
 
-let log2f n = log (float_of_int (max 2 n)) /. log 2.
-
-let require_cpu machine =
+(* The paper could not use CTF's GPU backend: every kernel refuses a GPU
+   machine, [gpu] shaping the refusal into the kernel's return type. *)
+let on_cpu machine ~gpu run =
   match machine.Machine.kind with
-  | Machine.Cpu -> ()
-  | Machine.Gpu -> invalid_arg "Ctf: no usable GPU backend (paper §VI)"
+  | Machine.Cpu -> run ()
+  | Machine.Gpu -> gpu (Common.dnc "CTF: no usable GPU backend")
 
 (* All-to-all redistribution of [bytes] into a cyclic layout: the data
    crosses the network twice (pack + place), nodes participate in
@@ -61,24 +63,21 @@ let redistribute machine bytes =
   let nodes = Machine.nodes machine in
   if nodes = 1 then bytes *. 2. /. machine.Machine.params.cpu_mem_bw
   else
-    (2. *. machine.Machine.params.net_alpha *. log2f nodes)
+    (2. *. machine.Machine.params.net_alpha *. Common.log2f nodes)
     +. (2. *. bytes /. (machine.Machine.params.net_bw *. float_of_int nodes))
 
-(* Rank-granular static imbalance: max per-rank element count at one-core
-   throughput, in flop-equivalents per element. *)
-let imbalanced_time machine counts ~flops_per_elt ~bytes_per_elt =
-  Array.fold_left
-    (fun acc n ->
-      Float.max acc
-        (Common.share_time machine ~den:machine.Machine.params.cpu_cores
-           ~flops:(flops_per_elt *. float_of_int n)
-           ~bytes:(bytes_per_elt *. float_of_int n)))
-    0. counts
+(* Rank-granular static imbalance: the busiest rank's elements at one-core
+   throughput, in flop-equivalents per element; [counts] blocks a tensor's
+   elements over the ranks. *)
+let imbalanced_time machine (counts : blocks:int -> int array) ~flops_per_elt
+    ~bytes_per_elt =
+  let lay = layout machine in
+  Common.balance_time machine lay
+    (fun n -> (flops_per_elt *. float_of_int n, bytes_per_elt *. float_of_int n))
+    (counts ~blocks:lay.Common.ranks)
 
-let barrier machine =
-  machine.Machine.params.barrier_alpha *. log2f (ranks machine)
+let barrier machine = Common.barrier machine (layout machine)
 
-let node_mem machine = machine.Machine.params.node_mem
 let nodesf machine = float_of_int (Machine.nodes machine)
 
 (* Working set of a generic contraction: input + redistribution source and
@@ -93,49 +92,40 @@ let generic_mem machine (t : Tensor.t) =
   in
   base +. padding
 
-let check_mem machine bytes what =
-  if bytes > node_mem machine then
-    Some
-      (Printf.sprintf "CTF %s: %.2e B/node exceeds %.2e B node memory" what
-         bytes (node_mem machine))
-  else None
-
-let finish machine ~mem ~what ~time =
-  match check_mem machine mem what with
-  | Some reason -> Common.dnc reason
-  | None -> Common.ok time
+(* The kernel's time, or a DNC when its working set [mem] per node exceeds
+   node memory. *)
+let finish machine ~what ~mem time =
+  let cap = machine.Machine.params.node_mem in
+  if mem > cap then
+    Common.dnc
+      (Printf.sprintf "CTF %s: %.2e B/node exceeds %.2e B node memory" what mem cap)
+  else Common.ok time
 
 let spmv ~machine b ~x ~y =
-  require_cpu machine;
+  on_cpu machine ~gpu:Fun.id @@ fun () ->
   Common.seq_spmv b x y;
-  let r = ranks machine in
-  let counts = Common.row_block_nnz b ~blocks:r in
   let t_redis =
     redistribute machine (float_of_int (Tensor.bytes b))
     +. redistribute machine (Dense.vec_bytes x +. Dense.vec_bytes y)
   in
   let t_work =
-    imbalanced_time machine counts
+    imbalanced_time machine (Common.row_block_nnz b)
       ~flops_per_elt:(interp_spmv_flops +. sort_flops)
       ~bytes_per_elt:24.
   in
-  finish machine
-    ~mem:(generic_mem machine b)
-    ~what:"SpMV"
-    ~time:(t_redis +. t_work +. barrier machine)
+  finish machine ~what:"SpMV" ~mem:(generic_mem machine b)
+    (t_redis +. t_work +. barrier machine)
 
 let spmm ~machine b ~c ~a =
-  require_cpu machine;
+  on_cpu machine ~gpu:Fun.id @@ fun () ->
   Common.seq_spmm b c a;
-  let r = ranks machine in
   let cols = float_of_int c.Dense.cols in
-  let counts = Common.row_block_nnz b ~blocks:r in
   let t_redis =
     redistribute machine (float_of_int (Tensor.bytes b))
     +. redistribute machine (Dense.mat_bytes c +. Dense.mat_bytes a)
   in
   let t_work =
-    imbalanced_time machine counts
+    imbalanced_time machine (Common.row_block_nnz b)
       ~flops_per_elt:((interp_spmm_flops_per_col *. cols) +. sort_flops)
       ~bytes_per_elt:(16. +. (8. *. cols))
   in
@@ -143,24 +133,22 @@ let spmm ~machine b ~c ~a =
     generic_mem machine b
     +. ((Dense.mat_bytes c +. Dense.mat_bytes a) /. nodesf machine)
   in
-  finish machine ~mem ~what:"SpMM" ~time:(t_redis +. t_work +. barrier machine)
+  finish machine ~what:"SpMM" ~mem (t_redis +. t_work +. barrier machine)
 
 let spadd3 ~machine b c d =
-  require_cpu machine;
+  on_cpu machine ~gpu:(fun r -> (None, r)) @@ fun () ->
   let result = Common.seq_add3 ~name:"A_ctf" b c d in
-  let r = ranks machine in
   (* Two pairwise interpreted summations.  Operands already in the
      summation layout are not re-shuffled: the first pass moves both
      inputs, the second only the remaining operand. *)
-  let pass ~redis (t1 : Tensor.t) (t2 : Tensor.t) =
-    let counts =
-      Array.map2 ( + )
-        (Common.row_block_nnz t1 ~blocks:r)
-        (Common.row_block_nnz t2 ~blocks:r)
-    in
+  let pass ~redis t1 t2 =
     redistribute machine (float_of_int redis)
-    +. imbalanced_time machine counts ~flops_per_elt:interp_add_flops
-         ~bytes_per_elt:16.
+    +. imbalanced_time machine
+         (fun ~blocks ->
+           Array.map2 ( + )
+             (Common.row_block_nnz t1 ~blocks)
+             (Common.row_block_nnz t2 ~blocks))
+         ~flops_per_elt:interp_add_flops ~bytes_per_elt:16.
     +. barrier machine
   in
   let tmp = Common.seq_add3 ~name:"ctf_tmp" b c c in
@@ -169,19 +157,16 @@ let spadd3 ~machine b c d =
     +. pass ~redis:(Tensor.bytes d) tmp d
   in
   let mem = generic_mem machine b +. generic_mem machine c +. generic_mem machine d in
-  match check_mem machine mem "SpAdd3" with
-  | Some reason -> (None, Common.dnc reason)
-  | None -> (Some result, Common.ok time)
+  let r = finish machine ~what:"SpAdd3" ~mem time in
+  ((if r.Common.dnc = None then Some result else None), r)
 
 let sddmm ~machine b ~c ~d ~a =
-  require_cpu machine;
+  on_cpu machine ~gpu:Fun.id @@ fun () ->
   Common.seq_sddmm b c d a;
-  let r = ranks machine in
   let cols = float_of_int c.Dense.cols in
-  let counts = Common.row_block_nnz b ~blocks:r in
   let t_redis = redistribute machine (float_of_int (Tensor.bytes b)) in
   let t_work =
-    imbalanced_time machine counts
+    imbalanced_time machine (Common.row_block_nnz b)
       ~flops_per_elt:(special_sddmm_flops +. (2. *. cols))
       ~bytes_per_elt:(16. +. (16. *. cols))
   in
@@ -189,38 +174,31 @@ let sddmm ~machine b ~c ~d ~a =
     generic_mem machine b
     +. ((Dense.mat_bytes c +. Dense.mat_bytes d) /. nodesf machine)
   in
-  finish machine ~mem ~what:"SDDMM" ~time:(t_redis +. t_work +. barrier machine)
+  finish machine ~what:"SDDMM" ~mem (t_redis +. t_work +. barrier machine)
 
 let spttv ~machine b ~c ~a =
-  require_cpu machine;
+  on_cpu machine ~gpu:Fun.id @@ fun () ->
   Common.seq_spttv b c a;
-  let r = ranks machine in
-  (* Cyclic layouts block at fiber granularity. *)
-  let counts = Common.fiber_block_nnz b ~blocks:r in
   let t_redis = redistribute machine (float_of_int (Tensor.bytes b)) in
+  (* Cyclic layouts block at fiber granularity. *)
   let t_work =
-    imbalanced_time machine counts ~flops_per_elt:interp_spttv_flops
-      ~bytes_per_elt:24.
+    imbalanced_time machine (Common.fiber_block_nnz b)
+      ~flops_per_elt:interp_spttv_flops ~bytes_per_elt:24.
   in
-  finish machine
-    ~mem:(generic_mem machine b)
-    ~what:"SpTTV"
-    ~time:(t_redis +. t_work +. barrier machine)
+  finish machine ~what:"SpTTV" ~mem:(generic_mem machine b)
+    (t_redis +. t_work +. barrier machine)
 
 let mttkrp ~machine b ~c ~d ~a =
-  require_cpu machine;
+  on_cpu machine ~gpu:Fun.id @@ fun () ->
   Common.seq_mttkrp b c d a;
-  let r = ranks machine in
   let cols = float_of_int a.Dense.cols in
-  let counts = Common.fiber_block_nnz b ~blocks:r in
   let dense_path = has_dense_second_level b in
   let bonus = if dense_path then dense_mode_bonus else 1.0 in
   (* The hand-written kernel [31] contracts in the tensor's resident
      layout: no per-call redistribution. *)
-  let t_redis = 0. in
   let t_work =
     bonus
-    *. imbalanced_time machine counts
+    *. imbalanced_time machine (Common.fiber_block_nnz b)
          ~flops_per_elt:(special_mttkrp_flops +. (4. *. cols))
          ~bytes_per_elt:(16. +. (8. *. cols))
   in
@@ -241,4 +219,4 @@ let mttkrp ~machine b ~c ~d ~a =
     if dense_path then 0.
     else 0.8 *. float_of_int (Tensor.nnz b) *. cols *. 8. /. nodesf machine
   in
-  finish machine ~mem ~what:"SpMTTKRP" ~time:(t_redis +. t_work +. barrier machine)
+  finish machine ~what:"SpMTTKRP" ~mem (t_work +. barrier machine)

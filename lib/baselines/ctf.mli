@@ -17,16 +17,12 @@
 
     Per-element overheads are flop-equivalents (see {!Common}); memory terms
     are documented at each check.  CPU only (the paper could not use CTF's
-    GPU backend). *)
+    GPU backend): every kernel returns a DNC result on a GPU machine. *)
 
 open Spdistal_runtime
 open Spdistal_formats
 
-val spmv : machine:Machine.t -> Tensor.t -> x:Dense.vec -> y:Dense.vec -> Common.result
-val spmm : machine:Machine.t -> Tensor.t -> c:Dense.mat -> a:Dense.mat -> Common.result
-
-val spadd3 :
-  machine:Machine.t -> Tensor.t -> Tensor.t -> Tensor.t -> Tensor.t option * Common.result
+include Common.Matrix_kernels
 
 val sddmm :
   machine:Machine.t -> Tensor.t -> c:Dense.mat -> d:Dense.mat -> a:Tensor.t -> Common.result

@@ -19,182 +19,100 @@ let spmm_kernel_penalty = 1.15
 let gpu_spmm_penalty machine c_bytes =
   c_bytes /. machine.Machine.params.net_bw
 
-let ranks machine =
-  match machine.Machine.kind with
-  | Machine.Cpu -> Machine.pieces machine * machine.Machine.params.cpu_cores
-  | Machine.Gpu -> Machine.pieces machine
+(* One MPI rank per core. *)
+let layout machine =
+  Common.layout machine ~cpu_ranks_per_node:machine.Machine.params.cpu_cores
 
-let rank_den machine =
-  match machine.Machine.kind with
-  | Machine.Cpu -> machine.Machine.params.cpu_cores
-  | Machine.Gpu -> 1
+(* VecScatter: two log-depth message rounds per exchange.  MatMult overlaps
+   the off-diagonal scatter with the diagonal-block local compute. *)
+let scatter_latency machine =
+  2. *. machine.Machine.params.net_alpha *. Common.log2f (Machine.nodes machine)
 
-let log2f n = log (float_of_int (max 2 n)) /. log 2.
-
-(* Max over ranks of a per-rank roofline, ranks executing in parallel. *)
-let balance_time machine ~per_rank_flops_bytes counts =
-  Array.fold_left
-    (fun acc c ->
-      let flops, bytes = per_rank_flops_bytes c in
-      Float.max acc (Common.share_time machine ~den:(rank_den machine) ~flops ~bytes))
-    0. counts
-
-(* Ghost exchange at node granularity (node-aware MPI staging dedups the
-   per-rank copies): remote fraction of per-node distinct ghost entries over
-   the NIC, plus message latencies; intra-node ghosts ride shared memory. *)
-let ghost_time machine node_ghosts ~elt_bytes =
-  let nodes = Machine.nodes machine in
-  let remote_frac = float_of_int (nodes - 1) /. float_of_int (max 1 nodes) in
-  Array.fold_left
-    (fun acc g ->
-      let b = float_of_int g *. elt_bytes in
-      let t =
-        if nodes = 1 then b /. machine.Machine.params.cpu_mem_bw
-        else
-          (2. *. machine.Machine.params.net_alpha *. log2f nodes)
-          +. (b *. remote_frac /. machine.Machine.params.net_bw)
-      in
-      Float.max acc t)
-    0. node_ghosts
-
-(* MatMult overlaps the off-diagonal scatter with the diagonal-block local
-   compute; only the excess shows up. *)
-let overlap ~compute ~comm = compute +. Float.max 0. (comm -. (0.9 *. compute))
-
-let barrier machine =
-  machine.Machine.params.barrier_alpha *. log2f (ranks machine)
+let gpu machine = machine.Machine.kind = Machine.Gpu
 
 let spmv ~machine b ~x ~y =
   Common.seq_spmv b x y;
-  let r = ranks machine in
+  let lay = layout machine in
+  let r = lay.Common.ranks in
   let counts = Common.row_block_nnz b ~blocks:r in
   let rows = b.Tensor.dims.(0) in
-  (match machine.Machine.kind with
-  | Machine.Gpu ->
-      let cap = Machine.piece_mem machine in
-      if
-        Array.exists
-          (fun n ->
-            (* vals + crd + amortized pos, plus the rank's local vector
-               blocks (ghosts are second-order). *)
-            (float_of_int n *. 20.)
-            +. ((Dense.vec_bytes x +. Dense.vec_bytes y) /. float_of_int r)
-            > cap)
-          counts
-      then raise Exit
-  | Machine.Cpu -> ());
-  let t_compute =
-    balance_time machine counts ~per_rank_flops_bytes:(fun n ->
-        ( 2. *. float_of_int n,
-          (24. *. float_of_int n) +. (8. *. float_of_int (rows / r)) ))
-  in
-  let ghosts = Common.row_block_ghosts b ~blocks:(Machine.nodes machine) in
-  let t_comm = ghost_time machine ghosts ~elt_bytes:(8. *. Common.ghost_density_correction) in
-  let sync =
-    barrier machine
-    +.
-    match machine.Machine.kind with
-    | Machine.Gpu ->
+  if
+    gpu machine
+    && Array.exists
+         (fun n ->
+           (* vals + crd + amortized pos, plus the rank's local vector
+              blocks (ghosts are second-order). *)
+           (float_of_int n *. 20.)
+           +. ((Dense.vec_bytes x +. Dense.vec_bytes y) /. float_of_int r)
+           > Machine.piece_mem machine)
+         counts
+  then Common.dnc "PETSc GPU SpMV: matrix block exceeds device memory"
+  else
+    let t_compute = Common.spmv_compute machine lay ~rows counts in
+    let t_comm =
+      Common.exchange machine b ~width:1. ~latency:(scatter_latency machine)
+    in
+    let sync =
+      Common.barrier machine lay
+      +.
+      if gpu machine then
         (* Synchronous execution stages the local vector block through the
            host every MatMult (Legion's deferred execution keeps data
            device-resident, paper §VI-B). *)
         gpu_sync
         +. (2. *. 8. *. float_of_int (rows / r)
             /. machine.Machine.params.nvlink_bw)
-    | Machine.Cpu -> 0.
-  in
-  Common.ok (overlap ~compute:t_compute ~comm:t_comm +. sync)
-
-let spmv ~machine b ~x ~y =
-  try spmv ~machine b ~x ~y
-  with Exit -> Common.dnc "PETSc GPU SpMV: matrix block exceeds device memory"
+      else 0.
+    in
+    Common.ok (Common.overlap ~compute:t_compute ~comm:t_comm +. sync)
 
 let spmm ~machine b ~c ~a =
   Common.seq_spmm b c a;
-  let r = ranks machine in
+  let lay = layout machine in
+  let r = lay.Common.ranks in
   let cols = float_of_int c.Dense.cols in
   (* GPU memory check: each rank holds its B block, its A block, and the
      gathered C rows. *)
   let counts = Common.row_block_nnz b ~blocks:r in
   let ghosts = Common.row_block_ghosts b ~blocks:r in
-  (match machine.Machine.kind with
-  | Machine.Gpu ->
-      let cap = Machine.piece_mem machine in
-      let oom =
-        Array.exists2 (fun n g ->
-            let bytes =
-              (float_of_int n *. 20.)
-              +. (float_of_int g *. cols *. 8.)
-              +. (Dense.mat_bytes c /. float_of_int r)
-              +. (Dense.mat_bytes a /. float_of_int r)
-            in
-            bytes > cap)
-          counts ghosts
-      in
-      if oom then raise Exit
-  | Machine.Cpu -> ());
-  let rows = b.Tensor.dims.(0) in
-  let t_compute =
-    spmm_kernel_penalty
-    *. balance_time machine counts ~per_rank_flops_bytes:(fun n ->
-           let nf = float_of_int n in
-           ( 2. *. nf *. cols,
-             (16. *. nf) +. (8. *. nf *. cols)
-             +. (16. *. float_of_int (rows / r) *. cols) ))
-  in
-  let node_ghosts = Common.row_block_ghosts b ~blocks:(Machine.nodes machine) in
-  let t_comm =
-    ghost_time machine node_ghosts
-      ~elt_bytes:(8. *. cols *. Common.ghost_density_correction)
-  in
-  let penalty =
-    match machine.Machine.kind with
-    | Machine.Gpu when Machine.pieces machine > 1 ->
-        gpu_spmm_penalty machine (Dense.mat_bytes c) +. gpu_sync
-    | Machine.Gpu -> gpu_sync
-    | Machine.Cpu -> 0.
-  in
-  Common.ok (overlap ~compute:t_compute ~comm:t_comm +. barrier machine +. penalty)
-
-let spmm ~machine b ~c ~a =
-  try spmm ~machine b ~c ~a
-  with Exit -> Common.dnc "PETSc GPU SpMM: gathered C exceeds device memory"
+  if
+    gpu machine
+    && Array.exists2
+         (fun n g ->
+           (float_of_int n *. 20.)
+           +. (float_of_int g *. cols *. 8.)
+           +. (Dense.mat_bytes c /. float_of_int r)
+           +. (Dense.mat_bytes a /. float_of_int r)
+           > Machine.piece_mem machine)
+         counts ghosts
+  then Common.dnc "PETSc GPU SpMM: gathered C exceeds device memory"
+  else
+    let t_compute =
+      spmm_kernel_penalty
+      *. Common.spmm_compute machine lay ~rows:b.Tensor.dims.(0) ~cols counts
+    in
+    let t_comm =
+      Common.exchange machine b ~width:cols ~latency:(scatter_latency machine)
+    in
+    let penalty =
+      match machine.Machine.kind with
+      | Machine.Gpu when Machine.pieces machine > 1 ->
+          gpu_spmm_penalty machine (Dense.mat_bytes c) +. gpu_sync
+      | Machine.Gpu -> gpu_sync
+      | Machine.Cpu -> 0.
+    in
+    Common.ok
+      (Common.overlap ~compute:t_compute ~comm:t_comm
+      +. Common.barrier machine lay
+      +. penalty)
 
 let spadd3 ~machine b c d =
-  match machine.Machine.kind with
-  | Machine.Gpu ->
-      (* PETSc lacks GPU sparse addition with unknown output pattern. *)
-      (None, Common.dnc "PETSc: GPU MatAXPY with unknown pattern unsupported")
-  | Machine.Cpu ->
-      let result = Common.seq_add3 ~name:"A_petsc" b c d in
-      let r = ranks machine in
-      (* Two pairwise MatAXPY passes, each assembling an intermediate with
-         dynamic insertion. *)
-      let tmp = Common.seq_add3 ~name:"petsc_tmp" b c c in
-      (* tmp = B + C (adding c twice only perturbs values, not pattern). *)
-      let pass counts_in out_nnz =
-        let t_stream =
-          balance_time machine counts_in ~per_rank_flops_bytes:(fun n ->
-              (float_of_int n, 32. *. float_of_int n))
-        in
-        let t_insert =
-          Common.share_time machine ~den:1
-            ~flops:(insert_flops *. float_of_int out_nnz /. float_of_int (Machine.pieces machine))
-            ~bytes:0.
-        in
-        t_stream +. t_insert +. barrier machine
-      in
-      let counts_bc =
-        Array.map2 ( + )
-          (Common.row_block_nnz b ~blocks:r)
-          (Common.row_block_nnz c ~blocks:r)
-      in
-      let counts_td =
-        Array.map2 ( + )
-          (Common.row_block_nnz tmp ~blocks:r)
-          (Common.row_block_nnz d ~blocks:r)
-      in
-      let t =
-        pass counts_bc (Tensor.nnz tmp) +. pass counts_td (Tensor.nnz result)
-      in
-      (Some result, Common.ok t)
+  if gpu machine then
+    (* PETSc lacks GPU sparse addition with unknown output pattern. *)
+    (None, Common.dnc "PETSc: GPU MatAXPY with unknown pattern unsupported")
+  else
+    let sum, _, t =
+      Common.pairwise_add3 machine (layout machine) ~insert_flops ~name:"petsc"
+        b c d
+    in
+    (Some sum, Common.ok t)

@@ -11,16 +11,6 @@
       dynamic insertion;
     - GPU SpMM pays a multi-GPU staging penalty (per the paper's
       communication with the PETSc developers);
-    - no GPU sparse-add with unknown output pattern.
+    - no GPU sparse-add with unknown output pattern. *)
 
-    Kernels compute real results (into the given outputs). *)
-
-open Spdistal_runtime
-open Spdistal_formats
-
-val spmv : machine:Machine.t -> Tensor.t -> x:Dense.vec -> y:Dense.vec -> Common.result
-val spmm : machine:Machine.t -> Tensor.t -> c:Dense.mat -> a:Dense.mat -> Common.result
-
-(** Returns the assembled sum and the result. *)
-val spadd3 :
-  machine:Machine.t -> Tensor.t -> Tensor.t -> Tensor.t -> Tensor.t option * Common.result
+include Common.Matrix_kernels

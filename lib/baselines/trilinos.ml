@@ -12,51 +12,15 @@ let spmm_kernel_penalty = 3.0
    the paper measures 38.5x on SpAdd3 vs SpDISTAL's fused single pass). *)
 let insert_flops = 3_000.
 
-let socket_ranks = 2
-
-let ranks machine =
-  match machine.Machine.kind with
-  | Machine.Cpu -> Machine.pieces machine * socket_ranks
-  | Machine.Gpu -> Machine.pieces machine
-
-let rank_den machine =
-  match machine.Machine.kind with Machine.Cpu -> socket_ranks | Machine.Gpu -> 1
-
-let log2f n = log (float_of_int (max 2 n)) /. log 2.
-
-let balance_time machine ~per_rank_flops_bytes counts =
-  Array.fold_left
-    (fun acc c ->
-      let flops, bytes = per_rank_flops_bytes c in
-      Float.max acc
-        (static_penalty
-        *. Common.share_time machine ~den:(rank_den machine) ~flops ~bytes))
-    0. counts
+(* One MPI rank per socket, Kokkos threads inside. *)
+let layout machine =
+  Common.layout machine ~cpu_ranks_per_node:2 ~static_penalty
 
 (* Single-gather Import: one message per rank carrying all needed remote
-   entries. *)
-let import_time machine ghosts ~elt_bytes =
-  let nodes = Machine.nodes machine in
-  if nodes = 1 then
-    Array.fold_left
-      (fun acc g -> Float.max acc (float_of_int g *. elt_bytes /. machine.Machine.params.cpu_mem_bw))
-      0. ghosts
-  else
-    Array.fold_left
-      (fun acc g ->
-        let remote =
-          float_of_int g *. elt_bytes
-          *. (float_of_int (nodes - 1) /. float_of_int nodes)
-        in
-        Float.max acc
-          (machine.Machine.params.net_alpha +. (remote /. machine.Machine.params.net_bw)))
-      0. ghosts
-
-let barrier machine =
-  machine.Machine.params.barrier_alpha *. log2f (ranks machine)
-
-(* Tpetra's apply overlaps the Import with the locally-owned compute. *)
-let overlap ~compute ~comm = compute +. Float.max 0. (comm -. (0.9 *. compute))
+   entries.  Tpetra's apply overlaps the Import with the locally-owned
+   compute. *)
+let import machine b ~width =
+  Common.exchange machine b ~width ~latency:machine.Machine.params.net_alpha
 
 (* UVM: overflow beyond device memory is paged in and out each iteration. *)
 let uvm_penalty machine resident =
@@ -68,16 +32,12 @@ let uvm_penalty machine resident =
 
 let spmv ~machine b ~x ~y =
   Common.seq_spmv b x y;
-  let r = ranks machine in
+  let lay = layout machine in
+  let r = lay.Common.ranks in
   let counts = Common.row_block_nnz b ~blocks:r in
   let rows = b.Tensor.dims.(0) in
-  let t_compute =
-    balance_time machine counts ~per_rank_flops_bytes:(fun n ->
-        ( 2. *. float_of_int n,
-          (24. *. float_of_int n) +. (8. *. float_of_int (rows / r)) ))
-  in
-  let ghosts = Common.row_block_ghosts b ~blocks:(Machine.nodes machine) in
-  let t_comm = import_time machine ghosts ~elt_bytes:(8. *. Common.ghost_density_correction) in
+  let t_compute = Common.spmv_compute machine lay ~rows counts in
+  let t_comm = import machine b ~width:1. in
   let staging =
     match machine.Machine.kind with
     | Machine.Gpu ->
@@ -85,28 +45,23 @@ let spmv ~machine b ~x ~y =
         4. *. 8. *. float_of_int (rows / r) /. machine.Machine.params.nvlink_bw
     | Machine.Cpu -> 0.
   in
-  Common.ok (overlap ~compute:t_compute ~comm:t_comm +. barrier machine +. staging)
+  Common.ok
+    (Common.overlap ~compute:t_compute ~comm:t_comm
+    +. Common.barrier machine lay
+    +. staging)
 
 let spmm ~machine b ~c ~a =
   Common.seq_spmm b c a;
-  let r = ranks machine in
+  let lay = layout machine in
+  let r = lay.Common.ranks in
   let cols = float_of_int c.Dense.cols in
-  let rows = b.Tensor.dims.(0) in
   let counts = Common.row_block_nnz b ~blocks:r in
   let ghosts = Common.row_block_ghosts b ~blocks:r in
   let t_compute =
     spmm_kernel_penalty
-    *. balance_time machine counts ~per_rank_flops_bytes:(fun n ->
-           let nf = float_of_int n in
-           ( 2. *. nf *. cols,
-             (16. *. nf) +. (8. *. nf *. cols)
-             +. (16. *. float_of_int (rows / r) *. cols) ))
+    *. Common.spmm_compute machine lay ~rows:b.Tensor.dims.(0) ~cols counts
   in
-  let node_ghosts = Common.row_block_ghosts b ~blocks:(Machine.nodes machine) in
-  let t_comm =
-    import_time machine node_ghosts
-      ~elt_bytes:(8. *. cols *. Common.ghost_density_correction)
-  in
+  let t_comm = import machine b ~width:cols in
   (* Per-rank residency for the UVM model. *)
   let resident =
     Array.fold_left Float.max 0.
@@ -118,41 +73,17 @@ let spmm ~machine b ~c ~a =
          counts ghosts)
   in
   Common.ok
-    (overlap ~compute:t_compute ~comm:t_comm
-    +. barrier machine
+    (Common.overlap ~compute:t_compute ~comm:t_comm
+    +. Common.barrier machine lay
     +. uvm_penalty machine resident)
 
 let spadd3 ~machine b c d =
-  let result = Common.seq_add3 ~name:"A_trilinos" b c d in
-  let r = ranks machine in
-  let tmp = Common.seq_add3 ~name:"trilinos_tmp" b c c in
-  let pass counts_in out_nnz =
-    let t_stream =
-      balance_time machine counts_in ~per_rank_flops_bytes:(fun n ->
-          (float_of_int n, 32. *. float_of_int n))
-    in
-    let t_insert =
-      Common.share_time machine ~den:1
-        ~flops:
-          (insert_flops *. float_of_int out_nnz
-          /. float_of_int (Machine.pieces machine))
-        ~bytes:0.
-    in
-    t_stream +. t_insert +. barrier machine
-  in
-  let counts_bc =
-    Array.map2 ( + ) (Common.row_block_nnz b ~blocks:r) (Common.row_block_nnz c ~blocks:r)
-  in
-  let counts_td =
-    Array.map2 ( + ) (Common.row_block_nnz tmp ~blocks:r) (Common.row_block_nnz d ~blocks:r)
+  let sum, tmp, t =
+    Common.pairwise_add3 machine (layout machine) ~insert_flops ~name:"trilinos"
+      b c d
   in
   let resident =
     float_of_int (Tensor.bytes b + Tensor.bytes c + Tensor.bytes d + Tensor.bytes tmp)
     /. float_of_int (Machine.pieces machine)
   in
-  let t =
-    pass counts_bc (Tensor.nnz tmp)
-    +. pass counts_td (Tensor.nnz result)
-    +. uvm_penalty machine resident
-  in
-  (Some result, Common.ok t)
+  (Some sum, Common.ok (t +. uvm_penalty machine resident))

@@ -12,11 +12,4 @@
     - CUDA-UVM on GPUs: problems that exceed device memory run anyway, at a
       paging penalty (never DNC for capacity on SpMM/SpAdd3). *)
 
-open Spdistal_runtime
-open Spdistal_formats
-
-val spmv : machine:Machine.t -> Tensor.t -> x:Dense.vec -> y:Dense.vec -> Common.result
-val spmm : machine:Machine.t -> Tensor.t -> c:Dense.mat -> a:Dense.mat -> Common.result
-
-val spadd3 :
-  machine:Machine.t -> Tensor.t -> Tensor.t -> Tensor.t -> Tensor.t option * Common.result
+include Common.Matrix_kernels

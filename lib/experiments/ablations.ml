@@ -194,7 +194,8 @@ let run_format fmt () =
       Format.fprintf fmt "%-30s %a@," label pp_time (time p))
     formats;
   Format.fprintf fmt
-    "(one schedule serves every format: the level functions specialize the      partitioning code)@,@]"
+    "(one schedule serves every format: the level functions specialize the \
+     partitioning code)@,@]"
 
 let run_all fmt () =
   run_partition fmt ();

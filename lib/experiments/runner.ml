@@ -93,24 +93,9 @@ let scale_iterations iterations (r : Common.result) =
   | Some n, None when n > 1 -> { r with Common.time = r.Common.time *. float_of_int n }
   | _ -> r
 
-(* SpMV, SpMM and SpAdd3 share one signature across the three baseline
-   libraries, so their operands are built here, fresh on every call. *)
-module type Baseline = sig
-  val spmv :
-    machine:Machine.t -> Tensor.t -> x:Dense.vec -> y:Dense.vec -> Common.result
-
-  val spmm :
-    machine:Machine.t -> Tensor.t -> c:Dense.mat -> a:Dense.mat -> Common.result
-
-  val spadd3 :
-    machine:Machine.t ->
-    Tensor.t ->
-    Tensor.t ->
-    Tensor.t ->
-    Tensor.t option * Common.result
-end
-
-let run_baseline (module B : Baseline) ~name ~kernel ~machine ~cols b =
+(* The operands of the shared SpMV, SpMM and SpAdd3 entry points are built
+   here, fresh on every call. *)
+let run_baseline (module B : Common.Matrix_kernels) ~name ~kernel ~machine ~cols b =
   match kernel with
   | Spmv ->
       let x = K.dense_vec "x" b.Tensor.dims.(1)
@@ -157,26 +142,23 @@ let run ~kernel ~system ~machine ?(cols = 32) ?(auto = false) ?iterations
   | Ctf ->
       scale_iterations iterations
       @@ (
-      if machine.Machine.kind = Machine.Gpu then
-        Common.dnc "CTF: no usable GPU backend"
-      else
-        match kernel with
-        | Spmv | Spmm | Spadd3 ->
-            run_baseline (module Ctf) ~name:"CTF" ~kernel ~machine ~cols b
-        | Sddmm ->
-            let c = K.dense_mat "C" b.Tensor.dims.(0) cols
-            and d = K.dense_mat "D" cols b.Tensor.dims.(1) in
-            let a = Assemble.copy_pattern ~name:"A" b in
-            Ctf.sddmm ~machine b ~c ~d ~a
-        | Spttv ->
-            let c = K.dense_vec "c" b.Tensor.dims.(2)
-            and a = Assemble.copy_pattern ~name:"A" ~levels:2 b in
-            Ctf.spttv ~machine b ~c ~a
-        | Mttkrp ->
-            let c = K.dense_mat "C" b.Tensor.dims.(1) cols
-            and d = K.dense_mat "D" b.Tensor.dims.(2) cols
-            and a = Dense.mat_create "A" b.Tensor.dims.(0) cols in
-            Ctf.mttkrp ~machine b ~c ~d ~a)
+      match kernel with
+      | Spmv | Spmm | Spadd3 ->
+          run_baseline (module Ctf) ~name:"CTF" ~kernel ~machine ~cols b
+      | Sddmm ->
+          let c = K.dense_mat "C" b.Tensor.dims.(0) cols
+          and d = K.dense_mat "D" cols b.Tensor.dims.(1) in
+          let a = Assemble.copy_pattern ~name:"A" b in
+          Ctf.sddmm ~machine b ~c ~d ~a
+      | Spttv ->
+          let c = K.dense_vec "c" b.Tensor.dims.(2)
+          and a = Assemble.copy_pattern ~name:"A" ~levels:2 b in
+          Ctf.spttv ~machine b ~c ~a
+      | Mttkrp ->
+          let c = K.dense_mat "C" b.Tensor.dims.(1) cols
+          and d = K.dense_mat "D" b.Tensor.dims.(2) cols
+          and a = Dense.mat_create "A" b.Tensor.dims.(0) cols in
+          Ctf.mttkrp ~machine b ~c ~d ~a)
 
 type cell = {
   kernel : kernel;

@@ -101,9 +101,16 @@ let test_ctf_requires_cpu () =
   let mg = Machine.make ~kind:Machine.Gpu [| 2 |] in
   let b = Lazy.force b in
   let x = Core.Kernels.dense_vec "x" 20 and y = Dense.vec_create "y" 20 in
-  Alcotest.check_raises "ctf gpu rejected"
-    (Invalid_argument "Ctf: no usable GPU backend (paper \xc2\xa7VI)") (fun () ->
-      ignore (Ctf.spmv ~machine:mg b ~x ~y))
+  Alcotest.(check (option string))
+    "ctf gpu is DNC" (Some "CTF: no usable GPU backend")
+    (Ctf.spmv ~machine:mg b ~x ~y).Common.dnc;
+  let c = Core.Kernels.shift_last_dim ~name:"C" ~by:1 b in
+  let d = Core.Kernels.shift_last_dim ~name:"D" ~by:2 b in
+  match Ctf.spadd3 ~machine:mg b c d with
+  | None, r ->
+      Alcotest.(check (option string))
+        "ctf gpu spadd3 is DNC" (Some "CTF: no usable GPU backend") r.Common.dnc
+  | Some _, _ -> Alcotest.fail "ctf gpu spadd3 returned a sum"
 
 let test_trilinos_uvm_pages_instead_of_oom () =
   (* Trilinos fits oversize GPU problems via UVM at a paging penalty. *)

@@ -104,9 +104,69 @@ let auto_report_table () =
 let test_auto_report () =
   check_golden "auto_report.csv" (auto_report_table ())
 
+(* Every baseline time the figures divide by, bit for bit: one row per
+   system, supported kernel and machine (1, 2 and 4 CPU nodes; 1 and 4
+   GPUs), run through [Runner.run] on one synthetic matrix (sized so PETSc's
+   one-GPU SpMM runs out of device memory and Trilinos pages through UVM)
+   and one small 3-tensor.  A time is recorded as its IEEE-754 bits, a DNC
+   cell as its reason; a diff here means a baseline cost model moved. *)
+let baselines_table () =
+  let open Spdistal_experiments in
+  let module Common = Spdistal_baselines.Common in
+  let matrix =
+    Spdistal_workloads.Synth.uniform ~name:"B" ~rows:10_000 ~cols:10_000
+      ~nnz:30_000 ~seed:17
+  in
+  let tensor = Helpers.rand_csf ~seed:19 24 20 16 0.05 in
+  let machines =
+    [
+      ("cpu1", Runner.cpu_machine ~nodes:1);
+      ("cpu2", Runner.cpu_machine ~nodes:2);
+      ("cpu4", Runner.cpu_machine ~nodes:4);
+      ("gpu1", Runner.gpu_machine ~gpus:1);
+      ("gpu4", Runner.gpu_machine ~gpus:4);
+    ]
+  in
+  let matrix_kernels = Runner.[ Spmv; Spmm; Spadd3 ] in
+  let systems =
+    Runner.
+      [
+        (Petsc, matrix_kernels);
+        (Trilinos, matrix_kernels);
+        (Ctf, matrix_kernels @ [ Sddmm; Spttv; Mttkrp ]);
+      ]
+  in
+  let b = Buffer.create 4096 in
+  Buffer.add_string b "system,kernel,machine,result\n";
+  List.iter
+    (fun (system, kernels) ->
+      List.iter
+        (fun kernel ->
+          let t =
+            if List.mem kernel Runner.kernels_for_tensor3 then tensor
+            else matrix
+          in
+          List.iter
+            (fun (mname, machine) ->
+              let r = Runner.run ~kernel ~system ~machine t in
+              Printf.bprintf b "%s,%s,%s,%s\n" (Runner.system_name system)
+                (Runner.kernel_name kernel) mname
+                (match r.Common.dnc with
+                | Some reason -> "DNC " ^ reason
+                | None ->
+                    Printf.sprintf "0x%016Lx"
+                      (Int64.bits_of_float r.Common.time)))
+            machines)
+        kernels)
+    systems;
+  Buffer.contents b
+
+let test_baselines () = check_golden "baselines.csv" (baselines_table ())
+
 let suite =
   [
     Alcotest.test_case "report csv golden" `Quick test_report_csv;
     Alcotest.test_case "report text golden" `Quick test_report_text;
     Alcotest.test_case "auto report golden" `Quick test_auto_report;
+    Alcotest.test_case "baseline times golden" `Quick test_baselines;
   ]
