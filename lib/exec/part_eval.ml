@@ -9,10 +9,10 @@ type coloring_state = {
 
 module Trace = Spdistal_obs.Trace
 
-(* A partition's derivation: its operator, the region it partitions, the
-   evaluated coloring bounds and axis, and the derivation of its input
-   partition.  Two partitions with equal derivations over the same operand
-   slots are equal. *)
+(* A partition's derivation: its operator, the region it partitions (named
+   by the storage it reads, see [key_rref]), the evaluated coloring bounds
+   and axis, and the derivation of its input partition.  Two partitions
+   with equal derivations over the same operand slots are equal. *)
 type key =
   | K_bounds of Loop_ir.rref * (int * int) array * Partition.axis
   | K_bounds_strided of Loop_ir.rref * int * (int * int) array * Partition.axis
@@ -38,6 +38,7 @@ let shared () = Shared.create 16
 
 type env = {
   bindings : Operand.bindings;
+  storage : (string * string) list;
   colorings : (string, coloring_state) Hashtbl.t;
   partitions : (string, Partition.t) Hashtbl.t;
   keys : (string, key) Hashtbl.t;
@@ -61,9 +62,33 @@ let accum_stats s env =
   s.s_dep_ops <- s.s_dep_ops + env.dep_ops;
   s.s_dep_elems <- s.s_dep_elems + env.dep_elems
 
+(* Two sparse operands read the same storage when they hold physically the
+   same levels in the same mode order, as [Assemble.copy_pattern]'s output
+   holds its source's. *)
+let same_storage (a : Tensor.t) (b : Tensor.t) =
+  Array.length a.Tensor.levels = Array.length b.Tensor.levels
+  && Array.for_all2 ( = ) a.Tensor.mode_order b.Tensor.mode_order
+  && Array.for_all2 ( == ) a.Tensor.levels b.Tensor.levels
+
+(* Each sparse operand whose storage an earlier operand in binding order
+   holds, paired with the first such operand. *)
+let storage_of_bindings bindings =
+  let rec go firsts acc = function
+    | [] -> acc
+    | (name, slot) :: rest -> (
+        match slot.Operand.data with
+        | Operand.Sparse t -> (
+            match List.find_opt (fun (_, t') -> same_storage t t') firsts with
+            | Some (first, _) -> go firsts ((name, first) :: acc) rest
+            | None -> go (firsts @ [ (name, t) ]) acc rest)
+        | Operand.Vec _ | Operand.Mat _ -> go firsts acc rest)
+  in
+  go [] [] bindings
+
 let create ?(trace = Trace.null) ?(shared = shared ()) bindings =
   {
     bindings;
+    storage = storage_of_bindings bindings;
     colorings = Hashtbl.create 16;
     partitions = Hashtbl.create 16;
     keys = Hashtbl.create 16;
@@ -130,6 +155,18 @@ let rref_ispace env = function
           Iset.range v.Dense.n
       | Operand.Mat m -> Iset.range (if k = 0 then m.Dense.rows else m.Dense.cols))
 
+(* An rref as a key names the storage it reads: an operand that shares an
+   earlier operand's storage is keyed by that operand's name. *)
+let key_rref env r =
+  let named t =
+    match List.assoc_opt t env.storage with Some first -> first | None -> t
+  in
+  match r with
+  | Loop_ir.Pos_r (t, k) -> Loop_ir.Pos_r (named t, k)
+  | Loop_ir.Crd_r (t, k) -> Loop_ir.Crd_r (named t, k)
+  | Loop_ir.Vals_r t -> Loop_ir.Vals_r (named t)
+  | Loop_ir.Dom_r (t, k) -> Loop_ir.Dom_r (named t, k)
+
 let find_partition env name =
   match Hashtbl.find_opt env.partitions name with
   | Some p -> p
@@ -175,13 +212,13 @@ let scale_subsets ~f part =
 let eval_pexpr env = function
   | Loop_ir.By_bounds { target; coloring } ->
       let bounds, axis = coloring_bounds env coloring in
-      ( K_bounds (target, bounds, axis),
+      ( K_bounds (key_rref env target, bounds, axis),
         None,
         fun () -> Partition.by_bounds ~axis (rref_ispace env target) bounds )
   | Loop_ir.By_bounds_strided { target; coloring; dim } ->
       let d = eval_dim env dim in
       let bounds, axis = coloring_bounds env coloring in
-      ( K_bounds_strided (target, d, bounds, axis),
+      ( K_bounds_strided (key_rref env target, d, bounds, axis),
         None,
         fun () ->
           Partition.by_bounds_strided ~axis (rref_ispace env target) ~dim:d
@@ -194,7 +231,7 @@ let eval_pexpr env = function
       in
       let bounds, axis = coloring_bounds env coloring in
       let tgt = rref_ispace env target in
-      ( K_value_ranges (target, bounds, axis),
+      ( K_value_ranges (key_rref env target, bounds, axis),
         Some ("by_value_ranges", Iset.cardinal tgt),
         fun () -> Partition.by_value_ranges ~axis ~values:crd tgt bounds )
   | Loop_ir.Image_range { pos; part; target } ->
@@ -203,7 +240,8 @@ let eval_pexpr env = function
         | Loop_ir.Pos_r (t, k) -> Tensor.pos_of (sparse env t) k
         | _ -> Error.fail Error.Partition_eval "image needs a pos region"
       in
-      ( K_image_range (pos, find_key env part, target),
+      ( K_image_range
+          (key_rref env pos, find_key env part, key_rref env target),
         Some ("image_range", Iset.cardinal posr.Region.ispace),
         fun () ->
           Dependent.image_ranges posr (find_partition env part)
@@ -214,7 +252,7 @@ let eval_pexpr env = function
         | Loop_ir.Pos_r (t, k) -> Tensor.pos_of (sparse env t) k
         | _ -> Error.fail Error.Partition_eval "preimage needs a pos region"
       in
-      ( K_preimage_range (pos, find_key env part),
+      ( K_preimage_range (key_rref env pos, find_key env part),
         Some ("preimage_range", Iset.cardinal posr.Region.ispace),
         fun () -> Dependent.preimage_ranges posr (find_partition env part) )
   | Loop_ir.Image_values { crd; part; target } ->
@@ -223,7 +261,8 @@ let eval_pexpr env = function
         | Loop_ir.Crd_r (t, k) -> Tensor.crd_of (sparse env t) k
         | _ -> Error.fail Error.Partition_eval "imageValues needs a crd region"
       in
-      ( K_image_values (crd, find_key env part, target),
+      ( K_image_values
+          (key_rref env crd, find_key env part, key_rref env target),
         Some ("image_values", Iset.cardinal crdr.Region.ispace),
         fun () ->
           Dependent.image_values crdr (find_partition env part)

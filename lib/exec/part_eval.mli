@@ -15,11 +15,17 @@ type coloring_state = {
   c_axis : Partition.axis;
 }
 
-(** A partition's derivation: the operator, the region it partitions (an
-    [rref] naming an operand slot), the evaluated coloring bounds and axis,
-    and the derivation of its input partition ([Copy_part] passes its
-    input's key through).  Under one set of operand slots, equal keys
-    derive equal partitions. *)
+(** A partition's derivation: the operator, the region it partitions, the
+    evaluated coloring bounds and axis, and the derivation of its input
+    partition ([Copy_part] passes its input's key through).  A region is
+    named by the storage it reads: an [rref] of a sparse operand is keyed
+    by the first operand in binding order whose storage levels are
+    physically ([==]) the same, with the same level count and mode order.
+    The output of {!Spdistal_formats.Assemble.copy_pattern} holds its
+    source's levels, so the two share keys and each partition of the
+    pattern is derived once; a deep copy of a pattern has storage, and
+    keys, of its own.
+    Under one set of operand slots, equal keys derive equal partitions. *)
 type key
 
 (** Partitions by derivation key, shared by the environments of one plan
@@ -35,6 +41,9 @@ val shared : unit -> shared
 
 type env = {
   bindings : Operand.bindings;
+  storage : (string * string) list;
+      (** each sparse operand that shares an earlier operand's storage,
+          paired with the first such operand: the name its keys use *)
   colorings : (string, coloring_state) Hashtbl.t;
   partitions : (string, Partition.t) Hashtbl.t;
   keys : (string, key) Hashtbl.t;  (** each named partition's derivation *)
@@ -68,8 +77,9 @@ val accum_stats : stats -> env -> unit
     dependent-partitioning operation.  Each partition is looked up in
     [shared] (default: a fresh table) by its derivation {!key} and
     evaluated only on a miss.  A hit counts [parts], [dep_ops] and
-    [dep_elems] (and emits its span) exactly as an evaluation does, so the
-    partitioning bill does not depend on what was shared. *)
+    [dep_elems] (and emits its span) before the lookup, exactly as an
+    evaluation does, so the partitioning bill does not depend on what was
+    shared, by derivation or by storage. *)
 val create :
   ?trace:Spdistal_obs.Trace.t -> ?shared:shared -> Operand.bindings -> env
 

@@ -11,7 +11,11 @@
      costs (PR-1 invariant);
    - fault invariance: an injected fault schedule never changes outputs
      (PR-2 invariant); runs that exhaust recovery report DNC, which is a
-     legitimate outcome, not a failure. *)
+     legitimate outcome, not a failure;
+   - search legality (auto cases): every candidate the auto-scheduler's
+     search emits lowers;
+   - auto-vs-hand (auto cases): the chosen schedule agrees with the dense
+     reference. *)
 
 open Spdistal_runtime
 open Spdistal_exec
@@ -150,6 +154,21 @@ let run spec =
     if spec.Spec.faults <> None then
       variant "fault-invariance" ~how:"under fault injection" ~outputs_only:true
         (exec ~faults:(faults_of spec));
+    (* search legality: every candidate the auto-scheduler's search emits
+       lowers, so pricing never places a schedule [Lower] refuses. *)
+    (if spec.Spec.auto then
+       List.iter
+         (fun (c : Spdistal_opt.Search.candidate) ->
+           match
+             Spdistal.compile ~trace:Spdistal_obs.Trace.null
+               (Spdistal_opt.Search.apply p c)
+           with
+           | _ -> ()
+           | exception Error.Error e ->
+               stop
+                 (fail "search-legality" "candidate %s does not lower: %s"
+                    c.Spdistal_opt.Search.c_label (Error.to_string e)))
+         (Spdistal_opt.Search.candidates p));
     (* auto-vs-hand equivalence: whatever schedule the auto-scheduler picks
        for the same (machine, TIN, tensors), executing it must agree with
        the dense reference exactly as the spec's own schedule did.  No
@@ -158,8 +177,10 @@ let run spec =
     (if spec.Spec.auto then
        let p5 = Spec.build spec in
        match Spdistal_opt.Auto.choose p5 with
-       | None | (exception Invalid_argument _) -> ()
-       | exception Error.Error _ -> ()
+       | None | (exception Error.Error _) -> ()
+       | exception Invalid_argument m ->
+           stop
+             (fail "auto-vs-hand" "untyped refusal escaped Auto.choose: %s" m)
        | Some ch -> (
            match exec ch.Spdistal_opt.Auto.ch_problem with
            | Ran _ ->

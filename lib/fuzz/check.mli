@@ -6,7 +6,9 @@
     equivalence (the compiled closures and the reference interpreter must be
     bit-identical in outputs and cost — whichever backend the process
     default did not select is re-run on a fresh build), simulation domain
-    invariance, and fault invariance.  DNC (OOM / recovery exhaustion) is a
+    invariance, fault invariance and, for auto cases, search legality
+    (every candidate the auto-scheduler's search emits lowers) and
+    auto-vs-hand agreement.  DNC (OOM / recovery exhaustion) is a
     legitimate outcome, reported as [Skip]. *)
 
 type failure = { prop : string; detail : string }

@@ -290,10 +290,111 @@ let check_fragment env stmt =
                  accesses")
         ts
 
-let lower ~env ~grid stmt sched =
+(* Where [lower] starts partitioning: the storage level each merge
+   operand (or the single driver) is universe-partitioned at, or the
+   position-split driver and the storage level of its deepest fused
+   variable. *)
+type start =
+  | Universe_at of (Tin.access * int) list
+  | Non_zero_at of Tin.access * int
+
+(* What [legal] established about a statement and its schedule. *)
+type legal = {
+  plan : Schedule.plan;
+  merge : bool;
+      (** a pure addition of several sparse operands; a single access (a
+          TDN identity statement) is a copy driven by that operand *)
+  driver_accs : Tin.access list;
+  start : start;
+}
+
+(* Every static refusal of [lower]: facts about the statement, the operand
+   formats and the schedule, decided before any partition is named.
+   Raises a [Compile] [Error.Error]. *)
+let legal env stmt sched =
   Tin.validate ~order_of:(fun n -> order_of (find_operand env n)) stmt;
   check_fragment env stmt;
   let plan = Schedule.analyze stmt sched in
+  let out = stmt.Tin.lhs in
+  let rhs_sparse =
+    List.filter (fun a -> is_sparse env a.Tin.tensor) (Tin.rhs_accesses stmt)
+  in
+  let merge = Tin.is_pure_addition stmt && List.length rhs_sparse > 1 in
+  (* [check_fragment] left a product exactly one sparse operand. *)
+  let driver_accs =
+    match rhs_sparse with a :: _ when not merge -> [ a ] | accs -> accs
+  in
+  let start =
+    match plan.Schedule.strategy with
+    | Schedule.Universe_dist { var = v } ->
+        (* A pattern-preserving sparse output shares the driver's metadata:
+           pieces of a universe distribution over a variable outside the lhs
+           prefix would alias the same output positions (an un-marked
+           reduction).  Reject rather than run wrong. *)
+        if
+          is_sparse env out.Tin.tensor && (not merge)
+          && not (List.mem v out.Tin.indices)
+        then
+          Error.fail Error.Compile
+            "Lower: universe distribution over a reduction variable is \
+             unsupported with a sparse output";
+        Universe_at
+          (List.map
+             (fun acc ->
+               let tname = acc.Tin.tensor in
+               let lpos =
+                 match var_pos acc v with
+                 | Some p -> p
+                 | None ->
+                     Error.fail Error.Compile
+                       "Lower: %s not indexed by distributed var %s" tname v
+               in
+               let k = storage_level (find_operand env tname) lpos in
+               (* A merge leaf merges whole rows of the first operand's row
+                  partition: blocks of an inner level would miss rows only a
+                  later operand stores and split rows across pieces. *)
+               if merge && k > 0 then
+                 Error.fail Error.Compile
+                   "Lower: a merge distributed over %s, below %s's outermost \
+                    storage level, is unsupported"
+                   v tname;
+               (acc, k))
+             driver_accs)
+    | Schedule.Non_zero_dist { tensor; fused } ->
+        let driver_acc =
+          match List.find_opt (fun a -> a.Tin.tensor = tensor) driver_accs with
+          | Some a -> a
+          | None ->
+              Error.fail Error.Compile "Lower: pos tensor is not a sparse operand"
+        in
+        if merge then
+          Error.fail Error.Compile
+            "Lower: non-zero distribution of additive merges is unsupported \
+             (paper §VI-A: SpAdd3 on CSR is incompatible with non-zero \
+             splitting)";
+        let driver_op = find_operand env tensor in
+        (* The initial level is the storage level of the deepest fused var. *)
+        let k_f =
+          List.fold_left
+            (fun acc v ->
+              match var_pos driver_acc v with
+              | Some lpos -> max acc (storage_level driver_op lpos)
+              | None ->
+                  Error.fail Error.Compile
+                    "Lower: fused var not in pos tensor's access")
+            0 fused
+        in
+        Non_zero_at (driver_acc, k_f)
+  in
+  { plan; merge; driver_accs; start }
+
+let check ~env stmt sched =
+  match legal env stmt sched with
+  | _ -> Ok ()
+  | exception Error.Error e -> Error e
+
+let lower ~env ~grid stmt sched =
+  let { plan; merge; driver_accs; start } = legal env stmt sched in
   let pieces = Array.fold_left ( * ) 1 grid in
   let primary_count = if Array.length grid >= 2 then grid.(0) else pieces in
   (* Everything this lowering distributes is chunked by the grid's first
@@ -302,27 +403,10 @@ let lower ~env ~grid stmt sched =
     if Array.length grid >= 2 then Partition.Grid_dim 0 else Partition.Flat
   in
   let col_split = if Array.length grid >= 2 then grid.(1) else 1 in
-  ignore pieces;
   let out = stmt.Tin.lhs in
   let out_sparse = is_sparse env out.Tin.tensor in
   let rhs = Tin.rhs_accesses stmt in
-  let rhs_sparse = List.filter (fun a -> is_sparse env a.Tin.tensor) rhs in
   let cvar = List.hd plan.Schedule.dist_vars in
-  (* A merge kernel is a pure addition of several sparse operands; a single
-     access (e.g. a TDN identity statement) is just a copy driven by that
-     operand. *)
-  let merge = Tin.is_pure_addition stmt && List.length rhs_sparse > 1 in
-  (* A pattern-preserving sparse output shares the driver's metadata: pieces
-     of a universe distribution over a variable outside the lhs prefix would
-     alias the same output positions (an un-marked reduction).  Reject rather
-     than run wrong. *)
-  (match plan.Schedule.strategy with
-  | Schedule.Universe_dist { var = v }
-    when out_sparse && (not merge) && not (List.mem v out.Tin.indices) ->
-      Error.fail Error.Compile
-        "Lower: universe distribution over a reduction variable is \
-         unsupported with a sparse output"
-  | _ -> ());
   let stmts = ref [] and comms = ref [] in
   let emit sts = stmts := !stmts @ sts in
   let add_comm c = comms := !comms @ [ c ] in
@@ -342,15 +426,6 @@ let lower ~env ~grid stmt sched =
         [ List.nth out.Tin.indices (List.length out.Tin.indices - 1) ]
   in
   let divide_for acc = if mentions acc secondary_roots then col_split else 1 in
-  let driver_accs =
-    if merge then rhs_sparse
-    else
-      match rhs_sparse with
-      | [ a ] -> [ a ]
-      | _ ->
-          Error.fail Error.Compile
-            "Lower: products need exactly one sparse operand"
-  in
   let dense_accs = List.filter (fun a -> not (is_sparse env a.Tin.tensor)) rhs in
   let finish ~strategy ~(driver_acc : Tin.access) ~driver_tp ~tps ~nnz_split =
     let driver = driver_acc.Tin.tensor in
@@ -457,30 +532,14 @@ let lower ~env ~grid stmt sched =
       ];
     { grid; stmts = !stmts }
   in
-  match plan.Schedule.strategy with
-  | Schedule.Universe_dist { var = v } ->
+  match start with
+  | Universe_at levels ->
       (* createInitialUniversePartitions + partitionCoordinateTrees for every
          sparse operand indexed by the distributed variable (Fig. 9a). *)
       let tps =
         List.map
-          (fun acc ->
+          (fun (acc, k) ->
             let tname = acc.Tin.tensor in
-            let lpos =
-              match var_pos acc v with
-              | Some p -> p
-              | None ->
-                  Error.fail Error.Compile
-                    "Lower: %s not indexed by distributed var %s" tname v
-            in
-            let k = storage_level (find_operand env tname) lpos in
-            (* A merge leaf merges whole rows of the first operand's row
-               partition: blocks of an inner level would miss rows only a
-               later operand stores and split rows across pieces. *)
-            if merge && k > 0 then
-              Error.fail Error.Compile
-                "Lower: a merge distributed over %s, below %s's outermost \
-                 storage level, is unsupported"
-                v tname;
             let tp =
               partition_tree_universe env ~tname ~k ~cvar ~count:primary_count
                 ~axis:primary_axis
@@ -488,37 +547,15 @@ let lower ~env ~grid stmt sched =
             emit tp.tstmts;
             add_sparse_comm tname tp.vals_part;
             (acc, tp))
-          driver_accs
+          levels
       in
-      (* A sparse pattern-preserving output indexed by [v] also gets its
-         row partition implicitly via the shared metadata; a sparse merge
-         output is assembled locally. *)
+      (* A sparse pattern-preserving output indexed by the variable also
+         gets its row partition implicitly via the shared metadata; a sparse
+         merge output is assembled locally. *)
       let driver_acc, driver_tp = List.hd tps in
       finish ~strategy:`Universe ~driver_acc ~driver_tp ~tps ~nnz_split:false
-  | Schedule.Non_zero_dist { tensor; fused } ->
-      let driver_acc =
-        match List.find_opt (fun a -> a.Tin.tensor = tensor) driver_accs with
-        | Some a -> a
-        | None ->
-            Error.fail Error.Compile "Lower: pos tensor is not a sparse operand"
-      in
-      if merge then
-        Error.fail Error.Compile
-          "Lower: non-zero distribution of additive merges is unsupported \
-           (paper §VI-A: SpAdd3 on CSR is incompatible with non-zero \
-           splitting)";
-      let driver_op = find_operand env tensor in
-      (* The initial level is the storage level of the deepest fused var. *)
-      let k_f =
-        List.fold_left
-          (fun acc v ->
-            match var_pos driver_acc v with
-            | Some lpos -> max acc (storage_level driver_op lpos)
-            | None ->
-                Error.fail Error.Compile
-                  "Lower: fused var not in pos tensor's access")
-          0 fused
-      in
+  | Non_zero_at (driver_acc, k_f) ->
+      let tensor = driver_acc.Tin.tensor in
       let tp =
         partition_tree_nonzero env ~tname:tensor ~k_f ~cvar
           ~count:primary_count ~axis:primary_axis

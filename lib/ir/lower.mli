@@ -25,14 +25,29 @@ type operand =
 (** Tensor name -> shape metadata for every operand of the statement. *)
 type env = (string * operand) list
 
+(** [check ~env stmt schedule] is [Error] with the [Compile] error {!lower}
+    would raise when the statement and schedule meet one of {!lower}'s
+    static refusals, and [Ok ()] otherwise.  The static refusals are: {!Tin.validate}, the supported
+    fragment (the rhs must be a single product with exactly one sparse
+    operand, dense factors and literal coefficients allowed, or a pure sum
+    of sparse accesses, a merge), {!Schedule.analyze}, a distributed
+    variable that does not index a sparse operand, a merge distributed below
+    its operands' outermost storage level, a universe distribution over a
+    reduction variable with a sparse output, and a non-zero distribution of
+    a merge.  A checked schedule can still fail in {!lower} where it builds
+    partitions (a storage level with no partition, a dense operand whose
+    access lacks the driver's shared variable).  [check] names no partition, so it costs a
+    fraction of a lowering; the auto-scheduler's search filters its
+    candidates with it. *)
+val check :
+  env:env ->
+  Tin.stmt ->
+  Schedule.t ->
+  (unit, Spdistal_runtime.Error.t) result
+
 (** [lower ~env ~grid stmt schedule] produces the partitioning-and-compute
-    program.  Raises [Invalid_argument] (or, for schedules {!Schedule.analyze}
-    rejects, a [Compile] [Error.Error]) on statements/schedules outside the
-    supported fragment: the rhs must be a single product with exactly one
-    sparse operand (dense factors and literal coefficients allowed) or a pure
-    sum of sparse accesses (merge); at most two distributed loops; no
-    distributing a non-root dense variable; no universe distribution over a
-    reduction variable when the output is sparse. *)
+    program.  It calls {!check} first and raises its [Compile]
+    [Error.Error] on a refusal. *)
 val lower : env:env -> grid:int array -> Tin.stmt -> Schedule.t -> Loop_ir.prog
 
 (** {1 Debug fault injection}

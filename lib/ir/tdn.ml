@@ -1,3 +1,5 @@
+module Error = Spdistal_runtime.Error
+
 type t =
   | Blocked of { tensor_dim : int; machine_dim : int }
   | Tiled of { mappings : (int * int) list }
@@ -15,7 +17,8 @@ let identity_stmt ~tensor ~order =
 (* Fuse dims 0..k into a single variable, left to right. *)
 let fuse_chain dims =
   match dims with
-  | [] | [ _ ] -> invalid_arg "Tdn: fusion needs at least two dimensions"
+  | [] | [ _ ] ->
+      Error.fail Error.Compile "Tdn: fusion needs at least two dimensions"
   | d0 :: rest ->
       let cmds, last =
         List.fold_left
@@ -30,7 +33,8 @@ let to_schedule ~tensor ~order tdn =
   let stmt = identity_stmt ~tensor ~order in
   let sched =
     match tdn with
-    | Replicated -> invalid_arg "Tdn.to_schedule: Replicated has no partition"
+    | Replicated ->
+        Error.fail Error.Compile "Tdn.to_schedule: Replicated has no partition"
     | Blocked { tensor_dim; _ } | Tiled { mappings = [ (tensor_dim, _) ] } ->
         let v = var tensor_dim in
         [
@@ -39,7 +43,8 @@ let to_schedule ~tensor ~order tdn =
           Schedule.Communicate { tensors = [ tensor ]; at = v ^ "o" };
         ]
     | Tiled _ ->
-        invalid_arg "Tdn.to_schedule: multi-dim tilings are mapping-only here"
+        Error.fail Error.Compile
+          "Tdn.to_schedule: multi-dim tilings are mapping-only here"
     | Non_zero { tensor_dim; _ } ->
         (* Non-zero split of one dimension's stored coordinates: iterate that
            dimension in position space, then divide/distribute. *)

@@ -26,9 +26,11 @@ type t =
 
 (** [to_schedule ~tensor ~order tdn] builds the §V-C scheduled identity
     statement: a TIN access of every mode of [tensor] plus the schedule that
-    partitions it as [tdn] prescribes.  Raises on [Replicated] (replication
-    is a mapping decision, not a partition) and on multi-dim [Tiled] (only
-    its first mapping is partition-relevant for 1-D machines). *)
+    partitions it as [tdn] prescribes.  Raises
+    {!Spdistal_runtime.Error.Error} ([Compile]) on [Replicated]
+    (replication is a mapping decision, not a partition), on multi-dim
+    [Tiled] (only its first mapping is partition-relevant for 1-D machines)
+    and on a [Fused_non_zero] of fewer than two dimensions. *)
 val to_schedule : tensor:string -> order:int -> t -> Tin.stmt * Schedule.t
 
 (** Render in the paper's notation, e.g. ["B_{xy} |->^{xy->f}_{~f} M"]. *)

@@ -1,3 +1,5 @@
+module Error = Spdistal_runtime.Error
+
 type access = { tensor : string; indices : string list }
 
 type expr =
@@ -48,9 +50,9 @@ let validate ~order_of s =
   let check a =
     let expected = order_of a.tensor in
     if List.length a.indices <> expected then
-      invalid_arg
-        (Printf.sprintf "Tin.validate: %s accessed with %d indices, order %d"
-           a.tensor (List.length a.indices) expected)
+      Error.fail Error.Compile
+        "Tin.validate: %s accessed with %d indices, order %d" a.tensor
+        (List.length a.indices) expected
   in
   check s.lhs;
   List.iter check (rhs_accesses s);
@@ -60,8 +62,8 @@ let validate ~order_of s =
   List.iter
     (fun v ->
       if not (List.mem v rhs_vars) then
-        invalid_arg
-          (Printf.sprintf "Tin.validate: lhs var %s not bound on the rhs" v))
+        Error.fail Error.Compile
+          "Tin.validate: lhs var %s not bound on the rhs" v)
     s.lhs.indices
 
 let pp_access fmt a =

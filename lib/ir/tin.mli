@@ -39,7 +39,7 @@ val reduction_vars : stmt -> string list
 val is_pure_addition : stmt -> bool
 
 (** Validates arities against a lookup of tensor orders, and that lhs vars
-    appear on the rhs. Raises [Invalid_argument]. *)
+    appear on the rhs.  Raises {!Spdistal_runtime.Error.Error} ([Compile]). *)
 val validate : order_of:(string -> int) -> stmt -> unit
 
 val pp : Format.formatter -> stmt -> unit

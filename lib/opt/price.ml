@@ -16,9 +16,19 @@
    tournament compares.
 
    The candidates of one auto-scheduler call are priced in one [session]
-   that shares statistics and partitions between them; a
-   shared result is the one a standalone [price] would build, so every
-   verdict stays bit-equal to it. *)
+   that shares statistics and partitions between them.  Partitions are
+   shared by derivation over the storage they read, so a pattern two
+   operands hold (an output [Assemble.copy_pattern] built from its input)
+   is partitioned once under the first operand's name.  A shared result is
+   the one a standalone [price] would build, so every verdict stays
+   bit-equal to it.
+
+   Every candidate [Search] emits passes [Lower.check], so pricing never
+   places or lowers a schedule [Lower] refuses.  An [Error] verdict is
+   capacity (the run would OOM) or a typed refusal of the run itself: a
+   placement, or a merge leaf's operand shapes.  Every refusal on the
+   pricing path is an [Error.Error]; an [Invalid_argument] is a bug and
+   escapes. *)
 
 open Spdistal_runtime
 open Spdistal_ir
@@ -145,7 +155,6 @@ let price_problem s (p : Spdistal.problem) : (priced, string) result =
   with
   | Error.Error e -> Error (Error.to_string e)
   | Memstate.Oom m -> Error ("OOM: " ^ m)
-  | Invalid_argument m -> Error ("invalid candidate: " ^ m)
   | Failure m -> Error ("candidate failed: " ^ m)
 
 let price_in s ~schedule ~tdns =

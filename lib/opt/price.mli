@@ -23,9 +23,12 @@ type priced = {
 val total : priced -> float
 
 (** Price one candidate.  [Error reason] when the candidate does not lower,
-    place or classify, or when its run would not fit in memory ([reason]
-    starts with ["OOM: "]) — an infeasible point of the search space — never
-    an exception.  A session of one: nothing is shared with any other call. *)
+    place or classify (a typed {!Spdistal_runtime.Error.Error}), or when
+    its run would not fit in memory ([reason] starts with ["OOM: "]) — an
+    infeasible point of the search space.  Any other exception (an
+    [Invalid_argument] is a bug) escapes.  The candidates
+    {!Search.candidates} emits all lower.  A session of one: nothing is
+    shared with any other call. *)
 val price : Core.Spdistal.problem -> (priced, string) result
 
 (** A pricing session over one problem: the candidates of one

@@ -15,8 +15,10 @@
 
    Every family reproduces the corresponding hand schedule exactly when
    applied to the catalog kernels, so the search space always contains the
-   hand point; infeasible combinations are generated anyway and filtered by
-   [Price] returning [Error]. *)
+   hand point.  A family point [Lower] refuses (a merge distributed over a
+   column, a variable that does not index the sparse driver) is dropped by
+   [Lower.check] before anything is placed; what [Price] still refuses is
+   capacity or a typed run-time refusal. *)
 
 open Spdistal_runtime
 open Spdistal_ir
@@ -194,7 +196,8 @@ let driver_of p =
     | [ d ] -> Some d
     | _ -> None
 
-let candidates p =
+(* Every point of the four families, legal or not. *)
+let family_points p =
   let stmt = p.Spdistal.stmt in
   let grid = p.Spdistal.machine.Machine.grid in
   let out = stmt.Tin.lhs.Tin.tensor in
@@ -233,6 +236,15 @@ let candidates p =
     in
     universe_cands @ nnz_cands @ ws_cands
   end
+
+(* The points [Lower] accepts: the one legality predicate [Lower] itself
+   applies, decided from the statement, the formats and the schedule before
+   any partition is placed or derived. *)
+let candidates p =
+  let env = Operand.env_of_bindings (Spdistal.bindings p) in
+  List.filter
+    (fun c -> Result.is_ok (Lower.check ~env p.Spdistal.stmt c.c_schedule))
+    (family_points p)
 
 (* The strawman every auto choice must beat: distribute the first output
    variable without leaf parallelism, and mis-block every operand on its

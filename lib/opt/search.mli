@@ -3,8 +3,12 @@
     row-splits, fused non-zero splits, 2-D batched tilings, workspace
     variants of pure additions).  The family rules reproduce every hand
     schedule of the kernel catalog exactly, so the hand point is always in
-    the search space; infeasible combinations are filtered downstream by
-    {!Price.price} returning [Error]. *)
+    the search space.  Illegal points are never emitted: a candidate is
+    kept only when {!Spdistal_ir.Lower.check} accepts its schedule, the
+    predicate {!Spdistal_ir.Lower.lower} itself applies, so every candidate
+    lowers.  An [Error] from {!Price.price} then means capacity (the run
+    would OOM) or a typed run-time refusal (a placement, a leaf's operand
+    shapes), never a schedule [Lower] rejects. *)
 
 open Spdistal_ir
 
@@ -14,8 +18,9 @@ type candidate = {
   c_tdns : (string * Tdn.t) list;
 }
 
-(** All candidates for the problem on its machine (1-D grids: universe +
-    nnz + workspace families; multi-dim grids: the batched family). *)
+(** All candidates for the problem on its machine that {!Spdistal_ir.Lower}
+    accepts (1-D grids: universe + nnz + workspace families; multi-dim
+    grids: the batched family). *)
 val candidates : Core.Spdistal.problem -> candidate list
 
 (** The strawman default every auto choice must beat: first output variable

@@ -1,4 +1,9 @@
 open Spdistal_ir
+module Error = Spdistal_runtime.Error
+
+let compile_error what =
+  Error.Error
+    { Error.phase = Error.Compile; kernel = None; piece = None; node = None; what }
 
 (* --- TIN ---------------------------------------------------------------- *)
 
@@ -29,11 +34,11 @@ let test_tin_validate () =
   let order_of n = List.assoc n orders in
   Tin.validate ~order_of Tin.spmv;
   Alcotest.check_raises "arity mismatch"
-    (Invalid_argument "Tin.validate: a accessed with 1 indices, order 3")
+    (compile_error "Tin.validate: a accessed with 1 indices, order 3")
     (fun () -> Tin.validate ~order_of:(fun _ -> 3) Tin.spmv);
   let bad = Tin.assign "a" [ "i" ] (Tin.access "B" [ "j"; "k" ]) in
   Alcotest.check_raises "unbound lhs var"
-    (Invalid_argument "Tin.validate: lhs var i not bound on the rhs")
+    (compile_error "Tin.validate: lhs var i not bound on the rhs")
     (fun () ->
       Tin.validate ~order_of:(fun n -> if n = "a" then 1 else 2) bad)
 
@@ -62,18 +67,10 @@ let test_analyze_2d () =
   Alcotest.(check bool) "secondary" true (plan.Schedule.secondary_var <> None)
 
 let test_analyze_errors () =
-  let compile_error what =
-    Spdistal_runtime.Error.Error
-      {
-        Spdistal_runtime.Error.phase = Spdistal_runtime.Error.Compile;
-        kernel = None;
-        piece = None;
-        node = None;
-        what = "Schedule.analyze: " ^ what;
-      }
-  in
   let rejects label what sched =
-    Alcotest.check_raises label (compile_error what) (fun () ->
+    Alcotest.check_raises label
+      (compile_error ("Schedule.analyze: " ^ what))
+      (fun () ->
         ignore (Schedule.analyze Tin.spmv sched))
   in
   rejects "no distribute" "no distribute command" [];
@@ -151,7 +148,8 @@ let test_tdn_fused_nnz () =
 
 let test_tdn_replicated_rejected () =
   Alcotest.check_raises "replicated has no partition"
-    (Invalid_argument "Tdn.to_schedule: Replicated has no partition") (fun () ->
+    (compile_error "Tdn.to_schedule: Replicated has no partition")
+    (fun () ->
       ignore (Tdn.to_schedule ~tensor:"c" ~order:1 Tdn.Replicated))
 
 let test_tdn_pp () =
@@ -255,6 +253,86 @@ let test_pretty_output () =
         (Helpers.contains s needle))
     [ "partitionByBounds"; "image"; "distributed for"; "B2PosPart" ]
 
+(* The search's row candidates that [Lower] refuses: [Lower.check] refuses
+   each with the [Compile] error [Lower.lower] raises, and accepts the row
+   split of the same statement over its first variable. *)
+let test_lower_check_refusals () =
+  let module L = Spdistal_formats.Level in
+  let csr =
+    Lower.Sparse_op
+      { formats = [| L.Dense_k; L.Compressed_k |]; mode_order = [| 0; 1 |] }
+  and csf3 =
+    Lower.Sparse_op
+      {
+        formats = [| L.Dense_k; L.Compressed_k; L.Compressed_k |];
+        mode_order = [| 0; 1; 2 |];
+      }
+  in
+  let row ?(ws = false) (stmt : Tin.stmt) v =
+    let tensors =
+      stmt.Tin.lhs.Tin.tensor
+      :: List.map (fun a -> a.Tin.tensor) (Tin.rhs_accesses stmt)
+    in
+    [
+      Schedule.Divide { v; outer = v ^ "o"; inner = v ^ "i" };
+      Schedule.Distribute [ v ^ "o" ];
+      Schedule.Communicate { tensors; at = v ^ "o" };
+      Schedule.Parallelize { v = v ^ "i"; proc = Schedule.Cpu_thread };
+    ]
+    @ if ws then [ Schedule.Precompute { v = "j"; tensors = [ "A" ] } ] else []
+  in
+  let spmm_env = [ ("A", Lower.Mat_op); ("B", csr); ("C", Lower.Mat_op) ]
+  and spadd3_env = [ ("A", csr); ("B", csr); ("C", csr); ("D", csr) ]
+  and mttkrp_env =
+    [
+      ("A", Lower.Mat_op); ("B", csf3); ("C", Lower.Mat_op); ("D", Lower.Mat_op);
+    ]
+  in
+  let merge_below =
+    "Lower: a merge distributed over j, below B's outermost storage level, is \
+     unsupported"
+  in
+  List.iter
+    (fun (label, env, stmt, sched, what) ->
+      (match Lower.check ~env stmt sched with
+      | Ok () -> Alcotest.failf "%s: Lower.check accepted it" label
+      | Error e ->
+          Alcotest.check_raises
+            (label ^ ": Lower.check's error")
+            (compile_error what)
+            (fun () -> raise (Error.Error e)));
+      Alcotest.check_raises
+        (label ^ ": Lower.lower raises it")
+        (compile_error what)
+        (fun () -> ignore (Lower.lower ~env ~grid:[| 4 |] stmt sched)))
+    [
+      ( "spmm row:j",
+        spmm_env,
+        Tin.spmm,
+        row Tin.spmm "j",
+        "Lower: B not indexed by distributed var j" );
+      ("spadd3 row:j", spadd3_env, Tin.spadd3, row Tin.spadd3 "j", merge_below);
+      ( "spadd3 row:j:ws",
+        spadd3_env,
+        Tin.spadd3,
+        row ~ws:true Tin.spadd3 "j",
+        merge_below );
+      ( "spmttkrp row:l",
+        mttkrp_env,
+        Tin.spmttkrp,
+        row Tin.spmttkrp "l",
+        "Lower: B not indexed by distributed var l" );
+    ];
+  List.iter
+    (fun (label, env, stmt) ->
+      Alcotest.(check bool) (label ^ " row:i accepted") true
+        (Lower.check ~env stmt (row stmt "i") = Ok ()))
+    [
+      ("spmm", spmm_env, Tin.spmm);
+      ("spadd3", spadd3_env, Tin.spadd3);
+      ("spmttkrp", mttkrp_env, Tin.spmttkrp);
+    ]
+
 let suite =
   [
     Alcotest.test_case "tin index vars" `Quick test_tin_vars;
@@ -274,5 +352,7 @@ let suite =
     Alcotest.test_case "lower spmv nnz" `Quick test_lower_spmv_nnz;
     Alcotest.test_case "lower rejects sparse products" `Quick
       test_lower_rejects_multi_sparse_product;
+    Alcotest.test_case "Lower.check refuses what Lower refuses" `Quick
+      test_lower_check_refusals;
     Alcotest.test_case "pretty printer" `Quick test_pretty_output;
   ]

@@ -551,8 +551,9 @@ let test_winner_cache_keyed_by_pattern () =
 (* SpAdd3 operands whose shape differs from B's: pricing refuses every
    candidate with the error its run would raise first, so the
    auto-scheduler never picks a schedule the run then rejects.  The
-   column-blocked ([row:j]) candidates are refused by [Lower], every other
-   one by the run's own typed shape error. *)
+   column-blocked ([row:j]) points, which [Lower] refuses, are not searched
+   at all; every candidate is refused by the run's own typed shape
+   error. *)
 let test_merge_shapes_priced_as_run () =
   let machine = Helpers.cpu_machine 4 in
   let b = Helpers.rand_csr ~seed:5 200 200 0.02 in
@@ -573,26 +574,21 @@ let test_merge_shapes_priced_as_run () =
       Alcotest.(check bool) (what ^ ": no winner") true
         (Option.is_none rp.Auto.rp_winner);
       List.iter
+        (fun label ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %s not searched" what label)
+            false
+            (List.exists (fun v -> v.Auto.v_label = label) rp.Auto.rp_verdicts))
+        [ "row:j"; "row:j:ws" ];
+      List.iter
         (fun v ->
-          let expected, by =
-            if List.mem v.Auto.v_label [ "row:j"; "row:j:ws" ] then
-              ( (match
-                   error_of (fun () ->
-                       ignore
-                         (Spdistal.compile (Search.apply p v.Auto.v_candidate)))
-                 with
-                | Some m -> m
-                | None -> Alcotest.failf "%s: Lower accepted row:j" what),
-                "Lower" )
-            else (run_error, "the run")
-          in
           match v.Auto.v_priced with
           | Ok _ -> Alcotest.failf "%s: %s priced" what v.Auto.v_label
           | Error m ->
               Alcotest.(check string)
-                (Printf.sprintf "%s: %s refused as %s refuses it" what
-                   v.Auto.v_label by)
-                expected m)
+                (Printf.sprintf "%s: %s refused as the run refuses it" what
+                   v.Auto.v_label)
+                run_error m)
         rp.Auto.rp_verdicts)
     [
       ("D 200x260", None, Some (Helpers.rand_csr ~seed:6 ~name:"D" 200 260 0.02));
@@ -677,7 +673,7 @@ let test_sharing_invisible () =
           let attempt f =
             try Ok (f ()) with
             | Error.Error e -> Error (Error.to_string e)
-            | Invalid_argument m | Failure m -> Error m
+            | Failure m -> Error m
           in
           let shared =
             attempt (fun () ->
@@ -732,6 +728,82 @@ let test_sddmm_row_j_shares_placement () =
         (Part_eval.find_partition e.Cache.e_prepared.Interp.pp_penv "BValsPart"
         == placed)
   | _ -> Alcotest.fail "B is not vals-partitioned under row:j"
+
+(* Partitions are keyed by the storage they read.  SDDMM's output A is
+   [copy_pattern B] and holds B's levels, so under one memo the column
+   split derives the pattern's partitions once: A's placement is B's
+   partition itself, and the bill is the unshared build's.  A deep copy of
+   B's pattern has storage, and so partitions, of its own. *)
+let test_shared_pattern_partitioned_once () =
+  let open Spdistal_ir in
+  let module Operand = Spdistal_exec.Operand in
+  let p = List.assoc "sddmm-cpu" (share_cells ()) in
+  let c =
+    List.find (fun c -> c.Search.c_label = "row:j") (Search.candidates p)
+  in
+  let shared_q = Search.apply p c in
+  (* The same candidate with A's pattern deep-copied. *)
+  let copied_q =
+    {
+      shared_q with
+      Spdistal.operands =
+        List.map
+          (fun (n, slot, tdn) ->
+            if n = "A" then
+              (n, { Operand.data = Operand.copy_data slot.Operand.data }, tdn)
+            else (n, slot, tdn))
+          shared_q.Spdistal.operands;
+    }
+  in
+  (* A's and B's placement programs evaluated over one table. *)
+  let placements q =
+    let b = Spdistal.bindings q and table = Part_eval.shared () in
+    let env = Operand.env_of_bindings b in
+    let eval name =
+      let prog =
+        Lower.placement_of_tdn ~env ~grid:[| 4 |] ~tensor:name ~order:2
+          (List.assoc name c.Search.c_tdns)
+      in
+      let penv = Part_eval.create ~shared:table b in
+      ignore (Part_eval.eval_partitions penv prog);
+      penv
+    in
+    (eval "A", eval "B")
+  in
+  let b_name a = "B" ^ String.sub a 1 (String.length a - 1) in
+  List.iter
+    (fun (what, q, shares) ->
+      let pa, pb = placements q in
+      Alcotest.(check bool) (what ^ ": A's placement names partitions") true
+        (Hashtbl.length pa.Part_eval.partitions > 0);
+      Hashtbl.iter
+        (fun name part ->
+          let other = Part_eval.find_partition pb (b_name name) in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %s is %s" what name (b_name name))
+            shares (part == other);
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %s equals %s" what name (b_name name))
+            true (same_partition part other))
+        pa.Part_eval.partitions;
+      let e =
+        Spdistal.plan ~memo:(Spdistal.memo ()) ~trace:Trace.null
+          ~backend:CL.Interp q
+      in
+      let vals name =
+        match Placement.find e.Cache.e_placement name with
+        | Placement.Vals_partitioned part -> part
+        | _ -> Alcotest.failf "%s: %s is not vals-partitioned" what name
+      in
+      Alcotest.(check bool) (what ^ ": A's ValsPart is B's") shares
+        (vals "A" == vals "B");
+      let _, _, ops, seconds, elems = unshared_plan q in
+      Alcotest.(check int) (what ^ ": e_part_ops") ops e.Cache.e_part_ops;
+      Alcotest.(check int64) (what ^ ": e_part_seconds bits")
+        (Int64.bits_of_float seconds)
+        (Int64.bits_of_float e.Cache.e_part_seconds);
+      Alcotest.(check int) (what ^ ": e_part_elems") elems e.Cache.e_part_elems)
+    [ ("copy_pattern", shared_q, true); ("deep copy", copied_q, false) ]
 
 (* Two value-range partitions of one crd region with the same color count
    but different bounds must not share, even through one table. *)
@@ -902,6 +974,8 @@ let suite =
       test_sharing_invisible;
     Alcotest.test_case "sddmm row:j program reuses B's placement" `Quick
       test_sddmm_row_j_shares_placement;
+    Alcotest.test_case "a shared pattern is partitioned once" `Quick
+      test_shared_pattern_partitioned_once;
     Alcotest.test_case "value ranges with other bounds not shared" `Quick
       test_value_ranges_with_other_bounds_not_shared;
     Alcotest.test_case "choose skips candidates that OOM" `Quick
