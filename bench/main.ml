@@ -1,7 +1,6 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (Table II, Figures 10-13), runs the ablation benches from
-   DESIGN.md, and measures real wall-clock of one representative cell per
-   table/figure with Bechamel.
+   evaluation (Table II, Figures 10-13) and runs the ablation benches from
+   DESIGN.md.  The host wall-clock benchmark is bench/perf.
 
    Usage: dune exec bench/main.exe            (full run, ~10 minutes)
           BENCH_QUICK=1 dune exec bench/main.exe   (reduced sizes) *)
@@ -13,73 +12,6 @@ let quick =
   match Sys.getenv_opt "BENCH_QUICK" with
   | Some ("1" | "true" | "yes") -> true
   | _ -> false
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one Test.make per table/figure, timing   *)
-(* the real execution of one representative cell.                      *)
-(* ------------------------------------------------------------------ *)
-
-let bench_tests () =
-  let open Bechamel in
-  let matrix =
-    lazy
-      (Synth.power_law ~name:"bench-matrix" ~rows:4_000 ~cols:4_000 ~nnz:80_000
-         ~alpha:1.0 ~seed:99)
-  in
-  let tensor =
-    lazy
-      (Synth.tensor3_uniform ~name:"bench-tensor" ~dims:[| 500; 400; 200 |]
-         ~nnz:40_000 ~seed:98)
-  in
-  let banded = lazy (Synth.banded ~name:"bench-banded" ~n:20_000 ~band:14) in
-  let cell kernel machine b () =
-    ignore (Runner.run ~kernel ~system:Runner.Spdistal ~machine b)
-  in
-  [
-    (* Table II: dataset analog construction. *)
-    Test.make ~name:"table2/dataset-construction"
-      (Staged.stage (fun () ->
-           ignore
-             (Synth.power_law ~name:"t2" ~rows:2_000 ~cols:2_000 ~nnz:30_000
-                ~alpha:1.0 ~seed:1)));
-    (* Fig. 10: one CPU strong-scaling cell (SpMV, 4 nodes). *)
-    Test.make ~name:"fig10/spmv-cpu-4nodes"
-      (Staged.stage (cell Runner.Spmv (Runner.cpu_machine ~nodes:4) (Lazy.force matrix)));
-    (* Fig. 11: one GPU heatmap cell (SpMM, 4 GPUs). *)
-    Test.make ~name:"fig11/spmm-gpu-4gpus"
-      (Staged.stage (cell Runner.Spmm (Runner.gpu_machine ~gpus:4) (Lazy.force matrix)));
-    (* Fig. 12: one GPU-vs-CPU cell (SpTTV, 4 GPUs). *)
-    Test.make ~name:"fig12/spttv-gpu-4gpus"
-      (Staged.stage (cell Runner.Spttv (Runner.gpu_machine ~gpus:4) (Lazy.force tensor)));
-    (* Fig. 13: one weak-scaling step (banded SpMV, 8 nodes). *)
-    Test.make ~name:"fig13/spmv-weak-8nodes"
-      (Staged.stage (cell Runner.Spmv (Runner.cpu_machine ~nodes:8) (Lazy.force banded)));
-  ]
-
-let run_bechamel () =
-  let open Bechamel in
-  let instances = [ Toolkit.Instance.monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) () in
-  let tests = bench_tests () in
-  print_endline
-    "=== Bechamel wall-clock micro-benchmarks (one per table/figure) ===";
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg instances test in
-      let results =
-        Analyze.all
-          (Analyze.ols ~bootstrap:0 ~r_square:false
-             ~predictors:[| Measure.run |])
-          Toolkit.Instance.monotonic_clock results
-      in
-      Hashtbl.iter
-        (fun name ols ->
-          match Analyze.OLS.estimates ols with
-          | Some [ t ] -> Printf.printf "%-36s %12.3f us/run\n%!" name (t /. 1e3)
-          | _ -> Printf.printf "%-36s (no estimate)\n%!" name)
-        results)
-    tests;
-  print_newline ()
 
 (* ------------------------------------------------------------------ *)
 (* Domain-pool scaling: wall-clock of the six fig10 kernels with        *)
@@ -701,7 +633,6 @@ let () =
      analogs\n\n"
     Datasets.scale;
 
-  run_bechamel ();
   section "leaf-throughput" run_leaf_throughput;
   run_domain_scaling ();
   section "fault-sweep" run_fault_sweep;

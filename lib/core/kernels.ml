@@ -8,47 +8,23 @@ open Spdistal_exec
 (* ------------------------------------------------------------------ *)
 
 let row_sched ?(proc = Schedule.Cpu_thread) ~tensors () =
-  [
-    Schedule.Divide { v = "i"; outer = "io"; inner = "ii" };
-    Schedule.Distribute [ "io" ];
-    Schedule.Communicate { tensors; at = "io" };
-    Schedule.Parallelize { v = "ii"; proc };
-  ]
+  Schedule.row ~par:proc ~tensors "i"
 
 let spmv_row ?proc () = row_sched ?proc ~tensors:[ "a"; "B"; "c" ] ()
 let spmm_row ?proc () = row_sched ?proc ~tensors:[ "A"; "B"; "C" ] ()
 let spadd3_row ?proc () = row_sched ?proc ~tensors:[ "A"; "B"; "C"; "D" ] ()
 let spadd3_workspace ?proc () =
-  row_sched ?proc ~tensors:[ "A"; "B"; "C"; "D" ] ()
-  @ [ Schedule.Precompute { v = "j"; tensors = [ "A" ] } ]
+  spadd3_row ?proc () @ Schedule.workspace ~out:"A" "j"
 
 let spttv_row ?proc () = row_sched ?proc ~tensors:[ "A"; "B"; "c" ] ()
 let mttkrp_row ?proc () = row_sched ?proc ~tensors:[ "A"; "B"; "C"; "D" ] ()
 
-(* Fuse the given variables left to right, then strip-mine the fused
-   position space of [tensor] and distribute. *)
 let nnz_sched ?(proc = Schedule.Cpu_thread) ~vars ~tensor ~tensors () =
-  let fuses, fused =
-    match vars with
-    | [] | [ _ ] ->
-        Error.fail Error.Config
-          "Kernels.nnz_sched: fusion needs at least two variables (got %d)"
-          (List.length vars)
-    | v0 :: rest ->
-        List.fold_left
-          (fun (cmds, prev) v ->
-            let f = prev ^ v in
-            (cmds @ [ Schedule.Fuse { f; a = prev; b = v } ], f))
-          ([], v0) rest
-  in
-  fuses
-  @ [
-      Schedule.Pos { v = fused; pv = "fp"; tensor };
-      Schedule.Divide { v = "fp"; outer = "fpo"; inner = "fpi" };
-      Schedule.Distribute [ "fpo" ];
-      Schedule.Communicate { tensors; at = "fpo" };
-      Schedule.Parallelize { v = "fpi"; proc };
-    ]
+  if List.length vars < 2 then
+    Error.fail Error.Config
+      "Kernels.nnz_sched: fusion needs at least two variables (got %d)"
+      (List.length vars);
+  Schedule.nnz ~par:proc ~tensor ~tensors vars
 
 let spmv_nnz ?proc () =
   nnz_sched ?proc ~vars:[ "i"; "j" ] ~tensor:"B" ~tensors:[ "a"; "B"; "c" ] ()
@@ -70,13 +46,7 @@ let spmm_nnz ?proc () =
   nnz_sched ?proc ~vars:[ "i"; "k" ] ~tensor:"B" ~tensors:[ "A"; "B"; "C" ] ()
 
 let spmm_batched ?(proc = Schedule.Cpu_thread) () =
-  [
-    Schedule.Divide { v = "i"; outer = "io"; inner = "ii" };
-    Schedule.Divide { v = "j"; outer = "jo"; inner = "ji" };
-    Schedule.Distribute [ "io"; "jo" ];
-    Schedule.Communicate { tensors = [ "A"; "B"; "C" ]; at = "jo" };
-    Schedule.Parallelize { v = "ii"; proc };
-  ]
+  Schedule.batched ~par:proc ~tensors:[ "A"; "B"; "C" ] "i" "j"
 
 (* ------------------------------------------------------------------ *)
 (* Operand builders                                                     *)

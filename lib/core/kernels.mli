@@ -31,7 +31,8 @@ val spadd3_row : ?proc:Schedule.proc -> unit -> Schedule.t
 
 (** [nnz_sched ~vars ~tensor ~tensors ()] fuses [vars] left to right, then
     strip-mines the fused position space of [tensor] and distributes it
-    (the shape of every [*_nnz] schedule).  Raises
+    ({!Spdistal_ir.Schedule.nnz} with the leaf parallelized, the shape of
+    every [*_nnz] schedule).  Raises
     {!Spdistal_runtime.Error.Error} ([Config]) when [vars] has fewer than
     two variables. *)
 val nnz_sched :

@@ -75,12 +75,7 @@ let pairwise_add machine b c d =
   let blocked = Tdn.Blocked { tensor_dim = 0; machine_dim = 0 } in
   let rows = b.Tensor.dims.(0) and cols = b.Tensor.dims.(1) in
   let sched =
-    [
-      Schedule.Divide { v = "i"; outer = "io"; inner = "ii" };
-      Schedule.Distribute [ "io" ];
-      Schedule.Communicate { tensors = [ "A"; "B"; "C" ]; at = "io" };
-      Schedule.Parallelize { v = "ii"; proc = Schedule.Cpu_thread };
-    ]
+    Schedule.row ~par:Schedule.Cpu_thread ~tensors:[ "A"; "B"; "C" ] "i"
   in
   let stmt = Tin.assign "A" [ "i"; "j" ] Tin.(access "B" [ "i"; "j" ] + access "C" [ "i"; "j" ]) in
   let empty = Tensor.csr ~name:"A" (Coo.make [| rows; cols |] []) in

@@ -111,67 +111,29 @@ let stmt spec =
 
 let schedule spec =
   let tensors = operand_names spec in
-  let par v =
-    [
-      Schedule.Parallelize
-        {
-          v;
-          proc = (if spec.gpu then Schedule.Gpu_thread else Schedule.Cpu_thread);
-        };
-    ]
+  let par p =
+    if not p then None
+    else if spec.gpu then Some Schedule.Gpu_thread
+    else Some Schedule.Cpu_thread
   in
   let base =
     match spec.sched with
-    | S_universe { var; par = p } ->
-        [
-          Schedule.Divide { v = var; outer = var ^ "o"; inner = var ^ "i" };
-          Schedule.Distribute [ var ^ "o" ];
-          Schedule.Communicate { tensors; at = var ^ "o" };
-        ]
-        @ (if p then par (var ^ "i") else [])
+    | S_universe { var; par = p } -> Schedule.row ?par:(par p) ~tensors var
     | S_nnz { fuse; par = p } ->
-        let vars = List.filteri (fun i _ -> i < fuse) spec.driver_vars in
-        let fuses, fused =
-          match vars with
-          | [] -> invalid_arg "Spec.schedule: nnz fuse arity"
-          | [ v ] -> ([], v)
-          | v0 :: rest ->
-              List.fold_left
-                (fun (cmds, prev) v ->
-                  let f = prev ^ v in
-                  (cmds @ [ Schedule.Fuse { f; a = prev; b = v } ], f))
-                ([], v0) rest
-        in
-        fuses
-        @ [
-            Schedule.Pos { v = fused; pv = "fp"; tensor = spec.driver };
-            Schedule.Divide { v = "fp"; outer = "fpo"; inner = "fpi" };
-            Schedule.Distribute [ "fpo" ];
-            Schedule.Communicate { tensors; at = "fpo" };
-          ]
-        @ (if p then par "fpi" else [])
-    | S_batched { par = p } ->
-        let d0 = List.hd spec.driver_vars in
-        let e =
-          match spec.out with
-          | Out_dense { o_vars; _ } -> List.nth o_vars (List.length o_vars - 1)
-          | _ -> invalid_arg "Spec.schedule: batched needs a dense output"
-        in
-        [
-          Schedule.Divide { v = d0; outer = d0 ^ "o"; inner = d0 ^ "i" };
-          Schedule.Divide { v = e; outer = e ^ "o"; inner = e ^ "i" };
-          Schedule.Distribute [ d0 ^ "o"; e ^ "o" ];
-          Schedule.Communicate { tensors; at = e ^ "o" };
-        ]
-        @ (if p then par (d0 ^ "i") else [])
+        Schedule.nnz ?par:(par p) ~tensor:spec.driver ~tensors
+          (List.filteri (fun i _ -> i < fuse) spec.driver_vars)
+    | S_batched { par = p } -> (
+        match spec.out with
+        | Out_dense { o_vars; _ } ->
+            Schedule.batched ?par:(par p) ~tensors (List.hd spec.driver_vars)
+              (List.nth o_vars (List.length o_vars - 1))
+        | _ ->
+            Error.fail Error.Compile "Spec.schedule: batched needs a dense output")
   in
   base
   @
   if spec.workspace && is_merge spec then
-    [
-      Schedule.Precompute
-        { v = List.nth spec.driver_vars 1; tensors = [ out_name spec ] };
-    ]
+    Schedule.workspace ~out:(out_name spec) (List.nth spec.driver_vars 1)
   else []
 
 (* ------------------------------------------------------------------ *)

@@ -28,6 +28,55 @@ type plan = {
   workspace : bool;
 }
 
+(* The paper's schedule shapes.  Every schedule the library writes is one of
+   these, so a hand schedule and the search's point for it are built by the
+   same code. *)
+
+let parallelize par v =
+  match par with Some proc -> [ Parallelize { v; proc } ] | None -> []
+
+let row ?par ~tensors v =
+  let vo = v ^ "o" and vi = v ^ "i" in
+  [
+    Divide { v; outer = vo; inner = vi };
+    Distribute [ vo ];
+    Communicate { tensors; at = vo };
+  ]
+  @ parallelize par vi
+
+let nnz ?par ?(pv = "fp") ~tensor ~tensors vars =
+  let fuses, fused =
+    match vars with
+    | [] -> Error.fail Error.Compile "Schedule.nnz: no variable to split"
+    | v0 :: rest ->
+        List.fold_left
+          (fun (cmds, prev) v ->
+            let f = prev ^ v in
+            (Fuse { f; a = prev; b = v } :: cmds, f))
+          ([], v0) rest
+  in
+  let pvo = pv ^ "o" and pvi = pv ^ "i" in
+  List.rev fuses
+  @ [
+      Pos { v = fused; pv; tensor };
+      Divide { v = pv; outer = pvo; inner = pvi };
+      Distribute [ pvo ];
+      Communicate { tensors; at = pvo };
+    ]
+  @ parallelize par pvi
+
+let batched ?par ~tensors r e =
+  let ro = r ^ "o" and eo = e ^ "o" in
+  [
+    Divide { v = r; outer = ro; inner = r ^ "i" };
+    Divide { v = e; outer = eo; inner = e ^ "i" };
+    Distribute [ ro; eo ];
+    Communicate { tensors; at = eo };
+  ]
+  @ parallelize par (r ^ "i")
+
+let workspace ~out v = [ Precompute { v; tensors = [ out ] } ]
+
 (* Provenance of a derived variable back to the statement's original
    variables. *)
 type root =

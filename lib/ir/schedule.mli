@@ -31,6 +31,36 @@ type cmd =
 
 type t = cmd list
 
+(** {1 Shapes}
+
+    The three distributions the paper schedules every kernel with (§II-C,
+    Figs. 10-11), plus the workspace.  Hand schedules, TDN lowering, the
+    auto-scheduler's search and the fuzzer all build their schedules here.
+    [tensors] are the communicated tensors; [par], when given, parallelizes
+    the inner loop of the first distributed variable on that processor. *)
+
+(** Row split: [divide(v, vo, vi)], [distribute(vo)], [communicate] at [vo]. *)
+val row : ?par:proc -> tensors:string list -> string -> t
+
+(** Non-zero split: fuse [vars] left to right (the fused name concatenates
+    them), move into [tensor]'s position space as [pv] (default ["fp"]),
+    then divide [pv] and distribute its outer loop.  Raises
+    {!Spdistal_runtime.Error.Error} ([Compile]) on an empty [vars]. *)
+val nnz :
+  ?par:proc ->
+  ?pv:string ->
+  tensor:string ->
+  tensors:string list ->
+  string list ->
+  t
+
+(** Batched 2-D split: divide [r] and [e] over the two machine dimensions
+    and communicate at [e]'s outer loop. *)
+val batched : ?par:proc -> tensors:string list -> string -> string -> t
+
+(** [precompute(v, {out})]: assemble [out] through a dense workspace. *)
+val workspace : out:string -> string -> t
+
 (** How the distributed loop iterates (paper §IV-C). *)
 type strategy =
   | Universe_dist of { var : string }

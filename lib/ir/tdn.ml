@@ -14,58 +14,32 @@ let identity_stmt ~tensor ~order =
   let vars = List.init order var in
   Tin.assign tensor vars (Tin.access tensor vars)
 
-(* Fuse dims 0..k into a single variable, left to right. *)
+(* The variables a fused non-zero split collapses, left to right. *)
 let fuse_chain dims =
   match dims with
   | [] | [ _ ] ->
       Error.fail Error.Compile "Tdn: fusion needs at least two dimensions"
-  | d0 :: rest ->
-      let cmds, last =
-        List.fold_left
-          (fun (cmds, prev) d ->
-            let f = prev ^ var d in
-            (Schedule.Fuse { f; a = prev; b = var d } :: cmds, f))
-          ([], var d0) rest
-      in
-      (List.rev cmds, last)
+  | _ -> List.map var dims
 
 let to_schedule ~tensor ~order tdn =
   let stmt = identity_stmt ~tensor ~order in
+  let tensors = [ tensor ] in
+  (* A non-zero split names its position variable after the (fused)
+     variable it iterates: [x] -> [xp], [xy] -> [xyp]. *)
+  let nnz vars =
+    Schedule.nnz ~pv:(String.concat "" vars ^ "p") ~tensor ~tensors vars
+  in
   let sched =
     match tdn with
     | Replicated ->
         Error.fail Error.Compile "Tdn.to_schedule: Replicated has no partition"
     | Blocked { tensor_dim; _ } | Tiled { mappings = [ (tensor_dim, _) ] } ->
-        let v = var tensor_dim in
-        [
-          Schedule.Divide { v; outer = v ^ "o"; inner = v ^ "i" };
-          Schedule.Distribute [ v ^ "o" ];
-          Schedule.Communicate { tensors = [ tensor ]; at = v ^ "o" };
-        ]
+        Schedule.row ~tensors (var tensor_dim)
     | Tiled _ ->
         Error.fail Error.Compile
           "Tdn.to_schedule: multi-dim tilings are mapping-only here"
-    | Non_zero { tensor_dim; _ } ->
-        (* Non-zero split of one dimension's stored coordinates: iterate that
-           dimension in position space, then divide/distribute. *)
-        let v = var tensor_dim in
-        let pv = v ^ "p" in
-        [
-          Schedule.Pos { v; pv; tensor };
-          Schedule.Divide { v = pv; outer = pv ^ "o"; inner = pv ^ "i" };
-          Schedule.Distribute [ pv ^ "o" ];
-          Schedule.Communicate { tensors = [ tensor ]; at = pv ^ "o" };
-        ]
-    | Fused_non_zero { dims; _ } ->
-        let fuses, f = fuse_chain dims in
-        let pv = f ^ "p" in
-        fuses
-        @ [
-            Schedule.Pos { v = f; pv; tensor };
-            Schedule.Divide { v = pv; outer = pv ^ "o"; inner = pv ^ "i" };
-            Schedule.Distribute [ pv ^ "o" ];
-            Schedule.Communicate { tensors = [ tensor ]; at = pv ^ "o" };
-          ]
+    | Non_zero { tensor_dim; _ } -> nnz [ var tensor_dim ]
+    | Fused_non_zero { dims; _ } -> nnz (fuse_chain dims)
   in
   (stmt, sched)
 

@@ -394,23 +394,8 @@ module Scrape = struct
       (rows s);
     Buffer.contents b
 
-  let json_escape s =
-    let b = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | '\t' -> Buffer.add_string b "\\t"
-        | '\r' -> Buffer.add_string b "\\r"
-        | c when Char.code c < 0x20 ->
-            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
-
   let to_jsonl s =
+    let esc = Chrome_trace.escape in
     let b = Buffer.create 4096 in
     List.iter
       (fun (t, samples) ->
@@ -420,13 +405,13 @@ module Scrape = struct
               String.concat ","
                 (List.map
                    (fun (k, v) ->
-                     Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v))
+                     Printf.sprintf "\"%s\":\"%s\"" (esc k) (esc v))
                    sm.sm_labels)
             in
             Buffer.add_string b
               (Printf.sprintf
                  "{\"t\":%s,\"metric\":\"%s\",\"labels\":{%s},\"value\":%s}\n"
-                 (render_value t) (json_escape sm.sm_name) labels
+                 (render_value t) (esc sm.sm_name) labels
                  (render_value sm.sm_value)))
           samples)
       (rows s);

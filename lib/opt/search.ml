@@ -13,9 +13,11 @@
    - workspace: for pure additions, each universe candidate again with a
      precompute workspace (SpAdd3's two assembly strategies).
 
-   Every family reproduces the corresponding hand schedule exactly when
-   applied to the catalog kernels, so the search space always contains the
-   hand point.  A family point [Lower] refuses (a merge distributed over a
+   The schedule of every family is built by the [Schedule] shape the hand
+   schedules of [Kernels] use ([Schedule.row], [nnz], [batched],
+   [workspace]), so on the catalog kernels each hand point is exactly one
+   candidate; test_opt checks that for every tournament cell and serve
+   query.  A family point [Lower] refuses (a merge distributed over a
    column, a variable that does not index the sparse driver) is dropped by
    [Lower.check] before anything is placed; what [Price] still refuses is
    capacity or a typed run-time refusal. *)
@@ -69,15 +71,8 @@ let operand_order p name =
 (* ------------------------------------------------------------------ *)
 
 let universe p v =
-  let proc = proc_of p.Spdistal.machine in
-  let vo = v ^ "o" and vi = v ^ "i" in
   let schedule =
-    [
-      Schedule.Divide { v; outer = vo; inner = vi };
-      Schedule.Distribute [ vo ];
-      Schedule.Communicate { tensors = operand_names p; at = vo };
-      Schedule.Parallelize { v = vi; proc };
-    ]
+    Schedule.row ~par:(proc_of p.Spdistal.machine) ~tensors:(operand_names p) v
   in
   let tdns =
     List.map
@@ -90,31 +85,12 @@ let universe p v =
   { c_label = "row:" ^ v; c_schedule = schedule; c_tdns = tdns }
 
 (* Fuse the first [f] variables of the driver's access, move to position
-   space and divide — the shape of [Kernels.nnz_sched]. *)
+   space and divide. *)
 let nnz_candidate p ~driver ~vars f =
-  let proc = proc_of p.Spdistal.machine in
-  let fuse_vars = List.filteri (fun i _ -> i < f) vars in
-  let fuses, fused =
-    match fuse_vars with
-    | [] | [ _ ] ->
-        Error.fail ~kernel:driver Error.Compile
-          "nnz candidate fuses %d variables; at least 2 are needed" f
-    | v0 :: rest ->
-        List.fold_left
-          (fun (cmds, prev) v ->
-            let fv = prev ^ v in
-            (cmds @ [ Schedule.Fuse { f = fv; a = prev; b = v } ], fv))
-          ([], v0) rest
-  in
   let schedule =
-    fuses
-    @ [
-        Schedule.Pos { v = fused; pv = "fp"; tensor = driver };
-        Schedule.Divide { v = "fp"; outer = "fpo"; inner = "fpi" };
-        Schedule.Distribute [ "fpo" ];
-        Schedule.Communicate { tensors = operand_names p; at = "fpo" };
-        Schedule.Parallelize { v = "fpi"; proc };
-      ]
+    Schedule.nnz ~par:(proc_of p.Spdistal.machine) ~tensor:driver
+      ~tensors:(operand_names p)
+      (List.filteri (fun i _ -> i < f) vars)
   in
   let out = p.Spdistal.stmt.Tin.lhs.Tin.tensor in
   let tdns =
@@ -139,18 +115,11 @@ let nnz_candidate p ~driver ~vars f =
   }
 
 (* 2-D grids: divide the dense output's row variable over the first machine
-   dimension and its column variable over the second ([Kernels.spmm_batched]
-   generalized). *)
+   dimension and its column variable over the second. *)
 let batched p ~r ~e =
-  let proc = proc_of p.Spdistal.machine in
   let schedule =
-    [
-      Schedule.Divide { v = r; outer = r ^ "o"; inner = r ^ "i" };
-      Schedule.Divide { v = e; outer = e ^ "o"; inner = e ^ "i" };
-      Schedule.Distribute [ r ^ "o"; e ^ "o" ];
-      Schedule.Communicate { tensors = operand_names p; at = e ^ "o" };
-      Schedule.Parallelize { v = r ^ "i"; proc };
-    ]
+    Schedule.batched ~par:(proc_of p.Spdistal.machine)
+      ~tensors:(operand_names p) r e
   in
   let tdns =
     List.map
@@ -172,7 +141,7 @@ let with_workspace c ~out ~v =
   {
     c with
     c_label = c.c_label ^ ":ws";
-    c_schedule = c.c_schedule @ [ Schedule.Precompute { v; tensors = [ out ] } ];
+    c_schedule = c.c_schedule @ Schedule.workspace ~out v;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -268,21 +237,11 @@ let naive p =
         (n, Tdn.Blocked { tensor_dim = d; machine_dim = 0 }))
       p.Spdistal.operands
   in
+  let tensors = operand_names p in
   let schedule =
     match (Array.length grid >= 2, stmt.Tin.lhs.Tin.indices) with
-    | true, r :: e :: _ ->
-        [
-          Schedule.Divide { v = r; outer = r ^ "o"; inner = r ^ "i" };
-          Schedule.Divide { v = e; outer = e ^ "o"; inner = e ^ "i" };
-          Schedule.Distribute [ r ^ "o"; e ^ "o" ];
-          Schedule.Communicate { tensors = operand_names p; at = e ^ "o" };
-        ]
-    | _, v :: _ ->
-        [
-          Schedule.Divide { v; outer = v ^ "o"; inner = v ^ "i" };
-          Schedule.Distribute [ v ^ "o" ];
-          Schedule.Communicate { tensors = operand_names p; at = v ^ "o" };
-        ]
+    | true, r :: e :: _ -> Schedule.batched ~tensors r e
+    | _, v :: _ -> Schedule.row ~tensors v
     | _, [] ->
         Error.fail ~kernel:stmt.Tin.lhs.Tin.tensor Error.Compile
           "naive schedule: statement without output variables"

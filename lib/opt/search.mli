@@ -1,9 +1,10 @@
 (** Candidate enumeration for the auto-scheduler: schedule/TDN points drawn
     from the four families the paper's hand schedules use (universe
     row-splits, fused non-zero splits, 2-D batched tilings, workspace
-    variants of pure additions).  The family rules reproduce every hand
-    schedule of the kernel catalog exactly, so the hand point is always in
-    the search space.  Illegal points are never emitted: a candidate is
+    variants of pure additions).  The families build their schedules with
+    the {!Spdistal_ir.Schedule} shapes the hand schedules use, so every
+    hand point of the kernel catalog is exactly one candidate (checked by
+    the test suite).  Illegal points are never emitted: a candidate is
     kept only when {!Spdistal_ir.Lower.check} accepts its schedule, the
     predicate {!Spdistal_ir.Lower.lower} itself applies, so every candidate
     lowers.  An [Error] from {!Price.price} then means capacity (the run

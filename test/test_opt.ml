@@ -941,6 +941,46 @@ let test_quick_tournament_winner_executes () =
   Alcotest.(check bool) "some cell has a feasible candidate" true (!fits > 0);
   Leaf.clear_cache ()
 
+(* Every hand schedule the evaluation and the serve catalog run is a point
+   of the search space: the hand problem's schedule and TDNs equal exactly
+   one candidate.  Both sides build their schedules with the same
+   [Schedule] shapes, so a drift in either shows here. *)
+let test_hand_point_is_a_candidate () =
+  let module R = Spdistal_experiments.Runner in
+  let module K = Core.Kernels in
+  let module Catalog = Spdistal_serve.Catalog in
+  let matrix = Helpers.rand_csr ~seed:71 80 80 0.06 in
+  let tensor = Helpers.rand_csf ~seed:72 24 20 16 0.02 in
+  let cpu = R.cpu_machine ~nodes:4 and gpu = R.gpu_machine ~gpus:4 in
+  let on tag machine ?batched kernel =
+    let input = if List.mem kernel R.kernels_for_tensor3 then tensor else matrix in
+    ( tag ^ "/" ^ R.kernel_name kernel,
+      R.problem_for ~kernel ~machine ~cols:8 ?batched input )
+  in
+  let cells =
+    List.map (on "cpu" cpu) R.all_kernels
+    @ List.map (on "gpu" gpu) R.all_kernels
+    @ [
+        on "gpu-2d" gpu ~batched:true R.Spmm;
+        ( "cpu/SpAdd3-workspace",
+          K.spadd3_problem ~machine:cpu ~schedule:(K.spadd3_workspace ()) matrix );
+      ]
+    @ List.map (fun q -> ("serve/" ^ q, Catalog.problem ~machine:cpu q)) Catalog.names
+  in
+  List.iter
+    (fun (name, p) ->
+      let tdns = List.map (fun (n, _, t) -> (n, t)) p.Spdistal.operands in
+      let hand (c : Search.candidate) =
+        c.Search.c_schedule = p.Spdistal.schedule && c.Search.c_tdns = tdns
+      in
+      match List.filter hand (Search.candidates p) with
+      | [ _ ] -> ()
+      | matches ->
+          Alcotest.failf "%s: the hand point equals %d candidates [%s]" name
+            (List.length matches)
+            (String.concat "; " (List.map (fun c -> c.Search.c_label) matches)))
+    cells
+
 let suite =
   [
     Alcotest.test_case "auto == hand, interp leaves" `Quick
@@ -963,6 +1003,8 @@ let suite =
       test_session_equals_standalone;
     Alcotest.test_case "no state across choose calls" `Quick
       test_no_cross_call_state;
+    Alcotest.test_case "every hand point is a candidate" `Quick
+      test_hand_point_is_a_candidate;
     Alcotest.test_case "naive on a scalar output fails typed" `Quick
       test_naive_scalar_output_typed;
     prop_stats_values_free;
