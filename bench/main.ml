@@ -79,7 +79,6 @@ let run_domain_scaling () =
 
 let run_fault_sweep () =
   let open Spdistal_runtime in
-  let module K = Core.Kernels in
   let module S = Core.Spdistal in
   let matrix =
     Synth.power_law ~name:"fault-matrix" ~rows:4_000 ~cols:4_000 ~nnz:80_000
@@ -90,21 +89,20 @@ let run_fault_sweep () =
       ~nnz:40_000 ~seed:94
   in
   let cpu = Runner.cpu_machine ~nodes:8 in
-  let gpu2x2 =
-    Spdistal_runtime.Machine.make ~params:cpu.Machine.params ~kind:Machine.Gpu
-      [| 2; 2 |]
+  let problem ?batched ~machine kernel () =
+    Runner.problem_for ~kernel ~machine ~cols:32 ?batched
+      (if List.mem kernel Runner.kernels_for_tensor3 then tensor else matrix)
   in
   let problems =
-    [
-      ("SpMV", fun () -> K.spmv_problem ~machine:cpu matrix);
-      ("SpMM", fun () -> K.spmm_problem ~machine:cpu ~cols:32 matrix);
-      ("SpAdd3", fun () -> K.spadd3_problem ~machine:cpu matrix);
-      ("SDDMM", fun () -> K.sddmm_problem ~machine:cpu ~cols:32 matrix);
-      ("SpTTV", fun () -> K.spttv_problem ~machine:cpu tensor);
-      ("SpMTTKRP", fun () -> K.mttkrp_problem ~machine:cpu ~cols:32 tensor);
-      ( "SpMM-batched",
-        fun () -> K.spmm_problem ~machine:gpu2x2 ~cols:32 ~batched:true matrix );
-    ]
+    List.map
+      (fun k -> (Runner.kernel_name k, problem ~machine:cpu k))
+      Runner.all_kernels
+    (* [problem_for] regrids the 4 GPUs to 2x2 for the batched schedule. *)
+    @ [
+        ( "SpMM-batched",
+          problem ~batched:true ~machine:(Runner.gpu_machine ~gpus:4) Runner.Spmm
+        );
+      ]
   in
   let rates = if quick then [ 0.0; 0.1 ] else [ 0.0; 0.02; 0.05; 0.1; 0.2 ] in
   let seed = 42 in
@@ -289,7 +287,6 @@ let run_amortization () =
 
 let run_trace_exports dir =
   let open Spdistal_runtime in
-  let module K = Core.Kernels in
   let module S = Core.Spdistal in
   let module Trace = Spdistal_obs.Trace in
   let matrix =
@@ -301,22 +298,20 @@ let run_trace_exports dir =
       ~nnz:40_000 ~seed:92
   in
   let machine = Runner.cpu_machine ~nodes:8 in
-  let problems =
-    [
-      ("spmv", fun () -> K.spmv_problem ~machine matrix);
-      ("spmm", fun () -> K.spmm_problem ~machine ~cols:32 matrix);
-      ("spadd3", fun () -> K.spadd3_problem ~machine matrix);
-      ("sddmm", fun () -> K.sddmm_problem ~machine ~cols:32 matrix);
-      ("spttv", fun () -> K.spttv_problem ~machine tensor);
-      ("mttkrp", fun () -> K.mttkrp_problem ~machine ~cols:32 tensor);
-    ]
-  in
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   print_endline "=== Trace export (BENCH_TRACE_DIR) ===";
   List.iter
-    (fun (name, make) ->
+    (fun kernel ->
+      let name =
+        match kernel with
+        | Runner.Mttkrp -> "mttkrp"
+        | k -> String.lowercase_ascii (Runner.kernel_name k)
+      in
+      let input =
+        if List.mem kernel Runner.kernels_for_tensor3 then tensor else matrix
+      in
       let trace = Trace.create () in
-      let r = S.run ~trace (make ()) in
+      let r = S.run ~trace (Runner.problem_for ~kernel ~machine ~cols:32 input) in
       let tpath = Filename.concat dir (name ^ ".trace.json") in
       Spdistal_obs.Chrome_trace.write trace ~path:tpath;
       let mpath = Filename.concat dir (name ^ ".metrics.csv") in
@@ -326,7 +321,7 @@ let run_trace_exports dir =
       close_out oc;
       Format.printf "  %-8s %a@.    -> %s, %s@." name Cost.pp r.S.cost tpath
         mpath)
-    problems
+    Runner.all_kernels
 
 (* ------------------------------------------------------------------ *)
 (* Leaf throughput: wall-clock of the leaf kernel loop itself, compiled *)

@@ -64,20 +64,22 @@ let () =
        (Spdistal_ir.Tdn.Fused_non_zero { dims = [ 0; 1 ]; machine_dim = 0 }));
   run "row-based" (Core.Kernels.spmv_problem ~machine skewed);
   run "non-zero-based"
-    (Core.Kernels.spmv_problem ~machine ~nonzero_dist:true
-       ~schedule:(Core.Kernels.spmv_nnz ()) skewed);
+    (Core.Kernels.spmv_problem ~machine ~schedule:(Core.Kernels.spmv_nnz ())
+       skewed);
   (* §II-D's closing remark: a row-based schedule over non-zero-placed data
      is valid but pays to reshape the data every iteration. *)
   run "mismatched (row/nnz)"
-    (Core.Kernels.spmv_problem ~machine ~nonzero_dist:true
-       ~schedule:(Core.Kernels.spmv_row ()) skewed);
+    (Core.Spdistal.with_schedule
+       (Core.Kernels.spmv_problem ~machine
+          ~schedule:(Core.Kernels.spmv_nnz ()) skewed)
+       ~schedule:(Core.Kernels.spmv_row ()) ~tdns:[]);
 
   Printf.printf "\n--- balanced banded matrix (%d nnz) ---\n"
     (Spdistal_formats.Tensor.nnz banded);
   run "row-based" (Core.Kernels.spmv_problem ~machine banded);
   run "non-zero-based"
-    (Core.Kernels.spmv_problem ~machine ~nonzero_dist:true
-       ~schedule:(Core.Kernels.spmv_nnz ()) banded);
+    (Core.Kernels.spmv_problem ~machine ~schedule:(Core.Kernels.spmv_nnz ())
+       banded);
   print_newline ();
   print_endline
     "On the skewed matrix the non-zero split balances the leaf work; on the\n\

@@ -50,17 +50,21 @@ let () =
 
   (* The load-balanced kernel replicates C per GPU: OOM at this scale. *)
   run "load-balanced (nnz split)"
-    (Core.Kernels.spmm_problem ~machine:gpu1d ~cols:32 ~nonzero_dist:true b);
+    (Core.Kernels.spmm_problem ~machine:gpu1d ~cols:32
+       ~schedule:(Core.Kernels.spmm_nnz ~proc:Spdistal_ir.Schedule.Gpu_thread ()) b);
   (* The batched kernel partitions C's columns over the grid's second dim. *)
   run "SpDISTAL-Batched (2-D)"
-    (Core.Kernels.spmm_problem ~machine:gpu2d ~cols:32 ~batched:true b);
+    (Core.Kernels.spmm_problem ~machine:gpu2d ~cols:32
+       ~schedule:(Core.Kernels.spmm_batched ~proc:Spdistal_ir.Schedule.Gpu_thread ()) b);
 
   (* With a narrower C both fit, and the load-balanced kernel wins. *)
   Printf.printf "\nnarrower C (8 columns):\n";
   run "load-balanced (nnz split)"
-    (Core.Kernels.spmm_problem ~machine:gpu1d ~cols:8 ~nonzero_dist:true b);
+    (Core.Kernels.spmm_problem ~machine:gpu1d ~cols:8
+       ~schedule:(Core.Kernels.spmm_nnz ~proc:Spdistal_ir.Schedule.Gpu_thread ()) b);
   run "SpDISTAL-Batched (2-D)"
-    (Core.Kernels.spmm_problem ~machine:gpu2d ~cols:8 ~batched:true b);
+    (Core.Kernels.spmm_problem ~machine:gpu2d ~cols:8
+       ~schedule:(Core.Kernels.spmm_batched ~proc:Spdistal_ir.Schedule.Gpu_thread ()) b);
   print_newline ();
   print_endline
     "Paper Fig. 11: the load-balanced kernel is fastest once data fits into\n\

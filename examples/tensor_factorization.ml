@@ -28,17 +28,21 @@ let () =
   Printf.printf "SpTTV: %s\n" (Spdistal_ir.Tin.to_string Spdistal_ir.Tin.spttv);
   run "CPU, row-based" (Core.Kernels.spttv_problem ~machine:cpu b);
   run "CPU, non-zero-based"
-    (Core.Kernels.spttv_problem ~machine:cpu ~nonzero_dist:true b);
+    (Core.Kernels.spttv_problem ~machine:cpu
+       ~schedule:(Core.Kernels.spttv_nnz ()) b);
   run "GPU, non-zero-based (paper's pick)"
-    (Core.Kernels.spttv_problem ~machine:gpu ~nonzero_dist:true b);
+    (Core.Kernels.spttv_problem ~machine:gpu
+       ~schedule:(Core.Kernels.spttv_nnz ~proc:Spdistal_ir.Schedule.Gpu_thread ()) b);
 
   Printf.printf "\nSpMTTKRP: %s\n" (Spdistal_ir.Tin.to_string Spdistal_ir.Tin.spmttkrp);
   run "CPU, row-based (paper's pick)"
     (Core.Kernels.mttkrp_problem ~machine:cpu ~cols:32 b);
   run "CPU, non-zero-based"
-    (Core.Kernels.mttkrp_problem ~machine:cpu ~cols:32 ~nonzero_dist:true b);
+    (Core.Kernels.mttkrp_problem ~machine:cpu ~cols:32
+       ~schedule:(Core.Kernels.mttkrp_nnz ()) b);
   run "GPU, non-zero-based (paper's pick)"
-    (Core.Kernels.mttkrp_problem ~machine:gpu ~cols:32 ~nonzero_dist:true b);
+    (Core.Kernels.mttkrp_problem ~machine:gpu ~cols:32
+       ~schedule:(Core.Kernels.mttkrp_nnz ~proc:Spdistal_ir.Schedule.Gpu_thread ()) b);
   print_newline ();
   print_endline
     "Paper §VI-A: on CPUs the leaf synchronization of the non-zero split\n\

@@ -40,8 +40,6 @@ let mttkrp_nnz ?proc () =
   nnz_sched ?proc ~vars:[ "i"; "j"; "k" ] ~tensor:"B"
     ~tensors:[ "A"; "B"; "C"; "D" ] ()
 
-(* Load-balanced GPU SpMM (§VI-A2): non-zero split of [B], replicating the
-   dense [C] (the OOM-prone variant). *)
 let spmm_nnz ?proc () =
   nnz_sched ?proc ~vars:[ "i"; "k" ] ~tensor:"B" ~tensors:[ "A"; "B"; "C" ] ()
 
@@ -72,143 +70,94 @@ let shift_last_dim ~name ~by (t : Tensor.t) =
     ~formats:(Array.map Level.kind t.Tensor.levels)
     { coo with Coo.coords }
 
-let blocked = Tdn.Blocked { tensor_dim = 0; machine_dim = 0 }
-let fused_nnz order = Tdn.Fused_non_zero { dims = List.init order Fun.id; machine_dim = 0 }
-
-let gpu_of m = m.Machine.kind = Machine.Gpu
-
 let default_proc machine =
-  if gpu_of machine then Schedule.Gpu_thread else Schedule.Cpu_thread
+  if machine.Machine.kind = Machine.Gpu then Schedule.Gpu_thread
+  else Schedule.Cpu_thread
 
-let spmv_problem ~machine ?schedule ?(nonzero_dist = false) b =
-  let schedule =
-    match schedule with
-    | Some s -> s
-    | None ->
-        if nonzero_dist then spmv_nnz ~proc:(default_proc machine) ()
-        else spmv_row ~proc:(default_proc machine) ()
-  in
+let matched ~machine ~operands ~stmt ~schedule =
+  let tdns = Lower.matched ~env:(Operand.env_of_bindings operands) stmt schedule in
+  Spdistal.problem ~machine
+    ~operands:(List.map2 (fun (n, slot) (_, tdn) -> (n, slot, tdn)) operands tdns)
+    ~stmt ~schedule
+
+let spmv_problem ~machine ?schedule b =
   let n = b.Tensor.dims.(0) and m = b.Tensor.dims.(1) in
   let a = Dense.vec_create "a" n and c = dense_vec "c" m in
-  Spdistal.problem ~machine
-    ~operands:
-      [
-        ("a", Operand.vec a, blocked);
-        ("B", Operand.sparse b, if nonzero_dist then fused_nnz 2 else blocked);
-        ("c", Operand.vec c, Tdn.Replicated);
-      ]
-    ~stmt:Tin.spmv ~schedule
+  matched ~machine
+    ~operands:[ ("a", Operand.vec a); ("B", Operand.sparse b); ("c", Operand.vec c) ]
+    ~schedule:
+      (Option.value schedule ~default:(spmv_row ~proc:(default_proc machine) ()))
+    ~stmt:Tin.spmv
 
-let spmm_problem ~machine ?schedule ?(cols = 32) ?(batched = false)
-    ?(nonzero_dist = false) b =
-  let schedule =
-    match schedule with
-    | Some s -> s
-    | None ->
-        if batched then spmm_batched ~proc:(default_proc machine) ()
-        else if nonzero_dist then spmm_nnz ~proc:(default_proc machine) ()
-        else spmm_row ~proc:(default_proc machine) ()
-  in
+let spmm_problem ~machine ?schedule ?(cols = 32) b =
   let n = b.Tensor.dims.(0) and k = b.Tensor.dims.(1) in
   let a = Dense.mat_create "A" n cols and c = dense_mat "C" k cols in
-  let c_dist =
-    if batched then Tdn.Tiled { mappings = [ (1, 1) ] } else Tdn.Replicated
-  in
-  let b_dist = if nonzero_dist then fused_nnz 2 else blocked in
-  Spdistal.problem ~machine
-    ~operands:
-      [
-        ("A", Operand.mat a, blocked);
-        ("B", Operand.sparse b, b_dist);
-        ("C", Operand.mat c, c_dist);
-      ]
-    ~stmt:Tin.spmm ~schedule
+  matched ~machine
+    ~operands:[ ("A", Operand.mat a); ("B", Operand.sparse b); ("C", Operand.mat c) ]
+    ~schedule:
+      (Option.value schedule ~default:(spmm_row ~proc:(default_proc machine) ()))
+    ~stmt:Tin.spmm
 
 let empty_csr name rows cols =
   Tensor.csr ~name (Coo.make [| rows; cols |] [])
 
 let spadd3_problem ~machine ?schedule ?c ?d b =
-  let schedule =
-    match schedule with
-    | Some s -> s
-    | None -> spadd3_row ~proc:(default_proc machine) ()
-  in
   let rows = b.Tensor.dims.(0) and cols = b.Tensor.dims.(1) in
   let c = match c with Some t -> t | None -> shift_last_dim ~name:"C" ~by:1 b in
   let d = match d with Some t -> t | None -> shift_last_dim ~name:"D" ~by:2 b in
   let a = empty_csr "A" rows cols in
-  Spdistal.problem ~machine
+  matched ~machine
     ~operands:
       [
-        ("A", Operand.sparse a, blocked);
-        ("B", Operand.sparse b, blocked);
-        ("C", Operand.sparse c, blocked);
-        ("D", Operand.sparse d, blocked);
+        ("A", Operand.sparse a);
+        ("B", Operand.sparse b);
+        ("C", Operand.sparse c);
+        ("D", Operand.sparse d);
       ]
-    ~stmt:Tin.spadd3 ~schedule
+    ~schedule:
+      (Option.value schedule ~default:(spadd3_row ~proc:(default_proc machine) ()))
+    ~stmt:Tin.spadd3
 
 let sddmm_problem ~machine ?schedule ?(cols = 32) b =
-  let schedule =
-    match schedule with
-    | Some s -> s
-    | None -> sddmm_nnz ~proc:(default_proc machine) ()
-  in
   let n = b.Tensor.dims.(0) and m = b.Tensor.dims.(1) in
   let a = Assemble.copy_pattern ~name:"A" b in
   let c = dense_mat "C" n cols and d0 = dense_mat "Dm" cols m in
   (* D is (k, j): rows = cols of the factor width, cols = m. *)
   let d = { d0 with Dense.name = "D" } in
-  let dist_b = fused_nnz 2 in
-  Spdistal.problem ~machine
+  matched ~machine
     ~operands:
       [
-        ("A", Operand.sparse a, dist_b);
-        ("B", Operand.sparse b, dist_b);
-        ("C", Operand.mat c, Tdn.Replicated);
-        ("D", Operand.mat d, Tdn.Replicated);
+        ("A", Operand.sparse a);
+        ("B", Operand.sparse b);
+        ("C", Operand.mat c);
+        ("D", Operand.mat d);
       ]
-    ~stmt:Tin.sddmm ~schedule
+    ~schedule:
+      (Option.value schedule ~default:(sddmm_nnz ~proc:(default_proc machine) ()))
+    ~stmt:Tin.sddmm
 
-let spttv_problem ~machine ?schedule ?(nonzero_dist = false) b =
-  let schedule =
-    match schedule with
-    | Some s -> s
-    | None ->
-        if nonzero_dist then spttv_nnz ~proc:(default_proc machine) ()
-        else spttv_row ~proc:(default_proc machine) ()
-  in
+let spttv_problem ~machine ?schedule b =
   let k = b.Tensor.dims.(2) in
   let a = Assemble.copy_pattern ~name:"A" ~levels:2 b in
   let c = dense_vec "c" k in
-  let dist_b = if nonzero_dist then fused_nnz 3 else blocked in
-  let dist_a = if nonzero_dist then fused_nnz 2 else blocked in
-  Spdistal.problem ~machine
-    ~operands:
-      [
-        ("A", Operand.sparse a, dist_a);
-        ("B", Operand.sparse b, dist_b);
-        ("c", Operand.vec c, Tdn.Replicated);
-      ]
-    ~stmt:Tin.spttv ~schedule
+  matched ~machine
+    ~operands:[ ("A", Operand.sparse a); ("B", Operand.sparse b); ("c", Operand.vec c) ]
+    ~schedule:
+      (Option.value schedule ~default:(spttv_row ~proc:(default_proc machine) ()))
+    ~stmt:Tin.spttv
 
-let mttkrp_problem ~machine ?schedule ?(cols = 32) ?(nonzero_dist = false) b =
-  let schedule =
-    match schedule with
-    | Some s -> s
-    | None ->
-        if nonzero_dist then mttkrp_nnz ~proc:(default_proc machine) ()
-        else mttkrp_row ~proc:(default_proc machine) ()
-  in
+let mttkrp_problem ~machine ?schedule ?(cols = 32) b =
   let ni = b.Tensor.dims.(0) and nj = b.Tensor.dims.(1) and nk = b.Tensor.dims.(2) in
   let a = Dense.mat_create "A" ni cols in
   let c = dense_mat "C" nj cols and d = dense_mat "D" nk cols in
-  let dist_b = if nonzero_dist then fused_nnz 3 else blocked in
-  Spdistal.problem ~machine
+  matched ~machine
     ~operands:
       [
-        ("A", Operand.mat a, blocked);
-        ("B", Operand.sparse b, dist_b);
-        ("C", Operand.mat c, Tdn.Replicated);
-        ("D", Operand.mat d, Tdn.Replicated);
+        ("A", Operand.mat a);
+        ("B", Operand.sparse b);
+        ("C", Operand.mat c);
+        ("D", Operand.mat d);
       ]
-    ~stmt:Tin.spmttkrp ~schedule
+    ~schedule:
+      (Option.value schedule ~default:(mttkrp_row ~proc:(default_proc machine) ()))
+    ~stmt:Tin.spmttkrp

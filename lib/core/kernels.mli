@@ -3,15 +3,21 @@
 
     Schedules come in the two families the paper evaluates:
     - {e row-based} (outer-dimension) algorithms: universe partition of the
-      first dimension, matched row-blocked data distribution — used on CPUs
-      for SpMV/SpMM/SpAdd3/SpTTV/SpMTTKRP;
+      first dimension — the default of every builder but SDDMM, used on
+      CPUs for SpMV/SpMM/SpAdd3/SpTTV/SpMTTKRP;
     - {e non-zero-based} algorithms: coordinate fusion + non-zero partition,
-      statically load balanced — used for SDDMM everywhere and for the GPU
+      statically load balanced — SDDMM's default everywhere, and the GPU
       variants of SpMM/SpTTV/SpMTTKRP.
 
     [*_problem] builders assemble full {!Spdistal.problem}s from a sparse
-    input: dense factors are deterministic pseudo-random, outputs are zeroed,
-    and data distributions match the chosen schedule (paper §II-D). *)
+    input: dense factors are deterministic pseudo-random and outputs are
+    zeroed.  The data distribution follows the schedule: every builder
+    takes the TDNs the schedule moves no data for from {!matched} (paper
+    §II-D).  A variant is chosen by its schedule alone, e.g. the GPU
+    non-zero SpTTV is
+    [spttv_problem ~schedule:(spttv_nnz ~proc:Gpu_thread ())]; a
+    mismatched distribution is {!Spdistal.with_schedule} of a matched
+    problem. *)
 
 open Spdistal_runtime
 open Spdistal_formats
@@ -22,6 +28,10 @@ open Spdistal_ir
 val spmv_row : ?proc:Schedule.proc -> unit -> Schedule.t
 val spmv_nnz : ?proc:Schedule.proc -> unit -> Schedule.t
 val spmm_row : ?proc:Schedule.proc -> unit -> Schedule.t
+
+(** Load-balanced GPU SpMM (§VI-A2): non-zero split of [B], replicating the
+    dense [C] (the variant that runs out of memory as [C] widens). *)
+val spmm_nnz : ?proc:Schedule.proc -> unit -> Schedule.t
 
 (** Memory-conserving 2-D "SpDISTAL-Batched" GPU SpMM schedule (§VI-A2):
     distributes both [i] and [j]. *)
@@ -47,9 +57,22 @@ val nnz_sched :
     precompute transformation, Kjolstad et al. [22]). *)
 val spadd3_workspace : ?proc:Schedule.proc -> unit -> Schedule.t
 val sddmm_nnz : ?proc:Schedule.proc -> unit -> Schedule.t
+val spttv_nnz : ?proc:Schedule.proc -> unit -> Schedule.t
 val mttkrp_nnz : ?proc:Schedule.proc -> unit -> Schedule.t
 
 (** {1 Problem builders} *)
+
+(** [matched ~machine ~operands ~stmt ~schedule] is the problem whose
+    operands carry the data distribution [schedule] moves no data for
+    ({!Spdistal_ir.Lower.matched}).  Raises
+    {!Spdistal_runtime.Error.Error} ([Compile]) on a schedule
+    {!Spdistal_ir.Schedule.analyze} refuses. *)
+val matched :
+  machine:Machine.t ->
+  operands:(string * Spdistal_exec.Operand.slot) list ->
+  stmt:Tin.stmt ->
+  schedule:Schedule.t ->
+  Spdistal.problem
 
 (** Deterministic pseudo-random value in [0.5, 1.5) for element [i]. *)
 val dval : int -> float
@@ -57,24 +80,17 @@ val dval : int -> float
 val dense_vec : string -> int -> Dense.vec
 val dense_mat : string -> int -> int -> Dense.mat
 
-(** [spmv_problem ~machine ~schedule b].  [nonzero_dist] selects the fused
-    non-zero data distribution for [b] instead of row blocking (§II-D's
-    second algorithm); defaults to matching the schedule. *)
+(** [spmv_problem ~machine ~schedule b]. *)
 val spmv_problem :
-  machine:Machine.t ->
-  ?schedule:Schedule.t ->
-  ?nonzero_dist:bool ->
-  Tensor.t ->
-  Spdistal.problem
+  machine:Machine.t -> ?schedule:Schedule.t -> Tensor.t -> Spdistal.problem
 
-(** [spmm_problem ~machine ~cols b] — [cols] is the dense width (default 32).
-    [nonzero_dist] selects the load-balanced replicated-C variant. *)
+(** [spmm_problem ~machine ~cols b] — [cols] is the dense width (default
+    32).  The GPU variants are {!spmm_nnz} (load-balanced) and
+    {!spmm_batched} (2-D, on a 2-D grid). *)
 val spmm_problem :
   machine:Machine.t ->
   ?schedule:Schedule.t ->
   ?cols:int ->
-  ?batched:bool ->
-  ?nonzero_dist:bool ->
   Tensor.t ->
   Spdistal.problem
 
@@ -98,17 +114,12 @@ val sddmm_problem :
   Spdistal.problem
 
 val spttv_problem :
-  machine:Machine.t ->
-  ?schedule:Schedule.t ->
-  ?nonzero_dist:bool ->
-  Tensor.t ->
-  Spdistal.problem
+  machine:Machine.t -> ?schedule:Schedule.t -> Tensor.t -> Spdistal.problem
 
 val mttkrp_problem :
   machine:Machine.t ->
   ?schedule:Schedule.t ->
   ?cols:int ->
-  ?nonzero_dist:bool ->
   Tensor.t ->
   Spdistal.problem
 

@@ -6,18 +6,18 @@
     {[
       let m = Spdistal.machine ~kind:Machine.Cpu [| pieces |] in
       let problem =
-        Spdistal.problem ~machine:m
+        Kernels.matched ~machine:m
           ~operands:
-            [
-              ("a", Operand.vec a, Tdn.Blocked { tensor_dim = 0; machine_dim = 0 });
-              ("B", Operand.sparse b, Tdn.Blocked { tensor_dim = 0; machine_dim = 0 });
-              ("c", Operand.vec c, Tdn.Replicated);
-            ]
+            [ ("a", Operand.vec a); ("B", Operand.sparse b); ("c", Operand.vec c) ]
           ~stmt:Tin.spmv ~schedule:(Kernels.spmv_row ())
       in
       let prog = Spdistal.compile problem in
       let res = Spdistal.run problem
-    ]} *)
+    ]}
+
+    {!Kernels.matched} gives each operand the TDN the schedule moves no
+    data for; {!problem} takes any TDN per operand, and a mismatched one is
+    legal but moves data (§II-D). *)
 
 open Spdistal_runtime
 open Spdistal_ir

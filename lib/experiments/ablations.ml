@@ -43,9 +43,7 @@ let run_partition fmt () =
       Format.fprintf fmt "%-14s row-based %a   non-zero-based %a@," label
         pp_time (time (K.spmv_problem ~machine b))
         pp_time
-        (time
-           (K.spmv_problem ~machine ~nonzero_dist:true
-              ~schedule:(K.spmv_nnz ()) b)))
+        (time (K.spmv_problem ~machine ~schedule:(K.spmv_nnz ()) b)))
     [ ("hub-skewed", skewed); ("uniform", uniform) ];
   Format.fprintf fmt
     "(non-zero split wins on skew, loses its reduction overhead on uniform \
@@ -63,7 +61,10 @@ let run_mismatch fmt () =
   Format.fprintf fmt "matched   (row data, row compute): %a@," pp_time
     (time (K.spmv_problem ~machine b));
   Format.fprintf fmt "mismatched (nnz data, row compute): %a@," pp_time
-    (time (K.spmv_problem ~machine ~nonzero_dist:true ~schedule:(K.spmv_row ()) b));
+    (time
+       (S.with_schedule
+          (K.spmv_problem ~machine ~schedule:(K.spmv_nnz ()) b)
+          ~schedule:(K.spmv_row ()) ~tdns:[]));
   Format.fprintf fmt
     "(the mismatched program is valid but reshapes the data every iteration, \
      paper \xc2\xa7II-D)@,@]"
@@ -72,39 +73,26 @@ let run_mismatch fmt () =
    assembled intermediate. *)
 let pairwise_add machine b c d =
   let open Spdistal_ir in
-  let blocked = Tdn.Blocked { tensor_dim = 0; machine_dim = 0 } in
   let rows = b.Tensor.dims.(0) and cols = b.Tensor.dims.(1) in
-  let sched =
+  let schedule =
     Schedule.row ~par:Schedule.Cpu_thread ~tensors:[ "A"; "B"; "C" ] "i"
   in
   let stmt = Tin.assign "A" [ "i"; "j" ] Tin.(access "B" [ "i"; "j" ] + access "C" [ "i"; "j" ]) in
-  let empty = Tensor.csr ~name:"A" (Coo.make [| rows; cols |] []) in
-  let p1 =
-    S.problem ~machine
+  let add b c =
+    let empty = Tensor.csr ~name:"A" (Coo.make [| rows; cols |] []) in
+    K.matched ~machine
       ~operands:
         [
-          ("A", Operand.sparse empty, blocked);
-          ("B", Operand.sparse b, blocked);
-          ("C", Operand.sparse c, blocked);
+          ("A", Operand.sparse empty); ("B", Operand.sparse b); ("C", Operand.sparse c);
         ]
-      ~stmt ~schedule:sched
+      ~stmt ~schedule
   in
+  let p1 = add b c in
   match time p1 with
   | Error r -> Error r
   | Ok t1 -> (
       let tmp = Operand.find_sparse (S.bindings p1) "A" in
-      let empty2 = Tensor.csr ~name:"A" (Coo.make [| rows; cols |] []) in
-      let p2 =
-        S.problem ~machine
-          ~operands:
-            [
-              ("A", Operand.sparse empty2, blocked);
-              ("B", Operand.sparse { tmp with Tensor.name = "T" }, blocked);
-              ("C", Operand.sparse d, blocked);
-            ]
-          ~stmt ~schedule:sched
-      in
-      match time p2 with Error r -> Error r | Ok t2 -> Ok (t1 +. t2))
+      Result.map (( +. ) t1) (time (add { tmp with Tensor.name = "T" } d)))
 
 let run_fusion fmt () =
   let machine = Runner.cpu_machine ~nodes:8 in
@@ -134,6 +122,7 @@ let run_spmm_gpu fmt () =
   Format.fprintf fmt
     "@[<v>=== Ablation: GPU SpMM load-balanced vs batched across memory \
      pressure ===@,";
+  let proc = Spdistal_ir.Schedule.Gpu_thread in
   List.iter
     (fun cols ->
       let m1 = Runner.gpu_machine ~gpus:8 in
@@ -141,8 +130,11 @@ let run_spmm_gpu fmt () =
         Machine.make ~params:m1.Machine.params ~kind:Machine.Gpu [| 4; 2 |]
       in
       Format.fprintf fmt "cols=%-3d  load-balanced %a   batched %a@," cols
-        pp_time (time (K.spmm_problem ~machine:m1 ~cols ~nonzero_dist:true b))
-        pp_time (time (K.spmm_problem ~machine:m2 ~cols ~batched:true b)))
+        pp_time
+        (time (K.spmm_problem ~machine:m1 ~cols ~schedule:(K.spmm_nnz ~proc ()) b))
+        pp_time
+        (time
+           (K.spmm_problem ~machine:m2 ~cols ~schedule:(K.spmm_batched ~proc ()) b)))
     [ 8; 32; 128 ];
   Format.fprintf fmt
     "(as the dense width grows the replicated operand stops fitting and the \
@@ -175,16 +167,11 @@ let run_format fmt () =
       let n = b.Tensor.dims.(0) and m = b.Tensor.dims.(1) in
       let a = Dense.vec_create "a" n in
       let cvec = Dense.vec_init "c" m (fun i -> 1. +. float_of_int (i mod 7)) in
-      let open Spdistal_ir in
       let p =
-        S.problem ~machine
+        K.matched ~machine
           ~operands:
-            [
-              ("a", Operand.vec a, Tdn.Blocked { tensor_dim = 0; machine_dim = 0 });
-              ("B", Operand.sparse b, Tdn.Blocked { tensor_dim = 0; machine_dim = 0 });
-              ("c", Operand.vec cvec, Tdn.Replicated);
-            ]
-          ~stmt:Tin.spmv ~schedule:(K.spmv_row ())
+            [ ("a", Operand.vec a); ("B", Operand.sparse b); ("c", Operand.vec cvec) ]
+          ~stmt:Spdistal_ir.Tin.spmv ~schedule:(K.spmv_row ())
       in
       Format.fprintf fmt "%-30s %a@," label pp_time (time p))
     formats;

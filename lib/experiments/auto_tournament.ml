@@ -92,16 +92,12 @@ let cells ?quick () =
     ]
 
 let compute ?quick () =
-  let rows =
-    List.map
-      (fun c ->
-        let p = c.c_problem () in
-        row_of ~kernel:c.c_kernel ~dataset:c.c_dataset ~system:c.c_system
-          ~pieces:(Machine.pieces p.Core.Spdistal.machine) p)
-      (cells ?quick ())
-  in
-  Spdistal_exec.Leaf.clear_cache ();
-  rows
+  List.map
+    (fun c ->
+      let p = c.c_problem () in
+      row_of ~kernel:c.c_kernel ~dataset:c.c_dataset ~system:c.c_system
+        ~pieces:(Machine.pieces p.Core.Spdistal.machine) p)
+    (cells ?quick ())
 
 let max_ratio rows =
   List.fold_left

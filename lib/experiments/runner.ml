@@ -64,20 +64,30 @@ let of_spdistal (res : S.run_result) =
   | None -> Common.ok (Cost.total res.S.cost)
 
 (* The hand-scheduled problem the paper uses for this (kernel, machine)
-   cell — the baseline both [run_spdistal] and the auto-tournament price. *)
+   cell — the baseline both [run_spdistal] and the auto-tournament price.
+   GPUs run SpMM, SpTTV and SpMTTKRP with the non-zero split, or SpMM with
+   the batched 2-D split; the data distribution follows the schedule. *)
 let problem_for ~kernel ~machine ~cols ?(batched = false) b =
   let gpu = machine.Machine.kind = Machine.Gpu in
+  let gpu_thread = Spdistal_ir.Schedule.Gpu_thread in
+  let on_gpu nnz = if gpu then Some (nnz ()) else None in
   match kernel with
   | Spmv -> K.spmv_problem ~machine b
   | Spmm ->
       if batched then
         let m2 = gpu_machine_2d ~gpus:(Machine.pieces machine) in
-        K.spmm_problem ~machine:m2 ~cols ~batched:true b
-      else K.spmm_problem ~machine ~cols ~nonzero_dist:gpu b
+        K.spmm_problem ~machine:m2 ~cols
+          ~schedule:(K.spmm_batched ~proc:gpu_thread ()) b
+      else
+        K.spmm_problem ~machine ~cols
+          ?schedule:(on_gpu (K.spmm_nnz ~proc:gpu_thread)) b
   | Spadd3 -> K.spadd3_problem ~machine b
   | Sddmm -> K.sddmm_problem ~machine ~cols b
-  | Spttv -> K.spttv_problem ~machine ~nonzero_dist:gpu b
-  | Mttkrp -> K.mttkrp_problem ~machine ~cols ~nonzero_dist:gpu b
+  | Spttv ->
+      K.spttv_problem ~machine ?schedule:(on_gpu (K.spttv_nnz ~proc:gpu_thread)) b
+  | Mttkrp ->
+      K.mttkrp_problem ~machine ~cols
+        ?schedule:(on_gpu (K.mttkrp_nnz ~proc:gpu_thread)) b
 
 let run_spdistal ~kernel ~machine ~cols ?(batched = false) ?(auto = false)
     ?iterations ?(cache = true) b =

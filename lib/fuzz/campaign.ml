@@ -83,6 +83,17 @@ let replay_line line =
   | Error m -> Check.Reject (Printf.sprintf "unparseable spec %S: %s" line m)
   | Ok spec -> Check.run spec
 
+(* A corpus line [reject: SPEC] freezes a case the compiler must refuse (a
+   wrong answer closed by a static refusal): its refusal is its pass. *)
+let replay_corpus_line line =
+  if not (String.starts_with ~prefix:"reject:" line) then replay_line line
+  else
+    let spec = String.trim (String.sub line 7 (String.length line - 7)) in
+    match Result.map Check.run (Spec.of_string spec) with
+    | Ok (Check.Reject _) -> Check.Pass
+    | Ok v -> Check.Fail { prop = "expected-reject"; detail = Check.verdict_to_string v }
+    | Error m -> Check.Fail { prop = "corpus"; detail = "unparseable spec: " ^ m }
+
 (* Corpus files: one spec per line; '#' lines and blanks are comments. *)
 let replay_file path =
   let ic = open_in path in
@@ -96,7 +107,9 @@ let replay_file path =
            let line = String.trim (input_line ic) in
            incr lineno;
            if line <> "" && line.[0] <> '#' then
-             results := (Printf.sprintf "%s:%d" path !lineno, replay_line line) :: !results
+             results :=
+               (Printf.sprintf "%s:%d" path !lineno, replay_corpus_line line)
+               :: !results
          done
        with End_of_file -> ());
       List.rev !results)

@@ -39,5 +39,7 @@ val report_to_string : report -> string
 val replay_line : string -> Check.verdict
 
 (** Replay every spec line of every [*.case] file in [dir] (sorted);
-    returns [(location, verdict)] pairs, where location is [file:line]. *)
+    returns [(location, verdict)] pairs, where location is [file:line].  A
+    line [reject: SPEC] expects the compiler to refuse [SPEC]: its refusal
+    replays as [Pass], anything else as [Fail]. *)
 val replay_corpus : dir:string -> (string * Check.verdict) list

@@ -38,15 +38,17 @@ type exec_result =
   | Rejected of string
   | Crashed of string
 
+(* A typed refusal: the compiler or the configuration declining the case. *)
+let refusal (e : Error.t) =
+  match e.Error.phase with Error.Compile | Error.Config -> true | _ -> false
+
 let exec ?(domains = 1) ?(faults = Fault.disabled) ?leaf_backend p =
   match Spdistal.run ~domains ~faults ?leaf_backend p with
   | { cost; dnc = None; _ } -> Ran cost
   | { dnc = Some reason; _ } -> Dnc reason
   | exception Invalid_argument m -> Rejected m
-  | exception Error.Error e -> (
-      match e.Error.phase with
-      | Error.Compile | Error.Config -> Rejected (Error.to_string e)
-      | _ -> Crashed (Error.to_string e))
+  | exception Error.Error e when refusal e -> Rejected (Error.to_string e)
+  | exception Error.Error e -> Crashed (Error.to_string e)
   | exception exn -> Crashed (Printexc.to_string exn)
 
 let fail prop fmt = Printf.ksprintf (fun detail -> Fail { prop; detail }) fmt
@@ -85,11 +87,16 @@ exception Done of verdict
 let run spec =
   let stop v = raise (Done v) in
   try
-    (match check_roundtrips spec with Pass -> () | v -> stop v);
+    (match check_roundtrips spec with
+    | Pass -> ()
+    | v -> stop v
+    | exception Error.Error e when refusal e -> stop (Reject (Error.to_string e)));
     let p =
       match Spec.build spec with
       | p -> p
       | exception Invalid_argument m -> stop (Reject ("build: " ^ m))
+      | exception Error.Error e when refusal e ->
+          stop (Reject ("build: " ^ Error.to_string e))
       | exception exn ->
           stop (Fail { prop = "build"; detail = Printexc.to_string exn })
     in

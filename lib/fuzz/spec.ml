@@ -57,7 +57,7 @@ type t = {
 let dim spec v =
   match List.assoc_opt v spec.vars with
   | Some d -> d
-  | None -> invalid_arg (Printf.sprintf "Spec: unbound variable %s" v)
+  | None -> Error.fail Error.Config "Spec: unbound variable %s" v
 
 let is_merge spec = spec.merge_extra > 0
 
@@ -194,7 +194,8 @@ let build spec : Spdistal.problem =
         match o_vars with
         | [ r; c ] ->
             Operand.mat (Dense.mat_create o_name (dim spec r) (dim spec c))
-        | _ -> invalid_arg "Spec.build: dense matrix output needs two vars")
+        | _ ->
+            Error.fail Error.Config "Spec.build: dense matrix output needs two vars")
     | Out_sparse_prefix { o_name; depth } ->
         Operand.sparse (Assemble.copy_pattern ~name:o_name ~levels:depth driver_t)
     | Out_sparse_merge { o_name } ->
@@ -225,7 +226,7 @@ let build spec : Spdistal.problem =
                 Operand.mat
                   (Dense.mat_init f.f_name (dim spec r) cols (fun x y ->
                        dense_val salt ((x * cols) + y)))
-            | _ -> invalid_arg "Spec.build: factor arity"
+            | _ -> Error.fail Error.Config "Spec.build: factor arity"
           in
           let order = match f.f_kind with Dvec -> 1 | Dmat -> 2 in
           with_tdn f.f_name order slot)

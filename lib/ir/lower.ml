@@ -320,6 +320,26 @@ let legal env stmt sched =
     List.filter (fun a -> is_sparse env a.Tin.tensor) (Tin.rhs_accesses stmt)
   in
   let merge = Tin.is_pure_addition stmt && List.length rhs_sparse > 1 in
+  (* The grid's second dimension only chunks dense columns: its variable
+     must be the output's last, distinct from the first distributed
+     variable, and index no sparse operand.  Otherwise every piece of a row
+     block computes the same sparse work and the output sums it twice. *)
+  Option.iter
+    (fun e ->
+      if Some e <> List.nth_opt (List.rev out.Tin.indices) 0 then
+        Error.fail Error.Compile
+          "Lower: 2-D distribution over %s, not the output's last variable" e;
+      if plan.Schedule.strategy = Schedule.Universe_dist { var = e } then
+        Error.fail Error.Compile
+          "Lower: 2-D distribution over %s on both machine dimensions" e;
+      List.iter
+        (fun (a : Tin.access) ->
+          if is_sparse env a.Tin.tensor && List.mem e a.Tin.indices then
+            Error.fail Error.Compile
+              "Lower: 2-D distribution over %s, which indexes sparse %s" e
+              a.Tin.tensor)
+        (out :: Tin.rhs_accesses stmt))
+    plan.Schedule.secondary_var;
   (* [check_fragment] left a product exactly one sparse operand. *)
   let driver_accs =
     match rhs_sparse with a :: _ when not merge -> [ a ] | accs -> accs
@@ -393,6 +413,37 @@ let check ~env stmt sched =
   | _ -> Ok ()
   | exception Error.Error e -> Error e
 
+let matched ~env stmt sched =
+  let plan = Schedule.analyze stmt sched in
+  (* An operand's first access, lhs first: one coordinate view suffices. *)
+  let accesses = stmt.Tin.lhs :: Tin.rhs_accesses stmt in
+  let pos name v =
+    Option.bind
+      (List.find_opt (fun a -> a.Tin.tensor = name) accesses)
+      (fun a -> var_pos a v)
+  in
+  let blocked k = Tdn.Blocked { tensor_dim = k; machine_dim = 0 } in
+  (* A non-zero partition of [d] fused dimensions; a single one needs no
+     fusion (a TDN refuses to fuse fewer than two). *)
+  let non_zero d =
+    if d >= 2 then Tdn.Fused_non_zero { dims = List.init d Fun.id; machine_dim = 0 }
+    else Tdn.Non_zero { tensor_dim = 0; machine_dim = 0 }
+  in
+  let tdn name =
+    match plan.Schedule.strategy with
+    | Schedule.Universe_dist { var } -> (
+        match (pos name var, Option.bind plan.Schedule.secondary_var (pos name)) with
+        | Some k, _ -> blocked k
+        | None, Some k -> Tdn.Tiled { mappings = [ (k, 1) ] }
+        | None, None -> Tdn.Replicated)
+    | Schedule.Non_zero_dist { tensor; fused } ->
+        if name = tensor then non_zero (List.length fused)
+        else if is_sparse env name then non_zero (order_of (find_operand env name))
+        else if name = stmt.Tin.lhs.Tin.tensor then blocked 0
+        else Tdn.Replicated
+  in
+  List.map (fun (name, _) -> (name, tdn name)) env
+
 let lower ~env ~grid stmt sched =
   let { plan; merge; driver_accs; start } = legal env stmt sched in
   let pieces = Array.fold_left ( * ) 1 grid in
@@ -417,14 +468,7 @@ let lower ~env ~grid stmt sched =
   in
   (* Variables whose presence in an operand means its dense columns are
      chunked by the machine grid's second dimension. *)
-  let secondary_roots =
-    match plan.Schedule.secondary_var with
-    | None -> []
-    | Some _ ->
-        (* The second distributed variable must be a dense-only output
-           variable; its root is the last lhs variable. *)
-        [ List.nth out.Tin.indices (List.length out.Tin.indices - 1) ]
-  in
+  let secondary_roots = Option.to_list plan.Schedule.secondary_var in
   let divide_for acc = if mentions acc secondary_roots then col_split else 1 in
   let dense_accs = List.filter (fun a -> not (is_sparse env a.Tin.tensor)) rhs in
   let finish ~strategy ~(driver_acc : Tin.access) ~driver_tp ~tps ~nnz_split =

@@ -27,23 +27,37 @@ type env = (string * operand) list
 
 (** [check ~env stmt schedule] is [Error] with the [Compile] error {!lower}
     would raise when the statement and schedule meet one of {!lower}'s
-    static refusals, and [Ok ()] otherwise.  The static refusals are: {!Tin.validate}, the supported
-    fragment (the rhs must be a single product with exactly one sparse
-    operand, dense factors and literal coefficients allowed, or a pure sum
-    of sparse accesses, a merge), {!Schedule.analyze}, a distributed
-    variable that does not index a sparse operand, a merge distributed below
-    its operands' outermost storage level, a universe distribution over a
-    reduction variable with a sparse output, and a non-zero distribution of
-    a merge.  A checked schedule can still fail in {!lower} where it builds
-    partitions (a storage level with no partition, a dense operand whose
-    access lacks the driver's shared variable).  [check] names no partition, so it costs a
-    fraction of a lowering; the auto-scheduler's search filters its
-    candidates with it. *)
+    static refusals, and [Ok ()] otherwise.  The static refusals are:
+    {!Tin.validate}, the supported fragment (the rhs must be a single
+    product with exactly one sparse operand, dense factors and literal
+    coefficients allowed, or a pure sum of sparse accesses, a merge),
+    {!Schedule.analyze}, a distributed variable that does not index a sparse
+    operand, a merge distributed below its operands' outermost storage
+    level, a universe distribution over a reduction variable with a sparse
+    output, a non-zero distribution of a merge, and a 2-D distribution whose
+    second variable is not the output's last, repeats the first or indexes a
+    sparse operand.  A checked schedule can still fail in {!lower} where it
+    builds partitions (a storage level with no partition, a dense operand
+    whose access lacks the driver's shared variable).  [check] names no
+    partition, so it costs a fraction of a lowering; the auto-scheduler's
+    search filters its candidates with it. *)
 val check :
   env:env ->
   Tin.stmt ->
   Schedule.t ->
   (unit, Spdistal_runtime.Error.t) result
+
+(** [matched ~env stmt schedule] is the data distribution the schedule
+    moves no data for (paper §II-D), every operand's TDN in [env] order.  A
+    universe split blocks each operand on the dimension its distributed
+    variable binds, else (2-D) tiles the output's last variable, else
+    replicates.  A non-zero split gives the position-split tensor a fused
+    non-zero partition over its fused variables, other sparse operands one
+    over all dimensions (a plain [Non_zero] of dimension 0 where that is one
+    dimension), a dense output a block of dimension 0, and replicates the
+    rest.  Raises a [Compile]
+    [Error.Error] when {!Schedule.analyze} refuses the schedule. *)
+val matched : env:env -> Tin.stmt -> Schedule.t -> (string * Tdn.t) list
 
 (** [lower ~env ~grid stmt schedule] produces the partitioning-and-compute
     program.  It calls {!check} first and raises its [Compile]

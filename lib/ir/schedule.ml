@@ -131,7 +131,6 @@ let analyze stmt sched =
         "Schedule.analyze: at most two distributed variables"
   | _ -> ());
   let primary = List.hd dist_vars in
-  let secondary_var = match dist_vars with [ _; s ] -> Some s | _ -> None in
   let strategy =
     match root_of primary with
     | Orig v -> Universe_dist { var = v }
@@ -141,12 +140,15 @@ let analyze stmt sched =
            pos transformation first"
     | Pos_root { tensor; fused } -> Non_zero_dist { tensor; fused }
   in
-  (match (strategy, secondary_var) with
-  | Non_zero_dist _, Some _ ->
-      Error.fail Error.Compile
-        "Schedule.analyze: 2-D distribution is only supported for \
-         coordinate-value loops"
-  | _ -> ());
+  let secondary_var =
+    match (strategy, List.map root_of dist_vars) with
+    | Universe_dist _, [ _; Orig v ] -> Some v
+    | _, [ _; _ ] ->
+        Error.fail Error.Compile
+          "Schedule.analyze: 2-D distribution is only supported for \
+           coordinate-value loops"
+    | _ -> None
+  in
   {
     strategy;
     dist_vars;

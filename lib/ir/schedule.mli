@@ -73,8 +73,8 @@ type plan = {
   strategy : strategy;
   dist_vars : string list;  (** the distributed derived variables, in order *)
   secondary_var : string option;
-      (** second distributed variable for 2-D (grid) distributions — must be
-          a dense-only variable (batched SpMM) *)
+      (** the original variable of the second distributed loop of a 2-D
+          (grid) distribution (batched SpMM's [j]) *)
   communicated : (string list * string) list;
   parallel_leaf : proc option;
   workspace : bool;  (** a [Precompute] command requested a dense workspace *)
@@ -83,7 +83,8 @@ type plan = {
 (** Derive the distribution plan. Raises [Error.Error] with the [Compile]
     phase on schedules the lowering does not support (no [Distribute],
     distributing an unknown variable, more than two distributed variables,
-    a fused loop without [pos], a 2-D distribution of a [pos] loop).
+    a fused loop without [pos], a 2-D distribution of a [pos] loop or of a
+    fused one).
     [stmt] supplies variable provenance roots. *)
 val analyze : Tin.stmt -> t -> plan
 

@@ -1,25 +1,27 @@
 (* Candidate enumeration: the schedule/TDN points the auto-scheduler prices.
 
-   Four families, mirroring the shapes the paper's hand schedules use:
+   Four families of schedules, mirroring the shapes the paper's hand
+   schedules use:
 
-   - universe: divide one output variable across the machine, block every
-     operand that carries it, replicate the rest (fig10's row-split CPU
-     schedules);
+   - universe: divide one output variable across the machine (fig10's
+     row-split CPU schedules);
    - nnz: fuse a prefix of the sparse driver's variables, switch to its
-     position space and divide that (fig11's GPU non-zero splits), with the
-     driver fused-non-zero distributed and other operands matched;
+     position space and divide that (fig11's GPU non-zero splits);
    - batched: 2-D machine grids divide an output row variable and a dense
      column variable (the memory-conserving SpMM of fig11);
-   - workspace: for pure additions, each universe candidate again with a
+   - workspace: for pure additions, each universe point again with a
      precompute workspace (SpAdd3's two assembly strategies).
 
-   The schedule of every family is built by the [Schedule] shape the hand
-   schedules of [Kernels] use ([Schedule.row], [nnz], [batched],
-   [workspace]), so on the catalog kernels each hand point is exactly one
-   candidate; test_opt checks that for every tournament cell and serve
-   query.  A family point [Lower] refuses (a merge distributed over a
-   column, a variable that does not index the sparse driver) is dropped by
-   [Lower.check] before anything is placed; what [Price] still refuses is
+   A family is a list of (label, schedule) points built by the [Schedule]
+   shapes the hand schedules of [Kernels] use ([Schedule.row], [nnz],
+   [batched], [workspace]).  [candidates] drops a point [Lower.check]
+   refuses (a merge distributed over a column, a variable that does not
+   index the sparse driver, a 2-D split over a sparse variable) before
+   anything is placed, and gives each kept point the data distribution
+   [Lower.matched] derives from its schedule — the rule the hand problems
+   of [Kernels] take theirs from.  So on the catalog kernels each hand
+   point is exactly one candidate (test_opt checks that for every
+   tournament cell and serve query), and what [Price] still refuses is
    capacity or a typed run-time refusal. *)
 
 open Spdistal_runtime
@@ -36,24 +38,6 @@ type candidate = {
 let operand_names p =
   List.map (fun (n, _, _) -> n) p.Spdistal.operands
 
-(* The access of [name] in the statement (lhs first, then rhs).  Operands
-   accessed more than once keep their first access — the TDN choice only
-   needs one coordinate view of the tensor. *)
-let access_of (stmt : Tin.stmt) name =
-  if stmt.Tin.lhs.Tin.tensor = name then Some stmt.Tin.lhs
-  else
-    List.find_opt
-      (fun (a : Tin.access) -> a.Tin.tensor = name)
-      (Tin.rhs_accesses stmt)
-
-let var_pos (a : Tin.access) v =
-  let rec go i = function
-    | [] -> None
-    | x :: _ when x = v -> Some i
-    | _ :: rest -> go (i + 1) rest
-  in
-  go 0 a.Tin.indices
-
 let proc_of machine =
   if machine.Machine.kind = Machine.Gpu then Schedule.Gpu_thread
   else Schedule.Cpu_thread
@@ -67,82 +51,31 @@ let operand_order p name =
   Operand.order (Operand.find (Spdistal.bindings p) name).Operand.data
 
 (* ------------------------------------------------------------------ *)
-(* Families                                                            *)
+(* Families: (label, schedule) points                                  *)
 (* ------------------------------------------------------------------ *)
 
 let universe p v =
-  let schedule =
+  ( "row:" ^ v,
     Schedule.row ~par:(proc_of p.Spdistal.machine) ~tensors:(operand_names p) v
-  in
-  let tdns =
-    List.map
-      (fun (n, _, _) ->
-        match Option.bind (access_of p.Spdistal.stmt n) (fun a -> var_pos a v) with
-        | Some k -> (n, Tdn.Blocked { tensor_dim = k; machine_dim = 0 })
-        | None -> (n, Tdn.Replicated))
-      p.Spdistal.operands
-  in
-  { c_label = "row:" ^ v; c_schedule = schedule; c_tdns = tdns }
+  )
 
 (* Fuse the first [f] variables of the driver's access, move to position
    space and divide. *)
-let nnz_candidate p ~driver ~vars f =
-  let schedule =
+let nnz_point p ~driver ~vars f =
+  ( Printf.sprintf "nnz:%s/%d" driver f,
     Schedule.nnz ~par:(proc_of p.Spdistal.machine) ~tensor:driver
       ~tensors:(operand_names p)
-      (List.filteri (fun i _ -> i < f) vars)
-  in
-  let out = p.Spdistal.stmt.Tin.lhs.Tin.tensor in
-  let tdns =
-    List.map
-      (fun (n, _, _) ->
-        if n = driver then
-          (n, Tdn.Fused_non_zero { dims = List.init f Fun.id; machine_dim = 0 })
-        else if is_sparse p n then begin
-          let d = operand_order p n in
-          if d >= 2 then
-            (n, Tdn.Fused_non_zero { dims = List.init d Fun.id; machine_dim = 0 })
-          else (n, Tdn.Non_zero { tensor_dim = 0; machine_dim = 0 })
-        end
-        else if n = out then (n, Tdn.Blocked { tensor_dim = 0; machine_dim = 0 })
-        else (n, Tdn.Replicated))
-      p.Spdistal.operands
-  in
-  {
-    c_label = Printf.sprintf "nnz:%s/%d" driver f;
-    c_schedule = schedule;
-    c_tdns = tdns;
-  }
+      (List.filteri (fun i _ -> i < f) vars) )
 
 (* 2-D grids: divide the dense output's row variable over the first machine
    dimension and its column variable over the second. *)
 let batched p ~r ~e =
-  let schedule =
+  ( Printf.sprintf "batch:%s,%s" r e,
     Schedule.batched ~par:(proc_of p.Spdistal.machine)
-      ~tensors:(operand_names p) r e
-  in
-  let tdns =
-    List.map
-      (fun (n, _, _) ->
-        match access_of p.Spdistal.stmt n with
-        | None -> (n, Tdn.Replicated)
-        | Some a -> (
-            match var_pos a r with
-            | Some k -> (n, Tdn.Blocked { tensor_dim = k; machine_dim = 0 })
-            | None -> (
-                match var_pos a e with
-                | Some k -> (n, Tdn.Tiled { mappings = [ (k, 1) ] })
-                | None -> (n, Tdn.Replicated))))
-      p.Spdistal.operands
-  in
-  { c_label = Printf.sprintf "batch:%s,%s" r e; c_schedule = schedule; c_tdns = tdns }
+      ~tensors:(operand_names p) r e )
 
-let with_workspace c ~out ~v =
-  {
-    c with
-    c_label = c.c_label ^ ":ws";
-    c_schedule = c.c_schedule @ Schedule.workspace ~out v;
-  }
+let with_workspace (label, schedule) ~out ~v =
+  (label ^ ":ws", schedule @ Schedule.workspace ~out v)
 
 (* ------------------------------------------------------------------ *)
 (* Enumeration                                                         *)
@@ -177,22 +110,26 @@ let family_points p =
     | r :: rest -> List.map (fun e -> batched p ~r ~e) rest
     | [] -> []
   else begin
-    let universe_cands = List.map (universe p) stmt.Tin.lhs.Tin.indices in
-    let ws_cands =
+    let universe_points = List.map (universe p) stmt.Tin.lhs.Tin.indices in
+    let ws_points =
       if Tin.is_pure_addition stmt then
         List.concat_map
           (fun c ->
             match stmt.Tin.lhs.Tin.indices with
             | _ :: v :: _ -> [ with_workspace c ~out ~v ]
             | _ -> [])
-          universe_cands
+          universe_points
       else []
     in
-    let nnz_cands =
+    let nnz_points =
       match driver_of p with
       | None -> []
       | Some d -> (
-          match access_of stmt d with
+          match
+            List.find_opt
+              (fun (a : Tin.access) -> a.Tin.tensor = d)
+              (stmt.Tin.lhs :: Tin.rhs_accesses stmt)
+          with
           | None -> []
           | Some a ->
               let vars = a.Tin.indices in
@@ -200,19 +137,29 @@ let family_points p =
               if order < 2 then []
               else
                 List.map
-                  (fun f -> nnz_candidate p ~driver:d ~vars f)
+                  (fun f -> nnz_point p ~driver:d ~vars f)
                   (List.init (order - 1) (fun i -> i + 2)))
     in
-    universe_cands @ nnz_cands @ ws_cands
+    universe_points @ nnz_points @ ws_points
   end
 
-(* The points [Lower] accepts: the one legality predicate [Lower] itself
+(* The points [Lower] accepts — the one legality predicate [Lower] itself
    applies, decided from the statement, the formats and the schedule before
-   any partition is placed or derived. *)
+   any partition is placed or derived — each with the data distribution its
+   schedule moves no data for. *)
 let candidates p =
   let env = Operand.env_of_bindings (Spdistal.bindings p) in
-  List.filter
-    (fun c -> Result.is_ok (Lower.check ~env p.Spdistal.stmt c.c_schedule))
+  let stmt = p.Spdistal.stmt in
+  List.filter_map
+    (fun (label, schedule) ->
+      if Result.is_ok (Lower.check ~env stmt schedule) then
+        Some
+          {
+            c_label = label;
+            c_schedule = schedule;
+            c_tdns = Lower.matched ~env stmt schedule;
+          }
+      else None)
     (family_points p)
 
 (* The strawman every auto choice must beat: distribute the first output

@@ -2,14 +2,17 @@
     from the four families the paper's hand schedules use (universe
     row-splits, fused non-zero splits, 2-D batched tilings, workspace
     variants of pure additions).  The families build their schedules with
-    the {!Spdistal_ir.Schedule} shapes the hand schedules use, so every
-    hand point of the kernel catalog is exactly one candidate (checked by
-    the test suite).  Illegal points are never emitted: a candidate is
-    kept only when {!Spdistal_ir.Lower.check} accepts its schedule, the
-    predicate {!Spdistal_ir.Lower.lower} itself applies, so every candidate
-    lowers.  An [Error] from {!Price.price} then means capacity (the run
-    would OOM) or a typed run-time refusal (a placement, a leaf's operand
-    shapes), never a schedule [Lower] rejects. *)
+    the {!Spdistal_ir.Schedule} shapes the hand schedules use, and every
+    candidate's TDNs are the matched distribution
+    {!Spdistal_ir.Lower.matched} derives from its schedule, the rule the
+    hand problems of {!Core.Kernels} use; so every hand point of the kernel
+    catalog is exactly one candidate (checked by the test suite).  Illegal
+    points are never emitted: a candidate is kept only when
+    {!Spdistal_ir.Lower.check} accepts its schedule, the predicate
+    {!Spdistal_ir.Lower.lower} itself applies, so every candidate lowers.
+    An [Error] from {!Price.price} then means capacity (the run would OOM)
+    or a typed run-time refusal (a placement, a leaf's operand shapes),
+    never a schedule [Lower] rejects. *)
 
 open Spdistal_ir
 

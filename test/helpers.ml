@@ -146,7 +146,9 @@ let kernel_problems ?(mseed = 71) ?(tseed = 72) ?(cols = 8) ?(batched = true)
   if batched then
     [
       ( "spmm-batched",
-        fun () -> K.spmm_problem ~machine:gpu2x2 ~cols ~batched:true matrix );
+        fun () ->
+          K.spmm_problem ~machine:gpu2x2 ~cols
+            ~schedule:(K.spmm_batched ~proc:Spdistal_ir.Schedule.Gpu_thread ()) matrix );
     ]
   else []
 
@@ -158,11 +160,12 @@ let nnz_kernel_problems ?(mseed = 43) ?(tseed = 44) ?(cols = 8) () =
   let module K = Core.Kernels in
   [
     ( "spmv-nnz",
-      fun () -> K.spmv_problem ~machine:cpu ~nonzero_dist:true matrix );
+      fun () -> K.spmv_problem ~machine:cpu ~schedule:(K.spmv_nnz ()) matrix );
     ( "spttv-nnz",
-      fun () -> K.spttv_problem ~machine:cpu ~nonzero_dist:true tensor );
+      fun () -> K.spttv_problem ~machine:cpu ~schedule:(K.spttv_nnz ()) tensor );
     ( "mttkrp-nnz",
-      fun () -> K.mttkrp_problem ~machine:cpu ~cols ~nonzero_dist:true tensor );
+      fun () ->
+        K.mttkrp_problem ~machine:cpu ~cols ~schedule:(K.mttkrp_nnz ()) tensor );
   ]
 
 (* --- Traced runs (obs / cache / golden suites) -------------------------- *)

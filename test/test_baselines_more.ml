@@ -141,16 +141,18 @@ let test_gpu_vs_cpu_node_ratio () =
   let params = Machine.scale_params 5_000. Machine.lassen in
   let cm = Machine.make ~params ~kind:Machine.Cpu [| 1 |] in
   let gm = Machine.make ~params ~kind:Machine.Gpu [| 4 |] in
-  let t machine nonzero_dist =
+  let t machine ?schedule () =
     match
       Core.Spdistal.time_of
-        (Core.Spdistal.run
-           (Core.Kernels.spttv_problem ~machine ~nonzero_dist b3))
+        (Core.Spdistal.run (Core.Kernels.spttv_problem ~machine ?schedule b3))
     with
     | Some t -> t
     | None -> Alcotest.fail "DNC"
   in
-  let ratio = t cm false /. t gm true in
+  let ratio =
+    t cm ()
+    /. t gm ~schedule:(Core.Kernels.spttv_nnz ~proc:Spdistal_ir.Schedule.Gpu_thread ()) ()
+  in
   Alcotest.(check bool)
     (Printf.sprintf "GPU node ~2x CPU node (%.2fx)" ratio)
     true

@@ -149,18 +149,21 @@ let test_all_kernels_all_pieces () =
       ignore (run_problem (Core.Kernels.spmv_problem ~machine:m b));
       ignore
         (run_problem
-           (Core.Kernels.spmv_problem ~machine:m ~nonzero_dist:true
+           (Core.Kernels.spmv_problem ~machine:m
               ~schedule:(Core.Kernels.spmv_nnz ()) b));
       ignore (run_problem (Core.Kernels.spmm_problem ~machine:m ~cols:5 b));
       ignore (run_problem (Core.Kernels.spadd3_problem ~machine:m b));
       ignore (run_problem (Core.Kernels.sddmm_problem ~machine:m ~cols:5 b));
       ignore (run_problem (Core.Kernels.spttv_problem ~machine:m b3));
       ignore
-        (run_problem (Core.Kernels.spttv_problem ~machine:m ~nonzero_dist:true b3));
+        (run_problem
+           (Core.Kernels.spttv_problem ~machine:m
+              ~schedule:(Core.Kernels.spttv_nnz ()) b3));
       ignore (run_problem (Core.Kernels.mttkrp_problem ~machine:m ~cols:5 b3));
       ignore
         (run_problem
-           (Core.Kernels.mttkrp_problem ~machine:m ~cols:5 ~nonzero_dist:true b3)))
+           (Core.Kernels.mttkrp_problem ~machine:m ~cols:5
+              ~schedule:(Core.Kernels.mttkrp_nnz ()) b3)))
     [ 1; 2; 5 ]
 
 let test_gpu_and_batched () =
@@ -168,9 +171,14 @@ let test_gpu_and_batched () =
   let mg = Core.Spdistal.machine ~kind:Machine.Gpu [| 4 |] in
   ignore (run_problem (Core.Kernels.spmv_problem ~machine:mg b));
   ignore
-    (run_problem (Core.Kernels.spmm_problem ~machine:mg ~cols:6 ~nonzero_dist:true b));
+    (run_problem
+       (Core.Kernels.spmm_problem ~machine:mg ~cols:6
+          ~schedule:(Core.Kernels.spmm_nnz ~proc:Schedule.Gpu_thread ()) b));
   let m2 = Core.Spdistal.machine ~kind:Machine.Gpu [| 2; 2 |] in
-  ignore (run_problem (Core.Kernels.spmm_problem ~machine:m2 ~cols:6 ~batched:true b))
+  ignore
+    (run_problem
+       (Core.Kernels.spmm_problem ~machine:m2 ~cols:6
+          ~schedule:(Core.Kernels.spmm_batched ~proc:Schedule.Gpu_thread ()) b))
 
 let test_more_pieces_not_slower_on_big_input () =
   (* Strong scaling sanity on a large enough matrix. *)
@@ -244,8 +252,9 @@ let test_placement_matching_avoids_comm () =
   Helpers.check_float "no bytes moved when matched" 0.
     r1.Core.Spdistal.cost.Cost.bytes_moved;
   let mismatched =
-    Core.Kernels.spmv_problem ~machine:m ~nonzero_dist:true
-      ~schedule:(Core.Kernels.spmv_row ()) b
+    Core.Spdistal.with_schedule
+      (Core.Kernels.spmv_problem ~machine:m ~schedule:(Core.Kernels.spmv_nnz ()) b)
+      ~schedule:(Core.Kernels.spmv_row ()) ~tdns:[]
   in
   let r2 = Core.Spdistal.run mismatched in
   Alcotest.(check bool) "mismatch moves data" true
@@ -271,7 +280,7 @@ let prop_random_spmv =
         in
         ok (Core.Kernels.spmv_problem ~machine:m b)
         && ok
-             (Core.Kernels.spmv_problem ~machine:m ~nonzero_dist:true
+             (Core.Kernels.spmv_problem ~machine:m
                 ~schedule:(Core.Kernels.spmv_nnz ()) b)
       end)
 

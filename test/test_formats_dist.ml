@@ -147,7 +147,8 @@ let test_spttv_csf_nnz_pieces () =
   List.iter
     (fun p ->
       let problem =
-        Core.Kernels.spttv_problem ~machine:(machine p) ~nonzero_dist:true b3
+        Core.Kernels.spttv_problem ~machine:(machine p)
+          ~schedule:(Core.Kernels.spttv_nnz ()) b3
       in
       check problem)
     [ 1; 3; 7 ]

@@ -80,6 +80,18 @@ let test_corpus_replay () =
       | v -> Alcotest.fail (loc ^ ": " ^ Check.verdict_to_string v))
     results
 
+(* A spec whose own schedule cannot be built (a non-zero split fusing no
+   variable) is a typed refusal, not an escaped exception. *)
+let test_unbuildable_schedule_rejected () =
+  match
+    Campaign.replay_line
+      "vars=i:4,j:4;driver=B:i.j:dc:01:0.5:3;facts=c:v:j;out=a:v:i;sched=n:0:1;tdn=a:r,B:r,c:r;grid=2"
+  with
+  | Check.Reject m ->
+      Alcotest.(check bool) "names the refusal" true
+        (Helpers.contains m "Schedule.nnz: no variable to split")
+  | v -> Alcotest.fail ("expected a reject: " ^ Check.verdict_to_string v)
+
 let suite =
   [
     Alcotest.test_case "generator is deterministic" `Quick test_gen_deterministic;
@@ -88,4 +100,6 @@ let suite =
     Alcotest.test_case "injected bug caught and shrunk" `Slow
       test_injected_bug_caught_and_shrunk;
     Alcotest.test_case "regression corpus replays" `Slow test_corpus_replay;
+    Alcotest.test_case "unbuildable schedule is rejected" `Quick
+      test_unbuildable_schedule_rejected;
   ]

@@ -22,7 +22,7 @@ let test_nnz_split_reduction_charged () =
   let b = Helpers.rand_csr ~seed:62 40 40 0.4 in
   let cost =
     run_ok
-      (Core.Kernels.spmv_problem ~machine:(cpu 4) ~nonzero_dist:true
+      (Core.Kernels.spmv_problem ~machine:(cpu 4)
          ~schedule:(Core.Kernels.spmv_nnz ()) b)
   in
   (* The aliased row partition forces output reduction messages. *)
@@ -44,7 +44,10 @@ let test_batched_grid_partial_results () =
   List.iter
     (fun grid ->
       let m = Core.Spdistal.machine ~kind:Machine.Gpu grid in
-      let p = Core.Kernels.spmm_problem ~machine:m ~cols:6 ~batched:true b in
+      let p =
+        Core.Kernels.spmm_problem ~machine:m ~cols:6
+          ~schedule:(Core.Kernels.spmm_batched ~proc:Schedule.Gpu_thread ()) b
+      in
       ignore (run_ok p);
       Helpers.check_float
         (Printf.sprintf "grid %dx%d exact" grid.(0) grid.(1))
@@ -60,7 +63,7 @@ let test_atomic_penalty_in_cost () =
   let row = run_ok (Core.Kernels.spmv_problem ~machine:(cpu 1) b) in
   let nnz =
     run_ok
-      (Core.Kernels.spmv_problem ~machine:(cpu 1) ~nonzero_dist:true
+      (Core.Kernels.spmv_problem ~machine:(cpu 1)
          ~schedule:(Core.Kernels.spmv_nnz ()) b)
   in
   Alcotest.(check bool) "atomics make the nnz leaf slower" true
@@ -118,7 +121,7 @@ let test_sddmm_no_atomics_under_nnz () =
   let b2 = Helpers.rand_csr ~seed:68 50 50 0.3 in
   let mv =
     run_ok
-      (Core.Kernels.spmv_problem ~machine:(cpu 1) ~nonzero_dist:true
+      (Core.Kernels.spmv_problem ~machine:(cpu 1)
          ~schedule:(Core.Kernels.spmv_nnz ()) b2)
   in
   (* Both are nnz-split; only SpMV's compute includes the atomic factor.

@@ -64,7 +64,8 @@ let test_analyze_2d () =
   let plan = Schedule.analyze Tin.spmm (Core.Kernels.spmm_batched ()) in
   Alcotest.(check (list string)) "two dist vars" [ "io"; "jo" ]
     plan.Schedule.dist_vars;
-  Alcotest.(check bool) "secondary" true (plan.Schedule.secondary_var <> None)
+  Alcotest.(check (option string)) "secondary" (Some "j")
+    plan.Schedule.secondary_var
 
 let test_analyze_errors () =
   let rejects label what sched =
@@ -282,6 +283,8 @@ let test_lower_check_refusals () =
     @ if ws then [ Schedule.Precompute { v = "j"; tensors = [ "A" ] } ] else []
   in
   let spmm_env = [ ("A", Lower.Mat_op); ("B", csr); ("C", Lower.Mat_op) ]
+  and sddmm_env =
+    [ ("A", csr); ("B", csr); ("C", Lower.Mat_op); ("D", Lower.Mat_op) ]
   and spadd3_env = [ ("A", csr); ("B", csr); ("C", csr); ("D", csr) ]
   and mttkrp_env =
     [
@@ -322,6 +325,22 @@ let test_lower_check_refusals () =
         Tin.spmttkrp,
         row Tin.spmttkrp "l",
         "Lower: B not indexed by distributed var l" );
+      (* 2-D distributions: the second variable only chunks dense columns. *)
+      ( "spmm batch:i,k",
+        spmm_env,
+        Tin.spmm,
+        Schedule.batched ~tensors:[ "A"; "B"; "C" ] "i" "k",
+        "Lower: 2-D distribution over k, not the output's last variable" );
+      ( "spmv batch:i,i",
+        spmv_env,
+        Tin.spmv,
+        Schedule.batched ~tensors:[ "a"; "B"; "c" ] "i" "i",
+        "Lower: 2-D distribution over i on both machine dimensions" );
+      ( "sddmm batch:i,j",
+        sddmm_env,
+        Tin.sddmm,
+        Schedule.batched ~tensors:[ "A"; "B"; "C"; "D" ] "i" "j",
+        "Lower: 2-D distribution over j, which indexes sparse A" );
     ];
   List.iter
     (fun (label, env, stmt) ->
@@ -332,6 +351,74 @@ let test_lower_check_refusals () =
       ("spadd3", spadd3_env, Tin.spadd3);
       ("spmttkrp", mttkrp_env, Tin.spmttkrp);
     ]
+
+(* The matched distribution of each schedule shape, written out by hand. *)
+let test_matched () =
+  let module L = Spdistal_formats.Level in
+  let csr =
+    Lower.Sparse_op
+      { formats = [| L.Dense_k; L.Compressed_k |]; mode_order = [| 0; 1 |] }
+  and csf3 =
+    Lower.Sparse_op
+      {
+        formats = [| L.Dense_k; L.Compressed_k; L.Compressed_k |];
+        mode_order = [| 0; 1; 2 |];
+      }
+  in
+  let spttv_env = [ ("A", csr); ("B", csf3); ("c", Lower.Vec_op) ]
+  and spmm_env = [ ("A", Lower.Mat_op); ("B", csr); ("C", Lower.Mat_op) ] in
+  let blocked k = Tdn.Blocked { tensor_dim = k; machine_dim = 0 }
+  and fused dims = Tdn.Fused_non_zero { dims; machine_dim = 0 } in
+  let spttv_nnz vars =
+    Schedule.nnz ~tensor:"B" ~tensors:[ "A"; "B"; "c" ] vars
+  in
+  List.iter
+    (fun (label, env, stmt, sched, expected) ->
+      Alcotest.(check bool) label true (Lower.matched ~env stmt sched = expected))
+    [
+      ( "spmv row:i",
+        spmv_env,
+        Tin.spmv,
+        Core.Kernels.spmv_row (),
+        [ ("a", blocked 0); ("B", blocked 0); ("c", Tdn.Replicated) ] );
+      ( "spmv row:j",
+        spmv_env,
+        Tin.spmv,
+        Schedule.row ~tensors:[ "a"; "B"; "c" ] "j",
+        [ ("a", Tdn.Replicated); ("B", blocked 1); ("c", blocked 0) ] );
+      ( "spmv nnz:B/1 (a single position-split variable is not fused)",
+        spmv_env,
+        Tin.spmv,
+        Schedule.nnz ~tensor:"B" ~tensors:[ "a"; "B"; "c" ] [ "i" ],
+        [
+          ("a", blocked 0);
+          ("B", Tdn.Non_zero { tensor_dim = 0; machine_dim = 0 });
+          ("c", Tdn.Replicated);
+        ] );
+      ( "spttv nnz:B/2",
+        spttv_env,
+        Tin.spttv,
+        spttv_nnz [ "i"; "j" ],
+        [ ("A", fused [ 0; 1 ]); ("B", fused [ 0; 1 ]); ("c", Tdn.Replicated) ] );
+      ( "spttv nnz:B/3",
+        spttv_env,
+        Tin.spttv,
+        spttv_nnz [ "i"; "j"; "k" ],
+        [ ("A", fused [ 0; 1 ]); ("B", fused [ 0; 1; 2 ]); ("c", Tdn.Replicated) ]
+      );
+      ( "spmm batch:i,j",
+        spmm_env,
+        Tin.spmm,
+        Core.Kernels.spmm_batched (),
+        [
+          ("A", blocked 0);
+          ("B", blocked 0);
+          ("C", Tdn.Tiled { mappings = [ (1, 1) ] });
+        ] );
+    ];
+  Alcotest.check_raises "a schedule analyze refuses"
+    (compile_error "Schedule.analyze: no distribute command")
+    (fun () -> ignore (Lower.matched ~env:spmv_env Tin.spmv []))
 
 let suite =
   [
@@ -355,4 +442,6 @@ let suite =
     Alcotest.test_case "Lower.check refuses what Lower refuses" `Quick
       test_lower_check_refusals;
     Alcotest.test_case "pretty printer" `Quick test_pretty_output;
+    Alcotest.test_case "matched distribution of each schedule shape" `Quick
+      test_matched;
   ]

@@ -951,12 +951,15 @@ let test_path_selection () =
         K.spadd3_problem ~machine:m ~schedule:(K.spadd3_workspace ()) mat );
       ("SpTTV CSF", "fiber-ttv", K.spttv_problem ~machine:m csf);
       ("SpTTV DDC", "fiber-ttv", K.spttv_problem ~machine:m ddc);
-      ("SpTTV CSF nnz", "fiber-ttv", K.spttv_problem ~machine:gpu ~nonzero_dist:true csf);
+      ( "SpTTV CSF nnz",
+        "fiber-ttv",
+        K.spttv_problem ~machine:gpu ~schedule:(K.spttv_nnz ~proc:Spdistal_ir.Schedule.Gpu_thread ()) csf );
       ("SpMTTKRP CSF", "fiber-mttkrp", K.mttkrp_problem ~machine:m ~cols:4 csf);
       ("SpMTTKRP DDC", "fiber-mttkrp", K.mttkrp_problem ~machine:m ~cols:4 ddc);
       ( "SpMTTKRP DDC nnz",
         "fiber-mttkrp",
-        K.mttkrp_problem ~machine:gpu ~cols:4 ~nonzero_dist:true ddc );
+        K.mttkrp_problem ~machine:gpu ~cols:4
+          ~schedule:(K.mttkrp_nnz ~proc:Spdistal_ir.Schedule.Gpu_thread ()) ddc );
       ("SpTTV mode order [1;0;2]", "generic", K.spttv_problem ~machine:m (permuted [| 1; 0; 2 |]));
       ( "SpMTTKRP mode order [0;2;1]",
         "generic",

@@ -68,7 +68,10 @@ let test_batched_spmm_2x2 () =
   let b = Helpers.rand_csr ~seed:31 40 40 0.08 in
   let machine = Spdistal.machine ~kind:Machine.Gpu [| 2; 2 |] in
   let cols = 8 in
-  let p = Kernels.spmm_problem ~machine ~cols ~batched:true b in
+  let p =
+    Kernels.spmm_problem ~machine ~cols
+      ~schedule:(Kernels.spmm_batched ~proc:Spdistal_ir.Schedule.Gpu_thread ()) b
+  in
   let r = Spdistal.run p in
   Alcotest.(check (option string)) "completes" None r.Spdistal.dnc;
   let a = mat_data p "A" and c = mat_data p "C" in
@@ -123,7 +126,8 @@ let test_determinism_batched () =
   let machine = Helpers.gpu_machine [| 2; 2 |] in
   let matrix = Helpers.rand_csr ~seed:45 40 40 0.08 in
   check_deterministic "spmm-batched-2x2" (fun () ->
-      Kernels.spmm_problem ~machine ~cols:8 ~batched:true matrix)
+      Kernels.spmm_problem ~machine ~cols:8
+        ~schedule:(Kernels.spmm_batched ~proc:Spdistal_ir.Schedule.Gpu_thread ()) matrix)
 
 let suite =
   [

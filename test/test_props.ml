@@ -72,7 +72,7 @@ let prop_spttv =
           exact (Core.Kernels.spttv_problem ~machine:(machine pieces) b)
           && exact
                (Core.Kernels.spttv_problem ~machine:(machine pieces)
-                  ~nonzero_dist:true b)))
+                  ~schedule:(Core.Kernels.spttv_nnz ()) b)))
 
 let prop_mttkrp =
   Helpers.qtest ~count:50 "random SpMTTKRP (row and nnz) exact"
@@ -82,7 +82,7 @@ let prop_mttkrp =
           exact (Core.Kernels.mttkrp_problem ~machine:(machine pieces) ~cols:3 b)
           && exact
                (Core.Kernels.mttkrp_problem ~machine:(machine pieces) ~cols:3
-                  ~nonzero_dist:true b)))
+                  ~schedule:(Core.Kernels.mttkrp_nnz ()) b)))
 
 let prop_formats_agree =
   Helpers.qtest ~count:40 "CSR, CSC, DCSR, COO drivers all exact"
