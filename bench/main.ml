@@ -106,24 +106,6 @@ let run_fault_sweep () =
   in
   let rates = if quick then [ 0.0; 0.1 ] else [ 0.0; 0.02; 0.05; 0.1; 0.2 ] in
   let seed = 42 in
-  (* Output snapshot: every operand's dense/vals payload, bit for bit. *)
-  let snapshot p =
-    List.map
-      (fun (name, _, _) ->
-        let bits = Array.map Int64.bits_of_float in
-        ( name,
-          match
-            (Spdistal_exec.Operand.find (S.bindings p) name)
-              .Spdistal_exec.Operand.data
-          with
-          | Spdistal_exec.Operand.Vec v ->
-              bits v.Spdistal_formats.Dense.data
-          | Spdistal_exec.Operand.Mat m ->
-              bits m.Spdistal_formats.Dense.data
-          | Spdistal_exec.Operand.Sparse t ->
-              bits (Region.F.to_array t.Spdistal_formats.Tensor.vals) ))
-      p.S.operands
-  in
   print_endline
     "=== Fault-injection sweep (recovery overhead; outputs must stay \
      bit-identical) ===";
@@ -135,7 +117,7 @@ let run_fault_sweep () =
         let base_p = make () in
         let base = S.run ~faults:Fault.disabled base_p in
         let base_t = Cost.total base.S.cost in
-        let base_out = snapshot base_p in
+        let base_out = Spdistal_fuzz.Snapshot.outputs base_p in
         List.filter_map
           (fun rate ->
             if rate = 0. then None
@@ -144,7 +126,10 @@ let run_fault_sweep () =
               let cfg = Fault.make ~seed ~rate () in
               let r = S.run ~faults:cfg p in
               let c = r.S.cost in
-              let identical = snapshot p = base_out in
+              (* Every operand's payload and sparse pattern, bit for bit. *)
+              let identical =
+                Spdistal_fuzz.Snapshot.(equal (outputs p) base_out)
+              in
               let seconds =
                 match r.S.dnc with Some _ -> None | None -> Some (Cost.total c)
               in
@@ -338,9 +323,9 @@ let run_trace_exports dir =
 (* ratios.                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Repeat [f] until it has run for >= 0.3 s of wall clock (after one
-   untimed warm-up call, which also builds the interpreter's memoized
-   coordinate expansion); returns (reps, seconds). *)
+(* One backend's timing in one round: repeat [f] until it has run for
+   >= 0.1 s of wall clock (after one untimed warm-up call); returns (reps,
+   seconds). *)
 let time_reps f =
   f ();
   let rec go reps =
@@ -349,9 +334,19 @@ let time_reps f =
       f ()
     done;
     let dt = Unix.gettimeofday () -. t0 in
-    if dt >= 0.3 then (reps, dt) else go (reps * 2)
+    if dt >= 0.1 then (reps, dt) else go (reps * 2)
   in
   go 1
+
+(* Rounds per kernel: each round times every backend of the kernel once,
+   in order, so host noise that lasts a round hits both sides of a ratio
+   alike, and the median ratio discards the rounds it hit unevenly. *)
+let leaf_rounds = 5
+
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort Float.compare a;
+  a.(Array.length a / 2)
 
 let run_leaf_throughput () =
   let open Spdistal_runtime in
@@ -385,8 +380,10 @@ let run_leaf_throughput () =
       | Some c -> c
       | None -> failwith "leaf-throughput: no compiled leaf"
     in
-    ( (fun () ->
-        ignore (E.Leaf.execute ~bindings ~leaf ~shard_vals ~rows ~col_range:None ())),
+    (* Staged like the compiled leaf: the plan and the driver's coordinate
+       expansion are built here, outside the timed call. *)
+    let interp = E.Leaf.execute ~bindings ~leaf in
+    ( (fun () -> ignore (interp ~shard_vals ~rows ~col_range:None ())),
       fun () -> ignore (E.Compile_leaf.execute compiled ~shard_vals ~rows ~col_range:None ())
     )
   in
@@ -440,34 +437,43 @@ let run_leaf_throughput () =
   Printf.printf "CSR SpAdd3: the same matrix and two shifted copies, %d entries\n" nnz_add;
   Printf.printf "CSF SpMTTKRP: %d x %d x %d skewed, %d nnz, 32 columns\n"
     t3.Tensor.dims.(0) t3.Tensor.dims.(1) t3.Tensor.dims.(2) nnz3;
-  let measure name ~rows ~nnz f =
-    let reps, secs = time_reps f in
-    let mnnz = float_of_int nnz *. float_of_int reps /. secs /. 1e6 in
-    Printf.printf "%-16s %8d reps  %8.3f s  %10.1f Mnnz/s\n%!" name reps secs mnnz;
-    (name, rows, nnz, reps, secs, mnnz)
+  (* A group is one kernel's backends, the interpreter first, timed in
+     [leaf_rounds] alternating rounds.  Each row is (label, rows, nnz,
+     reps, seconds, Mnnz/s, speedup): reps and seconds summed over the
+     rounds, and the speedup the median over rounds of the row's rate over
+     the interpreter's rate in the same round. *)
+  let measure_group ~rows ~nnz runs =
+    let rounds =
+      List.init leaf_rounds (fun _ -> List.map (fun (_, f) -> time_reps f) runs)
+    in
+    let rate (reps, secs) = float_of_int nnz *. float_of_int reps /. secs /. 1e6 in
+    List.mapi
+      (fun i (name, _) ->
+        let mine = List.map (fun round -> List.nth round i) rounds in
+        let reps = List.fold_left (fun acc (r, _) -> acc + r) 0 mine
+        and secs = List.fold_left (fun acc (_, t) -> acc +. t) 0. mine in
+        let mnnz = rate (reps, secs) in
+        let speedup =
+          median
+            (List.map
+               (fun round -> rate (List.nth round i) /. rate (List.hd round))
+               rounds)
+        in
+        Printf.printf "%-16s %8d reps  %8.3f s  %10.1f Mnnz/s\n%!" name reps secs mnnz;
+        (name, rows, nnz, reps, secs, mnnz, speedup))
+      runs
   in
-  (* Rows are (label, rows, nnz, reps, seconds, Mnnz/s), measured in order;
-     each group's speedups are against its first (interpreted) row. *)
-  let r_interp = measure "interp" ~rows:n ~nnz interp_run in
-  let r_compiled = measure "compiled" ~rows:n ~nnz compiled_run in
-  let r_hand = measure "hand-csr" ~rows:n ~nnz hand_run in
   let rows3 = t3.Tensor.dims.(0) in
-  let r_interp3 = measure "interp-mttkrp" ~rows:rows3 ~nnz:nnz3 interp3 in
-  let r_compiled3 = measure "compiled-mttkrp" ~rows:rows3 ~nnz:nnz3 compiled3 in
-  let r_interp_mm = measure "interp-spmm" ~rows:pn ~nnz:nnz_pl interp_mm in
-  let r_compiled_mm = measure "compiled-spmm" ~rows:pn ~nnz:nnz_pl compiled_mm in
-  let r_interp_dd = measure "interp-sddmm" ~rows:pn ~nnz:nnz_pl interp_dd in
-  let r_compiled_dd = measure "compiled-sddmm" ~rows:pn ~nnz:nnz_pl compiled_dd in
-  let r_interp_add = measure "interp-spadd3" ~rows:pn ~nnz:nnz_add interp_add in
-  let r_compiled_add = measure "compiled-spadd3" ~rows:pn ~nnz:nnz_add compiled_add in
   let groups =
-    [
-      [ r_interp; r_compiled; r_hand ];
-      [ r_interp3; r_compiled3 ];
-      [ r_interp_mm; r_compiled_mm ];
-      [ r_interp_dd; r_compiled_dd ];
-      [ r_interp_add; r_compiled_add ];
-    ]
+    List.map
+      (fun (rows, nnz, runs) -> measure_group ~rows ~nnz runs)
+      [
+        (n, nnz, [ ("interp", interp_run); ("compiled", compiled_run); ("hand-csr", hand_run) ]);
+        (rows3, nnz3, [ ("interp-mttkrp", interp3); ("compiled-mttkrp", compiled3) ]);
+        (pn, nnz_pl, [ ("interp-spmm", interp_mm); ("compiled-spmm", compiled_mm) ]);
+        (pn, nnz_pl, [ ("interp-sddmm", interp_dd); ("compiled-sddmm", compiled_dd) ]);
+        (pn, nnz_add, [ ("interp-spadd3", interp_add); ("compiled-spadd3", compiled_add) ]);
+      ]
   in
   (try Unix.mkdir "results" 0o755
    with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
@@ -476,14 +482,14 @@ let run_leaf_throughput () =
   output_string oc "backend,rows,nnz,reps,seconds,mnnz_per_s,speedup_vs_interp\n";
   List.iter
     (fun group ->
-      let _, _, _, _, _, base = List.hd group in
       List.iter
-        (fun (name, rows, nnz, reps, secs, mnnz) ->
+        (fun (name, rows, nnz, reps, secs, mnnz, speedup) ->
           Printf.fprintf oc "%s,%d,%d,%d,%.6f,%.3f,%.3f\n" name rows nnz reps secs
-            mnnz (mnnz /. base))
+            mnnz speedup)
         group;
-      let name, _, _, _, _, rate = List.nth group 1 in
-      Printf.printf "%s/interp leaf throughput: %.2fx\n%!" name (rate /. base))
+      let name, _, _, _, _, _, speedup = List.nth group 1 in
+      Printf.printf "%s/interp leaf throughput: %.2fx (median of %d rounds)\n%!"
+        name speedup leaf_rounds)
     groups;
   close_out oc;
   Printf.printf "CSV: %s\n%!" path

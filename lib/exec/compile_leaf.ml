@@ -1,6 +1,6 @@
 (* Compiled leaf kernels: monomorphized per-(format x expression) closures.
 
-   The interpreter in {!Leaf} walks the memoized coordinate expansion of the
+   The interpreter in {!Leaf} walks a per-launch coordinate expansion of the
    driver and re-dispatches on the kernel shape per element.  This pass runs
    once per lowered program (at [Spdistal.compile] / [Interp.prepare] time)
    and specializes each leaf into a closed closure: level iterators from

@@ -781,17 +781,12 @@ let run ~machine ~bindings ~placement ~memstate ~cost
     end
     else Pool.map pool simulate pieces
   in
+  (* Both backends bind the launch's storage here, on the reducing domain
+     (the interpreter also expands the driver's coordinates); the pieces
+     only read it. *)
   let leaf_step ~into (leaf : Loop_ir.leaf) = function
     | Some cl -> Compile_leaf.launch ?into cl ~bindings
-    | None ->
-        (* Materialize the driver's coordinate expansion on this domain so
-           worker domains only read the memoized entry.  Compiled leaves walk
-           the level storage directly and need no expansion. *)
-        (match leaf.Loop_ir.driver with
-        | Loop_ir.Sparse_driver d ->
-            Leaf.prewarm (Operand.find_sparse bindings d)
-        | Loop_ir.Merge_driver _ -> ());
-        Leaf.execute ~bindings ~leaf
+    | None -> Leaf.execute ~bindings ~leaf
   in
   launches ~machine ~bindings ~placement ~memstate ~cost ~fcfg ~trace ~map
     ~leaf_step ~prepared ~launch_base prog

@@ -14,77 +14,48 @@ type result = { work : Task.work; partial : merge_partial option }
 
 (* ------------------------------------------------------------------ *)
 (* Coordinate expansion: logical coordinates and per-level positions of
-   every leaf position, memoized per tensor.                            *)
+   every leaf position, built once per launch from the driver's levels.  *)
 (* ------------------------------------------------------------------ *)
 
 type expansion = {
   ecoords : int array array;  (* [logical dim][leaf pos] *)
   epos : int array array;  (* [level][leaf pos] *)
-  egen : int;  (* [Region.generation] it was built under *)
 }
 
-let cache : (int, expansion) Hashtbl.t = Hashtbl.create 16
-
-(* The cache is shared across the domains that simulate the pieces of one
-   distributed launch; every access goes through this lock.  The interpreter
-   additionally pre-warms the driver's entry before fanning out, so workers
-   only ever take the fast hit path. *)
-let cache_mutex = Mutex.create ()
-
-let clear_cache () =
-  Mutex.lock cache_mutex;
-  Hashtbl.reset cache;
-  Mutex.unlock cache_mutex
-
 let expand (t : Tensor.t) =
-  (* Keyed by the vals region's unique allocation id: tensor names repeat
-     across problems, physical storage does not. *)
-  let key = t.Tensor.vals.Region.F.id in
-  let gen = Region.generation () in
-  Mutex.lock cache_mutex;
-  match Hashtbl.find_opt cache key with
-  | Some e when e.egen = gen ->
-      Mutex.unlock cache_mutex;
-      e
-  | Some _ | None ->
-      let ord = Tensor.order t in
-      let n = Tensor.nnz t in
-      let ecoords = Array.init ord (fun _ -> Array.make n 0) in
-      let epos = Array.init ord (fun _ -> Array.make n 0) in
-      let coords = Array.make ord 0 and positions = Array.make ord 0 in
-      let rec go k parent_pos =
-        if k = ord then
-          for d = 0 to ord - 1 do
-            ecoords.(t.Tensor.mode_order.(d)).(parent_pos) <- coords.(d);
-            epos.(d).(parent_pos) <- positions.(d)
+  let ord = Tensor.order t in
+  let n = Tensor.nnz t in
+  let ecoords = Array.init ord (fun _ -> Array.make n 0) in
+  let epos = Array.init ord (fun _ -> Array.make n 0) in
+  let coords = Array.make ord 0 and positions = Array.make ord 0 in
+  let rec go k parent_pos =
+    if k = ord then
+      for d = 0 to ord - 1 do
+        ecoords.(t.Tensor.mode_order.(d)).(parent_pos) <- coords.(d);
+        epos.(d).(parent_pos) <- positions.(d)
+      done
+    else
+      match t.Tensor.levels.(k) with
+      | Level.Dense { dim } ->
+          for c = 0 to dim - 1 do
+            coords.(k) <- c;
+            positions.(k) <- (parent_pos * dim) + c;
+            go (k + 1) positions.(k)
           done
-        else
-          match t.Tensor.levels.(k) with
-          | Level.Dense { dim } ->
-              for c = 0 to dim - 1 do
-                coords.(k) <- c;
-                positions.(k) <- (parent_pos * dim) + c;
-                go (k + 1) positions.(k)
-              done
-          | Level.Compressed { pos; crd } ->
-              let lo, hi = Region.get pos parent_pos in
-              for p = lo to hi do
-                coords.(k) <- Region.get crd p;
-                positions.(k) <- p;
-                go (k + 1) p
-              done
-          | Level.Singleton { crd } ->
-              coords.(k) <- Region.get crd parent_pos;
-              positions.(k) <- parent_pos;
-              go (k + 1) parent_pos
-      in
-      if n > 0 then go 0 0;
-      let e = { ecoords; epos; egen = gen } in
-      Hashtbl.replace cache key e;
-      Mutex.unlock cache_mutex;
-      e
-
-let prewarm t = ignore (expand t)
+      | Level.Compressed { pos; crd } ->
+          let lo, hi = Region.get pos parent_pos in
+          for p = lo to hi do
+            coords.(k) <- Region.get crd p;
+            positions.(k) <- p;
+            go (k + 1) p
+          done
+      | Level.Singleton { crd } ->
+          coords.(k) <- Region.get crd parent_pos;
+          positions.(k) <- parent_pos;
+          go (k + 1) parent_pos
+  in
+  if n > 0 then go 0 0;
+  { ecoords; epos }
 
 (* ------------------------------------------------------------------ *)
 (* Kernel classification, shared between the interpreter and the        *)
@@ -308,107 +279,110 @@ let resolve_sink ~bindings ~exp plan =
           S_sparse (ot.Tensor.vals.Region.F.data, Some exp.epos.(lvl))
       | _ -> Error.fail ~kernel:plan.pl_out_name Error.Leaf "output slot changed shape")
 
-let mul_kernel ~bindings ~(leaf : Loop_ir.leaf) ~driver_name ~shard ~col_range =
+(* Staged: the plan, the storage and the driver's expansion are resolved
+   once per launch; each piece then only reads them. *)
+let mul_kernel ~bindings ~(leaf : Loop_ir.leaf) ~driver_name =
   let plan = plan_mul ~bindings ~leaf ~driver_name in
   let driver = Operand.find_sparse bindings driver_name in
   let exp = expand driver in
   let sink = resolve_sink ~bindings ~exp plan in
   let factors = plan.pl_factors in
   let fdata = factor_data ~bindings plan in
-  let jlo, jhi = j_bounds plan ~col_range in
   let klo, khi = k_bounds plan in
   let dvals = driver.Tensor.vals.Region.F.data in
   let nslots = plan.pl_nslots in
   (* Slot [s] of the driver access binds the driver's logical dimension
      [s]. *)
   let coord_arrays = Array.init nslots (fun s -> exp.ecoords.(s)) in
-  let coords = Array.make nslots 0 in
   let nf = Array.length factors in
   let scale = plan.pl_scale in
-  let eval_factors ~j ~k =
-    let acc = ref scale in
-    for f = 0 to nf - 1 do
-      acc :=
-        !acc
-        *.
-        (match factors.(f) with
-        | F_vec (_, s) -> fdata.(f).(eval_src coords ~j ~k s)
-        | F_mat (_, cols, sr, sc) ->
-            fdata.(f).((eval_src coords ~j ~k sr * cols) + eval_src coords ~j ~k sc))
-    done;
-    !acc
-  in
-  let last_row = ref (-1) and rows_touched = ref 0 and nnz = ref 0 in
-  Iset.iter_intervals
-    (fun plo phi ->
-      for p = plo to phi do
-        let dv = A1.get dvals p in
-        for s = 0 to nslots - 1 do
-          coords.(s) <- coord_arrays.(s).(p)
-        done;
-        if coords.(0) <> !last_row then begin
-          incr rows_touched;
-          last_row := coords.(0)
-        end;
-        incr nnz;
-        match (plan.pl_inner_out, plan.pl_inner_red) with
-        | false, false -> (
-            let y = dv *. eval_factors ~j:0 ~k:0 in
-            match sink with
-            | S_vec (d, s) ->
-                let i = eval_src coords ~j:0 ~k:0 s in
-                d.(i) <- d.(i) +. y
-            | S_mat (d, cols, sr, sc) ->
-                let i =
-                  (eval_src coords ~j:0 ~k:0 sr * cols) + eval_src coords ~j:0 ~k:0 sc
-                in
-                d.(i) <- d.(i) +. y
-            | S_sparse (d, None) -> A1.set d p (A1.get d p +. y)
-            | S_sparse (d, Some lp) ->
-                let q = lp.(p) in
-                A1.set d q (A1.get d q +. y))
-        | true, false ->
-            for j = jlo to jhi do
-              let y = dv *. eval_factors ~j ~k:0 in
+  fun ~shard ~col_range ->
+    let jlo, jhi = j_bounds plan ~col_range in
+    let coords = Array.make nslots 0 in
+    let eval_factors ~j ~k =
+      let acc = ref scale in
+      for f = 0 to nf - 1 do
+        acc :=
+          !acc
+          *.
+          (match factors.(f) with
+          | F_vec (_, s) -> fdata.(f).(eval_src coords ~j ~k s)
+          | F_mat (_, cols, sr, sc) ->
+              fdata.(f).((eval_src coords ~j ~k sr * cols) + eval_src coords ~j ~k sc))
+      done;
+      !acc
+    in
+    let last_row = ref (-1) and rows_touched = ref 0 and nnz = ref 0 in
+    Iset.iter_intervals
+      (fun plo phi ->
+        for p = plo to phi do
+          let dv = A1.get dvals p in
+          for s = 0 to nslots - 1 do
+            coords.(s) <- coord_arrays.(s).(p)
+          done;
+          if coords.(0) <> !last_row then begin
+            incr rows_touched;
+            last_row := coords.(0)
+          end;
+          incr nnz;
+          match (plan.pl_inner_out, plan.pl_inner_red) with
+          | false, false -> (
+              let y = dv *. eval_factors ~j:0 ~k:0 in
               match sink with
-              | S_mat (d, cols, sr, sc) ->
-                  let i = (eval_src coords ~j ~k:0 sr * cols) + eval_src coords ~j ~k:0 sc in
-                  d.(i) <- d.(i) +. y
               | S_vec (d, s) ->
-                  let i = eval_src coords ~j ~k:0 s in
+                  let i = eval_src coords ~j:0 ~k:0 s in
                   d.(i) <- d.(i) +. y
-              | S_sparse _ -> Error.fail ~kernel:driver_name Error.Leaf "inner-out with sparse output"
-            done
-        | false, true -> (
-            let acc = ref 0. in
-            for k = klo to khi do
-              acc := !acc +. eval_factors ~j:0 ~k
-            done;
-            let y = dv *. !acc in
-            match sink with
-            | S_sparse (d, None) -> A1.set d p (A1.get d p +. y)
-            | S_sparse (d, Some lp) ->
-                let q = lp.(p) in
-                A1.set d q (A1.get d q +. y)
-            | S_vec (d, s) ->
-                let i = eval_src coords ~j:0 ~k:0 s in
-                d.(i) <- d.(i) +. y
-            | S_mat (d, cols, sr, sc) ->
-                let i =
-                  (eval_src coords ~j:0 ~k:0 sr * cols) + eval_src coords ~j:0 ~k:0 sc
-                in
-                d.(i) <- d.(i) +. y)
-        | true, true ->
-            Error.fail ~kernel:driver_name Error.Leaf
-              "simultaneous inner output and reduction vars"
-      done)
-    shard;
-  {
-    work =
-      mul_work plan ~nnz:!nnz ~rows_touched:!rows_touched ~js:(jhi - jlo + 1)
-        ~ks:(khi - klo + 1);
-    partial = None;
-  }
+              | S_mat (d, cols, sr, sc) ->
+                  let i =
+                    (eval_src coords ~j:0 ~k:0 sr * cols) + eval_src coords ~j:0 ~k:0 sc
+                  in
+                  d.(i) <- d.(i) +. y
+              | S_sparse (d, None) -> A1.set d p (A1.get d p +. y)
+              | S_sparse (d, Some lp) ->
+                  let q = lp.(p) in
+                  A1.set d q (A1.get d q +. y))
+          | true, false ->
+              for j = jlo to jhi do
+                let y = dv *. eval_factors ~j ~k:0 in
+                match sink with
+                | S_mat (d, cols, sr, sc) ->
+                    let i = (eval_src coords ~j ~k:0 sr * cols) + eval_src coords ~j ~k:0 sc in
+                    d.(i) <- d.(i) +. y
+                | S_vec (d, s) ->
+                    let i = eval_src coords ~j ~k:0 s in
+                    d.(i) <- d.(i) +. y
+                | S_sparse _ -> Error.fail ~kernel:driver_name Error.Leaf "inner-out with sparse output"
+              done
+          | false, true -> (
+              let acc = ref 0. in
+              for k = klo to khi do
+                acc := !acc +. eval_factors ~j:0 ~k
+              done;
+              let y = dv *. !acc in
+              match sink with
+              | S_sparse (d, None) -> A1.set d p (A1.get d p +. y)
+              | S_sparse (d, Some lp) ->
+                  let q = lp.(p) in
+                  A1.set d q (A1.get d q +. y)
+              | S_vec (d, s) ->
+                  let i = eval_src coords ~j:0 ~k:0 s in
+                  d.(i) <- d.(i) +. y
+              | S_mat (d, cols, sr, sc) ->
+                  let i =
+                    (eval_src coords ~j:0 ~k:0 sr * cols) + eval_src coords ~j:0 ~k:0 sc
+                  in
+                  d.(i) <- d.(i) +. y)
+          | true, true ->
+              Error.fail ~kernel:driver_name Error.Leaf
+                "simultaneous inner output and reduction vars"
+        done)
+      shard;
+    {
+      work =
+        mul_work plan ~nnz:!nnz ~rows_touched:!rows_touched ~js:(jhi - jlo + 1)
+          ~ks:(khi - klo + 1);
+      partial = None;
+    }
 
 (* ------------------------------------------------------------------ *)
 (* Additive merge kernels (SpAdd3): per-row k-way merge with two-phase
@@ -583,18 +557,17 @@ let merge_core ~(ops : merge_op array) ~cols ~rows ~use_workspace =
     partial = Some { mrows; mcounts; mcrd; mvals };
   }
 
-let merge_kernel ~bindings ~tensors ~rows ~use_workspace =
-  let ops, cols = merge_ops ~bindings ~tensors in
-  merge_core ~ops ~cols ~rows ~use_workspace
-
-let execute ~bindings ~leaf ~shard_vals ~rows ~col_range () =
+let execute ~bindings ~leaf =
   match leaf.Loop_ir.driver with
   | Loop_ir.Sparse_driver driver_name ->
-      mul_kernel ~bindings ~leaf ~driver_name ~shard:(shard_vals driver_name)
-        ~col_range
+      let run = mul_kernel ~bindings ~leaf ~driver_name in
+      fun ~shard_vals ~rows:_ ~col_range () ->
+        run ~shard:(shard_vals driver_name) ~col_range
   | Loop_ir.Merge_driver tensors -> (
-      match rows with
-      | Some r ->
-          merge_kernel ~bindings ~tensors ~rows:r
-            ~use_workspace:leaf.Loop_ir.use_workspace
-      | None -> Error.fail Error.Leaf "merge kernel needs a row set")
+      let ops, cols = merge_ops ~bindings ~tensors in
+      fun ~shard_vals:_ ~rows ~col_range:_ () ->
+        match rows with
+        | Some rows ->
+            merge_core ~ops ~cols ~rows
+              ~use_workspace:leaf.Loop_ir.use_workspace
+        | None -> Error.fail Error.Leaf "merge kernel needs a row set")

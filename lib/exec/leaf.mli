@@ -122,7 +122,15 @@ val merge_core :
 (** [execute ~bindings ~leaf ~shard_vals ~rows ~col_range ()] runs the leaf
     for one piece.  [shard_vals t] is the piece's subset of tensor [t]'s leaf
     positions; [rows] is the piece's row set (merge kernels); [col_range] an
-    inclusive dense-column chunk (batched SpMM). *)
+    inclusive dense-column chunk (batched SpMM).
+
+    The call is staged: [execute ~bindings ~leaf] classifies the leaf,
+    resolves its storage in [bindings] and, for a multiplicative leaf,
+    builds the driver's coordinate expansion, then returns the function
+    that runs one piece.  The interpreter applies it once per launch on the
+    reducing domain; the pieces, on whatever domain, only read what it
+    built.  An expansion lives as long as that function, so a pattern
+    written between launches is seen by the next one. *)
 val execute :
   bindings:Operand.bindings ->
   leaf:Spdistal_ir.Loop_ir.leaf ->
@@ -131,13 +139,3 @@ val execute :
   col_range:(int * int) option ->
   unit ->
   result
-
-(** Drop memoized coordinate expansions (frees memory between experiments). *)
-val clear_cache : unit -> unit
-
-(** Build (and memoize) the coordinate expansion of a tensor now.  The
-    interpreter calls this on the reducing domain before simulating pieces in
-    parallel, so worker domains only hit the (mutex-guarded) cache.  A
-    memoized expansion is rebuilt once {!Spdistal_runtime.Region.generation}
-    has moved past the stamp it was built under. *)
-val prewarm : Spdistal_formats.Tensor.t -> unit

@@ -9,17 +9,21 @@ type coloring_state = {
 
 module Trace = Spdistal_obs.Trace
 
-(* A partition's derivation: its operator, the region it partitions (named
-   by the storage it reads, see [key_rref]), the evaluated coloring bounds
-   and axis, and the derivation of its input partition.  Two partitions
-   with equal derivations over the same operand slots are equal. *)
+(* A partition's derivation: its operator, what it reads, the evaluated
+   coloring bounds and axis, and the derivation of its input partition.
+   A [pos]/[crd] region read as data is named by its allocation id and the
+   index space read ([Region.subregion] keeps the id); a partitioned
+   target by its index space alone.  Two partitions with equal derivations
+   are equal while the storage they read is not written. *)
+type region = int * Iset.t
+
 type key =
-  | K_bounds of Loop_ir.rref * (int * int) array * Partition.axis
-  | K_bounds_strided of Loop_ir.rref * int * (int * int) array * Partition.axis
-  | K_value_ranges of Loop_ir.rref * (int * int) array * Partition.axis
-  | K_image_range of Loop_ir.rref * key * Loop_ir.rref
-  | K_preimage_range of Loop_ir.rref * key
-  | K_image_values of Loop_ir.rref * key * Loop_ir.rref
+  | K_bounds of Iset.t * (int * int) array * Partition.axis
+  | K_bounds_strided of Iset.t * int * (int * int) array * Partition.axis
+  | K_value_ranges of region * (int * int) array * Partition.axis
+  | K_image_range of region * key * Iset.t
+  | K_preimage_range of region * key
+  | K_image_values of region * key * Iset.t
   | K_scale of key * int
   | K_unscale of key * int
 
@@ -38,7 +42,6 @@ let shared () = Shared.create 16
 
 type env = {
   bindings : Operand.bindings;
-  storage : (string * string) list;
   colorings : (string, coloring_state) Hashtbl.t;
   partitions : (string, Partition.t) Hashtbl.t;
   keys : (string, key) Hashtbl.t;
@@ -62,33 +65,9 @@ let accum_stats s env =
   s.s_dep_ops <- s.s_dep_ops + env.dep_ops;
   s.s_dep_elems <- s.s_dep_elems + env.dep_elems
 
-(* Two sparse operands read the same storage when they hold physically the
-   same levels in the same mode order, as [Assemble.copy_pattern]'s output
-   holds its source's. *)
-let same_storage (a : Tensor.t) (b : Tensor.t) =
-  Array.length a.Tensor.levels = Array.length b.Tensor.levels
-  && Array.for_all2 ( = ) a.Tensor.mode_order b.Tensor.mode_order
-  && Array.for_all2 ( == ) a.Tensor.levels b.Tensor.levels
-
-(* Each sparse operand whose storage an earlier operand in binding order
-   holds, paired with the first such operand. *)
-let storage_of_bindings bindings =
-  let rec go firsts acc = function
-    | [] -> acc
-    | (name, slot) :: rest -> (
-        match slot.Operand.data with
-        | Operand.Sparse t -> (
-            match List.find_opt (fun (_, t') -> same_storage t t') firsts with
-            | Some (first, _) -> go firsts ((name, first) :: acc) rest
-            | None -> go (firsts @ [ (name, t) ]) acc rest)
-        | Operand.Vec _ | Operand.Mat _ -> go firsts acc rest)
-  in
-  go [] [] bindings
-
 let create ?(trace = Trace.null) ?(shared = shared ()) bindings =
   {
     bindings;
-    storage = storage_of_bindings bindings;
     colorings = Hashtbl.create 16;
     partitions = Hashtbl.create 16;
     keys = Hashtbl.create 16;
@@ -155,17 +134,7 @@ let rref_ispace env = function
           Iset.range v.Dense.n
       | Operand.Mat m -> Iset.range (if k = 0 then m.Dense.rows else m.Dense.cols))
 
-(* An rref as a key names the storage it reads: an operand that shares an
-   earlier operand's storage is keyed by that operand's name. *)
-let key_rref env r =
-  let named t =
-    match List.assoc_opt t env.storage with Some first -> first | None -> t
-  in
-  match r with
-  | Loop_ir.Pos_r (t, k) -> Loop_ir.Pos_r (named t, k)
-  | Loop_ir.Crd_r (t, k) -> Loop_ir.Crd_r (named t, k)
-  | Loop_ir.Vals_r t -> Loop_ir.Vals_r (named t)
-  | Loop_ir.Dom_r (t, k) -> Loop_ir.Dom_r (named t, k)
+let region_key (r : _ Region.t) = (r.Region.id, r.Region.ispace)
 
 let find_partition env name =
   match Hashtbl.find_opt env.partitions name with
@@ -212,17 +181,17 @@ let scale_subsets ~f part =
 let eval_pexpr env = function
   | Loop_ir.By_bounds { target; coloring } ->
       let bounds, axis = coloring_bounds env coloring in
-      ( K_bounds (key_rref env target, bounds, axis),
+      let tgt = rref_ispace env target in
+      ( K_bounds (tgt, bounds, axis),
         None,
-        fun () -> Partition.by_bounds ~axis (rref_ispace env target) bounds )
+        fun () -> Partition.by_bounds ~axis tgt bounds )
   | Loop_ir.By_bounds_strided { target; coloring; dim } ->
       let d = eval_dim env dim in
       let bounds, axis = coloring_bounds env coloring in
-      ( K_bounds_strided (key_rref env target, d, bounds, axis),
+      let tgt = rref_ispace env target in
+      ( K_bounds_strided (tgt, d, bounds, axis),
         None,
-        fun () ->
-          Partition.by_bounds_strided ~axis (rref_ispace env target) ~dim:d
-            bounds )
+        fun () -> Partition.by_bounds_strided ~axis tgt ~dim:d bounds )
   | Loop_ir.By_value_ranges { target; coloring } ->
       let crd =
         match target with
@@ -230,29 +199,28 @@ let eval_pexpr env = function
         | _ -> Error.fail Error.Partition_eval "value ranges need a crd region"
       in
       let bounds, axis = coloring_bounds env coloring in
-      let tgt = rref_ispace env target in
-      ( K_value_ranges (key_rref env target, bounds, axis),
-        Some ("by_value_ranges", Iset.cardinal tgt),
-        fun () -> Partition.by_value_ranges ~axis ~values:crd tgt bounds )
+      ( K_value_ranges (region_key crd, bounds, axis),
+        Some ("by_value_ranges", Iset.cardinal crd.Region.ispace),
+        fun () ->
+          Partition.by_value_ranges ~axis ~values:crd crd.Region.ispace bounds
+      )
   | Loop_ir.Image_range { pos; part; target } ->
       let posr =
         match pos with
         | Loop_ir.Pos_r (t, k) -> Tensor.pos_of (sparse env t) k
         | _ -> Error.fail Error.Partition_eval "image needs a pos region"
       in
-      ( K_image_range
-          (key_rref env pos, find_key env part, key_rref env target),
+      let tgt = rref_ispace env target in
+      ( K_image_range (region_key posr, find_key env part, tgt),
         Some ("image_range", Iset.cardinal posr.Region.ispace),
-        fun () ->
-          Dependent.image_ranges posr (find_partition env part)
-            (rref_ispace env target) )
+        fun () -> Dependent.image_ranges posr (find_partition env part) tgt )
   | Loop_ir.Preimage_range { pos; part } ->
       let posr =
         match pos with
         | Loop_ir.Pos_r (t, k) -> Tensor.pos_of (sparse env t) k
         | _ -> Error.fail Error.Partition_eval "preimage needs a pos region"
       in
-      ( K_preimage_range (key_rref env pos, find_key env part),
+      ( K_preimage_range (region_key posr, find_key env part),
         Some ("preimage_range", Iset.cardinal posr.Region.ispace),
         fun () -> Dependent.preimage_ranges posr (find_partition env part) )
   | Loop_ir.Image_values { crd; part; target } ->
@@ -261,12 +229,10 @@ let eval_pexpr env = function
         | Loop_ir.Crd_r (t, k) -> Tensor.crd_of (sparse env t) k
         | _ -> Error.fail Error.Partition_eval "imageValues needs a crd region"
       in
-      ( K_image_values
-          (key_rref env crd, find_key env part, key_rref env target),
+      let tgt = rref_ispace env target in
+      ( K_image_values (region_key crdr, find_key env part, tgt),
         Some ("image_values", Iset.cardinal crdr.Region.ispace),
-        fun () ->
-          Dependent.image_values crdr (find_partition env part)
-            (rref_ispace env target) )
+        fun () -> Dependent.image_values crdr (find_partition env part) tgt )
   | Loop_ir.Copy_part p -> (find_key env p, None, fun () -> find_partition env p)
   | Loop_ir.Scale_dense { part; dim } ->
       let d = eval_dim env dim in

@@ -15,35 +15,33 @@ type coloring_state = {
   c_axis : Partition.axis;
 }
 
-(** A partition's derivation: the operator, the region it partitions, the
-    evaluated coloring bounds and axis, and the derivation of its input
-    partition ([Copy_part] passes its input's key through).  A region is
-    named by the storage it reads: an [rref] of a sparse operand is keyed
-    by the first operand in binding order whose storage levels are
-    physically ([==]) the same, with the same level count and mode order.
-    The output of {!Spdistal_formats.Assemble.copy_pattern} holds its
-    source's levels, so the two share keys and each partition of the
-    pattern is derived once; a deep copy of a pattern has storage, and
-    keys, of its own.
-    Under one set of operand slots, equal keys derive equal partitions. *)
+(** A partition's derivation: the operator, what it reads, the evaluated
+    coloring bounds and axis, and the derivation of its input partition
+    ([Copy_part] passes its input's key through).  A [pos] or [crd] region
+    read as data is keyed by its {!Spdistal_runtime.Region.id} and the
+    index space read ({!Spdistal_runtime.Region.subregion} keeps the id);
+    a partitioned target is keyed by its index space.  So operands that
+    physically hold the same level share that level's partitions whatever
+    their level count: the output of
+    {!Spdistal_formats.Assemble.copy_pattern} holds its source's levels,
+    and each partition of the shared levels is derived once, while a deep
+    copy of a pattern has regions, and keys, of its own.
+    Equal keys derive equal partitions while the regions they read are
+    not written. *)
 type key
 
 (** Partitions by derivation key, shared by the environments of one plan
     (placement and program) or of one pricing session.  A table is only
-    valid for environments over one set of operand slots whose index
-    structure does not change while it lives: a plan's table lives as long
-    as the plan, and a pricing session's as long as one [Auto] call.  An
-    execution context ([Spdistal.Context]) keeps no table of its own: it
-    keeps its plan while its key holds. *)
+    valid while the index structure its keys read does not change: a
+    plan's table lives as long as the plan, and a pricing session's as
+    long as one [Auto] call.  An execution context ([Spdistal.Context])
+    keeps no table of its own: it keeps its plan while its key holds. *)
 type shared
 
 val shared : unit -> shared
 
 type env = {
   bindings : Operand.bindings;
-  storage : (string * string) list;
-      (** each sparse operand that shares an earlier operand's storage,
-          paired with the first such operand: the name its keys use *)
   colorings : (string, coloring_state) Hashtbl.t;
   partitions : (string, Partition.t) Hashtbl.t;
   keys : (string, key) Hashtbl.t;  (** each named partition's derivation *)
@@ -79,7 +77,7 @@ val accum_stats : stats -> env -> unit
     evaluated only on a miss.  A hit counts [parts], [dep_ops] and
     [dep_elems] (and emits its span) before the lookup, exactly as an
     evaluation does, so the partitioning bill does not depend on what was
-    shared, by derivation or by storage. *)
+    shared. *)
 val create :
   ?trace:Spdistal_obs.Trace.t -> ?shared:shared -> Operand.bindings -> env
 

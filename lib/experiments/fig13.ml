@@ -18,22 +18,17 @@ let compute ?(quick = false) () =
       | Machine.Cpu -> Runner.cpu_machine ~nodes:pieces
       | Machine.Gpu -> Runner.gpu_machine ~gpus:pieces
     in
-    let cells =
-      List.map
-        (fun system ->
-          {
-            Runner.kernel = Runner.Spmv;
-            system;
-            kind;
-            pieces;
-            tensor = b.Spdistal_formats.Tensor.name;
-            result = Runner.run ~kernel:Runner.Spmv ~system ~machine b;
-          })
-        [ Runner.Spdistal; Runner.Petsc ]
-    in
-    (* Weak-scaling matrices are single-use: drop caches to bound memory. *)
-    Spdistal_exec.Leaf.clear_cache ();
-    cells
+    List.map
+      (fun system ->
+        {
+          Runner.kernel = Runner.Spmv;
+          system;
+          kind;
+          pieces;
+          tensor = b.Spdistal_formats.Tensor.name;
+          result = Runner.run ~kernel:Runner.Spmv ~system ~machine b;
+        })
+      [ Runner.Spdistal; Runner.Petsc ]
   in
   List.concat_map (run Machine.Cpu) cpu_counts
   @ List.concat_map (run Machine.Gpu) gpu_counts

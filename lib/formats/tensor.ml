@@ -220,25 +220,6 @@ let crd_of t k =
   | Level.Compressed { crd; _ } | Level.Singleton { crd } -> crd
   | Level.Dense _ -> invalid_arg "Tensor.crd_of: dense level"
 
-let leaf_parent t p =
-  let leaf = Array.length t.levels - 1 in
-  match t.levels.(leaf) with
-  | Level.Singleton _ -> p
-  | Level.Dense _ | Level.Compressed _ ->
-  let pos = pos_of t leaf in
-  let n = Region.extent pos in
-  (* Binary search for the parent whose (monotone) range contains [p]. *)
-  let rec bs lo hi =
-    if lo > hi then raise Not_found
-    else
-      let mid = (lo + hi) / 2 in
-      let l, h = Region.get pos mid in
-      if p < l then bs lo (mid - 1)
-      else if p > h then bs (mid + 1) hi
-      else mid
-  in
-  bs 0 (n - 1)
-
 let pp fmt t =
   Format.fprintf fmt "@[<v>tensor %s: dims %a, levels [%a], %d stored@]" t.name
     (Format.pp_print_list

@@ -74,8 +74,4 @@ val pos_of : t -> int -> (int * int) Region.t
 
 val crd_of : t -> int -> int Region.t
 
-(** [leaf_parent t p] is the parent position of leaf position [p] when the
-    leaf level is compressed with a monotone [pos] (binary search). *)
-val leaf_parent : t -> int -> int
-
 val pp : Format.formatter -> t -> unit

@@ -85,7 +85,8 @@ let of_trace tr =
       match sp.Trace.sp_track with
       | Trace.Piece { node; piece } when sp.Trace.sp_clock = Trace.Sim ->
           let c0, l0 =
-            try Hashtbl.find piece_busy (node, piece) with Not_found -> (0., 0.)
+            Option.value ~default:(0., 0.)
+              (Hashtbl.find_opt piece_busy (node, piece))
           in
           (match sp.Trace.sp_cat with
           | "comm" -> Hashtbl.replace piece_busy (node, piece) (c0 +. sp.Trace.sp_dur, l0)
@@ -94,7 +95,9 @@ let of_trace tr =
           | _ -> ());
           if sp.Trace.sp_cat = "comm" || sp.Trace.sp_cat = "compute" then begin
             let ix = arg_i sp.Trace.sp_args "launch" in
-            let cur = try Hashtbl.find launch_pieces ix with Not_found -> [] in
+            let cur =
+              Option.value ~default:[] (Hashtbl.find_opt launch_pieces ix)
+            in
             (* comm and compute spans of one piece are adjacent: fold the
                pair into one total by accumulating per (launch, piece). *)
             let cur =
@@ -105,7 +108,7 @@ let of_trace tr =
             Hashtbl.replace launch_pieces ix cur
           end
       | Trace.Host d ->
-          let b = try Hashtbl.find host_busy d with Not_found -> 0. in
+          let b = Option.value ~default:0. (Hashtbl.find_opt host_busy d) in
           if sp.Trace.sp_cat = "pool" then Hashtbl.replace host_busy d (b +. sp.Trace.sp_dur);
           host_lo := Float.min !host_lo sp.Trace.sp_start;
           host_hi := Float.max !host_hi (sp.Trace.sp_start +. sp.Trace.sp_dur)
@@ -118,7 +121,8 @@ let of_trace tr =
         else begin
           let ix = arg_i sp.Trace.sp_args "launch" in
           let totals =
-            try List.rev_map snd (Hashtbl.find launch_pieces ix) with Not_found -> []
+            List.rev_map snd
+              (Option.value ~default:[] (Hashtbl.find_opt launch_pieces ix))
           in
           let pmax = List.fold_left Float.max 0. totals in
           let mean =
@@ -155,7 +159,7 @@ let of_trace tr =
     Hashtbl.iter
       (fun (node, _) (c, l) ->
         let slots, c0, l0 =
-          try Hashtbl.find per_node node with Not_found -> (0, 0., 0.)
+          Option.value ~default:(0, 0., 0.) (Hashtbl.find_opt per_node node)
         in
         Hashtbl.replace per_node node (slots + 1, c0 +. c, l0 +. l))
       piece_busy;

@@ -24,8 +24,8 @@ let get r i =
 
 (* Index regions hold sparse patterns (pos/crd), so a write through [set]
    may change a pattern in place; the stamp lets holders of anything derived
-   from a pattern (cache keys, coordinate expansions) tell in O(1) that no
-   such write happened since they derived it. *)
+   from a pattern (cache keys) tell in O(1) that no such write happened
+   since they derived it. *)
 let generation_counter = Atomic.make 0
 let generation () = Atomic.get generation_counter
 

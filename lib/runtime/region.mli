@@ -30,9 +30,9 @@ val get : 'a t -> int -> 'a
 val set : 'a t -> int -> 'a -> unit
 
 (** Pattern-write stamp: a process-wide count of {!set} calls.  A value
-    derived from index storage (a cache key, a coordinate expansion) stays
-    valid while the stamp it was derived under is current.  Float writes
-    ({!F.set}) are value writes and do not bump it. *)
+    derived from index storage (a cache key) stays valid while the stamp
+    it was derived under is current.  Float writes ({!F.set}) are value
+    writes and do not bump it. *)
 val generation : unit -> int
 val size : 'a t -> int
 

@@ -109,6 +109,23 @@ let run_ok problem =
 let snapshot = Spdistal_fuzz.Snapshot.outputs
 let cost_sig = Spdistal_fuzz.Snapshot.cost
 
+(* Move one stored column of CSR [b] right, into a gap of its row, through
+   [Region.set]: still a valid, sorted pattern, but a different one. *)
+let write_pattern (b : Tensor.t) =
+  let module Region = Spdistal_runtime.Region in
+  let pos = Tensor.pos_of b 1 and crd = Tensor.crd_of b 1 in
+  let ncols = b.Tensor.dims.(1) in
+  let found = ref None in
+  Array.iter
+    (fun (lo, hi) ->
+      for q = lo to hi do
+        let next = if q < hi then Region.get crd (q + 1) else ncols in
+        if !found = None && Region.get crd q + 1 < next then found := Some q
+      done)
+    pos.Region.data;
+  let q = Option.get !found in
+  Region.set crd q (Region.get crd q + 1)
+
 (* Run a problem and check the result against the dense reference evaluator;
    returns the simulated total. *)
 let run_validated problem =

@@ -643,29 +643,12 @@ let run_status ?leaf_backend ctx =
   Alcotest.(check (option string)) "completes" None r.S.dnc;
   statuses r
 
-(* Move one stored column of CSR [b] right, into a gap of its row, through
-   [Region.set]: still a valid, sorted pattern, but a different one. *)
-let write_pattern (b : Spdistal_formats.Tensor.t) =
-  let pos = Spdistal_formats.Tensor.pos_of b 1
-  and crd = Spdistal_formats.Tensor.crd_of b 1 in
-  let ncols = b.Spdistal_formats.Tensor.dims.(1) in
-  let found = ref None in
-  Array.iter
-    (fun (lo, hi) ->
-      for q = lo to hi do
-        let next = if q < hi then Region.get crd (q + 1) else ncols in
-        if !found = None && Region.get crd q + 1 < next then found := Some q
-      done)
-    pos.Region.data;
-  let q = Option.get !found in
-  Region.set crd q (Region.get crd q + 1)
-
 let test_key_pattern_write_misses leaf_backend () =
   let p = key_problem () in
   let ctx = S.Context.create p in
   ignore (run_status ~leaf_backend ctx);
   let before = digest_of p in
-  write_pattern (csr_b p);
+  Helpers.write_pattern (csr_b p);
   Alcotest.(check bool) "the pattern changed" true (digest_of p <> before);
   Alcotest.(check bool)
     "pattern write: miss" true
@@ -686,7 +669,7 @@ let test_shared_cache_pattern_write () =
   let cache = Cache.create () in
   let p1 = make 1. and p2 = make 2. in
   ignore (run_status (S.Context.create ~shared_cache:cache p1));
-  write_pattern (csr_b p1);
+  Helpers.write_pattern (csr_b p1);
   Alcotest.(check bool)
     "the other context hits" true
     (run_status (S.Context.create ~shared_cache:cache p2) = [ `Hit ]);

@@ -102,22 +102,6 @@ let test_evicted_replan_shares () =
     "outputs equal a cold run's" true
     (Helpers.snapshot p = Helpers.snapshot q)
 
-(* Move one stored column of CSR [b] right, into a gap of its row, through
-   [Region.set]: still a valid, sorted pattern, but a different one. *)
-let write_pattern (b : Tensor.t) =
-  let pos = Tensor.pos_of b 1 and crd = Tensor.crd_of b 1 in
-  let ncols = b.Tensor.dims.(1) in
-  let found = ref None in
-  Array.iter
-    (fun (lo, hi) ->
-      for q = lo to hi do
-        let next = if q < hi then Region.get crd (q + 1) else ncols in
-        if !found = None && Region.get crd q + 1 < next then found := Some q
-      done)
-    pos.Region.data;
-  let q = Option.get !found in
-  Region.set crd q (Region.get crd q + 1)
-
 (* After [mutate] changes an input's structure, the next plan derives every
    partition afresh, and the outputs equal those of a fresh context built
    over the same mutation. *)
@@ -151,7 +135,7 @@ let test_key_change_fresh () =
       (Operand.find (S.bindings p) "B").Operand.data <-
         Operand.Sparse (Helpers.rand_csr ~seed:96 40 40 0.1));
   check_fresh_after "pattern write" (fun p ->
-      write_pattern (Operand.find_sparse (S.bindings p) "B"))
+      Helpers.write_pattern (Operand.find_sparse (S.bindings p) "B"))
 
 (* Every charged partitioning, as the trace records it: the entry's exact
    [e_part_seconds], [e_part_ops] and [e_part_elems]. *)
@@ -371,7 +355,7 @@ let test_restore_copies () =
   ignore (run_ok ctx);
   let installed = (out_slot p).Operand.data in
   (match installed with
-  | Operand.Sparse t -> write_pattern t
+  | Operand.Sparse t -> Helpers.write_pattern t
   | _ -> Alcotest.fail "sddmm output is not sparse");
   ignore (run_ok ctx);
   Alcotest.(check bool) "pattern write: copied" true

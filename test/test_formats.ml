@@ -45,7 +45,9 @@ let test_csr_construction () =
   Helpers.check_float "get absent" 0. (Tensor.get t [| 1; 1 |]);
   Alcotest.(check int) "level extent rows" 4 (Tensor.level_extent t 0);
   Alcotest.(check int) "level extent nnz" 5 (Tensor.level_extent t 1);
-  Alcotest.(check int) "leaf parent of (2,4)" 2 (Tensor.leaf_parent t 3)
+  Alcotest.(check int) "leaf parent of (2,4)" 2
+    ((Spdistal_ir.Level_funcs.iter_of_level t.Tensor.levels.(1))
+       .Spdistal_ir.Level_funcs.li_locate 3)
 
 let test_csc_construction () =
   let t = Tensor.csc ~name:"B" coo_small in
@@ -163,23 +165,24 @@ let prop_csr_csc_agree =
       done;
       !ok)
 
+(* The compressed level's [li_locate] (a binary search of the monotone pos
+   ranges) finds every leaf position's parent row. *)
 let prop_leaf_parent =
   Helpers.qtest "leaf_parent inverts row ranges" Helpers.arb_coo_matrix
     (fun coo ->
       let t = Tensor.csr ~name:"B" coo in
-      if Tensor.nnz t = 0 then true
-      else begin
-        let open Spdistal_runtime in
-        let pos = Tensor.pos_of t 1 in
-        let ok = ref true in
-        Region.iter
-          (fun r (lo, hi) ->
-            for p = lo to hi do
-              if Tensor.leaf_parent t p <> r then ok := false
-            done)
-          pos;
-        !ok
-      end)
+      let locate =
+        (Spdistal_ir.Level_funcs.iter_of_level t.Tensor.levels.(1))
+          .Spdistal_ir.Level_funcs.li_locate
+      in
+      let ok = ref true in
+      Spdistal_runtime.Region.iter
+        (fun r (lo, hi) ->
+          for p = lo to hi do
+            if locate p <> r then ok := false
+          done)
+        (Tensor.pos_of t 1);
+      !ok)
 
 let test_convert_transpose () =
   let t = Tensor.csr ~name:"B" coo_small in

@@ -553,17 +553,16 @@ let prop_fiber_paths_equal_interp =
       let bi = fiber_bindings c b and bc = fiber_bindings c b in
       let compiled = Compile_leaf.compile ~bindings:bc leaf in
       let works exec = List.map (fun shard -> work_bits (exec shard).Leaf.work) c.shards in
+      let interp = Leaf.execute ~bindings:bi ~leaf in
       let wi =
         works (fun shard ->
-            Leaf.execute ~bindings:bi ~leaf ~shard_vals:(fun _ -> shard) ~rows:None
-              ~col_range:c.col_range ())
+            interp ~shard_vals:(fun _ -> shard) ~rows:None ~col_range:c.col_range ())
       in
       let wc =
         works (fun shard ->
             Compile_leaf.execute compiled ~shard_vals:(fun _ -> shard) ~rows:None
               ~col_range:c.col_range ())
       in
-      Leaf.clear_cache ();
       Compile_leaf.path_name compiled = (if c.mttkrp then "fiber-mttkrp" else "fiber-ttv")
       && wi = wc
       && output_bits bi = output_bits bc)
@@ -680,17 +679,16 @@ let prop_csr_paths_equal_interp =
       let bi = csr_bindings c and bc = csr_bindings c in
       let compiled = Compile_leaf.compile ~bindings:bc leaf in
       let works exec = List.map (fun shard -> work_bits (exec shard).Leaf.work) c.m_shards in
+      let interp = Leaf.execute ~bindings:bi ~leaf in
       let wi =
         works (fun shard ->
-            Leaf.execute ~bindings:bi ~leaf ~shard_vals:(fun _ -> shard) ~rows:None
-              ~col_range:c.m_col_range ())
+            interp ~shard_vals:(fun _ -> shard) ~rows:None ~col_range:c.m_col_range ())
       in
       let wc =
         works (fun shard ->
             Compile_leaf.execute compiled ~shard_vals:(fun _ -> shard) ~rows:None
               ~col_range:c.m_col_range ())
       in
-      Leaf.clear_cache ();
       Compile_leaf.path_name compiled = (if c.sddmm then "csr-sddmm" else "csr-spmm")
       && wi = wc
       && output_bits bi = output_bits bc)
@@ -1116,6 +1114,31 @@ let test_merge_in_place_mismatch () =
           [ `Extra; `Missing; `Changed ]
     | _ -> ()
   done
+(* The interpreter expands its driver's coordinates once per launch: a
+   pattern written in place through [Region.set] between two runs is what
+   the second run reads, at one domain and at several. *)
+let test_interp_sees_pattern_write () =
+  List.iter
+    (fun domains ->
+      let p =
+        Core.Kernels.spmv_problem ~machine:(Helpers.cpu_machine 4)
+          (Helpers.rand_csr ~seed:93 40 40 0.1)
+      in
+      let ctx = Core.Spdistal.Context.create p in
+      let run () =
+        let r =
+          Core.Spdistal.Context.run ~domains ~leaf_backend:Compile_leaf.Interp ctx
+        in
+        Alcotest.(check (option string)) "completes" None r.Core.Spdistal.dnc;
+        Helpers.check_float
+          (Printf.sprintf "domains %d: matches dense reference" domains)
+          0.
+          (Validate.max_error (Core.Spdistal.bindings p) p.Core.Spdistal.stmt)
+      in
+      run ();
+      Helpers.write_pattern (Operand.find_sparse (Core.Spdistal.bindings p) "B");
+      run ())
+    [ 1; 4 ]
 
 let suite =
   [
@@ -1145,4 +1168,6 @@ let suite =
     prop_merge_in_place_equals_assembly;
     Alcotest.test_case "compute-only merge refuses a pattern one entry off"
       `Quick test_merge_in_place_mismatch;
+    Alcotest.test_case "interp reads a pattern written between runs" `Quick
+      test_interp_sees_pattern_write;
   ]
