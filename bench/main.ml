@@ -312,15 +312,14 @@ let run_trace_exports dir =
 (* Leaf throughput: wall-clock of the leaf kernel loop itself, compiled *)
 (* closures vs the reference interpreter vs a hand-written CSR SpMV,   *)
 (* and the same two backends on CSR SpMM, SDDMM and SpAdd3 (merge)     *)
-(* leaves over a power-law matrix and on a CSF SpMTTKRP leaf (the      *)
-(* slice path).  One piece, whole-tensor shard (every row, for the     *)
-(* merge), so nothing but the leaf launch is timed.  Writes            *)
-(* results/leaf_throughput.csv; the CI smoke job checks the CSR SpMV,  *)
-(* the SpMTTKRP and the SpAdd3 compiled/interp ratios against the      *)
-(* ratcheted floors in bench/leaf_throughput_floor.txt,                *)
-(* bench/mttkrp_throughput_floor.txt and                               *)
-(* bench/merge_throughput_floor.txt and prints the SpMM and SDDMM      *)
-(* ratios.                                                              *)
+(* leaves over a power-law matrix, on a CSF SpMTTKRP leaf, and on      *)
+(* DCSR and CSC-ordered SpMV and DCSF SpMTTKRP leaves.  One piece,     *)
+(* whole-tensor shard (every row, for the merge), so nothing but the   *)
+(* leaf launch is timed.  Writes results/leaf_throughput.csv; the CI   *)
+(* smoke job checks the CSR SpMV, the SpMTTKRP and the SpAdd3          *)
+(* compiled/interp ratios against the ratcheted floors in              *)
+(* bench/leaf_throughput_floor.txt, bench/mttkrp_throughput_floor.txt  *)
+(* and bench/merge_throughput_floor.txt and prints the others.         *)
 (* ------------------------------------------------------------------ *)
 
 (* One backend's timing in one round: repeat [f] until it has run for
@@ -431,12 +430,35 @@ let run_leaf_throughput () =
   let interp_add, compiled_add =
     leaf_runs ~rows:(Iset.range pn) add3 ~nnz:nnz_add
   in
+  (* Drivers that no shape-matched loop ever covered: the banded matrix as
+     DCSR (Compressed, Compressed) and CSC-ordered, and the skewed tensor as
+     DCSF (Compressed, Compressed, Compressed). *)
+  let stored ?mode_order formats (t : Tensor.t) =
+    Tensor.of_coo ~name:t.Tensor.name ~formats ?mode_order (Tensor.to_coo t)
+  in
+  let module L = Spdistal_formats.Level in
+  let interp_dcsr, compiled_dcsr =
+    leaf_runs (Core.Kernels.spmv_problem ~machine (stored [| L.Compressed_k; L.Compressed_k |] b)) ~nnz
+  in
+  let interp_csc, compiled_csc =
+    leaf_runs
+      (Core.Kernels.spmv_problem ~machine
+         (stored ~mode_order:[| 1; 0 |] [| L.Dense_k; L.Compressed_k |] b))
+      ~nnz
+  in
+  let interp_dcsf, compiled_dcsf =
+    leaf_runs
+      (Core.Kernels.mttkrp_problem ~machine ~cols:32
+         (stored [| L.Compressed_k; L.Compressed_k; L.Compressed_k |] t3))
+      ~nnz:nnz3
+  in
   print_endline "=== Leaf throughput (wall clock, 1 piece) ===";
   Printf.printf "CSR SpMV: %d x %d banded, %d nnz\n" n n nnz;
   Printf.printf "CSR SpMM, SDDMM: %d x %d power-law, %d nnz, 32 columns\n" pn pn nnz_pl;
   Printf.printf "CSR SpAdd3: the same matrix and two shifted copies, %d entries\n" nnz_add;
   Printf.printf "CSF SpMTTKRP: %d x %d x %d skewed, %d nnz, 32 columns\n"
     t3.Tensor.dims.(0) t3.Tensor.dims.(1) t3.Tensor.dims.(2) nnz3;
+  print_endline "DCSR and CSC-ordered SpMV: the banded matrix; DCSF SpMTTKRP: the skewed tensor";
   (* A group is one kernel's backends, the interpreter first, timed in
      [leaf_rounds] alternating rounds.  Each row is (label, rows, nnz,
      reps, seconds, Mnnz/s, speedup): reps and seconds summed over the
@@ -473,6 +495,9 @@ let run_leaf_throughput () =
         (pn, nnz_pl, [ ("interp-spmm", interp_mm); ("compiled-spmm", compiled_mm) ]);
         (pn, nnz_pl, [ ("interp-sddmm", interp_dd); ("compiled-sddmm", compiled_dd) ]);
         (pn, nnz_add, [ ("interp-spadd3", interp_add); ("compiled-spadd3", compiled_add) ]);
+        (n, nnz, [ ("interp-dcsr", interp_dcsr); ("compiled-dcsr", compiled_dcsr) ]);
+        (n, nnz, [ ("interp-csc", interp_csc); ("compiled-csc", compiled_csc) ]);
+        (rows3, nnz3, [ ("interp-dcsf-mttkrp", interp_dcsf); ("compiled-dcsf-mttkrp", compiled_dcsf) ]);
       ]
   in
   (try Unix.mkdir "results" 0o755

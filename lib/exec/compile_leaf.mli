@@ -1,32 +1,40 @@
-(** Compiled leaf kernels: monomorphized per-(format × expression) closures.
+(** Compiled leaf kernels: one leaf compiler from the level functions.
 
     The reference interpreter in {!Leaf} re-dispatches on the kernel shape
     for every stored element.  This pass runs once per lowered program (at
     [Spdistal.compile] / {!Interp.prepare} time) and specializes each leaf
-    loop into a closed closure: level iterators from
-    {!Spdistal_ir.Level_funcs} are pre-resolved per level kind
-    (dense / compressed / compressed-non-unique / singleton), the kernel
-    shape is matched once, and the hot loop touches only flat arrays and
-    the Bigarray value buffers ({!Spdistal_runtime.Region.F}) — no IR
-    dispatch.
+    into a closure whose loops touch only flat arrays and the Bigarray value
+    buffers ({!Spdistal_runtime.Region.F}).
 
-    CSR SpMV, SpMM and SDDMM run fused row-segment loops.  SpTTV
-    ([A(i,j) = B(i,j,k)·c(k)] into a sparse output sharing [B]'s first two
-    levels) and SpMTTKRP ([A(i,l) = B(i,j,k)·C(j,l)·D(k,l)], factors in that
-    order) run fused slice-segment loops when [B] is stored in identity
-    mode order as CSF (Dense, Compressed, Compressed) or as (Dense, Dense,
-    Compressed).  The blocked loops keep output cells in registers: SpMM
-    holds four columns of [A]'s row across a row segment, SpMTTKRP four
-    columns of [A]'s row across every fiber of a slice, and SDDMM reads [D]
-    through a transposed copy made once per launch, four elements at a
-    time.  Each output cell receives the interpreter's products, with its
+    A product leaf is a segment walker and one of three loop bodies.  The
+    walker is staged once from the driver's level functions
+    ({!Spdistal_ir.Level_funcs}): it seeks each shard interval's first
+    position with [li_locate], walks the levels above the leaf parent with
+    [li_iter], and hands the body whole runs of leaf positions, one per
+    leaf parent ([li_run]), with the outer coordinates and positions set.
+    The body is chosen from the {!Leaf.plan} (inner variable, factor
+    sources, sink) and the level each variable is stored at, not from the
+    storage format:
+    - ["held"]: no inner reduction, output cells fixed across a run, and
+      one factor or two whose first does not read the leaf (SpMV, SpMM,
+      SpTTV, SpMTTKRP on any level kinds and mode order that keep that
+      shape).  The output cells stay in registers, four inner columns at a
+      time, across every run that writes them; the first factor is folded
+      into [scale·f0] once per run and column, as the interpreter folds it
+      first.
+    - ["dot"]: an inner reduction over two factors contiguous in [k], the
+      first not reading the leaf (SDDMM, whose [D(k,j)] is read through a
+      transposed copy made at launch): one dot product per leaf position,
+      four positions at a time, each summed from [0.] over [k] upward as
+      in the interpreter.
+    - ["affine"]: every other shape, one position at a time, every factor
+      and output index affine in the run's fixed part, the leaf coordinate
+      and the inner variable.
+
+    Each output cell receives the interpreter's products, with its
     association, in its order; only the interleaving across cells differs,
     which is why an output may not share storage with an input (see
-    {!Interp.run}).  Every other shape runs a generic walker that indexes
-    each factor and the sink affinely in the one active inner variable
-    ([base + v·stride], bases recomputed once per stored element), so its
-    inner loop is a plain [for] over the factor arrays with an unboxed
-    float accumulator.
+    {!Interp.run}).
 
     A merge (SpAdd3) of two or three CSR operands without a workspace runs
     one three-way cursor whose positions, head columns and sum are locals;
@@ -68,16 +76,16 @@ val default_backend : unit -> backend
 
 (** A leaf specialized for its driver format and expression shape.  It
     holds structure only: the {!Leaf.plan}, the affine index maps, the
-    fast-path choice, and the level walkers, CSR row ends and fiber arrays
-    of the driver it was compiled against.  Data binds at launch: each
-    {!launch} looks up the driver's values, the factors, the merge
-    operands and the output in its bindings, so a leaf compiled for one
-    context serves any context whose problem has the same pattern and
+    chosen body, and the walk (level functions, leaf-parent run ends and
+    coordinates) of the driver it was compiled against.  Data binds at
+    launch: each {!launch} looks up the driver's values, the factors, the
+    merge operands and the output in its bindings, so a leaf compiled for
+    one context serves any context whose problem has the same pattern and
     shapes (the cache key guarantees both).  A launch driver stored in
     other arrays than the compiled one is walked through its own storage
     for that launch.  All mutable walk state is allocated per piece, so
-    the pieces of one launch may run concurrently.  An SDDMM leaf keeps one
-    transposed-[D] buffer across its launches. *)
+    the pieces of one launch may run concurrently.  A dot leaf keeps one
+    transposed-factor buffer across its launches. *)
 type t
 
 (** Specialize one leaf.  Raises {!Spdistal_runtime.Error.Error} on the
@@ -95,13 +103,13 @@ type piece =
 
 (** [launch t ~bindings] resolves a launch's data once, on the calling
     domain: the shape checks, the driver's values, the factors' and the
-    output's storage, the walk, and for SDDMM the transposed [D].  The
-    returned piece reads what was resolved and may run concurrently on
+    output's storage, the walk, and for a dot leaf the transposed factor.
+    The returned piece reads what was resolved and may run concurrently on
     other domains; [bindings]' driver must have the pattern [t] was
     compiled for.  Raises {!Spdistal_runtime.Error.Error} ([Leaf]) when an
     operand's shape, or the driver's stored-value count, differs from the
     one [t] was compiled for.  Launches of one leaf must not overlap: the
-    transposed [D] is one buffer per leaf.  [into] is {!execute}'s. *)
+    transposed factor is one buffer per leaf.  [into] is {!execute}'s. *)
 val launch : ?into:Leaf.merge_op -> t -> bindings:Operand.bindings -> piece
 
 (** Raised by a piece that computes into an installed output ([?into])
@@ -131,7 +139,7 @@ val execute :
   unit ->
   Leaf.result
 
-(** The loop a leaf runs: ["csr-spmv"], ["csr-spmm"], ["csr-sddmm"],
-    ["fiber-ttv"], ["fiber-mttkrp"], ["generic"], ["csr-merge"] (the
-    three-way merge cursor) or ["merge"] ({!Leaf.merge_core}). *)
+(** The loop a leaf runs: ["held"], ["dot"] or ["affine"] for a product,
+    ["csr-merge"] (the three-way merge cursor) or ["merge"]
+    ({!Leaf.merge_core}) for a merge. *)
 val path_name : t -> string

@@ -185,6 +185,27 @@ let plan_mul ~bindings ~(leaf : Loop_ir.leaf) ~driver_name =
   in
   let jext = match inner_out with None -> 0 | Some v -> extent_of_inner v in
   let kext = match inner_red with None -> 0 | Some v -> extent_of_inner v in
+  (* Every operand's extent along a variable must be the one the driver (or
+     the inner variable's first operand) binds: a shorter dense operand
+     used to be read past its end, a longer one silently cut. *)
+  List.iter
+    (fun (a : Tin.access) ->
+      if a.Tin.tensor <> driver_name then
+        let data = (Operand.find bindings a.Tin.tensor).Operand.data in
+        List.iteri
+          (fun p v ->
+            let want =
+              match src v with
+              | Driver_dim d -> driver.Tensor.dims.(d)
+              | Inner_out -> jext
+              | Inner_red -> kext
+            in
+            let got = Operand.dim data p in
+            if got <> want then
+              Error.fail ~kernel:a.Tin.tensor Error.Leaf
+                "%s is %d along %s, which binds %d" a.Tin.tensor got v want)
+          a.Tin.indices)
+    (out :: Tin.rhs_accesses stmt);
   (* Literal coefficients multiply through the (fragment-validated: pure)
      product; they were silently dropped before the fuzzer caught it. *)
   let rec lit_product = function

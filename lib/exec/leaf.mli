@@ -71,7 +71,10 @@ type plan = {
 }
 
 (** Classify a multiplicative leaf. Raises [Error.Leaf] on unsupported
-    shapes (second sparse operand, arity mismatches, missing extents). *)
+    shapes (second sparse operand, arity mismatches, missing extents) and
+    on any operand whose extent along an index variable differs from the
+    one the variable binds: the driver's dimension for a variable the
+    driver binds, else the first operand's extent along it. *)
 val plan_mul :
   bindings:Operand.bindings ->
   leaf:Spdistal_ir.Loop_ir.leaf ->

@@ -243,6 +243,8 @@ type level_iter = {
   li_iter : parent:int -> from:int -> (int -> int -> unit) -> unit;
       (* iterate [(coordinate, position)] pairs under [parent] in storage
          order, starting at position [from] ([-1] = the parent's first) *)
+  li_run : parent:int -> (int -> int -> unit) -> unit;
+      (* the positions under [parent] as one inclusive range [lo, hi] *)
 }
 
 let iter_of_level (l : Level.t) =
@@ -257,6 +259,7 @@ let iter_of_level (l : Level.t) =
             for p = start to base + dim - 1 do
               emit (p - base) p
             done);
+        li_run = (fun ~parent run -> run (parent * dim) ((parent * dim) + dim - 1));
       }
   | Level.Compressed { pos; crd } ->
       let posd = pos.Region.data and crdd = crd.Region.data in
@@ -288,6 +291,10 @@ let iter_of_level (l : Level.t) =
             for p = start to hi do
               emit crdd.(p) p
             done);
+        li_run =
+          (fun ~parent run ->
+            let lo, hi = posd.(parent) in
+            run lo hi);
       }
   | Level.Singleton { crd } ->
       let crdd = crd.Region.data in
@@ -297,4 +304,5 @@ let iter_of_level (l : Level.t) =
           (fun ~parent ~from emit ->
             ignore from;
             emit crdd.(parent) parent);
+        li_run = (fun ~parent run -> run parent parent);
       }

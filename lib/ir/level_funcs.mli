@@ -81,6 +81,11 @@ type level_iter = {
       (** [li_iter ~parent ~from emit] calls [emit coordinate position] for
           this level's positions under [parent] in storage order, starting
           at position [from] ([-1] = the parent's first position) *)
+  li_run : parent:int -> (int -> int -> unit) -> unit;
+      (** [li_run ~parent run] calls [run lo hi] once with the inclusive
+          range of this level's positions under [parent] (empty when
+          [hi < lo]): the positions are contiguous at every level kind, so
+          a leaf loop may take them as one run *)
 }
 
 val iter_of_level : Spdistal_formats.Level.t -> level_iter

@@ -552,7 +552,7 @@ let scaled k (t : Spdistal_formats.Tensor.t) =
 
 let aliasing_kernels =
   [
-    ( "spmv (csr fast path)",
+    ( "spmv (csr, held body)",
       fun k ->
         Core.Kernels.spmv_problem ~machine:(Helpers.cpu_machine 2)
           (scaled k (Helpers.rand_csr ~seed:91 40 40 0.1)) );

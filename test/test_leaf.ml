@@ -1,8 +1,8 @@
 (* Leaf-level contracts of the compiled backend: the array merge core equals
-   the list-based core it replaced, the fiber and CSR SpMM/SDDMM fast paths
-   equal the interpreter on cut shards, compiled leaves allocate nothing per
-   stored element, and the generic walker matches the interpreter on shapes
-   the kernel catalog does not reach. *)
+   the list-based core it replaced, the held and dot bodies on fiber, CSR
+   and other driver layouts equal the interpreter on cut shards, compiled
+   leaves allocate nothing per stored element, and the affine body matches
+   the interpreter on shapes the kernel catalog does not reach. *)
 
 open Spdistal_runtime
 open Spdistal_formats
@@ -332,13 +332,39 @@ let test_merge_backends_agree () =
   Test_exec.check_backends_agree "B + C" (fun () -> add2_problem b c)
 
 (* Merge operands must share the first one's dims: a shorter C used to
-   raise [Invalid_argument], a wider D to emit columns past A's. *)
+   raise [Invalid_argument], a wider D to emit columns past A's.  A
+   product's dense operands must have the driver's extent along every
+   variable it binds: a 4-long c under an 8×4000 SpMV used to return
+   garbage from the compiled backend, a 3-row D under a 300-wide k to raise
+   [Invalid_argument] from the interpreter. *)
 let test_merge_shape_checked () =
   let module K = Core.Kernels in
   let m = Helpers.cpu_machine 2 in
   let b = Helpers.rand_csr ~seed:46 20 20 0.2 in
   let short = Helpers.rand_csr ~seed:47 ~name:"C" 15 20 0.2 in
   let wide = Helpers.rand_csr ~seed:48 ~name:"D" 20 25 0.2 in
+  let short_c () =
+    K.matched ~machine:m
+      ~operands:
+        [
+          ("a", Operand.vec (Dense.vec_create "a" 8));
+          ("B", Operand.sparse (Helpers.rand_csr ~seed:45 8 4000 0.01));
+          ("c", Operand.vec (K.dense_vec "c" 4));
+        ]
+      ~stmt:Tin.spmv ~schedule:(row_sched [ "a"; "B"; "c" ])
+  in
+  let short_d () =
+    let t = Helpers.rand_csf ~seed:44 6 5 300 0.02 in
+    K.matched ~machine:m
+      ~operands:
+        [
+          ("A", Operand.mat (Dense.mat_create "A" 6 4));
+          ("B", Operand.sparse t);
+          ("C", Operand.mat (K.dense_mat "C" 5 4));
+          ("D", Operand.mat (K.dense_mat "D" 3 4));
+        ]
+      ~stmt:Tin.spmttkrp ~schedule:(row_sched [ "A"; "B"; "C"; "D" ])
+  in
   List.iter
     (fun (name, make) ->
       List.iter
@@ -351,6 +377,8 @@ let test_merge_shape_checked () =
     [
       ("C with fewer rows", fun () -> K.spadd3_problem ~machine:m ~c:short b);
       ("D with more columns", fun () -> K.spadd3_problem ~machine:m ~d:wide b);
+      ("SpMV with a 4-long c", short_c);
+      ("SpMTTKRP with a 3-row D", short_d);
     ]
 
 (* --- Fiber fast paths vs the interpreter ---------------------------------- *)
@@ -563,7 +591,7 @@ let prop_fiber_paths_equal_interp =
             Compile_leaf.execute compiled ~shard_vals:(fun _ -> shard) ~rows:None
               ~col_range:c.col_range ())
       in
-      Compile_leaf.path_name compiled = (if c.mttkrp then "fiber-mttkrp" else "fiber-ttv")
+      Compile_leaf.path_name compiled = "held"
       && wi = wc
       && output_bits bi = output_bits bc)
 
@@ -619,11 +647,12 @@ let print_csr_case c =
     (String.concat " " (List.map (Format.asprintf "%a" Iset.pp) c.m_shards))
 
 (* Fresh bindings for one backend, every value drawn from the case and the
-   output seeded non-zero, as in [fiber_bindings]. *)
-let csr_bindings c =
+   output seeded non-zero, as in [fiber_bindings]; the driver is stored by
+   [store] (CSR by default). *)
+let csr_bindings ?(store = Tensor.csr ~name:"B") c =
   let v = c.m_vals in
   let b =
-    Tensor.csr ~name:"B"
+    store
       (Coo.make [| c.m_rows; c.m_cols |]
          (List.mapi (fun x (i, j) -> ([| i; j |], v.(x mod 2000))) c.entries))
   in
@@ -668,30 +697,54 @@ let csr_leaf c =
     col_split = 1;
   }
 
-(* Each shard runs in turn on both backends; the outputs and every shard's
-   work must agree bit for bit, and the compiled leaf must have taken the
-   CSR path. *)
+(* Runs each shard in turn on both backends, the driver stored by [store];
+   returns the compiled leaf's path and whether the outputs and every
+   shard's work agree bit for bit. *)
+let csr_case_agrees ?store c =
+  let leaf = csr_leaf c in
+  let bi = csr_bindings ?store c and bc = csr_bindings ?store c in
+  let compiled = Compile_leaf.compile ~bindings:bc leaf in
+  let works exec = List.map (fun shard -> work_bits (exec shard).Leaf.work) c.m_shards in
+  let interp = Leaf.execute ~bindings:bi ~leaf in
+  let wi =
+    works (fun shard -> interp ~shard_vals:(fun _ -> shard) ~rows:None ~col_range:c.m_col_range ())
+  in
+  let wc =
+    works (fun shard ->
+        Compile_leaf.execute compiled ~shard_vals:(fun _ -> shard) ~rows:None
+          ~col_range:c.m_col_range ())
+  in
+  (Compile_leaf.path_name compiled, wi = wc && output_bits bi = output_bits bc)
+
+(* The compiled leaf must take the held (SpMM) or dot (SDDMM) body. *)
 let prop_csr_paths_equal_interp =
   Helpers.qtest ~count:500 "SpMM/SDDMM fast paths = interp (outputs, work bits)"
     (QCheck.make ~print:print_csr_case gen_csr_case)
-    (fun c ->
-      let leaf = csr_leaf c in
-      let bi = csr_bindings c and bc = csr_bindings c in
-      let compiled = Compile_leaf.compile ~bindings:bc leaf in
-      let works exec = List.map (fun shard -> work_bits (exec shard).Leaf.work) c.m_shards in
-      let interp = Leaf.execute ~bindings:bi ~leaf in
-      let wi =
-        works (fun shard ->
-            interp ~shard_vals:(fun _ -> shard) ~rows:None ~col_range:c.m_col_range ())
-      in
-      let wc =
-        works (fun shard ->
-            Compile_leaf.execute compiled ~shard_vals:(fun _ -> shard) ~rows:None
-              ~col_range:c.m_col_range ())
-      in
-      Compile_leaf.path_name compiled = (if c.sddmm then "csr-sddmm" else "csr-spmm")
-      && wi = wc
-      && output_bits bi = output_bits bc)
+    (fun c -> csr_case_agrees c = ((if c.sddmm then "dot" else "held"), true))
+
+(* The same leaves over the layouts no format-matched loop covered: DCSR,
+   COO, CSC-ordered, (Compressed, Dense) and (Dense, Dense).  Each runs one
+   of the three bodies, with the leaf cut by the shards as for CSR. *)
+let layouts =
+  Level.
+    [|
+      ("DCSR", [| Compressed_k; Compressed_k |], [| 0; 1 |]);
+      ("COO", [| Compressed_nonunique_k; Singleton_k |], [| 0; 1 |]);
+      ("CSC", [| Dense_k; Compressed_k |], [| 1; 0 |]);
+      ("CD", [| Compressed_k; Dense_k |], [| 0; 1 |]);
+      ("DD", [| Dense_k; Dense_k |], [| 1; 0 |]);
+    |]
+
+let prop_layouts_equal_interp =
+  Helpers.qtest ~count:400 "other driver layouts = interp (outputs, work bits)"
+    (QCheck.make
+       ~print:(fun (c, k) ->
+         let name, _, _ = layouts.(k) in
+         name ^ " " ^ print_csr_case c)
+       (fun st -> (gen_csr_case st, Random.State.int st (Array.length layouts))))
+    (fun (c, k) ->
+      let _, formats, mode_order = layouts.(k) in
+      snd (csr_case_agrees ~store:(Tensor.of_coo ~name:"B" ~formats ~mode_order) c))
 
 let rand_ddc ?seed d0 d1 d2 density =
   Tensor.of_coo ~name:"B"
@@ -700,16 +753,18 @@ let rand_ddc ?seed d0 d1 d2 density =
 
 (* --- Allocation ----------------------------------------------------------- *)
 
-(* The first compiled leaf of a problem prepared on one piece. *)
-let compiled_leaf p =
+(* The compiled leaves of a problem, in program order. *)
+let compiled_leaves p =
   let prog = Core.Spdistal.compile p in
   let prepared =
     Interp.prepare ~backend:Compile_leaf.Compiled ~bindings:(Core.Spdistal.bindings p)
       prog
   in
-  match List.find_map Fun.id prepared.Interp.pp_leaves with
-  | Some l -> l
-  | None -> Alcotest.fail "no compiled leaf"
+  List.filter_map Fun.id prepared.Interp.pp_leaves
+
+(* The first compiled leaf of a problem. *)
+let compiled_leaf p =
+  match compiled_leaves p with l :: _ -> l | [] -> Alcotest.fail "no compiled leaf"
 
 let minor_words f =
   let before = Gc.minor_words () in
@@ -722,7 +777,7 @@ let execute_all cl n =
     ignore (Compile_leaf.execute cl ~shard_vals:(fun _ -> all) ~rows:None ~col_range:None ())
 
 (* Whether this build keeps local floats unboxed, judged on the CSR SpMV
-   fast path.  Bytecode boxes every float, and so may coverage
+   leaf.  Bytecode boxes every float, and so may coverage
    instrumentation; there the bound below cannot hold and is skipped. *)
 let unboxed_floats =
   lazy
@@ -819,30 +874,29 @@ let test_sddmm_transpose_reused () =
     (Printf.sprintf "second launch: %.0f bytes < D's %.0f" second d_bytes)
     true (second < d_bytes)
 
-(* The frozen fuzz corpus reaches each fiber path on both driver layouts,
-   so its backend-equivalence replay covers them. *)
-let test_corpus_reaches_fiber_paths () =
+(* The loop each compiled leaf of every line of the frozen fuzz corpus
+   runs ([reject:] lines expect the compiler's refusal and have none). *)
+let corpus_paths () =
   let module Spec = Spdistal_fuzz.Spec in
-  let reached =
-    In_channel.with_open_text "corpus/kernels.case" In_channel.input_all
-    |> String.split_on_char '\n'
-    |> List.filter_map (fun line ->
-           let line = String.trim line in
-           if line = "" || line.[0] = '#' then None
-           else
-             let spec = Spec.of_string_exn line in
-             let layout =
-               String.concat ""
-                 (Array.to_list
-                    (Array.map
-                       (function Level.Dense_k -> "d" | Level.Compressed_k -> "c" | _ -> "?")
-                       spec.Spec.driver_kinds))
-             in
-             Some (Compile_leaf.path_name (compiled_leaf (Spec.build spec)) ^ " " ^ layout))
-  in
+  List.concat_map
+    (fun file ->
+      In_channel.with_open_text ("corpus/" ^ file ^ ".case") In_channel.input_all
+      |> String.split_on_char '\n'
+      |> List.concat_map (fun line ->
+             let line = String.trim line in
+             if line = "" || line.[0] = '#' || String.starts_with ~prefix:"reject:" line then []
+             else
+               List.map Compile_leaf.path_name
+                 (compiled_leaves (Spec.build (Spec.of_string_exn line)))))
+    [ "kernels"; "regressions"; "auto" ]
+
+(* The frozen fuzz corpus reaches every loop a compiled leaf runs, so its
+   backend-equivalence replay covers each. *)
+let test_corpus_reaches_every_path () =
+  let reached = corpus_paths () in
   List.iter
     (fun want -> Alcotest.(check bool) ("corpus reaches " ^ want) true (List.mem want reached))
-    [ "fiber-ttv dcc"; "fiber-ttv ddc"; "fiber-mttkrp dcc"; "fiber-mttkrp ddc" ]
+    [ "held"; "dot"; "affine"; "csr-merge"; "merge" ]
 
 (* --- Generic-walker shapes ------------------------------------------------ *)
 
@@ -915,8 +969,9 @@ let walker_shapes () =
 
 (* --- Path selection --------------------------------------------------------- *)
 
-(* Each catalog kernel takes its fused loop, and the fiber paths fall back to
-   the generic walker on a permuted mode order or a reordered product. *)
+(* Each catalog kernel takes a blocked body (held or dot); a permuted mode
+   order takes whichever body the plan allows, and a reordered product,
+   whose fold the held body cannot keep, falls back to the affine one. *)
 let test_path_selection () =
   let module K = Core.Kernels in
   let m = Helpers.cpu_machine 2 and gpu = Helpers.gpu_machine [| 2 |] in
@@ -940,29 +995,29 @@ let test_path_selection () =
     (fun (name, want, p) ->
       Alcotest.(check string) name want (Compile_leaf.path_name (compiled_leaf p)))
     [
-      ("SpMV", "csr-spmv", K.spmv_problem ~machine:m mat);
-      ("SpMM", "csr-spmm", K.spmm_problem ~machine:m ~cols:4 mat);
-      ("SDDMM", "csr-sddmm", K.sddmm_problem ~machine:m ~cols:4 mat);
+      ("SpMV", "held", K.spmv_problem ~machine:m mat);
+      ("SpMM", "held", K.spmm_problem ~machine:m ~cols:4 mat);
+      ("SDDMM", "dot", K.sddmm_problem ~machine:m ~cols:4 mat);
       ("SpAdd3", "csr-merge", K.spadd3_problem ~machine:m mat);
       ( "SpAdd3 workspace",
         "merge",
         K.spadd3_problem ~machine:m ~schedule:(K.spadd3_workspace ()) mat );
-      ("SpTTV CSF", "fiber-ttv", K.spttv_problem ~machine:m csf);
-      ("SpTTV DDC", "fiber-ttv", K.spttv_problem ~machine:m ddc);
+      ("SpTTV CSF", "held", K.spttv_problem ~machine:m csf);
+      ("SpTTV DDC", "held", K.spttv_problem ~machine:m ddc);
       ( "SpTTV CSF nnz",
-        "fiber-ttv",
+        "held",
         K.spttv_problem ~machine:gpu ~schedule:(K.spttv_nnz ~proc:Spdistal_ir.Schedule.Gpu_thread ()) csf );
-      ("SpMTTKRP CSF", "fiber-mttkrp", K.mttkrp_problem ~machine:m ~cols:4 csf);
-      ("SpMTTKRP DDC", "fiber-mttkrp", K.mttkrp_problem ~machine:m ~cols:4 ddc);
+      ("SpMTTKRP CSF", "held", K.mttkrp_problem ~machine:m ~cols:4 csf);
+      ("SpMTTKRP DDC", "held", K.mttkrp_problem ~machine:m ~cols:4 ddc);
       ( "SpMTTKRP DDC nnz",
-        "fiber-mttkrp",
+        "held",
         K.mttkrp_problem ~machine:gpu ~cols:4
           ~schedule:(K.mttkrp_nnz ~proc:Spdistal_ir.Schedule.Gpu_thread ()) ddc );
-      ("SpTTV mode order [1;0;2]", "generic", K.spttv_problem ~machine:m (permuted [| 1; 0; 2 |]));
+      ("SpTTV mode order [1;0;2]", "held", K.spttv_problem ~machine:m (permuted [| 1; 0; 2 |]));
       ( "SpMTTKRP mode order [0;2;1]",
-        "generic",
+        "affine",
         K.mttkrp_problem ~machine:m ~cols:4 (permuted [| 0; 2; 1 |]) );
-      ("SpMTTKRP factors D, C", "generic", reordered ());
+      ("SpMTTKRP factors D, C", "affine", reordered ());
     ]
 
 let test_walker_shapes () =
@@ -975,14 +1030,15 @@ let test_walker_shapes () =
 
 (* A sparse output cannot hold an inner output variable.  Both backends
    defer that error to the first stored element they visit, so an empty
-   piece, or a piece whose column chunk is empty, still succeeds. *)
+   piece, or a piece whose column chunk is empty, still succeeds.  [C] has
+   [A]'s six columns, the extent its [j] binds. *)
 let test_inner_out_sparse_error () =
   let b = Helpers.rand_csr ~seed:44 6 6 0.4 in
   let bindings =
     [
       ("A", Operand.sparse (Assemble.copy_pattern ~name:"A" b));
       ("B", Operand.sparse b);
-      ("C", Operand.mat (Core.Kernels.dense_mat "C" 6 4));
+      ("C", Operand.mat (Core.Kernels.dense_mat "C" 6 6));
     ]
   in
   let leaf =
@@ -1158,11 +1214,12 @@ let suite =
       test_inner_out_sparse_error;
     prop_fiber_paths_equal_interp;
     prop_csr_paths_equal_interp;
+    prop_layouts_equal_interp;
     Alcotest.test_case "SDDMM reuses its transposed D across launches" `Quick
       test_sddmm_transpose_reused;
     Alcotest.test_case "fast-path selection and fallback" `Quick test_path_selection;
-    Alcotest.test_case "fuzz corpus reaches the fiber paths" `Quick
-      test_corpus_reaches_fiber_paths;
+    Alcotest.test_case "fuzz corpus reaches every leaf path" `Quick
+      test_corpus_reaches_every_path;
     Alcotest.test_case "launch bindings are shape-checked" `Quick
       test_launch_shape_checked;
     prop_merge_in_place_equals_assembly;
