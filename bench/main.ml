@@ -520,6 +520,100 @@ let run_leaf_throughput () =
   Printf.printf "CSV: %s\n%!" path
 
 (* ------------------------------------------------------------------ *)
+(* Partition operators: wall-clock of each dependent-partitioning      *)
+(* operator on the inputs bench/perf's cold-plan and auto-price        *)
+(* workloads derive from (seed 1): the power-law matrix as CSR and the  *)
+(* skewed 3-tensor as CSF, four colors each.  One row per operator and  *)
+(* input: the region entries the operator is billed for, the intervals  *)
+(* it emits over all colors, and ns per entry, the median over          *)
+(* alternating rounds.  Writes results/partition_ops.csv (wall clock,   *)
+(* not pinned, no floor).                                               *)
+(* ------------------------------------------------------------------ *)
+
+let run_partition_ops () =
+  let open Spdistal_runtime in
+  let module Tensor = Spdistal_formats.Tensor in
+  let colors = 4 in
+  (* The ops of one input: the deepest compressed level's pos and crd
+     under block partitions (rows or fibers, positions, values), and the
+     preimage of a value-range partition of crd, which holds one fragment
+     per parent, as SDDMM's row:j derives it. *)
+  let ops input (t : Tensor.t) =
+    let k = Array.length t.Tensor.levels - 1 in
+    let pos = Tensor.pos_of t k and crd = Tensor.crd_of t k in
+    let extent = t.Tensor.dims.(t.Tensor.mode_order.(k)) in
+    let parents = Partition.equal_blocks pos.Region.ispace colors in
+    let positions = Partition.equal_blocks crd.Region.ispace colors in
+    let values =
+      Array.init colors (fun c ->
+          (c * extent / colors, ((c + 1) * extent / colors) - 1))
+    in
+    let by_values = Partition.by_value_ranges ~values:crd crd.Region.ispace values in
+    let size (r : _ Region.t) = Iset.cardinal r.Region.ispace in
+    [
+      ( "image_ranges", input, size pos,
+        fun () -> Dependent.image_ranges pos parents crd.Region.ispace );
+      ( "preimage_ranges", input, size pos,
+        fun () -> Dependent.preimage_ranges pos positions );
+      ( "preimage_ranges_fragmented", input, size pos,
+        fun () -> Dependent.preimage_ranges pos by_values );
+      ( "image_values", input, size crd,
+        fun () -> Dependent.image_values crd positions (Iset.range extent) );
+      ( "by_value_ranges", input, size crd,
+        fun () -> Partition.by_value_ranges ~values:crd crd.Region.ispace values );
+    ]
+  in
+  let inputs =
+    [
+      ( "cold-plan-matrix",
+        Synth.power_law ~name:"B" ~rows:10_000 ~cols:10_000 ~nnz:190_000
+          ~alpha:1.0 ~seed:1001 );
+      ( "cold-plan-tensor3",
+        Synth.tensor3_skewed ~name:"B" ~dims:[| 1_400; 1_400; 200 |]
+          ~nnz:330_000 ~alpha:1.2 ~seed:2001 );
+      ( "auto-price-matrix",
+        Synth.power_law ~name:"B" ~rows:1_500 ~cols:1_500 ~nnz:22_500 ~alpha:1.0
+          ~seed:3001 );
+      ( "auto-price-tensor3",
+        Synth.tensor3_skewed ~name:"B" ~dims:[| 187; 187; 100 |] ~nnz:22_500
+          ~alpha:1.2 ~seed:4001 );
+    ]
+  in
+  let all = List.concat_map (fun (input, t) -> ops input t) inputs in
+  print_endline "=== Partition operators (wall clock, 4 colors) ===";
+  (* Every op once per round, in order, as the leaf rounds are. *)
+  let rounds =
+    List.init leaf_rounds (fun _ ->
+        List.map (fun (_, _, _, f) -> time_reps (fun () -> ignore (f ()))) all)
+  in
+  (try Unix.mkdir "results" 0o755
+   with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+  let path = "results/partition_ops.csv" in
+  let oc = open_out path in
+  output_string oc "operator,input,entries,intervals,ns_per_entry\n";
+  List.iteri
+    (fun i (op, input, entries, f) ->
+      let intervals =
+        Array.fold_left
+          (fun n s -> n + Iset.interval_count s)
+          0 (f ()).Partition.subsets
+      in
+      let ns =
+        median
+          (List.map
+             (fun round ->
+               let reps, secs = List.nth round i in
+               secs /. float_of_int reps /. float_of_int (max 1 entries) *. 1e9)
+             rounds)
+      in
+      Printf.printf "%-28s %-20s %8d entries %7d intervals %8.2f ns/entry\n%!" op
+        input entries intervals ns;
+      Printf.fprintf oc "%s,%s,%d,%d,%.3f\n" op input entries intervals ns)
+    all;
+  close_out oc;
+  Printf.printf "CSV: %s\n%!" path
+
+(* ------------------------------------------------------------------ *)
 (* Serving: the multi-tenant front-end under four scenarios — steady   *)
 (* load, an overload burst, sustained faults, and both at once.  Every *)
 (* run must keep answering (no crash) and hold the cache byte budget;  *)
@@ -631,6 +725,11 @@ let serve_only =
   | Some ("1" | "true" | "yes") -> true
   | _ -> false
 
+let part_only =
+  match Sys.getenv_opt "BENCH_PART_ONLY" with
+  | Some ("1" | "true" | "yes") -> true
+  | _ -> false
+
 let auto_only =
   match Sys.getenv_opt "BENCH_AUTO_ONLY" with
   | Some ("1" | "true" | "yes") -> true
@@ -647,6 +746,11 @@ let () =
     section "serve" run_serve;
     exit 0
   end;
+  if part_only then begin
+    (* Just the partition-operator microbench and its CSV. *)
+    section "partition-ops" run_partition_ops;
+    exit 0
+  end;
   if auto_only then begin
     (* CI smoke mode: just the auto-scheduler tournament and its CSV. *)
     section "auto-tournament" run_auto_tournament;
@@ -660,6 +764,7 @@ let () =
     Datasets.scale;
 
   section "leaf-throughput" run_leaf_throughput;
+  section "partition-ops" run_partition_ops;
   run_domain_scaling ();
   section "fault-sweep" run_fault_sweep;
   section "amortization" run_amortization;

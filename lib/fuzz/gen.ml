@@ -151,6 +151,11 @@ let sample_product r ~params ~dseed =
     | Some l when i = 0 ->
         (* carry the extra var; pair with a random driver var half the time *)
         if chance r 0.5 then [ pick r driver_vars; l ] else [ l ]
+    | Some l when i = 1 && (not extra_is_out) && chance r 0.5 ->
+        (* a second factor over the reduced var, as SDDMM's D(k,j) is: the
+           inner reduction of a dot-shaped leaf *)
+        let v = pick r driver_vars in
+        if chance r 0.5 then [ l; v ] else [ v; l ]
     | _ ->
         if chance r 0.5 then [ pick r driver_vars ]
         else

@@ -269,7 +269,9 @@ let iter_of_level (l : Level.t) =
           (fun p ->
             (* The ranges are monotone and non-overlapping (empty parents
                are normalized to [(c, c-1)]), so binary search finds the
-               unique parent whose range holds [p]. *)
+               unique parent whose range holds [p].  This is the [pos]
+               precondition [Dependent.preimage_ranges] states and checks
+               (DESIGN.md, "Dependent partitioning kernels"). *)
             let rec bs lo hi =
               if lo > hi then
                 Error.fail Error.Leaf

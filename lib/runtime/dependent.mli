@@ -13,13 +13,22 @@
     destinations.  Preimages of shared structure may produce aliased
     partitions (Fig. 6b).
 
-    Each operator is one sweep over the region's backing array, on int
-    compares, with results accumulated in {!Iset.builder}s.  A preimage of
-    ranges keeps one forward-only cursor per destination color while the
-    ranges' starts rise (CSR [pos]) and falls back to a binary search when
-    a range starts below the previous one.  An image whose source subset
-    escapes the region's index space fails with [Error.Error] in phase
-    [Partition_eval]. *)
+    Each operator pays per run, not per entry and color: its loops keep
+    their state in locals and call into {!Iset} once per interval they
+    emit.  An image whose source subset escapes the region's index space
+    fails with [Error.Error] in phase [Partition_eval].
+
+    {b The [pos] precondition.}  [preimage_ranges] reads its [pos] as a
+    compressed level stores it: every entry starts after the entry before
+    it ends, and ends no earlier than just before its own start.  So the
+    non-empty ranges rise without overlap and an empty parent is
+    [(c, c - 1)] at the next start; [Tensor.of_coo] and the merge stitcher
+    build every compressed level this way.  Both ends then never fall, and
+    for each source run the preimage seeks the first entry ending at or
+    after the run's start and scans only the entries that meet it.  Each
+    entry it scans is checked; one that breaks the order fails with
+    [Error.Error] in phase [Partition_eval].  The other operators assume
+    nothing of the values they read. *)
 
 (** [image_ranges pos p target] where [p] partitions [pos]'s index space:
     color [c] receives the union of ranges [pos.(i)] over [i] in [p(c)],
@@ -27,14 +36,11 @@
 val image_ranges : (int * int) Region.t -> Partition.t -> Iset.t -> Partition.t
 
 (** [preimage_ranges pos p] where [p] partitions the pointed-to space: color
-    [c] receives every [i] whose range [pos.(i)] intersects [p(c)]. *)
+    [c] receives every [i] whose range [pos.(i)] intersects [p(c)].  [pos]
+    must satisfy the precondition above. *)
 val preimage_ranges : (int * int) Region.t -> Partition.t -> Partition.t
 
 (** [image_values crd p target] where [p] partitions [crd]'s index space:
     color [c] receives the set [{crd.(i) | i in p(c)}], clipped to
     [target]. *)
 val image_values : int Region.t -> Partition.t -> Iset.t -> Partition.t
-
-(** [preimage_values crd p] where [p] partitions the value space: color [c]
-    receives every position [i] with [crd.(i)] in [p(c)]. *)
-val preimage_values : int Region.t -> Partition.t -> Partition.t

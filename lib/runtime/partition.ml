@@ -108,25 +108,106 @@ let by_bounds_strided ?(axis = Flat) is ~dim bounds =
   in
   { parent = is; subsets; disjoint = compute_disjoint subsets; axis }
 
-let by_value_ranges ?(axis = Flat) ~values is ranges =
+(* The non-empty colors of a value-range coloring, in color order, with
+   their bounds, when those ranges rise without overlap: then a value lies
+   in at most one of them. *)
+type rising = { live : int array; starts : int array; ends : int array }
+
+let rising (ranges : (int * int) array) =
+  let live =
+    List.filter (fun c -> fst ranges.(c) <= snd ranges.(c))
+      (List.init (Array.length ranges) Fun.id)
+  in
+  let rec rises = function
+    | a :: (b :: _ as rest) -> snd ranges.(a) < fst ranges.(b) && rises rest
+    | [ _ ] | [] -> true
+  in
+  if rises live then
+    let live = Array.of_list live in
+    Some
+      {
+        live;
+        starts = Array.map (fun c -> fst ranges.(c)) live;
+        ends = Array.map (fun c -> snd ranges.(c)) live;
+      }
+  else None
+
+(* The index of the last of the (non-empty, ascending) [starts] at or
+   before [v], or -1.  The steps are branch-free: which color a value falls
+   in is as unpredictable as the values themselves. *)
+let last_start (starts : int array) v =
+  let base = ref 0 and len = ref (Array.length starts) in
+  while !len > 1 do
+    let half = !len lsr 1 in
+    base := !base + (half * Bool.to_int (starts.(!base + half) <= v));
+    len := !len - half
+  done;
+  if starts.(0) <= v then !base else -1
+
+let by_value_ranges ?(axis = Flat) ~values is (ranges : (int * int) array) =
   if not (Iset.subset is values.Region.ispace) then
     Error.fail Error.Partition_eval
       "Partition.by_value_ranges: index space escapes %s" values.Region.name;
   let colors = Array.length ranges in
-  let rlos = Array.map fst ranges and rhis = Array.map snd ranges in
   let bs = Array.init colors (fun _ -> Iset.builder ()) in
-  let data = values.Region.data in
-  Iset.iter_intervals
-    (fun lo hi ->
-      for i = lo to hi do
-        let v : int = data.(i) in
-        for c = 0 to colors - 1 do
-          if v >= rlos.(c) && v <= rhis.(c) then Iset.add bs.(c) i
-        done
-      done)
-    is;
-  let subsets = Array.map Iset.build bs in
-  { parent = is; subsets; disjoint = compute_disjoint subsets; axis }
+  (* Color [c]'s open run of positions is [olo.(c)..ohi.(c)], none while
+     [olo.(c) > ohi.(c)]; a position that does not extend it closes it
+     into the color's builder, so [Iset] sees one call per run. *)
+  let olo = Array.make colors 0 and ohi = Array.make colors (-1) in
+  let hit c i =
+    if ohi.(c) = i - 1 && olo.(c) <= ohi.(c) then ohi.(c) <- i
+    else begin
+      Iset.add_interval bs.(c) olo.(c) ohi.(c);
+      olo.(c) <- i;
+      ohi.(c) <- i
+    end
+  in
+  let data : int array = values.Region.data in
+  let order = rising ranges in
+  (match order with
+  | Some { live; starts; ends } ->
+      (* A value usually falls in the color of the value before it, whose
+         open run then ends just before it; only a change of color
+         searches. *)
+      if Array.length live > 0 then
+        Iset.iter_intervals
+          (fun lo hi ->
+            let prev = ref (-1) in
+            for i = lo to hi do
+              let v = data.(i) in
+              let k = !prev in
+              if k >= 0 && v >= starts.(k) && v <= ends.(k) then
+                ohi.(live.(k)) <- i
+              else begin
+                let k = last_start starts v in
+                if k >= 0 && v <= ends.(k) then begin
+                  hit live.(k) i;
+                  prev := k
+                end
+                else prev := -1
+              end
+            done)
+          is
+  | None ->
+      Iset.iter_intervals
+        (fun lo hi ->
+          for i = lo to hi do
+            let v = data.(i) in
+            for c = 0 to colors - 1 do
+              if v >= fst ranges.(c) && v <= snd ranges.(c) then hit c i
+            done
+          done)
+        is);
+  let subsets =
+    Array.mapi
+      (fun c b ->
+        Iset.add_interval b olo.(c) ohi.(c);
+        Iset.build b)
+      bs
+  in
+  (* Ranges that rise without overlap give each position one color. *)
+  let disjoint = Option.is_some order || compute_disjoint subsets in
+  { parent = is; subsets; disjoint; axis }
 
 let union_of_colors t = Iset.union_list (Array.to_list t.subsets)
 let is_complete t = Iset.equal (union_of_colors t) t.parent

@@ -33,14 +33,6 @@ let test_image_values () =
   Alcotest.(check (list int)) "value of position 2" [ 1 ]
     (Iset.elements (Partition.subset p 1))
 
-let test_preimage_values () =
-  let vals = Partition.by_bounds (Iset.range 3) [| (0, 0); (1, 2) |] in
-  let p = Dependent.preimage_values crd vals in
-  Alcotest.(check (list int)) "positions holding value 0" [ 0 ]
-    (Iset.elements (Partition.subset p 0));
-  Alcotest.(check (list int)) "positions holding values 1-2" [ 1; 2 ]
-    (Iset.elements (Partition.subset p 1))
-
 (* Property: image/preimage soundness on random CSR structures. *)
 let arb_csr_parts =
   let open QCheck in
@@ -127,10 +119,10 @@ let test_escape_is_typed () =
   expect_partition_eval "by_value_ranges" (fun () ->
       Partition.by_value_ranges ~values:crd2 (Iset.range 3) [| (0, 9) |])
 
-(* The per-element implementations the linear sweeps replaced: each conses
-   one tuple per element and sorts, and the preimages walk each color's
-   interval list per element.  They are the reference model for the
-   differential properties below. *)
+(* Per-element definitions of the operators: each conses one tuple per
+   element and sorts, and the preimage walks each color's interval list
+   per element.  They are the reference model for the differential
+   properties below. *)
 module Model = struct
   let image_ranges (pos : (int * int) Region.t) (p : Partition.t) target =
     let subsets =
@@ -171,18 +163,6 @@ module Model = struct
         p.Partition.subsets
     in
     Partition.make ~axis:p.Partition.axis target subsets
-
-  let preimage_values (crd : int Region.t) (p : Partition.t) =
-    let buckets = Array.map (fun _ -> ref []) p.Partition.subsets in
-    Region.iter
-      (fun i v ->
-        Array.iteri
-          (fun c dst ->
-            if Iset.mem v dst then buckets.(c) := (i, i) :: !(buckets.(c)))
-          p.Partition.subsets)
-      crd;
-    let subsets = Array.map (fun b -> Iset.of_intervals !b) buckets in
-    Partition.make ~axis:p.Partition.axis crd.Region.ispace subsets
 
   let by_value_ranges ~(values : int Region.t) is ranges =
     let buckets = Array.map (fun _ -> ref []) ranges in
@@ -289,6 +269,44 @@ let gen_partition st space u =
        (1 + Random.State.int st 4)
        (fun _ -> Iset.inter space (random_iset st u)))
 
+(* A compressed level as [Tensor.of_coo] stores it, the only [pos] the
+   preimage accepts: a level of a CSR, DCSR, CSF or DCSF tensor, sparse
+   enough that some parents are empty, with its [pos] restricted to a
+   scattered index space a third of the time. *)
+let gen_stored st =
+  let open Spdistal_formats in
+  let int = Random.State.int st in
+  let name, formats =
+    match int 4 with
+    | 0 -> ("csr", [| Level.Dense_k; Level.Compressed_k |])
+    | 1 -> ("dcsr", [| Level.Compressed_k; Level.Compressed_k |])
+    | 2 -> ("csf", [| Level.Dense_k; Level.Compressed_k; Level.Compressed_k |])
+    | _ ->
+        ( "dcsf",
+          [| Level.Compressed_k; Level.Compressed_k; Level.Compressed_k |] )
+  in
+  let dims = Array.map (fun _ -> 1 + int 12) formats in
+  let t = Tensor.of_coo ~name:"T" ~formats (random_coo st dims (int 60)) in
+  let compressed =
+    List.filter (fun k -> formats.(k) = Level.Compressed_k)
+      (List.init (Array.length formats) Fun.id)
+  in
+  let k = List.nth compressed (int (List.length compressed)) in
+  let pos = Tensor.pos_of t k and crd = Tensor.crd_of t k in
+  let spos =
+    if int 3 > 0 then pos
+    else
+      Region.subregion pos
+        (Iset.inter pos.Region.ispace (random_iset st (Region.extent pos)))
+  in
+  {
+    kind = Printf.sprintf "%s level %d" name k;
+    spos;
+    np = Region.extent crd;
+    scrd = crd;
+    nv = dims.(k);
+  }
+
 (* The shape of a scattered column block: a larger CSR level whose crd is
    value-range partitioned into 2-8 colors, so every color holds many
    fragments, then pulled back to rows through pos.  The ranges are either
@@ -316,35 +334,34 @@ let gen_csr_ranges st =
   in
   { cpos = Tensor.pos_of t 1; ccrd = Tensor.crd_of t 1; ranges }
 
+let list pp = Format.pp_print_list ~pp_sep:(fun f () -> Format.pp_print_char f ' ') pp
+let pair f (a, b) = Format.fprintf f "(%d,%d)" a b
+
+let target st u = if Random.State.bool st then Iset.range u else random_iset st u
+
+(* Arbitrary pointers for the operators that assume nothing of the values
+   they read: [image_ranges], [image_values] and [by_value_ranges]. *)
 let arb_dependent_case =
   let gen st =
     let s = gen_structure st in
-    let target u =
-      if Random.State.bool st then Iset.range u else random_iset st u
-    in
     ( s,
       gen_partition st s.spos.Region.ispace (Region.extent s.spos),
       gen_partition st s.scrd.Region.ispace (Region.extent s.scrd),
-      gen_partition st (Iset.range s.np) s.np,
       gen_partition st (Iset.range s.nv) s.nv,
-      (target s.np, target s.nv),
+      (target st s.np, target st s.nv),
       gen_csr_ranges st )
   in
-  let print (s, pos_p, crd_p, np_p, nv_p, (np_target, nv_target), v) =
-    let open Format in
-    let list pp = pp_print_list ~pp_sep:(fun f () -> pp_print_char f ' ') pp in
-    let pair f (a, b) = fprintf f "(%d,%d)" a b in
-    asprintf
+  let print (s, pos_p, crd_p, nv_p, (np_target, nv_target), v) =
+    Format.asprintf
       "@[<v>%s@,pos %a over %a@,crd %a over %a@,pos source %a@,crd source %a@,\
-       pos destination %a@,crd destination %a@,targets %a %a@,\
-       csr pos %a@,csr crd %a@,value ranges %a@]"
+       crd destination %a@,targets %a %a@,\
+       csr crd %a@,value ranges %a@]"
       s.kind (list pair)
       (Array.to_list s.spos.Region.data) Iset.pp s.spos.Region.ispace
-      (list pp_print_int) (Array.to_list s.scrd.Region.data)
+      (list Format.pp_print_int) (Array.to_list s.scrd.Region.data)
       Iset.pp s.scrd.Region.ispace Partition.pp pos_p Partition.pp crd_p
-      Partition.pp np_p Partition.pp nv_p Iset.pp np_target Iset.pp nv_target
-      (list pair) (Array.to_list v.cpos.Region.data)
-      (list pp_print_int) (Array.to_list v.ccrd.Region.data)
+      Partition.pp nv_p Iset.pp np_target Iset.pp nv_target
+      (list Format.pp_print_int) (Array.to_list v.ccrd.Region.data)
       (list pair) (Array.to_list v.ranges)
   in
   QCheck.make ~print gen
@@ -358,15 +375,11 @@ let same (a : Partition.t) (b : Partition.t) =
 let prop_sweeps_equal_model =
   Helpers.qtest ~count:500 "linear sweeps = per-element model"
     arb_dependent_case
-    (fun (s, pos_p, crd_p, np_p, nv_p, (np_target, nv_target), v) ->
+    (fun (s, pos_p, crd_p, nv_p, (np_target, nv_target), v) ->
       same (Dependent.image_ranges s.spos pos_p np_target)
         (Model.image_ranges s.spos pos_p np_target)
-      && same (Dependent.preimage_ranges s.spos np_p)
-           (Model.preimage_ranges s.spos np_p)
       && same (Dependent.image_values s.scrd crd_p nv_target)
            (Model.image_values s.scrd crd_p nv_target)
-      && same (Dependent.preimage_values s.scrd nv_p)
-           (Model.preimage_values s.scrd nv_p)
       &&
       let ranges =
         Array.map (fun sub ->
@@ -378,21 +391,76 @@ let prop_sweeps_equal_model =
         (Model.by_value_ranges ~values:s.scrd is ranges)
       &&
       let crd_space = v.ccrd.Region.ispace in
-      let by_ranges = Partition.by_value_ranges ~values:v.ccrd crd_space v.ranges in
-      same by_ranges (Model.by_value_ranges ~values:v.ccrd crd_space v.ranges)
-      && same (Dependent.preimage_ranges v.cpos by_ranges)
-           (Model.preimage_ranges v.cpos by_ranges))
+      same
+        (Partition.by_value_ranges ~values:v.ccrd crd_space v.ranges)
+        (Model.by_value_ranges ~values:v.ccrd crd_space v.ranges))
+
+(* The range operators on stored levels.  The preimage's destination is a
+   random partition of the level's positions (aliased colors allowed) or,
+   as SDDMM's [row:j] derives it, a value-range partition of a CSR [crd],
+   whose colors hold one fragment per row. *)
+let arb_stored_case =
+  let gen st =
+    let s = gen_stored st in
+    ( s,
+      gen_partition st s.spos.Region.ispace (Region.extent s.spos),
+      gen_partition st (Iset.range s.np) s.np,
+      target st s.np,
+      gen_csr_ranges st )
+  in
+  let print (s, pos_p, np_p, np_target, v) =
+    Format.asprintf
+      "@[<v>%s@,pos %a over %a@,pos source %a@,pos destination %a@,target %a@,\
+       csr pos %a@,csr crd %a@,value ranges %a@]"
+      s.kind (list pair)
+      (Array.to_list s.spos.Region.data) Iset.pp s.spos.Region.ispace
+      Partition.pp pos_p Partition.pp np_p Iset.pp np_target (list pair)
+      (Array.to_list v.cpos.Region.data)
+      (list Format.pp_print_int) (Array.to_list v.ccrd.Region.data)
+      (list pair) (Array.to_list v.ranges)
+  in
+  QCheck.make ~print gen
+
+let prop_ranges_equal_model =
+  Helpers.qtest ~count:500 "range operators on stored levels = per-element model"
+    arb_stored_case
+    (fun (s, pos_p, np_p, np_target, v) ->
+      same (Dependent.image_ranges s.spos pos_p np_target)
+        (Model.image_ranges s.spos pos_p np_target)
+      && same (Dependent.preimage_ranges s.spos np_p)
+           (Model.preimage_ranges s.spos np_p)
+      &&
+      let by_ranges =
+        Partition.by_value_ranges ~values:v.ccrd v.ccrd.Region.ispace v.ranges
+      in
+      same (Dependent.preimage_ranges v.cpos by_ranges)
+        (Model.preimage_ranges v.cpos by_ranges))
+
+(* A [pos] whose ranges overlap, or whose empty entry is not [(c, c - 1)],
+   fails the preimage with a typed error rather than a wrong answer. *)
+let test_unordered_pos_is_typed () =
+  let all = Partition.by_bounds (Iset.range 6) [| (0, 5) |] in
+  expect_partition_eval "overlapping ranges" (fun () ->
+      Dependent.preimage_ranges
+        (Region.of_array "pos" [| (0, 3); (2, 5) |])
+        all);
+  expect_partition_eval "inverted empty range" (fun () ->
+      Dependent.preimage_ranges
+        (Region.of_array "pos" [| (0, 1); (4, 1); (2, 5) |])
+        all)
 
 let suite =
   [
     Alcotest.test_case "image of ranges" `Quick test_image_ranges;
     Alcotest.test_case "preimage of ranges" `Quick test_preimage_ranges;
     Alcotest.test_case "image of values" `Quick test_image_values;
-    Alcotest.test_case "preimage of values" `Quick test_preimage_values;
     prop_image_covers_children;
     prop_preimage_sound;
     prop_galois;
     Alcotest.test_case "escaping source is a typed error" `Quick
       test_escape_is_typed;
+    Alcotest.test_case "unordered pos is a typed error" `Quick
+      test_unordered_pos_is_typed;
     prop_sweeps_equal_model;
+    prop_ranges_equal_model;
   ]
