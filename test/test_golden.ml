@@ -163,10 +163,113 @@ let baselines_table () =
 
 let test_baselines () = check_golden "baselines.csv" (baselines_table ())
 
+(* The printed partitioning-and-compute programs of every evaluation
+   kernel's hand schedule (CPU row split, GPU non-zero split, batched SpMM),
+   each followed by the placement program of each of its sparse operands,
+   plus placements that reach the remaining initial-partition cases: a COO
+   matrix (Compressed_nonunique over Singleton) under universe and non-zero
+   splits, a non-zero split of a CSR matrix's dense root, and a universe
+   split of a dense level below the root (the strided partition).  Lowering is a pure function of the formats, the
+   schedule and the grid, so the text is byte-deterministic; a diff here
+   means a plan changed. *)
+let plans_text () =
+  let open Spdistal_ir in
+  let module R = Spdistal_experiments.Runner in
+  let module S = Core.Spdistal in
+  let module Operand = Spdistal_exec.Operand in
+  let module Synth = Spdistal_workloads.Synth in
+  let module Tensor = Spdistal_formats.Tensor in
+  let matrix = Synth.uniform ~name:"B" ~rows:60 ~cols:50 ~nnz:300 ~seed:17 in
+  let csf =
+    Synth.tensor3_uniform ~name:"B" ~dims:[| 12; 10; 8 |] ~nnz:150 ~seed:19
+  in
+  let ddc =
+    Synth.tensor3_dense_modes ~name:"B" ~dims:[| 4; 5; 30 |] ~nnz:150 ~seed:23
+  in
+  let coo = Tensor.coo_matrix ~name:"B" (Tensor.to_coo matrix) in
+  let b = Buffer.create 65536 in
+  let section title prog =
+    Printf.bprintf b "== %s\n%s\n" title (Pretty.prog_to_string prog)
+  in
+  let placement label ~env ~grid name tensor tdn =
+    section
+      (Format.asprintf "%s: placement %a" label (Tdn.pp ~tensor:name) tdn)
+      (Lower.placement_of_tdn ~env ~grid ~tensor:name
+         ~order:(Tensor.order tensor) tdn)
+  in
+  let problem label (p : S.problem) =
+    section (label ^ ": plan") (S.compile p);
+    let bindings = S.bindings p in
+    let env = Operand.env_of_bindings bindings in
+    List.iter
+      (fun (name, (slot : Operand.slot), tdn) ->
+        match (slot.Operand.data, tdn) with
+        | Operand.Sparse t, (Tdn.Blocked _ | Tdn.Tiled _ | Tdn.Non_zero _
+                            | Tdn.Fused_non_zero _) ->
+            placement label ~env ~grid:p.S.machine.Spdistal_runtime.Machine.grid
+              name t tdn
+        | _ -> ())
+      p.S.operands
+  in
+  let machines =
+    [ ("cpu4", R.cpu_machine ~nodes:4); ("gpu4", R.gpu_machine ~gpus:4) ]
+  in
+  List.iter
+    (fun (mname, machine) ->
+      List.iter
+        (fun kernel ->
+          let inputs =
+            if List.mem kernel R.kernels_for_tensor3 then
+              [ ("csf", csf); ("ddc", ddc) ]
+            else [ ("csr", matrix) ]
+          in
+          List.iter
+            (fun (iname, t) ->
+              problem
+                (Printf.sprintf "%s %s %s" (R.kernel_name kernel) mname iname)
+                (R.problem_for ~kernel ~machine ~cols:8 t))
+            inputs)
+        R.all_kernels)
+    machines;
+  problem "SpMM gpu4 csr batched"
+    (R.problem_for ~kernel:R.Spmm ~machine:(R.gpu_machine ~gpus:4) ~cols:8
+       ~batched:true matrix);
+  let env_of name t =
+    Operand.env_of_bindings [ (name, Operand.sparse t) ]
+  in
+  List.iter
+    (fun (label, t, tdns) ->
+      List.iter
+        (fun tdn -> placement label ~env:(env_of "B" t) ~grid:[| 4 |] "B" t tdn)
+        tdns)
+    [
+      ("csr", matrix, Tdn.[ Non_zero { tensor_dim = 0; machine_dim = 0 } ]);
+      ( "coo",
+        coo,
+        Tdn.
+          [
+            Blocked { tensor_dim = 0; machine_dim = 0 };
+            Blocked { tensor_dim = 1; machine_dim = 0 };
+            Non_zero { tensor_dim = 0; machine_dim = 0 };
+            Fused_non_zero { dims = [ 0; 1 ]; machine_dim = 0 };
+          ] );
+      ( "ddc",
+        ddc,
+        Tdn.
+          [
+            Blocked { tensor_dim = 1; machine_dim = 0 };
+            Fused_non_zero { dims = [ 0; 1 ]; machine_dim = 0 };
+          ] );
+    ];
+  Buffer.contents b
+
+let test_plans () = check_golden "plans.txt" (plans_text ())
+
 let suite =
   [
     Alcotest.test_case "report csv golden" `Quick test_report_csv;
     Alcotest.test_case "report text golden" `Quick test_report_text;
     Alcotest.test_case "auto report golden" `Quick test_auto_report;
     Alcotest.test_case "baseline times golden" `Quick test_baselines;
+    Alcotest.test_case "printed plans golden" `Quick test_plans;
   ]
