@@ -7,154 +7,64 @@ type finalized = { stmts : stmt list; up : string; down : string }
 let part_name ctx suffix = Printf.sprintf "%s%d%s" ctx.tensor (ctx.level + 1) suffix
 let coloring_name ctx = part_name ctx "Coloring"
 
-let init_universe_partition ctx ~axis =
+type space = Universe | Non_zero
+
+let init_partition ctx ~axis =
   let c = coloring_name ctx in
   (Init_coloring { coloring = c; axis }, c)
 
-let create_universe_partition_entry _ctx ~coloring ~lo ~hi =
-  Coloring_entry { coloring; lo; hi }
-
-let finalize_universe_partition ctx ~coloring =
+let finalize_partition ctx ~space ~coloring =
+  let def pname expr = Def_partition { pname; expr } in
+  (* Universe bounds are coordinate values, so a crd region is bucketed by
+     value; non-zero bounds are positions, so it is split by bounds. *)
+  let split_crd () =
+    let target = Crd_r (ctx.tensor, ctx.level) in
+    match space with
+    | Universe -> By_value_ranges { target; coloring }
+    | Non_zero -> By_bounds { target; coloring }
+  in
   match ctx.kind with
   | Level.Singleton_k ->
-      (* crd parallels the parent positions: one bucketing serves both. *)
+      (* crd parallels the parent positions: one partition serves both. *)
       let p = part_name ctx "CrdPart" in
-      {
-        stmts =
-          [
-            Def_partition
-              {
-                pname = p;
-                expr = By_value_ranges { target = Crd_r (ctx.tensor, ctx.level); coloring };
-              };
-          ];
-        up = p;
-        down = p;
-      }
+      { stmts = [ def p (split_crd ()) ]; up = p; down = p }
   | Level.Dense_k when ctx.level = 0 ->
       (* P = partitionByBounds(C, dom); same partition flows up and down. *)
       let p = part_name ctx "Part" in
-      {
-        stmts =
-          [ Def_partition { pname = p; expr = By_bounds { target = Dom_r (ctx.tensor, ctx.level); coloring } } ];
-        up = p;
-        down = p;
-      }
+      let target = Dom_r (ctx.tensor, ctx.level) in
+      { stmts = [ def p (By_bounds { target; coloring }) ]; up = p; down = p }
   | Level.Dense_k ->
       (* Below a parent level, the dense level's position space is
-         [parent * dim + coordinate]: the coordinate bounds select a slice of
-         every parent's block, not a prefix of the position space (the prefix
-         version silently dropped all but the first parent's positions —
-         found by the fuzzer).  Upward, every parent keeps some coordinate of
-         each block, which is exactly the unscaled strided partition. *)
-      let p = part_name ctx "Part" in
-      let pup = part_name ctx "ParentPart" in
+         [parent * dim + coordinate].  Universe bounds are coordinate bounds:
+         they select a slice of every parent's block, not a prefix of the
+         position space (the prefix version silently dropped all but the
+         first parent's positions — found by the fuzzer).  Non-zero bounds
+         are position bounds, so the downward partition is a plain prefix
+         split.  Upward, the parent partition is the unscaling of the
+         downward one (the parent position of dense position [p] is
+         [p / dim]). *)
+      let p = part_name ctx "Part" and pup = part_name ctx "ParentPart" in
+      let target = Dom_r (ctx.tensor, ctx.level) in
       let dim = Dim_of_level (ctx.tensor, ctx.level) in
+      let down =
+        match space with
+        | Universe -> By_bounds_strided { target; coloring; dim }
+        | Non_zero -> By_bounds { target; coloring }
+      in
       {
-        stmts =
-          [
-            Def_partition
-              {
-                pname = p;
-                expr =
-                  By_bounds_strided
-                    { target = Dom_r (ctx.tensor, ctx.level); coloring; dim };
-              };
-            Def_partition
-              { pname = pup; expr = Unscale_dense { part = p; dim } };
-          ];
+        stmts = [ def p down; def pup (Unscale_dense { part = p; dim }) ];
         up = pup;
         down = p;
       }
   | Level.Compressed_k | Level.Compressed_nonunique_k ->
-      (* P_crd = partitionByValueRanges(C_crd, crd);
+      (* P_crd = partitionByValueRanges(C_crd, crd) (universe) or
+         partitionByBounds(C_crd, crd) (non-zero);
          P_pos = preimage(pos, P_crd, crd). *)
       let pcrd = part_name ctx "CrdPart" and ppos = part_name ctx "PosPart" in
+      let pos = Pos_r (ctx.tensor, ctx.level) in
       {
         stmts =
-          [
-            Def_partition
-              {
-                pname = pcrd;
-                expr = By_value_ranges { target = Crd_r (ctx.tensor, ctx.level); coloring };
-              };
-            Def_partition
-              {
-                pname = ppos;
-                expr = Preimage_range { pos = Pos_r (ctx.tensor, ctx.level); part = pcrd };
-              };
-          ];
-        up = ppos;
-        down = pcrd;
-      }
-
-let init_non_zero_partition ctx ~axis =
-  let c = coloring_name ctx in
-  (Init_coloring { coloring = c; axis }, c)
-
-let create_non_zero_partition_entry _ctx ~coloring ~lo ~hi =
-  Coloring_entry { coloring; lo; hi }
-
-let finalize_non_zero_partition ctx ~coloring =
-  match ctx.kind with
-  | Level.Singleton_k ->
-      let p = part_name ctx "CrdPart" in
-      {
-        stmts =
-          [
-            Def_partition
-              {
-                pname = p;
-                expr = By_bounds { target = Crd_r (ctx.tensor, ctx.level); coloring };
-              };
-          ];
-        up = p;
-        down = p;
-      }
-  | Level.Dense_k when ctx.level = 0 ->
-      let p = part_name ctx "Part" in
-      {
-        stmts =
-          [ Def_partition { pname = p; expr = By_bounds { target = Dom_r (ctx.tensor, ctx.level); coloring } } ];
-        up = p;
-        down = p;
-      }
-  | Level.Dense_k ->
-      (* Non-zero bounds are position bounds, so the downward partition is a
-         plain prefix split; the upward parent partition is its unscaling
-         (the parent position of dense position [p] is [p / dim]). *)
-      let p = part_name ctx "Part" in
-      let pup = part_name ctx "ParentPart" in
-      let dim = Dim_of_level (ctx.tensor, ctx.level) in
-      {
-        stmts =
-          [
-            Def_partition
-              { pname = p; expr = By_bounds { target = Dom_r (ctx.tensor, ctx.level); coloring } };
-            Def_partition
-              { pname = pup; expr = Unscale_dense { part = p; dim } };
-          ];
-        up = pup;
-        down = p;
-      }
-  | Level.Compressed_k | Level.Compressed_nonunique_k ->
-      (* P_crd = partitionByBounds(C_crd, crd);
-         P_pos = preimage(pos, P_crd, crd). *)
-      let pcrd = part_name ctx "CrdPart" and ppos = part_name ctx "PosPart" in
-      {
-        stmts =
-          [
-            Def_partition
-              {
-                pname = pcrd;
-                expr = By_bounds { target = Crd_r (ctx.tensor, ctx.level); coloring };
-              };
-            Def_partition
-              {
-                pname = ppos;
-                expr = Preimage_range { pos = Pos_r (ctx.tensor, ctx.level); part = pcrd };
-              };
-          ];
+          [ def pcrd (split_crd ()); def ppos (Preimage_range { pos; part = pcrd }) ];
         up = ppos;
         down = pcrd;
       }

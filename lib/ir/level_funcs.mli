@@ -3,8 +3,9 @@
     Chou et al.'s format abstraction lets the code generator reason per
     dimension: each level kind implements the same interface, returning IR
     fragments, and new formats slot in without changing the lowering
-    algorithm.  Two groups create {e initial} level partitions (universe and
-    non-zero); two derived functions propagate a level partition through the
+    algorithm.  One group creates the {e initial} level partition, whose
+    bounds are coordinates (universe) or positions (non-zero): see
+    {!space}; two derived functions propagate a level partition through the
     rest of the coordinate tree ({!partition_from_parent},
     {!partition_from_child}).
 
@@ -24,30 +25,25 @@ type ctx = {
     use for partitioning {e child} levels. *)
 type finalized = { stmts : stmt list; up : string; down : string }
 
-(** {1 Universe partitions} *)
+(** {1 Initial partitions} *)
 
-(** Returns the init statement and the coloring name it defines. *)
-val init_universe_partition :
+(** What the bounds of an initial partition mean: coordinate values of the
+    level ({e universe} partition) or positions within its stored
+    coordinates ({e non-zero} partition). *)
+type space = Universe | Non_zero
+
+(** Returns the init statement and the coloring name it defines.  The
+    coloring's entries map a bounds range to each color ([Coloring_entry],
+    emitted inside a [For_colors] loop). *)
+val init_partition :
   ctx -> axis:Spdistal_runtime.Partition.axis -> stmt * string
 
-(** Entry mapping coordinate range [lo..hi] to the current color (emitted
-    inside the [For_colors] loop). *)
-val create_universe_partition_entry :
-  ctx -> coloring:string -> lo:aexpr -> hi:aexpr -> stmt
-
-val finalize_universe_partition : ctx -> coloring:string -> finalized
-
-(** {1 Non-zero partitions} *)
-
-val init_non_zero_partition :
-  ctx -> axis:Spdistal_runtime.Partition.axis -> stmt * string
-
-(** Entry mapping {e position} range [lo..hi] (within the level's stored
-    coordinates) to the current color. *)
-val create_non_zero_partition_entry :
-  ctx -> coloring:string -> lo:aexpr -> hi:aexpr -> stmt
-
-val finalize_non_zero_partition : ctx -> coloring:string -> finalized
+(** Partitions the level from the filled coloring.  Only a crd region
+    (bucketed by value for [Universe], split by bounds for [Non_zero]) and a
+    dense level below the root (a strided split per parent block for
+    [Universe], a prefix split of the positions for [Non_zero]) depend on
+    [space]. *)
+val finalize_partition : ctx -> space:space -> coloring:string -> finalized
 
 (** {1 Derived partitions} *)
 

@@ -76,7 +76,6 @@ let block_bounds ~cvar ~count d =
 type tree_parts = {
   level_parts : (int * string) list;  (** level -> partition of its positions *)
   vals_part : string;
-  rows_part : string;  (** partition of level-0 positions *)
   tstmts : stmt list;
 }
 
@@ -85,22 +84,33 @@ let level_part tp lvl =
   | Some p -> p
   | None -> Error.fail Error.Compile "Lower: no partition at level %d" lvl
 
-(* createInitialUniversePartitions + partitionCoordinateTrees for one tensor,
-   with the initial universe partition at storage level [k]. *)
-let partition_tree_universe env ~tname ~k ~cvar ~count ~axis =
+(* The partition of level-0 positions: the walk partitions every level. *)
+let rows_part tp = level_part tp 0
+
+(* The initial partition of one tensor at storage level [k] plus
+   partitionCoordinateTrees: createInitialUniversePartitions blocks the
+   level's coordinates, createInitialNonZeroPartition its positions (the
+   stored leaf count at the leaf level); the Table I level functions derive
+   the rest of the coordinate tree. *)
+let partition_tree env ~space ~tname ~k ~cvar ~count ~axis =
   let op = find_operand env tname in
   let last = order_of op - 1 in
   let ctx = ctx_of env tname k in
-  let init_stmt, coloring = Level_funcs.init_universe_partition ctx ~axis in
-  let lo, hi = block_bounds ~cvar ~count (Dim_of_level (tname, k)) in
-  let entry = Level_funcs.create_universe_partition_entry ctx ~coloring ~lo ~hi in
-  let fin = Level_funcs.finalize_universe_partition ctx ~coloring in
+  let init_stmt, coloring = Level_funcs.init_partition ctx ~axis in
+  let extent, what =
+    match space with
+    | Level_funcs.Universe -> (Dim_of_level (tname, k), "universe")
+    | Level_funcs.Non_zero ->
+        ((if k = last then Nnz_of tname else Extent_of_level (tname, k)), "non-zero")
+  in
+  let lo, hi = block_bounds ~cvar ~count extent in
+  let fin = Level_funcs.finalize_partition ctx ~space ~coloring in
   let stmts =
     ref
       ((Comment
-          (Printf.sprintf "%s level %d: initial universe partition" tname (k + 1))
+          (Printf.sprintf "%s level %d: initial %s partition" tname (k + 1) what)
        :: init_stmt
-       :: [ For_colors { cvar; count; body = [ entry ] } ])
+       :: [ For_colors { cvar; count; body = [ Coloring_entry { coloring; lo; hi } ] } ])
       @ fin.Level_funcs.stmts)
   in
   let level_parts = ref [ (k, fin.Level_funcs.down) ] in
@@ -124,63 +134,14 @@ let partition_tree_universe env ~tname ~k ~cvar ~count ~axis =
     end
   done;
   let vst, vals_part = Level_funcs.vals_partition ~tensor:tname ~leaf_down:!cur in
-  stmts := !stmts @ vst;
-  let rows_part =
-    match List.assoc_opt 0 !level_parts with Some p -> p | None -> fin.Level_funcs.down
-  in
-  { level_parts = !level_parts; vals_part; rows_part; tstmts = !stmts }
-
-(* createInitialNonZeroPartition + partitionNonZeroCoordinateTree: initial
-   equal-cardinality partition of level [k_f]'s positions. *)
-let partition_tree_nonzero env ~tname ~k_f ~cvar ~count ~axis =
-  let op = find_operand env tname in
-  let last = order_of op - 1 in
-  let ctx = ctx_of env tname k_f in
-  let init_stmt, coloring = Level_funcs.init_non_zero_partition ctx ~axis in
-  let extent =
-    if k_f = last then Nnz_of tname else Extent_of_level (tname, k_f)
-  in
-  let lo, hi = block_bounds ~cvar ~count extent in
-  let entry = Level_funcs.create_non_zero_partition_entry ctx ~coloring ~lo ~hi in
-  let fin = Level_funcs.finalize_non_zero_partition ctx ~coloring in
-  let stmts =
-    ref
-      ((Comment
-          (Printf.sprintf "%s level %d: initial non-zero partition" tname (k_f + 1))
-       :: init_stmt
-       :: [ For_colors { cvar; count; body = [ entry ] } ])
-      @ fin.Level_funcs.stmts)
-  in
-  let level_parts = ref [ (k_f, fin.Level_funcs.down) ] in
-  let cur = ref fin.Level_funcs.down in
-  for lvl = k_f + 1 to last do
-    let st, p = Level_funcs.partition_from_parent (ctx_of env tname lvl) ~parent:!cur in
-    stmts := !stmts @ st;
-    cur := p;
-    level_parts := (lvl, p) :: !level_parts
-  done;
-  let up = ref fin.Level_funcs.up in
-  for lvl = k_f - 1 downto 0 do
-    level_parts := (lvl, !up) :: !level_parts;
-    if lvl > 0 then begin
-      let st, p = Level_funcs.partition_from_child (ctx_of env tname lvl) ~child:!up in
-      stmts := !stmts @ st;
-      up := p
-    end
-  done;
-  let vst, vals_part = Level_funcs.vals_partition ~tensor:tname ~leaf_down:!cur in
-  stmts := !stmts @ vst;
-  let rows_part =
-    match List.assoc_opt 0 !level_parts with Some p -> p | None -> fin.Level_funcs.down
-  in
-  { level_parts = !level_parts; vals_part; rows_part; tstmts = !stmts }
+  { level_parts = !level_parts; vals_part; tstmts = !stmts @ vst }
 
 (* Communication entry for a dense operand: find the gather variable -- the
    first index of the operand that the driver also iterates -- and derive the
-   needed subsets per piece (paper §II-C: communicate granularity is
-   user-chosen, contents are inferred). *)
-let comm_for_dense_operand env ~driver ~driver_acc ~driver_tp ~strategy ~coloring_cvar:_
-    ~count ~cvar ~axis ~divide_by (x_acc : Tin.access) =
+   needed subsets per piece (paper §II-C: contents are inferred; the
+   directive sits at the distributed loop). *)
+let comm_for_dense_operand env ~driver ~driver_acc ~driver_tp ~nnz_split ~count
+    ~cvar ~axis ~divide_by (x_acc : Tin.access) =
   let xname = x_acc.Tin.tensor in
   let driver_op = find_operand env driver in
   let gather =
@@ -206,9 +167,8 @@ let comm_for_dense_operand env ~driver ~driver_acc ~driver_tp ~strategy ~colorin
               g lpos driver xname
       in
       let kg = storage_level driver_op lpos in
-      match (level_kind driver_op kg, strategy) with
-      | (Level.Compressed_k | Level.Compressed_nonunique_k | Level.Singleton_k), _
-        ->
+      match level_kind driver_op kg with
+      | Level.Compressed_k | Level.Compressed_nonunique_k | Level.Singleton_k ->
           (* Needed coordinates = image of the driver's crd values at that
              level under the driver's position partition. *)
           let pname = Printf.sprintf "%sGatherPart_%s" xname g in
@@ -226,7 +186,7 @@ let comm_for_dense_operand env ~driver ~driver_acc ~driver_tp ~strategy ~colorin
               }
           in
           ([ st ], { comm_tensor = xname; comm_dim = gpos_in_x; comm_part = Some pname; divide_by })
-      | Level.Dense_k, `Universe when kg = 0 ->
+      | Level.Dense_k when kg = 0 && not nnz_split ->
           (* The operand's dimension is co-partitioned with the distributed
              coordinate blocks. *)
           let pname = Printf.sprintf "%sBlockPart_%s" xname g in
@@ -242,16 +202,16 @@ let comm_for_dense_operand env ~driver ~driver_acc ~driver_tp ~strategy ~colorin
             ]
           in
           (sts, { comm_tensor = xname; comm_dim = gpos_in_x; comm_part = Some pname; divide_by })
-      | Level.Dense_k, `Nonzero when kg = 0 ->
+      | Level.Dense_k when kg = 0 ->
           (* Needed rows = the (aliased) span of each piece's positions. *)
           ( [],
             {
               comm_tensor = xname;
               comm_dim = gpos_in_x;
-              comm_part = Some driver_tp.rows_part;
+              comm_part = Some (rows_part driver_tp);
               divide_by;
             } )
-      | Level.Dense_k, _ ->
+      | Level.Dense_k ->
           (* Inner dense driver level: not partitioned, whole dim needed. *)
           ([], { comm_tensor = xname; comm_dim = 0; comm_part = None; divide_by }))
 
@@ -471,14 +431,14 @@ let lower ~env ~grid stmt sched =
   let secondary_roots = Option.to_list plan.Schedule.secondary_var in
   let divide_for acc = if mentions acc secondary_roots then col_split else 1 in
   let dense_accs = List.filter (fun a -> not (is_sparse env a.Tin.tensor)) rhs in
-  let finish ~strategy ~(driver_acc : Tin.access) ~driver_tp ~tps ~nnz_split =
+  let finish ~(driver_acc : Tin.access) ~driver_tp ~tps ~nnz_split =
     let driver = driver_acc.Tin.tensor in
     (* Communication for dense operands. *)
     List.iter
       (fun a ->
         let sts, c =
-          comm_for_dense_operand env ~driver ~driver_acc ~driver_tp ~strategy
-            ~coloring_cvar:cvar ~count:primary_count ~cvar ~axis:primary_axis
+          comm_for_dense_operand env ~driver ~driver_acc ~driver_tp ~nnz_split
+            ~count:primary_count ~cvar ~axis:primary_axis
             ~divide_by:(divide_for a) a
         in
         emit sts;
@@ -528,7 +488,7 @@ let lower ~env ~grid stmt sched =
             {
               comm_tensor = out.Tin.tensor;
               comm_dim = 0;
-              comm_part = Some driver_tp.rows_part;
+              comm_part = Some (rows_part driver_tp);
               divide_by = divide_for out;
             },
           true )
@@ -551,10 +511,6 @@ let lower ~env ~grid stmt sched =
       else (None, false)
     in
     let shard_parts = List.map (fun (a, tp) -> (a.Tin.tensor, tp.vals_part)) tps in
-    let leaf_row_part =
-      if merge then Some driver_tp.rows_part
-      else Option.map (fun _ -> driver_tp.rows_part) (List.assoc_opt 0 driver_tp.level_parts)
-    in
     let leaf =
       {
         leaf_stmt = stmt;
@@ -564,7 +520,7 @@ let lower ~env ~grid stmt sched =
         nnz_split;
         parallel = plan.Schedule.parallel_leaf <> None;
         out_reduce;
-        leaf_row_part;
+        leaf_row_part = Some (rows_part driver_tp);
         use_workspace = plan.Schedule.workspace;
         col_split;
       }
@@ -585,8 +541,8 @@ let lower ~env ~grid stmt sched =
           (fun (acc, k) ->
             let tname = acc.Tin.tensor in
             let tp =
-              partition_tree_universe env ~tname ~k ~cvar ~count:primary_count
-                ~axis:primary_axis
+              partition_tree env ~space:Level_funcs.Universe ~tname ~k ~cvar
+                ~count:primary_count ~axis:primary_axis
             in
             emit tp.tstmts;
             add_sparse_comm tname tp.vals_part;
@@ -597,16 +553,16 @@ let lower ~env ~grid stmt sched =
          gets its row partition implicitly via the shared metadata; a sparse
          merge output is assembled locally. *)
       let driver_acc, driver_tp = List.hd tps in
-      finish ~strategy:`Universe ~driver_acc ~driver_tp ~tps ~nnz_split:false
+      finish ~driver_acc ~driver_tp ~tps ~nnz_split:false
   | Non_zero_at (driver_acc, k_f) ->
       let tensor = driver_acc.Tin.tensor in
       let tp =
-        partition_tree_nonzero env ~tname:tensor ~k_f ~cvar
-          ~count:primary_count ~axis:primary_axis
+        partition_tree env ~space:Level_funcs.Non_zero ~tname:tensor ~k:k_f
+          ~cvar ~count:primary_count ~axis:primary_axis
       in
       emit tp.tstmts;
       add_sparse_comm tensor tp.vals_part;
-      finish ~strategy:`Nonzero ~driver_acc ~driver_tp:tp
+      finish ~driver_acc ~driver_tp:tp
         ~tps:[ (driver_acc, tp) ]
         ~nnz_split:true
 

@@ -10,9 +10,12 @@
     level functions ([partitionFromParent] downward, [partitionFromChild]
     upward), partitions the remaining tensors from the resulting top-level
     partition, and finally emits a distributed loop whose body is the leaf
-    kernel.  Communication directives are inferred for every operand
-    ([communicate] controls granularity; what to move is derived via
-    image/preimage, §II-C). *)
+    kernel.  Both kinds of initial partition share one tree walk: only the
+    extent the blocks divide and {!Level_funcs.space} differ.
+    Communication directives are inferred for every operand and always
+    placed at the distributed loop: what to move is derived via
+    image/preimage (§II-C); a schedule's [communicate] command is checked
+    by {!Schedule.analyze} but does not change the program. *)
 
 type operand =
   | Sparse_op of {
