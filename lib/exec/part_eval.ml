@@ -107,7 +107,6 @@ let eval_dim env = function
       | Operand.Mat m -> if k = 0 then m.Dense.rows else m.Dense.cols)
   | Loop_ir.Extent_of_level (t, k) -> Tensor.level_extent (sparse env t) k
   | Loop_ir.Nnz_of t -> Tensor.nnz (sparse env t)
-  | Loop_ir.Int_dim n -> n
 
 let rec eval_aexpr env ~color e =
   let cvar, cval = color in
@@ -125,7 +124,6 @@ let rec eval_aexpr env ~color e =
 let rref_ispace env = function
   | Loop_ir.Pos_r (t, k) -> (Tensor.pos_of (sparse env t) k).Region.ispace
   | Loop_ir.Crd_r (t, k) -> (Tensor.crd_of (sparse env t) k).Region.ispace
-  | Loop_ir.Vals_r t -> (sparse env t).Tensor.vals.Region.F.ispace
   | Loop_ir.Dom_r (t, k) -> (
       match data env t with
       | Operand.Sparse tn -> Iset.range (Tensor.level_extent tn k)

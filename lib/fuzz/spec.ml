@@ -520,6 +520,6 @@ let of_string line =
 let of_string_exn s =
   match of_string s with
   | Ok t -> t
-  | Error m -> invalid_arg ("Spec.of_string: " ^ m)
+  | Error m -> Error.fail Error.Config "Spec.of_string: %s" m
 
 let equal (a : t) (b : t) = a = b

@@ -72,5 +72,9 @@ val build : t -> Core.Spdistal.problem
 val to_string : t -> string
 
 val of_string : string -> (t, string) result
+
+(** Like {!of_string} but raises a [Config]
+    {!Spdistal_runtime.Error.Error}. *)
 val of_string_exn : string -> t
+
 val equal : t -> t -> bool

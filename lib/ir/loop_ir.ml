@@ -2,7 +2,6 @@ type dim_expr =
   | Dim_of_level of string * int
   | Extent_of_level of string * int
   | Nnz_of of string
-  | Int_dim of int
 
 type aexpr =
   | Int of int
@@ -16,7 +15,6 @@ type aexpr =
 type rref =
   | Pos_r of string * int
   | Crd_r of string * int
-  | Vals_r of string
   | Dom_r of string * int
 
 type pexpr =

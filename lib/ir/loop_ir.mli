@@ -14,7 +14,6 @@ type dim_expr =
   | Dim_of_level of string * int  (** universe size of a storage level *)
   | Extent_of_level of string * int  (** position extent of a storage level *)
   | Nnz_of of string  (** stored leaf count *)
-  | Int_dim of int
 
 (** Arithmetic over colors and dimensions, for coloring-entry bounds. *)
 type aexpr =
@@ -30,7 +29,6 @@ type aexpr =
 type rref =
   | Pos_r of string * int
   | Crd_r of string * int
-  | Vals_r of string
   | Dom_r of string * int
       (** the implicit position/coordinate space of a dense level *)
 

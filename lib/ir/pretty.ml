@@ -4,7 +4,6 @@ let pp_dim fmt = function
   | Dim_of_level (t, k) -> Format.fprintf fmt "%s[%d].dim" t k
   | Extent_of_level (t, k) -> Format.fprintf fmt "%s[%d].extent" t k
   | Nnz_of t -> Format.fprintf fmt "%s.nnz" t
-  | Int_dim n -> Format.fprintf fmt "%d" n
 
 let rec pp_aexpr fmt = function
   | Int n -> Format.fprintf fmt "%d" n
@@ -26,7 +25,6 @@ and pp_sub fmt = function
 let pp_rref fmt = function
   | Pos_r (t, k) -> Format.fprintf fmt "%s[%d].pos" t k
   | Crd_r (t, k) -> Format.fprintf fmt "%s[%d].crd" t k
-  | Vals_r t -> Format.fprintf fmt "%s.vals" t
   | Dom_r (t, k) -> Format.fprintf fmt "%s[%d].dom" t k
 
 let pp_pexpr fmt = function

@@ -23,7 +23,6 @@ type plan = {
   strategy : strategy;
   dist_vars : string list;
   secondary_var : string option;
-  communicated : (string list * string) list;
   parallel_leaf : proc option;
   workspace : bool;
 }
@@ -98,7 +97,7 @@ let analyze stmt sched =
     | Fused_root vs -> vs
     | Pos_root { fused; _ } -> fused
   in
-  let communicated = ref [] and parallel_leaf = ref None in
+  let parallel_leaf = ref None in
   let distributed = ref [] and workspace = ref false in
   List.iter
     (fun cmd ->
@@ -117,9 +116,7 @@ let analyze stmt sched =
       | Distribute vs ->
           List.iter (fun v -> ignore (root_of v)) vs;
           distributed := !distributed @ vs
-      | Communicate { tensors; at } ->
-          ignore (root_of at);
-          communicated := (tensors, at) :: !communicated
+      | Communicate { at; _ } -> ignore (root_of at)
       | Parallelize { proc; _ } -> parallel_leaf := Some proc
       | Precompute _ -> workspace := true)
     sched;
@@ -153,7 +150,6 @@ let analyze stmt sched =
     strategy;
     dist_vars;
     secondary_var;
-    communicated = List.rev !communicated;
     parallel_leaf = !parallel_leaf;
     workspace = !workspace;
   }
@@ -302,4 +298,4 @@ let of_string str =
   with Fail msg -> Error ("Schedule.of_string: " ^ msg)
 
 let of_string_exn s =
-  match of_string s with Ok t -> t | Error m -> invalid_arg m
+  match of_string s with Ok t -> t | Error m -> Error.fail Error.Compile "%s" m

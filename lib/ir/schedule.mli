@@ -24,6 +24,8 @@ type cmd =
   | Reorder of string list
   | Distribute of string list
   | Communicate of { tensors : string list; at : string }
+      (** communicate [tensors] at loop [at]: {!analyze} checks [at], and
+          lowering always communicates at the distributed loop *)
   | Parallelize of { v : string; proc : proc }
   | Precompute of { v : string; tensors : string list }
       (** hoist a sub-expression out of loop [v] (modeled for completeness;
@@ -75,7 +77,6 @@ type plan = {
   secondary_var : string option;
       (** the original variable of the second distributed loop of a 2-D
           (grid) distribution (batched SpMM's [j]) *)
-  communicated : (string list * string) list;
   parallel_leaf : proc option;
   workspace : bool;  (** a [Precompute] command requested a dense workspace *)
 }
@@ -99,5 +100,6 @@ val to_string : t -> string
 
 val of_string : string -> (t, string) result
 
-(** Like {!of_string} but raises [Invalid_argument]. *)
+(** Like {!of_string} but raises a [Compile] {!Spdistal_runtime.Error.Error}
+    with the same text. *)
 val of_string_exn : string -> t

@@ -201,7 +201,7 @@ let of_string str =
   with Fail msg -> Error ("Tin.of_string: " ^ msg)
 
 let of_string_exn s =
-  match of_string s with Ok t -> t | Error m -> invalid_arg m
+  match of_string s with Ok t -> t | Error m -> Error.fail Error.Compile "%s" m
 
 let spmv = assign "a" [ "i" ] (access "B" [ "i"; "j" ] * access "c" [ "j" ])
 

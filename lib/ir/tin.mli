@@ -53,7 +53,8 @@ val to_string : stmt -> string
 
 val of_string : string -> (stmt, string) result
 
-(** Like {!of_string} but raises [Invalid_argument]. *)
+(** Like {!of_string} but raises a [Compile] {!Spdistal_runtime.Error.Error}
+    with the same text. *)
 val of_string_exn : string -> stmt
 
 (** {1 The paper's evaluation kernels (§VI-A)} *)

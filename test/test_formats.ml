@@ -184,23 +184,6 @@ let prop_leaf_parent =
         (Tensor.pos_of t 1);
       !ok)
 
-let test_convert_transpose () =
-  let t = Tensor.csr ~name:"B" coo_small in
-  let tt = Convert.transpose ~name:"Bt" t in
-  Helpers.check_float "transposed entry" 4. (Tensor.get tt [| 4; 2 |]);
-  let back = Convert.transpose ~name:"Btt" tt in
-  Alcotest.(check bool) "double transpose" true
-    (Coo.equal (Tensor.to_coo t) (Tensor.to_coo back))
-
-let test_convert_csr_csc () =
-  let t = Tensor.csr ~name:"B" coo_small in
-  let c = Convert.csr_to_csc t in
-  Alcotest.(check bool) "csr->csc preserves entries" true
-    (Coo.equal (Tensor.to_coo t) (Tensor.to_coo c));
-  let r = Convert.csc_to_csr c in
-  Alcotest.(check bool) "csc->csr roundtrip" true
-    (Coo.equal (Tensor.to_coo t) (Tensor.to_coo r))
-
 let test_assemble () =
   let st = Assemble.stage ~rows:3 ~count:(fun r -> r) in
   Alcotest.(check int) "total" 3 st.Assemble.total;
@@ -294,8 +277,6 @@ let suite =
     Alcotest.test_case "roundtrip edge inputs" `Quick test_roundtrip_edge_inputs;
     prop_csr_csc_agree;
     prop_leaf_parent;
-    Alcotest.test_case "transpose" `Quick test_convert_transpose;
-    Alcotest.test_case "csr<->csc" `Quick test_convert_csr_csc;
     Alcotest.test_case "two-phase assembly" `Quick test_assemble;
     Alcotest.test_case "assembly underflow" `Quick test_assemble_underflow;
     Alcotest.test_case "copy_pattern" `Quick test_copy_pattern;

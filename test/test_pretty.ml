@@ -63,8 +63,6 @@ let test_rref_rendering () =
   let open Loop_ir in
   Alcotest.(check string) "pos" "B[1].pos"
     (Format.asprintf "%a" Pretty.pp_rref (Pos_r ("B", 1)));
-  Alcotest.(check string) "vals" "B.vals"
-    (Format.asprintf "%a" Pretty.pp_rref (Vals_r "B"));
   Alcotest.(check string) "dom" "c[0].dom"
     (Format.asprintf "%a" Pretty.pp_rref (Dom_r ("c", 0)))
 
@@ -121,6 +119,30 @@ let test_tin_parse_errors () =
       | Error _ -> ())
     [ ""; "a(i)"; "a(i) ="; "a(i) = B(i,"; "a(i) = B(i,j) *"; "= B(i,j)" ]
 
+(* The raising parsers fail with a typed error carrying [of_string]'s
+   text: [Compile] for statements and schedules, [Config] for spec lines. *)
+let test_of_string_exn_typed () =
+  let module Error = Spdistal_runtime.Error in
+  let check what phase of_string of_string_exn bad =
+    let m =
+      match of_string bad with
+      | Ok _ -> Alcotest.failf "%s parsed %S" what bad
+      | Error m -> m
+    in
+    match of_string_exn bad with
+    | _ -> Alcotest.failf "%s: of_string_exn returned on %S" what bad
+    | exception Error.Error e ->
+        Alcotest.(check string) (what ^ " phase") (Error.phase_name phase)
+          (Error.phase_name e.Error.phase);
+        Alcotest.(check bool) (what ^ " keeps the text") true
+          (Helpers.contains e.Error.what m)
+  in
+  check "Tin" Error.Compile Tin.of_string Tin.of_string_exn "a(i) = B(i,";
+  check "Schedule" Error.Compile Schedule.of_string Schedule.of_string_exn
+    ".divide(i, io";
+  check "Spec" Error.Config Spdistal_fuzz.Spec.of_string
+    Spdistal_fuzz.Spec.of_string_exn "vars=i"
+
 let all_schedules =
   [
     ("spmv-row", Core.Kernels.spmv_row ());
@@ -165,6 +187,8 @@ let suite =
     Alcotest.test_case "tin roundtrip" `Quick test_tin_roundtrip;
     Alcotest.test_case "tin golden strings" `Quick test_tin_golden;
     Alcotest.test_case "tin parse errors" `Quick test_tin_parse_errors;
+    Alcotest.test_case "of_string_exn raises typed errors" `Quick
+      test_of_string_exn_typed;
     Alcotest.test_case "schedule roundtrip" `Quick test_schedule_roundtrip;
     Alcotest.test_case "schedule golden strings" `Quick test_schedule_golden;
   ]
