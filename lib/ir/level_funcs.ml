@@ -17,7 +17,7 @@ let finalize_partition ctx ~space ~coloring =
   let def pname expr = Def_partition { pname; expr } in
   (* Universe bounds are coordinate values, so a crd region is bucketed by
      value; non-zero bounds are positions, so it is split by bounds. *)
-  let split_crd () =
+  let split_crd =
     let target = Crd_r (ctx.tensor, ctx.level) in
     match space with
     | Universe -> By_value_ranges { target; coloring }
@@ -27,7 +27,7 @@ let finalize_partition ctx ~space ~coloring =
   | Level.Singleton_k ->
       (* crd parallels the parent positions: one partition serves both. *)
       let p = part_name ctx "CrdPart" in
-      { stmts = [ def p (split_crd ()) ]; up = p; down = p }
+      { stmts = [ def p split_crd ]; up = p; down = p }
   | Level.Dense_k when ctx.level = 0 ->
       (* P = partitionByBounds(C, dom); same partition flows up and down. *)
       let p = part_name ctx "Part" in
@@ -64,7 +64,7 @@ let finalize_partition ctx ~space ~coloring =
       let pos = Pos_r (ctx.tensor, ctx.level) in
       {
         stmts =
-          [ def pcrd (split_crd ()); def ppos (Preimage_range { pos; part = pcrd }) ];
+          [ def pcrd split_crd; def ppos (Preimage_range { pos; part = pcrd }) ];
         up = ppos;
         down = pcrd;
       }

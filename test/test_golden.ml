@@ -204,8 +204,8 @@ let plans_text () =
     List.iter
       (fun (name, (slot : Operand.slot), tdn) ->
         match (slot.Operand.data, tdn) with
-        | Operand.Sparse t, (Tdn.Blocked _ | Tdn.Tiled _ | Tdn.Non_zero _
-                            | Tdn.Fused_non_zero _) ->
+        | _, Tdn.Replicated -> ()
+        | Operand.Sparse t, _ ->
             placement label ~env ~grid:p.S.machine.Spdistal_runtime.Machine.grid
               name t tdn
         | _ -> ())
