@@ -57,18 +57,80 @@ let dval i =
 let dense_vec name n = Dense.vec_init name n dval
 let dense_mat name rows cols = Dense.mat_init name rows cols (fun i j -> dval ((i * cols) + j))
 
+(* A cyclic shift of the last coordinate permutes each parent's sorted run
+   of the last level: the coordinates that wrap ([c + by >= dim]) move, in
+   order, in front of the rest.  So each run splits at one binary-searched
+   point and its two halves swap; values move with their coordinates.
+   Every region is fresh and named, and every value stored ([0. +. v]), as
+   [Tensor.of_coo] would from the shifted COO list. *)
 let shift_last_dim ~name ~by (t : Tensor.t) =
-  let coo = Tensor.to_coo t in
-  let last = Coo.order coo - 1 in
-  let d = coo.Coo.dims.(last) in
-  let coords =
-    Array.mapi
-      (fun dim a -> if dim = last then Array.map (fun c -> (c + by) mod d) a else a)
-      coo.Coo.coords
+  let ord = Tensor.order t in
+  let refuse what =
+    Error.fail ~kernel:t.Tensor.name Error.Config
+      "Kernels.shift_last_dim: %s (needs a compressed last level in identity \
+       mode order)"
+      what
   in
-  Tensor.of_coo ~name
-    ~formats:(Array.map Level.kind t.Tensor.levels)
-    { coo with Coo.coords }
+  if ord = 0 then refuse "no last dimension";
+  Array.iteri
+    (fun k m -> if m <> k then refuse "non-identity mode order")
+    t.Tensor.mode_order;
+  let last = ord - 1 in
+  let pos, crd =
+    match t.Tensor.levels.(last) with
+    | Level.Compressed { pos; crd } -> (pos.Region.data, crd.Region.data)
+    | Level.Dense _ -> refuse "dense last level"
+    | Level.Singleton _ -> refuse "singleton last level"
+  in
+  let dim = t.Tensor.dims.(last) in
+  let by = if dim = 0 then 0 else ((by mod dim) + dim) mod dim in
+  let vals = t.Tensor.vals.Region.F.data in
+  let n = Array.length crd in
+  let crd' = Array.make n 0 and vals' = Array.make n 0. in
+  Array.iter
+    (fun (lo, hi) ->
+      (* First position of [lo..hi] whose coordinate wraps. *)
+      let rec wrap l h =
+        if l > h then l
+        else
+          let m = (l + h) / 2 in
+          if crd.(m) + by >= dim then wrap l (m - 1) else wrap (m + 1) h
+      in
+      let w = wrap lo hi in
+      let move ~src ~dst c =
+        crd'.(dst) <- c;
+        vals'.(dst) <- 0. +. vals.{src}
+      in
+      for q = w to hi do
+        move ~src:q ~dst:(lo + q - w) (crd.(q) + by - dim)
+      done;
+      for q = lo to w - 1 do
+        move ~src:q ~dst:(hi - w + 1 + q) (crd.(q) + by)
+      done)
+    pos;
+  let copy suffix (r : _ Region.t) =
+    Region.of_array (name ^ suffix) (Array.copy r.Region.data)
+  in
+  let levels =
+    Array.mapi
+      (fun k level ->
+        match level with
+        | Level.Dense _ -> level
+        | Level.Compressed c when k = last ->
+            Level.Compressed
+              { pos = copy ".pos" c.pos; crd = Region.of_array (name ^ ".crd") crd' }
+        | Level.Compressed { pos; crd } ->
+            Level.Compressed { pos = copy ".pos" pos; crd = copy ".crd" crd }
+        | Level.Singleton { crd } -> Level.Singleton { crd = copy ".crd" crd })
+      t.Tensor.levels
+  in
+  {
+    Tensor.name;
+    dims = Array.copy t.Tensor.dims;
+    mode_order = Array.init ord Fun.id;
+    levels;
+    vals = Region.F.of_array (name ^ ".vals") vals';
+  }
 
 let default_proc machine =
   if machine.Machine.kind = Machine.Gpu then Schedule.Gpu_thread

@@ -124,5 +124,14 @@ val mttkrp_problem :
   Spdistal.problem
 
 (** Shift a tensor's last dimension by [by] (mod its size), the Henry & Hsu
-    trick for deriving additional sparse operands. *)
+    trick for deriving additional sparse operands.  A cyclic shift permutes
+    each parent's sorted run of the last level, so the result is a rotation
+    of every run in O(nnz): no COO round trip, no sort.  Values move with
+    their coordinates; pos, crd and vals are fresh regions named
+    [name.pos], [name.crd] and [name.vals], as {!Tensor.of_coo} names them,
+    and the result equals [of_coo] of the shifted COO list bit for bit.
+
+    Refuses with an [Error.Config] error a tensor whose last level is not
+    compressed (dense or singleton) or whose mode order is not the
+    identity. *)
 val shift_last_dim : name:string -> by:int -> Tensor.t -> Tensor.t

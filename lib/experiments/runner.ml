@@ -104,7 +104,8 @@ let scale_iterations iterations (r : Common.result) =
   | _ -> r
 
 (* The operands of the shared SpMV, SpMM and SpAdd3 entry points are built
-   here, fresh on every call. *)
+   here, fresh on every call.  SpAdd3's [C] and [D] are rotations of [B]'s
+   last level, O(nnz) each ([Kernels.shift_last_dim]). *)
 let run_baseline (module B : Common.Matrix_kernels) ~name ~kernel ~machine ~cols b =
   match kernel with
   | Spmv ->

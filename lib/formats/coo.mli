@@ -14,12 +14,14 @@ val order : t -> int
 val nnz : t -> int
 
 (** [make dims entries] from a list of (coordinate tuple, value). Validates
-    bounds. *)
+    arity and bounds, failing with an [Error.Config] error. *)
 val make : int array -> (int array * float) list -> t
 
 (** Lexicographic sort (by coordinate tuple) combined with summing duplicate
     coordinates. Drops explicit zeros produced by cancellation only if
-    [drop_zeros]. *)
+    [drop_zeros].  Sorts on one int key per entry, its lexicographic rank,
+    so fails with an [Error.Config] error when a coordinate is out of
+    bounds or the product of the dims overflows an int. *)
 val sort_dedup : ?drop_zeros:bool -> t -> t
 
 (** [permute t perm] reorders dimensions: new dimension [d] is old dimension

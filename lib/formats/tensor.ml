@@ -76,14 +76,14 @@ let of_coo ~name ~formats ?mode_order ?(assume_sorted = false) coo =
             let unique = formats.(k) = Level.Compressed_k in
             let firsts = Array.make !parent_extent (-1) in
             let lasts = Array.make !parent_extent (-1) in
-            let crd_rev = ref [] and count = ref 0 in
+            let crd = Array.make n 0 and count = ref 0 in
             let cur_parent = ref (-1) and cur_coord = ref (-1) in
             for i = 0 to n - 1 do
               let p = pp.(i) and c = coord i in
               if (not unique) || p <> !cur_parent || c <> !cur_coord then begin
                 let j = !count in
                 incr count;
-                crd_rev := c :: !crd_rev;
+                crd.(j) <- c;
                 if firsts.(p) < 0 then firsts.(p) <- j;
                 lasts.(p) <- j;
                 cur_parent := p;
@@ -91,7 +91,7 @@ let of_coo ~name ~formats ?mode_order ?(assume_sorted = false) coo =
               end;
               pp.(i) <- !count - 1
             done;
-            let crd = Array.of_list (List.rev !crd_rev) in
+            let crd = if !count = n then crd else Array.sub crd 0 !count in
             (* Normalize empty parents to monotone empty ranges so that
                position lookups can binary search. *)
             let pos = Array.make !parent_extent (0, -1) in

@@ -78,6 +78,13 @@ let arb_iset =
   in
   make ~print:(Format.asprintf "%a" Spdistal_runtime.Iset.pp) gen
 
+(* [QCheck.int_range a b] shrinks toward 0, out of range when [a > 0], so a
+   failure reports a case the generator never draws.  This arbitrary makes
+   the same draws and shrinks toward [a]. *)
+let int_in a b =
+  QCheck.map ~rev:(fun x -> x - a) (( + ) a) (QCheck.int_bound (b - a))
+  |> QCheck.set_print QCheck.Print.int
+
 let check_float = Alcotest.(check (float 1e-9))
 
 (* Substring search, for asserting on rendered output. *)

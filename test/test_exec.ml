@@ -266,7 +266,7 @@ let test_placement_matching_avoids_comm () =
 
 let prop_random_spmv =
   Helpers.qtest ~count:60 "random SpMV matches dense reference (row and nnz)"
-    QCheck.(pair Helpers.arb_coo_matrix (QCheck.int_range 1 5))
+    QCheck.(pair Helpers.arb_coo_matrix (Helpers.int_in 1 5))
     (fun (coo, pieces) ->
       let b = Tensor.csr ~name:"B" coo in
       if Tensor.nnz b = 0 then true
@@ -302,7 +302,7 @@ let test_workspace_spadd3 () =
 
 let prop_random_spadd3 =
   Helpers.qtest ~count:40 "random SpAdd3 matches dense reference"
-    QCheck.(pair Helpers.arb_coo_matrix (QCheck.int_range 1 4))
+    QCheck.(pair Helpers.arb_coo_matrix (Helpers.int_in 1 4))
     (fun (coo, pieces) ->
       let b = Tensor.csr ~name:"B" coo in
       if Tensor.nnz b = 0 then true

@@ -302,7 +302,7 @@ let fault_sig = Helpers.fault_sig
 
 let prop_fault_schedules_bit_identical =
   Helpers.qtest ~count:8 "random fault schedules: outputs bit-identical"
-    QCheck.(pair (int_range 0 1000) (int_range 1 30))
+    QCheck.(pair (int_range 0 1000) (Helpers.int_in 1 30))
     (fun (seed, rate_pct) ->
       let faults = Fault.make ~seed ~rate:(float_of_int rate_pct /. 100.) () in
       List.for_all

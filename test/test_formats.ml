@@ -35,7 +35,14 @@ let test_coo_permute () =
 
 let test_coo_bounds () =
   Alcotest.check_raises "out of bounds"
-    (Invalid_argument "Coo.make: coord 5 out of bounds [0,5) in dim 1")
+    (Spdistal_runtime.Error.Error
+       {
+         phase = Config;
+         kernel = None;
+         piece = None;
+         node = None;
+         what = "Coo.make: coord 5 out of bounds [0,5) in dim 1";
+       })
     (fun () -> ignore (Coo.make [| 4; 5 |] [ ([| 0; 5 |], 1.) ]))
 
 let test_csr_construction () =

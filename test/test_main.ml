@@ -23,6 +23,7 @@ let () =
       ("dependent", Test_dependent.suite);
       ("formats", Test_formats.suite);
       ("formats-dist", Test_formats_dist.suite);
+      ("inputs", Test_inputs.suite);
       ("machine", Test_machine.suite);
       ("runtime-more", Test_runtime_more.suite);
       ("ir", Test_ir.suite);

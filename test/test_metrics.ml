@@ -387,14 +387,14 @@ let serve_metrics ~domains ~fault_rate ~fault_seed seed =
 
 let prop_domains_identical =
   Helpers.qtest ~count:4 "snapshots byte-identical across --domains 1 vs 4"
-    QCheck.(int_range 1 1000)
+    (Helpers.int_in 1 1000)
     (fun seed ->
       serve_metrics ~domains:1 ~fault_rate:0.1 ~fault_seed:7 seed
       = serve_metrics ~domains:4 ~fault_rate:0.1 ~fault_seed:7 seed)
 
 let prop_fault_seed_invariant_at_rate0 =
   Helpers.qtest ~count:4 "snapshots invariant under fault seed at rate 0"
-    QCheck.(pair (int_range 1 1000) (pair (int_range 0 99) (int_range 100 199)))
+    QCheck.(pair (Helpers.int_in 1 1000) (pair (int_range 0 99) (Helpers.int_in 100 199)))
     (fun (seed, (s1, s2)) ->
       serve_metrics ~domains:1 ~fault_rate:0. ~fault_seed:s1 seed
       = serve_metrics ~domains:1 ~fault_rate:0. ~fault_seed:s2 seed)

@@ -56,14 +56,14 @@ let test_make_validates () =
 
 let prop_equal_blocks_laws =
   Helpers.qtest "equal_blocks: disjoint and complete"
-    QCheck.(pair Helpers.arb_iset (int_range 1 8))
+    QCheck.(pair Helpers.arb_iset (Helpers.int_in 1 8))
     (fun (is, pieces) ->
       let p = Partition.equal_blocks is pieces in
       p.Partition.disjoint && Partition.is_complete p)
 
 let prop_equal_cardinality_balance =
   Helpers.qtest "equal_cardinality: near-equal counts, disjoint, complete"
-    QCheck.(pair Helpers.arb_iset (int_range 1 8))
+    QCheck.(pair Helpers.arb_iset (Helpers.int_in 1 8))
     (fun (is, pieces) ->
       let p = Partition.equal_cardinality is pieces in
       let n = Iset.cardinal is in

@@ -52,21 +52,21 @@ let with_tensor3 coo f =
 
 let prop_spmm =
   Helpers.qtest ~count:50 "random SpMM (row) exact"
-    QCheck.(pair Helpers.arb_coo_matrix (int_range 1 5))
+    QCheck.(pair Helpers.arb_coo_matrix (Helpers.int_in 1 5))
     (fun (coo, pieces) ->
       with_matrix coo (fun b ->
           exact (Core.Kernels.spmm_problem ~machine:(machine pieces) ~cols:3 b)))
 
 let prop_sddmm =
   Helpers.qtest ~count:50 "random SDDMM (nnz) exact"
-    QCheck.(pair Helpers.arb_coo_matrix (int_range 1 5))
+    QCheck.(pair Helpers.arb_coo_matrix (Helpers.int_in 1 5))
     (fun (coo, pieces) ->
       with_matrix coo (fun b ->
           exact (Core.Kernels.sddmm_problem ~machine:(machine pieces) ~cols:3 b)))
 
 let prop_spttv =
   Helpers.qtest ~count:50 "random SpTTV (row and nnz) exact"
-    QCheck.(pair arb_coo3 (int_range 1 5))
+    QCheck.(pair arb_coo3 (Helpers.int_in 1 5))
     (fun (coo, pieces) ->
       with_tensor3 coo (fun b ->
           exact (Core.Kernels.spttv_problem ~machine:(machine pieces) b)
@@ -76,7 +76,7 @@ let prop_spttv =
 
 let prop_mttkrp =
   Helpers.qtest ~count:50 "random SpMTTKRP (row and nnz) exact"
-    QCheck.(pair arb_coo3 (int_range 1 5))
+    QCheck.(pair arb_coo3 (Helpers.int_in 1 5))
     (fun (coo, pieces) ->
       with_tensor3 coo (fun b ->
           exact (Core.Kernels.mttkrp_problem ~machine:(machine pieces) ~cols:3 b)
@@ -86,7 +86,7 @@ let prop_mttkrp =
 
 let prop_formats_agree =
   Helpers.qtest ~count:40 "CSR, CSC, DCSR, COO drivers all exact"
-    QCheck.(pair Helpers.arb_coo_matrix (int_range 1 4))
+    QCheck.(pair Helpers.arb_coo_matrix (Helpers.int_in 1 4))
     (fun (coo, pieces) ->
       if Coo.nnz (Coo.sort_dedup coo) = 0 then true
       else
@@ -116,7 +116,7 @@ let prop_formats_agree =
 
 let prop_workspace_equals_merge =
   Helpers.qtest ~count:40 "workspace SpAdd3 = merge SpAdd3"
-    QCheck.(pair Helpers.arb_coo_matrix (int_range 1 4))
+    QCheck.(pair Helpers.arb_coo_matrix (Helpers.int_in 1 4))
     (fun (coo, pieces) ->
       with_matrix coo (fun b ->
           let p1 = Core.Kernels.spadd3_problem ~machine:(machine pieces) b in
@@ -132,7 +132,7 @@ let prop_workspace_equals_merge =
 
 let prop_gpu_equals_cpu_numerics =
   Helpers.qtest ~count:30 "GPU and CPU schedules produce identical numbers"
-    QCheck.(pair Helpers.arb_coo_matrix (int_range 1 4))
+    QCheck.(pair Helpers.arb_coo_matrix (Helpers.int_in 1 4))
     (fun (coo, pieces) ->
       with_matrix coo (fun b ->
           let pc = Core.Kernels.spmv_problem ~machine:(machine pieces) b in
