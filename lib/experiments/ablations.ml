@@ -163,7 +163,7 @@ let run_format fmt () =
   List.iter
     (fun (label, b) ->
       (* The same statement, schedule and data distribution; only the
-         format declaration changes (paper Â§II-B). *)
+         format declaration changes (paper §II-B). *)
       let n = b.Tensor.dims.(0) and m = b.Tensor.dims.(1) in
       let a = Dense.vec_create "a" n in
       let cvec = Dense.vec_init "c" m (fun i -> 1. +. float_of_int (i mod 7)) in

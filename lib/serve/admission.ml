@@ -28,8 +28,6 @@ type t = {
   mutable bound : int;  (* current queue bound (degradation-scaled) *)
   mutable scale : float;  (* service-time inflation, total/alive nodes *)
   estimates : (string, float) Hashtbl.t;  (* per-query EWMA, sim seconds *)
-  mutable sheds_full : int;
-  mutable sheds_hopeless : int;
 }
 
 let ewma_alpha = 0.3
@@ -42,8 +40,6 @@ let create ~queue_bound =
     bound = queue_bound;
     scale = 1.;
     estimates = Hashtbl.create 16;
-    sheds_full = 0;
-    sheds_hopeless = 0;
   }
 
 let estimate t query =
@@ -77,17 +73,13 @@ let degrade t ~alive ~total =
 
 type decision = Admit | Reject of Error.t
 
-let reject t job_what phase fmt =
+let reject job_what phase fmt =
   Printf.ksprintf
     (fun what ->
       let reason =
         match phase with
-        | Error.Admission ->
-            t.sheds_full <- t.sheds_full + 1;
-            "queue_full"
-        | _ ->
-            t.sheds_hopeless <- t.sheds_hopeless + 1;
-            "hopeless_deadline"
+        | Error.Admission -> "queue_full"
+        | _ -> "hopeless_deadline"
       in
       Metrics.inc (Metrics.default ())
         ~labels:[ ("reason", reason) ]
@@ -97,8 +89,6 @@ let reject t job_what phase fmt =
     fmt
 
 let bound t = t.bound
-let sheds_full t = t.sheds_full
-let sheds_hopeless t = t.sheds_hopeless
 
 let decide t ~query ~depth ~backlog ~deadline =
   let m = Metrics.default () in
@@ -107,13 +97,13 @@ let decide t ~query ~depth ~backlog ~deadline =
   Metrics.set m ~help:"current admission queue bound (degradation-scaled)"
     "spdistal_serve_queue_bound" (float_of_int t.bound);
   if depth >= t.bound then
-    reject t query Error.Admission
+    reject query Error.Admission
       "queue full: depth %d >= bound %d (backlog %.4f s); retry later" depth
       t.bound backlog
   else
     match estimate t query with
     | Some est when backlog +. est > deadline ->
-        reject t query Error.Deadline
+        reject query Error.Deadline
           "cannot meet deadline %.4f s: backlog %.4f s + estimated service \
            %.4f s"
           deadline backlog est

@@ -35,12 +35,5 @@ type decision =
 val decide :
   t -> query:string -> depth:int -> backlog:float -> deadline:float -> decision
 
-(** {1 Counters} *)
-
+(** The current (degradation-scaled) queue bound. *)
 val bound : t -> int
-
-(** Rejections with phase [Admission] (queue full). *)
-val sheds_full : t -> int
-
-(** Rejections with phase [Deadline] (hopeless before admission). *)
-val sheds_hopeless : t -> int

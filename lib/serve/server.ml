@@ -65,8 +65,10 @@ type outcome =
 type job_log = {
   l_job : Workload.job;
   l_outcome : outcome;
-  l_attempts : int;  (* admissions actually run: 1 + retries *)
+  l_attempts : int;  (* admissions actually run: 1 + retries; 0 if shed *)
   l_hits : int;  (* cache hits this job observed *)
+  l_service : float;  (* lane seconds charged across the job's attempts *)
+  l_settled : float;  (* sim time the job settled: its trace span's end *)
 }
 
 type report = {
@@ -84,15 +86,15 @@ type report = {
   r_hit_rate : float;  (* cache hits / lookups across the whole run *)
   r_shed_rate : float;  (* shed / submitted *)
   r_throughput : float;  (* completed jobs per simulated second *)
-  r_makespan : float;  (* last completion (or arrival), sim seconds *)
+  r_makespan : float;  (* last settle time, sim seconds *)
   r_busy : float;  (* sim seconds the service lane was occupied *)
   r_baseline_throughput : float option;
       (* single-tenant reference: every job cold, no sharing *)
   r_cache : Cache.stats;
   r_blacklisted : int list;  (* original node ids, sorted *)
   r_final_bound : int;  (* queue bound after degradation *)
-  r_tenants : Tenant.t list;
-  r_log : job_log list;  (* per-job outcomes, trace order *)
+  r_tenants : int;  (* the trace's tenant ids are 0 .. r_tenants - 1 *)
+  r_log : job_log list;  (* per-job outcomes, arrival order *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -120,7 +122,6 @@ let make_machine nodes =
   Machine.make ~params:(scaled_params ()) ~kind:Machine.Cpu [| nodes |]
 
 let create cfg =
-  validate cfg;
   {
     cfg;
     cache = Cache.create ~cap:cfg.s_cache_cap ?byte_budget:cfg.s_cache_budget ();
@@ -299,25 +300,27 @@ let run_job t ?domains ?leaf_backend ~trace ~tenant (job : Workload.job) ~start
 (* The serve loop                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let percentile sorted q =
-  match Array.length sorted with
-  | 0 -> 0.
-  | n ->
-      let i = int_of_float (ceil (q *. float_of_int n)) - 1 in
-      sorted.(max 0 (min (n - 1) i))
-
 let outcome_label = function
   | Completed _ -> "completed"
   | Shed e -> Error.phase_name e.Error.phase ^ "-shed"
   | Deadline_exceeded _ -> "deadline-exceeded"
   | Failed _ -> "failed"
 
-(* Per-job serve metrics and log events, emitted on the (sequential) serve
-   loop after each job settles — so the series are deterministic whenever
-   the run is.  Latencies go into three histogram families (aggregate,
-   per-tenant, per-query — separate families so label cardinality stays
-   additive), and the headline gauges (pXX_ms, shed/hit rate) are re-derived
-   after every job so scrape windows always see current values. *)
+(* Shared-cache hits / lookups; lookups happen only for admitted attempts. *)
+let hit_rate (cs : Cache.stats) =
+  let lookups = cs.Cache.hits + cs.Cache.misses in
+  if lookups = 0 then 0. else float_of_int cs.Cache.hits /. float_of_int lookups
+
+(* The name a job's trace span and its log events share. *)
+let span_name (job : Workload.job) =
+  Printf.sprintf "job %d %s" job.Workload.j_id job.Workload.j_query
+
+(* Per-job serve metrics, emitted on the (sequential) serve loop after each
+   job settles — so the series are deterministic whenever the run is.
+   Latencies go into three histogram families (aggregate, per-tenant,
+   per-query — separate families so label cardinality stays additive), and
+   the headline gauges (pXX_ms, shed/hit rate) are re-derived after every
+   job so scrape windows always see current values. *)
 let note_job_metrics t ~submitted ~shed_total (entry : job_log) =
   let m = Metrics.default () in
   let job = entry.l_job in
@@ -355,53 +358,68 @@ let note_job_metrics t ~submitted ~shed_total (entry : job_log) =
   q "p99_ms" 0.99;
   Metrics.set m ~help:"shed / submitted so far" "spdistal_serve_shed_rate"
     (float_of_int shed_total /. float_of_int (max 1 submitted));
-  let cs = Cache.stats t.cache in
-  let lookups = cs.Cache.hits + cs.Cache.misses in
   Metrics.set m
     ~help:"shared-cache hits / lookups (lookups happen only for admitted attempts)"
     "spdistal_serve_hit_rate"
-    (if lookups = 0 then 0.
-     else float_of_int cs.Cache.hits /. float_of_int lookups)
+    (hit_rate (Cache.stats t.cache))
 
-let note_job_log (entry : job_log) =
-  let lg = Log.default () in
-  if Log.enabled lg then begin
-    let job = entry.l_job in
-    let span = Printf.sprintf "job %d %s" job.Workload.j_id job.Workload.j_query in
-    let track = Trace.Tenant job.Workload.j_tenant in
-    let base =
+(* The settled job's trace span (with the serve counter sample) and its log
+   event.  Both sinks drop the calls when off; the caller guards this so an
+   untraced, unlogged run builds no per-job span name. *)
+let note_job_settled t ~trace ~depth ~shed_total (entry : job_log) =
+  let job = entry.l_job in
+  let arrival = job.Workload.j_arrival in
+  let span = span_name job in
+  let track = Trace.Tenant job.Workload.j_tenant in
+  Trace.span trace ~track ~clock:Trace.Sim ~cat:"job"
+    ~args:
+      [
+        ("status", Trace.S (outcome_label entry.l_outcome));
+        ("query", Trace.S job.Workload.j_query);
+        ("attempts", Trace.I entry.l_attempts);
+      ]
+    ~start:arrival
+    ~dur:(Float.max 0. (entry.l_settled -. arrival))
+    span;
+  Trace.counter trace ~name:"serve" ~time:arrival
+    [
+      ("queue_depth", float_of_int depth);
+      ("shed_total", float_of_int shed_total);
+      ("cache_bytes", float_of_int (Cache.stats t.cache).Cache.bytes);
+    ];
+  let level, time, field, name =
+    match entry.l_outcome with
+    | Completed resp ->
+        ( Log.Info,
+          entry.l_settled,
+          ("resp_ms", Trace.F (1e3 *. resp)),
+          "job_completed" )
+    | Shed err ->
+        (Log.Warn, arrival, ("reason", Trace.S (Error.to_string err)), "job_shed")
+    | Deadline_exceeded charged ->
+        ( Log.Warn,
+          entry.l_settled,
+          ("charged_s", Trace.F charged),
+          "job_deadline_exceeded" )
+    | Failed err ->
+        (Log.Error, arrival, ("error", Trace.S (Error.to_string err)), "job_failed")
+  in
+  Log.event (Log.default ()) ~level ~time ~track ~span
+    ~fields:
       [
         ("job", Trace.I job.Workload.j_id);
         ("query", Trace.S job.Workload.j_query);
         ("attempts", Trace.I entry.l_attempts);
         ("hits", Trace.I entry.l_hits);
+        field;
       ]
-    in
-    match entry.l_outcome with
-    | Completed resp ->
-        Log.event lg ~time:(job.Workload.j_arrival +. resp) ~track ~span
-          ~fields:(base @ [ ("resp_ms", Trace.F (1e3 *. resp)) ])
-          "job_completed"
-    | Shed err ->
-        Log.event lg ~level:Log.Warn ~time:job.Workload.j_arrival ~track ~span
-          ~fields:(base @ [ ("reason", Trace.S (Error.to_string err)) ])
-          "job_shed"
-    | Deadline_exceeded charged ->
-        Log.event lg ~level:Log.Warn
-          ~time:(job.Workload.j_arrival +. job.Workload.j_deadline)
-          ~track ~span
-          ~fields:(base @ [ ("charged_s", Trace.F charged) ])
-          "job_deadline_exceeded"
-    | Failed err ->
-        Log.event lg ~level:Log.Error ~time:job.Workload.j_arrival ~track ~span
-          ~fields:(base @ [ ("error", Trace.S (Error.to_string err)) ])
-          "job_failed"
-  end
+    name
 
-let serve ?domains ?leaf_backend ?(trace = Trace.null) ?scrape t
-    (w : Workload.t) =
+(* Serve the jobs in arrival order; returns the job log, the lane's busy
+   seconds stay in [t.busy]. *)
+let serve ?domains ?leaf_backend ~trace ?scrape t (w : Workload.t) =
   let tenants =
-    Array.init (max 1 w.Workload.w_tenants)
+    Array.init w.Workload.w_tenants
       (Tenant.create ~retry_budget:t.cfg.s_retry_budget)
   in
   let jobs =
@@ -411,14 +429,8 @@ let serve ?domains ?leaf_backend ?(trace = Trace.null) ?scrape t
   in
   let log = ref [] in
   let shed_total = ref 0 in
-  let submitted = ref 0 in
-  List.iter
-    (fun (job : Workload.job) ->
-      let tenant =
-        tenants.(job.Workload.j_tenant mod Array.length tenants)
-      in
-      tenant.Tenant.submitted <- tenant.Tenant.submitted + 1;
-      incr submitted;
+  List.iteri
+    (fun i (job : Workload.job) ->
       let arrival = job.Workload.j_arrival in
       (* Snapshot every interval boundary the virtual clock has crossed
          before this arrival mutates anything. *)
@@ -427,24 +439,27 @@ let serve ?domains ?leaf_backend ?(trace = Trace.null) ?scrape t
       t.finishes <- List.filter (fun f -> f > arrival) t.finishes;
       let depth = List.length t.finishes in
       let backlog = Float.max 0. (t.free -. arrival) in
-      let decision =
-        Admission.decide t.admission ~query:job.Workload.j_query ~depth
-          ~backlog ~deadline:job.Workload.j_deadline
-      in
       let entry =
-        match decision with
+        match
+          Admission.decide t.admission ~query:job.Workload.j_query ~depth
+            ~backlog ~deadline:job.Workload.j_deadline
+        with
         | Admission.Reject err ->
             incr shed_total;
-            tenant.Tenant.shed <- tenant.Tenant.shed + 1;
-            { l_job = job; l_outcome = Shed err; l_attempts = 0; l_hits = 0 }
+            {
+              l_job = job;
+              l_outcome = Shed err;
+              l_attempts = 0;
+              l_hits = 0;
+              l_service = 0.;
+              l_settled = arrival;
+            }
         | Admission.Admit ->
             (let lg = Log.default () in
              if Log.enabled lg then
                Log.event lg ~level:Log.Debug ~time:arrival
                  ~track:(Trace.Tenant job.Workload.j_tenant)
-                 ~span:
-                   (Printf.sprintf "job %d %s" job.Workload.j_id
-                      job.Workload.j_query)
+                 ~span:(span_name job)
                  ~fields:
                    [
                      ("job", Trace.I job.Workload.j_id);
@@ -455,128 +470,120 @@ let serve ?domains ?leaf_backend ?(trace = Trace.null) ?scrape t
             let start = Float.max arrival t.free in
             let busy_before = t.busy in
             let outcome, finish, attempts, hits =
-              run_job t ?domains ?leaf_backend ~trace ~tenant job ~start
+              run_job t ?domains ?leaf_backend ~trace
+                ~tenant:tenants.(job.Workload.j_tenant) job ~start
             in
-            Metrics.inc (Metrics.default ())
-              ~by:(t.busy -. busy_before)
+            let service = t.busy -. busy_before in
+            Metrics.inc (Metrics.default ()) ~by:service
               ~help:"sim seconds the service lane was occupied"
               "spdistal_serve_busy_seconds_total";
             t.free <- Float.max t.free finish;
             t.finishes <- finish :: t.finishes;
-            (match outcome with
-            | Completed resp ->
-                tenant.Tenant.completed <- tenant.Tenant.completed + 1;
-                tenant.Tenant.busy <- tenant.Tenant.busy +. resp
-            | Deadline_exceeded charged ->
-                tenant.Tenant.deadline_exceeded <-
-                  tenant.Tenant.deadline_exceeded + 1;
-                tenant.Tenant.busy <- tenant.Tenant.busy +. charged
-            | Failed _ -> tenant.Tenant.failed <- tenant.Tenant.failed + 1
-            | Shed _ -> ());
-            { l_job = job; l_outcome = outcome; l_attempts = attempts; l_hits = hits }
+            let settled =
+              match outcome with
+              | Completed resp -> arrival +. resp
+              | Deadline_exceeded _ -> arrival +. job.Workload.j_deadline
+              | Failed _ | Shed _ -> Float.max arrival t.free
+            in
+            {
+              l_job = job;
+              l_outcome = outcome;
+              l_attempts = attempts;
+              l_hits = hits;
+              l_service = service;
+              l_settled = settled;
+            }
       in
-      (if Trace.enabled trace then begin
-         let finish =
-           match entry.l_outcome with
-           | Shed _ -> arrival
-           | Completed resp -> arrival +. resp
-           | Deadline_exceeded _ -> arrival +. job.Workload.j_deadline
-           | Failed _ -> Float.max arrival t.free
-         in
-         Trace.span trace
-           ~track:(Trace.Tenant job.Workload.j_tenant)
-           ~clock:Trace.Sim ~cat:"job"
-           ~args:
-             [
-               ("status", Trace.S (outcome_label entry.l_outcome));
-               ("query", Trace.S job.Workload.j_query);
-               ("attempts", Trace.I entry.l_attempts);
-             ]
-           ~start:arrival
-           ~dur:(Float.max 0. (finish -. arrival))
-           (Printf.sprintf "job %d %s" job.Workload.j_id job.Workload.j_query);
-         let cs = Cache.stats t.cache in
-         Trace.counter trace ~name:"serve" ~time:arrival
-           [
-             ("queue_depth", float_of_int depth);
-             ("shed_total", float_of_int !shed_total);
-             ("cache_bytes", float_of_int cs.Cache.bytes);
-           ]
-       end);
-      note_job_metrics t ~submitted:!submitted ~shed_total:!shed_total entry;
-      note_job_log entry;
+      if Trace.enabled trace || Log.enabled (Log.default ()) then
+        note_job_settled t ~trace ~depth ~shed_total:!shed_total entry;
+      note_job_metrics t ~submitted:(i + 1) ~shed_total:!shed_total entry;
       log := entry :: !log)
     jobs;
-  let log = List.rev !log in
+  List.rev !log
+
+(* ------------------------------------------------------------------ *)
+(* The report: folds over the job log                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* What a report counts over a slice of the job log.  The run's totals and
+   each tenant's row are this one fold, so they cannot drift apart. *)
+type tally = {
+  jobs : int;
+  completed : int;
+  shed : int;
+  deadline : int;
+  failed : int;
+  retries : int;  (* re-admissions: attempts - 1 over admitted jobs *)
+  busy : float;  (* lane seconds charged *)
+  latencies : float array;  (* completed jobs' response times, ascending *)
+}
+
+let tally log =
+  let count f = List.length (List.filter (fun l -> f l.l_outcome) log) in
   let latencies =
-    List.filter_map
-      (fun l -> match l.l_outcome with Completed r -> Some r | _ -> None)
-      log
+    Array.of_list
+      (List.filter_map
+         (fun l -> match l.l_outcome with Completed r -> Some r | _ -> None)
+         log)
   in
-  let sorted = Array.of_list latencies in
-  Array.sort compare sorted;
-  let completed = Array.length sorted in
-  let count f = List.length (List.filter f log) in
-  let shed = count (fun l -> match l.l_outcome with Shed _ -> true | _ -> false) in
-  let deadline =
-    count (fun l ->
-        match l.l_outcome with Deadline_exceeded _ -> true | _ -> false)
-  in
-  let failed =
-    count (fun l -> match l.l_outcome with Failed _ -> true | _ -> false)
-  in
-  let retries =
-    Array.to_list tenants |> List.map (fun t -> t.Tenant.retries)
-    |> List.fold_left ( + ) 0
-  in
-  let makespan =
-    List.fold_left
-      (fun acc l ->
-        match l.l_outcome with
-        | Completed r -> Float.max acc (l.l_job.Workload.j_arrival +. r)
-        | _ -> Float.max acc l.l_job.Workload.j_arrival)
-      0. log
-  in
-  (* Close the scrape series: any boundaries the tail of the run crossed,
-     plus one final row at the makespan (the partial last window). *)
-  Option.iter
-    (fun s ->
-      Metrics.Scrape.tick s ~now:makespan;
-      Metrics.Scrape.force s ~now:makespan)
-    scrape;
+  Array.sort compare latencies;
+  {
+    jobs = List.length log;
+    completed = Array.length latencies;
+    shed = count (function Shed _ -> true | _ -> false);
+    deadline = count (function Deadline_exceeded _ -> true | _ -> false);
+    failed = count (function Failed _ -> true | _ -> false);
+    retries =
+      List.fold_left (fun acc l -> acc + max 0 (l.l_attempts - 1)) 0 log;
+    busy = List.fold_left (fun acc l -> acc +. l.l_service) 0. log;
+    latencies;
+  }
+
+let tenant_tallies r =
+  List.init r.r_tenants (fun id ->
+      ( id,
+        tally
+          (List.filter (fun l -> l.l_job.Workload.j_tenant = id) r.r_log) ))
+
+let percentile sorted q =
+  match Array.length sorted with
+  | 0 -> 0.
+  | n ->
+      let i = int_of_float (ceil (q *. float_of_int n)) - 1 in
+      sorted.(max 0 (min (n - 1) i))
+
+let report t ~tenants ~makespan log =
+  let n = tally log in
+  let sorted = n.latencies in
   let cs = Cache.stats t.cache in
-  let lookups = cs.Cache.hits + cs.Cache.misses in
-  let total = List.length log in
   let mean =
-    if completed = 0 then 0.
-    else Array.fold_left ( +. ) 0. sorted /. float_of_int completed
+    if n.completed = 0 then 0.
+    else Array.fold_left ( +. ) 0. sorted /. float_of_int n.completed
   in
   {
     r_config = t.cfg;
-    r_jobs = total;
-    r_completed = completed;
-    r_shed = shed;
-    r_deadline = deadline;
-    r_failed = failed;
-    r_retries = retries;
+    r_jobs = n.jobs;
+    r_completed = n.completed;
+    r_shed = n.shed;
+    r_deadline = n.deadline;
+    r_failed = n.failed;
+    r_retries = n.retries;
     r_p50_ms = 1e3 *. percentile sorted 0.50;
     r_p95_ms = 1e3 *. percentile sorted 0.95;
     r_p99_ms = 1e3 *. percentile sorted 0.99;
     r_mean_ms = 1e3 *. mean;
-    r_hit_rate =
-      (if lookups = 0 then 0.
-       else float_of_int cs.Cache.hits /. float_of_int lookups);
+    r_hit_rate = hit_rate cs;
     r_shed_rate =
-      (if total = 0 then 0. else float_of_int shed /. float_of_int total);
+      (if n.jobs = 0 then 0. else float_of_int n.shed /. float_of_int n.jobs);
     r_throughput =
-      (if makespan > 0. then float_of_int completed /. makespan else 0.);
+      (if makespan > 0. then float_of_int n.completed /. makespan else 0.);
     r_makespan = makespan;
     r_busy = t.busy;
     r_baseline_throughput = None;
     r_cache = cs;
     r_blacklisted = t.blacklisted;
     r_final_bound = Admission.bound t.admission;
-    r_tenants = Array.to_list tenants;
+    r_tenants = tenants;
     r_log = log;
   }
 
@@ -589,7 +596,7 @@ let serve ?domains ?leaf_backend ?(trace = Trace.null) ?scrape t
    for the previous one.  Since fault-free service time is a deterministic
    function of the query, one cold run per distinct query prices the whole
    trace. *)
-let baseline_throughput ?domains ?leaf_backend ~nodes (w : Workload.t) =
+let baseline_throughput ?domains ?leaf_backend ~nodes jobs =
   let machine = make_machine nodes in
   let costs = Hashtbl.create 8 in
   let total =
@@ -612,28 +619,36 @@ let baseline_throughput ?domains ?leaf_backend ~nodes (w : Workload.t) =
               c
         in
         acc +. c)
-      0. w.Workload.w_jobs
+      0. jobs
   in
-  if total > 0. then float_of_int (List.length w.Workload.w_jobs) /. total
-  else 0.
+  if total > 0. then float_of_int (List.length jobs) /. total else 0.
 
-(* Price the single-tenant baseline (one tenant, no queue, no cache
-   sharing: every job pays its query's cold fault-free cost serially) and
-   attach it to the report. *)
-let with_baseline ?domains ?leaf_backend report =
-  let w =
-    {
-      Workload.w_tenants = 1;
-      w_jobs = List.map (fun l -> l.l_job) report.r_log;
-    }
+let run ?domains ?leaf_backend ?(trace = Trace.null) ?scrape ?(baseline = false)
+    cfg w =
+  validate cfg;
+  Workload.check w;
+  let t = create cfg in
+  let log = serve ?domains ?leaf_backend ~trace ?scrape t w in
+  let makespan =
+    List.fold_left (fun acc l -> Float.max acc l.l_settled) 0. log
   in
-  {
-    report with
-    r_baseline_throughput =
-      Some
-        (baseline_throughput ?domains ?leaf_backend
-           ~nodes:report.r_config.s_nodes w);
-  }
+  (* Close the scrape series: any boundaries the tail of the run crossed,
+     plus one final row at the makespan (the partial last window). *)
+  Option.iter
+    (fun s ->
+      Metrics.Scrape.tick s ~now:makespan;
+      Metrics.Scrape.force s ~now:makespan)
+    scrape;
+  let r = report t ~tenants:w.Workload.w_tenants ~makespan log in
+  if baseline then
+    {
+      r with
+      r_baseline_throughput =
+        Some
+          (baseline_throughput ?domains ?leaf_backend ~nodes:cfg.s_nodes
+             (List.map (fun l -> l.l_job) log));
+    }
+  else r
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
@@ -670,35 +685,28 @@ let csv_row ~scenario r =
     r.r_busy r.r_cache.Cache.bytes_peak r.r_cache.Cache.evictions
     (List.length r.r_blacklisted) r.r_final_bound
 
-(* Per-tenant breakdown: the tenant counters plus latency percentiles over
-   that tenant's completed jobs (from the job log, so the export needs no
-   extra state in the engine). *)
+(* Per-tenant breakdown: each tenant's slice of the job log, folded by
+   [tally] like the run's totals. *)
 let tenants_csv_header =
   "scenario,tenant,submitted,completed,shed,deadline,failed,retries,\
    retry_budget,busy_s,p50_ms,p95_ms,p99_ms"
 
 let tenants_csv_rows ~scenario r =
   List.map
-    (fun (tn : Tenant.t) ->
-      let lat =
-        List.filter_map
-          (fun l ->
-            match l.l_outcome with
-            | Completed resp when l.l_job.Workload.j_tenant = tn.Tenant.t_id ->
-                Some resp
-            | _ -> None)
-          r.r_log
-      in
-      let sorted = Array.of_list lat in
-      Array.sort compare sorted;
+    (fun (id, n) ->
       Printf.sprintf "%s,%d,%d,%d,%d,%d,%d,%d,%d,%.4f,%.3f,%.3f,%.3f" scenario
-        tn.Tenant.t_id tn.Tenant.submitted tn.Tenant.completed tn.Tenant.shed
-        tn.Tenant.deadline_exceeded tn.Tenant.failed tn.Tenant.retries
-        tn.Tenant.budget0 tn.Tenant.busy
-        (1e3 *. percentile sorted 0.50)
-        (1e3 *. percentile sorted 0.95)
-        (1e3 *. percentile sorted 0.99))
-    r.r_tenants
+        id n.jobs n.completed n.shed n.deadline n.failed n.retries
+        r.r_config.s_retry_budget n.busy
+        (1e3 *. percentile n.latencies 0.50)
+        (1e3 *. percentile n.latencies 0.95)
+        (1e3 *. percentile n.latencies 0.99))
+    (tenant_tallies r)
+
+let pp_tenant budget fmt (id, n) =
+  Format.fprintf fmt
+    "tenant %d: %d submitted, %d completed, %d shed, %d deadline, %d failed, \
+     %d/%d retries used, %.4f s busy"
+    id n.jobs n.completed n.shed n.deadline n.failed n.retries budget n.busy
 
 let pp_report fmt r =
   Format.fprintf fmt
@@ -723,12 +731,5 @@ let pp_report fmt r =
         Printf.sprintf " (nodes %s)"
           (String.concat "," (List.map string_of_int ns)))
     r.r_final_bound
-    (Format.pp_print_list Tenant.pp)
-    r.r_tenants
-
-(* Convenience wrapper: build a server, serve the trace, optionally price
-   the single-tenant baseline. *)
-let run ?domains ?leaf_backend ?trace ?scrape ?(baseline = false) cfg w =
-  let t = create cfg in
-  let report = serve ?domains ?leaf_backend ?trace ?scrape t w in
-  if baseline then with_baseline ?domains ?leaf_backend report else report
+    (Format.pp_print_list (pp_tenant r.r_config.s_retry_budget))
+    (tenant_tallies r)

@@ -47,11 +47,20 @@ type outcome =
           actually charged *)
   | Failed of Error.t  (** DNC with the tenant's retry budget exhausted *)
 
+(** The serve engine's one per-job record: the report's counts, latency
+    percentiles, makespan and per-tenant rows are all folds over it. *)
 type job_log = {
   l_job : Workload.job;
   l_outcome : outcome;
-  l_attempts : int;  (** admissions actually run: 1 + retries *)
+  l_attempts : int;  (** admissions actually run: 1 + retries; 0 if shed *)
   l_hits : int;  (** cache hits this job observed *)
+  l_service : float;
+      (** simulated seconds of lane time charged across the job's attempts;
+          0 if shed *)
+  l_settled : float;
+      (** simulated time the job settled (its trace span's end): arrival if
+          shed, arrival + response if completed, arrival + deadline if
+          cancelled, the lane-free time if failed *)
 }
 
 type report = {
@@ -69,7 +78,7 @@ type report = {
   r_hit_rate : float;
   r_shed_rate : float;
   r_throughput : float;  (** completed jobs per simulated second *)
-  r_makespan : float;
+  r_makespan : float;  (** the last job's settle time, simulated seconds *)
   r_busy : float;  (** simulated seconds the service lane was occupied *)
   r_baseline_throughput : float option;
       (** single-tenant reference (every job cold, no sharing); see
@@ -77,38 +86,28 @@ type report = {
   r_cache : Cache.stats;
   r_blacklisted : int list;  (** original node ids, sorted *)
   r_final_bound : int;  (** queue bound after degradation *)
-  r_tenants : Tenant.t list;
-  r_log : job_log list;  (** per-job outcomes in trace order *)
+  r_tenants : int;  (** the trace's tenant ids are [0 .. r_tenants - 1] *)
+  r_log : job_log list;  (** per-job outcomes in arrival order *)
 }
 
-type t
+(** Serve a whole trace on a fresh server.  Raises
+    {!Spdistal_runtime.Error.Error} ([Config]) on nonsensical bounds, a
+    negative retry budget, or a trace failing {!Workload.check}.
 
-(** Raises {!Spdistal_runtime.Error.Error} ([Config]) on nonsensical
-    bounds. *)
-val create : config -> t
-
-(** Serve a whole trace.  [trace] (default
-    {!Spdistal_obs.Trace.null}) gets a simulated-clock job span per job on
-    its tenant's track plus queue-depth/shed/cache-bytes counters — and is
-    also passed to every underlying {!Core.Spdistal.Context.run}.
+    [trace] (default {!Spdistal_obs.Trace.null}) gets a simulated-clock job
+    span per job on its tenant's track plus queue-depth/shed/cache-bytes
+    counters — and is also passed to every underlying
+    {!Core.Spdistal.Context.run}.
 
     [scrape] is ticked on the serve loop's virtual clock: at every job
     arrival it snapshots each interval boundary the clock has crossed, and
     at the end of the run it appends one final row at the makespan.  Because
     ticking happens on the sequential loop, the scraped series are
-    bit-identical across [domains] whenever the run itself is. *)
-val serve :
-  ?domains:int ->
-  ?leaf_backend:Spdistal_exec.Compile_leaf.backend ->
-  ?trace:Spdistal_obs.Trace.t ->
-  ?scrape:Spdistal_obs.Metrics.Scrape.t ->
-  t ->
-  Workload.t ->
-  report
+    bit-identical across [domains] whenever the run itself is.
 
-(** {!create} + {!serve}, then, when [baseline], the single-tenant
-    baseline (one tenant, no queue, no cache sharing: every job pays its
-    query's cold fault-free cost serially) attached to the report. *)
+    When [baseline], the single-tenant baseline (one tenant, no queue, no
+    cache sharing: every job pays its query's cold fault-free cost
+    serially) is attached to the report. *)
 val run :
   ?domains:int ->
   ?leaf_backend:Spdistal_exec.Compile_leaf.backend ->
@@ -118,6 +117,24 @@ val run :
   config ->
   Workload.t ->
   report
+
+(** What a report counts over a slice of the job log: the report's totals
+    are the tally of [r_log], each tenant's row the tally of its jobs. *)
+type tally = {
+  jobs : int;
+  completed : int;
+  shed : int;
+  deadline : int;
+  failed : int;
+  retries : int;  (** re-admissions: attempts - 1 over admitted jobs *)
+  busy : float;  (** lane seconds charged: the jobs' [l_service] summed *)
+  latencies : float array;  (** completed jobs' response times, ascending *)
+}
+
+val tally : job_log list -> tally
+
+(** [(id, tally)] for each tenant id, over that tenant's jobs. *)
+val tenant_tallies : report -> (int * tally) list
 
 (** {1 Rendering} *)
 
@@ -130,8 +147,9 @@ val csv_comment : string
 val csv_header : string
 val csv_row : scenario:string -> report -> string
 
-(** Per-tenant breakdown of a report: one row per tenant with the counter
-    slice and latency percentiles over that tenant's completed jobs. *)
+(** Per-tenant breakdown of a report: one row per tenant, the same fold over
+    that tenant's slice of the job log as the report's totals ([busy_s] is
+    the lane seconds charged to its jobs). *)
 val tenants_csv_header : string
 
 val tenants_csv_rows : scenario:string -> report -> string list

@@ -1,25 +1,13 @@
-(** Per-tenant accounting: retry budgets (failure isolation) and the
-    per-tenant slice of the serve metrics. *)
+(** Per-tenant retry budgets (failure isolation).  A tenant's counts and
+    busy time are folds over the server's job log. *)
 
-type t = {
-  t_id : int;
-  budget0 : int;  (** the budget the tenant started with *)
-  mutable budget : int;  (** re-admissions left after a job-level failure *)
-  mutable submitted : int;
-  mutable completed : int;
-  mutable shed : int;
-  mutable deadline_exceeded : int;
-  mutable failed : int;
-  mutable retries : int;
-  mutable busy : float;  (** simulated server seconds charged *)
-}
+(** A tenant id and its re-admissions left. *)
+type t
 
-(** Raises {!Spdistal_runtime.Error.Error} ([Config]) on a negative
-    budget. *)
+(** [create ~retry_budget id].  Raises {!Spdistal_runtime.Error.Error}
+    ([Config]) on a negative budget. *)
 val create : retry_budget:int -> int -> t
 
 (** Spend one re-admission; [false] when exhausted — the job must fail fast
     instead of being retried, so the tenant cannot starve others. *)
 val try_retry : t -> bool
-
-val pp : Format.formatter -> t -> unit

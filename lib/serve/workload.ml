@@ -120,6 +120,26 @@ let to_string w =
     w.w_jobs;
   Buffer.contents buf
 
+(* The one tenant-id check, shared by [of_string] (per trace line) and
+   [check] (per job): a trace declares at least one tenant, and each job's
+   tenant indexes one of them.  Tenant 0 is valid exactly when the count
+   is, so [tenant_error ~tenants 0] checks the count alone. *)
+let tenant_error ~tenants id =
+  if tenants < 1 then Some (Printf.sprintf "tenants=%d must be >= 1" tenants)
+  else if id < 0 || id >= tenants then
+    Some (Printf.sprintf "tenant %d outside [0, %d)" id tenants)
+  else None
+
+let check w =
+  let fail what = Error.fail Error.Config "workload %s: %s" what in
+  Option.iter (fail "header") (tenant_error ~tenants:w.w_tenants 0);
+  List.iter
+    (fun j ->
+      Option.iter
+        (fail (Printf.sprintf "job %d" j.j_id))
+        (tenant_error ~tenants:w.w_tenants j.j_tenant))
+    w.w_jobs
+
 let of_string s =
   let fail fmt = Printf.ksprintf (fun m -> Result.Error m) fmt in
   match String.split_on_char '\n' s with
@@ -135,10 +155,19 @@ let of_string s =
           match int_of_string_opt (String.trim tenants_str) with
           | None -> fail "bad workload header %S" header
           | Some tenants -> (
-              let jobs = ref [] and err = ref None in
+              (* The header is line 1; a bad tenant count stops the parse
+                 there. *)
+              let err =
+                ref
+                  (Option.map
+                     (fun why -> (1, ": " ^ why))
+                     (tenant_error ~tenants 0))
+              in
+              let jobs = ref [] in
               List.iteri
                 (fun n line ->
                   let line = String.trim line in
+                  let bad why = err := Some (n + 2, why) in
                   if line <> "" && !err = None then
                     match String.split_on_char ' ' line with
                     | [ "job"; id; tenant; query; arrival; deadline ] -> (
@@ -148,21 +177,24 @@ let of_string s =
                             float_of_string_opt arrival,
                             float_of_string_opt deadline )
                         with
-                        | Some id, Some tenant, Some arrival, Some deadline ->
-                            jobs :=
-                              {
-                                j_id = id;
-                                j_tenant = tenant;
-                                j_query = query;
-                                j_arrival = arrival;
-                                j_deadline = deadline;
-                              }
-                              :: !jobs
-                        | _ -> err := Some (n + 2))
-                    | _ -> err := Some (n + 2))
+                        | Some id, Some tenant, Some arrival, Some deadline -> (
+                            match tenant_error ~tenants tenant with
+                            | Some why -> bad (": " ^ why)
+                            | None ->
+                                jobs :=
+                                  {
+                                    j_id = id;
+                                    j_tenant = tenant;
+                                    j_query = query;
+                                    j_arrival = arrival;
+                                    j_deadline = deadline;
+                                  }
+                                  :: !jobs)
+                        | _ -> bad "")
+                    | _ -> bad "")
                 lines;
               match !err with
-              | Some line -> fail "bad workload trace line %d" line
+              | Some (line, why) -> fail "bad workload trace line %d%s" line why
               | None -> Ok { w_tenants = tenants; w_jobs = List.rev !jobs }))
       | _ -> fail "not a workload trace (missing %S header)" magic)
 

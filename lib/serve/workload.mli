@@ -41,6 +41,12 @@ val generate : ?gen:gen -> catalog:string list -> unit -> t
 (** Bit-exact round trip ([%h] floats). *)
 val to_string : t -> string
 
+(** Raises {!Spdistal_runtime.Error.Error} ([Config]) when [w_tenants] < 1
+    or a job's tenant is outside [\[0, w_tenants)], naming the job.  The
+    same check rejects those trace lines in {!of_string}. *)
+val check : t -> unit
+
+(** Parses {!to_string}'s format; an [Error] names the offending line. *)
 val of_string : string -> (t, string) result
 
 (** Read/write a trace file; [load] raises {!Spdistal_runtime.Error.Error}

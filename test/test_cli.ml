@@ -135,6 +135,19 @@ let test_serve_bad_nodes () = check_bad_input "serve --nodes 0 --jobs 5"
 let test_serve_missing_trace () =
   check_bad_input ("serve --trace " ^ Filename.quote (missing_path ()))
 
+let test_serve_bad_tenant () =
+  let path = Filename.temp_file "spdistal_bad_tenant" ".workload" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let oc = open_out path in
+      output_string oc
+        "spdistal-workload v1 tenants=2\n\
+         job 0 0 spmv-web 0x0p+0 0x1p-1\n\
+         job 1 -1 spmv-web 0x1p-8 0x1p-1\n";
+      close_out oc;
+      check_bad_input ("serve --trace " ^ Filename.quote path))
+
 let suite =
   [
     Alcotest.test_case "run --iterations" `Quick test_run_iterations;
@@ -152,4 +165,6 @@ let suite =
     Alcotest.test_case "serve --nodes 0 rejected" `Quick test_serve_bad_nodes;
     Alcotest.test_case "serve --trace missing file" `Quick
       test_serve_missing_trace;
+    Alcotest.test_case "serve --trace out-of-range tenant" `Quick
+      test_serve_bad_tenant;
   ]

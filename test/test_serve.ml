@@ -9,6 +9,10 @@
    - a job cancelled at its deadline is charged only for the work done;
    - the whole serve loop is deterministic: same trace + config, same
      report, down to the CSV row;
+   - the report and the tenant rows are folds over one job log: tenants
+     sum to the run's counts and busy seconds, and the makespan covers
+     every settled job;
+   - tenant ids outside the trace's range are typed errors;
    - under an overload burst plus sustained faults the server never raises,
      never exceeds the cache byte budget, accounts every job, and degrades
      (blacklists crashing nodes, tightens admission) instead of dying. *)
@@ -116,7 +120,6 @@ let test_admission_bound () =
       Alcotest.(check string) "queue-full phase" "admission"
         (Error.phase_name e.Error.phase)
   | Admission.Admit -> Alcotest.fail "full queue must shed");
-  Alcotest.(check int) "full-queue sheds counted" 1 (Admission.sheds_full a);
   Alcotest.(check bool) "bound validated" true
     (is_config_error (fun () -> Admission.create ~queue_bound:0))
 
@@ -137,7 +140,6 @@ let test_admission_deadline_shedding () =
       Alcotest.(check string) "hopeless phase" "deadline"
         (Error.phase_name e.Error.phase)
   | Admission.Admit -> Alcotest.fail "hopeless job must shed");
-  Alcotest.(check int) "hopeless sheds counted" 1 (Admission.sheds_hopeless a);
   (* The same job fits when the backlog clears. *)
   match Admission.decide a ~query:"q" ~depth:0 ~backlog:0.1 ~deadline:0.6 with
   | Admission.Admit -> ()
@@ -161,9 +163,67 @@ let test_tenant_budget () =
   let t = Tenant.create ~retry_budget:2 7 in
   Alcotest.(check bool) "first retry granted" true (Tenant.try_retry t);
   Alcotest.(check bool) "second retry granted" true (Tenant.try_retry t);
-  Alcotest.(check bool) "third retry refused" false (Tenant.try_retry t);
-  Alcotest.(check int) "retries counted" 2 t.Tenant.retries;
-  Alcotest.(check int) "budget exhausted" 0 t.Tenant.budget
+  Alcotest.(check bool) "spent budget refuses" false (Tenant.try_retry t);
+  Alcotest.(check bool) "still refuses" false (Tenant.try_retry t);
+  Alcotest.(check bool) "Server.run rejects a negative budget" true
+    (is_config_error (fun () ->
+         Server.run
+           { Server.default_config with Server.s_retry_budget = -1 }
+           (Workload.generate
+              ~gen:{ Workload.default_gen with Workload.g_jobs = 4 }
+              ~catalog:Catalog.names ())))
+
+(* Tenant ids are checked in one place, [Workload]: the trace parser and
+   [Server.run] reject the same ids with a typed error. *)
+let test_tenant_ids () =
+  let trace tenants id =
+    Printf.sprintf
+      "spdistal-workload v1 tenants=%d\njob 0 0 spmv-web 0x0p+0 0x1p-1\n\
+       job 1 %d spmv-web 0x1p-8 0x1p-1\n"
+      tenants id
+  in
+  let workload tenants id =
+    {
+      Workload.w_tenants = tenants;
+      w_jobs =
+        [
+          {
+            Workload.j_id = 0;
+            j_tenant = id;
+            j_query = "spmv-web";
+            j_arrival = 0.;
+            j_deadline = 0.5;
+          };
+        ];
+    }
+  in
+  let parse_error s =
+    match Workload.of_string s with Ok _ -> None | Error msg -> Some msg
+  in
+  Alcotest.(check (option string)) "in-range ids parse" None
+    (parse_error (trace 2 1));
+  Alcotest.(check (option string))
+    "negative id names its line"
+    (Some "bad workload trace line 3: tenant -1 outside [0, 2)")
+    (parse_error (trace 2 (-1)));
+  Alcotest.(check (option string))
+    "id = tenants names its line"
+    (Some "bad workload trace line 3: tenant 2 outside [0, 2)")
+    (parse_error (trace 2 2));
+  Alcotest.(check (option string))
+    "tenants=0 names the header"
+    (Some "bad workload trace line 1: tenants=0 must be >= 1")
+    (parse_error (trace 0 0));
+  Alcotest.(check bool) "tenants=-3 rejected" true
+    (parse_error (trace (-3) 0) <> None);
+  let run w = Server.run Server.default_config w in
+  Alcotest.(check bool) "Server.run: negative id" true
+    (is_config_error (fun () -> run (workload 2 (-1))));
+  Alcotest.(check bool) "Server.run: id = tenants" true
+    (is_config_error (fun () -> run (workload 2 2)));
+  Alcotest.(check bool) "Server.run: tenants=0" true
+    (is_config_error (fun () -> run (workload 0 0)));
+  Alcotest.(check int) "Server.run: in range" 1 (run (workload 2 1)).Server.r_jobs
 
 (* ------------------------------------------------------------------ *)
 (* The serve loop                                                      *)
@@ -185,6 +245,50 @@ let accounted r =
   r.Server.r_completed + r.Server.r_shed + r.Server.r_deadline
   + r.Server.r_failed
 
+(* The report and the tenant rows are folds over one job log: the tenants
+   partition the run's counts and the lane's busy seconds, no tenant spends
+   more re-admissions than its budget, and the lane is never busier than
+   the run is long. *)
+let check_accounting (r : Server.report) =
+  let rows = List.map snd (Server.tenant_tallies r) in
+  let sum f = List.fold_left (fun acc n -> acc + f n) 0 rows in
+  let busy = List.fold_left (fun acc n -> acc +. n.Server.busy) 0. rows in
+  Alcotest.(check bool) "tenant busy sums to the lane's busy" true
+    (Float.abs (busy -. r.Server.r_busy) <= 1e-9 *. Float.abs r.Server.r_busy);
+  List.iter
+    (fun (what, f, total) -> Alcotest.(check int) what total (sum f))
+    [
+      ("tenant jobs sum", (fun n -> n.Server.jobs), r.Server.r_jobs);
+      ("tenant completed sum", (fun n -> n.Server.completed), r.Server.r_completed);
+      ("tenant shed sum", (fun n -> n.Server.shed), r.Server.r_shed);
+      ("tenant deadline sum", (fun n -> n.Server.deadline), r.Server.r_deadline);
+      ("tenant failed sum", (fun n -> n.Server.failed), r.Server.r_failed);
+      ("tenant retries sum", (fun n -> n.Server.retries), r.Server.r_retries);
+    ];
+  List.iter
+    (fun n ->
+      Alcotest.(check bool) "tenant retries within budget" true
+        (n.Server.retries <= r.Server.r_config.Server.s_retry_budget))
+    rows;
+  let sheds phase =
+    List.length
+      (List.filter
+         (fun l ->
+           match l.Server.l_outcome with
+           | Server.Shed e -> e.Error.phase = phase
+           | _ -> false)
+         r.Server.r_log)
+  in
+  Alcotest.(check int) "every shed is queue-full or hopeless" r.Server.r_shed
+    (sheds Error.Admission + sheds Error.Deadline);
+  Alcotest.(check bool) "busy <= makespan" true
+    (r.Server.r_busy <= r.Server.r_makespan);
+  Alcotest.(check (float 0.)) "makespan is the last settle time"
+    (List.fold_left
+       (fun acc l -> Float.max acc l.Server.l_settled)
+       0. r.Server.r_log)
+    r.Server.r_makespan
+
 let test_serve_deterministic () =
   let w = small_workload () in
   let r1 = Server.run Server.default_config w in
@@ -199,8 +303,7 @@ let test_serve_deterministic () =
   (* p50 <= p99, throughput and makespan are consistent. *)
   Alcotest.(check bool) "p50 <= p99" true
     (r1.Server.r_p50_ms <= r1.Server.r_p99_ms);
-  Alcotest.(check bool) "busy <= makespan" true
-    (r1.Server.r_busy <= r1.Server.r_makespan +. 1e-9)
+  check_accounting r1
 
 let test_deadline_charging () =
   (* Deadlines far below any service time: the first admitted job of each
@@ -213,6 +316,7 @@ let test_deadline_charging () =
   Alcotest.(check bool) "cancellations happened" true (r.Server.r_deadline > 0);
   Alcotest.(check bool) "estimates turn the rest into sheds" true
     (r.Server.r_shed > 0);
+  check_accounting r;
   List.iter
     (fun l ->
       match l.Server.l_outcome with
@@ -247,7 +351,8 @@ let test_backpressure_under_overload () =
   in
   Alcotest.(check bool) "some sheds are queue-full backpressure" true
     (admission_sheds <> []);
-  Alcotest.(check int) "every job accounted" r.Server.r_jobs (accounted r)
+  Alcotest.(check int) "every job accounted" r.Server.r_jobs (accounted r);
+  check_accounting r
 
 let test_overload_chaos_soak () =
   (* The acceptance scenario: Zipf workload, overload burst, 10% faults.
@@ -265,6 +370,7 @@ let test_overload_chaos_soak () =
   in
   let r = Server.run cfg w in
   Alcotest.(check int) "every job accounted" r.Server.r_jobs (accounted r);
+  check_accounting r;
   Alcotest.(check bool) "still answering" true (r.Server.r_completed > 0);
   Alcotest.(check bool) "cache bytes never exceed the budget" true
     (r.Server.r_cache.Cache.bytes_peak <= budget);
@@ -274,7 +380,30 @@ let test_overload_chaos_soak () =
   let r2 = Server.run cfg w in
   Alcotest.(check string) "chaos run is deterministic"
     (Server.csv_row ~scenario:"t" r)
-    (Server.csv_row ~scenario:"t" r2)
+    (Server.csv_row ~scenario:"t" r2);
+  (* The bench sweep's overload+chaos scenario ends on a deadline
+     cancellation, after the last completion: the makespan must still
+     cover it. *)
+  let w =
+    Workload.generate
+      ~gen:
+        {
+          Workload.default_gen with
+          Workload.g_jobs = 80;
+          g_rate = 300.;
+          g_burst = Some (0.05, 0.15, 4.);
+        }
+      ~catalog:Catalog.names ()
+  in
+  let r = Server.run { cfg with Server.s_faults = Fault.make ~seed:42 ~rate:0.1 () } w in
+  let last =
+    List.fold_left
+      (fun a l -> if l.Server.l_settled > a.Server.l_settled then l else a)
+      (List.hd r.Server.r_log) r.Server.r_log
+  in
+  Alcotest.(check string) "last job to settle was cancelled" "deadline-exceeded"
+    (Server.outcome_label last.Server.l_outcome);
+  check_accounting r
 
 let test_blacklist_degradation () =
   (* Sustained crashes: nodes collect strikes, get blacklisted, the machine
@@ -295,7 +424,8 @@ let test_blacklist_degradation () =
   Alcotest.(check bool) "server still answers" true (r.Server.r_completed > 0);
   Alcotest.(check bool) "retries spent on re-admissions" true
     (r.Server.r_retries > 0);
-  Alcotest.(check int) "every job accounted" r.Server.r_jobs (accounted r)
+  Alcotest.(check int) "every job accounted" r.Server.r_jobs (accounted r);
+  check_accounting r
 
 let test_csv_shape () =
   let field_count s = List.length (String.split_on_char ',' s) in
@@ -336,13 +466,13 @@ let test_serve_traced () =
   | Error msg -> Alcotest.fail ("chrome export: " ^ msg)
 
 let test_server_config_validation () =
+  let run cfg = Server.run cfg (small_workload ~jobs:4 ()) in
   Alcotest.(check bool) "zero nodes rejected" true
     (is_config_error (fun () ->
-         Server.create { Server.default_config with Server.s_nodes = 0 }));
+         run { Server.default_config with Server.s_nodes = 0 }));
   Alcotest.(check bool) "zero blacklist threshold rejected" true
     (is_config_error (fun () ->
-         Server.create
-           { Server.default_config with Server.s_blacklist_after = 0 }));
+         run { Server.default_config with Server.s_blacklist_after = 0 }));
   Alcotest.(check bool) "unknown catalog query rejected" true
     (is_config_error (fun () -> Catalog.find "no-such-query"))
 
@@ -406,6 +536,7 @@ let suite =
     Alcotest.test_case "admission: degradation tightens" `Quick
       test_admission_degrade;
     Alcotest.test_case "tenant retry budgets" `Quick test_tenant_budget;
+    Alcotest.test_case "tenant ids checked in one place" `Quick test_tenant_ids;
     Alcotest.test_case "serve is deterministic" `Quick test_serve_deterministic;
     Alcotest.test_case "deadline cancellation charges work done" `Quick
       test_deadline_charging;
