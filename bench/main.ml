@@ -3,7 +3,8 @@
    DESIGN.md.  The host wall-clock benchmark is bench/perf.
 
    Usage: dune exec bench/main.exe            (full run, ~10 minutes)
-          BENCH_QUICK=1 dune exec bench/main.exe   (reduced sizes) *)
+          BENCH_QUICK=1 dune exec bench/main.exe   (reduced sizes)
+          BENCH_ONLY=serve dune exec bench/main.exe   (one of [sections]) *)
 
 open Spdistal_workloads
 open Spdistal_experiments
@@ -263,50 +264,6 @@ let run_amortization () =
   | None -> ());
   let path = Csv.write_amortization ~dir:"results" rows in
   Printf.printf "amortization curve written: %s\n\n" path
-
-(* ------------------------------------------------------------------ *)
-(* Optional observability export: BENCH_TRACE_DIR=dir runs one traced  *)
-(* cell per fig10 kernel and writes a Perfetto-loadable Chrome trace   *)
-(* plus a per-launch metrics CSV for each.                             *)
-(* ------------------------------------------------------------------ *)
-
-let run_trace_exports dir =
-  let open Spdistal_runtime in
-  let module S = Core.Spdistal in
-  let module Trace = Spdistal_obs.Trace in
-  let matrix =
-    Synth.power_law ~name:"trace-matrix" ~rows:4_000 ~cols:4_000 ~nnz:80_000
-      ~alpha:1.0 ~seed:93
-  in
-  let tensor =
-    Synth.tensor3_uniform ~name:"trace-tensor" ~dims:[| 500; 400; 200 |]
-      ~nnz:40_000 ~seed:92
-  in
-  let machine = Runner.cpu_machine ~nodes:8 in
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  print_endline "=== Trace export (BENCH_TRACE_DIR) ===";
-  List.iter
-    (fun kernel ->
-      let name =
-        match kernel with
-        | Runner.Mttkrp -> "mttkrp"
-        | k -> String.lowercase_ascii (Runner.kernel_name k)
-      in
-      let input =
-        if List.mem kernel Runner.kernels_for_tensor3 then tensor else matrix
-      in
-      let trace = Trace.create () in
-      let r = S.run ~trace (Runner.problem_for ~kernel ~machine ~cols:32 input) in
-      let tpath = Filename.concat dir (name ^ ".trace.json") in
-      Spdistal_obs.Chrome_trace.write trace ~path:tpath;
-      let mpath = Filename.concat dir (name ^ ".metrics.csv") in
-      let oc = open_out mpath in
-      output_string oc
-        (Spdistal_obs.Report.to_csv (Spdistal_obs.Report.of_trace trace));
-      close_out oc;
-      Format.printf "  %-8s %a@.    -> %s, %s@." name Cost.pp r.S.cost tpath
-        mpath)
-    Runner.all_kernels
 
 (* ------------------------------------------------------------------ *)
 (* Leaf throughput: wall-clock of the leaf kernel loop itself, compiled *)
@@ -715,47 +672,29 @@ let section title f =
   f ();
   Printf.printf "[%s took %.1fs]\n%!" title (Unix.gettimeofday () -. t0)
 
-let leaf_only =
-  match Sys.getenv_opt "BENCH_LEAF_ONLY" with
-  | Some ("1" | "true" | "yes") -> true
-  | _ -> false
-
-let serve_only =
-  match Sys.getenv_opt "BENCH_SERVE_ONLY" with
-  | Some ("1" | "true" | "yes") -> true
-  | _ -> false
-
-let part_only =
-  match Sys.getenv_opt "BENCH_PART_ONLY" with
-  | Some ("1" | "true" | "yes") -> true
-  | _ -> false
-
-let auto_only =
-  match Sys.getenv_opt "BENCH_AUTO_ONLY" with
-  | Some ("1" | "true" | "yes") -> true
-  | _ -> false
+(* The sections that run alone with BENCH_ONLY=<name>, in run order. *)
+let sections =
+  [
+    ("leaf-throughput", run_leaf_throughput);
+    ("partition-ops", run_partition_ops);
+    ("fault-sweep", run_fault_sweep);
+    ("amortization", run_amortization);
+    ("serve", run_serve);
+    ("auto-tournament", run_auto_tournament);
+  ]
 
 let () =
-  if leaf_only then begin
-    (* CI smoke mode: just the leaf-throughput microbench and its CSV. *)
-    section "leaf-throughput" run_leaf_throughput;
-    exit 0
-  end;
-  if serve_only then begin
-    (* CI smoke mode: just the serve scenario sweep and its CSV. *)
-    section "serve" run_serve;
-    exit 0
-  end;
-  if part_only then begin
-    (* Just the partition-operator microbench and its CSV. *)
-    section "partition-ops" run_partition_ops;
-    exit 0
-  end;
-  if auto_only then begin
-    (* CI smoke mode: just the auto-scheduler tournament and its CSV. *)
-    section "auto-tournament" run_auto_tournament;
-    exit 0
-  end;
+  Option.iter
+    (fun name ->
+      match List.assoc_opt name sections with
+      | Some f ->
+          section name f;
+          exit 0
+      | None ->
+          Printf.eprintf "BENCH_ONLY: unknown section %S (one of: %s)\n" name
+            (String.concat ", " (List.map fst sections));
+          exit 2)
+    (Sys.getenv_opt "BENCH_ONLY");
   Printf.printf "SpDISTAL reproduction benchmark harness%s\n"
     (if quick then " (quick mode)" else "");
   Printf.printf
@@ -763,16 +702,8 @@ let () =
      analogs\n\n"
     Datasets.scale;
 
-  section "leaf-throughput" run_leaf_throughput;
-  section "partition-ops" run_partition_ops;
+  List.iter (fun (name, f) -> section name f) sections;
   run_domain_scaling ();
-  section "fault-sweep" run_fault_sweep;
-  section "amortization" run_amortization;
-  section "serve" run_serve;
-  section "auto-tournament" run_auto_tournament;
-  (match Sys.getenv_opt "BENCH_TRACE_DIR" with
-  | Some dir -> section "trace-export" (fun () -> run_trace_exports dir)
-  | None -> ());
 
   section "table2" (fun () -> Format.printf "%a@." Datasets.pp_table2 ());
 

@@ -1,16 +1,23 @@
 (* spdistal: command-line driver.
 
    Subcommands:
-     run      -- run one kernel on one dataset/system/machine cell
-     prof     -- run one kernel traced and print a Legion-Prof-style report
-     show     -- print the compiled partitioning plan for a kernel
-     table2   -- print the dataset inventory (paper Table II)
+     run         -- run one kernel on one dataset/system/machine cell
+     prof        -- run one kernel traced and print a Legion-Prof-style report
+     show        -- print the compiled partitioning plan for a kernel
+     auto        -- price the auto-scheduler's candidates for one cell, or
+                    the whole evaluation suite with --sweep
+     table2      -- print the dataset inventory (paper Table II)
+     datasets    -- list the dataset analogs
      fig10 | fig11 | fig12 | fig13 -- regenerate an evaluation figure
-     datasets -- list the dataset analogs
-     trace-check -- validate a Chrome trace-event JSON file *)
+     ablations   -- run the DESIGN.md ablation benches
+     fuzz        -- randomized differential testing, with shrinking
+     trace-check -- validate a Chrome trace-event JSON file
+     serve       -- serve a multi-tenant job stream over one shared cache
+     slo check   -- evaluate service-level objectives over a metrics CSV *)
 
 open Cmdliner
 open Spdistal_runtime
+open Spdistal_formats
 open Spdistal_workloads
 open Spdistal_experiments
 module Trace = Spdistal_obs.Trace
@@ -19,6 +26,11 @@ module Report = Spdistal_obs.Report
 module Metrics = Spdistal_obs.Metrics
 module Log = Spdistal_obs.Log
 module Slo = Spdistal_obs.Slo
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let write_file path s =
+  Out_channel.with_open_text path (fun oc -> output_string oc s)
 
 let kernel_conv =
   let parse s =
@@ -76,9 +88,6 @@ let domains_arg =
            at every degree).  0 defers to $(b,SPDISTAL_DOMAINS), which \
            defaults to 1 (sequential).")
 
-(* Fold the --domains option into a command's action. *)
-let set_domains d = if d > 0 then Machine.set_sim_domains d
-
 let leaf_backend_conv =
   let module CL = Spdistal_exec.Compile_leaf in
   Arg.conv
@@ -96,11 +105,6 @@ let leaf_backend_arg =
            compile time; $(b,interp) runs the reference interpreter.  \
            Outputs, launch records and simulated cost are bit-identical \
            across backends (the interpreter is the differential oracle).")
-
-(* Fold --leaf-backend into a command's action, for the whole process. *)
-let set_leaf_backend = function
-  | Some b -> Spdistal_exec.Compile_leaf.set_backend b
-  | None -> ()
 
 let fault_seed_arg =
   Arg.(
@@ -128,10 +132,61 @@ let max_retries_arg =
           "Recovery attempts per fault before the run is declared DNC \
            (with $(b,--fault-rate)).")
 
-(* Fold the fault options into a command's action: an explicit --fault-rate
-   overrides SPDISTAL_FAULTS for the whole process. *)
-let set_faults seed rate retries =
-  if rate > 0. then Fault.set_default (Fault.make ~seed ~rate ~retries ())
+(* The settings terms.  Each applies its flags for the whole process when
+   the command line is evaluated, before the command's action runs. *)
+
+let set_domains d = if d > 0 then Machine.set_sim_domains d
+let domains = Term.(const set_domains $ domains_arg)
+
+let set_leaf_backend = Option.iter Spdistal_exec.Compile_leaf.set_backend
+let leaf_backend = Term.(const set_leaf_backend $ leaf_backend_arg)
+
+(* The fault schedule of the fault flags; [None] without a positive
+   --fault-rate. *)
+let faults =
+  let make seed rate retries =
+    if rate > 0. then Some (Fault.make ~seed ~rate ~retries ()) else None
+  in
+  Term.(const make $ fault_seed_arg $ fault_rate_arg $ max_retries_arg)
+
+(* An explicit --fault-rate overrides SPDISTAL_FAULTS. *)
+let default_faults = Term.(const (Option.iter Fault.set_default) $ faults)
+
+(* [command name ~doc ~settings action]: [action] is the exit-code term,
+   evaluated after [settings]. *)
+let command ?(settings = []) name ~doc action =
+  Cmd.v (Cmd.info name ~doc)
+    (List.fold_right (fun s t -> Term.(const (fun () x -> x) $ s $ t)) settings
+       action)
+
+(* One (kernel, dataset, machine) cell: KERNEL -d -n --gpu --cols.  The
+   machine and tensor are built here and nowhere else; [Datasets.find],
+   [Machine.make] and [Runner] type-check what is built. *)
+type cell = {
+  kernel : Runner.kernel;
+  dataset : string;
+  cols : int;
+  machine : Machine.t;
+  tensor : Tensor.t;
+}
+
+(* -d -n --gpu --cols as a cell of any kernel: [auto --sweep] builds none. *)
+let cell_of =
+  let make dataset pieces gpu cols kernel =
+    let tensor = (Datasets.find dataset).Datasets.load () in
+    let machine =
+      if gpu then Runner.gpu_machine ~gpus:pieces
+      else Runner.cpu_machine ~nodes:pieces
+    in
+    { kernel; dataset; cols; machine; tensor }
+  in
+  Term.(const make $ dataset_arg $ pieces_arg $ gpu_arg $ cols_arg)
+
+let cell = Term.(cell_of $ kernel_arg)
+
+(* The SpDISTAL problem of a cell (show, prof and auto). *)
+let problem c =
+  Runner.problem_for ~kernel:c.kernel ~machine:c.machine ~cols:c.cols c.tensor
 
 let auto_arg =
   Arg.(
@@ -167,10 +222,6 @@ let no_cache_arg =
            dependent partitioning is charged on every iteration \
            (the unamortized curve).  Outputs are bit-identical either way.")
 
-let load_dataset name =
-  let e = Datasets.find name in
-  e.Datasets.load ()
-
 let trace_out_arg =
   Arg.(
     value
@@ -186,6 +237,22 @@ let metrics_out_arg =
     & opt (some string) None
     & info [ "metrics" ] ~docv:"FILE"
         ~doc:"Write per-launch metrics CSV of the run to $(docv).")
+
+(* How run and prof execute a cell and where they export its trace. *)
+type runs = {
+  trace_out : string option;
+  metrics_out : string option;
+  iterations : int option;
+  no_cache : bool;
+}
+
+let runs =
+  let make trace_out metrics_out iterations no_cache =
+    { trace_out; metrics_out; iterations; no_cache }
+  in
+  Term.(
+    const make $ trace_out_arg $ metrics_out_arg $ iterations_arg
+    $ no_cache_arg)
 
 (* Install an ambient trace when any observability output was requested (the
    run path reaches the interpreter through the baselines' Runner, which
@@ -206,102 +273,73 @@ let finish_trace t trace_out metrics_out =
   | None -> ());
   match metrics_out with
   | Some path ->
-      let oc = open_out path in
-      output_string oc (Report.to_csv (Report.of_trace t));
-      close_out oc;
+      write_file path (Report.to_csv (Report.of_trace t));
       Printf.printf "metrics written to %s\n" path
   | None -> ()
 
 let run_cmd =
-  let f kernel dataset system pieces gpu cols auto domains leaf_backend fseed
-      frate fretries trace_out metrics_out iterations no_cache =
-    set_domains domains;
-    set_leaf_backend leaf_backend;
-    set_faults fseed frate fretries;
-    let trace = start_trace trace_out metrics_out in
-    let b = load_dataset dataset in
-    let machine =
-      if gpu then Runner.gpu_machine ~gpus:pieces else Runner.cpu_machine ~nodes:pieces
-    in
+  let f c system auto o =
+    let trace = start_trace o.trace_out o.metrics_out in
     let r =
-      Runner.run ~kernel ~system ~machine ~cols ~auto ?iterations
-        ~cache:(not no_cache) b
+      Runner.run ~kernel:c.kernel ~system ~machine:c.machine ~cols:c.cols
+        ~auto ?iterations:o.iterations ~cache:(not o.no_cache) c.tensor
     in
     (match r.Spdistal_baselines.Common.dnc with
     | Some reason -> Printf.printf "DNC: %s\n" reason
     | None ->
         let iters =
-          match iterations with
+          match o.iterations with
           | Some n -> Printf.sprintf " (%d iterations%s)" n
-                        (if no_cache then ", no cache" else "")
+                        (if o.no_cache then ", no cache" else "")
           | None -> ""
         in
         Printf.printf "%s on %s, %s, %d %s: %.3f ms%s\n"
-          (Runner.kernel_name kernel) dataset (Runner.system_name system) pieces
-          (if gpu then "GPU(s)" else "node(s)")
+          (Runner.kernel_name c.kernel) c.dataset (Runner.system_name system)
+          (Machine.pieces c.machine)
+          (if c.machine.Machine.kind = Machine.Gpu then "GPU(s)" else "node(s)")
           (1000. *. r.Spdistal_baselines.Common.time)
           iters);
-    finish_trace trace trace_out metrics_out;
+    finish_trace trace o.trace_out o.metrics_out;
     0
   in
-  Cmd.v (Cmd.info "run" ~doc:"Run one kernel/system/dataset cell")
-    Term.(
-      const f $ kernel_arg $ dataset_arg $ system_arg $ pieces_arg $ gpu_arg
-      $ cols_arg $ auto_arg $ domains_arg $ leaf_backend_arg $ fault_seed_arg
-      $ fault_rate_arg $ max_retries_arg $ trace_out_arg $ metrics_out_arg
-      $ iterations_arg $ no_cache_arg)
-
-(* The SpDISTAL problem of one kernel cell (shared by show, prof and auto). *)
-let problem_for = Runner.problem_for
+  command "run" ~doc:"Run one kernel/system/dataset cell"
+    ~settings:[ domains; leaf_backend; default_faults ]
+    Term.(const f $ cell $ system_arg $ auto_arg $ runs)
 
 let prof_cmd =
-  let f kernel dataset pieces gpu cols auto domains leaf_backend fseed frate
-      fretries trace_out metrics_out iterations no_cache =
-    set_domains domains;
-    set_leaf_backend leaf_backend;
-    set_faults fseed frate fretries;
-    let b = load_dataset dataset in
-    let machine =
-      if gpu then Runner.gpu_machine ~gpus:pieces else Runner.cpu_machine ~nodes:pieces
-    in
-    let problem = problem_for ~kernel ~machine ~cols b in
+  let f c auto o =
+    let problem = problem c in
     let problem = if auto then Spdistal_opt.Auto.schedule problem else problem in
     let trace = Trace.create () in
-    Trace.set_meta trace "dataset" dataset;
+    Trace.set_meta trace "dataset" c.dataset;
     let r =
-      Core.Spdistal.run ~trace ?iterations ~cache:(not no_cache) problem
+      Core.Spdistal.run ~trace ?iterations:o.iterations
+        ~cache:(not o.no_cache) problem
     in
     (match r.Core.Spdistal.dnc with
     | Some reason -> Printf.printf "DNC: %s\n" reason
     | None ->
-        Format.printf "%s on %s: %a@.@." (Runner.kernel_name kernel) dataset
+        Format.printf "%s on %s: %a@.@." (Runner.kernel_name c.kernel) c.dataset
           Cost.pp r.Core.Spdistal.cost;
         Format.printf "%a@." Report.pp (Report.of_trace trace));
-    finish_trace trace trace_out metrics_out;
+    finish_trace trace o.trace_out o.metrics_out;
     if r.Core.Spdistal.dnc = None then 0 else 1
   in
-  Cmd.v
-    (Cmd.info "prof"
-       ~doc:
-         "Run one SpDISTAL kernel with tracing on and print a \
-          Legion-Prof-style report: critical-path breakdown per launch, \
-          per-node utilization, the node-to-node communication matrix and \
-          piece-time imbalance")
-    Term.(
-      const f $ kernel_arg $ dataset_arg $ pieces_arg $ gpu_arg $ cols_arg
-      $ auto_arg $ domains_arg $ leaf_backend_arg $ fault_seed_arg
-      $ fault_rate_arg $ max_retries_arg $ trace_out_arg $ metrics_out_arg
-      $ iterations_arg $ no_cache_arg)
+  command "prof"
+    ~doc:
+      "Run one SpDISTAL kernel with tracing on and print a \
+       Legion-Prof-style report: critical-path breakdown per launch, \
+       per-node utilization, the node-to-node communication matrix and \
+       piece-time imbalance"
+    ~settings:[ domains; leaf_backend; default_faults ]
+    Term.(const f $ cell $ auto_arg $ runs)
 
 let trace_check_cmd =
   let file_arg =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE")
   in
   let f path =
-    let ic = open_in_bin path in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    match Chrome_trace.validate s with
+    match Chrome_trace.validate (read_file path) with
     | Ok () ->
         Printf.printf "%s: ok\n" path;
         0
@@ -309,32 +347,26 @@ let trace_check_cmd =
         Printf.eprintf "%s: %s\n" path msg;
         1
   in
-  Cmd.v
-    (Cmd.info "trace-check"
-       ~doc:
-         "Validate a Chrome trace-event JSON file (well-formed, monotone \
-          timestamps per track)")
+  command "trace-check"
+    ~doc:
+      "Validate a Chrome trace-event JSON file (well-formed, monotone \
+       timestamps per track)"
     Term.(const f $ file_arg)
 
 let show_cmd =
-  let f kernel dataset pieces gpu cols =
-    let b = load_dataset dataset in
-    let machine =
-      if gpu then Runner.gpu_machine ~gpus:pieces else Runner.cpu_machine ~nodes:pieces
-    in
-    print_endline (Core.Spdistal.show (problem_for ~kernel ~machine ~cols b));
+  let f c =
+    print_endline (Core.Spdistal.show (problem c));
     0
   in
-  Cmd.v
-    (Cmd.info "show" ~doc:"Print the compiled partitioning plan (cf. paper Fig. 9b)")
-    Term.(const f $ kernel_arg $ dataset_arg $ pieces_arg $ gpu_arg $ cols_arg)
+  command "show" ~doc:"Print the compiled partitioning plan (cf. paper Fig. 9b)"
+    Term.(const f $ cell)
 
 let table2_cmd =
   let f () =
     Format.printf "%a@." Datasets.pp_table2 ();
     0
   in
-  Cmd.v (Cmd.info "table2" ~doc:"Print the dataset inventory (paper Table II)")
+  command "table2" ~doc:"Print the dataset inventory (paper Table II)"
     Term.(const f $ const ())
 
 let datasets_cmd =
@@ -344,54 +376,39 @@ let datasets_cmd =
       Datasets.all;
     0
   in
-  Cmd.v (Cmd.info "datasets" ~doc:"List dataset analog names") Term.(const f $ const ())
+  command "datasets" ~doc:"List dataset analog names" Term.(const f $ const ())
 
 let quick_arg =
   Arg.(value & flag & info [ "quick" ] ~doc:"Reduced tensors and machine sizes")
 
-let fig_cmd name doc compute print =
-  let f quick domains fseed frate fretries =
-    set_domains domains;
-    set_faults fseed frate fretries;
-    let cells = compute ~quick () in
-    Format.printf "%a@." print cells;
+(* A figure, computed at [quick] (--quick, or a constant for a command
+   without the flag) and printed. *)
+let fig_cmd name doc quick print =
+  let f quick =
+    Format.printf "%a@." print quick;
     0
   in
-  Cmd.v (Cmd.info name ~doc)
-    Term.(
-      const f $ quick_arg $ domains_arg $ fault_seed_arg $ fault_rate_arg
-      $ max_retries_arg)
+  command name ~doc ~settings:[ domains; default_faults ] Term.(const f $ quick)
 
 let fig10_cmd =
-  fig_cmd "fig10" "CPU strong scaling (paper Fig. 10)"
-    (fun ~quick () -> Fig10.compute ~quick ())
-    Fig10.print
+  fig_cmd "fig10" "CPU strong scaling (paper Fig. 10)" quick_arg
+    (fun fmt quick -> Fig10.print fmt (Fig10.compute ~quick ()))
 
 let fig11_cmd =
-  fig_cmd "fig11" "GPU strong scaling heatmaps (paper Fig. 11)"
-    (fun ~quick () -> Fig11.compute ~quick ())
-    Fig11.print
+  fig_cmd "fig11" "GPU strong scaling heatmaps (paper Fig. 11)" quick_arg
+    (fun fmt quick -> Fig11.print fmt (Fig11.compute ~quick ()))
 
 let fig12_cmd =
-  fig_cmd "fig12" "GPU vs CPU heatmaps (paper Fig. 12)"
-    (fun ~quick () -> Fig12.compute ~quick ())
-    Fig12.print
+  fig_cmd "fig12" "GPU vs CPU heatmaps (paper Fig. 12)" quick_arg
+    (fun fmt quick -> Fig12.print fmt (Fig12.compute ~quick ()))
 
 let fig13_cmd =
-  fig_cmd "fig13" "SpMV weak scaling (paper Fig. 13)"
-    (fun ~quick () -> Fig13.compute ~quick ())
-    Fig13.print
+  fig_cmd "fig13" "SpMV weak scaling (paper Fig. 13)" quick_arg
+    (fun fmt quick -> Fig13.print fmt (Fig13.compute ~quick ()))
 
 let ablations_cmd =
-  let f domains fseed frate fretries =
-    set_domains domains;
-    set_faults fseed frate fretries;
-    Format.printf "%a@." Spdistal_experiments.Ablations.run_all ();
-    0
-  in
-  Cmd.v (Cmd.info "ablations" ~doc:"Run the DESIGN.md ablation benches")
-    Term.(
-      const f $ domains_arg $ fault_seed_arg $ fault_rate_arg $ max_retries_arg)
+  fig_cmd "ablations" "Run the DESIGN.md ablation benches" (Term.const false)
+    (fun fmt _ -> Ablations.run_all fmt ())
 
 let fuzz_cmd =
   let open Spdistal_fuzz in
@@ -453,9 +470,7 @@ let fuzz_cmd =
           ~doc:"Also write the shrunk reproducer report to FILE on failure")
   in
   let f seed count max_dim max_pieces fault_prob budget verbose inject_bug
-      replay corpus out domains leaf_backend =
-    set_domains domains;
-    set_leaf_backend leaf_backend;
+      replay corpus out =
     Fault.set_default Fault.disabled;
     if inject_bug then Spdistal_ir.Lower.set_debug_flip_block_bound true;
     match (replay, corpus) with
@@ -496,22 +511,20 @@ let fuzz_cmd =
         print_endline (Campaign.report_to_string report);
         (match (report.Campaign.failure, out) with
         | Some fc, Some path ->
-            let oc = open_out path in
-            output_string oc fc.Campaign.text;
-            close_out oc;
+            write_file path fc.Campaign.text;
             Printf.printf "reproducer written to %s\n" path
         | _ -> ());
         if report.Campaign.failure = None then 0 else 1
   in
-  Cmd.v
-    (Cmd.info "fuzz"
-       ~doc:
-         "Randomized differential testing across the four sub-languages \
-          (statements, formats, distributions, schedules), with shrinking")
+  command "fuzz"
+    ~doc:
+      "Randomized differential testing across the four sub-languages \
+       (statements, formats, distributions, schedules), with shrinking"
+    ~settings:[ domains; leaf_backend ]
     Term.(
       const f $ seed_arg $ count_arg $ max_dim_arg $ max_pieces_arg
       $ fault_prob_arg $ budget_arg $ verbose_arg $ inject_bug_arg $ replay_arg
-      $ corpus_arg $ out_arg $ domains_arg $ leaf_backend_arg)
+      $ corpus_arg $ out_arg)
 
 let auto_cmd =
   let open Spdistal_opt in
@@ -541,9 +554,9 @@ let auto_cmd =
       & info [ "out" ] ~docv:"DIR"
           ~doc:"Write auto.csv under $(docv) (with $(b,--sweep)).")
   in
-  let print_report kernel dataset rp =
+  let print_report c rp =
     Printf.printf "%s on %s — candidates priced against the cost model:\n"
-      (Runner.kernel_name kernel) dataset;
+      (Runner.kernel_name c.kernel) c.dataset;
     List.iter
       (fun v ->
         match v.Auto.v_priced with
@@ -562,7 +575,7 @@ let auto_cmd =
           (Price.total pr)
     | None -> Printf.printf "winner: none (no candidate priced)\n"
   in
-  let f kernel dataset pieces gpu cols sweep quick out =
+  let f kernel cell_of sweep quick out =
     if sweep then begin
       let rows = Auto_tournament.compute ~quick () in
       Format.printf "%a@." Auto_tournament.print rows;
@@ -579,24 +592,29 @@ let auto_cmd =
           prerr_endline "spdistal auto: KERNEL required (or use --sweep)";
           2
       | Some kernel ->
-          let b = load_dataset dataset in
-          let machine =
-            if gpu then Runner.gpu_machine ~gpus:pieces
-            else Runner.cpu_machine ~nodes:pieces
-          in
-          let problem = problem_for ~kernel ~machine ~cols b in
-          print_report kernel dataset (Auto.report problem);
+          let c = cell_of kernel in
+          print_report c (Auto.report (problem c));
           0
   in
-  Cmd.v
-    (Cmd.info "auto"
-       ~doc:
-         "Price the auto-scheduler's candidate schedules for one kernel cell \
-          (or, with $(b,--sweep), the whole evaluation suite) and report the \
-          winner against the hand schedule and the naive default")
-    Term.(
-      const f $ kernel_opt_arg $ dataset_arg $ pieces_arg $ gpu_arg $ cols_arg
-      $ sweep_arg $ quick_arg $ out_arg)
+  command "auto"
+    ~doc:
+      "Price the auto-scheduler's candidate schedules for one kernel cell \
+       (or, with $(b,--sweep), the whole evaluation suite) and report the \
+       winner against the hand schedule and the naive default"
+    Term.(const f $ kernel_opt_arg $ cell_of $ sweep_arg $ quick_arg $ out_arg)
+
+let ( let* ) = Result.bind
+
+(* The SLO verdicts of [serve --slo] and [slo check]: the report and exit 0
+   when every objective holds, 1 on a violation; a malformed input is one
+   stderr line and exit 2. *)
+let slo_exit = function
+  | Ok verdicts ->
+      print_endline (Slo.report verdicts);
+      if Slo.ok verdicts then 0 else 1
+  | Error msg ->
+      Printf.eprintf "slo: %s\n" msg;
+      2
 
 let serve_cmd =
   let open Spdistal_serve in
@@ -767,12 +785,20 @@ let serve_cmd =
       & info [ "metrics-interval" ] ~docv:"S"
           ~doc:"Scrape interval on the simulated clock, seconds.")
   in
+  (* Checked here, typed: [Metrics] sits below [Error]. *)
+  let metrics_interval =
+    let check s =
+      if not (s > 0. && Float.is_finite s) then
+        Error.fail Error.Config
+          "--metrics-interval must be positive and finite, got %g" s;
+      s
+    in
+    Term.(const check $ metrics_interval_arg)
+  in
   let f trace_in save_trace jobs tenants rate alpha seed deadline burst nodes
-      queue_bound cache_budget retry_budget blacklist_after auto fseed frate
-      fretries baseline out scenario chrome_trace metrics_dir slo_file
-      metrics_interval domains leaf_backend =
-    set_domains domains;
-    set_leaf_backend leaf_backend;
+      queue_bound cache_budget retry_budget blacklist_after auto faults
+      baseline out scenario chrome_trace metrics_dir slo_file metrics_interval
+      =
     let workload =
       match trace_in with
       | Some path -> Workload.load path
@@ -790,24 +816,20 @@ let serve_cmd =
           in
           Workload.generate ~gen ~catalog:Catalog.names ()
     in
-    (match save_trace with
-    | Some path ->
+    Option.iter
+      (fun path ->
         Workload.save path workload;
-        Printf.printf "workload trace written to %s\n" path
-    | None -> ());
-    let faults =
-      if frate > 0. then Fault.make ~seed:fseed ~rate:frate ~retries:fretries ()
-      else Fault.disabled
-    in
+        Printf.printf "workload trace written to %s\n" path)
+      save_trace;
     let cfg =
       {
+        Server.default_config with
         Server.s_nodes = nodes;
         s_queue_bound = queue_bound;
-        s_cache_cap = Server.default_config.Server.s_cache_cap;
         s_cache_budget = (if cache_budget > 0 then Some cache_budget else None);
         s_retry_budget = retry_budget;
         s_blacklist_after = blacklist_after;
-        s_faults = faults;
+        s_faults = Option.value faults ~default:Fault.disabled;
         s_auto = auto;
       }
     in
@@ -829,23 +851,20 @@ let serve_cmd =
     let trace = if chrome_trace <> None then Trace.create () else Trace.null in
     let report = Server.run ~trace ?scrape ~baseline cfg workload in
     Format.printf "%a@." Server.pp_report report;
-    (match out with
-    | Some path ->
-        let oc = open_out path in
-        output_string oc (Server.csv_comment ^ "\n");
-        output_string oc (Server.csv_header ^ "\n");
-        output_string oc (Server.csv_row ~scenario report ^ "\n");
-        close_out oc;
-        Printf.printf "report written to %s\n" path
-    | None -> ());
+    Option.iter
+      (fun path ->
+        write_file path
+          (String.concat "\n"
+             [
+               Server.csv_comment; Server.csv_header;
+               Server.csv_row ~scenario report; "";
+             ]);
+        Printf.printf "report written to %s\n" path)
+      out;
     (match metrics_dir with
     | Some dir ->
         if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-        let write_file name s =
-          let oc = open_out (Filename.concat dir name) in
-          output_string oc s;
-          close_out oc
-        in
+        let write_file name s = write_file (Filename.concat dir name) s in
         Option.iter
           (fun s ->
             write_file "metrics.csv" (Metrics.Scrape.to_csv s);
@@ -858,40 +877,29 @@ let serve_cmd =
     finish_trace trace chrome_trace None;
     match slo_file with
     | None -> 0
-    | Some path -> (
-        match Slo.load path with
-        | Error msg ->
-            Printf.eprintf "slo: %s\n" msg;
-            2
-        | Ok objectives -> (
-            let windows =
-              match scrape with
-              | Some s -> Slo.windows_of_samples (Metrics.Scrape.rows s)
-              | None -> []
-            in
-            match Slo.evaluate objectives windows with
-            | Error msg ->
-                Printf.eprintf "slo: %s\n" msg;
-                2
-            | Ok verdicts ->
-                print_endline (Slo.report verdicts);
-                if Slo.ok verdicts then 0 else 1))
+    | Some path ->
+        let windows =
+          match scrape with
+          | Some s -> Slo.windows_of_samples (Metrics.Scrape.rows s)
+          | None -> []
+        in
+        slo_exit
+          (let* objectives = Slo.load path in
+           Slo.evaluate objectives windows)
   in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:
-         "Serve a multi-tenant job stream over one shared cache: bounded \
-          admission, per-job deadlines priced against the cost clock, \
-          per-tenant retry budgets, LRU cache byte budget and graceful \
-          degradation under sustained faults")
+  command "serve"
+    ~doc:
+      "Serve a multi-tenant job stream over one shared cache: bounded \
+       admission, per-job deadlines priced against the cost clock, \
+       per-tenant retry budgets, LRU cache byte budget and graceful \
+       degradation under sustained faults"
+    ~settings:[ domains; leaf_backend ]
     Term.(
       const f $ trace_in_arg $ save_trace_arg $ jobs_arg $ tenants_arg
       $ rate_arg $ alpha_arg $ seed_arg $ deadline_arg $ burst_arg $ nodes_arg
       $ queue_bound_arg $ cache_budget_arg $ retry_budget_arg $ blacklist_arg
-      $ auto_arg $ fault_seed_arg $ fault_rate_arg $ max_retries_arg
-      $ baseline_arg $ out_arg $ scenario_arg $ chrome_trace_arg
-      $ metrics_dir_arg $ slo_file_arg $ metrics_interval_arg $ domains_arg
-      $ leaf_backend_arg)
+      $ auto_arg $ faults $ baseline_arg $ out_arg $ scenario_arg
+      $ chrome_trace_arg $ metrics_dir_arg $ slo_file_arg $ metrics_interval)
 
 let slo_cmd =
   let csv_arg =
@@ -916,52 +924,32 @@ let slo_cmd =
             "Keep only windows whose tag $(b,KEY) equals $(b,VALUE) — e.g. \
              $(b,scenario=chaos) on results/serve.csv.")
   in
+  let select windows = function
+    | None -> Ok windows
+    | Some kv -> (
+        match String.index_opt kv '=' with
+        | None -> Error "--select expects KEY=VALUE"
+        | Some i ->
+            Ok
+              (Slo.select ~key:(String.sub kv 0 i)
+                 ~value:(String.sub kv (i + 1) (String.length kv - i - 1))
+                 windows))
+  in
+  let f csv slo kv =
+    slo_exit
+      (let* objectives = Slo.load slo in
+       let* windows = Slo.windows_of_csv (read_file csv) in
+       let* windows = select windows kv in
+       Slo.evaluate objectives windows)
+  in
   let check =
-    let f csv slo select =
-      let read path =
-        let ic = open_in_bin path in
-        let s = really_input_string ic (in_channel_length ic) in
-        close_in ic;
-        s
-      in
-      let ( let* ) r k =
-        match r with
-        | Error msg ->
-            Printf.eprintf "slo: %s\n" msg;
-            Error 2
-        | Ok v -> k v
-      in
-      let result =
-        let* objectives = Slo.load slo in
-        let* windows = Slo.windows_of_csv (read csv) in
-        let* windows =
-          match select with
-          | None -> Ok windows
-          | Some kv -> (
-              match String.index_opt kv '=' with
-              | None -> Error "--select expects KEY=VALUE"
-              | Some i ->
-                  Ok
-                    (Slo.select
-                       ~key:(String.sub kv 0 i)
-                       ~value:
-                         (String.sub kv (i + 1) (String.length kv - i - 1))
-                       windows))
-        in
-        let* verdicts = Slo.evaluate objectives windows in
-        print_endline (Slo.report verdicts);
-        Ok (if Slo.ok verdicts then 0 else 1)
-      in
-      match result with Ok code -> code | Error code -> code
-    in
-    Cmd.v
-      (Cmd.info "check"
-         ~doc:
-           "Evaluate the objectives in $(b,--slo) against a CSV: the \
-            scraper's long format (results/metrics.csv, one window per \
-            snapshot time) or a wide results table (results/serve.csv, one \
-            window per row).  Exit 0 when every objective holds within its \
-            error budget, 1 on violation, 2 on malformed input.")
+    command "check"
+      ~doc:
+        "Evaluate the objectives in $(b,--slo) against a CSV: the \
+         scraper's long format (results/metrics.csv, one window per \
+         snapshot time) or a wide results table (results/serve.csv, one \
+         window per row).  Exit 0 when every objective holds within its \
+         error budget, 1 on violation, 2 on malformed input."
       Term.(const f $ csv_arg $ slo_file_arg $ select_arg)
   in
   Cmd.group

@@ -63,11 +63,23 @@ let of_spdistal (res : S.run_result) =
   | Some reason -> Common.dnc ("SpDISTAL: " ^ reason)
   | None -> Common.ok (Cost.total res.S.cost)
 
+(* A cell's inputs, checked once at its entry points ([problem_for],
+   [run]): the tensor has the kernel's order and the dense width is not
+   negative. *)
+let check_cell ~kernel ~cols b =
+  let order = if List.mem kernel kernels_for_tensor3 then 3 else 2 in
+  let kernel = kernel_name kernel in
+  if Tensor.order b <> order then
+    Error.fail ~kernel Error.Config "needs an order-%d tensor, %s has order %d"
+      order b.Tensor.name (Tensor.order b);
+  if cols < 0 then
+    Error.fail ~kernel Error.Config "dense width must be >= 0, got %d" cols
+
 (* The hand-scheduled problem the paper uses for this (kernel, machine)
    cell — the baseline both [run_spdistal] and the auto-tournament price.
    GPUs run SpMM, SpTTV and SpMTTKRP with the non-zero split, or SpMM with
    the batched 2-D split; the data distribution follows the schedule. *)
-let problem_for ~kernel ~machine ~cols ?(batched = false) b =
+let problem ~kernel ~machine ~cols ~batched b =
   let gpu = machine.Machine.kind = Machine.Gpu in
   let gpu_thread = Spdistal_ir.Schedule.Gpu_thread in
   let on_gpu nnz = if gpu then Some (nnz ()) else None in
@@ -89,9 +101,13 @@ let problem_for ~kernel ~machine ~cols ?(batched = false) b =
       K.mttkrp_problem ~machine ~cols
         ?schedule:(on_gpu (K.mttkrp_nnz ~proc:gpu_thread)) b
 
-let run_spdistal ~kernel ~machine ~cols ?(batched = false) ?(auto = false)
-    ?iterations ?(cache = true) b =
-  let problem = problem_for ~kernel ~machine ~cols ~batched b in
+let problem_for ~kernel ~machine ~cols ?(batched = false) b =
+  check_cell ~kernel ~cols b;
+  problem ~kernel ~machine ~cols ~batched b
+
+let run_spdistal ~kernel ~machine ~cols ?(batched = false) ~auto ?iterations
+    ~cache b =
+  let problem = problem ~kernel ~machine ~cols ~batched b in
   let problem = if auto then Spdistal_opt.Auto.schedule problem else problem in
   of_spdistal (S.run ?iterations ~cache problem)
 
@@ -125,6 +141,7 @@ let run_baseline (module B : Common.Matrix_kernels) ~name ~kernel ~machine ~cols
 
 let run ~kernel ~system ~machine ?(cols = 32) ?(auto = false) ?iterations
     ?(cache = true) b =
+  check_cell ~kernel ~cols b;
   match system with
   | Spdistal -> run_spdistal ~kernel ~machine ~cols ~auto ?iterations ~cache b
   | Spdistal_cpu_leaf ->

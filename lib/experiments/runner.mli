@@ -36,7 +36,11 @@ val gpu_machine : gpus:int -> Machine.t
 (** The hand-scheduled problem the paper uses for this (kernel, machine)
     cell — what [run] executes for the SpDISTAL systems, and what the
     auto-tournament reschedules.  [batched] picks the 2-D memory-conserving
-    SpMM (the machine is re-gridded to a near-square 2-D grid). *)
+    SpMM (the machine is re-gridded to a near-square 2-D grid).
+
+    Raises [Error.Config] when the tensor's order is not the kernel's (3
+    for {!kernels_for_tensor3}, else 2) or [cols] is negative; {!run}
+    checks the same. *)
 val problem_for :
   kernel:kernel ->
   machine:Machine.t ->

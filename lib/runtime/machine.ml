@@ -73,7 +73,7 @@ type t = { grid : int array; kind : proc_kind; params : params }
 
 let make ?(params = lassen) ~kind grid =
   if Array.length grid = 0 || Array.exists (fun d -> d <= 0) grid then
-    invalid_arg "Machine.make: grid dimensions must be positive";
+    Error.fail Error.Config "machine grid dimensions must be positive";
   { grid; kind; params }
 
 let pieces t = Array.fold_left ( * ) 1 t.grid

@@ -61,7 +61,8 @@ type t = {
   params : params;
 }
 
-(** [make ?params ~kind grid]. Raises on empty/non-positive grid. *)
+(** [make ?params ~kind grid]. Raises [Error.Config] on an empty or
+    non-positive grid. *)
 val make : ?params:params -> kind:proc_kind -> int array -> t
 
 val pieces : t -> int

@@ -364,8 +364,9 @@ let note_job_metrics t ~submitted ~shed_total (entry : job_log) =
     (hit_rate (Cache.stats t.cache))
 
 (* The settled job's trace span (with the serve counter sample) and its log
-   event.  Both sinks drop the calls when off; the caller guards this so an
-   untraced, unlogged run builds no per-job span name. *)
+   event, stamped where the span ends: the settle time.  Both sinks drop the
+   calls when off; the caller guards this so an untraced, unlogged run
+   builds no per-job span name. *)
 let note_job_settled t ~trace ~depth ~shed_total (entry : job_log) =
   let job = entry.l_job in
   let arrival = job.Workload.j_arrival in
@@ -387,24 +388,18 @@ let note_job_settled t ~trace ~depth ~shed_total (entry : job_log) =
       ("shed_total", float_of_int shed_total);
       ("cache_bytes", float_of_int (Cache.stats t.cache).Cache.bytes);
     ];
-  let level, time, field, name =
+  let level, field, name =
     match entry.l_outcome with
     | Completed resp ->
-        ( Log.Info,
-          entry.l_settled,
-          ("resp_ms", Trace.F (1e3 *. resp)),
-          "job_completed" )
+        (Log.Info, ("resp_ms", Trace.F (1e3 *. resp)), "job_completed")
     | Shed err ->
-        (Log.Warn, arrival, ("reason", Trace.S (Error.to_string err)), "job_shed")
+        (Log.Warn, ("reason", Trace.S (Error.to_string err)), "job_shed")
     | Deadline_exceeded charged ->
-        ( Log.Warn,
-          entry.l_settled,
-          ("charged_s", Trace.F charged),
-          "job_deadline_exceeded" )
+        (Log.Warn, ("charged_s", Trace.F charged), "job_deadline_exceeded")
     | Failed err ->
-        (Log.Error, arrival, ("error", Trace.S (Error.to_string err)), "job_failed")
+        (Log.Error, ("error", Trace.S (Error.to_string err)), "job_failed")
   in
-  Log.event (Log.default ()) ~level ~time ~track ~span
+  Log.event (Log.default ()) ~level ~time:entry.l_settled ~track ~span
     ~fields:
       [
         ("job", Trace.I job.Workload.j_id);

@@ -91,7 +91,9 @@ let all = matrices @ tensors3
 let find name =
   match List.find_opt (fun e -> e.ds_name = name) all with
   | Some e -> e
-  | None -> invalid_arg (Printf.sprintf "Datasets.find: unknown dataset %s" name)
+  | None ->
+      let open Spdistal_runtime in
+      Error.fail Error.Config "unknown dataset %s" name
 
 let pp_table2 fmt () =
   Format.fprintf fmt

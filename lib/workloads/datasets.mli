@@ -31,6 +31,8 @@ val all : entry list
 
 val matrices : entry list
 val tensors3 : entry list
+
+(** The entry named [name]; raises [Error.Config] on an unknown name. *)
 val find : string -> entry
 
 (** Drop memoized tensors. *)

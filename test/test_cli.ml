@@ -148,6 +148,25 @@ let test_serve_bad_tenant () =
       close_out oc;
       check_bad_input ("serve --trace " ^ Filename.quote path))
 
+(* Bad cell inputs are typed where they are checked: the dataset name
+   ([Datasets.find]), the piece count ([Machine.make]), the tensor's order
+   and the dense width ([Runner]); serve checks its scrape interval. *)
+let bad_inputs =
+  [
+    "run spmv -d nope";
+    "run spmv -n 0";
+    "run spttv -d uk-2005";
+    "run spmm --cols=-1";
+    "serve --jobs 5 --metrics DIR --metrics-interval 0";
+  ]
+
+(* DIR is a path that does not exist, so a run that got past the check
+   would not write into the test's directory. *)
+let test_bad_input args () =
+  String.split_on_char ' ' args
+  |> List.map (function "DIR" -> Filename.quote (missing_path ()) | w -> w)
+  |> String.concat " " |> check_bad_input
+
 let suite =
   [
     Alcotest.test_case "run --iterations" `Quick test_run_iterations;
@@ -168,3 +187,7 @@ let suite =
     Alcotest.test_case "serve --trace out-of-range tenant" `Quick
       test_serve_bad_tenant;
   ]
+  @ List.map
+      (fun args ->
+        Alcotest.test_case (args ^ " rejected") `Quick (test_bad_input args))
+      bad_inputs

@@ -11,7 +11,14 @@ let test_shape () =
   let m2 = Machine.make ~kind:Machine.Cpu [| 2; 3 |] in
   Alcotest.(check int) "2-D grid pieces" 6 (Machine.pieces m2);
   Alcotest.check_raises "bad grid"
-    (Invalid_argument "Machine.make: grid dimensions must be positive")
+    (Error.Error
+       {
+         Error.phase = Error.Config;
+         kernel = None;
+         piece = None;
+         node = None;
+         what = "machine grid dimensions must be positive";
+       })
     (fun () -> ignore (Machine.make ~kind:Machine.Cpu [| 0 |]))
 
 let test_compute_time () =

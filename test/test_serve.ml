@@ -465,6 +465,52 @@ let test_serve_traced () =
   | Ok () -> ()
   | Error msg -> Alcotest.fail ("chrome export: " ^ msg)
 
+(* Each settled job's log event is stamped where its trace span ends, so a
+   log line joins its span: completed, shed, cancelled and failed alike. *)
+let test_log_joins_span_end () =
+  let module Trace = Spdistal_obs.Trace in
+  let module Log = Spdistal_obs.Log in
+  let w = small_workload ~jobs:40 ~deadline:5. () in
+  let cfg =
+    {
+      Server.default_config with
+      Server.s_faults = Fault.make ~seed:42 ~rate:0.35 ~retries:1 ();
+    }
+  in
+  let trace = Trace.create () and log = Log.create () in
+  Log.set_default log;
+  let r =
+    Fun.protect
+      ~finally:(fun () -> Log.set_default Log.null)
+      (fun () -> Server.run ~trace cfg w)
+  in
+  Alcotest.(check bool) "some job failed" true (r.Server.r_failed > 0);
+  let span_end = Hashtbl.create 64 in
+  List.iter
+    (fun sp ->
+      if sp.Trace.sp_cat = "job" then
+        Hashtbl.replace span_end sp.Trace.sp_name
+          (sp.Trace.sp_start +. sp.Trace.sp_dur))
+    (Trace.spans trace);
+  let settled =
+    List.filter
+      (fun e ->
+        List.mem e.Log.e_event
+          [ "job_completed"; "job_shed"; "job_deadline_exceeded"; "job_failed" ])
+      (Log.entries log)
+  in
+  Alcotest.(check int) "one settle event per job" r.Server.r_jobs
+    (List.length settled);
+  List.iter
+    (fun e ->
+      match (e.Log.e_span, e.Log.e_time) with
+      | Some span, Some time ->
+          Alcotest.(check (float 1e-12))
+            (e.Log.e_event ^ " at its span's end")
+            (Hashtbl.find span_end span) time
+      | _ -> Alcotest.failf "%s without span or time" e.Log.e_event)
+    settled
+
 let test_server_config_validation () =
   let run cfg = Server.run cfg (small_workload ~jobs:4 ()) in
   Alcotest.(check bool) "zero nodes rejected" true
@@ -547,5 +593,7 @@ let suite =
       test_blacklist_degradation;
     Alcotest.test_case "CSV row shape + baseline" `Quick test_csv_shape;
     Alcotest.test_case "tenant tracks in the trace" `Quick test_serve_traced;
+    Alcotest.test_case "log events stamped at span end" `Quick
+      test_log_joins_span_end;
     Alcotest.test_case "config validation" `Quick test_server_config_validation;
   ]

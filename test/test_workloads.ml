@@ -62,9 +62,17 @@ let test_datasets_table () =
   Alcotest.(check int) "4 tensors" 4 (List.length Datasets.tensors3);
   let e = Datasets.find "patents" in
   Alcotest.(check bool) "patents is a 3-tensor" true (e.Datasets.ds_kind = Datasets.Tensor3);
+  let open Spdistal_runtime in
   Alcotest.check_raises "unknown dataset"
-    (Invalid_argument "Datasets.find: unknown dataset nope") (fun () ->
-      ignore (Datasets.find "nope"))
+    (Error.Error
+       {
+         Error.phase = Error.Config;
+         kernel = None;
+         piece = None;
+         node = None;
+         what = "unknown dataset nope";
+       })
+    (fun () -> ignore (Datasets.find "nope"))
 
 let test_datasets_memoized () =
   let e = Datasets.find "nell-2" in
