@@ -41,14 +41,15 @@ let run_domain_scaling () =
       (Runner.Spmv, matrix); (Runner.Spmm, matrix); (Runner.Spadd3, matrix);
       (Runner.Sddmm, matrix); (Runner.Spttv, tensor); (Runner.Mttkrp, tensor);
     ]
+    |> List.map (fun (k, b) -> Core.Kernels.inputs k b)
   in
   let time_all domains =
     Spdistal_runtime.Machine.set_sim_domains domains;
     let t0 = Unix.gettimeofday () in
     let sims =
       List.map
-        (fun (k, b) ->
-          let r = Runner.run ~kernel:k ~system:Runner.Spdistal ~machine b in
+        (fun inputs ->
+          let r = Runner.run ~system:Runner.Spdistal ~machine inputs in
           r.Spdistal_baselines.Common.time)
         kernels
     in
@@ -183,8 +184,9 @@ let run_amortization () =
      dependent-partitioning reuse) ===";
   Printf.printf "%-10s %-8s %5s %12s %12s %12s %5s %7s\n" "system" "cache"
     "iters" "total(s)" "iter1(s)" "warm(s)" "hits" "misses";
+  let inputs = K.inputs K.Spmv matrix in
   let spdistal_row ~cache n =
-    let p = K.spmv_problem ~machine matrix in
+    let p = K.problem ~machine inputs in
     let r = S.run ~iterations:n ~cache p in
     let totals = List.map (fun it -> Cost.total it.S.it_cost) r.S.iters in
     let iter1 = match totals with t :: _ -> Some t | [] -> None in
@@ -211,7 +213,7 @@ let run_amortization () =
     }
   in
   let baseline_row system name n =
-    let r = Runner.run ~kernel:Runner.Spmv ~system ~machine ~iterations:n matrix in
+    let r = Runner.run ~system ~machine ~iterations:n inputs in
     {
       Csv.a_kernel = "SpMV";
       a_system = name;

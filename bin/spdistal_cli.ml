@@ -17,7 +17,6 @@
 
 open Cmdliner
 open Spdistal_runtime
-open Spdistal_formats
 open Spdistal_workloads
 open Spdistal_experiments
 module Trace = Spdistal_obs.Trace
@@ -165,9 +164,8 @@ let command ?(settings = []) name ~doc action =
 type cell = {
   kernel : Runner.kernel;
   dataset : string;
-  cols : int;
   machine : Machine.t;
-  tensor : Tensor.t;
+  inputs : Core.Kernels.inputs;
 }
 
 (* -d -n --gpu --cols as a cell of any kernel: [auto --sweep] builds none. *)
@@ -178,15 +176,14 @@ let cell_of =
       if gpu then Runner.gpu_machine ~gpus:pieces
       else Runner.cpu_machine ~nodes:pieces
     in
-    { kernel; dataset; cols; machine; tensor }
+    { kernel; dataset; machine; inputs = Core.Kernels.inputs kernel ~cols tensor }
   in
   Term.(const make $ dataset_arg $ pieces_arg $ gpu_arg $ cols_arg)
 
 let cell = Term.(cell_of $ kernel_arg)
 
 (* The SpDISTAL problem of a cell (show, prof and auto). *)
-let problem c =
-  Runner.problem_for ~kernel:c.kernel ~machine:c.machine ~cols:c.cols c.tensor
+let problem c = Runner.problem ~machine:c.machine c.inputs
 
 let auto_arg =
   Arg.(
@@ -281,8 +278,8 @@ let run_cmd =
   let f c system auto o =
     let trace = start_trace o.trace_out o.metrics_out in
     let r =
-      Runner.run ~kernel:c.kernel ~system ~machine:c.machine ~cols:c.cols
-        ~auto ?iterations:o.iterations ~cache:(not o.no_cache) c.tensor
+      Runner.run ~system ~machine:c.machine ~auto ?iterations:o.iterations
+        ~cache:(not o.no_cache) c.inputs
     in
     (match r.Spdistal_baselines.Common.dnc with
     | Some reason -> Printf.printf "DNC: %s\n" reason
@@ -713,6 +710,16 @@ let serve_cmd =
             "LRU byte budget of the shared partition/kernel cache (0 = \
              unlimited).")
   in
+  let cache_budget =
+    let check = function
+      | 0 -> None
+      | b when b > 0 -> Some b
+      | b ->
+          Error.fail Error.Config
+            "--cache-budget must be >= 0 (0 = unlimited), got %d" b
+    in
+    Term.(const check $ cache_budget_arg)
+  in
   let retry_budget_arg =
     Arg.(
       value & opt int Server.default_config.Server.s_retry_budget
@@ -826,7 +833,7 @@ let serve_cmd =
         Server.default_config with
         Server.s_nodes = nodes;
         s_queue_bound = queue_bound;
-        s_cache_budget = (if cache_budget > 0 then Some cache_budget else None);
+        s_cache_budget = cache_budget;
         s_retry_budget = retry_budget;
         s_blacklist_after = blacklist_after;
         s_faults = Option.value faults ~default:Fault.disabled;
@@ -897,7 +904,7 @@ let serve_cmd =
     Term.(
       const f $ trace_in_arg $ save_trace_arg $ jobs_arg $ tenants_arg
       $ rate_arg $ alpha_arg $ seed_arg $ deadline_arg $ burst_arg $ nodes_arg
-      $ queue_bound_arg $ cache_budget_arg $ retry_budget_arg $ blacklist_arg
+      $ queue_bound_arg $ cache_budget $ retry_budget_arg $ blacklist_arg
       $ auto_arg $ faults $ baseline_arg $ out_arg $ scenario_arg
       $ chrome_trace_arg $ metrics_dir_arg $ slo_file_arg $ metrics_interval)
 

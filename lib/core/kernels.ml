@@ -142,84 +142,84 @@ let matched ~machine ~operands ~stmt ~schedule =
     ~operands:(List.map2 (fun (n, slot) (_, tdn) -> (n, slot, tdn)) operands tdns)
     ~stmt ~schedule
 
-let spmv_problem ~machine ?schedule b =
-  let n = b.Tensor.dims.(0) and m = b.Tensor.dims.(1) in
-  let a = Dense.vec_create "a" n and c = dense_vec "c" m in
-  matched ~machine
-    ~operands:[ ("a", Operand.vec a); ("B", Operand.sparse b); ("c", Operand.vec c) ]
-    ~schedule:
-      (Option.value schedule ~default:(spmv_row ~proc:(default_proc machine) ()))
-    ~stmt:Tin.spmv
+(* ------------------------------------------------------------------ *)
+(* Kernels and their inputs                                             *)
+(* ------------------------------------------------------------------ *)
 
-let spmm_problem ~machine ?schedule ?(cols = 32) b =
-  let n = b.Tensor.dims.(0) and k = b.Tensor.dims.(1) in
-  let a = Dense.mat_create "A" n cols and c = dense_mat "C" k cols in
-  matched ~machine
-    ~operands:[ ("A", Operand.mat a); ("B", Operand.sparse b); ("C", Operand.mat c) ]
-    ~schedule:
-      (Option.value schedule ~default:(spmm_row ~proc:(default_proc machine) ()))
-    ~stmt:Tin.spmm
+type kernel = Spmv | Spmm | Spadd3 | Sddmm | Spttv | Mttkrp
 
-let empty_csr name rows cols =
-  Tensor.csr ~name (Coo.make [| rows; cols |] [])
+let kernel_name = function
+  | Spmv -> "SpMV"
+  | Spmm -> "SpMM"
+  | Spadd3 -> "SpAdd3"
+  | Sddmm -> "SDDMM"
+  | Spttv -> "SpTTV"
+  | Mttkrp -> "SpMTTKRP"
 
-let spadd3_problem ~machine ?schedule ?c ?d b =
-  let rows = b.Tensor.dims.(0) and cols = b.Tensor.dims.(1) in
-  let c = match c with Some t -> t | None -> shift_last_dim ~name:"C" ~by:1 b in
-  let d = match d with Some t -> t | None -> shift_last_dim ~name:"D" ~by:2 b in
-  let a = empty_csr "A" rows cols in
-  matched ~machine
-    ~operands:
-      [
-        ("A", Operand.sparse a);
-        ("B", Operand.sparse b);
-        ("C", Operand.sparse c);
-        ("D", Operand.sparse d);
-      ]
-    ~schedule:
-      (Option.value schedule ~default:(spadd3_row ~proc:(default_proc machine) ()))
-    ~stmt:Tin.spadd3
+let order = function Spttv | Mttkrp -> 3 | Spmv | Spmm | Spadd3 | Sddmm -> 2
 
-let sddmm_problem ~machine ?schedule ?(cols = 32) b =
-  let n = b.Tensor.dims.(0) and m = b.Tensor.dims.(1) in
-  let a = Assemble.copy_pattern ~name:"A" b in
-  let c = dense_mat "C" n cols and d0 = dense_mat "Dm" cols m in
-  (* D is (k, j): rows = cols of the factor width, cols = m. *)
-  let d = { d0 with Dense.name = "D" } in
-  matched ~machine
-    ~operands:
-      [
-        ("A", Operand.sparse a);
-        ("B", Operand.sparse b);
-        ("C", Operand.mat c);
-        ("D", Operand.mat d);
-      ]
-    ~schedule:
-      (Option.value schedule ~default:(sddmm_nnz ~proc:(default_proc machine) ()))
-    ~stmt:Tin.sddmm
+type inputs = {
+  kernel : kernel;
+  cols : int;
+  b : Tensor.t;
+  operands : (string * Operand.data) list;
+}
 
-let spttv_problem ~machine ?schedule b =
-  let k = b.Tensor.dims.(2) in
-  let a = Assemble.copy_pattern ~name:"A" ~levels:2 b in
-  let c = dense_vec "c" k in
-  matched ~machine
-    ~operands:[ ("A", Operand.sparse a); ("B", Operand.sparse b); ("c", Operand.vec c) ]
-    ~schedule:
-      (Option.value schedule ~default:(spttv_row ~proc:(default_proc machine) ()))
-    ~stmt:Tin.spttv
+(* The read-only operands after [B], in the statement's order: dense
+   factors, or SpAdd3's two shifted copies of [B] (Henry & Hsu [30]). *)
+let inputs kernel ?(cols = 32) b =
+  let name = kernel_name kernel in
+  if Tensor.order b <> order kernel then
+    Error.fail ~kernel:name Error.Config "needs an order-%d tensor, %s has order %d"
+      (order kernel) b.Tensor.name (Tensor.order b);
+  if cols < 0 then
+    Error.fail ~kernel:name Error.Config "dense width must be >= 0, got %d" cols;
+  let d = b.Tensor.dims in
+  let vec n len = (n, Operand.Vec (dense_vec n len)) in
+  let mat n rows cols = (n, Operand.Mat (dense_mat n rows cols)) in
+  let shift n by = (n, Operand.Sparse (shift_last_dim ~name:n ~by b)) in
+  let operands =
+    match kernel with
+    | Spmv -> [ vec "c" d.(1) ]
+    | Spmm -> [ mat "C" d.(1) cols ]
+    | Spadd3 -> [ shift "C" 1; shift "D" 2 ]
+    (* D is (k, j): rows = the factor width, cols = B's columns. *)
+    | Sddmm -> [ mat "C" d.(0) cols; mat "D" cols d.(1) ]
+    | Spttv -> [ vec "c" d.(2) ]
+    | Mttkrp -> [ mat "C" d.(1) cols; mat "D" d.(2) cols ]
+  in
+  { kernel; cols; b; operands }
 
-let mttkrp_problem ~machine ?schedule ?(cols = 32) b =
-  let ni = b.Tensor.dims.(0) and nj = b.Tensor.dims.(1) and nk = b.Tensor.dims.(2) in
-  let a = Dense.mat_create "A" ni cols in
-  let c = dense_mat "C" nj cols and d = dense_mat "D" nk cols in
-  matched ~machine
-    ~operands:
-      [
-        ("A", Operand.mat a);
-        ("B", Operand.sparse b);
-        ("C", Operand.mat c);
-        ("D", Operand.mat d);
-      ]
-    ~schedule:
-      (Option.value schedule ~default:(mttkrp_row ~proc:(default_proc machine) ()))
-    ~stmt:Tin.spmttkrp
+let output i =
+  let d = i.b.Tensor.dims in
+  match i.kernel with
+  | Spmv -> ("a", Operand.Vec (Dense.vec_create "a" d.(0)))
+  | Spmm | Mttkrp -> ("A", Operand.Mat (Dense.mat_create "A" d.(0) i.cols))
+  | Spadd3 -> ("A", Operand.Sparse (Tensor.csr ~name:"A" (Coo.make [| d.(0); d.(1) |] [])))
+  | Sddmm -> ("A", Operand.Sparse (Assemble.copy_pattern ~name:"A" i.b))
+  | Spttv -> ("A", Operand.Sparse (Assemble.copy_pattern ~name:"A" ~levels:2 i.b))
+
+let bindings i =
+  let slot (n, data) = (n, { Operand.data }) in
+  List.map slot (output i :: ("B", Operand.Sparse i.b) :: i.operands)
+
+let problem ~machine ?schedule i =
+  let proc = default_proc machine in
+  let stmt, default =
+    match i.kernel with
+    | Spmv -> (Tin.spmv, spmv_row)
+    | Spmm -> (Tin.spmm, spmm_row)
+    | Spadd3 -> (Tin.spadd3, spadd3_row)
+    | Sddmm -> (Tin.sddmm, sddmm_nnz)
+    | Spttv -> (Tin.spttv, spttv_row)
+    | Mttkrp -> (Tin.spmttkrp, mttkrp_row)
+  in
+  let schedule = match schedule with Some s -> s | None -> default ~proc () in
+  matched ~machine ~operands:(bindings i) ~stmt ~schedule
+
+let spmv_problem ~machine ?schedule b = problem ~machine ?schedule (inputs Spmv b)
+let spmm_problem ~machine ?schedule ?cols b = problem ~machine ?schedule (inputs Spmm ?cols b)
+let spadd3_problem ~machine ?schedule b = problem ~machine ?schedule (inputs Spadd3 b)
+let sddmm_problem ~machine ?schedule ?cols b = problem ~machine ?schedule (inputs Sddmm ?cols b)
+let spttv_problem ~machine ?schedule b = problem ~machine ?schedule (inputs Spttv b)
+let mttkrp_problem ~machine ?schedule ?cols b = problem ~machine ?schedule (inputs Mttkrp ?cols b)

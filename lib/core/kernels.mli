@@ -9,13 +9,12 @@
       statically load balanced — SDDMM's default everywhere, and the GPU
       variants of SpMM/SpTTV/SpMTTKRP.
 
-    [*_problem] builders assemble full {!Spdistal.problem}s from a sparse
-    input: dense factors are deterministic pseudo-random and outputs are
-    zeroed.  The data distribution follows the schedule: every builder
-    takes the TDNs the schedule moves no data for from {!matched} (paper
-    §II-D).  A variant is chosen by its schedule alone, e.g. the GPU
-    non-zero SpTTV is
-    [spttv_problem ~schedule:(spttv_nnz ~proc:Gpu_thread ())]; a
+    A kernel's read-only {!inputs} are built once per (dataset, kernel) and
+    shared by every run; its output is fresh in every {!bindings}.  The
+    data distribution follows the schedule: every builder takes the TDNs
+    the schedule moves no data for from {!matched} (paper §II-D).  A
+    variant is chosen by its schedule alone, e.g. the GPU non-zero SpTTV
+    is [spttv_problem ~schedule:(spttv_nnz ~proc:Gpu_thread ())]; a
     mismatched distribution is {!Spdistal.with_schedule} of a matched
     problem. *)
 
@@ -80,48 +79,56 @@ val dval : int -> float
 val dense_vec : string -> int -> Dense.vec
 val dense_mat : string -> int -> int -> Dense.mat
 
-(** [spmv_problem ~machine ~schedule b]. *)
-val spmv_problem :
-  machine:Machine.t -> ?schedule:Schedule.t -> Tensor.t -> Spdistal.problem
+(** {1 Kernels and their inputs} *)
 
-(** [spmm_problem ~machine ~cols b] — [cols] is the dense width (default
-    32).  The GPU variants are {!spmm_nnz} (load-balanced) and
-    {!spmm_batched} (2-D, on a 2-D grid). *)
+type kernel = Spmv | Spmm | Spadd3 | Sddmm | Spttv | Mttkrp
+
+(** ["SpMV"], ["SpMM"], ["SpAdd3"], ["SDDMM"], ["SpTTV"], ["SpMTTKRP"]. *)
+val kernel_name : kernel -> string
+
+(** The order of the kernel's sparse input: 3 for SpTTV and SpMTTKRP, else 2. *)
+val order : kernel -> int
+
+(** The read-only operands of a kernel over [b]: [operands] follow [B] in
+    the statement's order ([c], [C], or [C] and [D]).  Nothing writes
+    them, so every problem built from one [inputs] shares them. *)
+type inputs = private {
+  kernel : kernel;
+  cols : int;  (** dense width of SpMM, SDDMM and SpMTTKRP *)
+  b : Tensor.t;
+  operands : (string * Spdistal_exec.Operand.data) list;
+}
+
+(** [inputs kernel ~cols b] builds the dense factors ([cols] wide, default
+    32; values {!dval}) or SpAdd3's [C] and [D], [b] shifted by 1 and 2
+    ({!shift_last_dim}, Henry & Hsu et al. [30]).  Raises
+    {!Spdistal_runtime.Error.Error} ([Config]) when [b]'s order is not
+    {!order} [kernel] or [cols] is negative. *)
+val inputs : kernel -> ?cols:int -> Tensor.t -> inputs
+
+(** A fresh zeroed output ([a] for SpMV, else [A]), then [B] and the shared
+    inputs, each in a fresh slot. *)
+val bindings : inputs -> Spdistal_exec.Operand.bindings
+
+(** The kernel's statement over {!bindings}, {!matched} to [schedule]
+    (default: the kernel's row schedule, SDDMM's non-zero one, for the
+    machine's processor kind).  The [*_problem] builders are [problem] of
+    {!inputs}; SpMM's GPU variants are {!spmm_nnz} and {!spmm_batched} (on
+    a 2-D grid). *)
+val problem : machine:Machine.t -> ?schedule:Schedule.t -> inputs -> Spdistal.problem
+
+val spmv_problem : machine:Machine.t -> ?schedule:Schedule.t -> Tensor.t -> Spdistal.problem
+val spadd3_problem : machine:Machine.t -> ?schedule:Schedule.t -> Tensor.t -> Spdistal.problem
+val spttv_problem : machine:Machine.t -> ?schedule:Schedule.t -> Tensor.t -> Spdistal.problem
+
 val spmm_problem :
-  machine:Machine.t ->
-  ?schedule:Schedule.t ->
-  ?cols:int ->
-  Tensor.t ->
-  Spdistal.problem
-
-(** [spadd3_problem ~machine b] builds the two shifted copies per Henry &
-    Hsu et al. [30] internally unless [c]/[d] are supplied.  Supplied
-    inputs are only read, so callers may share them across problems; the
-    output [A] is always fresh. *)
-val spadd3_problem :
-  machine:Machine.t ->
-  ?schedule:Schedule.t ->
-  ?c:Tensor.t ->
-  ?d:Tensor.t ->
-  Tensor.t ->
-  Spdistal.problem
+  machine:Machine.t -> ?schedule:Schedule.t -> ?cols:int -> Tensor.t -> Spdistal.problem
 
 val sddmm_problem :
-  machine:Machine.t ->
-  ?schedule:Schedule.t ->
-  ?cols:int ->
-  Tensor.t ->
-  Spdistal.problem
-
-val spttv_problem :
-  machine:Machine.t -> ?schedule:Schedule.t -> Tensor.t -> Spdistal.problem
+  machine:Machine.t -> ?schedule:Schedule.t -> ?cols:int -> Tensor.t -> Spdistal.problem
 
 val mttkrp_problem :
-  machine:Machine.t ->
-  ?schedule:Schedule.t ->
-  ?cols:int ->
-  Tensor.t ->
-  Spdistal.problem
+  machine:Machine.t -> ?schedule:Schedule.t -> ?cols:int -> Tensor.t -> Spdistal.problem
 
 (** Shift a tensor's last dimension by [by] (mod its size), the Henry & Hsu
     trick for deriving additional sparse operands.  A cyclic shift permutes

@@ -100,16 +100,15 @@ let run_fusion fmt () =
     Spdistal_workloads.Synth.uniform ~name:"fa" ~rows:15_000 ~cols:15_000
       ~nnz:250_000 ~seed:14
   in
-  let c = K.shift_last_dim ~name:"C" ~by:1 b in
-  let d = K.shift_last_dim ~name:"D" ~by:2 b in
+  let inputs = K.inputs K.Spadd3 b in
+  let shifted = Operand.find_sparse (K.bindings inputs) in
   Format.fprintf fmt "@[<v>=== Ablation: fused vs pairwise SpAdd3 (8 nodes) ===@,";
   Format.fprintf fmt "fused single pass:        %a@," pp_time
-    (time (K.spadd3_problem ~machine ~c ~d b));
+    (time (K.problem ~machine inputs));
   Format.fprintf fmt "two pairwise additions:   %a@," pp_time
-    (pairwise_add machine b c d);
+    (pairwise_add machine b (shifted "C") (shifted "D"));
   Format.fprintf fmt "fused, dense workspace:   %a@," pp_time
-    (time
-       (K.spadd3_problem ~machine ~c ~d ~schedule:(K.spadd3_workspace ()) b));
+    (time (K.problem ~machine ~schedule:(K.spadd3_workspace ()) inputs));
   Format.fprintf fmt
     "(fusion avoids materializing and re-reading the intermediate sum, the \
      mechanism behind the paper's 11.8x/38.5x SpAdd3 gaps)@,@]"

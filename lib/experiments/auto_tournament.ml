@@ -129,20 +129,15 @@ let ratio_cell r =
   match ratio r with Some x -> Printf.sprintf "%.4f" x | None -> "DNC"
 
 let write ~dir rows =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let path = Filename.concat dir "auto.csv" in
-  let oc = open_out path in
-  output_string oc
-    "kernel,dataset,system,pieces,naive_total,hand_total,auto_total,auto_vs_hand,winner\n";
-  List.iter
-    (fun r ->
-      Printf.fprintf oc "%s,%s,%s,%d,%s,%s,%s,%s,%s\n" r.t_kernel r.t_dataset
-        r.t_system r.t_pieces (Csv.time_cell r.t_naive)
-        (Csv.time_cell r.t_hand) (Csv.time_cell r.t_auto) (ratio_cell r)
-        r.t_winner)
-    rows;
-  close_out oc;
-  path
+  Csv.write_file ~dir "auto.csv"
+    (Csv.table
+       "kernel,dataset,system,pieces,naive_total,hand_total,auto_total,auto_vs_hand,winner"
+       (fun r ->
+         Printf.sprintf "%s,%s,%s,%d,%s,%s,%s,%s,%s" r.t_kernel r.t_dataset
+           r.t_system r.t_pieces (Csv.time_cell r.t_naive)
+           (Csv.time_cell r.t_hand) (Csv.time_cell r.t_auto) (ratio_cell r)
+           r.t_winner)
+       rows)
 
 let print fmt rows =
   Format.fprintf fmt

@@ -5,6 +5,14 @@
     for [None]. *)
 val time_cell : float option -> string
 
+(** [table header line items] is [header], then [line x] for each item,
+    each line ending in a newline. *)
+val table : string -> ('a -> string) -> 'a list -> string
+
+(** [write_file ~dir name contents] writes [contents] to [dir/name]
+    ([dir] created if missing) and returns the path. *)
+val write_file : dir:string -> string -> string -> string
+
 val fig13 : Runner.cell list -> string
 
 (** One cell of the fault-rate sweep: a kernel run under an injected fault

@@ -6,7 +6,10 @@
     the paper.  SpMV scales only to 8 GPUs (its runtimes are ~10 ms);
     Trilinos runs under CUDA-UVM. *)
 
-(** The {!Runner.sweep} on GPUs. *)
+(** SpMV, SpMM, SpAdd3 and SDDMM. *)
+val kernels : Runner.kernel list
+
+(** The {!Runner.sweep} of {!kernels} on GPUs. *)
 val compute : ?quick:bool -> unit -> Runner.cell list
 
 val print : Format.formatter -> Runner.cell list -> unit

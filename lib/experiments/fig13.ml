@@ -13,6 +13,7 @@ let compute ?(quick = false) () =
   let gpu_counts = if quick then [ 1; 4 ] else [ 1; 4; 16; 64; 128; 256 ] in
   let run kind pieces =
     let b = matrix pieces in
+    let inputs = Core.Kernels.inputs Runner.Spmv b in
     let machine =
       match kind with
       | Machine.Cpu -> Runner.cpu_machine ~nodes:pieces
@@ -26,7 +27,7 @@ let compute ?(quick = false) () =
           kind;
           pieces;
           tensor = b.Spdistal_formats.Tensor.name;
-          result = Runner.run ~kernel:Runner.Spmv ~system ~machine b;
+          result = Runner.run ~system ~machine inputs;
         })
       [ Runner.Spdistal; Runner.Petsc ]
   in

@@ -9,7 +9,8 @@ open Spdistal_runtime
 open Spdistal_formats
 open Spdistal_workloads
 
-type kernel = Spmv | Spmm | Spadd3 | Sddmm | Spttv | Mttkrp
+(** {!Core.Kernels.kernel}, re-exported with its constructors. *)
+type kernel = Core.Kernels.kernel = Spmv | Spmm | Spadd3 | Sddmm | Spttv | Mttkrp
 
 type system =
   | Spdistal  (** the schedule the paper uses for this kernel/machine kind *)
@@ -35,12 +36,15 @@ val gpu_machine : gpus:int -> Machine.t
 
 (** The hand-scheduled problem the paper uses for this (kernel, machine)
     cell — what [run] executes for the SpDISTAL systems, and what the
-    auto-tournament reschedules.  [batched] picks the 2-D memory-conserving
-    SpMM (the machine is re-gridded to a near-square 2-D grid).
+    auto-tournament reschedules — over a fresh output and the shared
+    [inputs].  [batched] picks the 2-D memory-conserving SpMM (the machine
+    is re-gridded to a near-square 2-D grid). *)
+val problem :
+  machine:Machine.t -> ?batched:bool -> Core.Kernels.inputs -> Core.Spdistal.problem
 
-    Raises [Error.Config] when the tensor's order is not the kernel's (3
-    for {!kernels_for_tensor3}, else 2) or [cols] is negative; {!run}
-    checks the same. *)
+(** [problem_for ~kernel ~machine ~cols b] is {!problem} of
+    [Kernels.inputs kernel ~cols b]: raises [Error.Config] when the
+    tensor's order is not the kernel's or [cols] is negative. *)
 val problem_for :
   kernel:kernel ->
   machine:Machine.t ->
@@ -49,9 +53,11 @@ val problem_for :
   Tensor.t ->
   Core.Spdistal.problem
 
-(** [run ~kernel ~system ~machine tensor] executes one cell: real numerics,
-    simulated time.  [cols] is the dense width for SpMM/SDDMM/MTTKRP
-    (default 32).  Trilinos GPU runs use UVM.
+(** [run ~system ~machine inputs] executes one cell: real numerics,
+    simulated time.  Every system reads [B] and its dense factors or
+    shifted copies from [inputs] and writes a fresh output
+    ({!Core.Kernels.bindings}), so the cells of one (dataset, kernel) share
+    one input set.  Trilinos GPU runs use UVM.
 
     [auto] replaces the hand schedule of SpDISTAL systems with the
     auto-scheduler's choice ({!Spdistal_opt.Auto.schedule}); baselines are
@@ -63,14 +69,12 @@ val problem_for :
     every iteration), while baseline systems re-pay their full launch each
     iteration, so their time scales linearly. *)
 val run :
-  kernel:kernel ->
   system:system ->
   machine:Machine.t ->
-  ?cols:int ->
   ?auto:bool ->
   ?iterations:int ->
   ?cache:bool ->
-  Tensor.t ->
+  Core.Kernels.inputs ->
   Spdistal_baselines.Common.result
 
 (** The kernels that apply to 3-tensor datasets. *)
@@ -95,10 +99,20 @@ val time : cell -> float option
     two. *)
 val datasets_for : ?quick:bool -> kernel -> Datasets.entry list
 
+(** [cells kind ~pieces ~tensor inputs] runs every system of
+    {!systems_for} at each of [pieces] on a {!cpu_machine} or
+    {!gpu_machine} of [kind], all over the one input set [inputs]; each
+    cell is labelled with the dataset name [tensor]. *)
+val cells :
+  Machine.proc_kind ->
+  pieces:int list ->
+  tensor:string ->
+  Core.Kernels.inputs ->
+  cell list
+
 (** [sweep kind ~counts kernels] runs, in this nest order, every kernel,
-    each of its {!datasets_for} (loaded once), each piece count of
-    [counts kernel] on a {!cpu_machine} or {!gpu_machine} of [kind], and
-    each of {!systems_for}. *)
+    each of its {!datasets_for} (loaded once, its {!Core.Kernels.inputs}
+    built once), and the {!cells} of [counts kernel] over those inputs. *)
 val sweep :
   ?quick:bool ->
   Machine.proc_kind ->

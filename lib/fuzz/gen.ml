@@ -255,7 +255,21 @@ let sample_product r ~params ~dseed =
   in
   { spec with tdns = sample_tdns r spec }
 
+(* Every draw below needs a non-empty range and a probability. *)
+let check_params p =
+  let at_least_one what n =
+    if n < 1 then Error.fail Error.Config "fuzz: %s must be >= 1, got %d" what n
+  and probability what x =
+    if not (x >= 0. && x <= 1.) then
+      Error.fail Error.Config "fuzz: %s must be in [0, 1], got %g" what x
+  in
+  at_least_one "max_dim" p.max_dim;
+  at_least_one "max_pieces" p.max_pieces;
+  probability "fault_prob" p.fault_prob;
+  probability "gpu_prob" p.gpu_prob
+
 let case ?(params = default_params) ~seed index =
+  check_params params;
   let r = Srng.create (seed + (index * 1000003)) in
   let dseed = Srng.int r 1_000_000 in
   let spec =

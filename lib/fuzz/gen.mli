@@ -16,5 +16,8 @@ type params = {
 
 val default_params : params
 
-(** [case ?params ~seed index] — the [index]-th case of campaign [seed]. *)
+(** [case ?params ~seed index] — the [index]-th case of campaign [seed].
+    Raises {!Spdistal_runtime.Error.Error} ([Config]) when [max_dim] or
+    [max_pieces] is below 1, or [fault_prob] or [gpu_prob] is not in
+    \[0, 1\]. *)
 val case : ?params:params -> seed:int -> int -> Spec.t

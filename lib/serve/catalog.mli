@@ -1,16 +1,16 @@
 (** The query catalog a serve instance answers: named (kernel, tensor-ref)
     computations over deterministic synthetic tensors.  Tensors are memoized
     per query, so every job for a query shares one tensor instance and one
-    cache digest — the precondition for cross-job cache hits.  Read-only
-    inputs derived from a query's tensor (SpAdd3's shifted [C] and [D]) are
-    memoized too; outputs are fresh in every {!problem}. *)
+    cache digest — the precondition for cross-job cache hits.  Each query's
+    read-only {!Core.Kernels.inputs} are memoized too, so every problem of
+    a query shares them; outputs are fresh in every {!problem}. *)
 
 open Spdistal_runtime
 
 type entry = {
   c_name : string;
   c_tensor : Spdistal_formats.Tensor.t Lazy.t;
-  c_problem : machine:Machine.t -> Core.Spdistal.problem;
+  c_inputs : Core.Kernels.inputs Lazy.t;  (** built from [c_tensor] *)
 }
 
 val all : entry list

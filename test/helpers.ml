@@ -104,6 +104,83 @@ let cpu_machine pieces =
 
 let gpu_machine grid = Core.Spdistal.machine ~kind:Spdistal_runtime.Machine.Gpu grid
 
+(* SpAdd3 over operands [C] and [D] that [Kernels.inputs] does not build
+   (random patterns, mismatched shapes), under the row schedule for the
+   machine's processor kind. *)
+let spadd3_of ~machine b c d =
+  let module E = Spdistal_exec.Operand in
+  let module Schedule = Spdistal_ir.Schedule in
+  let proc =
+    if machine.Spdistal_runtime.Machine.kind = Spdistal_runtime.Machine.Gpu
+    then Schedule.Gpu_thread
+    else Schedule.Cpu_thread
+  in
+  let a = Tensor.csr ~name:"A" (Coo.make [| b.Tensor.dims.(0); b.Tensor.dims.(1) |] []) in
+  Core.Kernels.matched ~machine
+    ~operands:
+      [ ("A", E.sparse a); ("B", E.sparse b); ("C", E.sparse c); ("D", E.sparse d) ]
+    ~stmt:Spdistal_ir.Tin.spadd3 ~schedule:(Core.Kernels.spadd3_row ~proc ())
+
+(* A digest of an operand's dims, pattern and value bits: equal digests
+   before and after a run mean the run left the operand as it was. *)
+let data_digest (d : Spdistal_exec.Operand.data) =
+  let module R = Spdistal_runtime.Region in
+  let bits a = Array.map Int64.bits_of_float a in
+  let level = function
+    | Level.Dense { dim } -> `D dim
+    | Level.Compressed { pos; crd } -> `C (pos.R.data, crd.R.data)
+    | Level.Singleton { crd } -> `S crd.R.data
+  in
+  let repr =
+    match d with
+    | Spdistal_exec.Operand.Sparse t ->
+        `Sparse
+          ( t.Tensor.dims,
+            t.Tensor.mode_order,
+            Array.map level t.Tensor.levels,
+            bits (R.F.to_array t.Tensor.vals) )
+    | Spdistal_exec.Operand.Vec v -> `Vec (bits v.Dense.data)
+    | Spdistal_exec.Operand.Mat m -> `Mat (m.Dense.rows, m.Dense.cols, bits m.Dense.data)
+  in
+  Digest.string (Marshal.to_string repr [])
+
+(* Whether two operands hold one physical tensor, vector or matrix. *)
+let same_data (a : Spdistal_exec.Operand.data) (b : Spdistal_exec.Operand.data) =
+  match (a, b) with
+  | Sparse x, Sparse y -> x == y
+  | Vec x, Vec y -> x == y
+  | Mat x, Mat y -> x == y
+  | (Sparse _ | Vec _ | Mat _), _ -> false
+
+(* [views] are the bindings of several runs built from one input set,
+   output first: every input is one object across them, and no two share
+   output storage. *)
+let check_shared_inputs what views =
+  let module E = Spdistal_exec.Operand in
+  List.iteri
+    (fun k v1 ->
+      List.iteri
+        (fun l v2 ->
+          if k < l then
+            match (v1, v2) with
+            | (out, s1) :: ins1, (_, s2) :: _ ->
+                Alcotest.(check bool)
+                  (Printf.sprintf "%s: output %s of views %d and %d is fresh" what
+                     out k l)
+                  false
+                  (E.shares_storage s1.E.data s2.E.data);
+                List.iter
+                  (fun (name, (s : E.slot)) ->
+                    Alcotest.(check bool)
+                      (Printf.sprintf "%s: input %s of views %d and %d is one object"
+                         what name k l)
+                      true
+                      (same_data s.E.data (E.find v2 name).E.data))
+                  ins1
+            | _ -> Alcotest.failf "%s: a view has no operands" what)
+        views)
+    views
+
 (* Run a problem and fail the test on any did-not-complete outcome. *)
 let run_ok problem =
   let res = Core.Spdistal.run problem in

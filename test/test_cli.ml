@@ -148,9 +148,10 @@ let test_serve_bad_tenant () =
       close_out oc;
       check_bad_input ("serve --trace " ^ Filename.quote path))
 
-(* Bad cell inputs are typed where they are checked: the dataset name
+(* Bad inputs are typed where they are checked: the dataset name
    ([Datasets.find]), the piece count ([Machine.make]), the tensor's order
-   and the dense width ([Runner]); serve checks its scrape interval. *)
+   and the dense width ([Kernels.inputs]); serve checks its scrape interval
+   and cache budget, fuzz its generator parameters ([Gen.case]). *)
 let bad_inputs =
   [
     "run spmv -d nope";
@@ -158,6 +159,10 @@ let bad_inputs =
     "run spttv -d uk-2005";
     "run spmm --cols=-1";
     "serve --jobs 5 --metrics DIR --metrics-interval 0";
+    "serve --jobs 5 --cache-budget=-5";
+    "fuzz --count 2 --max-dim 0";
+    "fuzz --count 2 --max-pieces 0";
+    "fuzz --count 2 --fault-prob 2";
   ]
 
 (* DIR is a path that does not exist, so a run that got past the check

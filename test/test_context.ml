@@ -511,10 +511,9 @@ let test_spadd3_rebind () =
       let expect bt =
         fst
           (single_shot ~leaf_backend
-             (Core.Kernels.spadd3_problem ~machine
-                ~c:(Operand.find_sparse (S.bindings p) "C")
-                ~d:(Operand.find_sparse (S.bindings p) "D")
-                bt))
+             (Helpers.spadd3_of ~machine bt
+                (Operand.find_sparse (S.bindings p) "C")
+                (Operand.find_sparse (S.bindings p) "D")))
       in
       let ctx = S.Context.create p in
       ignore (run_ok ctx);

@@ -21,9 +21,10 @@ let small_matrix =
 let test_runner_cells () =
   let b = Lazy.force small_matrix in
   let m = Runner.cpu_machine ~nodes:2 in
+  let i = Core.Kernels.inputs Runner.Spmv b in
   List.iter
     (fun system ->
-      let r = Runner.run ~kernel:Runner.Spmv ~system ~machine:m b in
+      let r = Runner.run ~system ~machine:m i in
       Alcotest.(check bool)
         (Runner.system_name system ^ " completes")
         true
@@ -33,16 +34,18 @@ let test_runner_cells () =
 let test_spdistal_beats_ctf_by_orders () =
   let b = Lazy.force small_matrix in
   let m = Runner.cpu_machine ~nodes:2 in
-  let spd = Runner.run ~kernel:Runner.Spmv ~system:Runner.Spdistal ~machine:m b in
-  let ctf = Runner.run ~kernel:Runner.Spmv ~system:Runner.Ctf ~machine:m b in
+  let i = Core.Kernels.inputs Runner.Spmv b in
+  let spd = Runner.run ~system:Runner.Spdistal ~machine:m i in
+  let ctf = Runner.run ~system:Runner.Ctf ~machine:m i in
   Alcotest.(check bool) "order-of-magnitude gap (paper: 299x median)" true
     (ctf.Common.time > 50. *. spd.Common.time)
 
 let test_petsc_competitive_on_spmv () =
   let b = Lazy.force small_matrix in
   let m = Runner.cpu_machine ~nodes:2 in
-  let spd = Runner.run ~kernel:Runner.Spmv ~system:Runner.Spdistal ~machine:m b in
-  let petsc = Runner.run ~kernel:Runner.Spmv ~system:Runner.Petsc ~machine:m b in
+  let i = Core.Kernels.inputs Runner.Spmv b in
+  let spd = Runner.run ~system:Runner.Spdistal ~machine:m i in
+  let petsc = Runner.run ~system:Runner.Petsc ~machine:m i in
   let ratio = petsc.Common.time /. spd.Common.time in
   Alcotest.(check bool)
     (Printf.sprintf "PETSc within hand-written range (got %.2fx)" ratio)
@@ -55,7 +58,8 @@ let test_ctf_dnc_patterns () =
   let sampled = (Spdistal_workloads.Datasets.find "freebase_sampled").Spdistal_workloads.Datasets.load () in
   let patents = (Spdistal_workloads.Datasets.find "patents").Spdistal_workloads.Datasets.load () in
   let run k nodes t =
-    Runner.run ~kernel:k ~system:Runner.Ctf ~machine:(Runner.cpu_machine ~nodes) t
+    Runner.run ~system:Runner.Ctf ~machine:(Runner.cpu_machine ~nodes)
+      (Core.Kernels.inputs k t)
   in
   (* "CTF OOM'ed on the freebase_music tensor on 1 and 2 nodes" *)
   Alcotest.(check bool) "music MTTKRP DNC at 1 node" true
@@ -125,8 +129,9 @@ let test_gpu_spmv_spdistal_vs_petsc () =
   (* Paper: SpDISTAL outperforms PETSc on most GPU SpMV configurations. *)
   let b = Lazy.force small_matrix in
   let m = Runner.gpu_machine ~gpus:4 in
-  let spd = Runner.run ~kernel:Runner.Spmv ~system:Runner.Spdistal ~machine:m b in
-  let petsc = Runner.run ~kernel:Runner.Spmv ~system:Runner.Petsc ~machine:m b in
+  let i = Core.Kernels.inputs Runner.Spmv b in
+  let spd = Runner.run ~system:Runner.Spdistal ~machine:m i in
+  let petsc = Runner.run ~system:Runner.Petsc ~machine:m i in
   Alcotest.(check bool) "both complete" true
     (spd.Common.dnc = None && petsc.Common.dnc = None);
   Alcotest.(check bool) "SpDISTAL at least competitive" true
@@ -137,8 +142,8 @@ let test_gpu_sddmm_fits_at_scale () =
      gathered factors exceed device memory) and completes once spread. *)
   let b = (Spdistal_workloads.Datasets.find "arabic-2005").Spdistal_workloads.Datasets.load () in
   let at gpus =
-    Runner.run ~kernel:Runner.Sddmm ~system:Runner.Spdistal
-      ~machine:(Runner.gpu_machine ~gpus) b
+    Runner.run ~system:Runner.Spdistal ~machine:(Runner.gpu_machine ~gpus)
+      (Core.Kernels.inputs Runner.Sddmm b)
   in
   Alcotest.(check bool) "DNC at 1 GPU" true ((at 1).Common.dnc <> None);
   Alcotest.(check bool) "completes at 16 GPUs" true ((at 16).Common.dnc = None)
@@ -156,6 +161,68 @@ let test_csv_export () =
   in
   Alcotest.(check int) "four files" 4 (List.length paths);
   List.iter (fun p -> Alcotest.(check bool) p true (Sys.file_exists p)) paths
+
+(* One (dataset, kernel) builds its read-only inputs once and every cell
+   reads them: a run must never write them.  A quick fig10 + fig11 sweep,
+   run input set by input set through [Runner.cells] as [Runner.sweep]
+   does, leaves each input set and every dataset tensor bit-unchanged. *)
+let test_sweep_leaves_inputs () =
+  let module D = Spdistal_workloads.Datasets in
+  let module K = Core.Kernels in
+  let quick = Runner.datasets_for ~quick:true in
+  let names =
+    List.sort_uniq String.compare
+      (List.concat_map
+         (fun k -> List.map (fun e -> e.D.ds_name) (quick k))
+         Runner.all_kernels)
+  in
+  let datasets () =
+    List.map (fun n -> Helpers.data_digest (Sparse ((D.find n).D.load ()))) names
+  in
+  let before = datasets () in
+  List.iter
+    (fun (kind, kernels) ->
+      List.iter
+        (fun kernel ->
+          List.iter
+            (fun (e : D.entry) ->
+              let inputs = K.inputs kernel (e.D.load ()) in
+              let digests () =
+                List.map (fun (_, d) -> Helpers.data_digest d) inputs.K.operands
+              in
+              let d0 = digests () in
+              let cells = Runner.cells kind ~pieces:[ 1; 4 ] ~tensor:e.D.ds_name inputs in
+              Alcotest.(check bool) "cells ran" true (cells <> []);
+              Alcotest.(check bool)
+                (Printf.sprintf "%s on %s: inputs unchanged"
+                   (Runner.kernel_name kernel) e.D.ds_name)
+                true (digests () = d0))
+            (quick kernel))
+        kernels)
+    [ (Machine.Cpu, Runner.all_kernels); (Machine.Gpu, Fig11.kernels) ];
+  Alcotest.(check bool) "dataset tensors unchanged" true (datasets () = before)
+
+(* Cells of one (dataset, kernel) on different machines and systems hold
+   one physical input set and fresh outputs: two SpDISTAL problems (one on
+   the batched 2-D grid for SpMM) and the baselines' bindings. *)
+let test_cells_share_inputs_not_outputs () =
+  let module K = Core.Kernels in
+  let matrix = Helpers.rand_csr ~seed:3 60 60 0.05
+  and tensor = Helpers.rand_csf ~seed:4 12 10 8 0.05 in
+  List.iter
+    (fun kernel ->
+      let t = if K.order kernel = 3 then tensor else matrix in
+      let i = K.inputs kernel ~cols:4 t in
+      let bindings p = Core.Spdistal.bindings p in
+      Helpers.check_shared_inputs (Runner.kernel_name kernel)
+        [
+          bindings (Runner.problem ~machine:(Runner.cpu_machine ~nodes:2) i);
+          bindings
+            (Runner.problem ~machine:(Runner.gpu_machine ~gpus:4)
+               ~batched:(kernel = Runner.Spmm) i);
+          K.bindings i;
+        ])
+    Runner.all_kernels
 
 let test_ablations_smoke () =
   let s = Format.asprintf "%a" Ablations.run_all () in
@@ -187,6 +254,10 @@ let suite =
       test_gpu_spmv_spdistal_vs_petsc;
     Alcotest.test_case "GPU SDDMM OOM boundary (Fig 11)" `Slow
       test_gpu_sddmm_fits_at_scale;
+    Alcotest.test_case "sweep leaves inputs unchanged" `Slow
+      test_sweep_leaves_inputs;
+    Alcotest.test_case "cells share inputs, not outputs" `Quick
+      test_cells_share_inputs_not_outputs;
     Alcotest.test_case "ablations render" `Slow test_ablations_smoke;
     Alcotest.test_case "csv export" `Slow test_csv_export;
   ]

@@ -148,7 +148,7 @@ let baselines_table () =
           in
           List.iter
             (fun (mname, machine) ->
-              let r = Runner.run ~kernel ~system ~machine t in
+              let r = Runner.run ~system ~machine (Core.Kernels.inputs kernel t) in
               Printf.bprintf b "%s,%s,%s,%s\n" (Runner.system_name system)
                 (Runner.kernel_name kernel) mname
                 (match r.Common.dnc with

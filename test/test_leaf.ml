@@ -325,9 +325,9 @@ let test_merge_backends_agree () =
       Test_exec.check_backends_agree (named "SpAdd3 shifted") (fun () ->
           K.spadd3_problem ~machine:m b);
       Test_exec.check_backends_agree (named "SpAdd3 random") (fun () ->
-          K.spadd3_problem ~machine:m ~c ~d b);
+          Helpers.spadd3_of ~machine:m b c d);
       Test_exec.check_backends_agree (named "SpAdd3 GPU") (fun () ->
-          K.spadd3_problem ~machine:(Helpers.gpu_machine [| pieces |]) ~c ~d b))
+          Helpers.spadd3_of ~machine:(Helpers.gpu_machine [| pieces |]) b c d))
     [ 1; 2; 3; 4 ];
   Test_exec.check_backends_agree "B + C" (fun () -> add2_problem b c)
 
@@ -343,6 +343,7 @@ let test_merge_shape_checked () =
   let b = Helpers.rand_csr ~seed:46 20 20 0.2 in
   let short = Helpers.rand_csr ~seed:47 ~name:"C" 15 20 0.2 in
   let wide = Helpers.rand_csr ~seed:48 ~name:"D" 20 25 0.2 in
+  let shift name by = K.shift_last_dim ~name ~by b in
   let short_c () =
     K.matched ~machine:m
       ~operands:
@@ -375,8 +376,8 @@ let test_merge_shape_checked () =
           | exception Error.Error { Error.phase = Error.Leaf; _ } -> ())
         [ Compile_leaf.Interp; Compile_leaf.Compiled ])
     [
-      ("C with fewer rows", fun () -> K.spadd3_problem ~machine:m ~c:short b);
-      ("D with more columns", fun () -> K.spadd3_problem ~machine:m ~d:wide b);
+      ("C with fewer rows", fun () -> Helpers.spadd3_of ~machine:m b short (shift "D" 2));
+      ("D with more columns", fun () -> Helpers.spadd3_of ~machine:m b (shift "C" 1) wide);
       ("SpMV with a 4-long c", short_c);
       ("SpMTTKRP with a 3-row D", short_d);
     ]

@@ -564,7 +564,12 @@ let test_merge_shapes_priced_as_run () =
   in
   List.iter
     (fun (what, c, d) ->
-      let p = Core.Kernels.spadd3_problem ~machine ?c ?d b in
+      let shift name by = Core.Kernels.shift_last_dim ~name ~by b in
+      let p =
+        Helpers.spadd3_of ~machine b
+          (Option.value c ~default:(shift "C" 1))
+          (Option.value d ~default:(shift "D" 2))
+      in
       let run_error =
         match error_of (fun () -> ignore (Spdistal.run p)) with
         | Some m -> m

@@ -523,8 +523,9 @@ let test_server_config_validation () =
     (is_config_error (fun () -> Catalog.find "no-such-query"))
 
 (* Catalog problems share the memoized read-only inputs (SpAdd3's shifted
-   C and D) but never an output: a context owns and overwrites its output,
-   so two contexts over one query must not alias it. *)
+   C and D, every query's dense factors) but never an output: a context
+   owns and overwrites its output, so two contexts over one query must not
+   alias it. *)
 let test_catalog_shares_inputs_not_outputs () =
   let open Spdistal_formats in
   let machine = Core.Spdistal.machine ~kind:Machine.Cpu [| 2 |] in
@@ -563,7 +564,14 @@ let test_catalog_shares_inputs_not_outputs () =
         (vals_bits shared = vals_bits fresh))
     [ ("C", 1); ("D", 2) ];
   Alcotest.(check bool) "output A is fresh per problem" false
-    (sparse p1 "A" == sparse p2 "A")
+    (sparse p1 "A" == sparse p2 "A");
+  List.iter
+    (fun q ->
+      Helpers.check_shared_inputs q
+        (List.map
+           (fun _ -> Core.Spdistal.bindings (Catalog.problem ~machine q))
+           [ 1; 2 ]))
+    Catalog.names
 
 let suite =
   [
