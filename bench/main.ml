@@ -485,8 +485,12 @@ let run_leaf_throughput () =
 (* skewed 3-tensor as CSF, four colors each.  One row per operator and  *)
 (* input: the region entries the operator is billed for, the intervals  *)
 (* it emits over all colors, and ns per entry, the median over          *)
-(* alternating rounds.  Writes results/partition_ops.csv (wall clock,   *)
-(* not pinned, no floor).                                               *)
+(* alternating rounds.  A last row times the merge row-entry count      *)
+(* (Leaf.row_entries) that pricing, the interpreter's merge and the     *)
+(* compiled cursor share, on auto-price's SpAdd3 operands over four row *)
+(* blocks: its entries are the operand rows it reads, its intervals the *)
+(* row blocks.  Writes results/partition_ops.csv (wall clock, not       *)
+(* pinned, no floor).                                                   *)
 (* ------------------------------------------------------------------ *)
 
 let run_partition_ops () =
@@ -509,18 +513,39 @@ let run_partition_ops () =
     in
     let by_values = Partition.by_value_ranges ~values:crd crd.Region.ispace values in
     let size (r : _ Region.t) = Iset.cardinal r.Region.ispace in
+    let emitted f () =
+      Array.fold_left (fun n s -> n + Iset.interval_count s) 0 (f ()).Partition.subsets
+    in
     [
       ( "image_ranges", input, size pos,
-        fun () -> Dependent.image_ranges pos parents crd.Region.ispace );
+        emitted (fun () -> Dependent.image_ranges pos parents crd.Region.ispace) );
       ( "preimage_ranges", input, size pos,
-        fun () -> Dependent.preimage_ranges pos positions );
+        emitted (fun () -> Dependent.preimage_ranges pos positions) );
       ( "preimage_ranges_fragmented", input, size pos,
-        fun () -> Dependent.preimage_ranges pos by_values );
+        emitted (fun () -> Dependent.preimage_ranges pos by_values) );
       ( "image_values", input, size crd,
-        fun () -> Dependent.image_values crd positions (Iset.range extent) );
+        emitted (fun () -> Dependent.image_values crd positions (Iset.range extent)) );
       ( "by_value_ranges", input, size crd,
-        fun () -> Partition.by_value_ranges ~values:crd crd.Region.ispace values );
+        emitted (fun () ->
+            Partition.by_value_ranges ~values:crd crd.Region.ispace values) );
     ]
+  in
+  let row_entries input b =
+    let module E = Spdistal_exec in
+    let p =
+      Spdistal_experiments.Runner.problem_for ~kernel:Spdistal_experiments.Runner.Spadd3
+        ~machine:(Spdistal_experiments.Runner.cpu_machine ~nodes:colors) ~cols:32 b
+    in
+    let merge, _ =
+      E.Leaf.merge_ops ~bindings:(Core.Spdistal.bindings p) ~tensors:[ "B"; "C"; "D" ]
+    in
+    let blocks =
+      (Partition.equal_blocks (Iset.range b.Tensor.dims.(0)) colors).Partition.subsets
+    in
+    ( "row_entries", input, Array.length merge * b.Tensor.dims.(0),
+      fun () ->
+        Array.iter (fun rows -> ignore (E.Leaf.row_entries merge rows)) blocks;
+        colors )
   in
   let inputs =
     [
@@ -538,7 +563,10 @@ let run_partition_ops () =
           ~alpha:1.2 ~seed:4001 );
     ]
   in
-  let all = List.concat_map (fun (input, t) -> ops input t) inputs in
+  let all =
+    List.concat_map (fun (input, t) -> ops input t) inputs
+    @ [ row_entries "auto-price-spadd3" (List.assoc "auto-price-matrix" inputs) ]
+  in
   print_endline "=== Partition operators (wall clock, 4 colors) ===";
   (* Every op once per round, in order, as the leaf rounds are. *)
   let rounds =
@@ -552,11 +580,7 @@ let run_partition_ops () =
   output_string oc "operator,input,entries,intervals,ns_per_entry\n";
   List.iteri
     (fun i (op, input, entries, f) ->
-      let intervals =
-        Array.fold_left
-          (fun n s -> n + Iset.interval_count s)
-          0 (f ()).Partition.subsets
-      in
+      let intervals = f () in
       let ns =
         median
           (List.map

@@ -394,12 +394,15 @@ let one = [| 1. |]
    for a one-factor plan, exact): the interpreter's [dv·((scale·f0)·f)].
    The one-column loop keeps a copy that reads a factor at the leaf
    coordinate without a multiply: CSR SpMV runs about 11% faster with it
-   (2.42 vs 2.70 ns/nnz on the leaf bench's banded matrix). *)
+   (2.42 vs 2.70 ns/nnz on the leaf bench's banded matrix).  A one-factor
+   plan of scale exactly [1.] has [s = 1.], and [1.·f = f] for every float,
+   so its blocks and that copy add [dv·f] and skip a multiply. *)
 let held (m : mul) (l : launch) ~split ~coords ~lvlpos ~jlo ~jhi =
   let plan = m.m_plan and w = l.l_walk in
   let out = l.l_out and oa = l.l_oaff and dvals = l.l_dvals and scale = plan.Leaf.pl_scale in
   let pcrd = w.w_pcrd and pos = w.w_pos and crd = w.w_crd and nf = Array.length l.l_fdata in
   let p, pa = if nf = 2 then (l.l_fdata.(0), m.m_faff.(0)) else (one, zero) in
+  let unit_scale = nf = 1 && Float.equal scale 1. in
   let f = l.l_fdata.(nf - 1) and fa = m.m_faff.(nf - 1) in
   let tlo, thi = if plan.Leaf.pl_inner_out then (jlo, jhi) else (0, 0) in
   let os = oa.stride and ps = pa.stride and fs = fa.stride and fl = fa.leaf in
@@ -423,23 +426,37 @@ let held (m : mul) (l : launch) ~split ~coords ~lvlpos ~jlo ~jhi =
         let a0 = ref (Array.unsafe_get od o) and a1 = ref (Array.unsafe_get od (o + os))
         and a2 = ref (Array.unsafe_get od (o + (2 * os)))
         and a3 = ref (Array.unsafe_get od (o + (3 * os))) in
-        for r = ga to gb do
-          let c = Array.unsafe_get pcrd r in
-          let rlo, rhi = Array.unsafe_get pos r in
-          let fb = ft + (c * fpm) and qlo = if r = p0 then lo else rlo and qhi = Int.min rhi hi in
-          let pb = pt + (c * ppm) in
-          let s0 = scale *. Array.unsafe_get p pb
-          and s1 = scale *. Array.unsafe_get p (pb + ps)
-          and s2 = scale *. Array.unsafe_get p (pb + ps2)
-          and s3 = scale *. Array.unsafe_get p (pb + ps3) in
-          for q = qlo to qhi do
-            let dv = A1.unsafe_get dvals q and b = fb + (Array.unsafe_get crd q * fl) in
-            a0 := !a0 +. (dv *. (s0 *. Array.unsafe_get f b));
-            a1 := !a1 +. (dv *. (s1 *. Array.unsafe_get f (b + 1)));
-            a2 := !a2 +. (dv *. (s2 *. Array.unsafe_get f (b + 2)));
-            a3 := !a3 +. (dv *. (s3 *. Array.unsafe_get f (b + 3)))
+        if unit_scale then
+          for r = ga to gb do
+            let rlo, rhi = Array.unsafe_get pos r in
+            let fb = ft + (Array.unsafe_get pcrd r * fpm) in
+            let qlo = if r = p0 then lo else rlo and qhi = Int.min rhi hi in
+            for q = qlo to qhi do
+              let dv = A1.unsafe_get dvals q and b = fb + (Array.unsafe_get crd q * fl) in
+              a0 := !a0 +. (dv *. Array.unsafe_get f b);
+              a1 := !a1 +. (dv *. Array.unsafe_get f (b + 1));
+              a2 := !a2 +. (dv *. Array.unsafe_get f (b + 2));
+              a3 := !a3 +. (dv *. Array.unsafe_get f (b + 3))
+            done
           done
-        done;
+        else
+          for r = ga to gb do
+            let c = Array.unsafe_get pcrd r in
+            let rlo, rhi = Array.unsafe_get pos r in
+            let fb = ft + (c * fpm) and qlo = if r = p0 then lo else rlo and qhi = Int.min rhi hi in
+            let pb = pt + (c * ppm) in
+            let s0 = scale *. Array.unsafe_get p pb
+            and s1 = scale *. Array.unsafe_get p (pb + ps)
+            and s2 = scale *. Array.unsafe_get p (pb + ps2)
+            and s3 = scale *. Array.unsafe_get p (pb + ps3) in
+            for q = qlo to qhi do
+              let dv = A1.unsafe_get dvals q and b = fb + (Array.unsafe_get crd q * fl) in
+              a0 := !a0 +. (dv *. (s0 *. Array.unsafe_get f b));
+              a1 := !a1 +. (dv *. (s1 *. Array.unsafe_get f (b + 1)));
+              a2 := !a2 +. (dv *. (s2 *. Array.unsafe_get f (b + 2)));
+              a3 := !a3 +. (dv *. (s3 *. Array.unsafe_get f (b + 3)))
+            done
+          done;
         Array.unsafe_set od o !a0;
         Array.unsafe_set od (o + os) !a1;
         Array.unsafe_set od (o + (2 * os)) !a2;
@@ -460,7 +477,12 @@ let held (m : mul) (l : launch) ~split ~coords ~lvlpos ~jlo ~jhi =
           let s = scale *. Array.unsafe_get p (pt + (c * ppm)) in
           let rlo, rhi = Array.unsafe_get pos r in
           let fb = ft + (c * fpm) and qlo = if r = p0 then lo else rlo and qhi = Int.min rhi hi in
-          if fl = 1 then
+          if fl = 1 && unit_scale then
+            for q = qlo to qhi do
+              let x = Array.unsafe_get f (fb + Array.unsafe_get crd q) in
+              acc := !acc +. (A1.unsafe_get dvals q *. x)
+            done
+          else if fl = 1 then
             for q = qlo to qhi do
               let x = Array.unsafe_get f (fb + Array.unsafe_get crd q) in
               acc := !acc +. (A1.unsafe_get dvals q *. (s *. x))
@@ -620,12 +642,6 @@ let run_piece (m : mul) (l : launch) shard ~col_range =
 (* Three-way merge (SpAdd3)                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Bounds-check one operand row's entries [lo .. hi] once, so the cursor
-   may read them unchecked. *)
-let check_row (crd : int array) (vals : Region.F.buf) lo hi =
-  if lo <= hi && (lo < 0 || hi >= Array.length crd || hi >= A1.dim vals) then
-    Error.fail Error.Leaf "merge: row entries %d..%d outside an operand" lo hi
-
 (* The column under a cursor at [p], or [max_int] past the row's end. *)
 let[@inline] head crd p hi = if p <= hi then Array.unsafe_get crd p else max_int
 
@@ -638,7 +654,7 @@ exception Reassemble
    least head column, and sum each operand's run of it, in operand order,
    from [0.] (which keeps its handling of [-0.]).  The merge consumes every
    stored entry of the rows, so the work tally counts them in the sizing
-   pass, which also checks each row's ranges.
+   pass ({!Leaf.row_entries}), which also checks each row's ranges.
 
    With [into], an assembled output's [(pos, crd, vals)], the cursor
    computes only: each row's sums go to [vals] at the row's installed
@@ -650,19 +666,7 @@ let merge_cursor ?into (ops : Leaf.merge_op array) rows =
   let pa, ca, va = ops.(0) and pb, cb, vb = ops.(1) in
   let three = Array.length ops = 3 in
   let pc, cc, vc = ops.(if three then 2 else 0) in
-  let entries = ref 0 in
-  Iset.iter
-    (fun r ->
-      let alo, ahi = pa.(r) and blo, bhi = pb.(r) in
-      check_row ca va alo ahi;
-      check_row cb vb blo bhi;
-      entries := !entries + Int.max 0 (ahi - alo + 1) + Int.max 0 (bhi - blo + 1);
-      if three then begin
-        let clo, chi = pc.(r) in
-        check_row cc vc clo chi;
-        entries := !entries + Int.max 0 (chi - clo + 1)
-      end)
-    rows;
+  let entries = Leaf.row_entries ops rows in
   let in_place, (opos, ocrd, ovals) =
     match into with
     | Some ((opos, _, _) as o) ->
@@ -672,7 +676,7 @@ let merge_cursor ?into (ops : Leaf.merge_op array) rows =
   in
   let nrows = if in_place then 0 else Iset.cardinal rows in
   let mrows = Array.make nrows 0 and mcounts = Array.make nrows 0 in
-  let bound = if in_place then 0 else !entries in
+  let bound = if in_place then 0 else entries in
   let mcrd = Array.make bound 0 and mvals = Array.create_float bound in
   let n = ref 0 and row = ref 0 in
   Iset.iter_intervals
@@ -734,7 +738,7 @@ let merge_cursor ?into (ops : Leaf.merge_op array) rows =
     rows;
   {
     Leaf.work =
-      Leaf.merge_work ~entries:(float_of_int !entries) ~emitted:(float_of_int !n);
+      Leaf.merge_work ~entries:(float_of_int entries) ~emitted:(float_of_int !n);
     partial = (if in_place then None else Some { Leaf.mrows; mcounts; mcrd; mvals });
   }
 

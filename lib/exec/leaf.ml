@@ -438,6 +438,55 @@ let merge_ops ~bindings ~tensors : merge_op array * int =
   in
   (Array.of_list ops, dims.(1))
 
+(* The stored entries of [pos]'s rows in [rows], and the [lor] over the
+   non-empty ones of their starts and of [len - 1] less their ends: it is
+   negative iff one of them has an entry outside [0 .. len - 1].  [rows] is
+   checked against [pos] once (a typed error, where a checked load would
+   raise [Invalid_argument]), so the loop loads unchecked and makes no
+   call, and its counters stay in registers. *)
+let pos_entries (pos : (int * int) array) len rows =
+  if
+    (not (Iset.is_empty rows))
+    && (Iset.min_elt rows < 0 || Iset.max_elt rows >= Array.length pos)
+  then
+    Error.fail Error.Leaf "merge: rows %d..%d outside an operand of %d rows"
+      (Iset.min_elt rows) (Iset.max_elt rows) (Array.length pos);
+  Iset.fold_intervals
+    (fun rlo rhi (n, bad) ->
+      let n = ref n and bad = ref bad in
+      for r = rlo to rhi do
+        let lo, hi = Array.unsafe_get pos r in
+        if lo <= hi then begin
+          n := !n + (hi - lo + 1);
+          bad := !bad lor lo lor (len - 1 - hi)
+        end
+      done;
+      (!n, !bad))
+    rows (0, 0)
+
+(* Fails on the first row, in row order, that has entries outside its
+   operand's [crd] or values. *)
+let row_fault (ops : merge_op array) rows =
+  Iset.iter
+    (fun r ->
+      Array.iter
+        (fun ((pos : (int * int) array), crd, vals) ->
+          let lo, hi = pos.(r) in
+          if lo <= hi && (lo < 0 || hi >= Array.length crd || hi >= A1.dim vals)
+          then
+            Error.fail Error.Leaf "merge: row entries %d..%d outside an operand"
+              lo hi)
+        ops)
+    rows
+
+let row_entries (ops : merge_op array) rows =
+  Array.fold_left
+    (fun acc (pos, crd, vals) ->
+      let n, bad = pos_entries pos (Int.min (Array.length crd) (A1.dim vals)) rows in
+      if bad < 0 then row_fault ops rows;
+      acc + n)
+    0 ops
+
 (* Max-heap sift-down of [a.(lo + i)] within the heap [a.(lo) .. a.(lo +
    len - 1)]. *)
 let rec sift_down (a : int array) lo i len =
@@ -484,19 +533,11 @@ let merge_work ~entries ~emitted =
    and keeps one cursor per operand: no per-row or per-entry allocation. *)
 let merge_core ~(ops : merge_op array) ~cols ~rows ~use_workspace =
   let nops = Array.length ops in
-  let bound = ref 0 in
-  Iset.iter
-    (fun r ->
-      for o = 0 to nops - 1 do
-        let pos, _, _ = ops.(o) in
-        let lo, hi = pos.(r) in
-        bound := !bound + max 0 (hi - lo + 1)
-      done)
-    rows;
+  let bound = row_entries ops rows in
   let nrows = Iset.cardinal rows in
   let mrows = Array.make nrows 0 and mcounts = Array.make nrows 0 in
   (* Only [mvals.(0 .. n-1)] is ever read, so it needs no fill. *)
-  let mcrd = Array.make !bound 0 and mvals = Array.create_float !bound in
+  let mcrd = Array.make bound 0 and mvals = Array.create_float bound in
   let n = ref 0 and row = ref 0 and consumed = ref 0 in
   (* Workspace strategy (Kjolstad et al. [22]): scatter each operand row
      into a dense accumulator, track touched columns, then sort and emit —

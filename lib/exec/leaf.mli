@@ -105,6 +105,15 @@ type merge_op = (int * int) array * int array * Region.F.buf
 val merge_ops :
   bindings:Operand.bindings -> tensors:string list -> merge_op array * int
 
+(** [row_entries ops rows] is the number of stored entries of [rows] over
+    every operand: the entries a merge of them consumes, and a bound on the
+    entries it emits.  It checks each operand row's entries against its
+    [crd] and values on the way, and raises [Error.Leaf] for a row whose
+    entries lie outside them, or for rows past an operand's [pos], so a
+    merge that counted first may read them unchecked.  One pass over the row intervals per operand, with nothing
+    allocated per row. *)
+val row_entries : merge_op array -> Iset.t -> int
+
 (** The simulated-work model of a merge leaf, shared by both backends and
     by pricing: one flop and 32 B read per consumed operand entry, 16 B
     written per emitted entry. *)

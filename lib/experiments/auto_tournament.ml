@@ -53,51 +53,100 @@ type cell = {
   c_problem : unit -> Core.Spdistal.problem;
 }
 
-let cells ?quick () =
+(* One cell of a group: its rank (rows are listed by rank), its system
+   label and its problem over the group's input set. *)
+type member = {
+  m_rank : int;
+  m_system : string;
+  m_problem : Core.Kernels.inputs -> Core.Spdistal.problem;
+}
+
+type group = {
+  g_kernel : string;
+  g_dataset : string;
+  g_inputs : unit -> Core.Kernels.inputs;
+  g_members : member list;
+}
+
+(* The cells, grouped by the input set they read: one group per (kernel,
+   dataset) [i] of [n], whose cells run on 4 CPU nodes (fig10, rank [i]),
+   on 4 GPUs (fig11/fig12, rank [n + i]) and, for SpMM, on the batched 2-D
+   GPU grid (rank [2n + i]); then the fig13 banded synthetic at 4 pieces
+   (rank [3n]).  So the rows are system-major, and a group's cells are
+   spread over the table. *)
+let groups ?quick () =
   let cols = 32 in
-  let cell ~kernel ~system ~machine ?(batched = false) (e : Datasets.entry) =
-    {
-      c_kernel = Runner.kernel_name kernel;
-      c_dataset = e.Datasets.ds_name;
-      c_system = system;
-      c_problem =
-        (fun () ->
-          Runner.problem_for ~kernel ~machine ~cols ~batched (e.Datasets.load ()));
-    }
+  let cpu = Runner.cpu_machine ~nodes:4 and gpu = Runner.gpu_machine ~gpus:4 in
+  let keys =
+    List.concat_map
+      (fun kernel ->
+        List.map (fun e -> (kernel, e)) (Runner.datasets_for ?quick kernel))
+      Runner.all_kernels
   in
-  let on ~system ~machine kernel =
-    List.map (cell ~kernel ~system ~machine) (Runner.datasets_for ?quick kernel)
+  let n = List.length keys in
+  let member m_rank m_system ~machine ?batched () =
+    { m_rank; m_system; m_problem = Runner.problem ~machine ?batched }
   in
-  (* fig10: the CPU sweep at 4 nodes. *)
-  let cpu = Runner.cpu_machine ~nodes:4 in
-  List.concat_map (on ~system:"cpu" ~machine:cpu) Runner.all_kernels
-  (* fig11/fig12: the GPU kernels at 4 GPUs. *)
-  @ (let gpu = Runner.gpu_machine ~gpus:4 in
-     List.concat_map (on ~system:"gpu" ~machine:gpu) Runner.all_kernels
-     (* The memory-conserving 2-D batched SpMM (problem_for re-grids). *)
-     @ List.map
-         (cell ~kernel:Runner.Spmm ~system:"gpu-2d" ~machine:gpu ~batched:true)
-         (Runner.datasets_for ?quick Runner.Spmm))
-  (* fig13: the banded weak-scaling synthetic at 4 pieces. *)
+  List.mapi
+    (fun i (kernel, (e : Datasets.entry)) ->
+      {
+        g_kernel = Runner.kernel_name kernel;
+        g_dataset = e.Datasets.ds_name;
+        g_inputs = (fun () -> Core.Kernels.inputs kernel ~cols (e.Datasets.load ()));
+        g_members =
+          member i "cpu" ~machine:cpu ()
+          :: member (n + i) "gpu" ~machine:gpu ()
+          ::
+          (* The memory-conserving 2-D batched SpMM (Runner.problem
+             re-grids). *)
+          (if kernel = Runner.Spmm then
+             [ member ((2 * n) + i) "gpu-2d" ~machine:gpu ~batched:true () ]
+           else []);
+      })
+    keys
   @ [
       {
-        c_kernel = "SpMV";
-        c_dataset = "banded-4";
-        c_system = "cpu";
-        c_problem =
-          (fun () ->
-            Runner.problem_for ~kernel:Runner.Spmv
-              ~machine:(Runner.cpu_machine ~nodes:4) ~cols (Fig13.matrix 4));
+        g_kernel = "SpMV";
+        g_dataset = "banded-4";
+        g_inputs = (fun () -> Core.Kernels.inputs Runner.Spmv ~cols (Fig13.matrix 4));
+        g_members = [ member (3 * n) "cpu" ~machine:cpu () ];
       };
     ]
 
+let in_rank_order ranked =
+  List.map snd (List.sort (fun (a, _) (b, _) -> Int.compare a b) ranked)
+
+let cells ?quick () =
+  List.concat_map
+    (fun g ->
+      let inputs = lazy (g.g_inputs ()) in
+      List.map
+        (fun m ->
+          ( m.m_rank,
+            {
+              c_kernel = g.g_kernel;
+              c_dataset = g.g_dataset;
+              c_system = m.m_system;
+              c_problem = (fun () -> m.m_problem (Lazy.force inputs));
+            } ))
+        g.g_members)
+    (groups ?quick ())
+  |> in_rank_order
+
+(* Group by group, so one input set is live at a time. *)
 let compute ?quick () =
-  List.map
-    (fun c ->
-      let p = c.c_problem () in
-      row_of ~kernel:c.c_kernel ~dataset:c.c_dataset ~system:c.c_system
-        ~pieces:(Machine.pieces p.Core.Spdistal.machine) p)
-    (cells ?quick ())
+  List.concat_map
+    (fun g ->
+      let inputs = g.g_inputs () in
+      List.map
+        (fun m ->
+          let p = m.m_problem inputs in
+          ( m.m_rank,
+            row_of ~kernel:g.g_kernel ~dataset:g.g_dataset ~system:m.m_system
+              ~pieces:(Machine.pieces p.Core.Spdistal.machine) p ))
+        g.g_members)
+    (groups ?quick ())
+  |> in_rank_order
 
 let max_ratio rows =
   List.fold_left

@@ -17,8 +17,8 @@ type row = {
 }
 
 (** One tournament cell: its kernel, dataset and system labels, and its
-    problem under the hand schedule, built (and its dataset loaded) on
-    each call. *)
+    problem under the hand schedule, built on each call.  The cells of one
+    (kernel, dataset) share one input set, built on the first call. *)
 type cell = {
   c_kernel : string;
   c_dataset : string;
@@ -30,7 +30,8 @@ type cell = {
     its first two datasets. *)
 val cells : ?quick:bool -> unit -> cell list
 
-(** One row per cell of {!cells}. *)
+(** One row per cell of {!cells}, in its order.  Each (kernel, dataset)'s
+    input set is built once and dropped once its cells are priced. *)
 val compute : ?quick:bool -> unit -> row list
 
 (** Worst auto/hand ratio over the rows — what the CI ratchet bounds. *)

@@ -8,31 +8,36 @@ let matrix pieces =
   let n = nnz_per_piece * pieces / band in
   Synth.banded ~name:(Printf.sprintf "banded-%d" pieces) ~n ~band
 
+(* One matrix and input set per piece count, shared by the CPU and GPU
+   cells at that count and dropped before the next: the cells are built in
+   ascending count, then listed CPU first, as [print] reads them. *)
 let compute ?(quick = false) () =
   let cpu_counts = if quick then [ 1; 4 ] else [ 1; 2; 4; 8; 16; 32; 64 ] in
   let gpu_counts = if quick then [ 1; 4 ] else [ 1; 4; 16; 64; 128; 256 ] in
-  let run kind pieces =
+  let at pieces =
     let b = matrix pieces in
     let inputs = Core.Kernels.inputs Runner.Spmv b in
-    let machine =
-      match kind with
-      | Machine.Cpu -> Runner.cpu_machine ~nodes:pieces
-      | Machine.Gpu -> Runner.gpu_machine ~gpus:pieces
+    let run kind counts machine =
+      if not (List.mem pieces counts) then []
+      else
+        List.map
+          (fun system ->
+            {
+              Runner.kernel = Runner.Spmv;
+              system;
+              kind;
+              pieces;
+              tensor = b.Spdistal_formats.Tensor.name;
+              result = Runner.run ~system ~machine:(machine pieces) inputs;
+            })
+          [ Runner.Spdistal; Runner.Petsc ]
     in
-    List.map
-      (fun system ->
-        {
-          Runner.kernel = Runner.Spmv;
-          system;
-          kind;
-          pieces;
-          tensor = b.Spdistal_formats.Tensor.name;
-          result = Runner.run ~system ~machine inputs;
-        })
-      [ Runner.Spdistal; Runner.Petsc ]
+    run Machine.Cpu cpu_counts (fun nodes -> Runner.cpu_machine ~nodes)
+    @ run Machine.Gpu gpu_counts (fun gpus -> Runner.gpu_machine ~gpus)
   in
-  List.concat_map (run Machine.Cpu) cpu_counts
-  @ List.concat_map (run Machine.Gpu) gpu_counts
+  let cells = List.concat_map at (List.sort_uniq Int.compare (cpu_counts @ gpu_counts)) in
+  let on kind = List.filter (fun (c : Runner.cell) -> c.kind = kind) cells in
+  on Machine.Cpu @ on Machine.Gpu
 
 let print fmt cells =
   Format.fprintf fmt

@@ -81,10 +81,11 @@ let mul_estimate ~bindings ~stats ~(leaf : Loop_ir.leaf) driver_name =
     Leaf.mul_work plan ~nnz:nnz_shard ~rows_touched:rows ~js:(jhi - jlo + 1)
       ~ks:(khi - klo + 1)
 
-(* Estimated work of one piece of an additive merge: exact per-operand entry
-   counts over the piece's row block (from the pos arrays), the shared merge
-   byte model, and a collision estimate for the emitted output pattern.  The
-   operands come through [Leaf.merge_ops], so pricing refuses exactly the
+(* Estimated work of one piece of an additive merge: the exact entry count
+   over the piece's row block ([Leaf.row_entries], the count a run's merge
+   makes), the shared merge byte model, and a collision estimate for the
+   emitted output pattern.  The operands come through [Leaf.merge_ops] and
+   their rows through the count's check, so pricing refuses exactly the
    operand shapes a run refuses, with the same typed error. *)
 let merge_estimate ~bindings ~tensors =
   let ops, cols = Leaf.merge_ops ~bindings ~tensors in
@@ -95,18 +96,7 @@ let merge_estimate ~bindings ~tensors =
       | None -> Error.fail Error.Leaf "merge leaf without a row part"
     in
     let rows_n = Iset.cardinal rows in
-    let entries =
-      Array.fold_left
-        (fun acc ((pos : (int * int) array), _, _) ->
-          let s = ref 0 in
-          Iset.iter
-            (fun r ->
-              let lo, hi = pos.(r) in
-              s := !s + max 0 (hi - lo + 1))
-            rows;
-          acc + !s)
-        0 ops
-    in
+    let entries = Leaf.row_entries ops rows in
     let n = float_of_int entries in
     (* Expected emitted non-zeros: per-row Bernoulli collision model over the
        shared column extent. *)

@@ -173,24 +173,31 @@ let preimage_ranges (pos : (int * int) Region.t) (p : Partition.t) =
   in
   Partition.make ~axis:p.Partition.axis pos.Region.ispace subsets
 
-(* [mark data marks base first last runs] marks [data.(i) - base] in
-   [marks] for every [i] in [runs] whose value lies in the map, and returns
-   the lowest and highest offsets marked, starting from [first] and
-   [last]. *)
-let rec mark (data : int array) marks base first last = function
-  | [] -> (first, last)
-  | (s, e) :: rest ->
-      let extent = Bytes.length marks in
-      let first = ref first and last = ref last in
-      for i = s to e do
-        let k = data.(i) - base in
-        if k >= 0 && k < extent then begin
-          Bytes.unsafe_set marks k '\001';
-          if k < !first then first := k;
-          if k > !last then last := k
-        end
-      done;
-      mark data marks base !first !last rest
+(* [mark data marks base span lo hi] marks [data.(i) - base] in [marks]
+   for every [i] in [lo..hi] whose value lies in the map, and widens
+   [span], the lowest and highest offsets the color has marked
+   ([[|0; -1|]] before the first), to cover them.  A value inside the span
+   costs one unchecked load, one test and one store; only a value outside
+   it is tested against the map and moves the span.  The caller has
+   checked [lo..hi] against the region's index space. *)
+let mark (data : int array) marks base (span : int array) lo hi =
+  let extent = Bytes.length marks in
+  let first = ref span.(0) and last = ref span.(1) in
+  for i = lo to hi do
+    let k = Array.unsafe_get data i - base in
+    if k >= !first && k <= !last then Bytes.unsafe_set marks k '\001'
+    else if k >= 0 && k < extent then begin
+      Bytes.unsafe_set marks k '\001';
+      if !last < !first then begin
+        first := k;
+        last := k
+      end
+      else if k < !first then first := k
+      else last := k
+    end
+  done;
+  span.(0) <- !first;
+  span.(1) <- !last
 
 let image_values (crd : int Region.t) (p : Partition.t) (target : Iset.t) =
   (* One byte per element of [target]'s hull, reused by every color: each
@@ -201,16 +208,17 @@ let image_values (crd : int Region.t) (p : Partition.t) (target : Iset.t) =
       let lo = Iset.min_elt target in
       (lo, Bytes.make (Iset.max_elt target - lo + 1) '\000')
   in
+  let span = [| 0; -1 |] in
   let subsets =
     Array.mapi
       (fun c src ->
         check_within crd "image_values" c src;
-        let first, last =
-          mark crd.Region.data marks base (Bytes.length marks) (-1)
-            (Iset.to_intervals src)
-        in
+        span.(0) <- 0;
+        span.(1) <- -1;
+        Iset.iter_intervals (mark crd.Region.data marks base span) src;
+        let last = span.(1) in
         let b = Iset.builder () in
-        let k = ref first in
+        let k = ref span.(0) in
         while !k <= last do
           if Bytes.unsafe_get marks !k = '\000' then incr k
           else begin

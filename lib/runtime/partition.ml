@@ -144,66 +144,75 @@ let last_start (starts : int array) v =
   done;
   if starts.(0) <= v then !base else -1
 
+(* Color [c]'s positions for the overlapping case: one pass over [is]
+   with the color's bounds in locals, closing each run of positions whose
+   values lie in [lo..hi] into [b]. *)
+let color_runs b (data : int array) is lo hi =
+  Iset.iter_intervals
+    (fun ilo ihi ->
+      let s = ref (-1) in
+      for i = ilo to ihi do
+        let v = Array.unsafe_get data i in
+        if v >= lo && v <= hi then (if !s < 0 then s := i)
+        else if !s >= 0 then begin
+          Iset.add_interval b !s (i - 1);
+          s := -1
+        end
+      done;
+      if !s >= 0 then Iset.add_interval b !s ihi)
+    is
+
 let by_value_ranges ?(axis = Flat) ~values is (ranges : (int * int) array) =
   if not (Iset.subset is values.Region.ispace) then
     Error.fail Error.Partition_eval
       "Partition.by_value_ranges: index space escapes %s" values.Region.name;
-  let colors = Array.length ranges in
-  let bs = Array.init colors (fun _ -> Iset.builder ()) in
-  (* Color [c]'s open run of positions is [olo.(c)..ohi.(c)], none while
-     [olo.(c) > ohi.(c)]; a position that does not extend it closes it
-     into the color's builder, so [Iset] sees one call per run. *)
-  let olo = Array.make colors 0 and ohi = Array.make colors (-1) in
-  let hit c i =
-    if ohi.(c) = i - 1 && olo.(c) <= ohi.(c) then ohi.(c) <- i
-    else begin
-      Iset.add_interval bs.(c) olo.(c) ohi.(c);
-      olo.(c) <- i;
-      ohi.(c) <- i
-    end
-  in
+  (* [is] lies in the region's index space, so the loads are unchecked. *)
   let data : int array = values.Region.data in
   let order = rising ranges in
-  (match order with
-  | Some { live; starts; ends } ->
-      (* A value usually falls in the color of the value before it, whose
-         open run then ends just before it; only a change of color
-         searches. *)
-      if Array.length live > 0 then
-        Iset.iter_intervals
-          (fun lo hi ->
-            let prev = ref (-1) in
-            for i = lo to hi do
-              let v = data.(i) in
-              let k = !prev in
-              if k >= 0 && v >= starts.(k) && v <= ends.(k) then
-                ohi.(live.(k)) <- i
-              else begin
-                let k = last_start starts v in
-                if k >= 0 && v <= ends.(k) then begin
-                  hit live.(k) i;
-                  prev := k
-                end
-                else prev := -1
-              end
-            done)
-          is
-  | None ->
-      Iset.iter_intervals
-        (fun lo hi ->
-          for i = lo to hi do
-            let v = data.(i) in
-            for c = 0 to colors - 1 do
-              if v >= fst ranges.(c) && v <= snd ranges.(c) then hit c i
-            done
-          done)
-        is);
   let subsets =
-    Array.mapi
-      (fun c b ->
-        Iset.add_interval b olo.(c) ohi.(c);
-        Iset.build b)
-      bs
+    match order with
+    | Some { live; starts; ends } ->
+        let bs = Array.map (fun _ -> Iset.builder ()) ranges in
+        let nlive = Array.length live in
+        (* One pass.  [vlo..vhi] is the band of values, between two starts,
+           that the last value fell in: live color [k]'s range, or the gap
+           before the next one ([k < 0]).  A value in the band extends the
+           open run [s..i-1] (of color [k], if any) at the cost of two
+           tests; a value outside it closes the run into the color's
+           builder, and only then is the band searched. *)
+        if nlive > 0 then
+          Iset.iter_intervals
+            (fun lo hi ->
+              let k = ref (-1) and s = ref lo in
+              let vlo = ref 1 and vhi = ref 0 in
+              for i = lo to hi do
+                let v = Array.unsafe_get data i in
+                if v < !vlo || v > !vhi then begin
+                  if !k >= 0 then Iset.add_interval bs.(live.(!k)) !s (i - 1);
+                  let j = last_start starts v in
+                  if j >= 0 && v <= ends.(j) then begin
+                    k := j;
+                    s := i;
+                    vlo := starts.(j);
+                    vhi := ends.(j)
+                  end
+                  else begin
+                    k := -1;
+                    vlo := (if j < 0 then min_int else ends.(j) + 1);
+                    vhi := (if j + 1 < nlive then starts.(j + 1) - 1 else max_int)
+                  end
+                end
+              done;
+              if !k >= 0 then Iset.add_interval bs.(live.(!k)) !s hi)
+            is;
+        Array.map Iset.build bs
+    | None ->
+        Array.map
+          (fun (lo, hi) ->
+            let b = Iset.builder () in
+            if lo <= hi then color_runs b data is lo hi;
+            Iset.build b)
+          ranges
   in
   (* Ranges that rise without overlap give each position one color. *)
   let disjoint = Option.is_some order || compute_disjoint subsets in

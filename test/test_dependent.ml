@@ -395,10 +395,60 @@ let prop_sweeps_equal_model =
         (Partition.by_value_ranges ~values:v.ccrd crd_space v.ranges)
         (Model.by_value_ranges ~values:v.ccrd crd_space v.ranges))
 
+(* A hypersparse crd: a few values per color spread over a hull of a
+   million, some outside it, imaged into the whole hull or into a few
+   scattered intervals of it.  The emission scan must keep to each color's
+   marked span. *)
+type hypersparse = { hcrd : int Region.t; hpart : Partition.t; htarget : Iset.t }
+
+let gen_hypersparse st =
+  let int = Random.State.int st in
+  let u = 1_000_000 in
+  let n = 1 + int 40 in
+  let hcrd =
+    Region.of_array "crd"
+      (Array.init n (fun _ -> if int 10 = 0 then u + int 7 - 3 else int u))
+  in
+  let htarget =
+    if Random.State.bool st then Iset.range u
+    else
+      Iset.of_intervals
+        (List.init (1 + int 5) (fun _ ->
+             let lo = int u in
+             (lo, lo + int (u / 10))))
+  in
+  { hcrd; hpart = gen_partition st hcrd.Region.ispace n; htarget }
+
+(* Value ranges that give every color at least 1,000 runs: the odd
+   positions cycle through the colors, each a value in its color's range
+   and block of [w], and the even ones hold a value in no range.  The ranges rise,
+   each a block less its last value, which is left in no range; or each
+   block is widened over the next one, so the ranges overlap. *)
+type many_runs = { mcrd : int Region.t; mranges : (int * int) array }
+
+let gen_many_runs st =
+  let int = Random.State.int st in
+  let colors = 2 + int 4 and w = 2 + int 19 in
+  let rising = Random.State.bool st in
+  let wide = if rising then w - 1 else 2 * w in
+  let mranges = Array.init colors (fun c -> (c * w, (c * w) + wide - 1)) in
+  let outside () =
+    if rising && int 4 = 0 then (int colors * w) + w - 1 else (colors + 1) * w
+  in
+  let mcrd =
+    Region.of_array "crd"
+      (Array.init (2_000 * colors) (fun i ->
+           if i mod 2 = 0 then outside ()
+           else fst mranges.(i / 2 mod colors) + int (Int.min w wide)))
+  in
+  { mcrd; mranges }
+
 (* The range operators on stored levels.  The preimage's destination is a
    random partition of the level's positions (aliased colors allowed) or,
    as SDDMM's [row:j] derives it, a value-range partition of a CSR [crd],
-   whose colors hold one fragment per row. *)
+   whose colors hold one fragment per row.  A hypersparse image of values
+   and value ranges of many runs per color stress the two operators'
+   emission. *)
 let arb_stored_case =
   let gen st =
     let s = gen_stored st in
@@ -406,35 +456,49 @@ let arb_stored_case =
       gen_partition st s.spos.Region.ispace (Region.extent s.spos),
       gen_partition st (Iset.range s.np) s.np,
       target st s.np,
-      gen_csr_ranges st )
+      gen_csr_ranges st,
+      gen_hypersparse st,
+      gen_many_runs st )
   in
-  let print (s, pos_p, np_p, np_target, v) =
+  let print (s, pos_p, np_p, np_target, v, h, m) =
     Format.asprintf
       "@[<v>%s@,pos %a over %a@,pos source %a@,pos destination %a@,target %a@,\
-       csr pos %a@,csr crd %a@,value ranges %a@]"
+       csr pos %a@,csr crd %a@,value ranges %a@,\
+       hypersparse crd %a@,its source %a@,its target %a@,\
+       many-runs ranges %a over %d values@]"
       s.kind (list pair)
       (Array.to_list s.spos.Region.data) Iset.pp s.spos.Region.ispace
       Partition.pp pos_p Partition.pp np_p Iset.pp np_target (list pair)
       (Array.to_list v.cpos.Region.data)
       (list Format.pp_print_int) (Array.to_list v.ccrd.Region.data)
       (list pair) (Array.to_list v.ranges)
+      (list Format.pp_print_int) (Array.to_list h.hcrd.Region.data)
+      Partition.pp h.hpart Iset.pp h.htarget (list pair) (Array.to_list m.mranges)
+      (Region.extent m.mcrd)
   in
   QCheck.make ~print gen
 
 let prop_ranges_equal_model =
   Helpers.qtest ~count:500 "range operators on stored levels = per-element model"
     arb_stored_case
-    (fun (s, pos_p, np_p, np_target, v) ->
+    (fun (s, pos_p, np_p, np_target, v, h, m) ->
       same (Dependent.image_ranges s.spos pos_p np_target)
         (Model.image_ranges s.spos pos_p np_target)
       && same (Dependent.preimage_ranges s.spos np_p)
            (Model.preimage_ranges s.spos np_p)
+      && (let by_ranges =
+            Partition.by_value_ranges ~values:v.ccrd v.ccrd.Region.ispace v.ranges
+          in
+          same (Dependent.preimage_ranges v.cpos by_ranges)
+            (Model.preimage_ranges v.cpos by_ranges))
+      && same (Dependent.image_values h.hcrd h.hpart h.htarget)
+           (Model.image_values h.hcrd h.hpart h.htarget)
       &&
-      let by_ranges =
-        Partition.by_value_ranges ~values:v.ccrd v.ccrd.Region.ispace v.ranges
+      let runs =
+        Partition.by_value_ranges ~values:m.mcrd m.mcrd.Region.ispace m.mranges
       in
-      same (Dependent.preimage_ranges v.cpos by_ranges)
-        (Model.preimage_ranges v.cpos by_ranges))
+      Array.for_all (fun sub -> Iset.interval_count sub >= 1_000) runs.Partition.subsets
+      && same runs (Model.by_value_ranges ~values:m.mcrd m.mcrd.Region.ispace m.mranges))
 
 (* A [pos] whose ranges overlap, or whose empty entry is not [(c, c - 1)],
    fails the preimage with a typed error rather than a wrong answer. *)

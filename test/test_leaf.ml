@@ -248,6 +248,57 @@ let prop_merge_core_equals_model =
                ~use_workspace))
         [ false; true ])
 
+(* --- The shared row-entry count ------------------------------------------- *)
+
+(* Row by row, operand by operand: the stored entries of the rows, or the
+   first row range (in that order) with an entry outside its operand. *)
+let model_row_entries (ops : Leaf.merge_op array) rows =
+  List.fold_left
+    (fun acc r ->
+      Array.fold_left
+        (fun acc ((pos, crd, vals) : Leaf.merge_op) ->
+          match acc with
+          | Error _ -> acc
+          | Ok n ->
+              let lo, hi = pos.(r) in
+              if lo <= hi && (lo < 0 || hi >= Array.length crd || hi >= A1.dim vals)
+              then Error (Printf.sprintf "merge: row entries %d..%d outside an operand" lo hi)
+              else Ok (n + max 0 (hi - lo + 1)))
+        acc ops)
+    (Ok 0) (Iset.elements rows)
+
+(* Up to two operand rows moved past their operand's end or before its
+   start (an operand of the case is shared, so each is copied first). *)
+let corrupt st (c : merge_case) =
+  let int = Random.State.int st in
+  let ops = Array.map (fun (pos, crd, vals) -> (Array.copy pos, crd, vals)) c.ops in
+  for _ = 1 to int 3 do
+    let pos, crd, _ = ops.(int (Array.length ops)) in
+    let r = int (Array.length pos) in
+    pos.(r) <-
+      (if int 2 = 0 then (-1 - int 3, int 2)
+       else (int (Array.length crd + 1), Array.length crd + int 3))
+  done;
+  { c with ops }
+
+(* Price, the interpreter's merge and the compiled cursor size a merge by
+   one count; it equals the per-row model on every case, its typed error
+   included: rows empty or scattered, two and three operands. *)
+let prop_row_entries_equal_model =
+  let gen st =
+    let c = gen_merge_case ~arities:[| 2; 3 |] st in
+    if Random.State.int st 3 = 0 then corrupt st c else c
+  in
+  Helpers.qtest ~count:500 "row-entry count = per-row model"
+    (QCheck.make ~print:print_merge_case gen)
+    (fun c ->
+      let got =
+        match Leaf.row_entries c.ops c.rows with
+        | n -> Ok n
+        | exception Error.Error { Error.phase = Error.Leaf; what; _ } -> Error what
+      in
+      got = model_row_entries c.ops c.rows)
+
 (* --- Compiled merge cursor vs the merge core -------------------------------- *)
 
 (* The CSR matrix [name] holding a merge operand's storage. *)
@@ -1203,6 +1254,7 @@ let suite =
     Alcotest.test_case "compiled leaves allocate < 1 word per element" `Quick
       test_leaf_alloc;
     prop_merge_cursor_equals_core;
+    prop_row_entries_equal_model;
     Alcotest.test_case "merge: compiled = interp end to end" `Quick
       test_merge_backends_agree;
     Alcotest.test_case "merge operands are shape-checked" `Quick
