@@ -42,18 +42,6 @@ type stats = {
   evictions : int;
 }
 
-(* A schedule the auto-scheduler settled on for a (machine, TIN, sparsity
-   pattern) — the value side of {!winner_digest}.  Winners are tiny (a
-   schedule and a TDN per operand), so they live in a side table bounded by
-   the same entry cap but outside the byte budget: evicting a multi-MB
-   launch plan to make room for a 100-byte schedule would be backwards. *)
-type winner = {
-  w_label : string;
-  w_schedule : Schedule.t;
-  w_tdns : (string * Tdn.t) list;
-  w_total : float;  (** priced cost of the winning candidate, sim seconds *)
-}
-
 type t = {
   tbl : (string, entry) Hashtbl.t;
   mutable order : string list;  (* most recently used first; LRU is last *)
@@ -65,8 +53,6 @@ type t = {
   mutable misses : int;
   mutable invalidations : int;
   mutable evictions : int;
-  winners : (string, winner) Hashtbl.t;
-  mutable winner_order : string list;  (* MRU first, like [order] *)
 }
 
 let create ?(cap = 64) ?byte_budget () =
@@ -85,8 +71,6 @@ let create ?(cap = 64) ?byte_budget () =
     misses = 0;
     invalidations = 0;
     evictions = 0;
-    winners = Hashtbl.create 16;
-    winner_order = [];
   }
 
 (* ------------------------------------------------------------------ *)
@@ -185,12 +169,9 @@ let params_repr (p : Machine.params) =
     barrier_alpha atomic_penalty_cpu atomic_penalty_gpu uvm_page_bw
     legion_leaf_efficiency
 
-(* Shared digest body.  The launch-plan digest keys on everything execution
-   depends on (schedule and TDNs included); the winner digest drops exactly
-   the parts the auto-scheduler chooses — schedule and per-operand TDN — so
-   a cached winner is found again for the same (machine, TIN, sparsity
-   pattern) whatever schedule the caller arrived with. *)
-let digest_buf ?schedule ~with_tdn ~machine ~operands ~stmt () =
+(* The key covers everything execution depends on, schedule and TDNs
+   included. *)
+let digest ~machine ~operands ~stmt ~schedule =
   let buf = Buffer.create 256 in
   Buffer.add_string buf
     (match machine.Machine.kind with Machine.Cpu -> "cpu[" | Machine.Gpu -> "gpu[");
@@ -201,29 +182,18 @@ let digest_buf ?schedule ~with_tdn ~machine ~operands ~stmt () =
   Buffer.add_string buf (params_repr machine.Machine.params);
   Buffer.add_string buf "|tin:";
   Buffer.add_string buf (Tin.to_string stmt);
-  (match schedule with
-  | None -> ()
-  | Some s ->
-      Buffer.add_string buf "|sched:";
-      Buffer.add_string buf (Schedule.to_string s));
+  Buffer.add_string buf "|sched:";
+  Buffer.add_string buf (Schedule.to_string schedule);
   List.iter
     (fun (name, (slot : Operand.slot), tdn) ->
       Buffer.add_string buf "|op:";
       Buffer.add_string buf name;
       Buffer.add_char buf '=';
       data_fingerprint buf slot.Operand.data;
-      if with_tdn then begin
-        Buffer.add_string buf "@";
-        Buffer.add_string buf (Format.asprintf "%a" (Tdn.pp ~tensor:name) tdn)
-      end)
+      Buffer.add_string buf "@";
+      Buffer.add_string buf (Format.asprintf "%a" (Tdn.pp ~tensor:name) tdn))
     operands;
   Digest.to_hex (Digest.string (Buffer.contents buf))
-
-let digest ~machine ~operands ~stmt ~schedule =
-  digest_buf ~schedule ~with_tdn:true ~machine ~operands ~stmt ()
-
-let winner_digest ~machine ~operands ~stmt =
-  digest_buf ~with_tdn:false ~machine ~operands ~stmt ()
 
 (* ------------------------------------------------------------------ *)
 (* Cost model of a cold miss                                           *)
@@ -335,30 +305,6 @@ let add t entry =
        footprint, which never exceeds the budget. *)
     t.bytes_peak <- max t.bytes_peak t.bytes;
     note_occupancy t
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Auto-scheduler winners                                              *)
-(* ------------------------------------------------------------------ *)
-
-let find_winner t key =
-  match Hashtbl.find_opt t.winners key with
-  | Some w ->
-      t.winner_order <- key :: List.filter (fun k -> k <> key) t.winner_order;
-      Some w
-  | None -> None
-
-let remember_winner t key w =
-  if not (Hashtbl.mem t.winners key) then begin
-    Hashtbl.replace t.winners key w;
-    t.winner_order <- key :: t.winner_order;
-    while Hashtbl.length t.winners > t.cap do
-      match List.rev t.winner_order with
-      | lru :: _ ->
-          Hashtbl.remove t.winners lru;
-          t.winner_order <- List.filter (fun k -> k <> lru) t.winner_order
-      | [] -> ()
-    done
   end
 
 (* A crash killed nodes whose slots the cached placements name: check every

@@ -76,34 +76,6 @@ val digest :
   schedule:Schedule.t ->
   string
 
-(** Digest for auto-scheduler winners: {!digest} minus exactly what the
-    search chooses — the schedule and the per-operand TDNs — so a remembered
-    winner is found again for the same (machine, TIN, sparsity pattern)
-    whatever schedule/TDNs the caller arrived with. *)
-val winner_digest :
-  machine:Machine.t ->
-  operands:(string * Operand.slot * Tdn.t) list ->
-  stmt:Tin.stmt ->
-  string
-
-(** A schedule the auto-scheduler settled on, remembered under
-    {!winner_digest}.  Winners are tiny; they share the entry cap but not
-    the byte budget. *)
-type winner = {
-  w_label : string;  (** search-family label of the winning candidate *)
-  w_schedule : Schedule.t;
-  w_tdns : (string * Tdn.t) list;
-  w_total : float;  (** priced cost of the winner, simulated seconds *)
-}
-
-(** Lookup a remembered winner (refreshes recency; does not touch the
-    hit/miss counters — those count launch-plan lookups). *)
-val find_winner : t -> string -> winner option
-
-(** Remember a winner (no-op if the key is present); evicts the least
-    recently used winner past the entry cap. *)
-val remember_winner : t -> string -> winner -> unit
-
 (** Simulated price of the dependent-partitioning work tallied in [stats]:
     one launch overhead per partition/query op plus the scanned region
     entries at memory bandwidth.  Charged by the execution context only on a

@@ -69,8 +69,10 @@ type comparison = {
 
 let ok c = c.mismatched = 0
 
-let compare ?(rtol = 0.) ?(atol = 0.) ?(max_samples = 5) bindings
-    (stmt : Tin.stmt) =
+(* Mismatches recorded in [samples]. *)
+let max_samples = 5
+
+let compare ?(rtol = 0.) ?(atol = 0.) bindings (stmt : Tin.stmt) =
   let expected = reference bindings stmt in
   let doms = var_domains bindings stmt in
   let dims = List.map (fun v -> Hashtbl.find doms v) stmt.Tin.lhs.Tin.indices in

@@ -28,12 +28,11 @@ type comparison = {
   samples : diff list;  (** first few mismatches, iteration order *)
 }
 
-(** [compare ?rtol ?atol ?max_samples bindings stmt]; tolerances default to 0
-    (exact), [max_samples] (recorded mismatches) to 5. *)
+(** [compare ?rtol ?atol bindings stmt]; tolerances default to 0 (exact).
+    At most 5 mismatches are recorded in [samples]. *)
 val compare :
   ?rtol:float ->
   ?atol:float ->
-  ?max_samples:int ->
   Operand.bindings ->
   Tin.stmt ->
   comparison

@@ -29,8 +29,11 @@ let shrink_failure ~max_steps index original failure =
   in
   { index; original; shrunk; failure; text = Shrink.reproducer ~original ~shrunk failure }
 
+(* Checks the shrinker may spend on one failure. *)
+let shrink_steps = 300
+
 let run ?(params = Gen.default_params) ?progress ?(budget_seconds = 0.)
-    ?(shrink_steps = 300) ~seed ~count () =
+    ~seed ~count () =
   let t0 = Sys.time () in
   let passed = ref 0 and skipped = ref 0 and rejected = ref 0 in
   let total = ref 0 in

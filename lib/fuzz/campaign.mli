@@ -22,12 +22,12 @@ type report = {
 
 (** [run ~seed ~count ()].  [budget_seconds <= 0.] (default) means no time
     box; a positive budget stops the campaign (not mid-case) when CPU time
-    exceeds it.  [progress] is invoked after each case. *)
+    exceeds it.  [progress] is invoked after each case.  The first failure
+    stops the campaign and is shrunk with at most 300 checks. *)
 val run :
   ?params:Gen.params ->
   ?progress:(index:int -> spec:Spec.t -> Check.verdict -> unit) ->
   ?budget_seconds:float ->
-  ?shrink_steps:int ->
   seed:int ->
   count:int ->
   unit ->

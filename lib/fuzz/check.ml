@@ -38,7 +38,8 @@ type exec_result =
   | Rejected of string
   | Crashed of string
 
-(* A typed refusal: the compiler or the configuration declining the case. *)
+(* A typed refusal: the compiler or the configuration declining the case.
+   Any other exception, an untyped one included, is a crash. *)
 let refusal (e : Error.t) =
   match e.Error.phase with Error.Compile | Error.Config -> true | _ -> false
 
@@ -46,7 +47,6 @@ let exec ?(domains = 1) ?(faults = Fault.disabled) ?leaf_backend p =
   match Spdistal.run ~domains ~faults ?leaf_backend p with
   | { cost; dnc = None; _ } -> Ran cost
   | { dnc = Some reason; _ } -> Dnc reason
-  | exception Invalid_argument m -> Rejected m
   | exception Error.Error e when refusal e -> Rejected (Error.to_string e)
   | exception Error.Error e -> Crashed (Error.to_string e)
   | exception exn -> Crashed (Printexc.to_string exn)
@@ -94,7 +94,6 @@ let run spec =
     let p =
       match Spec.build spec with
       | p -> p
-      | exception Invalid_argument m -> stop (Reject ("build: " ^ m))
       | exception Error.Error e when refusal e ->
           stop (Reject ("build: " ^ Error.to_string e))
       | exception exn ->

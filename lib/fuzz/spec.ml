@@ -326,6 +326,11 @@ let to_string spec =
 
 let split_on c s = String.split_on_char c s
 
+(* Every key [to_string] emits. *)
+let keys =
+  [ "vars"; "driver"; "merge"; "facts"; "lit"; "out"; "sched"; "tdn"; "gpu";
+    "grid"; "dom"; "flt"; "ws"; "at" ]
+
 let of_string line =
   let ( let* ) = Result.bind in
   let parse_int what s =
@@ -353,15 +358,28 @@ let of_string line =
         let* () = acc in
         match String.index_opt field '=' with
         | Some i ->
-            kvs :=
-              ( String.sub field 0 i,
-                String.sub field (i + 1) (String.length field - i - 1) )
-              :: !kvs;
-            Ok ()
+            let k = String.sub field 0 i in
+            if not (List.mem k keys) then
+              Error (Printf.sprintf "unknown field %S" k)
+            else if List.mem_assoc k !kvs then
+              Error (Printf.sprintf "duplicate field %s" k)
+            else begin
+              kvs :=
+                (k, String.sub field (i + 1) (String.length field - i - 1))
+                :: !kvs;
+              Ok ()
+            end
         | None -> Error (Printf.sprintf "malformed field %S" field))
       (Ok ()) fields
   in
   let find k = List.assoc_opt k !kvs in
+  (* [to_string] prints a flag only when set, as [k=1]. *)
+  let flag k =
+    match find k with
+    | None -> Ok false
+    | Some "1" -> Ok true
+    | Some v -> Error (Printf.sprintf "bad %s flag %S (only 1)" k v)
+  in
   let require k =
     match find k with
     | Some v -> Ok v
@@ -475,7 +493,7 @@ let of_string line =
             | _ -> Error (Printf.sprintf "bad tdn entry %S" entry))
           (split_on ',' ts)
   in
-  let gpu = find "gpu" = Some "1" in
+  let* gpu = flag "gpu" in
   let* grid_s = require "grid" in
   let* grid = each (parse_int "grid") (split_on 'x' grid_s) in
   let* domains =
@@ -492,8 +510,8 @@ let of_string line =
             Ok (Some (s, r))
         | _ -> Error (Printf.sprintf "bad flt field %S" f))
   in
-  let workspace = find "ws" = Some "1" in
-  let auto = find "at" = Some "1" in
+  let* workspace = flag "ws" in
+  let* auto = flag "at" in
   Ok
     {
       vars;

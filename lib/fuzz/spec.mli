@@ -71,6 +71,8 @@ val build : t -> Core.Spdistal.problem
     [vars=i:4,j:7;driver=B:i.j:dc:01:0.25:7;out=a:v:i;sched=u:i:1;tdn=a:b0,B:b0;grid=4]. *)
 val to_string : t -> string
 
+(** Inverse of {!to_string}.  An unknown key, a repeated key and a
+    [gpu]/[ws]/[at] flag other than [1] are each an [Error]. *)
 val of_string : string -> (t, string) result
 
 (** Like {!of_string} but raises a [Config]

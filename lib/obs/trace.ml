@@ -101,10 +101,8 @@ let set_meta t k v =
 let spans t = List.rev t.spans
 let counters t = List.rev t.counters
 
-let comm_matrix ?(min_nodes = 0) t =
-  let n =
-    Hashtbl.fold (fun (s, d) _ acc -> max acc (max s d + 1)) t.edges min_nodes
-  in
+let comm_matrix t =
+  let n = Hashtbl.fold (fun (s, d) _ acc -> max acc (max s d + 1)) t.edges 0 in
   let m = Array.make_matrix n n 0. in
   Hashtbl.iter (fun (s, d) r -> m.(s).(d) <- !r) t.edges;
   m

@@ -118,8 +118,8 @@ val spans : t -> span list
 val counters : t -> counter list
 
 (** Dense [src.(dst)] byte matrix over nodes [0 .. n-1] where [n] is one
-    more than the largest node id seen on any edge (or [min_nodes]). *)
-val comm_matrix : ?min_nodes:int -> t -> float array array
+    more than the largest node id seen on any edge. *)
+val comm_matrix : t -> float array array
 
 val meta : t -> (string * string) list
 

@@ -4,12 +4,9 @@
     schedule with {!Price} and picks the cheapest, so the result never
     prices worse than the schedule the caller wrote.  Each [choose] or
     [report] call prices its candidates in one {!Price.session}, which
-    ends with the call.  With a [cache], the
-    winner is remembered under {!Spdistal_exec.Cache.winner_digest} (machine
-    + TIN + sparsity pattern, schedule- and TDN-free) and replayed without
-    pricing on later calls. *)
-
-open Spdistal_exec
+    ends with the call.  Nothing is remembered across calls: the caller
+    holds the decision.  An iterative run schedules once before its loop,
+    and the serve engine once per (query, machine) context. *)
 
 type verdict = {
   v_label : string;
@@ -28,18 +25,16 @@ type choice = {
   ch_problem : Core.Spdistal.problem;  (** the problem, re-planned *)
   ch_label : string;
   ch_total : float;  (** priced cost of the winner, simulated seconds *)
-  ch_cached : bool;  (** replayed from the winner cache without pricing *)
 }
 
-(** Full pricing table (no cache interaction) — the view [spdistal auto]
-    and the tournament print. *)
+(** Full pricing table — the view [spdistal auto] and the tournament
+    print. *)
 val report : Core.Spdistal.problem -> report
 
-(** Pick (and, given [cache], remember or replay) the cheapest feasible
-    candidate.  [None] when nothing prices — the caller keeps its hand
-    schedule. *)
-val choose : ?cache:Cache.t -> Core.Spdistal.problem -> choice option
+(** Pick the cheapest feasible candidate.  [None] when nothing prices — the
+    caller keeps its hand schedule. *)
+val choose : Core.Spdistal.problem -> choice option
 
 (** [choose] with the identity fallback: the re-planned problem, or [p]
     unchanged when no candidate is feasible. *)
-val schedule : ?cache:Cache.t -> Core.Spdistal.problem -> Core.Spdistal.problem
+val schedule : Core.Spdistal.problem -> Core.Spdistal.problem

@@ -27,8 +27,8 @@
    places or lowers a schedule [Lower] refuses.  An [Error] verdict is
    capacity (the run would OOM) or a typed refusal of the run itself: a
    placement, or a merge leaf's operand shapes.  Every refusal on the
-   pricing path is an [Error.Error]; an [Invalid_argument] is a bug and
-   escapes. *)
+   pricing path is an [Error.Error]; any other exception, an
+   [Invalid_argument] or a [Failure], is a bug and escapes. *)
 
 open Spdistal_runtime
 open Spdistal_ir
@@ -145,7 +145,6 @@ let price_problem s (p : Spdistal.problem) : (priced, string) result =
   with
   | Error.Error e -> Error (Error.to_string e)
   | Memstate.Oom m -> Error ("OOM: " ^ m)
-  | Failure m -> Error ("candidate failed: " ^ m)
 
 let price_in s ~schedule ~tdns =
   price_problem s (Spdistal.with_schedule s.s_problem ~schedule ~tdns)

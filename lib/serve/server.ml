@@ -141,13 +141,12 @@ let context t query =
   | Some ctx -> ctx
   | None ->
       let problem = Catalog.problem ~machine:t.machine query in
-      (* Auto mode reschedules each catalog problem once per (machine,
-         pattern): the winner is remembered in the shared cache, so later
-         contexts (and machine rebuilds after blacklisting) replan for
-         free. *)
+      (* Auto mode schedules each query once per machine: the context
+         keeps the decision for every later job of the query.  A
+         blacklisting shrinks the machine and drops the contexts, so the
+         next job of each query schedules again on the survivors. *)
       let problem =
-        if t.cfg.s_auto then Spdistal_opt.Auto.schedule ~cache:t.cache problem
-        else problem
+        if t.cfg.s_auto then Spdistal_opt.Auto.schedule problem else problem
       in
       let ctx = Spdistal.Context.create ~shared_cache:t.cache problem in
       Hashtbl.replace t.contexts query ctx;

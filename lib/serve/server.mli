@@ -26,10 +26,10 @@ type config = {
   s_faults : Fault.config;
   s_auto : bool;
       (** replace each catalog problem's hand schedule with the
-          auto-scheduler's pick ({!Spdistal_opt.Auto.schedule}); winners are
-          remembered in the shared cache, so rescheduling is priced once per
-          (machine, pattern).  The single-tenant baseline keeps the hand
-          schedules. *)
+          auto-scheduler's pick ({!Spdistal_opt.Auto.schedule}).  Each
+          query's context schedules it once per machine, so a search runs
+          again only after a blacklisting rebuilds the machine.  The
+          single-tenant baseline keeps the hand schedules. *)
 }
 
 (** 4 nodes, queue bound 32, 1 MiB cache budget, 2 retries/tenant,

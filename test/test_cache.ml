@@ -345,26 +345,18 @@ let test_digest_pinned () =
     [
       ( "spmv",
         Core.Kernels.spmv_problem ~machine:m csr,
-        "350ff358840c2ab09e0c9021ae5360fc",
-        "4e9f3b6a02fff743ac39b68aa20e2178" );
+        "350ff358840c2ab09e0c9021ae5360fc" );
       ( "spttv",
         Core.Kernels.spttv_problem ~machine:m csf,
-        "dc91e91f1db30b3660c4b59b4cb065be",
-        "e30ff7cedb9bc6e3c35e8c46fe6a915b" );
+        "dc91e91f1db30b3660c4b59b4cb065be" );
       ( "spadd3",
         Core.Kernels.spadd3_problem ~machine:m csr,
-        "33aee0af3755a456d37c70628d646ba0",
-        "dd12568777bfd960ae774d0b8ded2933" );
+        "33aee0af3755a456d37c70628d646ba0" );
     ]
   in
   List.iter
-    (fun (name, (p : S.problem), key, winner) ->
-      Alcotest.(check string) (name ^ ": Cache.digest") key (digest_of p);
-      Alcotest.(check string)
-        (name ^ ": Cache.winner_digest")
-        winner
-        (Cache.winner_digest ~machine:p.S.machine ~operands:p.S.operands
-           ~stmt:p.S.stmt))
+    (fun (name, p, key) ->
+      Alcotest.(check string) (name ^ ": Cache.digest") key (digest_of p))
     cases
 
 (* ------------------------------------------------------------------ *)

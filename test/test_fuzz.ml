@@ -92,6 +92,25 @@ let test_unbuildable_schedule_rejected () =
         (Helpers.contains m "Schedule.nnz: no variable to split")
   | v -> Alcotest.fail ("expected a reject: " ^ Check.verdict_to_string v)
 
+(* The parser refuses what [Spec.to_string] never prints instead of
+   ignoring it: an unknown key, a repeated key, a flag other than [1]. *)
+let test_parser_refusals () =
+  let base =
+    "vars=i:4,j:4;driver=B:i.j:dc:01:0.5:3;facts=c:v:j;out=a:v:i;sched=u:i:1;tdn=a:b0,B:b0,c:r;grid=2"
+  in
+  Alcotest.(check bool) "base parses" true (Result.is_ok (Spec.of_string base));
+  List.iter
+    (fun (what, line, needle) ->
+      match Spec.of_string line with
+      | Ok _ -> Alcotest.fail (what ^ " parsed: " ^ line)
+      | Error m ->
+          Alcotest.(check bool) (what ^ ": " ^ m) true (Helpers.contains m needle))
+    [
+      ("unknown key", base ^ ";grdi=4", "unknown field");
+      ("duplicate key", base ^ ";grid=4", "duplicate field grid");
+      ("flag not 1", base ^ ";at=l", "bad at flag");
+    ]
+
 let suite =
   [
     Alcotest.test_case "generator is deterministic" `Quick test_gen_deterministic;
@@ -102,4 +121,6 @@ let suite =
     Alcotest.test_case "regression corpus replays" `Slow test_corpus_replay;
     Alcotest.test_case "unbuildable schedule is rejected" `Quick
       test_unbuildable_schedule_rejected;
+    Alcotest.test_case "spec parser refuses unknown, repeated and bad flags"
+      `Quick test_parser_refusals;
   ]

@@ -503,51 +503,6 @@ let prop_price_le_naive =
       | Some _, Error _ -> true  (* naive infeasible: nothing to beat *)
       | None, _ -> false)
 
-(* ------------------------------------------------------------------ *)
-(* Winner cache                                                        *)
-(* ------------------------------------------------------------------ *)
-
-(* Same (machine, TIN, pattern): first choose prices, second replays the
-   remembered winner without pricing — and the replayed problem still
-   executes bit-identically. *)
-let test_winner_cache_replays () =
-  let cache = Spdistal_exec.Cache.create ~cap:8 () in
-  let make = List.assoc "spmv" (Helpers.kernel_problems ()) in
-  let c1 =
-    match Auto.choose ~cache (make ()) with
-    | Some c -> c
-    | None -> Alcotest.fail "no choice"
-  in
-  Alcotest.(check bool) "first choice priced" false c1.Auto.ch_cached;
-  let c2 =
-    match Auto.choose ~cache (make ()) with
-    | Some c -> c
-    | None -> Alcotest.fail "no cached choice"
-  in
-  Alcotest.(check bool) "second choice replayed" true c2.Auto.ch_cached;
-  Alcotest.(check string) "same winner" c1.Auto.ch_label c2.Auto.ch_label;
-  ignore (run_ok c1.Auto.ch_problem);
-  ignore (run_ok c2.Auto.ch_problem);
-  Alcotest.(check bool) "replayed run bit-identical" true
-    (Snapshot.equal
-       (Snapshot.outputs c1.Auto.ch_problem)
-       (Snapshot.outputs c2.Auto.ch_problem))
-
-(* A different sparsity pattern must not hit the remembered winner. *)
-let test_winner_cache_keyed_by_pattern () =
-  let cache = Spdistal_exec.Cache.create ~cap:8 () in
-  let p1 = Core.Kernels.spmv_problem ~machine:(Helpers.cpu_machine 4)
-      (Helpers.rand_csr ~seed:1 40 40 0.1) in
-  let p2 = Core.Kernels.spmv_problem ~machine:(Helpers.cpu_machine 4)
-      (Helpers.rand_csr ~seed:2 40 40 0.1) in
-  (match Auto.choose ~cache p1 with
-  | Some c -> Alcotest.(check bool) "cold" false c.Auto.ch_cached
-  | None -> Alcotest.fail "no choice");
-  match Auto.choose ~cache p2 with
-  | Some c ->
-      Alcotest.(check bool) "different pattern misses" false c.Auto.ch_cached
-  | None -> Alcotest.fail "no choice"
-
 (* SpAdd3 operands whose shape differs from B's: pricing refuses every
    candidate with the error its run would raise first, so the
    auto-scheduler never picks a schedule the run then rejects.  The
@@ -1015,9 +970,6 @@ let suite =
     Alcotest.test_case "priced partitioning == cold run" `Quick
       test_partitioning_matches_cold_run;
     prop_price_le_naive;
-    Alcotest.test_case "winner cache replays" `Quick test_winner_cache_replays;
-    Alcotest.test_case "winner cache keyed by pattern" `Quick
-      test_winner_cache_keyed_by_pattern;
     Alcotest.test_case "session verdicts == standalone price" `Quick
       test_session_equals_standalone;
     Alcotest.test_case "no state across choose calls" `Quick

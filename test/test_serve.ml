@@ -427,6 +427,65 @@ let test_blacklist_degradation () =
   Alcotest.(check int) "every job accounted" r.Server.r_jobs (accounted r);
   check_accounting r
 
+(* Auto mode searches once per query and machine: the query's context
+   keeps the decision for every later job.  A blacklisting rebuilds the
+   machine and drops the contexts, so each rebuild may cost every query
+   one more search, and no more. *)
+let test_auto_searches_once_per_context () =
+  let module Metrics = Spdistal_obs.Metrics in
+  let run cfg w =
+    let reg = Metrics.create () in
+    let prev = Metrics.default () in
+    Metrics.set_default reg;
+    let r =
+      Fun.protect
+        ~finally:(fun () -> Metrics.set_default prev)
+        (fun () -> Server.run { cfg with Server.s_auto = true } w)
+    in
+    let searches =
+      Option.value ~default:0.
+        (Metrics.value reg "spdistal_auto_searches_total")
+    in
+    Alcotest.(check int) "every job settles" r.Server.r_jobs (accounted r);
+    Alcotest.(check int) "one log record per job" r.Server.r_jobs
+      (List.length r.Server.r_log);
+    check_accounting r;
+    let queries =
+      List.sort_uniq compare
+        (List.filter_map
+           (fun l ->
+             match l.Server.l_outcome with
+             | Server.Shed _ -> None
+             | _ -> Some l.Server.l_job.Workload.j_query)
+           r.Server.r_log)
+    in
+    (r, int_of_float searches, List.length queries)
+  in
+  (* Deadlines generous enough that every admitted job runs. *)
+  let w = small_workload ~jobs:24 ~deadline:5. () in
+  let r, searches, queries = run Server.default_config w in
+  Alcotest.(check bool) "several queries admitted" true (queries > 1);
+  Alcotest.(check (list int)) "fault-free: nothing blacklisted" []
+    r.Server.r_blacklisted;
+  Alcotest.(check int) "fault-free: one search per admitted query" queries
+    searches;
+  let w = small_workload ~jobs:40 ~deadline:5. () in
+  let r, searches, queries =
+    run
+      {
+        Server.default_config with
+        Server.s_faults = Fault.make ~seed:42 ~rate:0.35 ~retries:1 ();
+      }
+      w
+  in
+  let rebuilds = List.length r.Server.r_blacklisted in
+  Alcotest.(check bool) "a node is blacklisted" true (rebuilds > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d searches <= %d queries x (1 + %d blacklistings)"
+       searches queries rebuilds)
+    true
+    (searches <= queries * (1 + rebuilds))
+
 let test_csv_shape () =
   let field_count s = List.length (String.split_on_char ',' s) in
   let w = small_workload ~jobs:12 () in
@@ -599,6 +658,8 @@ let suite =
     Alcotest.test_case "overload + chaos soak" `Quick test_overload_chaos_soak;
     Alcotest.test_case "blacklist and degrade under crashes" `Quick
       test_blacklist_degradation;
+    Alcotest.test_case "auto mode searches once per context" `Quick
+      test_auto_searches_once_per_context;
     Alcotest.test_case "CSV row shape + baseline" `Quick test_csv_shape;
     Alcotest.test_case "tenant tracks in the trace" `Quick test_serve_traced;
     Alcotest.test_case "log events stamped at span end" `Quick
